@@ -40,7 +40,6 @@ from .linalg import (
     predicates,
     schur_complement,
     singular_values,
-    _clamp_psd_eigenvalues,
     _require_square,
 )
 
@@ -279,23 +278,40 @@ def _report(
     return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
 
 
-def _log_det_identity_plus_power(gram: np.ndarray, p: float, tol: Tolerances) -> SignedLogDet:
-    """det(I + G^{p/2}) for a PSD Gram matrix G, evaluated spectrally.
+# A stack of blocks is numerically rank deficient, and its Gram determinant
+# zero, when sigma_min <= max(rows, cols) * _RANK_EPS * sigma_max.
+_RANK_EPS = float(np.finfo(float).eps)
 
-    G^{p/2} is the p-th power of the PSD square root of G, so the value is
-    the product of 1 + lambda^{p/2} over the eigenvalues of G; summing
-    log1p terms keeps it exact in the log domain.
+
+def _sum_log1p_pow(v: np.ndarray, p: float) -> float:
+    """sum log(1 + v^p) over nonnegative v.
+
+    Entries above 1 take p log v + log1p(v^-p), so v^p is never formed where
+    it could overflow.
     """
-    w, _ = hermitian_eigensystem(gram, tol)
-    w = _clamp_psd_eigenvalues(w, tol, "det(I + |.|^p)")
-    return SignedLogDet.from_log(float(np.sum(np.log1p(np.power(w, p / 2.0)))))
+    big = v > 1.0
+    small, large = v[~big], v[big]
+    return float(np.sum(np.log1p(small ** p)) + np.sum(p * np.log(large) + np.log1p(large ** -p)))
 
 
-def _sum_gram(blocks: list[np.ndarray]) -> np.ndarray:
-    acc = blocks[0].conj().T @ blocks[0]
-    for b in blocks[1:]:
-        acc = acc + b.conj().T @ b
-    return acc
+def _log_det_identity_plus_abs_power(a: np.ndarray, p: float) -> SignedLogDet:
+    """det(I + |A|^p) = prod(1 + sigma^p) over the singular values of A.
+
+    At p = 2 this is det(I + A*A), taken without forming A*A.
+    """
+    return SignedLogDet.from_log(_sum_log1p_pow(singular_values(a), p))
+
+
+def _log_det_gram_sum(blocks: list[np.ndarray]) -> SignedLogDet:
+    """det(sum B_k* B_k) = prod sigma^2 over the stacked matrix [B_1; ...; B_m].
+
+    Flagged zero when the stack is numerically rank deficient.
+    """
+    stacked = np.vstack(blocks)
+    sigma = singular_values(stacked)
+    if sigma[-1] <= max(stacked.shape) * _RANK_EPS * sigma[0]:
+        return SignedLogDet.zero()
+    return SignedLogDet.from_log(2.0 * float(np.sum(np.log(sigma))))
 
 
 def _sum_conj_product(blocks: list[np.ndarray]) -> np.ndarray:
@@ -335,13 +351,13 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     """det(sum T_k* T_k) >= det(sum X_k* X_k) * det(sum Z_k* Z_k).
 
     Holds for any conformally partitioned family; no equality condition is
-    claimed.  The diagnostics flag a singular sum X_k* X_k, the case the
+    claimed.  Each side comes from the singular values of the stacked
+    blocks.  The diagnostics flag a singular sum X_k* X_k, the case the
     proof handles by continuity.
     """
-    full = [m.assemble() for m in family.members]
-    lhs = det(_sum_gram(full), tol)
-    rhs_x = det(_sum_gram([m.x for m in family.members]), tol)
-    rhs_z = det(_sum_gram([m.z for m in family.members]), tol)
+    lhs = _log_det_gram_sum([m.assemble() for m in family.members])
+    rhs_x = _log_det_gram_sum([m.x for m in family.members])
+    rhs_z = _log_det_gram_sum([m.z for m in family.members])
     diagnostics = (Finding("sum_xx_singular", bool(rhs_x.is_zero)),)
     return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics=diagnostics)
 
@@ -356,8 +372,8 @@ def check_thm1_schur_steps(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -
     """
     xs = [m.x for m in family.members]
     ys = [m.y for m in family.members]
-    sum_xx = _sum_gram(xs)
-    sigma = singular_values(sum_xx, tol)
+    sum_xx = sum(x.conj().T @ x for x in xs)
+    sigma = singular_values(sum_xx)
     if float(sigma[-1]) <= tol.pivot_rel * float(sigma[0]):
         return (Finding("sum_xx_nonsingular", False),)
     r, s = family.r, family.n - family.r
@@ -368,9 +384,10 @@ def check_thm1_schur_steps(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -
     stacked[r:, :r] = sum_xy.conj().T
     stacked[r:, r:] = sum(y.conj().T @ y for y in ys)
     gram_psd = predicates(stacked, tol).is_psd
-    sum_tt = _sum_gram([m.assemble() for m in family.members])
+    full = [m.assemble() for m in family.members]
+    sum_tt = sum(t.conj().T @ t for t in full)
     complement = schur_complement(sum_tt, family.r, tol)
-    gap = complement - _sum_gram([m.z for m in family.members])
+    gap = complement - sum(m.z.conj().T @ m.z for m in family.members)
     gap = (gap + gap.conj().T) / 2.0
     w, _ = hermitian_eigensystem(gap, tol)
     scale = max(float(np.max(np.abs(w))) if w.size else 0.0, frobenius_norm(complement))
@@ -384,20 +401,14 @@ def check_thm1_schur_steps(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -
 
 def _y_is_structurally_zero(t: BlockUpperTriangular, tol: Tolerances) -> tuple[bool, float]:
     y_norm = frobenius_norm(t.y)
-    total = math.sqrt(
-        frobenius_norm(t.x) ** 2 + frobenius_norm(t.y) ** 2 + frobenius_norm(t.z) ** 2
-    )
+    total = math.hypot(frobenius_norm(t.x), y_norm, frobenius_norm(t.z))
     return y_norm <= tol.predicate_rel * (1.0 + total), y_norm
 
 
 def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + T*T) >= det(I + X*X) * det(I + Z*Z), equality iff Y = 0."""
-    full = t.assemble()
-    n, r = t.n, t.r
-    lhs = det(identity(n) + full.conj().T @ full, tol)
-    rhs = det(identity(r) + t.x.conj().T @ t.x, tol) * det(
-        identity(n - r) + t.z.conj().T @ t.z, tol
-    )
+    lhs = _log_det_identity_plus_abs_power(t.assemble(), 2.0)
+    rhs = _log_det_identity_plus_abs_power(t.x, 2.0) * _log_det_identity_plus_abs_power(t.z, 2.0)
     y_zero, y_norm = _y_is_structurally_zero(t, tol)
     diagnostics = (Finding("y_frobenius", y_norm),)
     return _report("cor_c0", lhs, rhs, tol, structural_equality=y_zero, diagnostics=diagnostics)
@@ -421,7 +432,7 @@ def check_cor_c1(
         predicates(m.x, tol).is_normal and predicates(m.z, tol).is_normal
         for m in family.members
     )
-    lhs = det(_sum_gram([m.assemble() for m in family.members]), tol)
+    lhs = _log_det_gram_sum([m.assemble() for m in family.members])
     inner_x = det(_sum_conj_product([m.x for m in family.members]), tol)
     inner_z = det(_sum_conj_product([m.z for m in family.members]), tol)
     rhs = inner_x.abs() * inner_z.abs()
@@ -473,7 +484,7 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     x = as_matrix(x)
     _require_square(x, "check_lemma1")
     n = x.shape[0]
-    lhs = det(identity(n) + x.conj().T @ x, tol)
+    lhs = _log_det_identity_plus_abs_power(x, 2.0)
     rhs = det(identity(n) + x.conj() @ x, tol)
     asymmetry = frobenius_norm(x - x.T)
     symmetric = predicates(x, tol).is_symmetric
@@ -535,9 +546,8 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     No absolute value on the right: each factor is itself nonnegative.
     Equality iff Y = 0 and both X and Z are symmetric.
     """
-    full = t.assemble()
     n, r = t.n, t.r
-    lhs = det(identity(n) + full.conj().T @ full, tol)
+    lhs = _log_det_identity_plus_abs_power(t.assemble(), 2.0)
     rhs = det(identity(r) + t.x.conj() @ t.x, tol) * det(
         identity(n - r) + t.z.conj() @ t.z, tol
     )
@@ -564,11 +574,9 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     t = as_matrix(t)
     _require_square(t, "check_drury")
-    n = t.shape[0]
     triangular = predicates(t, tol).is_upper_triangular
-    lhs = det(identity(n) + t.conj().T @ t, tol)
-    diag_sq = np.abs(np.diagonal(t)) ** 2
-    rhs = SignedLogDet.from_log(float(np.sum(np.log1p(diag_sq))))
+    lhs = _log_det_identity_plus_abs_power(t, 2.0)
+    rhs = SignedLogDet.from_log(_sum_log1p_pow(np.abs(np.diagonal(t)), 2.0))
     off_mass = float(np.linalg.norm(t - np.diag(np.diagonal(t))))
     diagonal = off_mass <= tol.predicate_rel * frobenius_norm(t)
     diagnostics = (Finding("off_diagonal_frobenius", off_mass),)
@@ -583,17 +591,14 @@ def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL)
     """det(I + |T|^p) >= det(I + |X|^p) * det(I + |Z|^p) for p >= 1.
 
     Equality iff Y = 0.  Each side is the product of 1 + sigma^p over the
-    singular values, evaluated through the Gram spectra (the spectral form
-    of building |.| and then its p-th power; the matrix route is pinned to
-    this one by tests).  p = 2 must agree with :func:`check_cor_c0`.
+    singular values of the unsquared block (the spectral form of building
+    |.| and then its p-th power; the matrix route is pinned to this one by
+    tests).  p = 2 must agree with :func:`check_cor_c0`.
     """
     if p < 1.0:
         raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
-    full = t.assemble()
-    lhs = _log_det_identity_plus_power(full.conj().T @ full, p, tol)
-    rhs = _log_det_identity_plus_power(t.x.conj().T @ t.x, p, tol) * _log_det_identity_plus_power(
-        t.z.conj().T @ t.z, p, tol
-    )
+    lhs = _log_det_identity_plus_abs_power(t.assemble(), p)
+    rhs = _log_det_identity_plus_abs_power(t.x, p) * _log_det_identity_plus_abs_power(t.z, p)
     y_zero, y_norm = _y_is_structurally_zero(t, tol)
     diagnostics = (Finding("y_frobenius", y_norm), Finding("p", float(p)))
     return _report("thm3", lhs, rhs, tol, structural_equality=y_zero, diagnostics=diagnostics)
@@ -630,8 +635,8 @@ def check_log_major(
             raise ValueError(f"sequence {name} must be non-increasing")
     cum_a = _cumulative_logs(a)
     cum_b = _cumulative_logs(b)
-    lhs = SignedLogDet.from_log(float(np.sum(np.log1p(np.power(b, p)))))
-    rhs = SignedLogDet.from_log(float(np.sum(np.log1p(np.power(a, p)))))
+    lhs = SignedLogDet.from_log(_sum_log1p_pow(b, p))
+    rhs = SignedLogDet.from_log(_sum_log1p_pow(a, p))
     n = a.size
     for k in range(n):
         slack = tol.major_rel * max(1.0, abs(cum_b[k]) if math.isfinite(cum_b[k]) else 1.0)
@@ -664,8 +669,8 @@ def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     a = as_matrix(a)
     _require_square(a, "check_weyl")
-    lam = np.abs(general_eigenvalues(a, tol))
-    sig = singular_values(a, tol)
+    lam = np.abs(general_eigenvalues(a))
+    sig = singular_values(a)
     cum_l = _cumulative_logs(lam)
     cum_s = _cumulative_logs(sig)
     n = lam.size
@@ -724,8 +729,8 @@ def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport
     if family.m != 2:
         raise ShapeError(f"this comparison needs exactly two members, got {family.m}")
     t1, t2 = family.members
-    lhs = det(abs_matrix(t1.assemble(), tol) + abs_matrix(t2.assemble(), tol), tol)
-    rhs = det(abs_matrix(t1.x, tol) + abs_matrix(t2.x, tol), tol) * det(
-        abs_matrix(t1.z, tol) + abs_matrix(t2.z, tol), tol
+    lhs = det(abs_matrix(t1.assemble()) + abs_matrix(t2.assemble()), tol)
+    rhs = det(abs_matrix(t1.x) + abs_matrix(t2.x), tol) * det(
+        abs_matrix(t1.z) + abs_matrix(t2.z), tol
     )
     return _report("e21", lhs, rhs, tol)

@@ -1,15 +1,16 @@
-"""Self-contained dense complex linear algebra.
+"""Dense complex linear algebra on numpy arrays.
 
 Everything downstream (inequality checkers, the fuzzer, the CLI) works on
 plain ``numpy`` arrays of ``complex128``.  This module owns:
 
-* validated arithmetic with explicit shape errors,
-* determinants in signed-log form (phase plus log-magnitude), robust to
-  magnitudes around 1e8 and beyond,
-* a cyclic Jacobi eigensolver for Hermitian matrices and a Hessenberg +
-  shifted-QR eigensolver for general complex matrices,
-* singular values, PSD matrix functions (square root, powers), polar
-  decomposition, Schur complements,
+* input validation with explicit shape errors,
+* determinants in signed-log form (phase plus log-magnitude) with a
+  scale-aware zero flag, safe from overflow at any finite magnitude,
+* one spectral route, numpy's LAPACK bindings: Hermitian eigensystems,
+  general eigenvalues, singular values of the unsquared input, ``|A|`` and
+  PSD powers, with LAPACK non-convergence reported as
+  :class:`ConvergenceError`,
+* linear solves and Schur complements,
 * structural predicates (Hermitian / PSD / normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
 
@@ -19,7 +20,6 @@ mutable state, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -37,12 +37,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "identity",
-    "adjoint",
-    "conjugate",
-    "transpose",
-    "scale",
-    "mat_add",
-    "mat_mul",
     "frobenius_norm",
     "SignedLogDet",
     "det",
@@ -53,8 +47,6 @@ __all__ = [
     "sort_by_modulus",
     "abs_matrix",
     "matrix_power_psd",
-    "PolarFactors",
-    "polar_decompose",
     "schur_complement",
     "MatrixPredicates",
     "predicates",
@@ -81,16 +73,7 @@ class NotPositiveSemidefiniteError(LinalgError):
 
 
 class ConvergenceError(LinalgError):
-    """Iterative solver exhausted its sweep/iteration budget.
-
-    Carries ``residual`` (off-diagonal or subdiagonal mass at the point of
-    failure) and ``iterations``.
-    """
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """A LAPACK eigenvalue or singular value iteration did not converge."""
 
 
 class SingularBlockError(LinalgError):
@@ -116,19 +99,15 @@ class Tolerances:
     The equality-detection semantics of the inequality checkers depend on
     these values, so they are centralized rather than scattered as literals.
     All *_rel quantities are relative to a scale stated in the consumer.
+    LAPACK's own convergence criteria are not configurable here.
     """
 
     pivot_rel: float = 1e-12        # determinant zero flag, Schur leading-block gate
-    hermitian_rel: float = 1e-12    # Hermiticity gate for the Jacobi eigensolver
-    jacobi_off_rel: float = 1e-13   # converged when off-diagonal mass <= this * ||a||_F
-    jacobi_max_sweeps: int = 60
+    hermitian_rel: float = 1e-12    # Hermiticity gate for the Hermitian eigensolver
     psd_rel: float = 1e-10          # eigenvalues in [-psd_rel * sigma_max, 0) clamp to 0
     predicate_rel: float = 1e-10    # structural predicates (symmetric, normal, ...)
     eq_rel: float = 1e-8            # log-domain equality window for check verdicts
     major_rel: float = 1e-10        # weak log-majorization hypothesis gate
-    qr_iter_factor: int = 40        # shifted-QR budget: qr_iter_factor * n steps
-    polar_null_rel: float = 1e-7    # sigma below this * sigma_max is a null direction;
-                                    # the Gram route cannot resolve below sqrt(eps)
 
     def with_eq_rel(self, eq_rel: float) -> "Tolerances":
         if eq_rel <= 0.0:
@@ -137,8 +116,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-_MASK64 = (1 << 64) - 1
 
 
 def as_matrix(data) -> np.ndarray:
@@ -164,39 +141,20 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T.copy()
-
-
-def conjugate(a: np.ndarray) -> np.ndarray:
-    """Entrywise conjugate."""
-    return a.conj().copy()
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return a.T.copy()
-
-
-def scale(a: np.ndarray, factor: complex) -> np.ndarray:
-    return a * factor
-
-
-def mat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"addition needs equal shapes, got {a.shape} and {b.shape}")
-    return a + b
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"product needs inner dimensions to match, got {a.shape} and {b.shape}")
-    return a @ b
-
-
 def frobenius_norm(a: np.ndarray) -> float:
-    """sqrt of the sum of squared entry moduli; equals sqrt(tr a* a)."""
-    return float(np.linalg.norm(a))
+    """sqrt of the sum of squared entry moduli; equals sqrt(tr a* a).
+
+    Accumulated with ``hypot``, so squaring large entries never overflows.
+    """
+    return float(np.hypot.reduce(np.abs(a), axis=None))
+
+
+def _lapack(routine, a: np.ndarray, **kwargs):
+    """Call a ``numpy.linalg`` routine, reporting non-convergence as ConvergenceError."""
+    try:
+        return routine(a, **kwargs)
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"{routine.__name__} did not converge: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +239,26 @@ class SignedLogDet:
 def det(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SignedLogDet:
     """Determinant by row elimination with partial pivoting, in signed-log form.
 
-    The zero flag is raised as soon as a pivot modulus falls below
-    ``tol.pivot_rel`` times the largest row norm of the input.
+    Each row is first divided by its largest entry modulus and the logs of
+    those scales are added to the result, so nothing overflows at any finite
+    magnitude.  The zero flag is raised for an all-zero row, or as soon as a
+    pivot of the equilibrated matrix has modulus ``tol.pivot_rel`` or less;
+    one large row therefore cannot make the others look singular.
     """
     a = as_matrix(a)
     _require_square(a, "det")
     n = a.shape[0]
-    work = a.copy()
-    row_norms = np.sqrt(np.sum(np.abs(work) ** 2, axis=1))
-    threshold = tol.pivot_rel * float(np.max(row_norms))
+    scales = np.max(np.abs(a), axis=1)
+    if np.any(scales == 0.0):
+        return SignedLogDet.zero()
+    work = a / scales[:, None]
     phase = 1.0 + 0j
-    log_mag = 0.0
+    log_mag = float(np.sum(np.log(scales)))
     for k in range(n):
         col = np.abs(work[k:, k])
         pivot_offset = int(np.argmax(col))
         pivot = work[k + pivot_offset, k]
-        if abs(pivot) <= threshold:
+        if abs(pivot) <= tol.pivot_rel:
             return SignedLogDet.zero()
         if pivot_offset != 0:
             work[[k, k + pivot_offset], k:] = work[[k + pivot_offset, k], k:]
@@ -308,111 +270,40 @@ def det(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SignedLogDet:
     return SignedLogDet(phase, log_mag)
 
 
-def solve(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting."""
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b by LAPACK's LU factorization with partial pivoting."""
     a = as_matrix(a)
     _require_square(a, "solve")
     b = as_matrix(b)
     if b.shape[0] != a.shape[0]:
         raise ShapeError(f"solve needs matching row counts, got {a.shape} and {b.shape}")
-    n = a.shape[0]
-    work = np.hstack([a.copy(), b.copy()])
-    row_norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
-    threshold = tol.pivot_rel * float(np.max(row_norms))
-    for k in range(n):
-        pivot_offset = int(np.argmax(np.abs(work[k:, k])))
-        pivot = work[k + pivot_offset, k]
-        if abs(pivot) <= threshold:
-            raise SingularBlockError("solve: matrix is singular to working precision",
-                                     condition_estimate=float("inf"))
-        if pivot_offset != 0:
-            work[[k, k + pivot_offset], k:] = work[[k + pivot_offset, k], k:]
-        if k + 1 < n:
-            work[k + 1:, k:] -= np.outer(work[k + 1:, k] / pivot, work[k, k:])
-    x = np.zeros((n, b.shape[1]), dtype=complex)
-    for k in range(n - 1, -1, -1):
-        x[k] = (work[k, n:] - work[k, k + 1:n] @ x[k + 1:]) / work[k, k]
-    return x
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as err:
+        raise SingularBlockError(f"solve: matrix is singular ({err})",
+                                 condition_estimate=float("inf")) from err
 
 
 # ---------------------------------------------------------------------------
-# Eigensystems
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diagonal(a))))
+# Spectra
 
 
 def hermitian_eigensystem(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and unitary eigenvectors of a Hermitian matrix.
 
-    Cyclic Jacobi with complex rotations.  The input must be Hermitian within
-    ``tol.hermitian_rel * ||a||_F``; it is symmetrized before iterating.
-    Convergence means the off-diagonal Frobenius mass fell below
-    ``tol.jacobi_off_rel * ||a||_F``.
+    The input must be Hermitian within ``tol.hermitian_rel * ||a||_F``; its
+    Hermitian part goes to LAPACK (``numpy.linalg.eigh``).
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
-    n = a.shape[0]
     norm = frobenius_norm(a)
     deviation = frobenius_norm(a - a.conj().T)
     if deviation > tol.hermitian_rel * norm:
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {deviation:.3e} (allowed {tol.hermitian_rel * norm:.3e})"
         )
-    work = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if norm == 0.0:
-        return np.zeros(n), v
-    skip = (1e-14 / n) * norm
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, tol.jacobi_max_sweeps + 1):
-        if _offdiag_norm(work) <= tol.jacobi_off_rel * norm:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = work[p, q]
-                r = abs(g)
-                if r <= skip:
-                    continue
-                phase = g / r
-                alpha = work[p, p].real
-                beta = work[q, q].real
-                tau = (beta - alpha) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * np.conj(phase) * col_q
-                work[:, q] = s * phase * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * phase * row_q
-                work[q, :] = s * np.conj(phase) * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        converged = _offdiag_norm(work) <= tol.jacobi_off_rel * norm
-    if not converged:
-        residual = _offdiag_norm(work)
-        raise ConvergenceError(
-            f"Jacobi did not converge in {tol.jacobi_max_sweeps} sweeps "
-            f"(off-diagonal mass {residual:.3e}, target {tol.jacobi_off_rel * norm:.3e})",
-            residual=residual,
-            iterations=sweeps,
-        )
-    w = np.diagonal(work).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w, v = _lapack(np.linalg.eigh, (a + a.conj().T) / 2.0)
+    return w[::-1], v[:, ::-1]
 
 
 def _clamp_psd_eigenvalues(w: np.ndarray, tol: Tolerances, context: str) -> np.ndarray:
@@ -433,14 +324,14 @@ def _clamp_psd_eigenvalues(w: np.ndarray, tol: Tolerances, context: str) -> np.n
     return np.where(w < 0.0, 0.0, w)
 
 
-def singular_values(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Singular values, non-increasing, via the eigenvalues of a* a."""
-    a = as_matrix(a)
-    gram = a.conj().T @ a
-    w, _ = hermitian_eigensystem(gram, tol)
-    w = _clamp_psd_eigenvalues(w, tol, "singular_values")
-    sigma = np.sqrt(w)
-    return sigma[: min(a.shape)]
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values, non-increasing, from LAPACK's SVD of ``a`` itself.
+
+    a* a is never formed: its rounding would square the condition number, so
+    a small singular value would carry an error near sqrt(eps) * sigma_max
+    instead of eps * sigma_max.
+    """
+    return _lapack(np.linalg.svd, as_matrix(a), compute_uv=False)
 
 
 def sort_by_modulus(values: np.ndarray) -> np.ndarray:
@@ -450,128 +341,27 @@ def sort_by_modulus(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    h = a.astype(complex).copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        first = x[0]
-        lead = first / abs(first) if first != 0 else 1.0 + 0j
-        v = x.copy()
-        v[0] += lead * nx
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-    return h
+def general_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a general complex square matrix (LAPACK).
 
-
-def _eig2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    tr = a + d
-    disc = cmath.sqrt((a - d) * (a - d) + 4.0 * b * c)
-    return (tr + disc) / 2.0, (tr - disc) / 2.0
-
-
-def _givens(f: complex, g: complex) -> tuple[float, complex]:
-    if g == 0:
-        return 1.0, 0j
-    if f == 0:
-        return 0.0, complex(np.conj(g) / abs(g))
-    d = math.hypot(abs(f), abs(g))
-    c = abs(f) / d
-    s = (f / abs(f)) * np.conj(g) / d
-    return c, complex(s)
-
-
-def general_eigenvalues(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """All eigenvalues of a general complex square matrix.
-
-    Householder Hessenberg reduction followed by explicitly shifted QR with
-    Wilkinson shifts and deflation.  Output is sorted by non-increasing
-    modulus with the deterministic tie-break of :func:`sort_by_modulus`.
+    Output is sorted by non-increasing modulus with the deterministic
+    tie-break of :func:`sort_by_modulus`.
     """
     a = as_matrix(a)
     _require_square(a, "general_eigenvalues")
-    n = a.shape[0]
-    h = _hessenberg(a)
-    if float(np.linalg.norm(h)) == 0.0:
-        return np.zeros(n, dtype=complex)
-    eigs: list[complex] = []
-    hi = n - 1
-    iters = 0
-    max_iters = tol.qr_iter_factor * n
-    stall = 0
-    while hi >= 0:
-        lo = hi
-        while lo > 0:
-            sub = abs(h[lo, lo - 1])
-            if sub <= 1e-15 * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])) + 1e-300:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            l1, l2 = _eig2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            eigs.extend((l1, l2))
-            hi -= 2
-            stall = 0
-            continue
-        iters += 1
-        if iters > max_iters:
-            raise ConvergenceError(
-                f"QR iteration exceeded {max_iters} steps on window [{lo}, {hi}] "
-                f"(subdiagonal residual {abs(h[hi, hi - 1]):.3e})",
-                residual=float(abs(h[hi, hi - 1])),
-                iterations=iters,
-            )
-        l1, l2 = _eig2(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-        mu = l1 if abs(l1 - h[hi, hi]) <= abs(l2 - h[hi, hi]) else l2
-        stall += 1
-        if stall % 12 == 0:
-            # cycling guard: perturb the shift using the stuck subdiagonal
-            mu = h[hi, hi] + abs(h[hi, hi - 1])
-        m = hi - lo + 1
-        r = h[lo:hi + 1, lo:hi + 1].copy()
-        r[np.diag_indices(m)] -= mu
-        rotations: list[tuple[float, complex, int]] = []
-        for i in range(m - 1):
-            c, s = _givens(r[i, i], r[i + 1, i])
-            rotations.append((c, s, i))
-            row_i = r[i, i:].copy()
-            row_j = r[i + 1, i:].copy()
-            r[i, i:] = c * row_i + s * row_j
-            r[i + 1, i:] = -np.conj(s) * row_i + c * row_j
-        for c, s, i in rotations:
-            col_i = r[: i + 2, i].copy()
-            col_j = r[: i + 2, i + 1].copy()
-            r[: i + 2, i] = c * col_i + np.conj(s) * col_j
-            r[: i + 2, i + 1] = -s * col_i + c * col_j
-        r[np.diag_indices(m)] += mu
-        h[lo:hi + 1, lo:hi + 1] = r
-    return sort_by_modulus(np.array(eigs, dtype=complex))
+    return sort_by_modulus(_lapack(np.linalg.eigvals, a))
 
 
 # ---------------------------------------------------------------------------
-# PSD matrix functions, polar decomposition, Schur complement
+# PSD matrix functions, Schur complement
 
 
-def abs_matrix(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The PSD square root of a* a."""
+def abs_matrix(a: np.ndarray) -> np.ndarray:
+    """The PSD square root of a* a, built as V diag(sigma) V* from the SVD of ``a``."""
     a = as_matrix(a)
     _require_square(a, "abs_matrix")
-    gram = a.conj().T @ a
-    w, v = hermitian_eigensystem(gram, tol)
-    w = _clamp_psd_eigenvalues(w, tol, "abs_matrix")
-    p = (v * np.sqrt(w)) @ v.conj().T
+    _, sigma, vh = _lapack(np.linalg.svd, a)
+    p = (vh.conj().T * sigma) @ vh
     return (p + p.conj().T) / 2.0
 
 
@@ -587,71 +377,6 @@ def matrix_power_psd(p_matrix: np.ndarray, p: float, tol: Tolerances = DEFAULT_T
     return (powered + powered.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
-class PolarFactors:
-    """Unitary factor and PSD factor with u @ p reconstructing the input."""
-
-    u: np.ndarray
-    p: np.ndarray
-
-
-def polar_decompose(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PolarFactors:
-    """Polar factors via the SVD convention u = w v*, p = v sigma v*.
-
-    Building u from the full SVD keeps it unitary even when the input is
-    singular.  Singular values below ``polar_null_rel * sigma_max`` cannot be
-    distinguished from zero through the Gram eigensystem; those directions
-    get an exactly-zero sigma in p and an orthonormal completion column in w,
-    which is what keeps u @ p within 1e-9 of the input on deficient matrices.
-    """
-    a = as_matrix(a)
-    _require_square(a, "polar_decompose")
-    n = a.shape[0]
-    gram = a.conj().T @ a
-    lam, v = hermitian_eigensystem(gram, tol)
-    lam = _clamp_psd_eigenvalues(lam, tol, "polar_decompose")
-    sigma = np.sqrt(lam)
-    sigma_max = float(sigma[0]) if n else 0.0
-    null_floor = tol.polar_null_rel * sigma_max
-    sigma_eff = sigma.copy()
-    w = np.zeros((n, n), dtype=complex)
-    have: list[int] = []
-
-    def _orthogonalized(col: np.ndarray) -> np.ndarray:
-        for _ in range(2):
-            for i in have:
-                col = col - (w[:, i].conj() @ col) * w[:, i]
-        return col
-
-    for j in range(n):
-        if sigma[j] > null_floor:
-            col = _orthogonalized((a @ v[:, j]) / sigma[j])
-            nc = float(np.linalg.norm(col))
-            if nc > 0.5:
-                w[:, j] = col / nc
-                have.append(j)
-                continue
-        # null direction: zero its sigma, complete w with the basis vector
-        # leaving the largest orthogonal residual (deterministic choice)
-        sigma_eff[j] = 0.0
-        best = None
-        best_norm = -1.0
-        for k in range(n):
-            cand = np.zeros(n, dtype=complex)
-            cand[k] = 1.0
-            cand = _orthogonalized(cand)
-            nc = float(np.linalg.norm(cand))
-            if nc > best_norm:
-                best_norm = nc
-                best = cand
-        w[:, j] = best / best_norm
-        have.append(j)
-    u = w @ v.conj().T
-    p = (v * sigma_eff) @ v.conj().T
-    p = (p + p.conj().T) / 2.0
-    return PolarFactors(u=u, p=p)
-
-
 def schur_complement(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """a22 - a21 a11^{-1} a12 for the leading r-square block a11.
 
@@ -664,7 +389,7 @@ def schur_complement(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> np
     if not 0 < r < n:
         raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
     a11 = a[:r, :r]
-    sigma = singular_values(a11, tol)
+    sigma = singular_values(a11)
     sigma_min = float(sigma[-1])
     sigma_max = float(sigma[0])
     if sigma_min <= tol.pivot_rel * sigma_max:
@@ -674,7 +399,7 @@ def schur_complement(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> np
             f"(condition estimate {estimate:.3e})",
             condition_estimate=estimate,
         )
-    return a[r:, r:] - a[r:, :r] @ solve(a11, a[:r, r:], tol)
+    return a[r:, r:] - a[r:, :r] @ solve(a11, a[:r, r:])
 
 
 # ---------------------------------------------------------------------------

@@ -320,9 +320,9 @@ def _run_schur_identity(w: Witness, tol: Tolerances) -> CheckReport:
 
 def _run_log_major(w: Witness, tol: Tolerances) -> CheckReport:
     x = w.matrices[0]
-    lam = np.abs(general_eigenvalues(x.conj() @ x, tol))
+    lam = np.abs(general_eigenvalues(x.conj() @ x))
     lam = np.sort(lam)[::-1]
-    sig = np.sort(singular_values(x, tol) ** 2)[::-1]
+    sig = np.sort(singular_values(x) ** 2)[::-1]
     return check_log_major(lam, sig, float(w.params["p"]), tol)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -593,3 +594,74 @@ def test_report_json_handles_infinite_margin():
     both_zero = check_thm1(BlockFamily((zero,)))
     assert both_zero.margin == 0.0
     assert both_zero.verdict is Verdict.EQUALITY
+
+
+# ---------------------------------------------------------------------------
+# extreme scales and bad conditioning: inputs that once gave wrong verdicts
+
+
+def _extreme_inputs():
+    rng = np.random.default_rng(2026)
+
+    def g(rows, cols=None):
+        cols = rows if cols is None else cols
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    def spread(sigma):
+        u, _ = np.linalg.qr(g(len(sigma)))
+        v, _ = np.linalg.qr(g(len(sigma)))
+        return (u * np.asarray(sigma)) @ v.conj().T
+
+    t1, t2, a, upper = _block(g(2), g(2), g(2)), _block(g(2), g(2), g(2)), g(4), np.triu(g(4))
+    vec = [g(2, 1) for _ in range(5)]
+    rank1 = _block(1e8 * vec[0] @ vec[1].conj().T, 1e8 * vec[0] @ vec[2].conj().T,
+                   1e8 * vec[3] @ vec[4].conj().T)
+    spread_t = _block(spread([1.0, 1e-12]), g(2), spread([1e6, 1e-6]))
+    partner = _block(g(2), g(2), g(2))
+    t3 = _block(np.eye(2), 1e6 * np.ones((2, 1)), np.eye(1))
+    d13 = np.diag([1e13, 1.0, 1.0]).astype(complex)
+    d13_block = BlockUpperTriangular.from_matrix(d13, 1)
+
+    def scaled(t, s):
+        return _block(s * t.x, s * t.y, s * t.z)
+
+    cases = {
+        "t3_1e6.cor_c0": (lambda: check_cor_c0(t3), Verdict.HOLDS_STRICT),
+        "t3_1e6.thm2": (lambda: check_thm2(t3), Verdict.HOLDS_STRICT),
+        "t3_1e6.thm1": (lambda: check_thm1(BlockFamily((t3,))), Verdict.EQUALITY),
+        "thm1_y1e4": (lambda: check_thm1(BlockFamily((
+            _block(np.eye(2), 1e4 * np.ones((2, 2)), np.eye(2)),))), Verdict.EQUALITY),
+        "diag1e13.cor_c0": (lambda: check_cor_c0(d13_block), Verdict.EQUALITY),
+        "diag1e13.thm3": (lambda: check_thm3(d13_block, 2.0), Verdict.EQUALITY),
+        "diag1e13.drury": (lambda: check_drury(d13), Verdict.EQUALITY),
+        "diag1e13.fischer": (lambda: check_fischer(d13, 1), Verdict.EQUALITY),
+        "diag1e13.thm1": (lambda: check_thm1(BlockFamily((d13_block,))), Verdict.EQUALITY),
+        "rank1.thm1": (lambda: check_thm1(BlockFamily((rank1, partner))), Verdict.HOLDS_STRICT),
+        "rank1.thm3": (lambda: check_thm3(rank1, 1.0), Verdict.HOLDS_STRICT),
+        "spread.thm1": (lambda: check_thm1(BlockFamily((spread_t, partner))),
+                        Verdict.HOLDS_STRICT),
+    }
+    for s in (1e100, 1e160):
+        cases[f"{s:.0e}.cor_c0"] = (lambda s=s: check_cor_c0(scaled(t1, s)), Verdict.HOLDS_STRICT)
+        cases[f"{s:.0e}.thm1"] = (lambda s=s: check_thm1(BlockFamily((scaled(t1, s), scaled(t2, s)))),
+                                  Verdict.HOLDS_STRICT)
+    for s in (1e100, 1e150):
+        cases[f"{s:.0e}.drury"] = (lambda s=s: check_drury(s * upper), Verdict.HOLDS_STRICT)
+    for s in (1e-150, 1e-100, 1e100, 1e150):
+        cases[f"{s:.0e}.weyl"] = (lambda s=s: check_weyl(s * a), Verdict.HOLDS_STRICT)
+    for s in (1e-150, 1e-100):
+        cases[f"{s:.0e}.schur_identity"] = (lambda s=s: check_schur_identity(s * a, 2),
+                                            Verdict.EQUALITY)
+    return cases
+
+
+_EXTREME = _extreme_inputs()
+
+
+@pytest.mark.parametrize("case", sorted(_EXTREME))
+def test_verdicts_right_at_extreme_scale_and_conditioning(case):
+    run, expected = _EXTREME[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run()
+    assert report.verdict is expected, (report.verdict, report.margin)

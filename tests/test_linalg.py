@@ -19,22 +19,16 @@ from blockdet.linalg import (
     ShapeError,
     SignedLogDet,
     SingularBlockError,
-    Tolerances,
     abs_matrix,
-    adjoint,
     as_matrix,
-    conjugate,
     det,
     frobenius_norm,
     general_eigenvalues,
     hermitian_eigensystem,
     identity,
-    mat_add,
-    mat_mul,
     matrix_from_json_dict,
     matrix_power_psd,
     matrix_to_json_dict,
-    polar_decompose,
     predicates,
     schur_complement,
     singular_values,
@@ -53,37 +47,18 @@ def _rand_int(rng, n, lo=-20, hi=26):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# construction and validation
 
 
 def test_identity_multiply_is_noop():
     rng = np.random.default_rng(0)
     m = _rand_complex(rng, 3)
-    assert np.array_equal(mat_mul(identity(3), m), m)
-
-
-def test_adjoint_of_scalar_i():
-    assert adjoint(np.array([[1j]]))[0, 0] == -1j
-
-
-def test_integer_product_exact():
-    a = np.array([[1, 2], [0, 1]], dtype=complex)
-    assert np.array_equal(mat_mul(a, a), np.array([[1, 4], [0, 1]], dtype=complex))
-
-
-def test_adjoint_involution_bitwise():
-    rng = np.random.default_rng(1)
-    a = _rand_complex(rng, 4, 6)
-    assert np.array_equal(adjoint(adjoint(a)), a)
+    assert np.array_equal(identity(3) @ m, m)
 
 
 def test_shape_mismatch_reports_both_shapes():
-    a = np.ones((2, 3), dtype=complex)
-    b = np.ones((2, 3), dtype=complex)
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        mat_mul(a, b)
-    with pytest.raises(ShapeError, match=r"\(2, 3\)"):
-        mat_add(a, np.ones((3, 2), dtype=complex))
+    with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 1\)"):
+        solve(np.eye(2, dtype=complex), np.ones((3, 1), dtype=complex))
 
 
 def test_nonfinite_entries_rejected():
@@ -106,7 +81,7 @@ def test_frobenius_examples():
 @given(st.lists(st.integers(-50, 50), min_size=4, max_size=4))
 def test_frobenius_matches_trace_formula(entries):
     a = np.array(entries, dtype=complex).reshape(2, 2)
-    via_trace = math.sqrt(abs(np.trace(adjoint(a) @ a)))
+    via_trace = math.sqrt(abs(np.trace(a.conj().T @ a)))
     assert frobenius_norm(a) == pytest.approx(via_trace, rel=1e-12, abs=1e-12)
 
 
@@ -147,6 +122,16 @@ def test_det_survives_large_magnitudes():
     a = np.diag(np.full(40, 1e8)).astype(complex)
     d = det(a)
     assert d.log_magnitude == pytest.approx(40 * math.log(1e8), rel=1e-12)
+    # one large row must not make the others look singular
+    d = det(np.diag([1e13, 1.0, 1.0]))
+    assert not d.is_zero
+    assert d.log_magnitude == pytest.approx(math.log(1e13), rel=1e-14)
+    # no intermediate may overflow at entries near 1e160
+    rng = np.random.default_rng(2)
+    g = _rand_complex(rng, 4)
+    d = det(1e160 * g)
+    assert not d.is_zero
+    assert d.log_magnitude == pytest.approx(det(g).log_magnitude + 4 * math.log(1e160), rel=1e-12)
 
 
 def test_signed_log_det_multiplication_and_zero():
@@ -200,14 +185,6 @@ def test_solve_matches_elimination():
         solve(np.eye(3, dtype=complex), np.ones((2, 1)))
 
 
-def test_qr_iteration_budget_error_carries_diagnostics():
-    tol = Tolerances(qr_iter_factor=0)
-    rng = np.random.default_rng(101)
-    with pytest.raises(ConvergenceError) as info:
-        general_eigenvalues(_rand_complex(rng, 5), tol)
-    assert info.value.iterations >= 1
-
-
 def test_signed_log_det_normalizes_phase():
     s = SignedLogDet(3 + 4j, 2.0)
     assert abs(abs(s.phase) - 1.0) < 1e-15
@@ -254,14 +231,17 @@ def test_eigensystem_rejects_non_hermitian():
         hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_eigensystem_convergence_error_carries_residual():
-    # a one-sweep budget cannot finish a generic 6x6
-    tol = Tolerances(jacobi_max_sweeps=1)
-    rng = np.random.default_rng(5)
-    g = _rand_complex(rng, 6)
-    with pytest.raises(ConvergenceError) as info:
-        hermitian_eigensystem(g.conj().T @ g, tol)
-    assert info.value.residual > 0.0
+def test_lapack_nonconvergence_raises_convergence_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for routine in ("eigh", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, routine, no_convergence)
+    a = _rand_complex(np.random.default_rng(5), 4)
+    for kernel, arg in ((hermitian_eigensystem, a.conj().T @ a), (general_eigenvalues, a),
+                        (singular_values, a), (abs_matrix, a)):
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            kernel(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +262,7 @@ def test_singular_values_of_adjoint_match():
         n = int(rng.integers(1, 8))
         a = _rand_complex(rng, n)
         sa = singular_values(a)
-        sb = singular_values(adjoint(a))
+        sb = singular_values(a.conj().T)
         assert np.allclose(sa, sb, rtol=1e-9, atol=1e-9 * max(1.0, sa[0]))
 
 
@@ -359,7 +339,7 @@ def test_normal_matrix_moduli_equal_singular_values():
 
 
 # ---------------------------------------------------------------------------
-# abs, powers, polar
+# abs, powers
 
 
 def test_abs_matrix_examples():
@@ -408,40 +388,6 @@ def test_matrix_power_zero_exponent_gives_identity():
     g = _rand_complex(rng, 3)
     p = g.conj().T @ g
     assert np.allclose(matrix_power_psd(p, 0.0), np.eye(3), atol=1e-10)
-
-
-def test_polar_of_unitary():
-    rng = np.random.default_rng(41)
-    q, _ = np.linalg.qr(_rand_complex(rng, 4))
-    factors = polar_decompose(q)
-    assert np.allclose(factors.u, q, atol=1e-10)
-    assert np.allclose(factors.p, np.eye(4), atol=1e-10)
-
-
-def test_polar_of_nilpotent_hand_example():
-    factors = polar_decompose(np.array([[0, 2], [0, 0]], dtype=complex))
-    assert np.allclose(factors.u, np.array([[0, 1], [1, 0]]), atol=1e-12)
-    assert np.allclose(factors.p, np.diag([0.0, 2.0]), atol=1e-12)
-
-
-def test_polar_contracts_incl_singular():
-    rng = np.random.default_rng(43)
-    for trial in range(40):
-        n = int(rng.integers(1, 8))
-        a = _rand_complex(rng, n)
-        if trial % 3 == 0 and n > 1:
-            a[:, 0] = a[:, -1]  # force rank deficiency
-        if trial % 5 == 0:
-            a = a.conj().T @ a  # Hermitian PSD input
-        if trial % 7 == 0:
-            a = np.zeros((n, n), dtype=complex)
-        factors = polar_decompose(a)
-        norm = max(frobenius_norm(a), 1e-300)
-        assert frobenius_norm(factors.u @ factors.p - a) <= 1e-9 * norm
-        assert frobenius_norm(factors.u.conj().T @ factors.u - np.eye(n)) <= 1e-10
-        assert frobenius_norm(factors.p - factors.p.conj().T) <= 1e-12 * norm
-        w, _ = hermitian_eigensystem(factors.p)
-        assert np.all(w >= -1e-10 * max(1.0, abs(w[0])))
 
 
 # ---------------------------------------------------------------------------
