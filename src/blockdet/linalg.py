@@ -73,7 +73,16 @@ class NotPositiveSemidefiniteError(LinalgError):
 
 
 class ConvergenceError(LinalgError):
-    """A LAPACK eigenvalue or singular value iteration did not converge."""
+    """A LAPACK eigenvalue or singular value iteration did not converge.
+
+    ``routine`` names the ``numpy.linalg`` routine that failed and ``shape``
+    is the shape of the matrix it was given.
+    """
+
+    def __init__(self, message: str, routine: str, shape: tuple):
+        super().__init__(message)
+        self.routine = routine
+        self.shape = shape
 
 
 class SingularBlockError(LinalgError):
@@ -149,12 +158,13 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.hypot.reduce(np.abs(a), axis=None))
 
 
-def _lapack(routine, a: np.ndarray, **kwargs):
-    """Call a ``numpy.linalg`` routine, reporting non-convergence as ConvergenceError."""
+def _lapack(routine: str, a: np.ndarray, **kwargs):
+    """Call ``numpy.linalg.<routine>``, reporting non-convergence as ConvergenceError."""
     try:
-        return routine(a, **kwargs)
+        return getattr(np.linalg, routine)(a, **kwargs)
     except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"{routine.__name__} did not converge: {err}") from err
+        raise ConvergenceError(f"{routine} did not converge on a {a.shape[0]}x{a.shape[1]} "
+                               f"matrix: {err}", routine, a.shape) from err
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +312,7 @@ def hermitian_eigensystem(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple
         raise NotHermitianError(
             f"matrix deviates from Hermitian by {deviation:.3e} (allowed {tol.hermitian_rel * norm:.3e})"
         )
-    w, v = _lapack(np.linalg.eigh, (a + a.conj().T) / 2.0)
+    w, v = _lapack("eigh", (a + a.conj().T) / 2.0)
     return w[::-1], v[:, ::-1]
 
 
@@ -331,7 +341,7 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     a small singular value would carry an error near sqrt(eps) * sigma_max
     instead of eps * sigma_max.
     """
-    return _lapack(np.linalg.svd, as_matrix(a), compute_uv=False)
+    return _lapack("svd", as_matrix(a), compute_uv=False)
 
 
 def sort_by_modulus(values: np.ndarray) -> np.ndarray:
@@ -349,7 +359,7 @@ def general_eigenvalues(a: np.ndarray) -> np.ndarray:
     """
     a = as_matrix(a)
     _require_square(a, "general_eigenvalues")
-    return sort_by_modulus(_lapack(np.linalg.eigvals, a))
+    return sort_by_modulus(_lapack("eigvals", a))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +370,7 @@ def abs_matrix(a: np.ndarray) -> np.ndarray:
     """The PSD square root of a* a, built as V diag(sigma) V* from the SVD of ``a``."""
     a = as_matrix(a)
     _require_square(a, "abs_matrix")
-    _, sigma, vh = _lapack(np.linalg.svd, a)
+    _, sigma, vh = _lapack("svd", a)
     p = (vh.conj().T * sigma) @ vh
     return (p + p.conj().T) / 2.0
 

@@ -231,17 +231,20 @@ def test_eigensystem_rejects_non_hermitian():
         hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_lapack_nonconvergence_raises_convergence_error(monkeypatch):
+def _fail_lapack(monkeypatch, routine):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    for routine in ("eigh", "eigvals", "svd"):
-        monkeypatch.setattr(np.linalg, routine, no_convergence)
-    a = _rand_complex(np.random.default_rng(5), 4)
-    for kernel, arg in ((hermitian_eigensystem, a.conj().T @ a), (general_eigenvalues, a),
-                        (singular_values, a), (abs_matrix, a)):
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            kernel(arg)
+    monkeypatch.setattr(np.linalg, routine, no_convergence)
+
+
+def test_eigensystem_convergence_error_carries_residual(monkeypatch):
+    # LAPACK reports no residual; the error carries the routine and the input shape
+    _fail_lapack(monkeypatch, "eigh")
+    g = _rand_complex(np.random.default_rng(5), 6)
+    with pytest.raises(ConvergenceError, match="eigh did not converge on a 6x6") as info:
+        hermitian_eigensystem(g.conj().T @ g)
+    assert (info.value.routine, info.value.shape) == ("eigh", (6, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +269,15 @@ def test_singular_values_of_adjoint_match():
         assert np.allclose(sa, sb, rtol=1e-9, atol=1e-9 * max(1.0, sa[0]))
 
 
+def test_svd_nonconvergence_raises_convergence_error(monkeypatch):
+    _fail_lapack(monkeypatch, "svd")
+    a = _rand_complex(np.random.default_rng(5), 4)
+    for kernel in (singular_values, abs_matrix):
+        with pytest.raises(ConvergenceError, match="svd did not converge") as info:
+            kernel(a)
+        assert (info.value.routine, info.value.shape) == ("svd", (4, 4))
+
+
 # ---------------------------------------------------------------------------
 # general eigenvalues
 
@@ -285,6 +297,13 @@ def test_general_eigenvalues_rotation_block():
     lam = general_eigenvalues(np.array([[0, -2], [2, 0]], dtype=complex))
     assert lam[0] == pytest.approx(2j, abs=1e-12)
     assert lam[1] == pytest.approx(-2j, abs=1e-12)
+
+
+def test_qr_iteration_budget_error_carries_diagnostics(monkeypatch):
+    _fail_lapack(monkeypatch, "eigvals")
+    with pytest.raises(ConvergenceError, match="eigvals did not converge on a 5x5") as info:
+        general_eigenvalues(_rand_complex(np.random.default_rng(101), 5))
+    assert (info.value.routine, info.value.shape) == ("eigvals", (5, 5))
 
 
 def test_spectrum_tie_break_ordering():
