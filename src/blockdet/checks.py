@@ -40,6 +40,8 @@ from .linalg import (
     predicates,
     schur_complement,
     singular_values,
+    _power_of_two_above,
+    _product_may_overflow,
     _require_square,
 )
 
@@ -278,9 +280,11 @@ def _report(
     return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
 
 
-# A stack of blocks is numerically rank deficient, and its Gram determinant
-# zero, when sigma_min <= max(rows, cols) * _RANK_EPS * sigma_max.
-_RANK_EPS = float(np.finfo(float).eps)
+# Double-precision machine epsilon: a stack of blocks is numerically rank
+# deficient, and its Gram determinant zero, when sigma_min is at or below
+# max(rows, cols) * _EPS * sigma_max; computed spectra carry errors of
+# about _EPS * sigma_max.
+_EPS = float(np.finfo(float).eps)
 
 
 def _sum_log1p_pow(v: np.ndarray, p: float) -> float:
@@ -302,16 +306,44 @@ def _log_det_identity_plus_abs_power(a: np.ndarray, p: float) -> SignedLogDet:
     return SignedLogDet.from_log(_sum_log1p_pow(singular_values(a), p))
 
 
-def _log_det_gram_sum(blocks: list[np.ndarray]) -> SignedLogDet:
-    """det(sum B_k* B_k) = prod sigma^2 over the stacked matrix [B_1; ...; B_m].
+def _stack_singular_values(blocks: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Singular values of the stack [B_1; ...; B_m] and its rank floor.
 
-    Flagged zero when the stack is numerically rank deficient.
+    The floor is max(rows, cols) * eps * sigma_max: a stack whose smallest
+    singular value is at or below it is numerically rank deficient.
     """
     stacked = np.vstack(blocks)
     sigma = singular_values(stacked)
-    if sigma[-1] <= max(stacked.shape) * _RANK_EPS * sigma[0]:
+    return sigma, max(stacked.shape) * _EPS * float(sigma[0])
+
+
+def _log_det_gram(sigma: np.ndarray, floor: float) -> SignedLogDet:
+    """det(sum B_k* B_k) = prod sigma^2 over the stack's singular values.
+
+    Flagged zero when the smallest is at or below ``floor``.
+    """
+    if sigma[-1] <= floor:
         return SignedLogDet.zero()
     return SignedLogDet.from_log(2.0 * float(np.sum(np.log(sigma))))
+
+
+def _det_identity_plus_conj_product(x: np.ndarray, tol: Tolerances) -> SignedLogDet:
+    """det(I + conj(X) X) by LU, without a product that can overflow.
+
+    Where conj(X) X could overflow, D = diag(d_i) is factored out, d_i the
+    power of two above the largest modulus in row i and column i of X:
+    det(I + conj(X) X) = det(D)^2 det(D^-2 + (D^-1 conj(X)) (X D^-1)), and
+    no entry of the scaled product exceeds n in modulus.  One scale per
+    index, not one for all of X, keeps the products of X's small entries
+    clear of subnormals next to a huge one.
+    """
+    if not _product_may_overflow(frobenius_norm(x)):
+        return det(identity(x.shape[0]) + x.conj() @ x, tol)
+    mags = np.abs(x)
+    d = _power_of_two_above(np.maximum(mags.max(axis=0), mags.max(axis=1)))
+    inv = 1.0 / d
+    scaled = np.diag(inv * inv) + (x.conj() * inv[:, None]) @ (x * inv)
+    return SignedLogDet.from_log(2.0 * float(np.sum(np.log(d)))) * det(scaled, tol)
 
 
 def _sum_conj_product(blocks: list[np.ndarray]) -> np.ndarray:
@@ -352,12 +384,17 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
 
     Holds for any conformally partitioned family; no equality condition is
     claimed.  Each side comes from the singular values of the stacked
-    blocks.  The diagnostics flag a singular sum X_k* X_k, the case the
-    proof handles by continuity.
+    blocks.  All three stacks are flagged zero against one absolute floor,
+    the rank floor of the T stack, so a singular value at rounding level
+    counts as zero on both sides alike: the smallest singular value of the
+    T stack is never above that of the X stack, nor, for one member (where
+    the claim is an identity), above that of Z.  The diagnostics flag a
+    singular sum X_k* X_k, the case the proof handles by continuity.
     """
-    lhs = _log_det_gram_sum([m.assemble() for m in family.members])
-    rhs_x = _log_det_gram_sum([m.x for m in family.members])
-    rhs_z = _log_det_gram_sum([m.z for m in family.members])
+    sigma_t, floor = _stack_singular_values([m.assemble() for m in family.members])
+    lhs = _log_det_gram(sigma_t, floor)
+    rhs_x = _log_det_gram(_stack_singular_values([m.x for m in family.members])[0], floor)
+    rhs_z = _log_det_gram(_stack_singular_values([m.z for m in family.members])[0], floor)
     diagnostics = (Finding("sum_xx_singular", bool(rhs_x.is_zero)),)
     return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics=diagnostics)
 
@@ -432,7 +469,7 @@ def check_cor_c1(
         predicates(m.x, tol).is_normal and predicates(m.z, tol).is_normal
         for m in family.members
     )
-    lhs = _log_det_gram_sum([m.assemble() for m in family.members])
+    lhs = _log_det_gram(*_stack_singular_values([m.assemble() for m in family.members]))
     inner_x = det(_sum_conj_product([m.x for m in family.members]), tol)
     inner_z = det(_sum_conj_product([m.z for m in family.members]), tol)
     rhs = inner_x.abs() * inner_z.abs()
@@ -483,9 +520,8 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + X*X) >= det(I + conj(X) X), equality iff X is symmetric."""
     x = as_matrix(x)
     _require_square(x, "check_lemma1")
-    n = x.shape[0]
     lhs = _log_det_identity_plus_abs_power(x, 2.0)
-    rhs = det(identity(n) + x.conj() @ x, tol)
+    rhs = _det_identity_plus_conj_product(x, tol)
     asymmetry = frobenius_norm(x - x.T)
     symmetric = predicates(x, tol).is_symmetric
     diagnostics = (
@@ -513,8 +549,7 @@ def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     x = as_matrix(x)
     _require_square(x, "check_djokovic")
-    n = x.shape[0]
-    d = det(identity(n) + x.conj() @ x, tol)
+    d = _det_identity_plus_conj_product(x, tol)
     rhs = SignedLogDet.zero()
     if d.is_zero:
         return CheckReport(
@@ -546,11 +581,8 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     No absolute value on the right: each factor is itself nonnegative.
     Equality iff Y = 0 and both X and Z are symmetric.
     """
-    n, r = t.n, t.r
     lhs = _log_det_identity_plus_abs_power(t.assemble(), 2.0)
-    rhs = det(identity(r) + t.x.conj() @ t.x, tol) * det(
-        identity(n - r) + t.z.conj() @ t.z, tol
-    )
+    rhs = _det_identity_plus_conj_product(t.x, tol) * _det_identity_plus_conj_product(t.z, tol)
     y_zero, y_norm = _y_is_structurally_zero(t, tol)
     x_sym = predicates(t.x, tol).is_symmetric
     z_sym = predicates(t.z, tol).is_symmetric
@@ -665,7 +697,10 @@ def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     the product of the top singular values, and the full products agree.
     ``margin`` is the smallest strict-prefix gap in the log domain (the k = n
     gap is an identity and is reported as a diagnostic instead); for a normal
-    matrix every prefix is tight and the verdict is ``equality``.
+    matrix every prefix is tight and the verdict is ``equality``.  The k = n
+    gap is a violation only beyond both the equality window and the
+    first-order error of the two computed products, n * eps * sigma_max /
+    sigma_min.
     """
     a = as_matrix(a)
     _require_square(a, "check_weyl")
@@ -682,8 +717,9 @@ def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     final_gap = lhs.log_ratio(rhs)
     anchor = abs(cum_s[-1]) if math.isfinite(cum_s[-1]) else 0.0
     eps = tol.eq_rel * max(1.0, anchor)
+    rounding = n * _EPS * float(sig[0]) / float(sig[-1]) if sig[-1] > 0.0 else math.inf
     diagnostics = (Finding("final_product_gap", final_gap),)
-    if margin < -eps or (math.isfinite(final_gap) and abs(final_gap) > eps):
+    if margin < -eps or (math.isfinite(final_gap) and abs(final_gap) > max(eps, rounding)):
         verdict = Verdict.VIOLATED
     elif abs(margin) <= eps:
         verdict = Verdict.EQUALITY

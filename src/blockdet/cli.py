@@ -20,6 +20,7 @@ byte-identical across reruns with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .checks import CheckReport, Verdict
 from .linalg import DEFAULT_TOL, LinalgError, Tolerances, matrix_from_json_dict
 from .search import (
     FAMILIES,
+    INEQUALITIES,
     PAPER_EXAMPLE_IDS,
     PREDICATE_IDS,
     GeneratorSpec,
@@ -37,7 +39,6 @@ from .search import (
     compare_paper_example,
     search_violations,
     sharpness_probe,
-    _CATALOG,
 )
 
 EXIT_OK = 0
@@ -45,27 +46,6 @@ EXIT_VIOLATED = 1
 EXIT_UNEXPECTED = 1
 EXIT_PRECONDITION = 2
 EXIT_USAGE = 3
-
-_FILE_ARITY = {
-    # (min files, max files or None for unbounded)
-    "fischer": (1, 1),
-    "thm1": (1, None),
-    "cor_c0": (1, 1),
-    "cor_c1": (1, None),
-    "lemma1": (1, 1),
-    "djokovic": (1, 1),
-    "thm2": (1, 1),
-    "drury": (1, 1),
-    "thm3": (1, 1),
-    "weyl": (1, 1),
-    "log_major": (1, 1),
-    "schur_identity": (1, 1),
-    "e21": (2, 2),
-}
-_NEEDS_R = frozenset({"fischer", "thm1", "cor_c0", "cor_c1", "thm2", "thm3",
-                      "schur_identity", "e21"})
-_NEEDS_P = frozenset({"thm3", "log_major"})
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on errors; the contract here is 3."""
@@ -187,29 +167,23 @@ _CHECK_EXIT = {
 
 def cmd_check(args) -> int:
     config = _build_config(args)
-    ineq = args.ineq
-    if ineq not in _FILE_ARITY:
-        raise _usage(f"unknown inequality {ineq!r}, expected one of {', '.join(_FILE_ARITY)}")
-    lo, hi = _FILE_ARITY[ineq]
+    ineq = INEQUALITIES.get(args.ineq)
+    if ineq is None:
+        raise _usage(f"unknown inequality {args.ineq!r}, expected one of {', '.join(INEQUALITIES)}")
+    lo, hi = ineq.files
     if len(args.files) < lo or (hi is not None and len(args.files) > hi):
         expected = f"exactly {lo}" if lo == hi else (f"at least {lo}" if hi is None
                                                      else f"between {lo} and {hi}")
-        raise _usage(f"{ineq} needs {expected} matrix file(s), got {len(args.files)}")
+        raise _usage(f"{ineq.id} needs {expected} matrix file(s), got {len(args.files)}")
     matrices = tuple(_load_matrix_file(f) for f in args.files)
-    params: dict = {}
-    if ineq in _NEEDS_R:
-        if args.r is None:
-            raise _usage(f"{ineq} needs --r (top-left block dimension)")
-        params["r"] = args.r
-    if ineq in _NEEDS_P:
-        params["p"] = args.p if args.p is not None else 2.0
-        if params["p"] < 1.0:
-            raise _usage(f"--p must be >= 1, got {params['p']}")
-    if ineq == "cor_c1":
-        params["allow_hypothesis_violation"] = bool(args.allow_hypothesis_violation)
-    witness = Witness(ineq, 0, 0, params, matrices)
+    if ineq.needs_r and args.r is None:
+        raise _usage(f"{ineq.id} needs --r (top-left block dimension)")
+    params = ineq.call_params(args.r, args.p, bool(args.allow_hypothesis_violation))
+    if params.get("p", 1.0) < 1.0:
+        raise _usage(f"--p must be >= 1, got {params['p']}")
+    witness = Witness(ineq.id, 0, 0, params, matrices)
     try:
-        report = _CATALOG[ineq].run(witness, config.tol)
+        report = ineq.check(witness, config.tol)
     except LinalgError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -308,9 +282,7 @@ def cmd_fuzz(args) -> int:
     config.flush()
     if args.sharpness:
         return EXIT_OK
-    refutable = _CATALOG[predicate].refutable and (
-        predicate != "cor_c1" or params.get("allow_hypothesis_violation", False)
-    )
+    refutable = INEQUALITIES[predicate].expects_violation(report.params)
     expected = report.violation_count >= 1 if refutable else report.violation_count == 0
     return EXIT_OK if expected else EXIT_UNEXPECTED
 
@@ -371,10 +343,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser every :func:`main` call uses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; repeated calls in one process share one parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as err:
         print(f"blockdet: error: {err}", file=sys.stderr)

@@ -158,6 +158,26 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.hypot.reduce(np.abs(a), axis=None))
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _product_may_overflow(norm: float) -> bool:
+    """Whether a product of two matrices of Frobenius norm at most ``norm``,
+    or the difference of two such products, can overflow.
+
+    Every entry of such a product is at most norm^2 in modulus.
+    """
+    return 2.0 * norm * norm > _FLOAT_MAX
+
+
+def _power_of_two_above(v):
+    """A power of two above each ``v``, or 1 where ``v <= 1``.
+
+    Dividing by a power of two is exact, so scaling by it changes no digit.
+    """
+    return np.where(v > 1.0, np.ldexp(1.0, np.frexp(v)[1]), 1.0)
+
+
 def _lapack(routine: str, a: np.ndarray, **kwargs):
     """Call ``numpy.linalg.<routine>``, reporting non-convergence as ConvergenceError."""
     try:
@@ -430,16 +450,20 @@ def predicates(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MatrixPredicates
 
     The zero matrix passes the Hermitian, PSD, normal, symmetric and
     triangular tests.  PSD requires Hermitian and smallest eigenvalue at
-    least ``-psd_rel * sigma_max``.
+    least ``-psd_rel * sigma_max``.  The normality test is scale-invariant;
+    where the commutator could overflow it runs on ``a / s``, with ``s`` the
+    power of two above ``||a||_F``.
     """
     a = as_matrix(a)
     _require_square(a, "predicates")
     norm = frobenius_norm(a)
     is_hermitian = frobenius_norm(a - a.conj().T) <= tol.predicate_rel * norm
     is_symmetric = frobenius_norm(a - a.T) <= tol.predicate_rel * norm
-    commutator = a @ a.conj().T - a.conj().T @ a
-    is_normal = frobenius_norm(commutator) <= tol.predicate_rel * norm * norm
-    lower_mass = float(np.linalg.norm(np.tril(a, -1)))
+    s = float(_power_of_two_above(norm)) if _product_may_overflow(norm) else 1.0
+    unit, unit_norm = a / s, norm / s
+    commutator = unit @ unit.conj().T - unit.conj().T @ unit
+    is_normal = frobenius_norm(commutator) <= tol.predicate_rel * unit_norm * unit_norm
+    lower_mass = frobenius_norm(np.tril(a, -1))
     is_upper_triangular = lower_mass <= tol.predicate_rel * norm
     is_psd = False
     if is_hermitian:

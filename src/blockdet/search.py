@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+# Inequality.check calls the check_* functions by their names in this module.
 from .checks import (
     BlockFamily,
     CheckReport,
@@ -54,6 +55,8 @@ __all__ = [
     "ViolationRecord",
     "SearchReport",
     "PREDICATE_IDS",
+    "Inequality",
+    "INEQUALITIES",
     "generate",
     "generate_block_family",
     "search_violations",
@@ -223,7 +226,7 @@ def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
 
 
 # ---------------------------------------------------------------------------
-# Witnesses and the predicate catalog
+# Witnesses and the inequality registry
 
 
 @dataclass(frozen=True)
@@ -263,166 +266,124 @@ def _block_family_from(witness: Witness) -> BlockFamily:
     )
 
 
-def _run_fischer(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_fischer(w.matrices[0], int(w.params["r"]), tol)
+def _gram(g: np.ndarray) -> np.ndarray:
+    return g.conj().T @ g
 
 
-def _draw_fischer(spec: GeneratorSpec, trial_index: int, params: dict) -> Witness:
-    g = generate(spec, trial_index)[0]
-    psd = g.conj().T @ g
-    return Witness("fischer", spec.seed, trial_index, params, (psd,))
-
-
-def _run_thm1(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_thm1(_block_family_from(w), tol)
-
-
-def _run_cor_c0(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_cor_c0(_block_family_from(w).members[0], tol)
-
-
-def _run_cor_c1(w: Witness, tol: Tolerances) -> CheckReport:
-    allow = bool(w.params.get("allow_hypothesis_violation", False))
-    return check_cor_c1(_block_family_from(w), tol, allow_hypothesis_violation=allow)
-
-
-def _run_thm2(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_thm2(_block_family_from(w).members[0], tol)
-
-
-def _run_thm3(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_thm3(_block_family_from(w).members[0], float(w.params["p"]), tol)
-
-
-def _run_e21(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_e21(_block_family_from(w), tol)
-
-
-def _run_lemma1(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_lemma1(w.matrices[0], tol)
-
-
-def _run_djokovic(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_djokovic(w.matrices[0], tol)
-
-
-def _run_drury(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_drury(w.matrices[0], tol)
-
-
-def _run_weyl(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_weyl(w.matrices[0], tol)
-
-
-def _run_schur_identity(w: Witness, tol: Tolerances) -> CheckReport:
-    return check_schur_identity(w.matrices[0], int(w.params["r"]), tol)
-
-
-def _run_log_major(w: Witness, tol: Tolerances) -> CheckReport:
-    x = w.matrices[0]
+def _log_major_spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue moduli of conj(X) X and squared singular values of X, non-increasing."""
     lam = np.abs(general_eigenvalues(x.conj() @ x))
     lam = np.sort(lam)[::-1]
     sig = np.sort(singular_values(x) ** 2)[::-1]
-    return check_log_major(lam, sig, float(w.params["p"]), tol)
-
-
-def _blockified(spec: GeneratorSpec, trial_index: int, predicate_id: str, params: dict,
-                m_override: int | None = None) -> Witness:
-    spec_m = spec if m_override is None else GeneratorSpec(
-        family=spec.family, n=spec.n, r=spec.r, m=m_override,
-        entry_bound=spec.entry_bound, seed=spec.seed,
-    )
-    family = generate_block_family(spec_m, trial_index)
-    mats = tuple(member.assemble() for member in family.members)
-    return Witness(predicate_id, spec.seed, trial_index, params, mats)
-
-
-def _matrix_witness(spec: GeneratorSpec, trial_index: int, predicate_id: str, params: dict,
-                    transform: Callable[[np.ndarray], np.ndarray] | None = None) -> Witness:
-    mat = generate(spec, trial_index)[0]
-    if transform is not None:
-        mat = transform(mat)
-    return Witness(predicate_id, spec.seed, trial_index, params, (mat,))
+    return lam, sig
 
 
 @dataclass(frozen=True)
-class _Binding:
-    draw: Callable[[GeneratorSpec, int, dict], Witness]
-    run: Callable[[Witness, Tolerances], CheckReport]
-    default_params: Callable[[GeneratorSpec], dict]
+class Inequality:
+    """One inequality id: how to draw its input, check it, and read a search of it.
+
+    ``shape`` is what the checker ``check_<id>`` takes: ``"matrix"`` (the
+    first matrix, then ``r`` if ``needs_r``), ``"member"`` (the first matrix
+    split at ``r``), ``"family"`` (every matrix split at ``r``) or
+    ``"spectra"`` (the two sequences of :func:`_log_major_spectra`).
+    ``files`` is the least and most number of input matrices (``None``: no
+    limit); a block family with a fixed count is drawn with that many
+    members, otherwise with the spec's ``m``.  ``transform`` reshapes a
+    drawn matrix (into a PSD one, or a triangular one).  ``default_p``,
+    when set, is the exponent's default and makes ``p`` a parameter.
+    ``refutable`` ids are false in general and get the published witness as
+    trial 0 of a search; with ``hypothesis_gate`` the checker answers
+    ``precondition_failed`` off its hypothesis unless the parameter
+    ``allow_hypothesis_violation`` is set, and only then is a violation
+    expected.
+    """
+
+    id: str
+    shape: str
+    files: tuple[int, int | None] = (1, 1)
+    needs_r: bool = False
+    default_p: float | None = None
+    transform: Callable[[np.ndarray], np.ndarray] | None = None
     refutable: bool = False
+    hypothesis_gate: bool = False
+
+    def call_params(self, r: int | None, p: float | None = None,
+                    allow_hypothesis_violation: bool = False) -> dict:
+        """The parameters a witness of this id records, defaults filled in."""
+        params: dict = {}
+        if self.needs_r:
+            params["r"] = r
+        if self.default_p is not None:
+            params["p"] = self.default_p if p is None else p
+        if self.hypothesis_gate:
+            params["allow_hypothesis_violation"] = allow_hypothesis_violation
+        return params
+
+    def draw(self, spec: GeneratorSpec, trial_index: int, params: dict) -> Witness:
+        if self.shape in ("member", "family"):
+            members = self.files[1]
+            if members is not None:
+                spec = GeneratorSpec(family=spec.family, n=spec.n, r=spec.r, m=members,
+                                     entry_bound=spec.entry_bound, seed=spec.seed)
+            family = generate_block_family(spec, trial_index)
+            mats = tuple(member.assemble() for member in family.members)
+        else:
+            mat = generate(spec, trial_index)[0]
+            mats = (mat if self.transform is None else self.transform(mat),)
+        return Witness(self.id, spec.seed, trial_index, params, mats)
+
+    def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+        # looked up per call, so a wrapper put on this module's name is the one called
+        checker = globals()[f"check_{self.id}"]
+        params = witness.params
+        if self.shape == "matrix":
+            args: tuple = (witness.matrices[0],)
+            if self.needs_r:
+                args += (int(params["r"]),)
+        elif self.shape == "spectra":
+            args = _log_major_spectra(witness.matrices[0])
+        else:
+            family = _block_family_from(witness)
+            args = (family,) if self.shape == "family" else (family.members[0],)
+        if self.default_p is not None:
+            args += (float(params["p"]),)
+        if self.hypothesis_gate:
+            allow = bool(params.get("allow_hypothesis_violation", False))
+            return checker(*args, tol, allow_hypothesis_violation=allow)
+        return checker(*args, tol)
+
+    def expects_violation(self, params: dict) -> bool:
+        """Whether a search with these parameters should record a violation."""
+        return self.refutable and (
+            not self.hypothesis_gate or bool(params.get("allow_hypothesis_violation", False))
+        )
 
 
-def _params_r(spec: GeneratorSpec) -> dict:
-    return {"r": spec.r}
+INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
+    Inequality("fischer", "matrix", needs_r=True, transform=_gram),
+    Inequality("thm1", "family", files=(1, None), needs_r=True),
+    Inequality("cor_c0", "member", needs_r=True),
+    Inequality("cor_c1", "family", files=(1, None), needs_r=True, refutable=True,
+               hypothesis_gate=True),
+    Inequality("lemma1", "matrix"),
+    Inequality("djokovic", "matrix"),
+    Inequality("thm2", "member", needs_r=True),
+    Inequality("drury", "matrix", transform=np.triu),
+    Inequality("thm3", "member", needs_r=True, default_p=2.0),
+    Inequality("weyl", "matrix"),
+    Inequality("log_major", "spectra", default_p=2.0),
+    Inequality("schur_identity", "matrix", needs_r=True),
+    Inequality("e21", "family", files=(2, 2), needs_r=True, refutable=True),
+)}
 
-
-def _params_none(spec: GeneratorSpec) -> dict:
-    return {}
-
-
-def _params_p(spec: GeneratorSpec) -> dict:
-    return {"p": 2.0}
-
-
-_CATALOG: dict[str, _Binding] = {
-    "fischer": _Binding(_draw_fischer, _run_fischer, _params_r),
-    "thm1": _Binding(
-        lambda spec, i, p: _blockified(spec, i, "thm1", p), _run_thm1, _params_r
-    ),
-    "cor_c0": _Binding(
-        lambda spec, i, p: _blockified(spec, i, "cor_c0", p, m_override=1),
-        _run_cor_c0, _params_r,
-    ),
-    "cor_c1": _Binding(
-        lambda spec, i, p: _blockified(spec, i, "cor_c1", p),
-        _run_cor_c1,
-        lambda spec: {"r": spec.r, "allow_hypothesis_violation": False},
-        refutable=True,
-    ),
-    "lemma1": _Binding(
-        lambda spec, i, p: _matrix_witness(spec, i, "lemma1", p), _run_lemma1, _params_none
-    ),
-    "djokovic": _Binding(
-        lambda spec, i, p: _matrix_witness(spec, i, "djokovic", p), _run_djokovic, _params_none
-    ),
-    "thm2": _Binding(
-        lambda spec, i, p: _blockified(spec, i, "thm2", p, m_override=1),
-        _run_thm2, _params_r,
-    ),
-    "drury": _Binding(
-        lambda spec, i, p: _matrix_witness(spec, i, "drury", p, transform=np.triu),
-        _run_drury, _params_none,
-    ),
-    "thm3": _Binding(
-        lambda spec, i, p: _blockified(spec, i, "thm3", p, m_override=1),
-        _run_thm3,
-        lambda spec: {"r": spec.r, "p": 2.0},
-    ),
-    "weyl": _Binding(
-        lambda spec, i, p: _matrix_witness(spec, i, "weyl", p), _run_weyl, _params_none
-    ),
-    "log_major": _Binding(
-        lambda spec, i, p: _matrix_witness(spec, i, "log_major", p), _run_log_major, _params_p
-    ),
-    "schur_identity": _Binding(
-        lambda spec, i, p: _matrix_witness(spec, i, "schur_identity", p),
-        _run_schur_identity, _params_r,
-    ),
-    "e21": _Binding(
-        lambda spec, i, p: _blockified(spec, i, "e21", p, m_override=2),
-        _run_e21, _params_r, refutable=True,
-    ),
-}
-
-PREDICATE_IDS = tuple(_CATALOG)
+PREDICATE_IDS = tuple(INEQUALITIES)
 
 
 def recheck_witness(witness: Witness, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Re-run the checker a witness was recorded against, from its own data."""
-    if witness.predicate_id not in _CATALOG:
+    if witness.predicate_id not in INEQUALITIES:
         raise ValueError(f"unknown predicate {witness.predicate_id!r}")
-    return _CATALOG[witness.predicate_id].run(witness, tol)
+    return INEQUALITIES[witness.predicate_id].check(witness, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +435,17 @@ PAPER_EXAMPLE_IDS = ("example1", "remark_minus12", "example3")
 def reproduce_paper_example(example_id: str, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Evaluate one of the three published numeric examples from its matrices."""
     if example_id == "example1":
-        w = _paper_witness("cor_c1", {"allow_hypothesis_violation": True})
-        return _run_cor_c1(w, tol)
-    if example_id == "remark_minus12":
+        witness = _paper_witness("cor_c1", {"allow_hypothesis_violation": True})
+    elif example_id == "remark_minus12":
         x1 = as_matrix(_REMARK_X1)
-        members = []
-        for x in (x1, x1.T):
-            members.append(BlockUpperTriangular(x=x, y=np.zeros((2, 1), dtype=complex),
-                                                z=np.ones((1, 1), dtype=complex)))
-        return check_cor_c1(BlockFamily(tuple(members)), tol, allow_hypothesis_violation=True)
-    if example_id == "example3":
-        w = _paper_witness("e21", {})
-        return _run_e21(w, tol)
-    raise ValueError(f"unknown example {example_id!r}, expected one of {PAPER_EXAMPLE_IDS}")
+        mats = tuple(BlockUpperTriangular(x=x, y=np.zeros((2, 1)), z=np.ones((1, 1))).assemble()
+                     for x in (x1, x1.T))
+        witness = Witness("cor_c1", 0, 0, {"r": 2, "allow_hypothesis_violation": True}, mats)
+    elif example_id == "example3":
+        witness = _paper_witness("e21", {})
+    else:
+        raise ValueError(f"unknown example {example_id!r}, expected one of {PAPER_EXAMPLE_IDS}")
+    return recheck_witness(witness, tol)
 
 
 _PAPER_EXPECTATIONS: dict[str, list[dict]] = {
@@ -620,12 +579,12 @@ def _run_trials(
     stop_on_first: bool,
     inject_paper_witness: bool,
 ) -> SearchReport:
-    if predicate_id not in _CATALOG:
+    if predicate_id not in INEQUALITIES:
         raise ValueError(f"unknown predicate {predicate_id!r}, expected one of {PREDICATE_IDS}")
     if max_trials < 1:
         raise ValueError(f"trial count must be >= 1, got {max_trials}")
-    binding = _CATALOG[predicate_id]
-    call_params = binding.default_params(spec)
+    ineq = INEQUALITIES[predicate_id]
+    call_params = ineq.call_params(spec.r)
     if params:
         call_params.update(params)
     violations: list[ViolationRecord] = []
@@ -637,11 +596,11 @@ def _run_trials(
     ran = 0
     for trial in range(max_trials):
         witness = None
-        if trial == 0 and inject_paper_witness and binding.refutable:
+        if trial == 0 and inject_paper_witness and ineq.refutable:
             witness = _paper_witness(predicate_id, call_params)
         if witness is None:
-            witness = binding.draw(spec, trial, dict(call_params))
-        report = binding.run(witness, tol)
+            witness = ineq.draw(spec, trial, dict(call_params))
+        report = ineq.check(witness, tol)
         ran += 1
         if report.verdict is not Verdict.PRECONDITION_FAILED:
             margin = report.margin

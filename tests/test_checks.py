@@ -468,6 +468,17 @@ def test_weyl_shear_strict_with_tight_final_product():
     assert abs(report.finding("final_product_gap")) <= 1e-10
 
 
+def test_weyl_final_product_gap_within_rounding_is_not_violated():
+    # The k = n gap compares two computed forms of |det A|.  With singular
+    # values spread from 1 to 1e-12 both carry errors near eps * 1e12.
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        report = check_weyl((u * np.logspace(0, -12, 4)) @ v.conj().T)
+        assert report.verdict is not Verdict.VIOLATED, report.finding("final_product_gap")
+
+
 def test_weyl_random_never_violated():
     rng = np.random.default_rng(16)
     for _ in range(40):
@@ -622,6 +633,9 @@ def _extreme_inputs():
     d13 = np.diag([1e13, 1.0, 1.0]).astype(complex)
     d13_block = BlockUpperTriangular.from_matrix(d13, 1)
 
+    one_huge = g(3)
+    one_huge[0, 0] = 1e160
+
     def scaled(t, s):
         return _block(s * t.x, s * t.y, s * t.z)
 
@@ -640,6 +654,13 @@ def _extreme_inputs():
         "rank1.thm3": (lambda: check_thm3(rank1, 1.0), Verdict.HOLDS_STRICT),
         "spread.thm1": (lambda: check_thm1(BlockFamily((spread_t, partner))),
                         Verdict.HOLDS_STRICT),
+        "spread.thm1_one_member": (lambda: check_thm1(BlockFamily((spread_t,))),
+                                   Verdict.EQUALITY),
+        "1e+160.lemma1": (lambda: check_lemma1(1e160 * a), Verdict.HOLDS_STRICT),
+        "1e+160.lemma1_symmetric": (lambda: check_lemma1(1e160 * (a + a.T)), Verdict.EQUALITY),
+        "1e+160.djokovic": (lambda: check_djokovic(1e160 * a), Verdict.HOLDS_STRICT),
+        "1e+160.thm2": (lambda: check_thm2(scaled(t1, 1e160)), Verdict.HOLDS_STRICT),
+        "one_huge_entry.djokovic": (lambda: check_djokovic(one_huge), Verdict.HOLDS_STRICT),
     }
     for s in (1e100, 1e160):
         cases[f"{s:.0e}.cor_c0"] = (lambda s=s: check_cor_c0(scaled(t1, s)), Verdict.HOLDS_STRICT)

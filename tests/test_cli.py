@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from blockdet import cli
 from blockdet.checks import CheckReport, Verdict
 from blockdet.cli import main
 from blockdet.linalg import matrix_to_json_dict
@@ -73,6 +74,70 @@ def test_check_usage_errors_exit_three(diag_file):
     assert main(["check", diag_file, "--ineq", "thm3", "--r", "1", "--p", "0.5"]) == 3
     assert main(["check", diag_file, diag_file, "--ineq", "drury"]) == 3  # too many files
     assert main(["check", diag_file, "--ineq", "drury", "--tol-eq", "-1"]) == 3
+
+
+def test_usage_messages_name_what_is_wrong(diag_file, capsys):
+    cases = [
+        (["check", diag_file, "--ineq", "nosuch"],
+         "unknown inequality 'nosuch', expected one of fischer, thm1, cor_c0, cor_c1, lemma1, "
+         "djokovic, thm2, drury, thm3, weyl, log_major, schur_identity, e21"),
+        (["check", diag_file, diag_file, "--ineq", "drury"],
+         "drury needs exactly 1 matrix file(s), got 2"),
+        (["check", diag_file, "--ineq", "e21", "--r", "1"],
+         "e21 needs exactly 2 matrix file(s), got 1"),
+        (["check", diag_file, "--ineq", "cor_c0"], "cor_c0 needs --r (top-left block dimension)"),
+        (["check", diag_file, "--ineq", "thm3", "--r", "1", "--p", "0.5"],
+         "--p must be >= 1, got 0.5"),
+        (["check", diag_file, "--ineq", "log_major", "--p", "0.5"], "--p must be >= 1, got 0.5"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"blockdet: error: {message}\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch, diag_file, capsys):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._shared_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["check", diag_file, "--ineq", "drury"]) == 0
+        assert main(["reproduce", "nosuch"]) == 3
+        assert main(["check", diag_file]) == 3
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_calls_in_one_process_answer_as_when_run_alone(diag_file, capsys):
+    calls = [
+        (["check", diag_file, "--ineq", "nosuch"], 3),        # usage error
+        (["check", diag_file], 3),                            # argparse: no --ineq
+        (["check", diag_file, "--ineq", "drury", "--format", "structured"], 0),
+        (["reproduce", "all", "--format", "structured"], 0),
+        (["fuzz", "--predicate", "cor_c1", "--trials", "5", "--seed", "3",
+          "--allow-hypothesis-violation", "--format", "structured"], 0),
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv, _ in calls:
+        cli._shared_parser.cache_clear()
+        alone.append(run(argv))
+    cli._shared_parser.cache_clear()
+    together = [run(argv) for argv, _ in calls]
+    assert together == alone
+    assert [code for code, _, _ in alone] == [code for _, code in calls]
 
 
 def test_reproduce_all_passes(capsys):

@@ -169,6 +169,16 @@ def test_witness_roundtrip_reproduces_verdict_and_margin():
     assert again.margin == pytest.approx(probe.min_positive_margin, abs=1e-12)
 
 
+def test_every_id_has_exactly_one_registry_record():
+    from blockdet import search
+    from blockdet.checks import INEQUALITY_IDS
+
+    assert tuple(search.INEQUALITIES) == INEQUALITY_IDS == search.PREDICATE_IDS
+    for ineq_id, record in search.INEQUALITIES.items():
+        assert record.id == ineq_id
+        assert callable(getattr(search, f"check_{ineq_id}"))
+
+
 def test_all_predicates_run_one_trial():
     spec = GeneratorSpec(family="gaussian", n=4, r=2, m=2, seed=3)
     from blockdet.search import PREDICATE_IDS
