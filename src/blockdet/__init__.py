@@ -37,7 +37,6 @@ from .checks import (
     BlockFamily,
     CheckReport,
     Finding,
-    INEQUALITY_IDS,
     Verdict,
     check_cor_c0,
     check_cor_c1,

@@ -6,11 +6,13 @@ a holding instance ``margin = log|lhs| - log|rhs| >= 0``.  Comparisons run
 entirely in the log domain: the counterexample families push determinants
 to 1e8 and beyond, where raw subtraction in double precision is meaningless.
 
-Where the inequality has a characterized equality case (cor_c0, lemma1,
-thm2, drury, thm3), classification is structural-first: the checker computes
-both the numeric margin and the structural condition, reports the verdict
-from the structure, and attaches a discrepancy diagnostic if the two
-disagree instead of silently trusting either.
+Every verdict is decided, and every report built, by one rule,
+:func:`_report`, with one equality window.  Where the inequality has a
+characterized equality case (cor_c0, lemma1, thm2, drury, thm3),
+classification is structural-first: the checker computes both the numeric
+margin and the structural condition, the verdict follows the structure, and
+a discrepancy diagnostic is attached if the two disagree instead of
+silently trusting either.
 
 All checkers are stateless pure functions over immutable inputs.
 """
@@ -25,6 +27,10 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    MAJOR_REL,
+    PIVOT_REL,
+    PREDICATE_REL,
+    PSD_REL,
     BlockUpperTriangular,
     ShapeError,
     SignedLogDet,
@@ -46,7 +52,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "INEQUALITY_IDS",
     "Verdict",
     "Finding",
     "CheckReport",
@@ -67,23 +72,6 @@ __all__ = [
     "check_schur_identity",
     "check_e21",
 ]
-
-INEQUALITY_IDS = (
-    "fischer",
-    "thm1",
-    "cor_c0",
-    "cor_c1",
-    "lemma1",
-    "djokovic",
-    "thm2",
-    "drury",
-    "thm3",
-    "weyl",
-    "log_major",
-    "schur_identity",
-    "e21",
-)
-
 
 class Verdict(str, Enum):
     HOLDS_STRICT = "holds_strict"
@@ -222,61 +210,59 @@ def _eq_window(lhs: SignedLogDet, tol: Tolerances) -> float:
     return tol.eq_rel * max(1.0, anchor)
 
 
-def _margin_verdict(margin: float, lhs: SignedLogDet, tol: Tolerances) -> Verdict:
-    eps = _eq_window(lhs, tol)
-    if margin < -eps:
-        return Verdict.VIOLATED
-    if abs(margin) <= eps:
-        return Verdict.EQUALITY
-    return Verdict.HOLDS_STRICT
-
-
-def _structural_verdict(
-    margin: float,
-    lhs: SignedLogDet,
-    structural_equality: bool,
-    tol: Tolerances,
-) -> tuple[Verdict, tuple[Finding, ...]]:
-    """Equality from the structural condition; margin only decides violation.
-
-    Returns extra findings when numeric and structural classification
-    disagree, which is the signal the equality-condition tests key on.
-    """
-    eps = _eq_window(lhs, tol)
-    numeric_equality = abs(margin) <= eps
-    extra: tuple[Finding, ...] = ()
-    if margin < -eps:
-        verdict = Verdict.VIOLATED
-        if structural_equality:
-            extra = (Finding("structural_numeric_mismatch", True),)
-    elif structural_equality:
-        verdict = Verdict.EQUALITY
-        if not numeric_equality:
-            extra = (Finding("structural_numeric_mismatch", True),)
-    else:
-        verdict = Verdict.HOLDS_STRICT
-        if numeric_equality:
-            extra = (Finding("margin_within_equality_band", True),)
-    return verdict, extra
-
-
 def _report(
     inequality_id: str,
     lhs: SignedLogDet,
     rhs: SignedLogDet,
     tol: Tolerances,
-    structural_equality: bool | None = None,
     diagnostics: tuple[Finding, ...] = (),
-    force_verdict: Verdict | None = None,
+    *,
+    margin: float | None = None,
+    value: float | None = None,
+    structural_equality: bool | None = None,
+    identity_gap: float = 0.0,
+    phase_gap: float = 0.0,
+    precondition_failed: bool = False,
 ) -> CheckReport:
-    margin = lhs.log_ratio(rhs)
-    if force_verdict is not None:
-        verdict = force_verdict
+    """The one verdict rule; every checker's report is built here.
+
+    ``margin`` defaults to log|lhs| - log|rhs|.  The equality window
+    :func:`_eq_window` is applied to ``value``, which defaults to the margin;
+    djokovic passes the value of its determinant instead, and a value inside
+    the window is then reported as margin 0.  The claim is violated when the
+    value falls below the window, or, whatever the margin, when a quantity
+    that is exact in exact arithmetic is off: ``identity_gap`` (a log gap
+    already past its rounding allowance) beyond the window, or ``phase_gap``
+    (the distance between unit phases) beyond ``tol.eq_rel``.  A failed
+    precondition overrides everything.
+
+    Where the inequality has a characterized equality case,
+    ``structural_equality`` decides equality and the window only decides
+    violation; a ``structural_numeric_mismatch`` or
+    ``margin_within_equality_band`` finding is added when the numeric
+    classification disagrees.
+    """
+    if margin is None:
+        margin = lhs.log_ratio(rhs)
+    windowed = margin if value is None else value
+    eps = _eq_window(lhs, tol)
+    numeric_equality = abs(windowed) <= eps
+    if precondition_failed:
+        verdict = Verdict.PRECONDITION_FAILED
+    elif windowed < -eps or identity_gap > eps or phase_gap > tol.eq_rel:
+        verdict = Verdict.VIOLATED
+        if structural_equality:
+            diagnostics += (Finding("structural_numeric_mismatch", True),)
     elif structural_equality is None:
-        verdict = _margin_verdict(margin, lhs, tol)
+        verdict = Verdict.EQUALITY if numeric_equality else Verdict.HOLDS_STRICT
     else:
-        verdict, extra = _structural_verdict(margin, lhs, structural_equality, tol)
-        diagnostics = diagnostics + extra
+        verdict = Verdict.EQUALITY if structural_equality else Verdict.HOLDS_STRICT
+        if structural_equality != numeric_equality:
+            name = ("structural_numeric_mismatch" if structural_equality
+                    else "margin_within_equality_band")
+            diagnostics += (Finding(name, True),)
+    if verdict is Verdict.EQUALITY and value is not None:
+        margin = 0.0
     return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
 
 
@@ -327,30 +313,28 @@ def _log_det_gram(sigma: np.ndarray, floor: float) -> SignedLogDet:
     return SignedLogDet.from_log(2.0 * float(np.sum(np.log(sigma))))
 
 
-def _det_identity_plus_conj_product(x: np.ndarray, tol: Tolerances) -> SignedLogDet:
-    """det(I + conj(X) X) by LU, without a product that can overflow.
+def _det_conj_product_sum(xs: list[np.ndarray], plus_identity: bool) -> SignedLogDet:
+    """det(sum conj(X_k) X_k), or of I plus that sum, by LU without overflow.
 
-    Where conj(X) X could overflow, D = diag(d_i) is factored out, d_i the
-    power of two above the largest modulus in row i and column i of X:
-    det(I + conj(X) X) = det(D)^2 det(D^-2 + (D^-1 conj(X)) (X D^-1)), and
-    no entry of the scaled product exceeds n in modulus.  One scale per
-    index, not one for all of X, keeps the products of X's small entries
-    clear of subnormals next to a huge one.
+    Where a product could overflow, D = diag(d_i) is factored out, d_i the
+    power of two above the largest modulus in row i and column i of any X_k:
+    det(I + sum conj(X_k) X_k)
+        = det(D)^2 det(D^-2 + sum (D^-1 conj(X_k)) (X_k D^-1)),
+    likewise without the identity, and no entry of the scaled sum exceeds
+    m n in modulus.  One scale per index, not one for all the X_k, keeps the
+    products of small entries clear of subnormals next to a huge one.
     """
-    if not _product_may_overflow(frobenius_norm(x)):
-        return det(identity(x.shape[0]) + x.conj() @ x, tol)
-    mags = np.abs(x)
-    d = _power_of_two_above(np.maximum(mags.max(axis=0), mags.max(axis=1)))
+    if not _product_may_overflow(math.hypot(*(frobenius_norm(x) for x in xs))):
+        total = sum((x.conj() @ x for x in xs[1:]), xs[0].conj() @ xs[0])
+        return det(total + identity(total.shape[0]) if plus_identity else total)
+    mags = np.abs(np.array(xs))
+    d = _power_of_two_above(np.maximum(mags.max(axis=(0, 1)), mags.max(axis=(0, 2))))
     inv = 1.0 / d
-    scaled = np.diag(inv * inv) + (x.conj() * inv[:, None]) @ (x * inv)
-    return SignedLogDet.from_log(2.0 * float(np.sum(np.log(d)))) * det(scaled, tol)
-
-
-def _sum_conj_product(blocks: list[np.ndarray]) -> np.ndarray:
-    acc = blocks[0].conj() @ blocks[0]
-    for b in blocks[1:]:
-        acc = acc + b.conj() @ b
-    return acc
+    products = [(x.conj() * inv[:, None]) @ (x * inv) for x in xs]
+    scaled = sum(products[1:], products[0])
+    if plus_identity:
+        scaled = scaled + np.diag(inv * inv)
+    return SignedLogDet.from_log(2.0 * float(np.sum(np.log(d)))) * det(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +352,12 @@ def check_fischer(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> Check
     n = a.shape[0]
     if not 0 < r < n:
         raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
-    preds = predicates(a, tol)
-    diagnostics = [Finding("is_psd", preds.is_psd)]
-    if preds.is_hermitian:
-        w, _ = hermitian_eigensystem(a, tol)
-        diagnostics.append(Finding("min_eigenvalue", float(w[-1])))
-    lhs = det(a[:r, :r], tol) * det(a[r:, r:], tol)
-    rhs = det(a, tol)
-    force = None if preds.is_psd else Verdict.PRECONDITION_FAILED
-    return _report("fischer", lhs, rhs, tol, diagnostics=tuple(diagnostics), force_verdict=force)
+    preds = predicates(a)
+    diagnostics = (Finding("is_psd", preds.is_psd),)
+    if preds.min_eigenvalue is not None:
+        diagnostics += (Finding("min_eigenvalue", preds.min_eigenvalue),)
+    lhs = det(a[:r, :r]) * det(a[r:, r:])
+    return _report("fischer", lhs, det(a), tol, diagnostics, precondition_failed=not preds.is_psd)
 
 
 def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -396,10 +377,10 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     rhs_x = _log_det_gram(_stack_singular_values([m.x for m in family.members])[0], floor)
     rhs_z = _log_det_gram(_stack_singular_values([m.z for m in family.members])[0], floor)
     diagnostics = (Finding("sum_xx_singular", bool(rhs_x.is_zero)),)
-    return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics=diagnostics)
+    return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics)
 
 
-def check_thm1_schur_steps(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> tuple[Finding, ...]:
+def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     """The two positivity facts behind the summed-Gram determinant bound.
 
     (i) the stacked Gram sum [[sum X*X, sum X*Y], [sum Y*X, sum Y*Y]] is PSD;
@@ -411,7 +392,7 @@ def check_thm1_schur_steps(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -
     ys = [m.y for m in family.members]
     sum_xx = sum(x.conj().T @ x for x in xs)
     sigma = singular_values(sum_xx)
-    if float(sigma[-1]) <= tol.pivot_rel * float(sigma[0]):
+    if float(sigma[-1]) <= PIVOT_REL * float(sigma[0]):
         return (Finding("sum_xx_nonsingular", False),)
     r, s = family.r, family.n - family.r
     stacked = np.zeros((r + s, r + s), dtype=complex)
@@ -420,15 +401,15 @@ def check_thm1_schur_steps(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -
     stacked[:r, r:] = sum_xy
     stacked[r:, :r] = sum_xy.conj().T
     stacked[r:, r:] = sum(y.conj().T @ y for y in ys)
-    gram_psd = predicates(stacked, tol).is_psd
+    gram_psd = predicates(stacked).is_psd
     full = [m.assemble() for m in family.members]
     sum_tt = sum(t.conj().T @ t for t in full)
-    complement = schur_complement(sum_tt, family.r, tol)
+    complement = schur_complement(sum_tt, family.r)
     gap = complement - sum(m.z.conj().T @ m.z for m in family.members)
     gap = (gap + gap.conj().T) / 2.0
-    w, _ = hermitian_eigensystem(gap, tol)
-    scale = max(float(np.max(np.abs(w))) if w.size else 0.0, frobenius_norm(complement))
-    dominates = bool(np.min(w) >= -tol.psd_rel * max(scale, 1e-300)) if w.size else True
+    w, _ = hermitian_eigensystem(gap)
+    scale = max(float(np.max(np.abs(w))), frobenius_norm(complement))
+    dominates = bool(np.min(w) >= -PSD_REL * max(scale, 1e-300))
     return (
         Finding("sum_xx_nonsingular", True),
         Finding("stacked_gram_sum_psd", bool(gram_psd)),
@@ -436,19 +417,19 @@ def check_thm1_schur_steps(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -
     )
 
 
-def _y_is_structurally_zero(t: BlockUpperTriangular, tol: Tolerances) -> tuple[bool, float]:
+def _y_is_structurally_zero(t: BlockUpperTriangular) -> tuple[bool, float]:
     y_norm = frobenius_norm(t.y)
     total = math.hypot(frobenius_norm(t.x), y_norm, frobenius_norm(t.z))
-    return y_norm <= tol.predicate_rel * (1.0 + total), y_norm
+    return y_norm <= PREDICATE_REL * (1.0 + total), y_norm
 
 
 def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + T*T) >= det(I + X*X) * det(I + Z*Z), equality iff Y = 0."""
     lhs = _log_det_identity_plus_abs_power(t.assemble(), 2.0)
     rhs = _log_det_identity_plus_abs_power(t.x, 2.0) * _log_det_identity_plus_abs_power(t.z, 2.0)
-    y_zero, y_norm = _y_is_structurally_zero(t, tol)
-    diagnostics = (Finding("y_frobenius", y_norm),)
-    return _report("cor_c0", lhs, rhs, tol, structural_equality=y_zero, diagnostics=diagnostics)
+    y_zero, y_norm = _y_is_structurally_zero(t)
+    return _report("cor_c0", lhs, rhs, tol, (Finding("y_frobenius", y_norm),),
+                   structural_equality=y_zero)
 
 
 def check_cor_c1(
@@ -460,39 +441,37 @@ def check_cor_c1(
 
     Requires every X_k and Z_k normal.  When the hypothesis fails the sides
     are still evaluated (that configuration is exactly what the violation
-    search needs); the verdict is ``precondition_failed`` unless
+    search needs); the verdict is ``precondition_failed``, with the verdict
+    the margin gives as ``evaluated_verdict``, unless
     ``allow_hypothesis_violation`` is set, in which case the margin decides.
     The signed inner determinants are reported as diagnostics because the
     X-factor can be genuinely negative before the absolute value.
     """
     normal = all(
-        predicates(m.x, tol).is_normal and predicates(m.z, tol).is_normal
-        for m in family.members
+        predicates(m.x).is_normal and predicates(m.z).is_normal for m in family.members
     )
     lhs = _log_det_gram(*_stack_singular_values([m.assemble() for m in family.members]))
-    inner_x = det(_sum_conj_product([m.x for m in family.members]), tol)
-    inner_z = det(_sum_conj_product([m.z for m in family.members]), tol)
+    inner_x = _det_conj_product_sum([m.x for m in family.members], plus_identity=False)
+    inner_z = _det_conj_product_sum([m.z for m in family.members], plus_identity=False)
     rhs = inner_x.abs() * inner_z.abs()
-    diagnostics = [
+    diagnostics = (
         Finding("blocks_all_normal", normal),
         Finding("det_xbar_x_re", float(inner_x.value.real)),
         Finding("det_xbar_x_im", float(inner_x.value.imag)),
         Finding("det_zbar_z_re", float(inner_z.value.real)),
         Finding("det_zbar_z_im", float(inner_z.value.imag)),
-    ]
-    force = None
+    )
     if not normal:
-        diagnostics.append(Finding("hypothesis_violated", True))
-        if not allow_hypothesis_violation:
-            margin = lhs.log_ratio(rhs)
-            diagnostics.append(
-                Finding("evaluated_verdict", _margin_verdict(margin, lhs, tol).value)
-            )
-            force = Verdict.PRECONDITION_FAILED
-    return _report("cor_c1", lhs, rhs, tol, diagnostics=tuple(diagnostics), force_verdict=force)
+        diagnostics += (Finding("hypothesis_violated", True),)
+    report = _report("cor_c1", lhs, rhs, tol, diagnostics)
+    if normal or allow_hypothesis_violation:
+        return report
+    return _report("cor_c1", lhs, rhs, tol,
+                   diagnostics + (Finding("evaluated_verdict", report.verdict.value),),
+                   precondition_failed=True)
 
 
-def check_c1_proof_step(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> Finding:
+def check_c1_proof_step(family: BlockFamily) -> Finding:
     """PSD-ness of the 2x2 matrix of determinants built from the X blocks.
 
     The matrix is [[det sum conj(X)X', det sum conj(X)X],
@@ -502,10 +481,10 @@ def check_c1_proof_step(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> F
     counterexample family produces.
     """
     xs = [m.x for m in family.members]
-    d11 = det(sum(x.conj() @ x.T for x in xs), tol)
-    d12 = det(sum(x.conj() @ x for x in xs), tol)
-    d21 = det(sum(x.conj().T @ x.T for x in xs), tol)
-    d22 = det(sum(x.conj().T @ x for x in xs), tol)
+    d11 = det(sum(x.conj() @ x.T for x in xs))
+    d12 = _det_conj_product_sum(xs, plus_identity=False)
+    d21 = det(sum(x.conj().T @ x.T for x in xs))
+    d22 = det(sum(x.conj().T @ x for x in xs))
     logs = [d.log_magnitude for d in (d11, d12, d21, d22) if not d.is_zero]
     shift = max(logs) if logs else 0.0
     def scaled(d: SignedLogDet) -> complex:
@@ -513,7 +492,7 @@ def check_c1_proof_step(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> F
             return 0j
         return d.phase * math.exp(d.log_magnitude - shift)
     m2 = np.array([[scaled(d11), scaled(d12)], [scaled(d21), scaled(d22)]], dtype=complex)
-    return Finding("det_gram_2x2_psd", bool(predicates(m2, tol).is_psd))
+    return Finding("det_gram_2x2_psd", bool(predicates(m2).is_psd))
 
 
 def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -521,14 +500,13 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     x = as_matrix(x)
     _require_square(x, "check_lemma1")
     lhs = _log_det_identity_plus_abs_power(x, 2.0)
-    rhs = _det_identity_plus_conj_product(x, tol)
-    asymmetry = frobenius_norm(x - x.T)
-    symmetric = predicates(x, tol).is_symmetric
+    rhs = _det_conj_product_sum([x], plus_identity=True)
+    symmetric = predicates(x).is_symmetric
     diagnostics = (
         Finding("is_symmetric", symmetric),
-        Finding("asymmetry_frobenius", asymmetry),
+        Finding("asymmetry_frobenius", frobenius_norm(x - x.T)),
     )
-    return _report("lemma1", lhs, rhs, tol, structural_equality=symmetric, diagnostics=diagnostics)
+    return _report("lemma1", lhs, rhs, tol, diagnostics, structural_equality=symmetric)
 
 
 def _log1p_exp(log_mag: float) -> float:
@@ -544,35 +522,25 @@ def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     One-sided: rhs is the zero determinant and the margin is the signed,
     compressed value sign(Re det) * log1p(|det|) so that it is finite,
     positive exactly when the determinant is positive, and comparable
-    across scales.  A determinant with a non-real phase beyond the equality
-    window counts as a violation (the quantity is real in exact arithmetic).
+    across scales.  The equality window applies to the determinant's value,
+    not to the compressed margin.  A determinant with a non-real phase
+    beyond the equality window counts as a violation (the quantity is real
+    in exact arithmetic).
     """
     x = as_matrix(x)
     _require_square(x, "check_djokovic")
-    d = _det_identity_plus_conj_product(x, tol)
-    rhs = SignedLogDet.zero()
+    d = _det_conj_product_sum([x], plus_identity=True)
     if d.is_zero:
-        return CheckReport(
-            "djokovic", d, rhs, 0.0, Verdict.EQUALITY, (Finding("det_is_zero", True),)
-        )
-    eps = _eq_window(d, tol)
-    imag_ok = abs(d.phase.imag) <= tol.eq_rel
-    real_part = d.phase.real
-    compressed = math.copysign(_log1p_exp(d.log_magnitude), real_part)
-    diagnostics = (
-        Finding("phase_re", float(d.phase.real)),
-        Finding("phase_im", float(d.phase.imag)),
-    )
-    if not imag_ok:
-        verdict = Verdict.VIOLATED
-    elif real_part * math.exp(min(d.log_magnitude, 700.0)) < -eps:
-        verdict = Verdict.VIOLATED
-    elif abs(real_part) * math.exp(min(d.log_magnitude, 700.0)) <= eps:
-        verdict = Verdict.EQUALITY
-        compressed = 0.0
+        diagnostics = (Finding("det_is_zero", True),)
     else:
-        verdict = Verdict.HOLDS_STRICT
-    return CheckReport("djokovic", d, rhs, compressed, verdict, diagnostics)
+        diagnostics = (Finding("phase_re", float(d.phase.real)),
+                       Finding("phase_im", float(d.phase.imag)))
+    return _report(
+        "djokovic", d, SignedLogDet.zero(), tol, diagnostics,
+        margin=math.copysign(_log1p_exp(d.log_magnitude), d.phase.real),
+        value=d.phase.real * math.exp(min(d.log_magnitude, 700.0)),
+        phase_gap=abs(d.phase.imag),
+    )
 
 
 def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -582,20 +550,18 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     Equality iff Y = 0 and both X and Z are symmetric.
     """
     lhs = _log_det_identity_plus_abs_power(t.assemble(), 2.0)
-    rhs = _det_identity_plus_conj_product(t.x, tol) * _det_identity_plus_conj_product(t.z, tol)
-    y_zero, y_norm = _y_is_structurally_zero(t, tol)
-    x_sym = predicates(t.x, tol).is_symmetric
-    z_sym = predicates(t.z, tol).is_symmetric
+    rhs = (_det_conj_product_sum([t.x], plus_identity=True)
+           * _det_conj_product_sum([t.z], plus_identity=True))
+    y_zero, y_norm = _y_is_structurally_zero(t)
+    x_sym = predicates(t.x).is_symmetric
+    z_sym = predicates(t.z).is_symmetric
     diagnostics = (
         Finding("y_frobenius", y_norm),
         Finding("x_is_symmetric", x_sym),
         Finding("z_is_symmetric", z_sym),
     )
-    return _report(
-        "thm2", lhs, rhs, tol,
-        structural_equality=y_zero and x_sym and z_sym,
-        diagnostics=diagnostics,
-    )
+    return _report("thm2", lhs, rhs, tol, diagnostics,
+                   structural_equality=y_zero and x_sym and z_sym)
 
 
 def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -606,17 +572,16 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     t = as_matrix(t)
     _require_square(t, "check_drury")
-    triangular = predicates(t, tol).is_upper_triangular
+    triangular = predicates(t).is_upper_triangular
     lhs = _log_det_identity_plus_abs_power(t, 2.0)
     rhs = SignedLogDet.from_log(_sum_log1p_pow(np.abs(np.diagonal(t)), 2.0))
-    off_mass = float(np.linalg.norm(t - np.diag(np.diagonal(t))))
-    diagonal = off_mass <= tol.predicate_rel * frobenius_norm(t)
+    off_mass = frobenius_norm(t - np.diag(np.diagonal(t)))
     diagnostics = (Finding("off_diagonal_frobenius", off_mass),)
     if not triangular:
-        diagnostics = diagnostics + (Finding("is_upper_triangular", False),)
-        return _report("drury", lhs, rhs, tol, diagnostics=diagnostics,
-                       force_verdict=Verdict.PRECONDITION_FAILED)
-    return _report("drury", lhs, rhs, tol, structural_equality=diagonal, diagnostics=diagnostics)
+        diagnostics += (Finding("is_upper_triangular", False),)
+    return _report("drury", lhs, rhs, tol, diagnostics,
+                   structural_equality=off_mass <= PREDICATE_REL * frobenius_norm(t),
+                   precondition_failed=not triangular)
 
 
 def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -631,9 +596,9 @@ def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL)
         raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
     lhs = _log_det_identity_plus_abs_power(t.assemble(), p)
     rhs = _log_det_identity_plus_abs_power(t.x, p) * _log_det_identity_plus_abs_power(t.z, p)
-    y_zero, y_norm = _y_is_structurally_zero(t, tol)
-    diagnostics = (Finding("y_frobenius", y_norm), Finding("p", float(p)))
-    return _report("thm3", lhs, rhs, tol, structural_equality=y_zero, diagnostics=diagnostics)
+    y_zero, y_norm = _y_is_structurally_zero(t)
+    return _report("thm3", lhs, rhs, tol, (Finding("y_frobenius", y_norm), Finding("p", float(p))),
+                   structural_equality=y_zero)
 
 
 def _cumulative_logs(values: np.ndarray) -> np.ndarray:
@@ -651,8 +616,8 @@ def check_log_major(
 
     Hypothesis: both sequences non-increasing and nonnegative, every partial
     product of a bounded by the matching partial product of b, with equal
-    full products (each within ``tol.major_rel``).  A hypothesis failure is
-    a failed precondition reporting the first violating prefix length.
+    full products (each within ``MAJOR_REL``).  A hypothesis failure is a
+    failed precondition reporting the first violating prefix length.
     """
     if p < 1.0:
         raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
@@ -669,25 +634,19 @@ def check_log_major(
     cum_b = _cumulative_logs(b)
     lhs = SignedLogDet.from_log(_sum_log1p_pow(b, p))
     rhs = SignedLogDet.from_log(_sum_log1p_pow(a, p))
-    n = a.size
-    for k in range(n):
-        slack = tol.major_rel * max(1.0, abs(cum_b[k]) if math.isfinite(cum_b[k]) else 1.0)
+    diagnostics: tuple[Finding, ...] = ()
+    for k in range(a.size):
+        slack = MAJOR_REL * max(1.0, abs(cum_b[k]) if math.isfinite(cum_b[k]) else 1.0)
         if cum_a[k] > cum_b[k] + slack:
-            return _report(
-                "log_major", lhs, rhs, tol,
-                diagnostics=(Finding("first_violating_k", k + 1),),
-                force_verdict=Verdict.PRECONDITION_FAILED,
-            )
-    final_gap = abs(cum_a[n - 1] - cum_b[n - 1])
-    finite = math.isfinite(cum_a[n - 1]) and math.isfinite(cum_b[n - 1])
-    both_zero = math.isinf(cum_a[n - 1]) and math.isinf(cum_b[n - 1])
-    if not both_zero and (not finite or final_gap > tol.major_rel * max(1.0, abs(cum_b[n - 1]))):
-        return _report(
-            "log_major", lhs, rhs, tol,
-            diagnostics=(Finding("final_products_differ", True),),
-            force_verdict=Verdict.PRECONDITION_FAILED,
-        )
-    return _report("log_major", lhs, rhs, tol)
+            diagnostics = (Finding("first_violating_k", k + 1),)
+            break
+    else:
+        finite = math.isfinite(cum_a[-1]) and math.isfinite(cum_b[-1])
+        both_zero = math.isinf(cum_a[-1]) and math.isinf(cum_b[-1])
+        if not both_zero and (not finite or abs(cum_a[-1] - cum_b[-1])
+                              > MAJOR_REL * max(1.0, abs(cum_b[-1]))):
+            diagnostics = (Finding("final_products_differ", True),)
+    return _report("log_major", lhs, rhs, tol, diagnostics, precondition_failed=bool(diagnostics))
 
 
 def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -708,24 +667,16 @@ def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     sig = singular_values(a)
     cum_l = _cumulative_logs(lam)
     cum_s = _cumulative_logs(sig)
-    n = lam.size
     lhs = SignedLogDet.zero() if math.isinf(cum_s[-1]) else SignedLogDet.from_log(float(cum_s[-1]))
     rhs = SignedLogDet.zero() if math.isinf(cum_l[-1]) else SignedLogDet.from_log(float(cum_l[-1]))
     gaps = cum_s[:-1] - cum_l[:-1]
     gaps = gaps[np.isfinite(gaps)]
-    margin = float(np.min(gaps)) if gaps.size else 0.0
     final_gap = lhs.log_ratio(rhs)
-    anchor = abs(cum_s[-1]) if math.isfinite(cum_s[-1]) else 0.0
-    eps = tol.eq_rel * max(1.0, anchor)
-    rounding = n * _EPS * float(sig[0]) / float(sig[-1]) if sig[-1] > 0.0 else math.inf
-    diagnostics = (Finding("final_product_gap", final_gap),)
-    if margin < -eps or (math.isfinite(final_gap) and abs(final_gap) > max(eps, rounding)):
-        verdict = Verdict.VIOLATED
-    elif abs(margin) <= eps:
-        verdict = Verdict.EQUALITY
-    else:
-        verdict = Verdict.HOLDS_STRICT
-    return CheckReport("weyl", lhs, rhs, margin, verdict, diagnostics)
+    rounding = lam.size * _EPS * float(sig[0]) / float(sig[-1]) if sig[-1] > 0.0 else math.inf
+    beyond_rounding = math.isfinite(final_gap) and abs(final_gap) > rounding
+    return _report("weyl", lhs, rhs, tol, (Finding("final_product_gap", final_gap),),
+                   margin=float(np.min(gaps)) if gaps.size else 0.0,
+                   identity_gap=abs(final_gap) if beyond_rounding else 0.0)
 
 
 def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -733,27 +684,19 @@ def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -
     a = as_matrix(a)
     _require_square(a, "check_schur_identity")
     try:
-        complement = schur_complement(a, r, tol)
+        complement = schur_complement(a, r)
     except SingularBlockError as err:
-        return CheckReport(
-            "schur_identity",
-            SignedLogDet.zero(),
-            SignedLogDet.zero(),
-            0.0,
-            Verdict.PRECONDITION_FAILED,
-            (Finding("leading_block_condition", _json_value(err.condition_estimate)),),
-        )
-    lhs = det(a[:r, :r], tol) * det(complement, tol)
-    rhs = det(a, tol)
-    margin = lhs.log_ratio(rhs)
-    diagnostics: tuple[Finding, ...] = ()
-    if not lhs.is_zero and not rhs.is_zero:
-        phase_gap = abs(lhs.phase - rhs.phase)
-        diagnostics = (Finding("phase_distance", float(phase_gap)),)
-        if phase_gap > tol.eq_rel:
-            return CheckReport("schur_identity", lhs, rhs, margin, Verdict.VIOLATED, diagnostics)
-    verdict = _margin_verdict(margin, lhs, tol)
-    return CheckReport("schur_identity", lhs, rhs, margin, verdict, diagnostics)
+        zero = SignedLogDet.zero()
+        return _report("schur_identity", zero, zero, tol,
+                       (Finding("leading_block_condition", _json_value(err.condition_estimate)),),
+                       precondition_failed=True)
+    lhs = det(a[:r, :r]) * det(complement)
+    rhs = det(a)
+    if lhs.is_zero or rhs.is_zero:
+        return _report("schur_identity", lhs, rhs, tol)
+    phase_gap = float(abs(lhs.phase - rhs.phase))
+    return _report("schur_identity", lhs, rhs, tol, (Finding("phase_distance", phase_gap),),
+                   phase_gap=phase_gap)
 
 
 def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -765,8 +708,6 @@ def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport
     if family.m != 2:
         raise ShapeError(f"this comparison needs exactly two members, got {family.m}")
     t1, t2 = family.members
-    lhs = det(abs_matrix(t1.assemble()) + abs_matrix(t2.assemble()), tol)
-    rhs = det(abs_matrix(t1.x) + abs_matrix(t2.x), tol) * det(
-        abs_matrix(t1.z) + abs_matrix(t2.z), tol
-    )
+    lhs = det(abs_matrix(t1.assemble()) + abs_matrix(t2.assemble()))
+    rhs = det(abs_matrix(t1.x) + abs_matrix(t2.x)) * det(abs_matrix(t1.z) + abs_matrix(t2.z))
     return _report("e21", lhs, rhs, tol)

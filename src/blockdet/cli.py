@@ -78,11 +78,12 @@ class SuiteConfig:
 
 def _build_config(args) -> SuiteConfig:
     tol = DEFAULT_TOL
-    if getattr(args, "tol_eq", None) is not None:
-        if args.tol_eq <= 0.0:
-            raise _usage("--tol-eq must be positive")
-        tol = tol.with_eq_rel(args.tol_eq)
-    out = Path(args.out) if getattr(args, "out", None) else None
+    if args.tol_eq is not None:
+        try:
+            tol = Tolerances(eq_rel=args.tol_eq)
+        except ValueError:
+            raise _usage(f"--tol-eq must be positive, got {args.tol_eq}")
+    out = Path(args.out) if args.out else None
     return SuiteConfig(tol=tol, out=out, output_format=args.format)
 
 

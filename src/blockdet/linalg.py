@@ -21,7 +21,7 @@ mutable state, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,27 +101,29 @@ class MatrixFormatError(LinalgError):
     """Matrix JSON document malformed; message carries position info."""
 
 
+# Fixed numerical gates, each relative to a scale stated where it is used.
+PIVOT_REL = 1e-12       # determinant zero flag, Schur leading-block gate
+HERMITIAN_REL = 1e-12   # Hermiticity gate for the Hermitian eigensolver
+PSD_REL = 1e-10         # eigenvalues in [-PSD_REL * sigma_max, 0) clamp to 0
+PREDICATE_REL = 1e-10   # structural predicates (symmetric, normal, ...)
+MAJOR_REL = 1e-10       # weak log-majorization hypothesis gate
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Every tolerance used by the package, in one record.
+    """The one setting a caller can change: the checkers' equality window.
 
-    The equality-detection semantics of the inequality checkers depend on
-    these values, so they are centralized rather than scattered as literals.
-    All *_rel quantities are relative to a scale stated in the consumer.
-    LAPACK's own convergence criteria are not configurable here.
+    ``eq_rel`` is the relative log-domain equality window every verdict is
+    decided with (``--tol-eq`` on the command line); it must be positive.
+    The other gates are the fixed module constants above, and LAPACK's own
+    convergence criteria are not configurable.
     """
 
-    pivot_rel: float = 1e-12        # determinant zero flag, Schur leading-block gate
-    hermitian_rel: float = 1e-12    # Hermiticity gate for the Hermitian eigensolver
-    psd_rel: float = 1e-10          # eigenvalues in [-psd_rel * sigma_max, 0) clamp to 0
-    predicate_rel: float = 1e-10    # structural predicates (symmetric, normal, ...)
-    eq_rel: float = 1e-8            # log-domain equality window for check verdicts
-    major_rel: float = 1e-10        # weak log-majorization hypothesis gate
+    eq_rel: float = 1e-8
 
-    def with_eq_rel(self, eq_rel: float) -> "Tolerances":
-        if eq_rel <= 0.0:
-            raise ValueError(f"tolerance override must be positive, got {eq_rel}")
-        return replace(self, eq_rel=eq_rel)
+    def __post_init__(self):
+        if not self.eq_rel > 0.0:
+            raise ValueError(f"the equality window must be positive, got {self.eq_rel}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -220,10 +222,6 @@ class SignedLogDet:
         return cls(0j, 0.0, True)
 
     @classmethod
-    def one(cls) -> "SignedLogDet":
-        return cls(1.0 + 0j, 0.0)
-
-    @classmethod
     def from_value(cls, value: complex) -> "SignedLogDet":
         value = complex(value)
         mod = abs(value)
@@ -266,13 +264,13 @@ class SignedLogDet:
         return self.log_magnitude - other.log_magnitude
 
 
-def det(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SignedLogDet:
+def det(a: np.ndarray) -> SignedLogDet:
     """Determinant by row elimination with partial pivoting, in signed-log form.
 
     Each row is first divided by its largest entry modulus and the logs of
     those scales are added to the result, so nothing overflows at any finite
     magnitude.  The zero flag is raised for an all-zero row, or as soon as a
-    pivot of the equilibrated matrix has modulus ``tol.pivot_rel`` or less;
+    pivot of the equilibrated matrix has modulus ``PIVOT_REL`` or less;
     one large row therefore cannot make the others look singular.
     """
     a = as_matrix(a)
@@ -288,7 +286,7 @@ def det(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SignedLogDet:
         col = np.abs(work[k:, k])
         pivot_offset = int(np.argmax(col))
         pivot = work[k + pivot_offset, k]
-        if abs(pivot) <= tol.pivot_rel:
+        if abs(pivot) <= PIVOT_REL:
             return SignedLogDet.zero()
         if pivot_offset != 0:
             work[[k, k + pivot_offset], k:] = work[[k + pivot_offset, k], k:]
@@ -318,34 +316,34 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Spectra
 
 
-def hermitian_eigensystem(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and unitary eigenvectors of a Hermitian matrix.
 
-    The input must be Hermitian within ``tol.hermitian_rel * ||a||_F``; its
+    The input must be Hermitian within ``HERMITIAN_REL * ||a||_F``; its
     Hermitian part goes to LAPACK (``numpy.linalg.eigh``).
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
     norm = frobenius_norm(a)
     deviation = frobenius_norm(a - a.conj().T)
-    if deviation > tol.hermitian_rel * norm:
+    if deviation > HERMITIAN_REL * norm:
         raise NotHermitianError(
-            f"matrix deviates from Hermitian by {deviation:.3e} (allowed {tol.hermitian_rel * norm:.3e})"
+            f"matrix deviates from Hermitian by {deviation:.3e} (allowed {HERMITIAN_REL * norm:.3e})"
         )
     w, v = _lapack("eigh", (a + a.conj().T) / 2.0)
     return w[::-1], v[:, ::-1]
 
 
-def _clamp_psd_eigenvalues(w: np.ndarray, tol: Tolerances, context: str) -> np.ndarray:
+def _clamp_psd_eigenvalues(w: np.ndarray, context: str) -> np.ndarray:
     """Snap slightly negative eigenvalues to zero; reject genuinely negative ones.
 
-    Eigenvalues in [-psd_rel * sigma_max, 0) are rounding debris from a
+    Eigenvalues in [-PSD_REL * sigma_max, 0) are rounding debris from a
     mathematically PSD source; anything more negative signals a bug upstream.
     """
     if w.size == 0:
         return w
     sigma_max = float(np.max(np.abs(w)))
-    floor = -tol.psd_rel * sigma_max
+    floor = -PSD_REL * sigma_max
     if np.any(w < floor):
         worst = float(np.min(w))
         raise NotPositiveSemidefiniteError(
@@ -395,23 +393,23 @@ def abs_matrix(a: np.ndarray) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def matrix_power_psd(p_matrix: np.ndarray, p: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def matrix_power_psd(p_matrix: np.ndarray, p: float) -> np.ndarray:
     """Spectral power of a Hermitian PSD matrix."""
     if p < 0.0:
         raise ValueError(f"exponent must be >= 0, got {p}")
     p_matrix = as_matrix(p_matrix)
     _require_square(p_matrix, "matrix_power_psd")
-    w, v = hermitian_eigensystem(p_matrix, tol)
-    w = _clamp_psd_eigenvalues(w, tol, "matrix_power_psd")
+    w, v = hermitian_eigensystem(p_matrix)
+    w = _clamp_psd_eigenvalues(w, "matrix_power_psd")
     powered = (v * np.power(w, p)) @ v.conj().T
     return (powered + powered.conj().T) / 2.0
 
 
-def schur_complement(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
     """a22 - a21 a11^{-1} a12 for the leading r-square block a11.
 
     Rejects a leading block whose smallest singular value is at or below
-    ``tol.pivot_rel`` times its largest, reporting the condition estimate.
+    ``PIVOT_REL`` times its largest, reporting the condition estimate.
     """
     a = as_matrix(a)
     _require_square(a, "schur_complement")
@@ -422,7 +420,7 @@ def schur_complement(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> np
     sigma = singular_values(a11)
     sigma_min = float(sigma[-1])
     sigma_max = float(sigma[0])
-    if sigma_min <= tol.pivot_rel * sigma_max:
+    if sigma_min <= PIVOT_REL * sigma_max:
         estimate = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")
         raise SingularBlockError(
             f"leading {r}x{r} block is singular to working precision "
@@ -443,39 +441,43 @@ class MatrixPredicates:
     is_normal: bool
     is_symmetric: bool
     is_upper_triangular: bool
+    min_eigenvalue: float | None = None   # of the Hermitian part; None unless Hermitian
 
 
-def predicates(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MatrixPredicates:
+def predicates(a: np.ndarray) -> MatrixPredicates:
     """Tolerance-based structural classification of a square matrix.
 
     The zero matrix passes the Hermitian, PSD, normal, symmetric and
     triangular tests.  PSD requires Hermitian and smallest eigenvalue at
-    least ``-psd_rel * sigma_max``.  The normality test is scale-invariant;
-    where the commutator could overflow it runs on ``a / s``, with ``s`` the
-    power of two above ``||a||_F``.
+    least ``-PSD_REL * sigma_max``; the eigenvalues are those of the
+    Hermitian part (a + a*) / 2, which passes the eigensolver's tighter gate
+    exactly.  The normality test is scale-invariant; where the commutator
+    could overflow it runs on ``a / s``, with ``s`` the power of two above
+    ``||a||_F``.
     """
     a = as_matrix(a)
     _require_square(a, "predicates")
     norm = frobenius_norm(a)
-    is_hermitian = frobenius_norm(a - a.conj().T) <= tol.predicate_rel * norm
-    is_symmetric = frobenius_norm(a - a.T) <= tol.predicate_rel * norm
+    is_hermitian = frobenius_norm(a - a.conj().T) <= PREDICATE_REL * norm
+    is_symmetric = frobenius_norm(a - a.T) <= PREDICATE_REL * norm
     s = float(_power_of_two_above(norm)) if _product_may_overflow(norm) else 1.0
     unit, unit_norm = a / s, norm / s
     commutator = unit @ unit.conj().T - unit.conj().T @ unit
-    is_normal = frobenius_norm(commutator) <= tol.predicate_rel * unit_norm * unit_norm
+    is_normal = frobenius_norm(commutator) <= PREDICATE_REL * unit_norm * unit_norm
     lower_mass = frobenius_norm(np.tril(a, -1))
-    is_upper_triangular = lower_mass <= tol.predicate_rel * norm
-    is_psd = False
+    is_upper_triangular = lower_mass <= PREDICATE_REL * norm
+    is_psd, min_eigenvalue = False, None
     if is_hermitian:
-        w, _ = hermitian_eigensystem(a, tol)
-        sigma_max = float(np.max(np.abs(w))) if w.size else 0.0
-        is_psd = bool(np.min(w) >= -tol.psd_rel * sigma_max) if w.size else True
+        w, _ = hermitian_eigensystem((a + a.conj().T) / 2.0)
+        min_eigenvalue = float(w[-1])
+        is_psd = bool(w[-1] >= -PSD_REL * float(np.max(np.abs(w))))
     return MatrixPredicates(
         is_hermitian=bool(is_hermitian),
         is_psd=is_psd,
         is_normal=bool(is_normal),
         is_symmetric=bool(is_symmetric),
         is_upper_triangular=bool(is_upper_triangular),
+        min_eigenvalue=min_eigenvalue,
     )
 
 

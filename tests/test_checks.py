@@ -98,6 +98,22 @@ def test_fischer_rejects_non_psd():
     assert report.finding("min_eigenvalue") < 0
 
 
+def test_fischer_answers_on_input_hermitian_within_the_predicate_gate():
+    # Hermitian to 4e-11 relative, so outside the eigensolver's 1e-12 gate
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    psd = g.conj().T @ g
+    psd = (psd + psd.conj().T) / 2
+    k = (k - k.conj().T) / 2
+    a = psd + 2e-11 * np.linalg.norm(psd) / np.linalg.norm(k) * k
+    report = check_fischer(a, 2)
+    assert report.verdict is check_fischer(psd, 2).verdict is Verdict.HOLDS_STRICT
+    assert report.finding("is_psd") is True
+    assert report.finding("min_eigenvalue") == pytest.approx(
+        float(np.linalg.eigvalsh(psd)[0]), rel=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # thm1 and its proof steps
 
@@ -636,6 +652,12 @@ def _extreme_inputs():
     one_huge = g(3)
     one_huge[0, 0] = 1e160
 
+    def herm(n):
+        h = g(n)
+        return (h + h.conj().T) / 2
+
+    normal1, normal2 = _block(herm(2), g(2), herm(2)), _block(herm(2), g(2), herm(2))
+
     def scaled(t, s):
         return _block(s * t.x, s * t.y, s * t.z)
 
@@ -661,6 +683,15 @@ def _extreme_inputs():
         "1e+160.djokovic": (lambda: check_djokovic(1e160 * a), Verdict.HOLDS_STRICT),
         "1e+160.thm2": (lambda: check_thm2(scaled(t1, 1e160)), Verdict.HOLDS_STRICT),
         "one_huge_entry.djokovic": (lambda: check_djokovic(one_huge), Verdict.HOLDS_STRICT),
+        "1e+160.drury": (lambda: check_drury(1e160 * upper), Verdict.HOLDS_STRICT),
+        "1e+160.cor_c1_normal": (lambda: check_cor_c1(BlockFamily((
+            scaled(normal1, 1e160), scaled(normal2, 1e160)))), Verdict.HOLDS_STRICT),
+        "1e+160.cor_c1_not_normal": (lambda: check_cor_c1(BlockFamily((
+            scaled(t1, 1e160), scaled(t2, 1e160)))), Verdict.PRECONDITION_FAILED),
+        "1e+160.cor_c1_allowed": (lambda: check_cor_c1(BlockFamily((
+            scaled(t1, 1e160), scaled(t2, 1e160))), allow_hypothesis_violation=True),
+                                  check_cor_c1(BlockFamily((t1, t2)),
+                                               allow_hypothesis_violation=True).verdict),
     }
     for s in (1e100, 1e160):
         cases[f"{s:.0e}.cor_c0"] = (lambda s=s: check_cor_c0(scaled(t1, s)), Verdict.HOLDS_STRICT)

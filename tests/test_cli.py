@@ -8,8 +8,8 @@ import pytest
 from blockdet import cli
 from blockdet.checks import CheckReport, Verdict
 from blockdet.cli import main
-from blockdet.linalg import matrix_to_json_dict
-from blockdet.search import _EXAMPLE1_T1, _EXAMPLE1_T2
+from blockdet.linalg import Tolerances, matrix_to_json_dict
+from blockdet.search import _EXAMPLE1_T1, _EXAMPLE1_T2, INEQUALITIES, GeneratorSpec
 
 
 def _write_matrix(path, rows):
@@ -74,6 +74,54 @@ def test_check_usage_errors_exit_three(diag_file):
     assert main(["check", diag_file, "--ineq", "thm3", "--r", "1", "--p", "0.5"]) == 3
     assert main(["check", diag_file, diag_file, "--ineq", "drury"]) == 3  # too many files
     assert main(["check", diag_file, "--ineq", "drury", "--tol-eq", "-1"]) == 3
+
+
+def test_tol_eq_must_be_positive(diag_file, capsys):
+    for bad in ("0", "-1e-8", "nan"):
+        assert main(["check", diag_file, "--ineq", "drury", f"--tol-eq={bad}"]) == 3
+        assert capsys.readouterr().err == (
+            f"blockdet: error: --tol-eq must be positive, got {float(bad)}\n")
+
+
+# ids whose equality case is structural: the window alone never makes them equal
+_STRUCTURAL_IDS = {"cor_c0", "lemma1", "thm2", "drury", "thm3"}
+
+
+@pytest.mark.parametrize("ineq_id", list(INEQUALITIES))
+def test_tol_eq_reaches_every_checker(ineq_id, tmp_path, capsys):
+    ineq = INEQUALITIES[ineq_id]
+    params = ineq.call_params(2, allow_hypothesis_violation=True)
+    witness = ineq.draw(GeneratorSpec(family="gaussian", n=4, r=2, m=2, seed=11), 1, params)
+    files = [_write_matrix(tmp_path / f"m{k}.json", m) for k, m in enumerate(witness.matrices)]
+    argv = ["check", *files, "--ineq", ineq_id, "--format", "structured"]
+    if ineq.needs_r:
+        argv += ["--r", "2"]
+    if ineq.hypothesis_gate:
+        argv.append("--allow-hypothesis-violation")
+
+    def check(eq_rel):
+        report = ineq.check(witness, Tolerances(eq_rel=eq_rel))
+        code = main(argv + ["--tol-eq", repr(float(eq_rel))])
+        out = capsys.readouterr()
+        assert code in (0, 1), (code, out.err, argv)
+        assert CheckReport.from_json_dict(json.loads(out.out)) == report
+        return report
+
+    default = ineq.check(witness)
+    # the window is eq_rel * max(1, |log lhs|); djokovic's applies to the determinant's value
+    reach = abs(default.lhs.value.real) if ineq_id == "djokovic" else abs(default.margin)
+    just_inside = 2.0 * reach / max(1.0, abs(default.lhs.log_magnitude))
+    wide = check(just_inside if reach > 0.0 else 1e-8)
+    if ineq_id in _STRUCTURAL_IDS:
+        assert wide.verdict is Verdict.HOLDS_STRICT
+        assert wide.finding("margin_within_equality_band") is True
+    else:
+        assert wide.verdict is Verdict.EQUALITY
+    if default.verdict in (Verdict.HOLDS_STRICT, Verdict.VIOLATED):
+        assert check(just_inside / 4.0) == default
+    else:   # schur_identity, an identity: a window below its phase rounding breaks it
+        assert ineq_id == "schur_identity"
+        assert check(default.finding("phase_distance") / 2.0).verdict is Verdict.VIOLATED
 
 
 def test_usage_messages_name_what_is_wrong(diag_file, capsys):

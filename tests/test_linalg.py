@@ -1,5 +1,6 @@
 """Core linear algebra: operation examples and module invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,11 @@ from hypothesis import strategies as st
 import exact
 from blockdet.linalg import (
     DEFAULT_TOL,
+    HERMITIAN_REL,
+    MAJOR_REL,
+    PIVOT_REL,
+    PREDICATE_REL,
+    PSD_REL,
     BlockUpperTriangular,
     ConvergenceError,
     LinalgError,
@@ -34,6 +40,7 @@ from blockdet.linalg import (
     singular_values,
     solve,
     sort_by_modulus,
+    Tolerances,
 )
 
 
@@ -488,6 +495,35 @@ def test_predicates_complex_symmetric_not_hermitian():
     s = np.array([[1j, 2], [2, 0]], dtype=complex)
     p = predicates(s)
     assert p.is_symmetric and not p.is_hermitian
+
+
+def test_predicates_classify_input_hermitian_within_their_own_gate():
+    # Hermitian to 4e-11 relative: inside the predicates' 1e-10 gate, outside
+    # the eigensolver's 1e-12 one; the eigenvalues come from the Hermitian part
+    rng = np.random.default_rng(41)
+    g = _rand_complex(rng, 4)
+    psd = g.conj().T @ g
+    psd = (psd + psd.conj().T) / 2
+    k = _rand_complex(rng, 4)
+    k = (k - k.conj().T) / 2
+    a = psd + 2e-11 * frobenius_norm(psd) / frobenius_norm(k) * k
+    with pytest.raises(NotHermitianError):
+        hermitian_eigensystem(a)
+    p = predicates(a)
+    assert p.is_hermitian and p.is_psd
+    assert p.min_eigenvalue == pytest.approx(float(np.linalg.eigvalsh(psd)[0]), rel=1e-8)
+    assert predicates(psd).min_eigenvalue == float(hermitian_eigensystem(psd)[0][-1])
+    assert predicates(k).min_eigenvalue is None
+
+
+def test_tolerances_hold_only_a_positive_equality_window():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eq_rel"]
+    assert DEFAULT_TOL == Tolerances(eq_rel=1e-8)
+    for bad in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            Tolerances(eq_rel=bad)
+    assert (PIVOT_REL, HERMITIAN_REL, PSD_REL, PREDICATE_REL, MAJOR_REL) == (
+        1e-12, 1e-12, 1e-10, 1e-10, 1e-10)
 
 
 # ---------------------------------------------------------------------------
