@@ -28,7 +28,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     MAJOR_REL,
-    PIVOT_REL,
     PREDICATE_REL,
     PSD_REL,
     BlockUpperTriangular,
@@ -337,6 +336,15 @@ def _det_conj_product_sum(xs: list[np.ndarray], plus_identity: bool) -> SignedLo
     return SignedLogDet.from_log(2.0 * float(np.sum(np.log(d)))) * det(scaled)
 
 
+def _unit_scaled(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """The matrices divided by the power of two above their largest entry modulus.
+
+    The division is exact, and no Gram-type sum of the results overflows.
+    """
+    s = float(_power_of_two_above(max(float(np.max(np.abs(m))) for m in mats)))
+    return [m / s for m in mats]
+
+
 # ---------------------------------------------------------------------------
 # Checkers
 
@@ -385,27 +393,20 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
 
     (i) the stacked Gram sum [[sum X*X, sum X*Y], [sum Y*X, sum Y*Y]] is PSD;
     (ii) the Schur complement of sum X*X in sum T*T dominates sum Z*Z in the
-    PSD order.  A singular sum X*X short-circuits to a failed-precondition
-    finding, since the complement then does not exist.
+    PSD order.  A sum X*X that the Schur gate rejects short-circuits to a
+    failed-precondition finding, since the complement then does not exist.
+    Both facts are invariant under scaling the family by a positive
+    constant, so the family is first put through :func:`_unit_scaled`.
     """
-    xs = [m.x for m in family.members]
-    ys = [m.y for m in family.members]
-    sum_xx = sum(x.conj().T @ x for x in xs)
-    sigma = singular_values(sum_xx)
-    if float(sigma[-1]) <= PIVOT_REL * float(sigma[0]):
-        return (Finding("sum_xx_nonsingular", False),)
-    r, s = family.r, family.n - family.r
-    stacked = np.zeros((r + s, r + s), dtype=complex)
-    stacked[:r, :r] = sum_xx
-    sum_xy = sum(x.conj().T @ y for x, y in zip(xs, ys))
-    stacked[:r, r:] = sum_xy
-    stacked[r:, :r] = sum_xy.conj().T
-    stacked[r:, r:] = sum(y.conj().T @ y for y in ys)
-    gram_psd = predicates(stacked).is_psd
-    full = [m.assemble() for m in family.members]
+    r = family.r
+    full = _unit_scaled([m.assemble() for m in family.members])
     sum_tt = sum(t.conj().T @ t for t in full)
-    complement = schur_complement(sum_tt, family.r)
-    gap = complement - sum(m.z.conj().T @ m.z for m in family.members)
+    try:
+        complement = schur_complement(sum_tt, r)
+    except SingularBlockError:
+        return (Finding("sum_xx_nonsingular", False),)
+    gram_psd = predicates(sum(t[:r].conj().T @ t[:r] for t in full)).is_psd
+    gap = complement - sum(t[r:, r:].conj().T @ t[r:, r:] for t in full)
     gap = (gap + gap.conj().T) / 2.0
     w, _ = hermitian_eigensystem(gap)
     scale = max(float(np.max(np.abs(w))), frobenius_norm(complement))
@@ -423,13 +424,24 @@ def _y_is_structurally_zero(t: BlockUpperTriangular) -> tuple[bool, float]:
     return y_norm <= PREDICATE_REL * (1.0 + total), y_norm
 
 
-def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """det(I + T*T) >= det(I + X*X) * det(I + Z*Z), equality iff Y = 0."""
-    lhs = _log_det_identity_plus_abs_power(t.assemble(), 2.0)
-    rhs = _log_det_identity_plus_abs_power(t.x, 2.0) * _log_det_identity_plus_abs_power(t.z, 2.0)
+def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
+                      tol: Tolerances, diagnostics: tuple[Finding, ...] = ()) -> CheckReport:
+    """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0.
+
+    Each side is the product of 1 + sigma^p over the singular values of the
+    unsquared block (the spectral form of building |.| and then its p-th
+    power; the matrix route is pinned to this one by tests).
+    """
+    lhs = _log_det_identity_plus_abs_power(t.assemble(), p)
+    rhs = _log_det_identity_plus_abs_power(t.x, p) * _log_det_identity_plus_abs_power(t.z, p)
     y_zero, y_norm = _y_is_structurally_zero(t)
-    return _report("cor_c0", lhs, rhs, tol, (Finding("y_frobenius", y_norm),),
+    return _report(inequality_id, lhs, rhs, tol, (Finding("y_frobenius", y_norm),) + diagnostics,
                    structural_equality=y_zero)
+
+
+def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+    """det(I + T*T) >= det(I + X*X) * det(I + Z*Z), equality iff Y = 0: thm3 at p = 2."""
+    return _abs_power_report("cor_c0", t, 2.0, tol)
 
 
 def check_cor_c1(
@@ -476,11 +488,12 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
 
     The matrix is [[det sum conj(X)X', det sum conj(X)X],
                    [det sum X*X',      det sum X*X]].
-    Scaling all four entries by the largest magnitude leaves positive
-    semidefiniteness unchanged and avoids overflow at the 1e8 scales the
-    counterexample family produces.
+    Scaling the family by a positive constant scales all four entries alike
+    and leaves positive semidefiniteness unchanged, so the X blocks are
+    first put through :func:`_unit_scaled`, and the four determinants are
+    divided by the largest magnitude; nothing overflows.
     """
-    xs = [m.x for m in family.members]
+    xs = _unit_scaled([m.x for m in family.members])
     d11 = det(sum(x.conj() @ x.T for x in xs))
     d12 = _det_conj_product_sum(xs, plus_identity=False)
     d21 = det(sum(x.conj().T @ x.T for x in xs))
@@ -509,13 +522,6 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     return _report("lemma1", lhs, rhs, tol, diagnostics, structural_equality=symmetric)
 
 
-def _log1p_exp(log_mag: float) -> float:
-    """log(1 + exp(log_mag)), overflow-safe."""
-    if log_mag > 0.0:
-        return log_mag + math.log1p(math.exp(-log_mag))
-    return math.log1p(math.exp(log_mag))
-
-
 def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + conj(X) X) >= 0.
 
@@ -537,7 +543,7 @@ def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
                        Finding("phase_im", float(d.phase.imag)))
     return _report(
         "djokovic", d, SignedLogDet.zero(), tol, diagnostics,
-        margin=math.copysign(_log1p_exp(d.log_magnitude), d.phase.real),
+        margin=math.copysign(float(np.logaddexp(0.0, d.log_magnitude)), d.phase.real),
         value=d.phase.real * math.exp(min(d.log_magnitude, 700.0)),
         phase_gap=abs(d.phase.imag),
     )
@@ -585,20 +591,13 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
 
 
 def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """det(I + |T|^p) >= det(I + |X|^p) * det(I + |Z|^p) for p >= 1.
+    """det(I + |T|^p) >= det(I + |X|^p) * det(I + |Z|^p) for p >= 1, equality iff Y = 0.
 
-    Equality iff Y = 0.  Each side is the product of 1 + sigma^p over the
-    singular values of the unsquared block (the spectral form of building
-    |.| and then its p-th power; the matrix route is pinned to this one by
-    tests).  p = 2 must agree with :func:`check_cor_c0`.
+    p = 2 is :func:`check_cor_c0`; this report adds the finding ``p``.
     """
     if p < 1.0:
         raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
-    lhs = _log_det_identity_plus_abs_power(t.assemble(), p)
-    rhs = _log_det_identity_plus_abs_power(t.x, p) * _log_det_identity_plus_abs_power(t.z, p)
-    y_zero, y_norm = _y_is_structurally_zero(t)
-    return _report("thm3", lhs, rhs, tol, (Finding("y_frobenius", y_norm), Finding("p", float(p))),
-                   structural_equality=y_zero)
+    return _abs_power_report("thm3", t, p, tol, (Finding("p", float(p)),))
 
 
 def _cumulative_logs(values: np.ndarray) -> np.ndarray:

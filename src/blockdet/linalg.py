@@ -4,8 +4,9 @@ Everything downstream (inequality checkers, the fuzzer, the CLI) works on
 plain ``numpy`` arrays of ``complex128``.  This module owns:
 
 * input validation with explicit shape errors,
-* determinants in signed-log form (phase plus log-magnitude) with a
-  scale-aware zero flag, safe from overflow at any finite magnitude,
+* determinants in signed-log form (phase plus log-magnitude) from LAPACK's
+  LU, with a scale-aware zero flag, safe from overflow at any finite
+  magnitude,
 * one spectral route, numpy's LAPACK bindings: Hermitian eigensystems,
   general eigenvalues, singular values of the unsquared input, ``|A|`` and
   PSD powers, with LAPACK non-convergence reported as
@@ -102,7 +103,7 @@ class MatrixFormatError(LinalgError):
 
 
 # Fixed numerical gates, each relative to a scale stated where it is used.
-PIVOT_REL = 1e-12       # determinant zero flag, Schur leading-block gate
+PIVOT_REL = 1e-12       # sigma_min / sigma_max gate: det zero flag, Schur leading block
 HERMITIAN_REL = 1e-12   # Hermiticity gate for the Hermitian eigensolver
 PSD_REL = 1e-10         # eigenvalues in [-PSD_REL * sigma_max, 0) clamp to 0
 PREDICATE_REL = 1e-10   # structural predicates (symmetric, normal, ...)
@@ -265,37 +266,25 @@ class SignedLogDet:
 
 
 def det(a: np.ndarray) -> SignedLogDet:
-    """Determinant by row elimination with partial pivoting, in signed-log form.
+    """Determinant in signed-log form, from LAPACK's LU (``numpy.linalg.slogdet``).
 
     Each row is first divided by its largest entry modulus and the logs of
     those scales are added to the result, so nothing overflows at any finite
-    magnitude.  The zero flag is raised for an all-zero row, or as soon as a
-    pivot of the equilibrated matrix has modulus ``PIVOT_REL`` or less;
-    one large row therefore cannot make the others look singular.
+    magnitude.  The zero flag is raised for an all-zero row, or when the
+    equilibrated matrix is singular to working precision by the rule of the
+    Schur gate (:func:`_singular_to_working_precision`); one large row
+    therefore cannot make the others look singular.
     """
     a = as_matrix(a)
     _require_square(a, "det")
-    n = a.shape[0]
     scales = np.max(np.abs(a), axis=1)
-    if np.any(scales == 0.0):
+    if scales.min() == 0.0:
         return SignedLogDet.zero()
     work = a / scales[:, None]
-    phase = 1.0 + 0j
-    log_mag = float(np.sum(np.log(scales)))
-    for k in range(n):
-        col = np.abs(work[k:, k])
-        pivot_offset = int(np.argmax(col))
-        pivot = work[k + pivot_offset, k]
-        if abs(pivot) <= PIVOT_REL:
-            return SignedLogDet.zero()
-        if pivot_offset != 0:
-            work[[k, k + pivot_offset], k:] = work[[k + pivot_offset, k], k:]
-            phase = -phase
-        phase *= pivot / abs(pivot)
-        log_mag += math.log(abs(pivot))
-        if k + 1 < n:
-            work[k + 1:, k:] -= np.outer(work[k + 1:, k] / pivot, work[k, k:])
-    return SignedLogDet(phase, log_mag)
+    if _singular_to_working_precision(_lapack("svd", work, compute_uv=False)):
+        return SignedLogDet.zero()
+    sign, log_mag = np.linalg.slogdet(work)
+    return SignedLogDet(complex(sign), float(log_mag) + float(np.sum(np.log(scales))))
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -362,6 +351,12 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return _lapack("svd", as_matrix(a), compute_uv=False)
 
 
+def _singular_to_working_precision(sigma: np.ndarray) -> bool:
+    """The zero rule of :func:`det` and the gate of :func:`schur_complement`:
+    the smallest singular value is at most ``PIVOT_REL`` times the largest."""
+    return float(sigma[-1]) <= PIVOT_REL * float(sigma[0])
+
+
 def sort_by_modulus(values: np.ndarray) -> np.ndarray:
     """Non-increasing modulus; ties by descending real part, then imaginary."""
     values = np.asarray(values, dtype=complex)
@@ -408,8 +403,9 @@ def matrix_power_psd(p_matrix: np.ndarray, p: float) -> np.ndarray:
 def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
     """a22 - a21 a11^{-1} a12 for the leading r-square block a11.
 
-    Rejects a leading block whose smallest singular value is at or below
-    ``PIVOT_REL`` times its largest, reporting the condition estimate.
+    Rejects a leading block that is singular to working precision (smallest
+    singular value at or below ``PIVOT_REL`` times the largest), reporting
+    the condition estimate.
     """
     a = as_matrix(a)
     _require_square(a, "schur_complement")
@@ -418,9 +414,8 @@ def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
         raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
     a11 = a[:r, :r]
     sigma = singular_values(a11)
-    sigma_min = float(sigma[-1])
-    sigma_max = float(sigma[0])
-    if sigma_min <= PIVOT_REL * sigma_max:
+    if _singular_to_working_precision(sigma):
+        sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
         estimate = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")
         raise SingularBlockError(
             f"leading {r}x{r} block is singular to working precision "

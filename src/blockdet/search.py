@@ -11,7 +11,7 @@ which makes "the fuzzer finds a violation" deterministic instead of lucky.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -287,10 +287,10 @@ class Inequality:
     split at ``r``), ``"family"`` (every matrix split at ``r``) or
     ``"spectra"`` (the two sequences of :func:`_log_major_spectra`).
     ``files`` is the least and most number of input matrices (``None``: no
-    limit); a block family with a fixed count is drawn with that many
-    members, otherwise with the spec's ``m``.  ``transform`` reshapes a
-    drawn matrix (into a PSD one, or a triangular one).  ``default_p``,
-    when set, is the exponent's default and makes ``p`` a parameter.
+    limit); a draw makes ``files[1]`` matrices when that is set, otherwise
+    the spec's ``m``.  ``transform`` reshapes a drawn matrix (into a PSD
+    one, or a triangular one).  ``default_p``, when set, is the exponent's
+    default and makes ``p`` a parameter.
     ``refutable`` ids are false in general and get the published witness as
     trial 0 of a search; with ``hypothesis_gate`` the checker answers
     ``precondition_failed`` off its hypothesis unless the parameter
@@ -320,11 +320,9 @@ class Inequality:
         return params
 
     def draw(self, spec: GeneratorSpec, trial_index: int, params: dict) -> Witness:
+        if self.files[1] is not None:
+            spec = replace(spec, m=self.files[1])
         if self.shape in ("member", "family"):
-            members = self.files[1]
-            if members is not None:
-                spec = GeneratorSpec(family=spec.family, n=spec.n, r=spec.r, m=members,
-                                     entry_bound=spec.entry_bound, seed=spec.seed)
             family = generate_block_family(spec, trial_index)
             mats = tuple(member.assemble() for member in family.members)
         else:

@@ -277,6 +277,20 @@ def test_c1_proof_step_cases():
     assert check_c1_proof_step(BlockFamily((t_id,))).value is True
 
 
+@pytest.mark.parametrize("s", [1e-150, 1e160, 1e300])
+def test_proof_step_findings_do_not_change_with_scale(s):
+    rng = np.random.default_rng(9)
+    families = [_family(EX1_T1, EX1_T2, r=2),
+                BlockFamily(tuple(_rand_block(rng, 5, 2) for _ in range(3))),
+                _family([[1, 2, 3], [2, 4, 5], [0, 0, 6]], r=2)]   # singular sum X*X
+    for family in families:
+        scaled = BlockFamily(tuple(_block(s * m.x, s * m.y, s * m.z) for m in family.members))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_thm1_schur_steps(scaled) == check_thm1_schur_steps(family)
+            assert check_c1_proof_step(scaled) == check_c1_proof_step(family)
+
+
 # ---------------------------------------------------------------------------
 # lemma1 and djokovic
 

@@ -108,9 +108,13 @@ def test_tol_eq_reaches_every_checker(ineq_id, tmp_path, capsys):
         return report
 
     default = ineq.check(witness)
-    # the window is eq_rel * max(1, |log lhs|); djokovic's applies to the determinant's value
+    # the window is eq_rel * max(1, |log lhs|); djokovic's applies to the determinant's value,
+    # and schur_identity's must also cover its phase rounding, which is compared to eq_rel
+    anchor = max(1.0, abs(default.lhs.log_magnitude))
     reach = abs(default.lhs.value.real) if ineq_id == "djokovic" else abs(default.margin)
-    just_inside = 2.0 * reach / max(1.0, abs(default.lhs.log_magnitude))
+    if ineq_id == "schur_identity":
+        reach = max(reach, default.finding("phase_distance") * anchor)
+    just_inside = 2.0 * reach / anchor
     wide = check(just_inside if reach > 0.0 else 1e-8)
     if ineq_id in _STRUCTURAL_IDS:
         assert wide.verdict is Verdict.HOLDS_STRICT

@@ -120,6 +120,25 @@ def test_det_zero_matrix_flags_zero():
     assert det(singular).is_zero
 
 
+def test_det_zero_flag_is_the_schur_gate_rule():
+    # zero exactly when the row-equilibrated matrix has sigma_min <= PIVOT_REL * sigma_max,
+    # the rule that rejects it as a leading Schur block; LU pivots can stay far above PIVOT_REL
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        u, _ = np.linalg.qr(_rand_complex(rng, 4))
+        a = (u * [1.0, 1e-2, 1e-6, 10.0 ** rng.uniform(-15, -10)]) @ u.conj().T
+        work = a / np.max(np.abs(a), axis=1)[:, None]
+        sigma = np.linalg.svd(work, compute_uv=False)
+        padded = identity(5)
+        padded[:4, :4] = work
+        try:
+            schur_complement(padded, 4)
+            gated = False
+        except SingularBlockError:
+            gated = True
+        assert det(a).is_zero == gated == (sigma[-1] <= PIVOT_REL * sigma[0])
+
+
 def test_det_rejects_non_square():
     with pytest.raises(ShapeError):
         det(np.ones((2, 3)))
