@@ -24,14 +24,11 @@ from .linalg import (
     frobenius_norm,
     general_eigenvalues,
     hermitian_eigensystem,
-    identity,
     matrix_from_json_dict,
-    matrix_power_psd,
     matrix_to_json_dict,
     predicates,
     schur_complement,
     singular_values,
-    solve,
 )
 from .checks import (
     BlockFamily,

@@ -41,13 +41,12 @@ from .linalg import (
     frobenius_norm,
     general_eigenvalues,
     hermitian_eigensystem,
-    identity,
     predicates,
     schur_complement,
     singular_values,
     _power_of_two_above,
-    _product_may_overflow,
     _require_square,
+    _unit_scaled,
 )
 
 __all__ = [
@@ -270,6 +269,7 @@ def _report(
 # max(rows, cols) * _EPS * sigma_max; computed spectra carry errors of
 # about _EPS * sigma_max.
 _EPS = float(np.finfo(float).eps)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _sum_log1p_pow(v: np.ndarray, p: float) -> float:
@@ -280,7 +280,7 @@ def _sum_log1p_pow(v: np.ndarray, p: float) -> float:
     """
     big = v > 1.0
     small, large = v[~big], v[big]
-    return float(np.sum(np.log1p(small ** p)) + np.sum(p * np.log(large) + np.log1p(large ** -p)))
+    return float(np.log1p(small ** p).sum() + (p * np.log(large) + np.log1p(large ** -p)).sum())
 
 
 def _log_det_identity_plus_abs_power(a: np.ndarray, p: float) -> SignedLogDet:
@@ -323,26 +323,19 @@ def _det_conj_product_sum(xs: list[np.ndarray], plus_identity: bool) -> SignedLo
     m n in modulus.  One scale per index, not one for all the X_k, keeps the
     products of small entries clear of subnormals next to a huge one.
     """
-    if not _product_may_overflow(math.hypot(*(frobenius_norm(x) for x in xs))):
+    norm = math.hypot(*(frobenius_norm(x) for x in xs))
+    if 2.0 * norm * norm <= _FLOAT_MAX:   # no entry of the sum can overflow
         total = sum((x.conj() @ x for x in xs[1:]), xs[0].conj() @ xs[0])
-        return det(total + identity(total.shape[0]) if plus_identity else total)
+        return det(total + np.eye(total.shape[0]) if plus_identity else total)
     mags = np.abs(np.array(xs))
-    d = _power_of_two_above(np.maximum(mags.max(axis=(0, 1)), mags.max(axis=(0, 2))))
+    d = np.array([_power_of_two_above(float(v))
+                  for v in np.maximum(mags.max(axis=(0, 1)), mags.max(axis=(0, 2)))])
     inv = 1.0 / d
     products = [(x.conj() * inv[:, None]) @ (x * inv) for x in xs]
     scaled = sum(products[1:], products[0])
     if plus_identity:
         scaled = scaled + np.diag(inv * inv)
     return SignedLogDet.from_log(2.0 * float(np.sum(np.log(d)))) * det(scaled)
-
-
-def _unit_scaled(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """The matrices divided by the power of two above their largest entry modulus.
-
-    The division is exact, and no Gram-type sum of the results overflows.
-    """
-    s = float(_power_of_two_above(max(float(np.max(np.abs(m))) for m in mats)))
-    return [m / s for m in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +392,7 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     constant, so the family is first put through :func:`_unit_scaled`.
     """
     r = family.r
-    full = _unit_scaled([m.assemble() for m in family.members])
+    full, _ = _unit_scaled([m.assemble() for m in family.members])
     sum_tt = sum(t.conj().T @ t for t in full)
     try:
         complement = schur_complement(sum_tt, r)
@@ -419,9 +412,16 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
 
 
 def _y_is_structurally_zero(t: BlockUpperTriangular) -> tuple[bool, float]:
-    y_norm = frobenius_norm(t.y)
-    total = math.hypot(frobenius_norm(t.x), y_norm, frobenius_norm(t.z))
-    return y_norm <= PREDICATE_REL * (1.0 + total), y_norm
+    """Whether ||Y||_F <= PREDICATE_REL * (1 + ||T||_F), and ||Y||_F.
+
+    The test runs on the blocks through :func:`_unit_scaled`, so no norm in
+    it overflows; ||Y||_F is scaled back, to ``inf`` if it exceeds DBL_MAX.
+    """
+    (unit,), s = _unit_scaled([t.assemble()])
+    r = t.r
+    y_norm = frobenius_norm(unit[:r, r:])
+    total = math.hypot(frobenius_norm(unit[:r, :r]), y_norm, frobenius_norm(unit[r:, r:]))
+    return y_norm <= PREDICATE_REL * (1.0 / s + total), s * y_norm
 
 
 def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
@@ -493,7 +493,7 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
     first put through :func:`_unit_scaled`, and the four determinants are
     divided by the largest magnitude; nothing overflows.
     """
-    xs = _unit_scaled([m.x for m in family.members])
+    xs, _ = _unit_scaled([m.x for m in family.members])
     d11 = det(sum(x.conj() @ x.T for x in xs))
     d12 = _det_conj_product_sum(xs, plus_identity=False)
     d21 = det(sum(x.conj().T @ x.T for x in xs))
@@ -581,12 +581,13 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     triangular = predicates(t).is_upper_triangular
     lhs = _log_det_identity_plus_abs_power(t, 2.0)
     rhs = SignedLogDet.from_log(_sum_log1p_pow(np.abs(np.diagonal(t)), 2.0))
-    off_mass = frobenius_norm(t - np.diag(np.diagonal(t)))
-    diagnostics = (Finding("off_diagonal_frobenius", off_mass),)
+    (unit,), s = _unit_scaled([t])
+    off_mass = frobenius_norm(unit - np.diag(np.diagonal(unit)))
+    diagnostics = (Finding("off_diagonal_frobenius", s * off_mass),)
     if not triangular:
         diagnostics += (Finding("is_upper_triangular", False),)
     return _report("drury", lhs, rhs, tol, diagnostics,
-                   structural_equality=off_mass <= PREDICATE_REL * frobenius_norm(t),
+                   structural_equality=off_mass <= PREDICATE_REL * frobenius_norm(unit),
                    precondition_failed=not triangular)
 
 

@@ -8,21 +8,24 @@ plain ``numpy`` arrays of ``complex128``.  This module owns:
   LU, with a scale-aware zero flag, safe from overflow at any finite
   magnitude,
 * one spectral route, numpy's LAPACK bindings: Hermitian eigensystems,
-  general eigenvalues, singular values of the unsquared input, ``|A|`` and
-  PSD powers, with LAPACK non-convergence reported as
+  general eigenvalues, singular values of the unsquared input and ``|A|``,
+  with LAPACK non-convergence reported as
   :class:`ConvergenceError`,
-* linear solves and Schur complements,
+* Schur complements,
 * structural predicates (Hermitian / PSD / normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
 
 All functions are pure: inputs are never mutated and there is no global
-mutable state, so values can be shared freely across threads.
+mutable state, so values can be shared freely across threads.  Every
+public function validates its arguments with :func:`as_matrix`; arrays the
+package made itself enter :class:`BlockUpperTriangular` uncopied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,17 +40,13 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "as_matrix",
-    "identity",
     "frobenius_norm",
     "SignedLogDet",
     "det",
-    "solve",
     "hermitian_eigensystem",
     "singular_values",
     "general_eigenvalues",
-    "sort_by_modulus",
     "abs_matrix",
-    "matrix_power_psd",
     "schur_complement",
     "MatrixPredicates",
     "predicates",
@@ -105,7 +104,7 @@ class MatrixFormatError(LinalgError):
 # Fixed numerical gates, each relative to a scale stated where it is used.
 PIVOT_REL = 1e-12       # sigma_min / sigma_max gate: det zero flag, Schur leading block
 HERMITIAN_REL = 1e-12   # Hermiticity gate for the Hermitian eigensolver
-PSD_REL = 1e-10         # eigenvalues in [-PSD_REL * sigma_max, 0) clamp to 0
+PSD_REL = 1e-10         # eigenvalues in [-PSD_REL * sigma_max, 0) count as zero for PSD
 PREDICATE_REL = 1e-10   # structural predicates (symmetric, normal, ...)
 MAJOR_REL = 1e-10       # weak log-majorization hypothesis gate
 
@@ -137,7 +136,7 @@ def as_matrix(data) -> np.ndarray:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise LinalgError("matrix entries must be finite (no NaN or Inf)")
     return a
 
@@ -145,12 +144,6 @@ def as_matrix(data) -> np.ndarray:
 def _require_square(a: np.ndarray, what: str) -> None:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
-
-
-def identity(n: int) -> np.ndarray:
-    if n < 1:
-        raise ShapeError(f"identity dimension must be positive, got {n}")
-    return np.eye(n, dtype=complex)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -161,24 +154,25 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.hypot.reduce(np.abs(a), axis=None))
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _product_may_overflow(norm: float) -> bool:
-    """Whether a product of two matrices of Frobenius norm at most ``norm``,
-    or the difference of two such products, can overflow.
-
-    Every entry of such a product is at most norm^2 in modulus.
-    """
-    return 2.0 * norm * norm > _FLOAT_MAX
-
-
-def _power_of_two_above(v):
-    """A power of two above each ``v``, or 1 where ``v <= 1``.
+def _power_of_two_above(v: float) -> float:
+    """A power of two above ``v``, or 1 if ``v <= 1``.
 
     Dividing by a power of two is exact, so scaling by it changes no digit.
+    The power is capped at 2^1023, the largest finite one, so a ``v`` in
+    [2^1023, DBL_MAX] is scaled to below 2.
     """
-    return np.where(v > 1.0, np.ldexp(1.0, np.frexp(v)[1]), 1.0)
+    return math.ldexp(1.0, min(math.frexp(v)[1], 1023)) if v > 1.0 else 1.0
+
+
+def _unit_scaled(mats: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
+    """The matrices divided by ``s``, and ``s``, the power of two above their
+    largest entry modulus (the matrices themselves when ``s`` is 1).
+
+    The division is exact.  No entry of a quotient exceeds 2 in modulus, so
+    no Frobenius norm and no Gram-type sum of them overflows.
+    """
+    s = _power_of_two_above(max(float(np.abs(m).max()) for m in mats))
+    return ([m / s for m in mats] if s > 1.0 else list(mats)), s
 
 
 def _lapack(routine: str, a: np.ndarray, **kwargs):
@@ -287,20 +281,6 @@ def det(a: np.ndarray) -> SignedLogDet:
     return SignedLogDet(complex(sign), float(log_mag) + float(np.sum(np.log(scales))))
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by LAPACK's LU factorization with partial pivoting."""
-    a = as_matrix(a)
-    _require_square(a, "solve")
-    b = as_matrix(b)
-    if b.shape[0] != a.shape[0]:
-        raise ShapeError(f"solve needs matching row counts, got {a.shape} and {b.shape}")
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as err:
-        raise SingularBlockError(f"solve: matrix is singular ({err})",
-                                 condition_estimate=float("inf")) from err
-
-
 # ---------------------------------------------------------------------------
 # Spectra
 
@@ -308,37 +288,21 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and unitary eigenvectors of a Hermitian matrix.
 
-    The input must be Hermitian within ``HERMITIAN_REL * ||a||_F``; its
-    Hermitian part goes to LAPACK (``numpy.linalg.eigh``).
+    The input must be Hermitian within ``HERMITIAN_REL * ||a||_F``, tested
+    on the exact quotient of :func:`_unit_scaled`; its Hermitian part,
+    halved before the sum so that nothing overflows, goes to LAPACK
+    (``numpy.linalg.eigh``).
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
-    norm = frobenius_norm(a)
-    deviation = frobenius_norm(a - a.conj().T)
+    (unit,), s = _unit_scaled([a])
+    norm = frobenius_norm(unit)
+    deviation = frobenius_norm(unit - unit.conj().T)
     if deviation > HERMITIAN_REL * norm:
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {deviation:.3e} (allowed {HERMITIAN_REL * norm:.3e})"
-        )
-    w, v = _lapack("eigh", (a + a.conj().T) / 2.0)
+        raise NotHermitianError(f"matrix deviates from Hermitian by {s * deviation:.3e} "
+                                f"(allowed {s * HERMITIAN_REL * norm:.3e})")
+    w, v = _lapack("eigh", a / 2.0 + a.conj().T / 2.0)
     return w[::-1], v[:, ::-1]
-
-
-def _clamp_psd_eigenvalues(w: np.ndarray, context: str) -> np.ndarray:
-    """Snap slightly negative eigenvalues to zero; reject genuinely negative ones.
-
-    Eigenvalues in [-PSD_REL * sigma_max, 0) are rounding debris from a
-    mathematically PSD source; anything more negative signals a bug upstream.
-    """
-    if w.size == 0:
-        return w
-    sigma_max = float(np.max(np.abs(w)))
-    floor = -PSD_REL * sigma_max
-    if np.any(w < floor):
-        worst = float(np.min(w))
-        raise NotPositiveSemidefiniteError(
-            f"{context}: eigenvalue {worst:.6e} below the PSD clamp window {floor:.6e}"
-        )
-    return np.where(w < 0.0, 0.0, w)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -357,22 +321,16 @@ def _singular_to_working_precision(sigma: np.ndarray) -> bool:
     return float(sigma[-1]) <= PIVOT_REL * float(sigma[0])
 
 
-def sort_by_modulus(values: np.ndarray) -> np.ndarray:
-    """Non-increasing modulus; ties by descending real part, then imaginary."""
-    values = np.asarray(values, dtype=complex)
-    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
-    return values[order]
-
-
 def general_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a general complex square matrix (LAPACK).
 
-    Output is sorted by non-increasing modulus with the deterministic
-    tie-break of :func:`sort_by_modulus`.
+    Sorted by non-increasing modulus; ties by descending real part, then
+    descending imaginary part.
     """
     a = as_matrix(a)
     _require_square(a, "general_eigenvalues")
-    return sort_by_modulus(_lapack("eigvals", a))
+    values = _lapack("eigvals", a)
+    return values[np.lexsort((-values.imag, -values.real, -np.abs(values)))]
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +346,13 @@ def abs_matrix(a: np.ndarray) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def matrix_power_psd(p_matrix: np.ndarray, p: float) -> np.ndarray:
-    """Spectral power of a Hermitian PSD matrix."""
-    if p < 0.0:
-        raise ValueError(f"exponent must be >= 0, got {p}")
-    p_matrix = as_matrix(p_matrix)
-    _require_square(p_matrix, "matrix_power_psd")
-    w, v = hermitian_eigensystem(p_matrix)
-    w = _clamp_psd_eigenvalues(w, "matrix_power_psd")
-    powered = (v * np.power(w, p)) @ v.conj().T
-    return (powered + powered.conj().T) / 2.0
-
-
 def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
     """a22 - a21 a11^{-1} a12 for the leading r-square block a11.
 
     Rejects a leading block that is singular to working precision (smallest
     singular value at or below ``PIVOT_REL`` times the largest), reporting
-    the condition estimate.
+    the condition estimate; a block that passes is solved by LAPACK's LU
+    with partial pivoting.
     """
     a = as_matrix(a)
     _require_square(a, "schur_complement")
@@ -422,7 +369,7 @@ def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
             f"(condition estimate {estimate:.3e})",
             condition_estimate=estimate,
         )
-    return a[r:, r:] - a[r:, :r] @ solve(a11, a[:r, r:])
+    return a[r:, r:] - a[r:, :r] @ np.linalg.solve(a11, a[:r, r:])
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +393,22 @@ def predicates(a: np.ndarray) -> MatrixPredicates:
     triangular tests.  PSD requires Hermitian and smallest eigenvalue at
     least ``-PSD_REL * sigma_max``; the eigenvalues are those of the
     Hermitian part (a + a*) / 2, which passes the eigensolver's tighter gate
-    exactly.  The normality test is scale-invariant; where the commutator
-    could overflow it runs on ``a / s``, with ``s`` the power of two above
-    ``||a||_F``.
+    exactly.  The structural tests are scale-invariant and run on the exact
+    quotient of :func:`_unit_scaled`, where no norm or product overflows.
     """
     a = as_matrix(a)
     _require_square(a, "predicates")
-    norm = frobenius_norm(a)
-    is_hermitian = frobenius_norm(a - a.conj().T) <= PREDICATE_REL * norm
-    is_symmetric = frobenius_norm(a - a.T) <= PREDICATE_REL * norm
-    s = float(_power_of_two_above(norm)) if _product_may_overflow(norm) else 1.0
-    unit, unit_norm = a / s, norm / s
+    (unit,), _ = _unit_scaled([a])
+    norm = frobenius_norm(unit)
+    is_hermitian = frobenius_norm(unit - unit.conj().T) <= PREDICATE_REL * norm
+    is_symmetric = frobenius_norm(unit - unit.T) <= PREDICATE_REL * norm
     commutator = unit @ unit.conj().T - unit.conj().T @ unit
-    is_normal = frobenius_norm(commutator) <= PREDICATE_REL * unit_norm * unit_norm
-    lower_mass = frobenius_norm(np.tril(a, -1))
-    is_upper_triangular = lower_mass <= PREDICATE_REL * norm
+    is_normal = frobenius_norm(commutator) <= PREDICATE_REL * norm * norm
+    lower = unit[np.tri(*unit.shape, k=-1, dtype=bool)]
+    is_upper_triangular = frobenius_norm(lower) <= PREDICATE_REL * norm
     is_psd, min_eigenvalue = False, None
     if is_hermitian:
-        w, _ = hermitian_eigensystem((a + a.conj().T) / 2.0)
+        w, _ = hermitian_eigensystem(a / 2.0 + a.conj().T / 2.0)
         min_eigenvalue = float(w[-1])
         is_psd = bool(w[-1] >= -PSD_REL * float(np.max(np.abs(w))))
     return MatrixPredicates(
@@ -485,7 +430,9 @@ class BlockUpperTriangular:
     """The (x, y, z) block decomposition of an upper block-triangular matrix.
 
     Assembled form is [[x, y], [0, z]] with x r-square, z (n-r)-square and an
-    exactly-zero lower-left block.
+    exactly-zero lower-left block.  The constructor validates and copies the
+    caller's arrays; every block is read-only, and so is the assembled
+    matrix, which is built once per member.
     """
 
     x: np.ndarray
@@ -493,9 +440,7 @@ class BlockUpperTriangular:
     z: np.ndarray
 
     def __post_init__(self):
-        x = as_matrix(self.x)
-        y = as_matrix(self.y)
-        z = as_matrix(self.z)
+        x, y, z = (as_matrix(b) for b in (self.x, self.y, self.z))
         _require_square(x, "top-left block")
         _require_square(z, "bottom-right block")
         if y.shape != (x.shape[0], z.shape[0]):
@@ -503,10 +448,19 @@ class BlockUpperTriangular:
                 f"off-diagonal block must be {x.shape[0]}x{z.shape[0]}, got {y.shape}"
             )
         # own copies, frozen: callers' arrays must not be aliased or mutated
+        self._own(x.copy(), y.copy(), z.copy())
+
+    @classmethod
+    def _frozen(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "BlockUpperTriangular":
+        """A member over blocks the package itself made, finite complex128 of
+        conforming shapes: frozen in place, neither revalidated nor copied."""
+        return object.__new__(cls)._own(x, y, z)
+
+    def _own(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "BlockUpperTriangular":
         for name, arr in (("x", x), ("y", y), ("z", z)):
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        return self
 
     @property
     def r(self) -> int:
@@ -530,14 +484,20 @@ class BlockUpperTriangular:
                 f"lower-left {n - r}x{r} block must be exactly zero, "
                 f"found mass {float(np.linalg.norm(lower_left)):.3e}"
             )
-        return cls(x=t[:r, :r], y=t[:r, r:], z=t[r:, r:])
+        return cls._frozen(t[:r, :r].copy(), t[:r, r:].copy(), t[r:, r:].copy())
 
     def assemble(self) -> np.ndarray:
+        """The full matrix [[x, y], [0, z]], read-only."""
+        return self._assembled
+
+    @cached_property
+    def _assembled(self) -> np.ndarray:
         n, r = self.n, self.r
         t = np.zeros((n, n), dtype=complex)
         t[:r, :r] = self.x
         t[:r, r:] = self.y
         t[r:, r:] = self.z
+        t.setflags(write=False)
         return t
 
 

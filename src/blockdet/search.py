@@ -6,6 +6,10 @@ isolation, and the search result does not depend on scheduling.  The two
 counterexample-bearing predicates (``cor_c1`` under a violated normality
 hypothesis and ``e21``) get the published witness pair injected as trial 0,
 which makes "the fuzzer finds a violation" deterministic instead of lucky.
+
+The draw is the search's input boundary: under an ``entry_bound`` each
+drawn block is checked finite once; the blocks then reach the checker
+uncopied and read-only, and only a recheck re-splits a witness's matrices.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .checks import (
 from .linalg import (
     DEFAULT_TOL,
     BlockUpperTriangular,
+    LinalgError,
     ShapeError,
     Tolerances,
     as_matrix,
@@ -184,6 +189,14 @@ def _draw_structured(rng: np.random.Generator, spec: GeneratorSpec, n: int) -> n
     raise ValueError(f"unknown family {family!r}")
 
 
+def _require_finite(spec: GeneratorSpec, trial_index: int, *blocks: np.ndarray) -> None:
+    """The draw's one finiteness check per block; only a caller's
+    ``entry_bound`` can make a draw overflow."""
+    if spec.entry_bound is not None and not all(np.isfinite(b).all() for b in blocks):
+        raise LinalgError(f"seed {spec.seed}, trial {trial_index}: entry_bound "
+                          f"{spec.entry_bound!r} overflows, drawing non-finite entries")
+
+
 def generate(spec: GeneratorSpec, trial_index: int) -> list[np.ndarray]:
     """Draw the trial's m square n-by-n matrices.
 
@@ -191,17 +204,20 @@ def generate(spec: GeneratorSpec, trial_index: int) -> list[np.ndarray]:
     yields bitwise-identical output.  Structure is exact by construction
     (symmetric matrices satisfy s == s.T entrywise, triangular families
     carry exact zeros); the conjugation-built normal family is normal to
-    within the predicate tolerance.
+    within the predicate tolerance.  An ``entry_bound`` that overflows a
+    draw raises :class:`LinalgError`.
     """
     rng = _trial_rng(spec.seed, trial_index)
     out = []
-    for _ in range(spec.m):
-        mat = _draw_structured(rng, spec, spec.n)
-        if spec.family == "block_triangular":
-            if not 0 < spec.r < spec.n:
-                raise ShapeError(f"block family needs 0 < r < n, got r={spec.r}, n={spec.n}")
-            mat[spec.r:, : spec.r] = 0.0
-        out.append(mat)
+    with np.errstate(over="ignore", invalid="ignore"):   # _require_finite reports it
+        for _ in range(spec.m):
+            mat = _draw_structured(rng, spec, spec.n)
+            if spec.family == "block_triangular":
+                if not 0 < spec.r < spec.n:
+                    raise ShapeError(f"block family needs 0 < r < n, got r={spec.r}, n={spec.n}")
+                mat[spec.r:, : spec.r] = 0.0
+            _require_finite(spec, trial_index, mat)
+            out.append(mat)
     return out
 
 
@@ -212,16 +228,20 @@ def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
     yields symmetric diagonal blocks, ``normal_via_unitary_conjugation``
     yields normal ones), while Y is a dense draw.  Deterministic in
     ``(seed, trial_index)`` with a fixed X, Y, Z draw order per member.
+    The blocks are frozen read-only, not copied; an ``entry_bound`` that
+    overflows a draw raises :class:`LinalgError`.
     """
     if not 0 < spec.r < spec.n:
         raise ShapeError(f"block family needs 0 < r < n, got r={spec.r}, n={spec.n}")
     rng = _trial_rng(spec.seed, trial_index)
     members = []
-    for _ in range(spec.m):
-        x = _draw_structured(rng, spec, spec.r)
-        y = _draw_dense(rng, spec, spec.r, spec.n - spec.r)
-        z = _draw_structured(rng, spec, spec.n - spec.r)
-        members.append(BlockUpperTriangular(x=x, y=y, z=z))
+    with np.errstate(over="ignore", invalid="ignore"):   # _require_finite reports it
+        for _ in range(spec.m):
+            x = _draw_structured(rng, spec, spec.r)
+            y = _draw_dense(rng, spec, spec.r, spec.n - spec.r)
+            z = _draw_structured(rng, spec, spec.n - spec.r)
+            _require_finite(spec, trial_index, x, y, z)
+            members.append(BlockUpperTriangular._frozen(x, y, z))
     return BlockFamily(tuple(members))
 
 
@@ -287,10 +307,11 @@ class Inequality:
     split at ``r``), ``"family"`` (every matrix split at ``r``) or
     ``"spectra"`` (the two sequences of :func:`_log_major_spectra`).
     ``files`` is the least and most number of input matrices (``None``: no
-    limit); a draw makes ``files[1]`` matrices when that is set, otherwise
-    the spec's ``m``.  ``transform`` reshapes a drawn matrix (into a PSD
-    one, or a triangular one).  ``default_p``, when set, is the exponent's
-    default and makes ``p`` a parameter.
+    limit); a search draws from :meth:`draw_spec`, which asks for
+    ``files[1]`` matrices when that is set, otherwise the spec's ``m``.
+    ``transform`` reshapes a drawn matrix (into a PSD one, or a triangular
+    one).  ``default_p``, when set, is the exponent's default and makes
+    ``p`` a parameter.
     ``refutable`` ids are false in general and get the published witness as
     trial 0 of a search; with ``hypothesis_gate`` the checker answers
     ``precondition_failed`` off its hypothesis unless the parameter
@@ -319,18 +340,31 @@ class Inequality:
             params["allow_hypothesis_violation"] = allow_hypothesis_violation
         return params
 
-    def draw(self, spec: GeneratorSpec, trial_index: int, params: dict) -> Witness:
-        if self.files[1] is not None:
-            spec = replace(spec, m=self.files[1])
+    def draw_spec(self, spec: GeneratorSpec) -> GeneratorSpec:
+        """The spec a search of this id draws from."""
+        return spec if self.files[1] is None else replace(spec, m=self.files[1])
+
+    def draw(self, spec: GeneratorSpec, trial_index: int,
+             params: dict) -> tuple[Witness, BlockFamily | None]:
+        """One trial's witness from ``spec`` (a :meth:`draw_spec`), and, for
+        the block shapes, the drawn family its matrices were assembled from."""
+        family = None
         if self.shape in ("member", "family"):
             family = generate_block_family(spec, trial_index)
             mats = tuple(member.assemble() for member in family.members)
         else:
             mat = generate(spec, trial_index)[0]
-            mats = (mat if self.transform is None else self.transform(mat),)
-        return Witness(self.id, spec.seed, trial_index, params, mats)
+            if self.transform is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mat = self.transform(mat)
+                _require_finite(spec, trial_index, mat)
+            mats = (mat,)
+        return Witness(self.id, spec.seed, trial_index, params, mats), family
 
-    def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+    def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL,
+              family: BlockFamily | None = None) -> CheckReport:
+        """Check ``witness``; a block shape splits its matrices at ``r``
+        unless ``family``, the blocks they were assembled from, is given."""
         # looked up per call, so a wrapper put on this module's name is the one called
         checker = globals()[f"check_{self.id}"]
         params = witness.params
@@ -341,7 +375,8 @@ class Inequality:
         elif self.shape == "spectra":
             args = _log_major_spectra(witness.matrices[0])
         else:
-            family = _block_family_from(witness)
+            if family is None:
+                family = _block_family_from(witness)
             args = (family,) if self.shape == "family" else (family.members[0],)
         if self.default_p is not None:
             args += (float(params["p"]),)
@@ -582,6 +617,7 @@ def _run_trials(
     if max_trials < 1:
         raise ValueError(f"trial count must be >= 1, got {max_trials}")
     ineq = INEQUALITIES[predicate_id]
+    draw_spec = ineq.draw_spec(spec)
     call_params = ineq.call_params(spec.r)
     if params:
         call_params.update(params)
@@ -593,12 +629,12 @@ def _run_trials(
     min_pos_witness = None
     ran = 0
     for trial in range(max_trials):
-        witness = None
+        witness, family = None, None
         if trial == 0 and inject_paper_witness and ineq.refutable:
             witness = _paper_witness(predicate_id, call_params)
         if witness is None:
-            witness = ineq.draw(spec, trial, dict(call_params))
-        report = ineq.check(witness, tol)
+            witness, family = ineq.draw(draw_spec, trial, dict(call_params))
+        report = ineq.check(witness, tol, family)
         ran += 1
         if report.verdict is not Verdict.PRECONDITION_FAILED:
             margin = report.margin

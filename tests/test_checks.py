@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import exact
+from reference import matrix_power_psd
 from blockdet.checks import (
     BlockFamily,
     CheckReport,
@@ -33,8 +34,6 @@ from blockdet.linalg import (
     ShapeError,
     abs_matrix,
     det,
-    identity,
-    matrix_power_psd,
 )
 
 EX1_T1 = np.array([[-9, 10, 5, 12], [-7, 10, -11, -10], [0, 0, -2, 3], [0, 0, 2, 26]],
@@ -73,7 +72,7 @@ def _rand_block(rng, n, r, scale=1.0, y_zero=False):
 
 
 def test_fischer_identity_is_equality():
-    assert check_fischer(identity(4), 2).verdict is Verdict.EQUALITY
+    assert check_fischer(np.eye(4), 2).verdict is Verdict.EQUALITY
 
 
 def test_fischer_hand_example_strict():
@@ -435,9 +434,9 @@ def test_thm3_spectral_route_matches_matrix_route():
         report = check_thm3(t, p)
         full = t.assemble()
         via_matrices = (
-            det(identity(n) + matrix_power_psd(abs_matrix(full), p)).log_magnitude
-            - det(identity(r) + matrix_power_psd(abs_matrix(t.x), p)).log_magnitude
-            - det(identity(n - r) + matrix_power_psd(abs_matrix(t.z), p)).log_magnitude
+            det(np.eye(n) + matrix_power_psd(abs_matrix(full), p)).log_magnitude
+            - det(np.eye(r) + matrix_power_psd(abs_matrix(t.x), p)).log_magnitude
+            - det(np.eye(n - r) + matrix_power_psd(abs_matrix(t.z), p)).log_magnitude
         )
         assert report.margin == pytest.approx(via_matrices, abs=1e-9)
 
@@ -675,6 +674,11 @@ def _extreme_inputs():
     def scaled(t, s):
         return _block(s * t.x, s * t.y, s * t.z)
 
+    # entries of 1e308: every ||T||_F overflows, every singular value stays finite
+    huge = 1e308 * np.eye(2)
+    shear_1e308, y0_1e308 = _block(huge, huge, np.zeros((2, 2))), _block(huge, 0 * huge, huge)
+    upper_1e308 = 1e308 * np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)
+
     cases = {
         "t3_1e6.cor_c0": (lambda: check_cor_c0(t3), Verdict.HOLDS_STRICT),
         "t3_1e6.thm2": (lambda: check_thm2(t3), Verdict.HOLDS_STRICT),
@@ -706,6 +710,13 @@ def _extreme_inputs():
             scaled(t1, 1e160), scaled(t2, 1e160))), allow_hypothesis_violation=True),
                                   check_cor_c1(BlockFamily((t1, t2)),
                                                allow_hypothesis_violation=True).verdict),
+        "1e+308.cor_c0_shear": (lambda: check_cor_c0(shear_1e308), Verdict.HOLDS_STRICT),
+        "1e+308.thm3_shear": (lambda: check_thm3(shear_1e308, 2.0), Verdict.HOLDS_STRICT),
+        "1e+308.thm2_shear": (lambda: check_thm2(shear_1e308), Verdict.HOLDS_STRICT),
+        "1e+308.cor_c0_y0": (lambda: check_cor_c0(y0_1e308), Verdict.EQUALITY),
+        "1e+308.thm2_y0": (lambda: check_thm2(y0_1e308), Verdict.EQUALITY),
+        "1e+308.drury_shear": (lambda: check_drury(upper_1e308), Verdict.HOLDS_STRICT),
+        "1e+308.drury_diagonal": (lambda: check_drury(1e308 * np.eye(4)), Verdict.EQUALITY),
     }
     for s in (1e100, 1e160):
         cases[f"{s:.0e}.cor_c0"] = (lambda s=s: check_cor_c0(scaled(t1, s)), Verdict.HOLDS_STRICT)
@@ -731,3 +742,14 @@ def test_verdicts_right_at_extreme_scale_and_conditioning(case):
         warnings.simplefilter("error")
         report = run()
     assert report.verdict is expected, (report.verdict, report.margin)
+
+
+@pytest.mark.parametrize("case", ["1e+308.cor_c0_shear", "1e+308.thm3_shear",
+                                  "1e+308.thm2_shear"])
+def test_overflowing_frobenius_norm_keeps_the_shear_margin(case):
+    # X = 1e308 I, Y = 1e308 I, Z = 0: the margin is 2 log((1 + 2a^2) / (1 + a^2)), about 2 log 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _EXTREME[case][0]()
+    assert report.margin == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
+    assert report.finding("y_frobenius") == pytest.approx(math.sqrt(2.0) * 1e308)

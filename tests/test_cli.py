@@ -91,7 +91,8 @@ _STRUCTURAL_IDS = {"cor_c0", "lemma1", "thm2", "drury", "thm3"}
 def test_tol_eq_reaches_every_checker(ineq_id, tmp_path, capsys):
     ineq = INEQUALITIES[ineq_id]
     params = ineq.call_params(2, allow_hypothesis_violation=True)
-    witness = ineq.draw(GeneratorSpec(family="gaussian", n=4, r=2, m=2, seed=11), 1, params)
+    spec = ineq.draw_spec(GeneratorSpec(family="gaussian", n=4, r=2, m=2, seed=11))
+    witness, _ = ineq.draw(spec, 1, params)
     files = [_write_matrix(tmp_path / f"m{k}.json", m) for k, m in enumerate(witness.matrices)]
     argv = ["check", *files, "--ineq", ineq_id, "--format", "structured"]
     if ineq.needs_r:

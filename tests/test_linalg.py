@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import exact
+from reference import matrix_power_psd
 from blockdet.linalg import (
     DEFAULT_TOL,
     HERMITIAN_REL,
@@ -31,15 +33,11 @@ from blockdet.linalg import (
     frobenius_norm,
     general_eigenvalues,
     hermitian_eigensystem,
-    identity,
     matrix_from_json_dict,
-    matrix_power_psd,
     matrix_to_json_dict,
     predicates,
     schur_complement,
     singular_values,
-    solve,
-    sort_by_modulus,
     Tolerances,
 )
 
@@ -57,15 +55,10 @@ def _rand_int(rng, n, lo=-20, hi=26):
 # construction and validation
 
 
-def test_identity_multiply_is_noop():
-    rng = np.random.default_rng(0)
-    m = _rand_complex(rng, 3)
-    assert np.array_equal(identity(3) @ m, m)
-
-
 def test_shape_mismatch_reports_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 1\)"):
-        solve(np.eye(2, dtype=complex), np.ones((3, 1), dtype=complex))
+    with pytest.raises(ShapeError, match=r"2x1, got \(3, 1\)"):
+        BlockUpperTriangular(x=np.eye(2, dtype=complex), y=np.ones((3, 1), dtype=complex),
+                             z=np.ones((1, 1), dtype=complex))
 
 
 def test_nonfinite_entries_rejected():
@@ -80,7 +73,7 @@ def test_nonfinite_entries_rejected():
 
 
 def test_frobenius_examples():
-    assert frobenius_norm(identity(2)) == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert frobenius_norm(np.eye(2)) == pytest.approx(math.sqrt(2), rel=1e-15)
     assert frobenius_norm(np.array([[3, 4]], dtype=complex)) == pytest.approx(5.0, rel=1e-15)
     assert frobenius_norm(np.array([[1j, 0], [0, 2]])) == pytest.approx(math.sqrt(5), rel=1e-15)
 
@@ -97,7 +90,7 @@ def test_frobenius_matches_trace_formula(entries):
 
 
 def test_det_identity():
-    d = det(identity(5))
+    d = det(np.eye(5))
     assert not d.is_zero
     assert d.value == pytest.approx(1.0, rel=1e-14)
 
@@ -129,7 +122,7 @@ def test_det_zero_flag_is_the_schur_gate_rule():
         a = (u * [1.0, 1e-2, 1e-6, 10.0 ** rng.uniform(-15, -10)]) @ u.conj().T
         work = a / np.max(np.abs(a), axis=1)[:, None]
         sigma = np.linalg.svd(work, compute_uv=False)
-        padded = identity(5)
+        padded = np.eye(5, dtype=complex)
         padded[:4, :4] = work
         try:
             schur_complement(padded, 4)
@@ -200,15 +193,16 @@ def test_det_matches_exact_cofactor_oracle(entries):
 
 
 def test_solve_matches_elimination():
+    # schur_complement's LU solve against r steps of Gaussian elimination
     rng = np.random.default_rng(3)
     a = _rand_complex(rng, 5)
-    b = _rand_complex(rng, 5, 2)
-    x = solve(a, b)
-    assert np.allclose(a @ x, b, atol=1e-10)
+    for r in (1, 2, 4):
+        work = a.copy()
+        for k in range(r):
+            work[k + 1:] -= np.outer(work[k + 1:, k] / work[k, k], work[k])
+        assert np.allclose(schur_complement(a, r), work[r:, r:], atol=1e-10)
     with pytest.raises(SingularBlockError):
-        solve(np.zeros((2, 2)), np.ones((2, 1)))
-    with pytest.raises(ShapeError, match="row counts"):
-        solve(np.eye(3, dtype=complex), np.ones((2, 1)))
+        schur_complement(np.zeros((3, 3)), 2)
 
 
 def test_signed_log_det_normalizes_phase():
@@ -224,7 +218,7 @@ def test_signed_log_det_normalizes_phase():
 
 
 def test_eigensystem_identity():
-    w, v = hermitian_eigensystem(identity(4))
+    w, v = hermitian_eigensystem(np.eye(4))
     assert np.allclose(w, 1.0)
     assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
 
@@ -278,7 +272,7 @@ def test_eigensystem_convergence_error_carries_residual(monkeypatch):
 
 
 def test_singular_values_examples():
-    assert singular_values(identity(3)) == pytest.approx([1, 1, 1])
+    assert singular_values(np.eye(3)) == pytest.approx([1, 1, 1])
     s = singular_values(np.array([[1, 2], [0, 1]], dtype=complex))
     assert s == pytest.approx([1 + math.sqrt(2), math.sqrt(2) - 1], rel=1e-12)
     s = singular_values(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -333,8 +327,7 @@ def test_qr_iteration_budget_error_carries_diagnostics(monkeypatch):
 
 
 def test_spectrum_tie_break_ordering():
-    values = np.array([1 - 1j, 2.0, 1 + 1j, -2.0])
-    ordered = sort_by_modulus(values)
+    ordered = general_eigenvalues(np.diag([1 - 1j, 2.0, 1 + 1j, -2.0]))
     assert ordered == pytest.approx([2.0, -2.0, 1 + 1j, 1 - 1j])
 
 
@@ -388,7 +381,7 @@ def test_normal_matrix_moduli_equal_singular_values():
 
 
 def test_abs_matrix_examples():
-    assert np.allclose(abs_matrix(identity(3)), np.eye(3), atol=1e-12)
+    assert np.allclose(abs_matrix(np.eye(3)), np.eye(3), atol=1e-12)
     a = abs_matrix(np.array([[0, 2], [0, 0]], dtype=complex))
     assert np.allclose(a, np.diag([0.0, 2.0]), atol=1e-12)
     rng = np.random.default_rng(29)
@@ -423,7 +416,7 @@ def test_matrix_power_rejects_indefinite():
     with pytest.raises(NotPositiveSemidefiniteError):
         matrix_power_psd(np.diag([1.0, -1.0]).astype(complex), 0.5)
     with pytest.raises(ValueError):
-        matrix_power_psd(identity(2), -1.0)
+        matrix_power_psd(np.eye(2), -1.0)
     with pytest.raises(NotHermitianError):
         matrix_power_psd(np.array([[1, 1], [0, 1]], dtype=complex), 2.0)
 
@@ -453,7 +446,7 @@ def test_schur_complement_block_diagonal_passthrough():
     z = _rand_complex(rng, 3)
     a[2:, 2:] = z
     assert np.allclose(schur_complement(a, 2), z, atol=1e-12)
-    assert np.allclose(schur_complement(identity(4), 2), np.eye(2), atol=1e-14)
+    assert np.allclose(schur_complement(np.eye(4), 2), np.eye(2), atol=1e-14)
 
 
 def test_schur_determinant_identity_random():
@@ -570,6 +563,29 @@ def test_block_from_matrix_rejects_nonzero_corner():
         BlockUpperTriangular.from_matrix(np.zeros((4, 4)), 0)
     with pytest.raises(ShapeError):
         BlockUpperTriangular.from_matrix(np.zeros((4, 4)), 4)
+
+
+def test_predicates_answer_where_the_frobenius_norm_overflows():
+    # ||a||_F = sqrt(6) 1e308 overflows; every structural test once passed as inf <= inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        preds = predicates(np.triu(np.full((3, 3), 1e308)))
+    assert preds.is_upper_triangular
+    assert not (preds.is_hermitian or preds.is_symmetric or preds.is_normal or preds.is_psd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagonal = predicates(1e308 * np.eye(4))
+    assert diagonal.is_hermitian and diagonal.is_psd and diagonal.min_eigenvalue == 1e308
+
+
+def test_block_constructor_copies_and_freezes_caller_arrays():
+    x = np.eye(2, dtype=complex)
+    t = BlockUpperTriangular(x=x, y=np.ones((2, 1)), z=np.ones((1, 1)))
+    x[0, 0] = 5.0
+    assert t.x[0, 0] == 1.0
+    for block in (t.x, t.y, t.z, t.assemble()):
+        assert not block.flags.writeable
+    assert t.assemble() is t.assemble()
 
 
 def test_block_shape_validation():

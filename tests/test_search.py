@@ -1,14 +1,17 @@
 """Generators, violation search, witnesses, and the published examples."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from blockdet.checks import Verdict, check_cor_c0, check_lemma1
-from blockdet.linalg import ShapeError, frobenius_norm, predicates
+from blockdet.linalg import LinalgError, ShapeError, frobenius_norm, predicates
 from blockdet.search import (
     FAMILIES,
+    INEQUALITIES,
+    PREDICATE_IDS,
     GeneratorSpec,
     Witness,
     compare_paper_example,
@@ -96,6 +99,30 @@ def test_generator_spec_validation():
         generate(GeneratorSpec(family="gaussian", entry_bound=(-2, 2)), 0)
 
 
+def test_drawn_blocks_and_their_assembled_matrix_are_read_only():
+    for family in FAMILIES:
+        spec = GeneratorSpec(family=family, n=5, r=2, m=2, seed=4)
+        for member in generate_block_family(spec, 0).members:
+            full = member.assemble()
+            assert full is member.assemble()
+            for block in (member.x, member.y, member.z, full):
+                assert not block.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("predicate, family", [
+    ("cor_c0", "gaussian"), ("thm1", "symmetric"), ("drury", "gaussian"),
+    ("thm2", "normal_via_unitary_conjugation"),
+])
+def test_draw_overflow_is_one_error_naming_seed_trial_and_bound(predicate, family):
+    spec = GeneratorSpec(family=family, n=4, r=2, m=2, entry_bound=1e308, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinalgError, match=r"^seed 0, trial 0: entry_bound 1e\+308 overflows"):
+            search_violations(spec, predicate, 3)
+
+
 def test_every_family_generates():
     for family in FAMILIES:
         spec = GeneratorSpec(family=family, n=4, r=2, m=2, seed=17)
@@ -167,6 +194,36 @@ def test_witness_roundtrip_reproduces_verdict_and_margin():
     doc = json.loads(json.dumps(probe.min_positive_witness.to_json_dict()))
     again = recheck_witness(Witness.from_json_dict(doc))
     assert again.margin == pytest.approx(probe.min_positive_margin, abs=1e-12)
+
+
+def _trial_witness(ineq, spec, report, trial):
+    """The witness a search used at ``trial``: a recorded violation, or a redraw."""
+    for record in report.violations:
+        if record.trial_index == trial:
+            return record.witness
+    witness, _ = ineq.draw(ineq.draw_spec(spec), trial, dict(report.params))
+    return witness
+
+
+def _json_round_trip(witness):
+    return Witness.from_json_dict(json.loads(json.dumps(witness.to_json_dict())))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("ineq_id", PREDICATE_IDS)
+def test_search_margins_equal_rechecked_json_witness_margins(ineq_id, family):
+    # the search checks the blocks it drew; recheck_witness re-splits the recorded matrices
+    ineq = INEQUALITIES[ineq_id]
+    spec = GeneratorSpec(family=family, n=4, r=2, m=2, seed=31)
+    params = {"allow_hypothesis_violation": True} if ineq.hypothesis_gate else None
+    for run in (search_violations, sharpness_probe):
+        report = run(spec, ineq_id, 8, params=params)
+        if report.min_margin is not None:
+            witness = _trial_witness(ineq, spec, report, report.min_margin_trial)
+            assert recheck_witness(_json_round_trip(witness)).margin == report.min_margin
+        if report.min_positive_margin is not None:
+            again = recheck_witness(_json_round_trip(report.min_positive_witness))
+            assert again.margin == report.min_positive_margin
 
 
 def test_every_id_has_exactly_one_registry_record():
