@@ -13,7 +13,6 @@ from .linalg import (
     LinalgError,
     MatrixFormatError,
     NotHermitianError,
-    NotPositiveSemidefiniteError,
     ShapeError,
     SignedLogDet,
     SingularBlockError,

@@ -14,7 +14,9 @@ margin and the structural condition, the verdict follows the structure, and
 a discrepancy diagnostic is attached if the two disagree instead of
 silently trusting either.
 
-All checkers are stateless pure functions over immutable inputs.
+All checkers are stateless pure functions over immutable inputs.  The
+batched evaluators at the end score many inputs of one checker at once,
+from the same side arithmetic on stacks, for the search engine.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,7 +48,9 @@ from .linalg import (
     schur_complement,
     singular_values,
     _power_of_two_above,
+    _asymmetry,
     _require_square,
+    _unit_masses,
     _unit_scaled,
 )
 
@@ -264,6 +269,13 @@ def _report(
     return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
 
 
+def _clearly_holds(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Where :func:`_report` answers ``holds_strict`` whatever structural
+    condition it is given, elementwise: a finite margin past the equality
+    window of a nonzero lhs with log magnitude ``lhs``."""
+    return np.isfinite(margin) & (margin > tol.eq_rel * np.maximum(1.0, np.abs(lhs)))
+
+
 # Double-precision machine epsilon: a stack of blocks is numerically rank
 # deficient, and its Gram determinant zero, when sigma_min is at or below
 # max(rows, cols) * _EPS * sigma_max; computed spectra carry errors of
@@ -272,70 +284,96 @@ _EPS = float(np.finfo(float).eps)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _sum_log1p_pow(v: np.ndarray, p: float) -> float:
-    """sum log(1 + v^p) over nonnegative v.
+def _sld(log_magnitude, is_zero) -> SignedLogDet:
+    """One positive determinant of a side computed as a stack, from its log."""
+    return SignedLogDet.zero() if is_zero else SignedLogDet.from_log(float(log_magnitude))
+
+
+def _log1p_pow(v: np.ndarray, p: float) -> np.ndarray:
+    """log(1 + v^p) for each nonnegative entry of v.
 
     Entries above 1 take p log v + log1p(v^-p), so v^p is never formed where
-    it could overflow.
+    it could overflow.  A side sums one row of these terms in order.
     """
-    big = v > 1.0
-    small, large = v[~big], v[big]
-    return float(np.log1p(small ** p).sum() + (p * np.log(large) + np.log1p(large ** -p)).sum())
+    large = np.maximum(v, 1.0)
+    return p * np.log(large) + np.log1p(np.where(v > 1.0, large ** -p, np.minimum(v, 1.0) ** p))
 
 
-def _log_det_identity_plus_abs_power(a: np.ndarray, p: float) -> SignedLogDet:
-    """det(I + |A|^p) = prod(1 + sigma^p) over the singular values of A.
+def _sum_log1p_pow(v: np.ndarray, p: float) -> float:
+    """The sum of :func:`_log1p_pow` over one sequence in log_major's order:
+    the terms of entries up to 1 before those of entries above 1."""
+    terms = _log1p_pow(v, p)
+    return float(terms[v <= 1.0].sum() + terms[v > 1.0].sum())
 
-    At p = 2 this is det(I + A*A), taken without forming A*A.
+
+def _bordered(x: np.ndarray) -> np.ndarray:
+    """[[I, -conj(X)], [X, I]], for X or for each X of a stack (..., k, k).
+
+    Its determinant is det(I + X conj(X)) = det(I + conj(X) X) (Schur's
+    formula on the identity block, then Sylvester's), so that side is taken
+    without forming conj(X) X, whose rounding (eps * sigma_max^2) would
+    swamp the identity.
     """
-    return SignedLogDet.from_log(_sum_log1p_pow(singular_values(a), p))
+    eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape)
+    return np.concatenate([np.concatenate([eye, -x.conj()], axis=-1),
+                           np.concatenate([x, eye], axis=-1)], axis=-2)
 
 
-def _stack_singular_values(blocks: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Singular values of the stack [B_1; ...; B_m] and its rank floor.
+def _log_det_grams(sigma: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
+    """det(sum B_k* B_k) = prod sigma^2 over each stack's singular values (a
+    row of ``sigma``): its log, and whether it is flagged zero, the smallest
+    singular value at or below ``floor``."""
+    zero = sigma[..., -1] <= floor
+    return 2.0 * np.sum(np.log(np.where(zero[..., None], 1.0, sigma)), axis=-1), zero
 
-    The floor is max(rows, cols) * eps * sigma_max: a stack whose smallest
-    singular value is at or below it is numerically rank deficient.
-    """
-    stacked = np.vstack(blocks)
+
+def _stack_gram(families: list[BlockFamily], block) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of each family's stack [B_1; ...; B_m], B_k the
+    ``block`` of member k, and its rank floor, max(rows, cols) * eps *
+    sigma_max: a stack whose smallest singular value is at or below it is
+    numerically rank deficient."""
+    b = np.array([[block(m) for m in family.members] for family in families])
+    stacked = b.reshape(len(families), -1, b.shape[-1])
     sigma = singular_values(stacked)
-    return sigma, max(stacked.shape) * _EPS * float(sigma[0])
+    return sigma, max(stacked.shape[-2:]) * _EPS * sigma[..., 0]
 
 
-def _log_det_gram(sigma: np.ndarray, floor: float) -> SignedLogDet:
-    """det(sum B_k* B_k) = prod sigma^2 over the stack's singular values.
-
-    Flagged zero when the smallest is at or below ``floor``.
-    """
-    if sigma[-1] <= floor:
-        return SignedLogDet.zero()
-    return SignedLogDet.from_log(2.0 * float(np.sum(np.log(sigma))))
-
-
-def _det_conj_product_sum(xs: list[np.ndarray], plus_identity: bool) -> SignedLogDet:
-    """det(sum conj(X_k) X_k), or of I plus that sum, by LU without overflow.
+def _det_conj_product_sum(xs: list[np.ndarray]) -> SignedLogDet:
+    """det(sum conj(X_k) X_k) by LU without overflow.
 
     Where a product could overflow, D = diag(d_i) is factored out, d_i the
     power of two above the largest modulus in row i and column i of any X_k:
-    det(I + sum conj(X_k) X_k)
-        = det(D)^2 det(D^-2 + sum (D^-1 conj(X_k)) (X_k D^-1)),
-    likewise without the identity, and no entry of the scaled sum exceeds
-    m n in modulus.  One scale per index, not one for all the X_k, keeps the
-    products of small entries clear of subnormals next to a huge one.
+    det(sum conj(X_k) X_k) = det(D)^2 det(sum (D^-1 conj(X_k)) (X_k D^-1)),
+    and no entry of the scaled sum exceeds m n in modulus.  One scale per
+    index, not one for all the X_k, keeps the products of small entries
+    clear of subnormals next to a huge one.
     """
     norm = math.hypot(*(frobenius_norm(x) for x in xs))
     if 2.0 * norm * norm <= _FLOAT_MAX:   # no entry of the sum can overflow
-        total = sum((x.conj() @ x for x in xs[1:]), xs[0].conj() @ xs[0])
-        return det(total + np.eye(total.shape[0]) if plus_identity else total)
+        return det(sum((x.conj() @ x for x in xs[1:]), xs[0].conj() @ xs[0]))
     mags = np.abs(np.array(xs))
-    d = np.array([_power_of_two_above(float(v))
-                  for v in np.maximum(mags.max(axis=(0, 1)), mags.max(axis=(0, 2)))])
+    d = _power_of_two_above(np.maximum(mags.max(axis=(0, 1)), mags.max(axis=(0, 2))))
     inv = 1.0 / d
     products = [(x.conj() * inv[:, None]) @ (x * inv) for x in xs]
-    scaled = sum(products[1:], products[0])
-    if plus_identity:
-        scaled = scaled + np.diag(inv * inv)
-    return SignedLogDet.from_log(2.0 * float(np.sum(np.log(d)))) * det(scaled)
+    return (SignedLogDet.from_log(2.0 * float(np.sum(np.log(d))))
+            * det(sum(products[1:], products[0])))
+
+
+# ---------------------------------------------------------------------------
+# Structural tests, on a matrix or on each matrix of a stack
+
+
+def _is_symmetric(a: np.ndarray):
+    """The symmetry test of :func:`predicates`, per matrix of a stack."""
+    _, norm, asymmetry = _unit_masses(a, _asymmetry)
+    return asymmetry <= PREDICATE_REL * norm
+
+
+def _y_zero(t: np.ndarray, r: int) -> tuple:
+    """Whether ||Y||_F <= PREDICATE_REL * (1 + ||T||_F), Y = T[:r, r:], for
+    each T of the stack ``t``; and s and ||Y / s||_F of :func:`_unit_masses`."""
+    s, norm, y = _unit_masses(t, lambda u: u[..., :r, r:])
+    return y <= PREDICATE_REL * (1.0 / s + norm), s, y
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +411,17 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     the claim is an identity), above that of Z.  The diagnostics flag a
     singular sum X_k* X_k, the case the proof handles by continuity.
     """
-    sigma_t, floor = _stack_singular_values([m.assemble() for m in family.members])
-    lhs = _log_det_gram(sigma_t, floor)
-    rhs_x = _log_det_gram(_stack_singular_values([m.x for m in family.members])[0], floor)
-    rhs_z = _log_det_gram(_stack_singular_values([m.z for m in family.members])[0], floor)
+    lhs, rhs_x, rhs_z = (_sld(log[0], zero[0]) for log, zero in _thm1_sides([family]))
     diagnostics = (Finding("sum_xx_singular", bool(rhs_x.is_zero)),)
     return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics)
+
+
+def _thm1_sides(families: list[BlockFamily]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of each
+    family, all flagged against the T stack's rank floor."""
+    sigma_t, floor = _stack_gram(families, BlockUpperTriangular.assemble)
+    return [_log_det_grams(sigma, floor) for sigma in (
+        sigma_t, _stack_gram(families, attrgetter("x"))[0], _stack_gram(families, attrgetter("z"))[0])]
 
 
 def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
@@ -411,32 +454,27 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     )
 
 
-def _y_is_structurally_zero(t: BlockUpperTriangular) -> tuple[bool, float]:
-    """Whether ||Y||_F <= PREDICATE_REL * (1 + ||T||_F), and ||Y||_F.
-
-    The test runs on the blocks through :func:`_unit_scaled`, so no norm in
-    it overflows; ||Y||_F is scaled back, to ``inf`` if it exceeds DBL_MAX.
-    """
-    (unit,), s = _unit_scaled([t.assemble()])
-    r = t.r
-    y_norm = frobenius_norm(unit[:r, r:])
-    total = math.hypot(frobenius_norm(unit[:r, :r]), y_norm, frobenius_norm(unit[r:, r:]))
-    return y_norm <= PREDICATE_REL * (1.0 / s + total), s * y_norm
+def _abs_power_sides(members: list[BlockUpperTriangular], p: float) -> tuple:
+    """The stack of T, log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p)
+    for each member, as products of 1 + sigma^p over the singular values of
+    the unsquared blocks (the spectral form of building |.| and then its
+    p-th power; the matrix route is pinned to this one by tests).  The
+    right side sums the terms of X and Z in one row."""
+    t = np.array([m.assemble() for m in members])
+    sigma = np.concatenate([singular_values(t), singular_values(np.array([m.x for m in members])),
+                            singular_values(np.array([m.z for m in members]))], axis=-1)
+    sums = _log1p_pow(sigma.reshape(len(members), 2, -1), p).sum(axis=-1)
+    return t, sums[:, 0], sums[:, 1]
 
 
 def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
                       tol: Tolerances, diagnostics: tuple[Finding, ...] = ()) -> CheckReport:
-    """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0.
-
-    Each side is the product of 1 + sigma^p over the singular values of the
-    unsquared block (the spectral form of building |.| and then its p-th
-    power; the matrix route is pinned to this one by tests).
-    """
-    lhs = _log_det_identity_plus_abs_power(t.assemble(), p)
-    rhs = _log_det_identity_plus_abs_power(t.x, p) * _log_det_identity_plus_abs_power(t.z, p)
-    y_zero, y_norm = _y_is_structurally_zero(t)
-    return _report(inequality_id, lhs, rhs, tol, (Finding("y_frobenius", y_norm),) + diagnostics,
-                   structural_equality=y_zero)
+    """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0."""
+    stack, lhs, rhs = _abs_power_sides([t], p)
+    y_zero, s, y = _y_zero(stack, t.r)
+    return _report(inequality_id, _sld(lhs[0], False), _sld(rhs[0], False), tol,
+                   (Finding("y_frobenius", float(s[0]) * float(y[0])),) + diagnostics,
+                   structural_equality=bool(y_zero[0]))
 
 
 def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -462,9 +500,10 @@ def check_cor_c1(
     normal = all(
         predicates(m.x).is_normal and predicates(m.z).is_normal for m in family.members
     )
-    lhs = _log_det_gram(*_stack_singular_values([m.assemble() for m in family.members]))
-    inner_x = _det_conj_product_sum([m.x for m in family.members], plus_identity=False)
-    inner_z = _det_conj_product_sum([m.z for m in family.members], plus_identity=False)
+    lhs = _sld(*(v[0] for v in _log_det_grams(*_stack_gram([family],
+                                                            BlockUpperTriangular.assemble))))
+    inner_x = _det_conj_product_sum([m.x for m in family.members])
+    inner_z = _det_conj_product_sum([m.z for m in family.members])
     rhs = inner_x.abs() * inner_z.abs()
     diagnostics = (
         Finding("blocks_all_normal", normal),
@@ -495,7 +534,7 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
     """
     xs, _ = _unit_scaled([m.x for m in family.members])
     d11 = det(sum(x.conj() @ x.T for x in xs))
-    d12 = _det_conj_product_sum(xs, plus_identity=False)
+    d12 = _det_conj_product_sum(xs)
     d21 = det(sum(x.conj().T @ x.T for x in xs))
     d22 = det(sum(x.conj().T @ x for x in xs))
     logs = [d.log_magnitude for d in (d11, d12, d21, d22) if not d.is_zero]
@@ -512,12 +551,13 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + X*X) >= det(I + conj(X) X), equality iff X is symmetric."""
     x = as_matrix(x)
     _require_square(x, "check_lemma1")
-    lhs = _log_det_identity_plus_abs_power(x, 2.0)
-    rhs = _det_conj_product_sum([x], plus_identity=True)
-    symmetric = predicates(x).is_symmetric
+    lhs = _sld(_log1p_pow(singular_values(x), 2.0).sum(), False)   # det(I + X*X)
+    rhs = det(_bordered(x))
+    s, norm, asymmetry = _unit_masses(x, _asymmetry)
+    symmetric = bool(asymmetry <= PREDICATE_REL * norm)
     diagnostics = (
         Finding("is_symmetric", symmetric),
-        Finding("asymmetry_frobenius", frobenius_norm(x - x.T)),
+        Finding("asymmetry_frobenius", float(s) * asymmetry),
     )
     return _report("lemma1", lhs, rhs, tol, diagnostics, structural_equality=symmetric)
 
@@ -535,7 +575,7 @@ def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     x = as_matrix(x)
     _require_square(x, "check_djokovic")
-    d = _det_conj_product_sum([x], plus_identity=True)
+    d = det(_bordered(x))
     if d.is_zero:
         diagnostics = (Finding("det_is_zero", True),)
     else:
@@ -555,19 +595,26 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     No absolute value on the right: each factor is itself nonnegative.
     Equality iff Y = 0 and both X and Z are symmetric.
     """
-    lhs = _log_det_identity_plus_abs_power(t.assemble(), 2.0)
-    rhs = (_det_conj_product_sum([t.x], plus_identity=True)
-           * _det_conj_product_sum([t.z], plus_identity=True))
-    y_zero, y_norm = _y_is_structurally_zero(t)
-    x_sym = predicates(t.x).is_symmetric
-    z_sym = predicates(t.z).is_symmetric
+    stack, lhs, (det_x,), (det_z,) = _thm2_sides([t])
+    (y_zero,), (s,), (y,) = _y_zero(stack, t.r)
+    x_sym, z_sym = bool(_is_symmetric(t.x)), bool(_is_symmetric(t.z))
     diagnostics = (
-        Finding("y_frobenius", y_norm),
+        Finding("y_frobenius", float(s) * float(y)),
         Finding("x_is_symmetric", x_sym),
         Finding("z_is_symmetric", z_sym),
     )
-    return _report("thm2", lhs, rhs, tol, diagnostics,
-                   structural_equality=y_zero and x_sym and z_sym)
+    return _report("thm2", _sld(lhs[0], False), det_x * det_z, tol, diagnostics,
+                   structural_equality=bool(y_zero) and x_sym and z_sym)
+
+
+def _thm2_sides(members: list[BlockUpperTriangular]) -> tuple:
+    """The stack of T, log det(I + T*T), and det(I + conj(X) X) and
+    det(I + conj(Z) Z), each the determinant of its bordered matrix, for
+    each member."""
+    t = np.array([m.assemble() for m in members])
+    lhs = _log1p_pow(singular_values(t), 2.0).sum(axis=-1)
+    return (t, lhs, det(_bordered(np.array([m.x for m in members]))),
+            det(_bordered(np.array([m.z for m in members]))))
 
 
 def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -578,17 +625,25 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     t = as_matrix(t)
     _require_square(t, "check_drury")
-    triangular = predicates(t).is_upper_triangular
-    lhs = _log_det_identity_plus_abs_power(t, 2.0)
-    rhs = SignedLogDet.from_log(_sum_log1p_pow(np.abs(np.diagonal(t)), 2.0))
-    (unit,), s = _unit_scaled([t])
-    off_mass = frobenius_norm(unit - np.diag(np.diagonal(unit)))
-    diagnostics = (Finding("off_diagonal_frobenius", s * off_mass),)
+    (lhs,), (rhs,), (triangular,), (diagonal,), (s,), (off_mass,) = _drury_sides(t[None])
+    diagnostics = (Finding("off_diagonal_frobenius", float(s) * float(off_mass)),)
     if not triangular:
         diagnostics += (Finding("is_upper_triangular", False),)
-    return _report("drury", lhs, rhs, tol, diagnostics,
-                   structural_equality=off_mass <= PREDICATE_REL * frobenius_norm(unit),
-                   precondition_failed=not triangular)
+    return _report("drury", _sld(lhs, False), _sld(rhs, False), tol, diagnostics,
+                   structural_equality=bool(diagonal), precondition_failed=not triangular)
+
+
+def _drury_sides(t: np.ndarray) -> tuple:
+    """For each T of the stack ``t``: log det(I + T*T) and log prod(1 + |t_jj|^2);
+    whether T is upper triangular and whether diagonal, by the gates of
+    :func:`predicates`; and s and the off-diagonal mass of T / s."""
+    rows = np.stack([singular_values(t), np.abs(np.diagonal(t, axis1=-2, axis2=-1))], axis=-2)
+    sums = _log1p_pow(rows, 2.0).sum(axis=-1)
+    lhs, rhs = sums[..., 0], sums[..., 1]
+    s, norm, lower, off_mass = _unit_masses(
+        t, lambda u: np.tril(u, -1), lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
+    gate = PREDICATE_REL * norm
+    return lhs, rhs, lower <= gate, off_mass <= gate, s, off_mass
 
 
 def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -596,9 +651,13 @@ def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL)
 
     p = 2 is :func:`check_cor_c0`; this report adds the finding ``p``.
     """
+    _require_exponent(p)
+    return _abs_power_report("thm3", t, p, tol, (Finding("p", float(p)),))
+
+
+def _require_exponent(p: float) -> None:
     if p < 1.0:
         raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
-    return _abs_power_report("thm3", t, p, tol, (Finding("p", float(p)),))
 
 
 def _cumulative_logs(values: np.ndarray) -> np.ndarray:
@@ -619,8 +678,7 @@ def check_log_major(
     full products (each within ``MAJOR_REL``).  A hypothesis failure is a
     failed precondition reporting the first violating prefix length.
     """
-    if p < 1.0:
-        raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
+    _require_exponent(p)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape or a.size == 0:
@@ -711,3 +769,48 @@ def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport
     lhs = det(abs_matrix(t1.assemble()) + abs_matrix(t2.assemble()))
     rhs = det(abs_matrix(t1.x) + abs_matrix(t2.x)) * det(abs_matrix(t1.z) + abs_matrix(t2.z))
     return _report("e21", lhs, rhs, tol)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluators
+#
+# Each scores a search's trials at once, from the same side arithmetic as its
+# checker: it returns every trial's margin, bitwise the checker's, and where
+# the checker's verdict is sure to be ``holds_strict`` with no finding that
+# matters to a search.  Every other trial goes to the checker itself.
+
+
+def _batch_thm1(families: list[BlockFamily], tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    (lhs, lhs_zero), (rhs_x, x_zero), (rhs_z, z_zero) = _thm1_sides(families)
+    margin = lhs - (rhs_x + rhs_z)
+    return margin, ~(lhs_zero | x_zero | z_zero) & _clearly_holds(margin, lhs, tol)
+
+
+def _batch_thm3(members: list[BlockUpperTriangular], p: float,
+               tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    _require_exponent(p)
+    t, lhs, rhs = _abs_power_sides(members, p)
+    margin = lhs - rhs
+    return margin, ~_y_zero(t, members[0].r)[0] & _clearly_holds(margin, lhs, tol)
+
+
+def _batch_cor_c0(members: list[BlockUpperTriangular],
+                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    return _batch_thm3(members, 2.0, tol)
+
+
+def _batch_thm2(members: list[BlockUpperTriangular],
+               tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    t, lhs, det_x, det_z = _thm2_sides(members)
+    rhs = np.array([dx.log_magnitude + dz.log_magnitude for dx, dz in zip(det_x, det_z)])
+    rhs_zero = np.array([dx.is_zero or dz.is_zero for dx, dz in zip(det_x, det_z)])
+    margin = lhs - rhs
+    # equality needs Y = 0 before symmetric X and Z; the checker tests those
+    return margin, ~(rhs_zero | _y_zero(t, members[0].r)[0]) & _clearly_holds(margin, lhs, tol)
+
+
+def _batch_drury(ts: list[np.ndarray], tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    lhs, rhs, triangular, diagonal, _, _ = _drury_sides(np.array(ts))
+    margin = lhs - rhs
+    return margin, triangular & ~diagonal & _clearly_holds(margin, lhs, tol)
+

@@ -10,7 +10,8 @@ plain ``numpy`` arrays of ``complex128``.  This module owns:
 * one spectral route, numpy's LAPACK bindings: Hermitian eigensystems,
   general eigenvalues, singular values of the unsquared input and ``|A|``,
   with LAPACK non-convergence reported as
-  :class:`ConvergenceError`,
+  :class:`ConvergenceError`; :func:`det` and :func:`singular_values` also
+  take a stack of matrices,
 * Schur complements,
 * structural predicates (Hermitian / PSD / normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
@@ -33,7 +34,6 @@ __all__ = [
     "LinalgError",
     "ShapeError",
     "NotHermitianError",
-    "NotPositiveSemidefiniteError",
     "ConvergenceError",
     "SingularBlockError",
     "MatrixFormatError",
@@ -66,10 +66,6 @@ class ShapeError(LinalgError):
 
 class NotHermitianError(LinalgError):
     """Input required to be Hermitian deviates beyond tolerance."""
-
-
-class NotPositiveSemidefiniteError(LinalgError):
-    """Eigenvalue more negative than the PSD clamp window admits."""
 
 
 class ConvergenceError(LinalgError):
@@ -129,12 +125,14 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_matrix(data) -> np.ndarray:
-    """Validate and convert to a 2-D complex128 array with finite entries."""
+def as_matrix(data, stack: bool = False) -> np.ndarray:
+    """Validate and convert to a 2-D complex128 array with finite entries;
+    with ``stack``, also a stack (..., m, n) of such matrices."""
     a = np.asarray(data, dtype=complex)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
+        raise ShapeError(f"expected a 2-D matrix{' or a stack of them' if stack else ''}, "
+                         f"got ndim={a.ndim}")
+    if a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
     if not np.isfinite(a).all():
         raise LinalgError("matrix entries must be finite (no NaN or Inf)")
@@ -142,26 +140,29 @@ def as_matrix(data) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray, what: str) -> None:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    """sqrt of the sum of squared entry moduli; equals sqrt(tr a* a).
+def frobenius_norm(a: np.ndarray):
+    """sqrt of the sum of squared entry moduli; equals sqrt(tr a* a).  Of a
+    stack (..., m, n), an array with the norm of each matrix.
 
     Accumulated with ``hypot``, so squaring large entries never overflows.
     """
+    if np.ndim(a) > 2:
+        return np.hypot.reduce(np.abs(a), axis=(-2, -1))
     return float(np.hypot.reduce(np.abs(a), axis=None))
 
 
-def _power_of_two_above(v: float) -> float:
-    """A power of two above ``v``, or 1 if ``v <= 1``.
+def _power_of_two_above(v):
+    """A power of two above ``v``, or 1 if ``v <= 1``; elementwise on arrays.
 
     Dividing by a power of two is exact, so scaling by it changes no digit.
     The power is capped at 2^1023, the largest finite one, so a ``v`` in
     [2^1023, DBL_MAX] is scaled to below 2.
     """
-    return math.ldexp(1.0, min(math.frexp(v)[1], 1023)) if v > 1.0 else 1.0
+    return np.where(v > 1.0, np.ldexp(1.0, np.minimum(np.frexp(v)[1], 1023)), 1.0)
 
 
 def _unit_scaled(mats: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
@@ -171,8 +172,30 @@ def _unit_scaled(mats: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
     The division is exact.  No entry of a quotient exceeds 2 in modulus, so
     no Frobenius norm and no Gram-type sum of them overflows.
     """
-    s = _power_of_two_above(max(float(np.abs(m).max()) for m in mats))
+    s = float(_power_of_two_above(max(float(np.abs(m).max()) for m in mats)))
     return ([m / s for m in mats] if s > 1.0 else list(mats)), s
+
+
+def _unit_masses(a: np.ndarray, *parts) -> tuple:
+    """For a matrix, or each matrix A of a stack: s, the power of two above
+    its largest entry modulus, ||A/s||_F, and ||part(A/s)||_F for each of
+    ``parts``.
+
+    The division is exact and no norm of the quotient overflows, so the
+    relative structural gates on these masses decide alike at every
+    magnitude.
+    """
+    s = _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
+    unit = a / s[..., None, None]
+    return (s, frobenius_norm(unit)) + tuple(frobenius_norm(part(unit)) for part in parts)
+
+
+def _asymmetry(u: np.ndarray) -> np.ndarray:
+    return u - np.swapaxes(u, -1, -2)
+
+
+def _anti_hermitian(u: np.ndarray) -> np.ndarray:
+    return u - np.swapaxes(u, -1, -2).conj()
 
 
 def _lapack(routine: str, a: np.ndarray, **kwargs):
@@ -180,7 +203,8 @@ def _lapack(routine: str, a: np.ndarray, **kwargs):
     try:
         return getattr(np.linalg, routine)(a, **kwargs)
     except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"{routine} did not converge on a {a.shape[0]}x{a.shape[1]} "
+        rows, cols = a.shape[-2:]
+        raise ConvergenceError(f"{routine} did not converge on a {rows}x{cols} "
                                f"matrix: {err}", routine, a.shape) from err
 
 
@@ -259,7 +283,7 @@ class SignedLogDet:
         return self.log_magnitude - other.log_magnitude
 
 
-def det(a: np.ndarray) -> SignedLogDet:
+def det(a: np.ndarray):
     """Determinant in signed-log form, from LAPACK's LU (``numpy.linalg.slogdet``).
 
     Each row is first divided by its largest entry modulus and the logs of
@@ -267,18 +291,22 @@ def det(a: np.ndarray) -> SignedLogDet:
     magnitude.  The zero flag is raised for an all-zero row, or when the
     equilibrated matrix is singular to working precision by the rule of the
     Schur gate (:func:`_singular_to_working_precision`); one large row
-    therefore cannot make the others look singular.
+    therefore cannot make the others look singular.  A stack (N, n, n)
+    gives a list of N results, each bitwise the determinant of its matrix.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, stack=True)
     _require_square(a, "det")
-    scales = np.max(np.abs(a), axis=1)
-    if scales.min() == 0.0:
-        return SignedLogDet.zero()
-    work = a / scales[:, None]
-    if _singular_to_working_precision(_lapack("svd", work, compute_uv=False)):
-        return SignedLogDet.zero()
+    scales = np.max(np.abs(a), axis=-1)
+    empty_row = (scales == 0.0).any(axis=-1)
+    scales = np.where(scales == 0.0, 1.0, scales)
+    work = a / scales[..., None]
+    zero = empty_row | _singular_to_working_precision(_lapack("svd", work, compute_uv=False))
     sign, log_mag = np.linalg.slogdet(work)
-    return SignedLogDet(complex(sign), float(log_mag) + float(np.sum(np.log(scales))))
+    log_mag = log_mag + np.sum(np.log(scales), axis=-1)
+    if a.ndim == 2:
+        return SignedLogDet.zero() if zero else SignedLogDet(complex(sign), float(log_mag))
+    return [SignedLogDet.zero() if z else SignedLogDet(complex(p), float(m))
+            for z, p, m in zip(zero.ravel(), sign.ravel(), log_mag.ravel())]
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +317,14 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and unitary eigenvectors of a Hermitian matrix.
 
     The input must be Hermitian within ``HERMITIAN_REL * ||a||_F``, tested
-    on the exact quotient of :func:`_unit_scaled`; its Hermitian part,
+    on the exact quotient of :func:`_unit_masses`; its Hermitian part,
     halved before the sum so that nothing overflows, goes to LAPACK
     (``numpy.linalg.eigh``).
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
-    (unit,), s = _unit_scaled([a])
-    norm = frobenius_norm(unit)
-    deviation = frobenius_norm(unit - unit.conj().T)
+    s, norm, deviation = _unit_masses(a, _anti_hermitian)
+    s = float(s)
     if deviation > HERMITIAN_REL * norm:
         raise NotHermitianError(f"matrix deviates from Hermitian by {s * deviation:.3e} "
                                 f"(allowed {s * HERMITIAN_REL * norm:.3e})")
@@ -306,19 +333,21 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values, non-increasing, from LAPACK's SVD of ``a`` itself.
+    """Singular values, non-increasing, from LAPACK's SVD of ``a`` itself; of
+    a stack (..., m, n), one row per matrix, each bitwise that matrix's.
 
     a* a is never formed: its rounding would square the condition number, so
     a small singular value would carry an error near sqrt(eps) * sigma_max
     instead of eps * sigma_max.
     """
-    return _lapack("svd", as_matrix(a), compute_uv=False)
+    return _lapack("svd", as_matrix(a, stack=True), compute_uv=False)
 
 
-def _singular_to_working_precision(sigma: np.ndarray) -> bool:
+def _singular_to_working_precision(sigma: np.ndarray):
     """The zero rule of :func:`det` and the gate of :func:`schur_complement`:
-    the smallest singular value is at most ``PIVOT_REL`` times the largest."""
-    return float(sigma[-1]) <= PIVOT_REL * float(sigma[0])
+    the smallest singular value is at most ``PIVOT_REL`` times the largest
+    (per row of a stack of singular values)."""
+    return sigma[..., -1] <= PIVOT_REL * sigma[..., 0]
 
 
 def general_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -394,18 +423,15 @@ def predicates(a: np.ndarray) -> MatrixPredicates:
     least ``-PSD_REL * sigma_max``; the eigenvalues are those of the
     Hermitian part (a + a*) / 2, which passes the eigensolver's tighter gate
     exactly.  The structural tests are scale-invariant and run on the exact
-    quotient of :func:`_unit_scaled`, where no norm or product overflows.
+    quotient of :func:`_unit_masses`, where no norm or product overflows.
     """
     a = as_matrix(a)
     _require_square(a, "predicates")
-    (unit,), _ = _unit_scaled([a])
-    norm = frobenius_norm(unit)
-    is_hermitian = frobenius_norm(unit - unit.conj().T) <= PREDICATE_REL * norm
-    is_symmetric = frobenius_norm(unit - unit.T) <= PREDICATE_REL * norm
-    commutator = unit @ unit.conj().T - unit.conj().T @ unit
-    is_normal = frobenius_norm(commutator) <= PREDICATE_REL * norm * norm
-    lower = unit[np.tri(*unit.shape, k=-1, dtype=bool)]
-    is_upper_triangular = frobenius_norm(lower) <= PREDICATE_REL * norm
+    _, norm, *masses = _unit_masses(a, _anti_hermitian, _asymmetry, lambda u: np.tril(u, -1),
+                                    lambda u: u @ u.conj().T - u.conj().T @ u)
+    is_hermitian, is_symmetric, is_upper_triangular = (
+        mass <= PREDICATE_REL * norm for mass in masses[:3])
+    is_normal = masses[3] <= PREDICATE_REL * norm * norm
     is_psd, min_eigenvalue = False, None
     if is_hermitian:
         w, _ = hermitian_eigensystem(a / 2.0 + a.conj().T / 2.0)

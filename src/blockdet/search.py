@@ -10,6 +10,9 @@ which makes "the fuzzer finds a violation" deterministic instead of lucky.
 The draw is the search's input boundary: under an ``entry_bound`` each
 drawn block is checked finite once; the blocks then reach the checker
 uncopied and read-only, and only a recheck re-splits a witness's matrices.
+A search draws its trials a chunk at a time; an id with a batched evaluator
+scores the chunk as stacks, and only the trials it is not sure of reach the
+checker, whose reports are the ones a search records.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ from .checks import (
     check_thm2,
     check_thm3,
     check_weyl,
+    _batch_cor_c0,
+    _batch_drury,
+    _batch_thm1,
+    _batch_thm2,
+    _batch_thm3,
     _json_value,
 )
 from .linalg import (
@@ -317,6 +325,10 @@ class Inequality:
     ``precondition_failed`` off its hypothesis unless the parameter
     ``allow_hypothesis_violation`` is set, and only then is a violation
     expected.
+    ``batch``, when set, is the batched evaluator :meth:`score` calls: it
+    takes what the checker takes, with a list of all the trials' inputs in
+    place of the first argument, and returns each trial's margin and where
+    the checker's verdict is sure to be ``holds_strict``.
     """
 
     id: str
@@ -327,6 +339,7 @@ class Inequality:
     transform: Callable[[np.ndarray], np.ndarray] | None = None
     refutable: bool = False
     hypothesis_gate: bool = False
+    batch: Callable | None = None
 
     def call_params(self, r: int | None, p: float | None = None,
                     allow_hypothesis_violation: bool = False) -> dict:
@@ -361,12 +374,8 @@ class Inequality:
             mats = (mat,)
         return Witness(self.id, spec.seed, trial_index, params, mats), family
 
-    def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL,
-              family: BlockFamily | None = None) -> CheckReport:
-        """Check ``witness``; a block shape splits its matrices at ``r``
-        unless ``family``, the blocks they were assembled from, is given."""
-        # looked up per call, so a wrapper put on this module's name is the one called
-        checker = globals()[f"check_{self.id}"]
+    def _args(self, witness: Witness, family: BlockFamily | None) -> tuple:
+        """The checker's arguments before ``tol``."""
         params = witness.params
         if self.shape == "matrix":
             args: tuple = (witness.matrices[0],)
@@ -380,10 +389,26 @@ class Inequality:
             args = (family,) if self.shape == "family" else (family.members[0],)
         if self.default_p is not None:
             args += (float(params["p"]),)
+        return args
+
+    def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL,
+              family: BlockFamily | None = None) -> CheckReport:
+        """Check ``witness``; a block shape splits its matrices at ``r``
+        unless ``family``, the blocks they were assembled from, is given."""
+        # looked up per call, so a wrapper put on this module's name is the one called
+        checker = globals()[f"check_{self.id}"]
+        args = self._args(witness, family)
         if self.hypothesis_gate:
-            allow = bool(params.get("allow_hypothesis_violation", False))
+            allow = bool(witness.params.get("allow_hypothesis_violation", False))
             return checker(*args, tol, allow_hypothesis_violation=allow)
         return checker(*args, tol)
+
+    def score(self, drawn: list[tuple[Witness, BlockFamily | None]],
+              tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`batch` on drawn trials of one search: each trial's margin,
+        and where its checker's verdict is sure to be ``holds_strict``."""
+        args = [self._args(witness, family) for witness, family in drawn]
+        return self.batch([a[0] for a in args], *args[0][1:], tol)
 
     def expects_violation(self, params: dict) -> bool:
         """Whether a search with these parameters should record a violation."""
@@ -394,15 +419,15 @@ class Inequality:
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("fischer", "matrix", needs_r=True, transform=_gram),
-    Inequality("thm1", "family", files=(1, None), needs_r=True),
-    Inequality("cor_c0", "member", needs_r=True),
+    Inequality("thm1", "family", files=(1, None), needs_r=True, batch=_batch_thm1),
+    Inequality("cor_c0", "member", needs_r=True, batch=_batch_cor_c0),
     Inequality("cor_c1", "family", files=(1, None), needs_r=True, refutable=True,
                hypothesis_gate=True),
     Inequality("lemma1", "matrix"),
     Inequality("djokovic", "matrix"),
-    Inequality("thm2", "member", needs_r=True),
-    Inequality("drury", "matrix", transform=np.triu),
-    Inequality("thm3", "member", needs_r=True, default_p=2.0),
+    Inequality("thm2", "member", needs_r=True, batch=_batch_thm2),
+    Inequality("drury", "matrix", transform=np.triu, batch=_batch_drury),
+    Inequality("thm3", "member", needs_r=True, default_p=2.0, batch=_batch_thm3),
     Inequality("weyl", "matrix"),
     Inequality("log_major", "spectra", default_p=2.0),
     Inequality("schur_identity", "matrix", needs_r=True),
@@ -603,6 +628,48 @@ class SearchReport:
         }
 
 
+# Trials drawn and scored together: a search holds at most this many drawn
+# trials at once, whatever its trial count.
+_CHUNK = 64
+
+
+def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Tolerances,
+              call_params: dict, inject_paper_witness: bool):
+    """(trial, witness, report, margin, verdict) for each trial, in order.
+
+    Trials are drawn a chunk at a time, each from its own stream, and scored
+    by the batched evaluator where there is one.  A trial it is not sure of
+    goes to the checker, whose report is the one returned; a sure one has no
+    report.  A draw that raises is raised once the trials before it are out.
+    """
+    draw_spec = ineq.draw_spec(spec)
+    for start in range(0, max_trials, _CHUNK):
+        drawn, draw_error = [], None
+        for trial in range(start, min(start + _CHUNK, max_trials)):
+            try:
+                if trial == 0 and inject_paper_witness and ineq.refutable:
+                    drawn.append((_paper_witness(ineq.id, call_params), None))
+                else:
+                    drawn.append(ineq.draw(draw_spec, trial, dict(call_params)))
+            except Exception as err:
+                draw_error = err
+                break
+        sure = np.zeros(len(drawn), dtype=bool)
+        if ineq.batch is not None and len(drawn) > 1:
+            try:
+                margins, sure = ineq.score(drawn, tol)
+            except ValueError:   # left to the checkers, which raise it at its own trial
+                pass
+        for i, (witness, family) in enumerate(drawn):
+            if sure[i]:
+                yield start + i, witness, None, float(margins[i]), Verdict.HOLDS_STRICT
+            else:
+                report = ineq.check(witness, tol, family)
+                yield start + i, witness, report, report.margin, report.verdict
+        if draw_error is not None:
+            raise draw_error
+
+
 def _run_trials(
     spec: GeneratorSpec,
     predicate_id: str,
@@ -617,7 +684,6 @@ def _run_trials(
     if max_trials < 1:
         raise ValueError(f"trial count must be >= 1, got {max_trials}")
     ineq = INEQUALITIES[predicate_id]
-    draw_spec = ineq.draw_spec(spec)
     call_params = ineq.call_params(spec.r)
     if params:
         call_params.update(params)
@@ -628,26 +694,19 @@ def _run_trials(
     min_pos_trial = None
     min_pos_witness = None
     ran = 0
-    for trial in range(max_trials):
-        witness, family = None, None
-        if trial == 0 and inject_paper_witness and ineq.refutable:
-            witness = _paper_witness(predicate_id, call_params)
-        if witness is None:
-            witness, family = ineq.draw(draw_spec, trial, dict(call_params))
-        report = ineq.check(witness, tol, family)
+    for trial, witness, report, margin, verdict in _outcomes(
+            ineq, spec, max_trials, tol, call_params, inject_paper_witness):
         ran += 1
-        if report.verdict is not Verdict.PRECONDITION_FAILED:
-            margin = report.margin
-            if math.isfinite(margin):
-                if min_margin is None or margin < min_margin:
-                    min_margin = margin
-                    min_margin_trial = trial
-                if report.verdict is Verdict.HOLDS_STRICT and margin > 0.0:
-                    if min_pos is None or margin < min_pos:
-                        min_pos = margin
-                        min_pos_trial = trial
-                        min_pos_witness = witness
-        if report.verdict is Verdict.VIOLATED:
+        if verdict is not Verdict.PRECONDITION_FAILED and math.isfinite(margin):
+            if min_margin is None or margin < min_margin:
+                min_margin = margin
+                min_margin_trial = trial
+            if verdict is Verdict.HOLDS_STRICT and margin > 0.0:
+                if min_pos is None or margin < min_pos:
+                    min_pos = margin
+                    min_pos_trial = trial
+                    min_pos_witness = witness
+        if verdict is Verdict.VIOLATED:
             violations.append(ViolationRecord(trial, spec.seed, witness, report))
             if stop_on_first:
                 break

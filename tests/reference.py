@@ -10,10 +10,14 @@ import numpy as np
 
 from blockdet.linalg import (
     PSD_REL,
-    NotPositiveSemidefiniteError,
+    LinalgError,
     as_matrix,
     hermitian_eigensystem,
 )
+
+
+class NotPositiveSemidefiniteError(LinalgError):
+    """Eigenvalue more negative than the PSD clamp window admits."""
 
 
 def matrix_power_psd(p_matrix: np.ndarray, p: float) -> np.ndarray:

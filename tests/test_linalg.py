@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import exact
-from reference import matrix_power_psd
+from reference import NotPositiveSemidefiniteError, matrix_power_psd
 from blockdet.linalg import (
     DEFAULT_TOL,
     HERMITIAN_REL,
@@ -23,7 +23,6 @@ from blockdet.linalg import (
     LinalgError,
     MatrixFormatError,
     NotHermitianError,
-    NotPositiveSemidefiniteError,
     ShapeError,
     SignedLogDet,
     SingularBlockError,

@@ -2,12 +2,21 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blockdet.checks import Verdict, check_cor_c0, check_lemma1
-from blockdet.linalg import LinalgError, ShapeError, frobenius_norm, predicates
+from blockdet import search
+from blockdet.checks import BlockFamily, Verdict, check_cor_c0, check_lemma1
+from blockdet.linalg import (
+    DEFAULT_TOL,
+    BlockUpperTriangular,
+    LinalgError,
+    ShapeError,
+    frobenius_norm,
+    predicates,
+)
 from blockdet.search import (
     FAMILIES,
     INEQUALITIES,
@@ -21,6 +30,7 @@ from blockdet.search import (
     reproduce_paper_example,
     search_violations,
     sharpness_probe,
+    _CHUNK,
 )
 
 
@@ -242,6 +252,137 @@ def test_all_predicates_run_one_trial():
     for predicate in PREDICATE_IDS:
         report = search_violations(spec, predicate, 2)
         assert report.trials >= 1
+
+
+# ---------------------------------------------------------------------------
+# the batched trial engine
+
+_CRITERION_4_SIZES = ((4, 2, 2), (6, 3, 3), (8, 4, 4), (8, 2, 1), (5, 1, 4))   # (n, r, m)
+_BATCHED = [("thm1", None), ("cor_c0", None), ("thm2", None), ("drury", None)] + [
+    ("thm3", {"p": p}) for p in (1.0, 1.5, 2.0, 3.0)]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _drawn(ineq, spec, trials, params):
+    call_params = ineq.call_params(spec.r)
+    call_params.update(params or {})
+    return [ineq.draw(ineq.draw_spec(spec), trial, dict(call_params)) for trial in range(trials)]
+
+
+# all-zero blocks (bound 0) and 0/1 triangular ones: rank-deficient stacks, Y = 0,
+# flagged-zero sides
+_DEGENERATE = (GeneratorSpec(family="integer_uniform", n=4, r=2, m=2, entry_bound=0, seed=1),
+               GeneratorSpec(family="upper_triangular", n=5, r=2, m=3, entry_bound=(0, 1), seed=2))
+
+
+@pytest.mark.parametrize("ineq_id, params", _BATCHED)
+def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params):
+    ineq = INEQUALITIES[ineq_id]
+    specs = [GeneratorSpec(family=family, n=n, r=r, m=m, seed=17 * n + m)
+             for family in FAMILIES for n, r, m in _CRITERION_4_SIZES] + list(_DEGENERATE)
+    clear_trials = 0
+    for spec in specs:
+        drawn = _drawn(ineq, spec, 6, params)
+        margins, clear = ineq.score(drawn, DEFAULT_TOL)
+        for i, (witness, family) in enumerate(drawn):
+            report = ineq.check(witness, DEFAULT_TOL, family)
+            where = (spec, i, report.verdict, report.margin, margins[i])
+            if not (report.lhs.is_zero or report.rhs.is_zero):
+                assert _bits(margins[i]) == _bits(report.margin), where
+            if clear[i]:
+                assert report.verdict is Verdict.HOLDS_STRICT, where
+                assert _bits(margins[i]) == _bits(report.margin), where
+                clear_trials += 1
+    assert clear_trials > 0
+
+
+def test_a_flagged_zero_side_is_left_to_the_checker():
+    # Z = 0 in both members, while [T1; T2] has full rank: thm1's rhs is zero, margin +inf
+    family = BlockFamily((BlockUpperTriangular([[1.0]], [[3.0]], [[0.0]]),
+                          BlockUpperTriangular([[2.0]], [[-1.0]], [[0.0]])))
+    _, clear = INEQUALITIES["thm1"].batch([family, family], DEFAULT_TOL)
+    assert not clear.any()
+    assert search.check_thm1(family).margin == np.inf
+
+
+def _scalar_record(monkeypatch, ineq_id):
+    """Make a search of ``ineq_id`` check every trial with its checker alone."""
+    monkeypatch.setitem(INEQUALITIES, ineq_id, replace(INEQUALITIES[ineq_id], batch=None))
+
+
+@pytest.mark.parametrize("ineq_id, params", _BATCHED)
+def test_one_chunk_plus_one_trials_report_as_the_scalar_loop(ineq_id, params, monkeypatch):
+    spec = GeneratorSpec(family="gaussian", n=5, r=2, m=2, seed=77)
+    runs = [search_violations(spec, ineq_id, _CHUNK + 1, params=params),
+            sharpness_probe(spec, ineq_id, _CHUNK + 1, params=params)]
+    _scalar_record(monkeypatch, ineq_id)
+    scalar = [search_violations(spec, ineq_id, _CHUNK + 1, params=params),
+              sharpness_probe(spec, ineq_id, _CHUNK + 1, params=params)]
+    assert runs[0].trials == _CHUNK + 1
+    assert [r.to_json_dict() for r in runs] == [r.to_json_dict() for r in scalar]
+
+
+@pytest.mark.parametrize("ineq_id", ["thm1", "cor_c0", "thm2", "drury", "thm3"])
+def test_degenerate_draws_batch_without_warnings_as_the_scalar_loop(ineq_id, monkeypatch):
+    # pytest turns any RuntimeWarning, such as log(0) on a rank-deficient stack, into an error
+    runs = [search_violations(spec, ineq_id, 12).to_json_dict() for spec in _DEGENERATE]
+    _scalar_record(monkeypatch, ineq_id)
+    assert runs == [search_violations(spec, ineq_id, 12).to_json_dict() for spec in _DEGENERATE]
+
+
+def _force_violation(monkeypatch, spec, target, batched):
+    """cor_c0 reads ``violated`` on the member drawn at trial ``target``.
+
+    The checker is wrapped to say so; with ``batched``, a test-only evaluator
+    marks every other trial as sure to hold, so only that trial reaches it.
+    """
+    bad_x = generate_block_family(spec, target).members[0].x
+    real_check = search.check_cor_c0
+
+    def check(t, tol=DEFAULT_TOL):
+        report = real_check(t, tol)
+        return replace(report, verdict=Verdict.VIOLATED) if np.array_equal(t.x, bad_x) else report
+
+    def evaluator(members, tol):
+        margins = np.array([real_check(m, tol).margin for m in members])
+        return margins, np.array([not np.array_equal(m.x, bad_x) for m in members])
+
+    monkeypatch.setattr(search, "check_cor_c0", check)
+    monkeypatch.setitem(INEQUALITIES, "cor_c0",
+                        replace(INEQUALITIES["cor_c0"], batch=evaluator if batched else None))
+
+
+def test_stop_on_first_mid_chunk_counts_trials_as_the_scalar_loop(monkeypatch):
+    spec = GeneratorSpec(family="gaussian", n=4, r=2, m=1, seed=8)
+    reports = []
+    for batched in (True, False):
+        _force_violation(monkeypatch, spec, 5, batched)
+        report = search_violations(spec, "cor_c0", 20, stop_on_first=True)
+        assert report.trials == 6
+        assert [v.trial_index for v in report.violations] == [5]
+        assert search_violations(spec, "cor_c0", 20).trials == 20
+        reports.append(report.to_json_dict())
+    assert reports[0] == reports[1]
+
+
+def test_a_draw_that_raises_is_raised_only_when_the_loop_reaches_it(monkeypatch):
+    # trials 0-6 draw finite entries near 1e308; trial 7's draw overflows
+    spec = GeneratorSpec(family="gaussian", n=2, r=1, m=1, entry_bound=1e308, seed=11)
+    with pytest.raises(LinalgError, match="seed 11, trial 7: entry_bound"):
+        search_violations(spec, "cor_c0", 12)
+    assert search_violations(spec, "cor_c0", 7).trials == 7
+    for batched in (True, False):
+        _force_violation(monkeypatch, spec, 3, batched)
+        report = search_violations(spec, "cor_c0", 12, stop_on_first=True)
+        assert report.trials == 4
+        with pytest.raises(LinalgError, match="trial 7"):
+            search_violations(spec, "cor_c0", 12)
+    # an id without an evaluator: the published witness stops the search at trial 0
+    e21 = GeneratorSpec(family="gaussian", n=4, r=2, entry_bound=1e308, seed=11)
+    assert search_violations(e21, "e21", 12, stop_on_first=True).trials == 1
 
 
 # ---------------------------------------------------------------------------
