@@ -285,7 +285,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _sld(log_magnitude, is_zero) -> SignedLogDet:
-    """One positive determinant of a side computed as a stack, from its log."""
+    """A side's positive determinant from its log magnitude, or the flagged zero."""
     return SignedLogDet.zero() if is_zero else SignedLogDet.from_log(float(log_magnitude))
 
 
@@ -364,7 +364,7 @@ def _det_conj_product_sum(xs: list[np.ndarray]) -> SignedLogDet:
 
 
 def _is_symmetric(a: np.ndarray):
-    """The symmetry test of :func:`predicates`, per matrix of a stack."""
+    """The symmetry test of :func:`predicates`, on a matrix or per matrix of a stack."""
     _, norm, asymmetry = _unit_masses(a, _asymmetry)
     return asymmetry <= PREDICATE_REL * norm
 
@@ -420,8 +420,9 @@ def _thm1_sides(families: list[BlockFamily]) -> list[tuple[np.ndarray, np.ndarra
     """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of each
     family, all flagged against the T stack's rank floor."""
     sigma_t, floor = _stack_gram(families, BlockUpperTriangular.assemble)
-    return [_log_det_grams(sigma, floor) for sigma in (
-        sigma_t, _stack_gram(families, attrgetter("x"))[0], _stack_gram(families, attrgetter("z"))[0])]
+    sigma_x = _stack_gram(families, attrgetter("x"))[0]
+    sigma_z = _stack_gram(families, attrgetter("z"))[0]
+    return [_log_det_grams(sigma, floor) for sigma in (sigma_t, sigma_x, sigma_z)]
 
 
 def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
@@ -500,8 +501,8 @@ def check_cor_c1(
     normal = all(
         predicates(m.x).is_normal and predicates(m.z).is_normal for m in family.members
     )
-    lhs = _sld(*(v[0] for v in _log_det_grams(*_stack_gram([family],
-                                                            BlockUpperTriangular.assemble))))
+    log_gram, gram_zero = _log_det_grams(*_stack_gram([family], BlockUpperTriangular.assemble))
+    lhs = _sld(log_gram[0], gram_zero[0])
     inner_x = _det_conj_product_sum([m.x for m in family.members])
     inner_z = _det_conj_product_sum([m.z for m in family.members])
     rhs = inner_x.abs() * inner_z.abs()
@@ -557,7 +558,7 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     symmetric = bool(asymmetry <= PREDICATE_REL * norm)
     diagnostics = (
         Finding("is_symmetric", symmetric),
-        Finding("asymmetry_frobenius", float(s) * asymmetry),
+        Finding("asymmetry_frobenius", float(s) * float(asymmetry)),
     )
     return _report("lemma1", lhs, rhs, tol, diagnostics, structural_equality=symmetric)
 
@@ -787,7 +788,7 @@ def _batch_thm1(families: list[BlockFamily], tol: Tolerances) -> tuple[np.ndarra
 
 
 def _batch_thm3(members: list[BlockUpperTriangular], p: float,
-               tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     _require_exponent(p)
     t, lhs, rhs = _abs_power_sides(members, p)
     margin = lhs - rhs
@@ -795,12 +796,12 @@ def _batch_thm3(members: list[BlockUpperTriangular], p: float,
 
 
 def _batch_cor_c0(members: list[BlockUpperTriangular],
-                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return _batch_thm3(members, 2.0, tol)
 
 
 def _batch_thm2(members: list[BlockUpperTriangular],
-               tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     t, lhs, det_x, det_z = _thm2_sides(members)
     rhs = np.array([dx.log_magnitude + dz.log_magnitude for dx, dz in zip(det_x, det_z)])
     rhs_zero = np.array([dx.is_zero or dz.is_zero for dx, dz in zip(det_x, det_z)])

@@ -144,24 +144,23 @@ def _require_square(a: np.ndarray, what: str) -> None:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
 
 
-def frobenius_norm(a: np.ndarray):
-    """sqrt of the sum of squared entry moduli; equals sqrt(tr a* a).  Of a
-    stack (..., m, n), an array with the norm of each matrix.
+def frobenius_norm(a: np.ndarray) -> float:
+    """sqrt of the sum of squared entry moduli; equals sqrt(tr a* a).
 
     Accumulated with ``hypot``, so squaring large entries never overflows.
     """
-    if np.ndim(a) > 2:
-        return np.hypot.reduce(np.abs(a), axis=(-2, -1))
     return float(np.hypot.reduce(np.abs(a), axis=None))
 
 
 def _power_of_two_above(v):
-    """A power of two above ``v``, or 1 if ``v <= 1``; elementwise on arrays.
+    """A power of two above ``v``, or 1 if ``v <= 1``; elementwise on an array.
 
     Dividing by a power of two is exact, so scaling by it changes no digit.
     The power is capped at 2^1023, the largest finite one, so a ``v`` in
     [2^1023, DBL_MAX] is scaled to below 2.
     """
+    if isinstance(v, float):   # math is several times faster than numpy on one value
+        return math.ldexp(1.0, min(math.frexp(v)[1], 1023)) if v > 1.0 else 1.0
     return np.where(v > 1.0, np.ldexp(1.0, np.minimum(np.frexp(v)[1], 1023)), 1.0)
 
 
@@ -172,30 +171,27 @@ def _unit_scaled(mats: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
     The division is exact.  No entry of a quotient exceeds 2 in modulus, so
     no Frobenius norm and no Gram-type sum of them overflows.
     """
-    s = float(_power_of_two_above(max(float(np.abs(m).max()) for m in mats)))
+    s = _power_of_two_above(max(float(np.abs(m).max()) for m in mats))
     return ([m / s for m in mats] if s > 1.0 else list(mats)), s
 
 
 def _unit_masses(a: np.ndarray, *parts) -> tuple:
     """For a matrix, or each matrix A of a stack: s, the power of two above
     its largest entry modulus, ||A/s||_F, and ||part(A/s)||_F for each of
-    ``parts``.
+    ``parts``, each the :func:`frobenius_norm` of that matrix.
 
     The division is exact and no norm of the quotient overflows, so the
     relative structural gates on these masses decide alike at every
     magnitude.
     """
     s = _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
-    unit = a / s[..., None, None]
-    return (s, frobenius_norm(unit)) + tuple(frobenius_norm(part(unit)) for part in parts)
+    unit = a / np.asarray(s)[..., None, None]
+    return (s,) + tuple(np.hypot.reduce(np.abs(m), axis=(-2, -1))
+                        for m in (unit,) + tuple(part(unit) for part in parts))
 
 
 def _asymmetry(u: np.ndarray) -> np.ndarray:
     return u - np.swapaxes(u, -1, -2)
-
-
-def _anti_hermitian(u: np.ndarray) -> np.ndarray:
-    return u - np.swapaxes(u, -1, -2).conj()
 
 
 def _lapack(routine: str, a: np.ndarray, **kwargs):
@@ -297,10 +293,9 @@ def det(a: np.ndarray):
     a = as_matrix(a, stack=True)
     _require_square(a, "det")
     scales = np.max(np.abs(a), axis=-1)
-    empty_row = (scales == 0.0).any(axis=-1)
-    scales = np.where(scales == 0.0, 1.0, scales)
+    scales[scales == 0.0] = 1.0   # an all-zero row stays zero, and the rule flags it
     work = a / scales[..., None]
-    zero = empty_row | _singular_to_working_precision(_lapack("svd", work, compute_uv=False))
+    zero = _singular_to_working_precision(_lapack("svd", work, compute_uv=False))
     sign, log_mag = np.linalg.slogdet(work)
     log_mag = log_mag + np.sum(np.log(scales), axis=-1)
     if a.ndim == 2:
@@ -317,14 +312,15 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and unitary eigenvectors of a Hermitian matrix.
 
     The input must be Hermitian within ``HERMITIAN_REL * ||a||_F``, tested
-    on the exact quotient of :func:`_unit_masses`; its Hermitian part,
+    on the exact quotient of :func:`_unit_scaled`; its Hermitian part,
     halved before the sum so that nothing overflows, goes to LAPACK
     (``numpy.linalg.eigh``).
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
-    s, norm, deviation = _unit_masses(a, _anti_hermitian)
-    s = float(s)
+    (unit,), s = _unit_scaled([a])
+    norm = frobenius_norm(unit)
+    deviation = frobenius_norm(unit - unit.conj().T)
     if deviation > HERMITIAN_REL * norm:
         raise NotHermitianError(f"matrix deviates from Hermitian by {s * deviation:.3e} "
                                 f"(allowed {s * HERMITIAN_REL * norm:.3e})")
@@ -423,15 +419,18 @@ def predicates(a: np.ndarray) -> MatrixPredicates:
     least ``-PSD_REL * sigma_max``; the eigenvalues are those of the
     Hermitian part (a + a*) / 2, which passes the eigensolver's tighter gate
     exactly.  The structural tests are scale-invariant and run on the exact
-    quotient of :func:`_unit_masses`, where no norm or product overflows.
+    quotient of :func:`_unit_scaled`, where no norm or product overflows.
     """
     a = as_matrix(a)
     _require_square(a, "predicates")
-    _, norm, *masses = _unit_masses(a, _anti_hermitian, _asymmetry, lambda u: np.tril(u, -1),
-                                    lambda u: u @ u.conj().T - u.conj().T @ u)
-    is_hermitian, is_symmetric, is_upper_triangular = (
-        mass <= PREDICATE_REL * norm for mass in masses[:3])
-    is_normal = masses[3] <= PREDICATE_REL * norm * norm
+    (unit,), _ = _unit_scaled([a])
+    norm = frobenius_norm(unit)
+    is_hermitian = frobenius_norm(unit - unit.conj().T) <= PREDICATE_REL * norm
+    is_symmetric = frobenius_norm(unit - unit.T) <= PREDICATE_REL * norm
+    commutator = unit @ unit.conj().T - unit.conj().T @ unit
+    is_normal = frobenius_norm(commutator) <= PREDICATE_REL * norm * norm
+    lower = unit[np.tri(*unit.shape, k=-1, dtype=bool)]
+    is_upper_triangular = frobenius_norm(lower) <= PREDICATE_REL * norm
     is_psd, min_eigenvalue = False, None
     if is_hermitian:
         w, _ = hermitian_eigensystem(a / 2.0 + a.conj().T / 2.0)

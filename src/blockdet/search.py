@@ -654,7 +654,7 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
             except Exception as err:
                 draw_error = err
                 break
-        sure = np.zeros(len(drawn), dtype=bool)
+        sure = [False] * len(drawn)
         if ineq.batch is not None and len(drawn) > 1:
             try:
                 margins, sure = ineq.score(drawn, tol)
