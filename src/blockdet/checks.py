@@ -614,8 +614,8 @@ def _thm2_sides(members: list[BlockUpperTriangular]) -> tuple:
     each member."""
     t = np.array([m.assemble() for m in members])
     lhs = _log1p_pow(singular_values(t), 2.0).sum(axis=-1)
-    return (t, lhs, det(_bordered(np.array([m.x for m in members]))),
-            det(_bordered(np.array([m.z for m in members]))))
+    return (t, lhs, [det(b) for b in _bordered(np.array([m.x for m in members]))],
+            [det(b) for b in _bordered(np.array([m.z for m in members]))])
 
 
 def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:

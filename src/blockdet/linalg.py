@@ -10,8 +10,8 @@ plain ``numpy`` arrays of ``complex128``.  This module owns:
 * one spectral route, numpy's LAPACK bindings: Hermitian eigensystems,
   general eigenvalues, singular values of the unsquared input and ``|A|``,
   with LAPACK non-convergence reported as
-  :class:`ConvergenceError`; :func:`det` and :func:`singular_values` also
-  take a stack of matrices,
+  :class:`ConvergenceError`; :func:`singular_values` also takes a stack of
+  matrices,
 * Schur complements,
 * structural predicates (Hermitian / PSD / normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
@@ -279,7 +279,7 @@ class SignedLogDet:
         return self.log_magnitude - other.log_magnitude
 
 
-def det(a: np.ndarray):
+def det(a: np.ndarray) -> SignedLogDet:
     """Determinant in signed-log form, from LAPACK's LU (``numpy.linalg.slogdet``).
 
     Each row is first divided by its largest entry modulus and the logs of
@@ -287,21 +287,18 @@ def det(a: np.ndarray):
     magnitude.  The zero flag is raised for an all-zero row, or when the
     equilibrated matrix is singular to working precision by the rule of the
     Schur gate (:func:`_singular_to_working_precision`); one large row
-    therefore cannot make the others look singular.  A stack (N, n, n)
-    gives a list of N results, each bitwise the determinant of its matrix.
+    therefore cannot make the others look singular.
     """
-    a = as_matrix(a, stack=True)
+    a = as_matrix(a)
     _require_square(a, "det")
-    scales = np.max(np.abs(a), axis=-1)
-    scales[scales == 0.0] = 1.0   # an all-zero row stays zero, and the rule flags it
-    work = a / scales[..., None]
-    zero = _singular_to_working_precision(_lapack("svd", work, compute_uv=False))
+    scales = np.max(np.abs(a), axis=1)
+    if scales.min() == 0.0:
+        return SignedLogDet.zero()
+    work = a / scales[:, None]
+    if _singular_to_working_precision(_lapack("svd", work, compute_uv=False)):
+        return SignedLogDet.zero()
     sign, log_mag = np.linalg.slogdet(work)
-    log_mag = log_mag + np.sum(np.log(scales), axis=-1)
-    if a.ndim == 2:
-        return SignedLogDet.zero() if zero else SignedLogDet(complex(sign), float(log_mag))
-    return [SignedLogDet.zero() if z else SignedLogDet(complex(p), float(m))
-            for z, p, m in zip(zero.ravel(), sign.ravel(), log_mag.ravel())]
+    return SignedLogDet(complex(sign), float(log_mag) + float(np.sum(np.log(scales))))
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +336,10 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return _lapack("svd", as_matrix(a, stack=True), compute_uv=False)
 
 
-def _singular_to_working_precision(sigma: np.ndarray):
+def _singular_to_working_precision(sigma: np.ndarray) -> bool:
     """The zero rule of :func:`det` and the gate of :func:`schur_complement`:
-    the smallest singular value is at most ``PIVOT_REL`` times the largest
-    (per row of a stack of singular values)."""
-    return sigma[..., -1] <= PIVOT_REL * sigma[..., 0]
+    the smallest singular value is at most ``PIVOT_REL`` times the largest."""
+    return float(sigma[-1]) <= PIVOT_REL * float(sigma[0])
 
 
 def general_eigenvalues(a: np.ndarray) -> np.ndarray:
