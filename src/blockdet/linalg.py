@@ -140,7 +140,7 @@ def as_matrix(data, stack: bool = False) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray, what: str) -> None:
-    if a.shape[-2] != a.shape[-1]:
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
 
 
