@@ -47,9 +47,11 @@ from .linalg import (
     predicates,
     schur_complement,
     singular_values,
+    _FLOAT_MAX,
     _power_of_two_above,
     _asymmetry,
     _require_square,
+    _strict_lower,
     _unit_masses,
     _unit_scaled,
 )
@@ -208,9 +210,10 @@ class BlockFamily:
 # Verdict machinery
 
 
-def _eq_window(lhs: SignedLogDet, tol: Tolerances) -> float:
-    anchor = abs(lhs.log_magnitude) if not lhs.is_zero else 0.0
-    return tol.eq_rel * max(1.0, anchor)
+def _eq_window(log_lhs, tol: Tolerances):
+    """The equality window around a margin whose lhs has log magnitude
+    ``log_lhs`` (0 for a zero lhs), for one margin or elementwise."""
+    return tol.eq_rel * np.maximum(1.0, np.abs(log_lhs))
 
 
 def _report(
@@ -244,11 +247,14 @@ def _report(
     violation; a ``structural_numeric_mismatch`` or
     ``margin_within_equality_band`` finding is added when the numeric
     classification disagrees.
+
+    :func:`_clearly_holds` restates the ``holds_strict`` branch for the
+    batched evaluators; a change to these branches changes it too.
     """
     if margin is None:
         margin = lhs.log_ratio(rhs)
     windowed = margin if value is None else value
-    eps = _eq_window(lhs, tol)
+    eps = _eq_window(lhs.log_magnitude, tol)
     numeric_equality = abs(windowed) <= eps
     if precondition_failed:
         verdict = Verdict.PRECONDITION_FAILED
@@ -269,11 +275,15 @@ def _report(
     return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
 
 
-def _clearly_holds(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Where :func:`_report` answers ``holds_strict`` whatever structural
-    condition it is given, elementwise: a finite margin past the equality
-    window of a nonzero lhs with log magnitude ``lhs``."""
-    return np.isfinite(margin) & (margin > tol.eq_rel * np.maximum(1.0, np.abs(lhs)))
+def _clearly_holds(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances,
+                   unsure: np.ndarray) -> np.ndarray:
+    """Where :func:`_report` answers ``holds_strict``, elementwise, for a
+    checker that passes it no ``value``, ``identity_gap`` or ``phase_gap``:
+    a finite margin past the equality window of an lhs with log magnitude
+    ``lhs``.  ``unsure`` marks what the checker's own report must decide: a
+    side flagged zero, a structural equality condition that may hold, or a
+    failed precondition."""
+    return ~unsure & np.isfinite(margin) & (margin > _eq_window(lhs, tol))
 
 
 # Double-precision machine epsilon: a stack of blocks is numerically rank
@@ -281,7 +291,7 @@ def _clearly_holds(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances) -> np.n
 # max(rows, cols) * _EPS * sigma_max; computed spectra carry errors of
 # about _EPS * sigma_max.
 _EPS = float(np.finfo(float).eps)
-_FLOAT_MAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def _sld(log_magnitude, is_zero) -> SignedLogDet:
@@ -314,26 +324,44 @@ def _bordered(x: np.ndarray) -> np.ndarray:
     without forming conj(X) X, whose rounding (eps * sigma_max^2) would
     swamp the identity.
     """
-    eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape)
-    return np.concatenate([np.concatenate([eye, -x.conj()], axis=-1),
-                           np.concatenate([x, eye], axis=-1)], axis=-2)
+    k = x.shape[-1]
+    b = np.zeros(x.shape[:-2] + (2 * k, 2 * k), dtype=complex)
+    b[..., :k, k:] = -x.conj()
+    b[..., k:, :k] = x
+    diagonal = np.arange(2 * k)
+    b[..., diagonal, diagonal] = 1.0
+    return b
 
 
 def _log_det_grams(sigma: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
     """det(sum B_k* B_k) = prod sigma^2 over each stack's singular values (a
     row of ``sigma``): its log, and whether it is flagged zero, the smallest
-    singular value at or below ``floor``."""
-    zero = sigma[..., -1] <= floor
-    return 2.0 * np.sum(np.log(np.where(zero[..., None], 1.0, sigma)), axis=-1), zero
+    singular value at or below ``floor``.  The log of a flagged row is not
+    used; its zeros are raised to the smallest subnormal, so that no log(0)
+    warns, and no other value changes."""
+    return (2.0 * np.sum(np.log(np.maximum(sigma, _TINY)), axis=-1),
+            sigma[..., -1] <= floor)
 
 
-def _stack_gram(families: list[BlockFamily], block) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of each family's stack [B_1; ...; B_m], B_k the
-    ``block`` of member k, and its rank floor, max(rows, cols) * eps *
-    sigma_max: a stack whose smallest singular value is at or below it is
-    numerically rank deficient."""
-    b = np.array([[block(m) for m in family.members] for family in families])
-    stacked = b.reshape(len(families), -1, b.shape[-1])
+def _block_array(items, block) -> np.ndarray:
+    """``block`` of one member; of the members of a family or of a list,
+    along a new first axis; of the members of each family of a list, along
+    two new axes.  A checker passes one item and an evaluator a list, so
+    the checker's arrays are no stacks of one."""
+    if isinstance(items, BlockUpperTriangular):
+        return block(items)
+    if isinstance(items, BlockFamily):
+        return np.array([block(m) for m in items.members])
+    return np.array([_block_array(item, block) for item in items])
+
+
+def _stack_gram(families, block) -> tuple:
+    """Singular values of the stack [B_1; ...; B_m] of a family, or of each
+    family of a list, B_k the ``block`` of member k, and its rank floor,
+    max(rows, cols) * eps * sigma_max: a stack whose smallest singular value
+    is at or below it is numerically rank deficient."""
+    b = _block_array(families, block)
+    stacked = b.reshape(b.shape[:-3] + (-1, b.shape[-1]))
     sigma = singular_values(stacked)
     return sigma, max(stacked.shape[-2:]) * _EPS * sigma[..., 0]
 
@@ -411,14 +439,15 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     the claim is an identity), above that of Z.  The diagnostics flag a
     singular sum X_k* X_k, the case the proof handles by continuity.
     """
-    lhs, rhs_x, rhs_z = (_sld(log[0], zero[0]) for log, zero in _thm1_sides([family]))
+    lhs, rhs_x, rhs_z = (_sld(log, zero) for log, zero in _thm1_sides(family))
     diagnostics = (Finding("sum_xx_singular", bool(rhs_x.is_zero)),)
     return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics)
 
 
-def _thm1_sides(families: list[BlockFamily]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of each
-    family, all flagged against the T stack's rank floor."""
+def _thm1_sides(families) -> list[tuple]:
+    """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of a
+    family, or of each family of a list, all flagged against the T stack's
+    rank floor."""
     sigma_t, floor = _stack_gram(families, BlockUpperTriangular.assemble)
     sigma_x = _stack_gram(families, attrgetter("x"))[0]
     sigma_z = _stack_gram(families, attrgetter("z"))[0]
@@ -455,27 +484,29 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     )
 
 
-def _abs_power_sides(members: list[BlockUpperTriangular], p: float) -> tuple:
-    """The stack of T, log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p)
-    for each member, as products of 1 + sigma^p over the singular values of
-    the unsquared blocks (the spectral form of building |.| and then its
-    p-th power; the matrix route is pinned to this one by tests).  The
-    right side sums the terms of X and Z in one row."""
-    t = np.array([m.assemble() for m in members])
-    sigma = np.concatenate([singular_values(t), singular_values(np.array([m.x for m in members])),
-                            singular_values(np.array([m.z for m in members]))], axis=-1)
-    sums = _log1p_pow(sigma.reshape(len(members), 2, -1), p).sum(axis=-1)
-    return t, sums[:, 0], sums[:, 1]
+def _abs_power_sides(members, p: float) -> tuple:
+    """T, log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p) for a
+    member, or for each member of a list, as products of 1 + sigma^p over
+    the singular values of the unsquared blocks (the spectral form of
+    building |.| and then its p-th power; the matrix route is pinned to
+    this one by tests).  The right side sums the terms of X and Z in one
+    row."""
+    t = _block_array(members, BlockUpperTriangular.assemble)
+    sigma = np.concatenate([singular_values(t),
+                            singular_values(_block_array(members, attrgetter("x"))),
+                            singular_values(_block_array(members, attrgetter("z")))], axis=-1)
+    sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), p).sum(axis=-1)
+    return t, sums[..., 0], sums[..., 1]
 
 
 def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
                       tol: Tolerances, diagnostics: tuple[Finding, ...] = ()) -> CheckReport:
     """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0."""
-    stack, lhs, rhs = _abs_power_sides([t], p)
-    y_zero, s, y = _y_zero(stack, t.r)
-    return _report(inequality_id, _sld(lhs[0], False), _sld(rhs[0], False), tol,
-                   (Finding("y_frobenius", float(s[0]) * float(y[0])),) + diagnostics,
-                   structural_equality=bool(y_zero[0]))
+    matrix, lhs, rhs = _abs_power_sides(t, p)
+    y_zero, s, y = _y_zero(matrix, t.r)
+    return _report(inequality_id, _sld(lhs, False), _sld(rhs, False), tol,
+                   (Finding("y_frobenius", float(s) * float(y)),) + diagnostics,
+                   structural_equality=bool(y_zero))
 
 
 def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -501,8 +532,7 @@ def check_cor_c1(
     normal = all(
         predicates(m.x).is_normal and predicates(m.z).is_normal for m in family.members
     )
-    log_gram, gram_zero = _log_det_grams(*_stack_gram([family], BlockUpperTriangular.assemble))
-    lhs = _sld(log_gram[0], gram_zero[0])
+    lhs = _sld(*_log_det_grams(*_stack_gram(family, BlockUpperTriangular.assemble)))
     inner_x = _det_conj_product_sum([m.x for m in family.members])
     inner_z = _det_conj_product_sum([m.z for m in family.members])
     rhs = inner_x.abs() * inner_z.abs()
@@ -596,26 +626,28 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     No absolute value on the right: each factor is itself nonnegative.
     Equality iff Y = 0 and both X and Z are symmetric.
     """
-    stack, lhs, (det_x,), (det_z,) = _thm2_sides([t])
-    (y_zero,), (s,), (y,) = _y_zero(stack, t.r)
+    matrix, lhs, det_x, det_z = _thm2_sides(t)
+    y_zero, s, y = _y_zero(matrix, t.r)
     x_sym, z_sym = bool(_is_symmetric(t.x)), bool(_is_symmetric(t.z))
     diagnostics = (
         Finding("y_frobenius", float(s) * float(y)),
         Finding("x_is_symmetric", x_sym),
         Finding("z_is_symmetric", z_sym),
     )
-    return _report("thm2", _sld(lhs[0], False), det_x * det_z, tol, diagnostics,
+    return _report("thm2", _sld(lhs, False), det_x * det_z, tol, diagnostics,
                    structural_equality=bool(y_zero) and x_sym and z_sym)
 
 
-def _thm2_sides(members: list[BlockUpperTriangular]) -> tuple:
-    """The stack of T, log det(I + T*T), and det(I + conj(X) X) and
-    det(I + conj(Z) Z), each the determinant of its bordered matrix, for
-    each member."""
-    t = np.array([m.assemble() for m in members])
+def _thm2_sides(members) -> tuple:
+    """T, log det(I + T*T), and det(I + conj(X) X) and det(I + conj(Z) Z),
+    each the determinant of its bordered matrix, for a member, or for each
+    member of a list (the determinants then in lists)."""
+    t = _block_array(members, BlockUpperTriangular.assemble)
     lhs = _log1p_pow(singular_values(t), 2.0).sum(axis=-1)
-    return (t, lhs, [det(b) for b in _bordered(np.array([m.x for m in members]))],
-            [det(b) for b in _bordered(np.array([m.z for m in members]))])
+    def bordered_det(block):
+        b = _bordered(_block_array(members, block))
+        return det(b) if b.ndim == 2 else [det(m) for m in b]
+    return t, lhs, bordered_det(attrgetter("x")), bordered_det(attrgetter("z"))
 
 
 def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -626,7 +658,7 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     t = as_matrix(t)
     _require_square(t, "check_drury")
-    (lhs,), (rhs,), (triangular,), (diagonal,), (s,), (off_mass,) = _drury_sides(t[None])
+    lhs, rhs, triangular, diagonal, s, off_mass = _drury_sides(t)
     diagnostics = (Finding("off_diagonal_frobenius", float(s) * float(off_mass)),)
     if not triangular:
         diagnostics += (Finding("is_upper_triangular", False),)
@@ -635,14 +667,14 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
 
 
 def _drury_sides(t: np.ndarray) -> tuple:
-    """For each T of the stack ``t``: log det(I + T*T) and log prod(1 + |t_jj|^2);
+    """For T, or each T of a stack: log det(I + T*T) and log prod(1 + |t_jj|^2);
     whether T is upper triangular and whether diagonal, by the gates of
     :func:`predicates`; and s and the off-diagonal mass of T / s."""
     rows = np.stack([singular_values(t), np.abs(np.diagonal(t, axis1=-2, axis2=-1))], axis=-2)
     sums = _log1p_pow(rows, 2.0).sum(axis=-1)
     lhs, rhs = sums[..., 0], sums[..., 1]
     s, norm, lower, off_mass = _unit_masses(
-        t, lambda u: np.tril(u, -1), lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
+        t, _strict_lower, lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
     gate = PREDICATE_REL * norm
     return lhs, rhs, lower <= gate, off_mass <= gate, s, off_mass
 
@@ -778,13 +810,15 @@ def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport
 # Each scores a search's trials at once, from the same side arithmetic as its
 # checker: it returns every trial's margin, bitwise the checker's, and where
 # the checker's verdict is sure to be ``holds_strict`` with no finding that
-# matters to a search.  Every other trial goes to the checker itself.
+# matters to a search (:func:`_clearly_holds`, given the conditions under
+# which the checker's structural tests could still change the verdict).
+# Every other trial goes to the checker itself.
 
 
 def _batch_thm1(families: list[BlockFamily], tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     (lhs, lhs_zero), (rhs_x, x_zero), (rhs_z, z_zero) = _thm1_sides(families)
     margin = lhs - (rhs_x + rhs_z)
-    return margin, ~(lhs_zero | x_zero | z_zero) & _clearly_holds(margin, lhs, tol)
+    return margin, _clearly_holds(margin, lhs, tol, lhs_zero | x_zero | z_zero)
 
 
 def _batch_thm3(members: list[BlockUpperTriangular], p: float,
@@ -792,7 +826,7 @@ def _batch_thm3(members: list[BlockUpperTriangular], p: float,
     _require_exponent(p)
     t, lhs, rhs = _abs_power_sides(members, p)
     margin = lhs - rhs
-    return margin, ~_y_zero(t, members[0].r)[0] & _clearly_holds(margin, lhs, tol)
+    return margin, _clearly_holds(margin, lhs, tol, _y_zero(t, members[0].r)[0])
 
 
 def _batch_cor_c0(members: list[BlockUpperTriangular],
@@ -807,11 +841,11 @@ def _batch_thm2(members: list[BlockUpperTriangular],
     rhs_zero = np.array([dx.is_zero or dz.is_zero for dx, dz in zip(det_x, det_z)])
     margin = lhs - rhs
     # equality needs Y = 0 before symmetric X and Z; the checker tests those
-    return margin, ~(rhs_zero | _y_zero(t, members[0].r)[0]) & _clearly_holds(margin, lhs, tol)
+    return margin, _clearly_holds(margin, lhs, tol, rhs_zero | _y_zero(t, members[0].r)[0])
 
 
 def _batch_drury(ts: list[np.ndarray], tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     lhs, rhs, triangular, diagonal, _, _ = _drury_sides(np.array(ts))
     margin = lhs - rhs
-    return margin, triangular & ~diagonal & _clearly_holds(margin, lhs, tol)
+    return margin, _clearly_holds(margin, lhs, tol, ~triangular | diagonal)
 

@@ -17,16 +17,17 @@ plain ``numpy`` arrays of ``complex128``.  This module owns:
 * the JSON matrix document format shared by every module.
 
 All functions are pure: inputs are never mutated and there is no global
-mutable state, so values can be shared freely across threads.  Every
-public function validates its arguments with :func:`as_matrix`; arrays the
-package made itself enter :class:`BlockUpperTriangular` uncopied.
+mutable state (a cache of read-only triangle masks aside), so values can
+be shared freely across threads.  Every public function validates its
+arguments with :func:`as_matrix`; arrays the package made itself enter
+:class:`BlockUpperTriangular` uncopied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,23 +153,29 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.hypot.reduce(np.abs(a), axis=None))
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _power_of_two_above(v):
     """A power of two above ``v``, or 1 if ``v <= 1``; elementwise on an array.
 
     Dividing by a power of two is exact, so scaling by it changes no digit.
     The power is capped at 2^1023, the largest finite one, so a ``v`` in
-    [2^1023, DBL_MAX] is scaled to below 2.
+    [2^1023, DBL_MAX] is scaled to below 2.  So is each part of a finite
+    complex whose modulus ``v`` is infinite (both parts near 1.3e308): its
+    power is 2^1023 too.
     """
     if isinstance(v, float):   # math is several times faster than numpy on one value
-        return math.ldexp(1.0, min(math.frexp(v)[1], 1023)) if v > 1.0 else 1.0
-    return np.where(v > 1.0, np.ldexp(1.0, np.minimum(np.frexp(v)[1], 1023)), 1.0)
+        return math.ldexp(1.0, min(math.frexp(min(v, _FLOAT_MAX))[1], 1023)) if v > 1.0 else 1.0
+    return np.where(v > 1.0, np.ldexp(1.0, np.minimum(np.frexp(np.minimum(v, _FLOAT_MAX))[1],
+                                                      1023)), 1.0)
 
 
 def _unit_scaled(mats: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
     """The matrices divided by ``s``, and ``s``, the power of two above their
     largest entry modulus (the matrices themselves when ``s`` is 1).
 
-    The division is exact.  No entry of a quotient exceeds 2 in modulus, so
+    The division is exact.  No part of an entry of a quotient exceeds 2, so
     no Frobenius norm and no Gram-type sum of them overflows.
     """
     s = _power_of_two_above(max(float(np.abs(m).max()) for m in mats))
@@ -185,13 +192,35 @@ def _unit_masses(a: np.ndarray, *parts) -> tuple:
     magnitude.
     """
     s = _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
-    unit = a / np.asarray(s)[..., None, None]
-    return (s,) + tuple(np.hypot.reduce(np.abs(m), axis=(-2, -1))
-                        for m in (unit,) + tuple(part(unit) for part in parts))
+    unit = a / (s if isinstance(s, float) else s[..., None, None])
+    return (s, *(np.hypot.reduce(np.abs(m), axis=(-2, -1))
+                 for m in [unit] + [part(unit) for part in parts]))
 
 
 def _asymmetry(u: np.ndarray) -> np.ndarray:
-    return u - np.swapaxes(u, -1, -2)
+    return u - u.mT
+
+
+def _anti_hermitian(u: np.ndarray) -> np.ndarray:
+    return u - u.mT.conj()
+
+
+def _commutator(u: np.ndarray) -> np.ndarray:
+    """u u* - u* u, zero exactly when u is normal."""
+    h = u.mT.conj()
+    return u @ h - h @ u
+
+
+@lru_cache(maxsize=None)
+def _below_diagonal(n: int) -> np.ndarray:
+    """The read-only n-square mask of the entries below the diagonal."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _strict_lower(u: np.ndarray) -> np.ndarray:
+    return np.where(_below_diagonal(u.shape[-1]), u, 0.0)
 
 
 def _lapack(routine: str, a: np.ndarray, **kwargs):
@@ -282,8 +311,9 @@ class SignedLogDet:
 def det(a: np.ndarray) -> SignedLogDet:
     """Determinant in signed-log form, from LAPACK's LU (``numpy.linalg.slogdet``).
 
-    Each row is first divided by its largest entry modulus and the logs of
-    those scales are added to the result, so nothing overflows at any finite
+    Each row is first divided by its largest entry modulus (by its largest
+    max(|re|, |im|) where a modulus exceeds DBL_MAX) and the logs of those
+    scales are added to the result, so nothing overflows at any finite
     magnitude.  The zero flag is raised for an all-zero row, or when the
     equilibrated matrix is singular to working precision by the rule of the
     Schur gate (:func:`_singular_to_working_precision`); one large row
@@ -294,11 +324,15 @@ def det(a: np.ndarray) -> SignedLogDet:
     scales = np.max(np.abs(a), axis=1)
     if scales.min() == 0.0:
         return SignedLogDet.zero()
+    log_scale = float(np.sum(np.log(scales)))
+    if log_scale == math.inf:   # a modulus above DBL_MAX; the parts are finite
+        scales = np.max(np.maximum(np.abs(a.real), np.abs(a.imag)), axis=1)
+        log_scale = float(np.sum(np.log(scales)))
     work = a / scales[:, None]
     if _singular_to_working_precision(_lapack("svd", work, compute_uv=False)):
         return SignedLogDet.zero()
     sign, log_mag = np.linalg.slogdet(work)
-    return SignedLogDet(complex(sign), float(log_mag) + float(np.sum(np.log(scales))))
+    return SignedLogDet(complex(sign), float(log_mag) + log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +343,13 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and unitary eigenvectors of a Hermitian matrix.
 
     The input must be Hermitian within ``HERMITIAN_REL * ||a||_F``, tested
-    on the exact quotient of :func:`_unit_scaled`; its Hermitian part,
+    on the exact quotient of :func:`_unit_masses`; its Hermitian part,
     halved before the sum so that nothing overflows, goes to LAPACK
     (``numpy.linalg.eigh``).
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
-    (unit,), s = _unit_scaled([a])
-    norm = frobenius_norm(unit)
-    deviation = frobenius_norm(unit - unit.conj().T)
+    s, norm, deviation = _unit_masses(a, _anti_hermitian)
     if deviation > HERMITIAN_REL * norm:
         raise NotHermitianError(f"matrix deviates from Hermitian by {s * deviation:.3e} "
                                 f"(allowed {s * HERMITIAN_REL * norm:.3e})")
@@ -415,18 +447,18 @@ def predicates(a: np.ndarray) -> MatrixPredicates:
     least ``-PSD_REL * sigma_max``; the eigenvalues are those of the
     Hermitian part (a + a*) / 2, which passes the eigensolver's tighter gate
     exactly.  The structural tests are scale-invariant and run on the exact
-    quotient of :func:`_unit_scaled`, where no norm or product overflows.
+    quotient of :func:`_unit_masses`, where no norm or product overflows;
+    the checkers' own structural tests use the same masses.
     """
     a = as_matrix(a)
     _require_square(a, "predicates")
-    (unit,), _ = _unit_scaled([a])
-    norm = frobenius_norm(unit)
-    is_hermitian = frobenius_norm(unit - unit.conj().T) <= PREDICATE_REL * norm
-    is_symmetric = frobenius_norm(unit - unit.T) <= PREDICATE_REL * norm
-    commutator = unit @ unit.conj().T - unit.conj().T @ unit
-    is_normal = frobenius_norm(commutator) <= PREDICATE_REL * norm * norm
-    lower = unit[np.tri(*unit.shape, k=-1, dtype=bool)]
-    is_upper_triangular = frobenius_norm(lower) <= PREDICATE_REL * norm
+    _, norm, anti_hermitian, asymmetry, commutator, lower = _unit_masses(
+        a, _anti_hermitian, _asymmetry, _commutator, _strict_lower)
+    gate = PREDICATE_REL * norm
+    is_hermitian = anti_hermitian <= gate
+    is_symmetric = asymmetry <= gate
+    is_normal = commutator <= gate * norm
+    is_upper_triangular = lower <= gate
     is_psd, min_eigenvalue = False, None
     if is_hermitian:
         w, _ = hermitian_eigensystem(a / 2.0 + a.conj().T / 2.0)

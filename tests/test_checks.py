@@ -678,6 +678,7 @@ def _extreme_inputs():
     huge = 1e308 * np.eye(2)
     shear_1e308, y0_1e308 = _block(huge, huge, np.zeros((2, 2))), _block(huge, 0 * huge, huge)
     upper_1e308 = 1e308 * np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)
+    past_dbl_max = 0.5e308 * np.array([[1 + 1j, -1 + 2j], [1 - 1j, 2.6 + 2.6j]])
 
     cases = {
         "t3_1e6.cor_c0": (lambda: check_cor_c0(t3), Verdict.HOLDS_STRICT),
@@ -717,6 +718,11 @@ def _extreme_inputs():
         "1e+308.thm2_y0": (lambda: check_thm2(y0_1e308), Verdict.EQUALITY),
         "1e+308.drury_shear": (lambda: check_drury(upper_1e308), Verdict.HOLDS_STRICT),
         "1e+308.drury_diagonal": (lambda: check_drury(1e308 * np.eye(4)), Verdict.EQUALITY),
+        # both parts 1.3e308: every entry is finite, the modulus of the largest is not
+        "dbl_max_modulus.djokovic": (lambda: check_djokovic(past_dbl_max), Verdict.HOLDS_STRICT),
+        "dbl_max_modulus.lemma1": (lambda: check_lemma1(past_dbl_max), Verdict.HOLDS_STRICT),
+        "dbl_max_modulus.lemma1_symmetric": (lambda: check_lemma1(past_dbl_max / 2 + past_dbl_max.T / 2),
+                                             Verdict.EQUALITY),
     }
     for s in (1e100, 1e160):
         cases[f"{s:.0e}.cor_c0"] = (lambda s=s: check_cor_c0(scaled(t1, s)), Verdict.HOLDS_STRICT)

@@ -224,6 +224,21 @@ def test_fuzz_refutable_predicate_expects_violation(capsys):
     assert "violated at trial 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("predicate", ["djokovic", "lemma1"])
+def test_fuzz_past_dbl_max_entry_moduli_reads_no_false_verdict(predicate, tmp_path):
+    # seed 5 draws entries whose parts are near 1.3e308, so that an entry's modulus
+    # overflows; det(I + conj(X) X) is near e^2836, far from zero
+    out = tmp_path / "fuzz.ndjson"
+    code = main(["fuzz", "--predicate", predicate, "--family", "gaussian", "--entry-bound",
+                 "1e308", "--trials", "2", "--n", "2", "--r", "1", "--m", "1", "--seed", "5",
+                 "--format", "structured", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["violations"] == []
+    if predicate == "djokovic":
+        assert report["min_margin"] > 2800.0
+
+
 def test_fuzz_unknown_predicate_exits_three():
     assert main(["fuzz", "--predicate", "nosuch"]) == 3
 

@@ -152,6 +152,21 @@ def test_det_survives_large_magnitudes():
     assert d.log_magnitude == pytest.approx(det(g).log_magnitude + 4 * math.log(1e160), rel=1e-12)
 
 
+def test_det_and_predicates_where_an_entry_modulus_exceeds_dbl_max():
+    # both parts 1.3e308: the matrix is finite, the modulus 1.84e308 of an entry is not
+    c = 1.3e308 * (1 + 1j)
+    shear = np.array([[c, c], [0, c]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = det(shear)
+        p = predicates(shear)
+    assert not d.is_zero
+    assert d.log_magnitude == pytest.approx(2.0 * (math.log(1.3e308) + 0.5 * math.log(2.0)),
+                                            rel=1e-14)
+    assert d.phase == pytest.approx(1j, abs=1e-15)   # c^2 = 2 * 1.3e308^2 * i
+    assert p.is_upper_triangular and not p.is_symmetric and not p.is_normal
+
+
 def test_signed_log_det_multiplication_and_zero():
     a = SignedLogDet.from_value(3 + 4j)
     b = SignedLogDet.from_value(-2.0)
