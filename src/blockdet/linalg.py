@@ -171,27 +171,33 @@ def _power_of_two_above(v):
                                                       1023)), 1.0)
 
 
+def _unit_scale(a: np.ndarray):
+    """The power of two above the largest entry modulus of a matrix, or of
+    each matrix of a stack."""
+    return _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
+
+
 def _unit_scaled(mats: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    """The matrices divided by ``s``, and ``s``, the power of two above their
-    largest entry modulus (the matrices themselves when ``s`` is 1).
+    """The matrices divided by ``s``, and ``s``, the largest of their
+    :func:`_unit_scale` (the matrices themselves when ``s`` is 1).
 
     The division is exact.  No part of an entry of a quotient exceeds 2, so
     no Frobenius norm and no Gram-type sum of them overflows.
     """
-    s = _power_of_two_above(max(float(np.abs(m).max()) for m in mats))
+    s = max(_unit_scale(m) for m in mats)
     return ([m / s for m in mats] if s > 1.0 else list(mats)), s
 
 
 def _unit_masses(a: np.ndarray, *parts) -> tuple:
-    """For a matrix, or each matrix A of a stack: s, the power of two above
-    its largest entry modulus, ||A/s||_F, and ||part(A/s)||_F for each of
-    ``parts``, each the :func:`frobenius_norm` of that matrix.
+    """For a matrix, or each matrix A of a stack: s, its :func:`_unit_scale`,
+    ||A/s||_F, and ||part(A/s)||_F for each of ``parts``, each the
+    :func:`frobenius_norm` of that matrix.
 
     The division is exact and no norm of the quotient overflows, so the
     relative structural gates on these masses decide alike at every
     magnitude.
     """
-    s = _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
+    s = _unit_scale(a)
     unit = a / (s if isinstance(s, float) else s[..., None, None])
     return (s, *(np.hypot.reduce(np.abs(m), axis=(-2, -1))
                  for m in [unit] + [part(unit) for part in parts]))
