@@ -47,8 +47,6 @@ from .linalg import (
     predicates,
     schur_complement,
     singular_values,
-    _FLOAT_MAX,
-    _power_of_two_above,
     _asymmetry,
     _require_square,
     _strict_lower,
@@ -309,28 +307,31 @@ def _log1p_pow(v: np.ndarray, p: float) -> np.ndarray:
     return p * np.log(large) + np.log1p(np.where(v > 1.0, large ** -p, np.minimum(v, 1.0) ** p))
 
 
-def _sum_log1p_pow(v: np.ndarray, p: float) -> float:
-    """The sum of :func:`_log1p_pow` over one sequence in log_major's order:
-    the terms of entries up to 1 before those of entries above 1."""
-    terms = _log1p_pow(v, p)
-    return float(terms[v <= 1.0].sum() + terms[v > 1.0].sum())
+def _bordered(left: np.ndarray, right: np.ndarray, corner: int = 1) -> np.ndarray:
+    """[[corner I, -L], [R, I]] for L (k x j) and R (j x k), or for each pair
+    of two stacks; ``corner`` is 1 or 0.
 
-
-def _bordered(x: np.ndarray) -> np.ndarray:
-    """[[I, -conj(X)], [X, I]], for X or for each X of a stack (..., k, k).
-
-    Its determinant is det(I + X conj(X)) = det(I + conj(X) X) (Schur's
-    formula on the identity block, then Sylvester's), so that side is taken
-    without forming conj(X) X, whose rounding (eps * sigma_max^2) would
-    swamp the identity.
+    Its determinant is det(corner I + L R) (Schur's formula on the identity
+    block), taken without forming L R, whose rounding (eps * sigma_max^2 for
+    L = conj(X), R = X) would swamp the identity or the smallest eigenvalue.
     """
-    k = x.shape[-1]
-    b = np.zeros(x.shape[:-2] + (2 * k, 2 * k), dtype=complex)
-    b[..., :k, k:] = -x.conj()
-    b[..., k:, :k] = x
-    diagonal = np.arange(2 * k)
+    k, j = left.shape[-2:]
+    b = np.zeros(left.shape[:-2] + (k + j, k + j), dtype=complex)
+    b[..., :k, k:] = -left
+    b[..., k:, :k] = right
+    diagonal = np.arange(0 if corner else k, k + j)
     b[..., diagonal, diagonal] = 1.0
     return b
+
+
+def _det_product_sum(lefts: np.ndarray, rights: np.ndarray, s: float) -> SignedLogDet:
+    """det(sum (s L_k)(s R_k)) for stacks of m blocks L_k (k x j) and R_k
+    (j x k) that :func:`_unit_scaled` divided by s, from :func:`_bordered`
+    [L_1 ... L_m] and [R_1; ...; R_m] at corner 0, whose identity block
+    neither dwarfs such blocks nor is dwarfed by them."""
+    m, k, j = lefts.shape
+    return (det(_bordered(lefts.transpose(1, 0, 2).reshape(k, m * j), rights.reshape(m * j, k), 0))
+            * SignedLogDet.from_log(2.0 * k * math.log(s)))
 
 
 def _log_det_grams(sigma: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
@@ -366,41 +367,20 @@ def _stack_gram(families, block) -> tuple:
     return sigma, max(stacked.shape[-2:]) * _EPS * sigma[..., 0]
 
 
-def _det_conj_product_sum(xs: list[np.ndarray]) -> SignedLogDet:
-    """det(sum conj(X_k) X_k) by LU without overflow.
-
-    Where a product could overflow, D = diag(d_i) is factored out, d_i the
-    power of two above the largest modulus in row i and column i of any X_k:
-    det(sum conj(X_k) X_k) = det(D)^2 det(sum (D^-1 conj(X_k)) (X_k D^-1)),
-    and no entry of the scaled sum exceeds m n in modulus.  One scale per
-    index, not one for all the X_k, keeps the products of small entries
-    clear of subnormals next to a huge one.
-    """
-    norm = math.hypot(*(frobenius_norm(x) for x in xs))
-    if 2.0 * norm * norm <= _FLOAT_MAX:   # no entry of the sum can overflow
-        return det(sum((x.conj() @ x for x in xs[1:]), xs[0].conj() @ xs[0]))
-    mags = np.abs(np.array(xs))
-    d = _power_of_two_above(np.maximum(mags.max(axis=(0, 1)), mags.max(axis=(0, 2))))
-    inv = 1.0 / d
-    products = [(x.conj() * inv[:, None]) @ (x * inv) for x in xs]
-    return (SignedLogDet.from_log(2.0 * float(np.sum(np.log(d))))
-            * det(sum(products[1:], products[0])))
-
-
 # ---------------------------------------------------------------------------
 # Structural tests, on a matrix or on each matrix of a stack
 
 
 def _is_symmetric(a: np.ndarray):
     """The symmetry test of :func:`predicates`, on a matrix or per matrix of a stack."""
-    _, norm, asymmetry = _unit_masses(a, _asymmetry)
+    _, _, norm, asymmetry = _unit_masses(a, _asymmetry)
     return asymmetry <= PREDICATE_REL * norm
 
 
 def _y_zero(t: np.ndarray, r: int) -> tuple:
     """Whether ||Y||_F <= PREDICATE_REL * (1 + ||T||_F), Y = T[:r, r:], for
     each T of the stack ``t``; and s and ||Y / s||_F of :func:`_unit_masses`."""
-    s, norm, y = _unit_masses(t, lambda u: u[..., :r, r:])
+    s, _, norm, y = _unit_masses(t, lambda u: u[..., :r, r:])
     return y <= PREDICATE_REL * (1.0 / s + norm), s, y
 
 
@@ -465,7 +445,7 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     constant, so the family is first put through :func:`_unit_scaled`.
     """
     r = family.r
-    full, _ = _unit_scaled([m.assemble() for m in family.members])
+    full, _ = _unit_scaled(_block_array(family, BlockUpperTriangular.assemble))
     sum_tt = sum(t.conj().T @ t for t in full)
     try:
         complement = schur_complement(sum_tt, r)
@@ -476,7 +456,7 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     gap = (gap + gap.conj().T) / 2.0
     w, _ = hermitian_eigensystem(gap)
     scale = max(float(np.max(np.abs(w))), frobenius_norm(complement))
-    dominates = bool(np.min(w) >= -PSD_REL * max(scale, 1e-300))
+    dominates = bool(np.min(w) >= -PSD_REL * scale)
     return (
         Finding("sum_xx_nonsingular", True),
         Finding("stacked_gram_sum_psd", bool(gram_psd)),
@@ -533,8 +513,8 @@ def check_cor_c1(
         predicates(m.x).is_normal and predicates(m.z).is_normal for m in family.members
     )
     lhs = _sld(*_log_det_grams(*_stack_gram(family, BlockUpperTriangular.assemble)))
-    inner_x = _det_conj_product_sum([m.x for m in family.members])
-    inner_z = _det_conj_product_sum([m.z for m in family.members])
+    units = [_unit_scaled(_block_array(family, attrgetter(block))) for block in "xz"]
+    inner_x, inner_z = (_det_product_sum(u.conj(), u, s) for u, s in units)
     rhs = inner_x.abs() * inner_z.abs()
     diagnostics = (
         Finding("blocks_all_normal", normal),
@@ -560,14 +540,14 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
                    [det sum X*X',      det sum X*X]].
     Scaling the family by a positive constant scales all four entries alike
     and leaves positive semidefiniteness unchanged, so the X blocks are
-    first put through :func:`_unit_scaled`, and the four determinants are
-    divided by the largest magnitude; nothing overflows.
+    first put through :func:`_unit_scaled`, each determinant of theirs is
+    taken as :func:`_det_product_sum`, and the four are divided by the
+    largest magnitude; nothing overflows.
     """
-    xs, _ = _unit_scaled([m.x for m in family.members])
-    d11 = det(sum(x.conj() @ x.T for x in xs))
-    d12 = _det_conj_product_sum(xs)
-    d21 = det(sum(x.conj().T @ x.T for x in xs))
-    d22 = det(sum(x.conj().T @ x for x in xs))
+    xs, _ = _unit_scaled(_block_array(family, attrgetter("x")))
+    xt, xh = xs.mT, xs.mT.conj()
+    d11, d12, d21, d22 = (_det_product_sum(left, right, 1.0) for left, right in
+                          ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs)))
     logs = [d.log_magnitude for d in (d11, d12, d21, d22) if not d.is_zero]
     shift = max(logs) if logs else 0.0
     def scaled(d: SignedLogDet) -> complex:
@@ -583,8 +563,8 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     x = as_matrix(x)
     _require_square(x, "check_lemma1")
     lhs = _sld(_log1p_pow(singular_values(x), 2.0).sum(), False)   # det(I + X*X)
-    rhs = det(_bordered(x))
-    s, norm, asymmetry = _unit_masses(x, _asymmetry)
+    rhs = det(_bordered(x.conj(), x))
+    s, _, norm, asymmetry = _unit_masses(x, _asymmetry)
     symmetric = bool(asymmetry <= PREDICATE_REL * norm)
     diagnostics = (
         Finding("is_symmetric", symmetric),
@@ -606,7 +586,7 @@ def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     x = as_matrix(x)
     _require_square(x, "check_djokovic")
-    d = det(_bordered(x))
+    d = det(_bordered(x.conj(), x))
     if d.is_zero:
         diagnostics = (Finding("det_is_zero", True),)
     else:
@@ -645,7 +625,8 @@ def _thm2_sides(members) -> tuple:
     t = _block_array(members, BlockUpperTriangular.assemble)
     lhs = _log1p_pow(singular_values(t), 2.0).sum(axis=-1)
     def bordered_det(block):
-        b = _bordered(_block_array(members, block))
+        x = _block_array(members, block)
+        b = _bordered(x.conj(), x)
         return det(b) if b.ndim == 2 else [det(m) for m in b]
     return t, lhs, bordered_det(attrgetter("x")), bordered_det(attrgetter("z"))
 
@@ -673,7 +654,7 @@ def _drury_sides(t: np.ndarray) -> tuple:
     rows = np.stack([singular_values(t), np.abs(np.diagonal(t, axis1=-2, axis2=-1))], axis=-2)
     sums = _log1p_pow(rows, 2.0).sum(axis=-1)
     lhs, rhs = sums[..., 0], sums[..., 1]
-    s, norm, lower, off_mass = _unit_masses(
+    s, _, norm, lower, off_mass = _unit_masses(
         t, _strict_lower, lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
     gate = PREDICATE_REL * norm
     return lhs, rhs, lower <= gate, off_mass <= gate, s, off_mass
@@ -723,8 +704,8 @@ def check_log_major(
             raise ValueError(f"sequence {name} must be non-increasing")
     cum_a = _cumulative_logs(a)
     cum_b = _cumulative_logs(b)
-    lhs = SignedLogDet.from_log(_sum_log1p_pow(b, p))
-    rhs = SignedLogDet.from_log(_sum_log1p_pow(a, p))
+    lhs = SignedLogDet.from_log(float(_log1p_pow(b, p).sum()))
+    rhs = SignedLogDet.from_log(float(_log1p_pow(a, p).sum()))
     diagnostics: tuple[Finding, ...] = ()
     for k in range(a.size):
         slack = MAJOR_REL * max(1.0, abs(cum_b[k]) if math.isfinite(cum_b[k]) else 1.0)

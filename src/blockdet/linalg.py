@@ -154,6 +154,7 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
+_FLOAT_TINY = float(np.finfo(float).tiny)   # the smallest normal float
 
 
 def _power_of_two_above(v):
@@ -177,21 +178,27 @@ def _unit_scale(a: np.ndarray):
     return _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
 
 
-def _unit_scaled(mats: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    """The matrices divided by ``s``, and ``s``, the largest of their
-    :func:`_unit_scale` (the matrices themselves when ``s`` is 1).
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``a`` divided by ``s``, and ``s``: the one power of two, up or down,
+    that brings the largest real or imaginary part of any entry of ``a`` (a
+    matrix or a stack) into [1, 2); ``s`` is 1 for an all-zero ``a``.
 
-    The division is exact.  No part of an entry of a quotient exceeds 2, so
-    no Frobenius norm and no Gram-type sum of them overflows.
+    Each part is scaled by ``ldexp``, which forms no reciprocal, so ``s``
+    may be subnormal; the scaling is exact unless a part of the quotient
+    falls below the normal range.  An identity block bordering the quotient
+    neither dwarfs it nor is dwarfed by it, and no product of two overflows.
     """
-    s = max(_unit_scale(m) for m in mats)
-    return ([m / s for m in mats] if s > 1.0 else list(mats)), s
+    top = float(np.max(np.maximum(np.abs(a.real), np.abs(a.imag))))
+    if top == 0.0:
+        return a, 1.0
+    e = math.frexp(top)[1] - 1
+    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), math.ldexp(1.0, e)
 
 
 def _unit_masses(a: np.ndarray, *parts) -> tuple:
     """For a matrix, or each matrix A of a stack: s, its :func:`_unit_scale`,
-    ||A/s||_F, and ||part(A/s)||_F for each of ``parts``, each the
-    :func:`frobenius_norm` of that matrix.
+    the quotient A/s, ||A/s||_F, and ||part(A/s)||_F for each of ``parts``,
+    each the :func:`frobenius_norm` of that matrix.
 
     The division is exact and no norm of the quotient overflows, so the
     relative structural gates on these masses decide alike at every
@@ -199,8 +206,8 @@ def _unit_masses(a: np.ndarray, *parts) -> tuple:
     """
     s = _unit_scale(a)
     unit = a / (s if isinstance(s, float) else s[..., None, None])
-    return (s, *(np.hypot.reduce(np.abs(m), axis=(-2, -1))
-                 for m in [unit] + [part(unit) for part in parts]))
+    return (s, unit, *(np.hypot.reduce(np.abs(m), axis=(-2, -1))
+                       for m in [unit] + [part(unit) for part in parts]))
 
 
 def _asymmetry(u: np.ndarray) -> np.ndarray:
@@ -328,13 +335,15 @@ def det(a: np.ndarray) -> SignedLogDet:
     a = as_matrix(a)
     _require_square(a, "det")
     scales = np.max(np.abs(a), axis=1)
-    if scales.min() == 0.0:
+    smallest = scales.min()
+    if smallest == 0.0:
         return SignedLogDet.zero()
     log_scale = float(np.sum(np.log(scales)))
     if log_scale == math.inf:   # a modulus above DBL_MAX; the parts are finite
         scales = np.max(np.maximum(np.abs(a.real), np.abs(a.imag)), axis=1)
         log_scale = float(np.sum(np.log(scales)))
-    work = a / scales[:, None]
+    scales = scales[:, None]   # numpy divides through 1/scale, which a subnormal scale overflows
+    work = a / scales if smallest >= _FLOAT_TINY else a.real / scales + 1j * (a.imag / scales)
     if _singular_to_working_precision(_lapack("svd", work, compute_uv=False)):
         return SignedLogDet.zero()
     sign, log_mag = np.linalg.slogdet(work)
@@ -355,7 +364,7 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
-    s, norm, deviation = _unit_masses(a, _anti_hermitian)
+    s, _, norm, deviation = _unit_masses(a, _anti_hermitian)
     if deviation > HERMITIAN_REL * norm:
         raise NotHermitianError(f"matrix deviates from Hermitian by {s * deviation:.3e} "
                                 f"(allowed {s * HERMITIAN_REL * norm:.3e})")
@@ -453,12 +462,13 @@ def predicates(a: np.ndarray) -> MatrixPredicates:
     least ``-PSD_REL * sigma_max``; the eigenvalues are those of the
     Hermitian part (a + a*) / 2, which passes the eigensolver's tighter gate
     exactly.  The structural tests are scale-invariant and run on the exact
-    quotient of :func:`_unit_masses`, where no norm or product overflows;
-    the checkers' own structural tests use the same masses.
+    quotient A/s of :func:`_unit_masses`, where no norm or product overflows;
+    the checkers' own structural tests use the same masses.  The PSD test
+    takes the quotient's eigenvalues; ``min_eigenvalue`` is s times the least.
     """
     a = as_matrix(a)
     _require_square(a, "predicates")
-    _, norm, anti_hermitian, asymmetry, commutator, lower = _unit_masses(
+    s, unit, norm, anti_hermitian, asymmetry, commutator, lower = _unit_masses(
         a, _anti_hermitian, _asymmetry, _commutator, _strict_lower)
     gate = PREDICATE_REL * norm
     is_hermitian = anti_hermitian <= gate
@@ -467,8 +477,8 @@ def predicates(a: np.ndarray) -> MatrixPredicates:
     is_upper_triangular = lower <= gate
     is_psd, min_eigenvalue = False, None
     if is_hermitian:
-        w, _ = hermitian_eigensystem(a / 2.0 + a.conj().T / 2.0)
-        min_eigenvalue = float(w[-1])
+        w, _ = hermitian_eigensystem(unit / 2.0 + unit.conj().T / 2.0)
+        min_eigenvalue = s * float(w[-1])
         is_psd = bool(w[-1] >= -PSD_REL * float(np.max(np.abs(w))))
     return MatrixPredicates(
         is_hermitian=bool(is_hermitian),

@@ -47,6 +47,7 @@ from .checks import (
     _batch_thm2,
     _batch_thm3,
     _json_value,
+    _require_exponent,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -59,6 +60,7 @@ from .linalg import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     singular_values,
+    _unit_scaled,
 )
 
 __all__ = [
@@ -298,12 +300,17 @@ def _gram(g: np.ndarray) -> np.ndarray:
     return g.conj().T @ g
 
 
-def _log_major_spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue moduli of conj(X) X and squared singular values of X, non-increasing."""
-    lam = np.abs(general_eigenvalues(x.conj() @ x))
-    lam = np.sort(lam)[::-1]
-    sig = np.sort(singular_values(x) ** 2)[::-1]
-    return lam, sig
+def _log_major_spectra(x: np.ndarray, p: float) -> tuple:
+    """The two sequences log_major compares for X, and their exponent.
+
+    They are s * sqrt|lambda(conj(X') X')| for X' = X / s of
+    :func:`_unit_scaled`, and sigma(X), both non-increasing and unsquared;
+    the exponent is 2p, as prod(1 + (sigma^2)^p) = prod(1 + sigma^(2p)).
+    p is checked before it doubles."""
+    _require_exponent(p)
+    unit, s = _unit_scaled(x)
+    return (s * np.sqrt(np.abs(general_eigenvalues(unit.conj() @ unit))), singular_values(x),
+            2.0 * p)
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,7 @@ class Inequality:
     ``shape`` is what the checker ``check_<id>`` takes: ``"matrix"`` (the
     first matrix, then ``r`` if ``needs_r``), ``"member"`` (the first matrix
     split at ``r``), ``"family"`` (every matrix split at ``r``) or
-    ``"spectra"`` (the two sequences of :func:`_log_major_spectra`).
+    ``"spectra"`` (:func:`_log_major_spectra`, exponent included).
     ``files`` is the least and most number of input matrices (``None``: no
     limit); a search draws from :meth:`draw_spec`, which asks for
     ``files[1]`` matrices when that is set, otherwise the spec's ``m``.
@@ -382,7 +389,7 @@ class Inequality:
             if self.needs_r:
                 args += (int(params["r"]),)
         elif self.shape == "spectra":
-            args = _log_major_spectra(witness.matrices[0])
+            return _log_major_spectra(witness.matrices[0], float(params["p"]))
         else:
             if family is None:
                 family = _block_family_from(witness)

@@ -35,6 +35,7 @@ from blockdet.linalg import (
     abs_matrix,
     det,
 )
+from blockdet.search import GeneratorSpec, generate_block_family
 
 EX1_T1 = np.array([[-9, 10, 5, 12], [-7, 10, -11, -10], [0, 0, -2, 3], [0, 0, 2, 26]],
                   dtype=complex)
@@ -95,6 +96,17 @@ def test_fischer_rejects_non_psd():
     report = check_fischer(np.array([[1, 2], [2, 1]], dtype=complex), 1)
     assert report.verdict is Verdict.PRECONDITION_FAILED
     assert report.finding("min_eigenvalue") < 0
+
+
+def test_fischer_reports_a_finite_min_eigenvalue_past_dbl_max():
+    # both parts of c are 1.3e308, so its modulus overflows; no PSD matrix holds such an entry
+    c = 1.3e308 * (1 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_fischer(np.array([[1.3e308, c], [np.conj(c), 1.0]]), 1)
+    assert report.verdict is Verdict.PRECONDITION_FAILED
+    # an 80-digit reference rounds to -1.3e308
+    assert report.finding("min_eigenvalue") == pytest.approx(-1.3e308, rel=1e-15)
 
 
 def test_fischer_answers_on_input_hermitian_within_the_predicate_gate():
@@ -276,7 +288,7 @@ def test_c1_proof_step_cases():
     assert check_c1_proof_step(BlockFamily((t_id,))).value is True
 
 
-@pytest.mark.parametrize("s", [1e-150, 1e160, 1e300])
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-150, 1e160, 1e300])
 def test_proof_step_findings_do_not_change_with_scale(s):
     rng = np.random.default_rng(9)
     families = [_family(EX1_T1, EX1_T2, r=2),
@@ -762,7 +774,8 @@ def test_overflowing_frobenius_norm_keeps_the_shear_margin(case):
 
 
 # ---------------------------------------------------------------------------
-# det(I + conj(X) X) at a wide singular-value spread: the bordered determinant
+# Bordered determinants at a wide singular-value spread: det(I + conj(X) X),
+# det(sum conj(X_k) X_k) and the proof step's determinants
 
 
 def _haar(rng, n):
@@ -816,3 +829,67 @@ def test_thm2_right_at_a_wide_singular_value_spread(s):
     assert {r.verdict for r in reports} == {Verdict.HOLDS_STRICT}
     assert all(math.isfinite(r.margin) for r in reports)
 
+
+def _normal_draw(rng, n, s):
+    """X = U diag(logspace(s, -s, n) e^(i theta)) U* for a Haar unitary U."""
+    u = _haar(rng, n)
+    return (u * (np.logspace(s, -s, n) * np.exp(2j * np.pi * rng.random(n)))) @ u.conj().T
+
+
+def test_cor_c1_single_member_is_equality_at_a_wide_singular_value_spread():
+    # at m = 1 the claim is the identity |det T|^2 = |det X|^2 |det Z|^2; forming
+    # conj(X) X read 91 of these 200 violated and the other 109 holds_strict
+    rng = np.random.default_rng(11)
+    members = [_block(_normal_draw(rng, 2, 3), rng.standard_normal((2, 2)), _normal_draw(rng, 2, 3))
+               for _ in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [check_cor_c1(BlockFamily((t,))) for t in members]
+    assert {r.verdict for r in reports} == {Verdict.EQUALITY}
+
+
+def test_cor_c1_single_member_is_equality_at_tiny_entries():
+    # unscaled, the identity block of the bordered matrix dwarfs blocks near 1e-100
+    # and the right side is flagged zero (margin +inf)
+    verdicts = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in ("gaussian", "symmetric", "normal_via_unitary_conjugation"):
+            for n in range(2, 7):
+                spec = GeneratorSpec(family=family, n=n, r=n // 2, m=1, entry_bound=1e-100, seed=3)
+                for trial in range(8):
+                    report = check_cor_c1(generate_block_family(spec, trial),
+                                          allow_hypothesis_violation=True)
+                    verdicts.add((report.verdict, math.isfinite(report.margin)))
+    assert verdicts == {(Verdict.EQUALITY, True)}
+
+
+def _exact_proof_step_psd(family):
+    """Whether [[det sum conj(X)X', det sum conj(X)X], [det sum X*X', det sum X*X]]
+    is PSD, in exact rational arithmetic; the matrix is Hermitian."""
+    xs = [exact.from_ndarray(m.x) for m in family.members]
+
+    def det_sum(left, right):
+        total = None
+        for x in xs:
+            term = exact.exact_matmul(left(x), right(x))
+            total = term if total is None else exact.exact_add(total, term)
+        return exact.exact_det(total)
+
+    d11 = det_sum(exact.exact_conj, exact.exact_transpose)
+    d12 = det_sum(exact.exact_conj, lambda x: x)
+    d22 = det_sum(exact.exact_adjoint, lambda x: x)
+    return d11.re >= 0 and d22.re >= 0 and d11.re * d22.re - d12.abs2() >= 0
+
+
+@pytest.mark.parametrize("s", [4, 5])
+def test_c1_proof_step_right_at_a_wide_singular_value_spread(s):
+    # forming the Gram-type sums read "not PSD" on all 50 of these families
+    rng = np.random.default_rng(13)
+    families = [BlockFamily(tuple(_block(_normal_draw(rng, 3, s), np.zeros((3, 1)),
+                                         np.ones((1, 1))) for _ in range(2)))
+                for _ in range(50)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = [check_c1_proof_step(family).value for family in families]
+    assert found == [_exact_proof_step_psd(family) for family in families]

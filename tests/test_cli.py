@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,28 @@ def test_fuzz_sharpness_mode(capsys):
 
 def test_check_log_major_via_matrix_file(diag_file):
     assert main(["check", diag_file, "--ineq", "log_major", "--p", "2"]) == 0
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160, 1e300])
+def test_check_log_major_at_extreme_scale_exits_zero(tmp_path, capsys, scale):
+    # conj(X) X overflows at 1e160 and underflows to subnormals, which lose the
+    # final product, at 1e-160; it is formed of X divided by a power of two
+    rng = np.random.default_rng(4)
+    f = _write_matrix(tmp_path / "x.json", scale * (rng.standard_normal((3, 3))
+                                                    + 1j * rng.standard_normal((3, 3))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", f, "--ineq", "log_major", "--format", "structured"]) == 0
+    report = CheckReport.from_json_dict(json.loads(capsys.readouterr().out))
+    assert report.diagnostics == ()
+
+
+def test_check_fischer_on_subnormal_psd_input_exits_zero(tmp_path):
+    # every row's largest modulus is subnormal, so 1 / scale would overflow in det
+    f = _write_matrix(tmp_path / "tiny.json", [[2e-310, 1e-310], [1e-310, 3e-310]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", f, "--ineq", "fischer", "--r", "1"]) == 0
 
 
 def test_check_e21_paper_pair_via_files(tmp_path):

@@ -167,6 +167,17 @@ def test_det_and_predicates_where_an_entry_modulus_exceeds_dbl_max():
     assert p.is_upper_triangular and not p.is_symmetric and not p.is_normal
 
 
+def test_det_of_a_row_whose_largest_modulus_is_subnormal():
+    # numpy divides a complex by a float through its reciprocal, and 1 / 1e-310 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = det(np.array([[1e-310, 0], [0, 1]]))
+        shear = det(np.array([[2e-310, 1e-310j], [0, 3.0]]))
+    assert not d.is_zero and d.phase == 1.0
+    assert d.log_magnitude == pytest.approx(math.log(1e-310), rel=1e-12)
+    assert shear.log_magnitude == pytest.approx(math.log(6e-310), rel=1e-12)
+
+
 def test_signed_log_det_multiplication_and_zero():
     a = SignedLogDet.from_value(3 + 4j)
     b = SignedLogDet.from_value(-2.0)

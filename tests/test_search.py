@@ -206,6 +206,13 @@ def test_witness_roundtrip_reproduces_verdict_and_margin():
     assert again.margin == pytest.approx(probe.min_positive_margin, abs=1e-12)
 
 
+def test_log_major_witness_below_p_one_is_rejected():
+    # the sequences are unsquared and the checker takes 2p, so p is checked before it doubles
+    witness = Witness("log_major", 0, 0, {"p": 0.75}, (np.diag([2.0, 1.0]).astype(complex),))
+    with pytest.raises(ValueError, match=">= 1"):
+        recheck_witness(witness)
+
+
 def _trial_witness(ineq, spec, report, trial):
     """The witness a search used at ``trial``: a recorded violation, or a redraw."""
     for record in report.violations:
