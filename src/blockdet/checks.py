@@ -47,10 +47,14 @@ from .linalg import (
     predicates,
     schur_complement,
     singular_values,
+    _any,
     _asymmetry,
+    _det_parts,
     _require_square,
+    _signed_log_det,
     _strict_lower,
     _unit_masses,
+    _unit_scale,
     _unit_scaled,
 )
 
@@ -334,14 +338,15 @@ def _det_product_sum(lefts: np.ndarray, rights: np.ndarray, s: float) -> SignedL
             * SignedLogDet.from_log(2.0 * k * math.log(s)))
 
 
-def _log_det_grams(sigma: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
-    """det(sum B_k* B_k) = prod sigma^2 over each stack's singular values (a
-    row of ``sigma``): its log, and whether it is flagged zero, the smallest
-    singular value at or below ``floor``.  The log of a flagged row is not
-    used; its zeros are raised to the smallest subnormal, so that no log(0)
-    warns, and no other value changes."""
-    return (2.0 * np.sum(np.log(np.maximum(sigma, _TINY)), axis=-1),
-            sigma[..., -1] <= floor)
+def _log_det_grams(sigma: np.ndarray, s, floor) -> tuple[np.ndarray, np.ndarray]:
+    """det(sum B_k* B_k) = prod (s sigma)^2 over the singular values of each
+    stack divided by s (a row of ``sigma``, an entry of ``s``): its log, and
+    whether it is flagged zero, the smallest singular value at or below
+    ``floor``.  The log of a flagged row is not used; its zeros are raised
+    to the smallest subnormal, so that no log(0) warns, and no other value
+    changes."""
+    return (2.0 * np.sum(np.log(np.maximum(sigma, _TINY)), axis=-1)
+            + 2.0 * sigma.shape[-1] * np.log(s), sigma[..., -1] <= floor / s)
 
 
 def _block_array(items, block) -> np.ndarray:
@@ -358,13 +363,22 @@ def _block_array(items, block) -> np.ndarray:
 
 def _stack_gram(families, block) -> tuple:
     """Singular values of the stack [B_1; ...; B_m] of a family, or of each
-    family of a list, B_k the ``block`` of member k, and its rank floor,
-    max(rows, cols) * eps * sigma_max: a stack whose smallest singular value
-    is at or below it is numerically rank deficient."""
+    family of a list, B_k the ``block`` of member k, divided by s; s; and
+    the stack's rank floor, max(rows, cols) * eps * sigma_max: a stack whose
+    smallest singular value is at or below it is numerically rank deficient.
+
+    s is 1 unless sigma_max reads inf (entries near DBL_MAX); such a stack
+    is divided by its :func:`_unit_scale` first, so that its singular values
+    and its floor stay finite.
+    """
     b = _block_array(families, block)
     stacked = b.reshape(b.shape[:-3] + (-1, b.shape[-1]))
-    sigma = singular_values(stacked)
-    return sigma, max(stacked.shape[-2:]) * _EPS * sigma[..., 0]
+    sigma, s = singular_values(stacked), 1.0
+    over = sigma[..., 0] == math.inf
+    if _any(over):
+        s = np.where(over, _unit_scale(stacked), 1.0)
+        sigma = singular_values(stacked / s[..., None, None])
+    return sigma, s, max(stacked.shape[-2:]) * _EPS * sigma[..., 0] * s
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +442,11 @@ def _thm1_sides(families) -> list[tuple]:
     """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of a
     family, or of each family of a list, all flagged against the T stack's
     rank floor."""
-    sigma_t, floor = _stack_gram(families, BlockUpperTriangular.assemble)
-    sigma_x = _stack_gram(families, attrgetter("x"))[0]
-    sigma_z = _stack_gram(families, attrgetter("z"))[0]
-    return [_log_det_grams(sigma, floor) for sigma in (sigma_t, sigma_x, sigma_z)]
+    sigma_t, s_t, floor = _stack_gram(families, BlockUpperTriangular.assemble)
+    sigma_x, s_x, _ = _stack_gram(families, attrgetter("x"))
+    sigma_z, s_z, _ = _stack_gram(families, attrgetter("z"))
+    return [_log_det_grams(sigma, s, floor)
+            for sigma, s in ((sigma_t, s_t), (sigma_x, s_x), (sigma_z, s_z))]
 
 
 def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
@@ -614,20 +629,20 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
         Finding("x_is_symmetric", x_sym),
         Finding("z_is_symmetric", z_sym),
     )
-    return _report("thm2", _sld(lhs, False), det_x * det_z, tol, diagnostics,
-                   structural_equality=bool(y_zero) and x_sym and z_sym)
+    return _report("thm2", _sld(lhs, False), _signed_log_det(*det_x) * _signed_log_det(*det_z),
+                   tol, diagnostics, structural_equality=bool(y_zero) and x_sym and z_sym)
 
 
 def _thm2_sides(members) -> tuple:
     """T, log det(I + T*T), and det(I + conj(X) X) and det(I + conj(Z) Z),
-    each the determinant of its bordered matrix, for a member, or for each
-    member of a list (the determinants then in lists)."""
+    each the :func:`det` of its bordered matrix as (phase, log magnitude,
+    zero flag), for a member, or as arrays for each member of a list, whose
+    bordered matrices are taken as one stack."""
     t = _block_array(members, BlockUpperTriangular.assemble)
     lhs = _log1p_pow(singular_values(t), 2.0).sum(axis=-1)
     def bordered_det(block):
         x = _block_array(members, block)
-        b = _bordered(x.conj(), x)
-        return det(b) if b.ndim == 2 else [det(m) for m in b]
+        return _det_parts(_bordered(x.conj(), x))
     return t, lhs, bordered_det(attrgetter("x")), bordered_det(attrgetter("z"))
 
 
@@ -817,10 +832,9 @@ def _batch_cor_c0(members: list[BlockUpperTriangular],
 
 def _batch_thm2(members: list[BlockUpperTriangular],
                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    t, lhs, det_x, det_z = _thm2_sides(members)
-    rhs = np.array([dx.log_magnitude + dz.log_magnitude for dx, dz in zip(det_x, det_z)])
-    rhs_zero = np.array([dx.is_zero or dz.is_zero for dx, dz in zip(det_x, det_z)])
-    margin = lhs - rhs
+    t, lhs, (_, log_x, x_zero), (_, log_z, z_zero) = _thm2_sides(members)
+    rhs_zero = x_zero | z_zero
+    margin = lhs - (log_x + log_z)
     # equality needs Y = 0 before symmetric X and Z; the checker tests those
     return margin, _clearly_holds(margin, lhs, tol, rhs_zero | _y_zero(t, members[0].r)[0])
 

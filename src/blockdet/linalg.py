@@ -334,20 +334,53 @@ def det(a: np.ndarray) -> SignedLogDet:
     """
     a = as_matrix(a)
     _require_square(a, "det")
-    scales = np.max(np.abs(a), axis=1)
-    smallest = scales.min()
-    if smallest == 0.0:
-        return SignedLogDet.zero()
-    log_scale = float(np.sum(np.log(scales)))
-    if log_scale == math.inf:   # a modulus above DBL_MAX; the parts are finite
-        scales = np.max(np.maximum(np.abs(a.real), np.abs(a.imag)), axis=1)
-        log_scale = float(np.sum(np.log(scales)))
-    scales = scales[:, None]   # numpy divides through 1/scale, which a subnormal scale overflows
-    work = a / scales if smallest >= _FLOAT_TINY else a.real / scales + 1j * (a.imag / scales)
-    if _singular_to_working_precision(_lapack("svd", work, compute_uv=False)):
-        return SignedLogDet.zero()
+    return _signed_log_det(*_det_parts(a))
+
+
+def _det_parts(a: np.ndarray) -> tuple:
+    """:func:`det` of a square matrix as its phase, log magnitude and zero
+    flag; of a stack (..., n, n) of them, as three arrays, each matrix's
+    entries bitwise what :func:`det` of that matrix gives.
+
+    Every rule of :func:`det` is applied per matrix.  The phase and log of a
+    flagged matrix are not used: a matrix with an all-zero row is replaced
+    by the identity, so that nothing divides by zero.
+    """
+    scales = np.abs(a).max(axis=-1)
+    smallest = scales.min(axis=-1)
+    zero = smallest == 0.0
+    if _any(zero):
+        a = np.where(zero[..., None, None], np.eye(a.shape[-1]), a)
+        scales = np.where(zero[..., None], 1.0, scales)
+        smallest = np.where(zero, 1.0, smallest)
+    log_scale = np.log(scales).sum(axis=-1)
+    over = log_scale == math.inf
+    if _any(over):   # a modulus above DBL_MAX; the parts are finite
+        parts = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=-1)
+        scales = np.where(over[..., None], parts, scales)
+        log_scale = np.log(scales).sum(axis=-1)
+    scales = scales[..., None]
+    subnormal = smallest < _FLOAT_TINY
+    if _any(subnormal):   # numpy divides through 1/scale, which a subnormal scale overflows
+        subnormal = subnormal[..., None, None]
+        split = a.real / scales + 1j * (a.imag / scales)
+        work = np.where(subnormal, split, a / np.where(subnormal, 1.0, scales))
+    else:
+        work = a / scales
+    zero |= _singular_to_working_precision(_lapack("svd", work, compute_uv=False))
     sign, log_mag = np.linalg.slogdet(work)
-    return SignedLogDet(complex(sign), float(log_mag) + log_scale)
+    return sign, log_mag + log_scale, zero
+
+
+def _any(flags) -> bool:
+    """Whether any of a matrix's flag, or of a stack's flags, is set; a
+    numpy scalar's ``any`` costs microseconds."""
+    return bool(flags.any() if flags.ndim else flags)
+
+
+def _signed_log_det(sign, log_magnitude, is_zero) -> SignedLogDet:
+    """The :class:`SignedLogDet` of one matrix's :func:`_det_parts`."""
+    return SignedLogDet.zero() if is_zero else SignedLogDet(complex(sign), float(log_magnitude))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +416,13 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return _lapack("svd", as_matrix(a, stack=True), compute_uv=False)
 
 
-def _singular_to_working_precision(sigma: np.ndarray) -> bool:
+def _singular_to_working_precision(sigma: np.ndarray):
     """The zero rule of :func:`det` and the gate of :func:`schur_complement`:
-    the smallest singular value is at most ``PIVOT_REL`` times the largest."""
-    return float(sigma[-1]) <= PIVOT_REL * float(sigma[0])
+    the smallest singular value is at most ``PIVOT_REL`` times the largest,
+    for a row of singular values or per row of a stack."""
+    if sigma.ndim == 1:   # floats: numpy's 0-d arithmetic costs microseconds
+        return float(sigma[-1]) <= PIVOT_REL * float(sigma[0])
+    return sigma[..., -1] <= PIVOT_REL * sigma[..., 0]
 
 
 def general_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -437,7 +473,11 @@ def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
             f"(condition estimate {estimate:.3e})",
             condition_estimate=estimate,
         )
-    return a[r:, r:] - a[r:, :r] @ np.linalg.solve(a11, a[:r, r:])
+    # both divided by a11's power of two, so that LAPACK's pivots and
+    # reciprocals neither overflow nor underflow near DBL_MAX; exact, so the
+    # quotient a11^{-1} a12 is unchanged
+    s = _unit_scale(a11)
+    return a[r:, r:] - a[r:, :r] @ np.linalg.solve(a11 / s, a[:r, r:] / s)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +560,16 @@ class BlockUpperTriangular:
         self._own(x.copy(), y.copy(), z.copy())
 
     @classmethod
-    def _frozen(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "BlockUpperTriangular":
+    def _frozen(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                assembled: np.ndarray | None = None) -> "BlockUpperTriangular":
         """A member over blocks the package itself made, finite complex128 of
-        conforming shapes: frozen in place, neither revalidated nor copied."""
-        return object.__new__(cls)._own(x, y, z)
+        conforming shapes: frozen in place, neither revalidated nor copied.
+        ``assembled``, when given, is its [[x, y], [0, z]], frozen alike."""
+        member = object.__new__(cls)._own(x, y, z)
+        if assembled is not None:
+            assembled.setflags(write=False)
+            member.__dict__["_assembled"] = assembled   # in place of the cached build
+        return member
 
     def _own(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "BlockUpperTriangular":
         for name, arr in (("x", x), ("y", y), ("z", z)):

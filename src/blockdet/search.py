@@ -60,6 +60,7 @@ from .linalg import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     singular_values,
+    _below_diagonal,
     _unit_scaled,
 )
 
@@ -162,49 +163,105 @@ def _scale(spec: GeneratorSpec) -> float:
     raise ValueError(f"continuous families need a positive scalar scale, got {bound!r}")
 
 
-def _draw_dense(rng: np.random.Generator, spec: GeneratorSpec, rows: int, cols: int) -> np.ndarray:
+def _draw(rng: np.random.Generator, spec: GeneratorSpec, m: int, counts) -> list[np.ndarray]:
+    """All of a trial's entries in one generator call, split per member into
+    consecutive parts of ``counts`` entries: a (m, count) array each.
+
+    The integer families draw ``rng.integers`` over the entry range, the
+    others standard normals.  One call of total length gives bitwise the
+    values of consecutive calls of its parts, so the stream, and every
+    matrix drawn from it, is the one a block-by-block draw made.
+    """
     if spec.family in _INTEGER_FAMILIES:
         lo, hi = _int_range(spec)
-        return rng.integers(lo, hi + 1, size=(rows, cols)).astype(complex)
-    s = _scale(spec)
-    return s * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+        raw = rng.integers(lo, hi + 1, size=(m, sum(counts)))
+    else:
+        raw = rng.standard_normal((m, sum(counts)))
+    parts, start = [], 0
+    for count in counts:
+        parts.append(raw[:, start:start + count])
+        start += count
+    return parts
 
 
-def _draw_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _dense_count(spec: GeneratorSpec, rows: int, cols: int) -> int:
+    """Entries a dense rows-by-cols block takes from the stream: one per
+    entry for the integer families, a real and an imaginary part otherwise."""
+    return rows * cols if spec.family in _INTEGER_FAMILIES else 2 * rows * cols
+
+
+def _structured_count(spec: GeneratorSpec, n: int) -> int:
+    """Entries a structured n-square block takes: the normal family's also
+    draws the n complex eigenvalues."""
+    extra = 2 * n if spec.family == "normal_via_unitary_conjugation" else 0
+    return _dense_count(spec, n, n) + extra
+
+
+def _dense(raw: np.ndarray, spec: GeneratorSpec, rows: int, cols: int) -> np.ndarray:
+    """The stack of dense rows-by-cols blocks drawn as ``raw``, one row per member."""
+    if spec.family in _INTEGER_FAMILIES:
+        return raw.reshape(-1, rows, cols).astype(complex)
+    parts = raw.reshape(-1, 2, rows, cols)
+    return _scale(spec) * (parts[:, 0] + 1j * parts[:, 1])
+
+
+def _unitaries(g: np.ndarray) -> np.ndarray:
+    """The unitary factor of each matrix of the stack ``g``, from one stacked
+    QR, its columns rotated so that R has a positive real diagonal."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     mods = np.abs(d)
     safe = np.where(mods == 0.0, 1.0, mods)
     phases = np.where(mods == 0.0, 1.0 + 0j, d / safe)
-    return q * phases
+    return q * phases[..., None, :]
 
 
-def _draw_structured(rng: np.random.Generator, spec: GeneratorSpec, n: int) -> np.ndarray:
-    """One square matrix of size n with the family's structure, built exactly."""
+def _structured(spec: GeneratorSpec, raws: list[np.ndarray], sizes: list[int]) -> list[np.ndarray]:
+    """For each size n and its draws, the stack of the members' n-square
+    blocks with the family's structure, built exactly.
+
+    The normal family's blocks are U diag(d) U* for Haar-like U: their
+    unitaries come from one stacked QR when the sizes agree.  Each U diag(d) U*
+    is formed per member, as numpy's complex product on a stack of 1x1
+    matrices differs in its last bits from the product on one.
+    """
     family = spec.family
-    if family == "integer_uniform" or family == "block_triangular":
-        return _draw_dense(rng, spec, n, n)
-    if family == "gaussian":
-        return _draw_dense(rng, spec, n, n)
-    if family == "symmetric":
-        g = _draw_dense(rng, spec, n, n)
-        return (g + g.T) / 2.0
-    if family == "normal_via_unitary_conjugation":
-        u = _draw_unitary(rng, n)
-        d = _scale(spec) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        return (u * d) @ u.conj().T
-    if family == "upper_triangular":
-        return np.triu(_draw_dense(rng, spec, n, n))
-    raise ValueError(f"unknown family {family!r}")
+    if family != "normal_via_unitary_conjugation":
+        blocks = [_dense(raw, spec, n, n) for raw, n in zip(raws, sizes)]
+        if family == "symmetric":
+            return [(g + g.mT) / 2.0 for g in blocks]
+        if family == "upper_triangular":
+            return [np.where(_below_diagonal(n), 0.0, g) for g, n in zip(blocks, sizes)]
+        return blocks
+    s = _scale(spec)
+    gs, ds = [], []
+    for raw, n in zip(raws, sizes):
+        g, d = raw[:, :2 * n * n].reshape(-1, 2, n, n), raw[:, 2 * n * n:]
+        gs.append(g[:, 0] + 1j * g[:, 1])
+        ds.append(s * (d[:, :n] + 1j * d[:, n:]))
+    if len(set(sizes)) == 1:
+        u = _unitaries(np.concatenate(gs))
+        us = [u[k * len(g):(k + 1) * len(g)] for k, g in enumerate(gs)]
+    else:
+        us = [_unitaries(g) for g in gs]
+    return [np.array([(uk * dk) @ uk.conj().T for uk, dk in zip(u, d)]) for u, d in zip(us, ds)]
 
 
-def _require_finite(spec: GeneratorSpec, trial_index: int, *blocks: np.ndarray) -> None:
-    """The draw's one finiteness check per block; only a caller's
-    ``entry_bound`` can make a draw overflow."""
-    if spec.entry_bound is not None and not all(np.isfinite(b).all() for b in blocks):
+def _built(spec: GeneratorSpec, trial_index: int, build: Callable) -> list[np.ndarray]:
+    """``build()``: a list of drawn blocks or stacks of blocks.
+
+    Only a caller's ``entry_bound`` can make a draw overflow.  Under one the
+    arithmetic runs with numpy's overflow warnings off, and each block is
+    checked finite once; a draw without one is finite by construction.
+    """
+    if spec.entry_bound is None:
+        return build()
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = build()
+    if not all(np.isfinite(b).all() for b in blocks):
         raise LinalgError(f"seed {spec.seed}, trial {trial_index}: entry_bound "
                           f"{spec.entry_bound!r} overflows, drawing non-finite entries")
+    return blocks
 
 
 def generate(spec: GeneratorSpec, trial_index: int) -> list[np.ndarray]:
@@ -218,17 +275,14 @@ def generate(spec: GeneratorSpec, trial_index: int) -> list[np.ndarray]:
     draw raises :class:`LinalgError`.
     """
     rng = _trial_rng(spec.seed, trial_index)
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):   # _require_finite reports it
-        for _ in range(spec.m):
-            mat = _draw_structured(rng, spec, spec.n)
-            if spec.family == "block_triangular":
-                if not 0 < spec.r < spec.n:
-                    raise ShapeError(f"block family needs 0 < r < n, got r={spec.r}, n={spec.n}")
-                mat[spec.r:, : spec.r] = 0.0
-            _require_finite(spec, trial_index, mat)
-            out.append(mat)
-    return out
+    n, r = spec.n, spec.r
+    raws = _draw(rng, spec, spec.m, [_structured_count(spec, n)])
+    if spec.family == "block_triangular" and not 0 < r < n:
+        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={n}")
+    (mats,) = _built(spec, trial_index, lambda: _structured(spec, raws, [n]))
+    if spec.family == "block_triangular":
+        mats[:, r:, :r] = 0.0
+    return list(mats)
 
 
 def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
@@ -237,22 +291,22 @@ def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
     X and Z are structured draws of sizes r and n-r (so a ``symmetric`` spec
     yields symmetric diagonal blocks, ``normal_via_unitary_conjugation``
     yields normal ones), while Y is a dense draw.  Deterministic in
-    ``(seed, trial_index)`` with a fixed X, Y, Z draw order per member.
-    The blocks are frozen read-only, not copied; an ``entry_bound`` that
-    overflows a draw raises :class:`LinalgError`.
+    ``(seed, trial_index)``; each member takes its X, Y and Z from the
+    stream in that order.  The blocks, and each member's assembled matrix,
+    built as one stack, are frozen read-only, not copied; an
+    ``entry_bound`` that overflows a draw raises :class:`LinalgError`.
     """
-    if not 0 < spec.r < spec.n:
-        raise ShapeError(f"block family needs 0 < r < n, got r={spec.r}, n={spec.n}")
+    r, c = spec.r, spec.n - spec.r
+    if not 0 < r < spec.n:
+        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={spec.n}")
     rng = _trial_rng(spec.seed, trial_index)
-    members = []
-    with np.errstate(over="ignore", invalid="ignore"):   # _require_finite reports it
-        for _ in range(spec.m):
-            x = _draw_structured(rng, spec, spec.r)
-            y = _draw_dense(rng, spec, spec.r, spec.n - spec.r)
-            z = _draw_structured(rng, spec, spec.n - spec.r)
-            _require_finite(spec, trial_index, x, y, z)
-            members.append(BlockUpperTriangular._frozen(x, y, z))
-    return BlockFamily(tuple(members))
+    raw_x, raw_y, raw_z = _draw(rng, spec, spec.m, [
+        _structured_count(spec, r), _dense_count(spec, r, c), _structured_count(spec, c)])
+    x, z, y = _built(spec, trial_index, lambda: [*_structured(spec, [raw_x, raw_z], [r, c]),
+                                                 _dense(raw_y, spec, r, c)])
+    t = np.zeros((spec.m, spec.n, spec.n), dtype=complex)
+    t[:, :r, :r], t[:, :r, r:], t[:, r:, r:] = x, y, z
+    return BlockFamily(tuple(BlockUpperTriangular._frozen(*blocks) for blocks in zip(x, y, z, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +429,7 @@ class Inequality:
         else:
             mat = generate(spec, trial_index)[0]
             if self.transform is not None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    mat = self.transform(mat)
-                _require_finite(spec, trial_index, mat)
+                (mat,) = _built(spec, trial_index, lambda: [self.transform(mat)])
             mats = (mat,)
         return Witness(self.id, spec.seed, trial_index, params, mats), family
 

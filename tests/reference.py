@@ -1,16 +1,19 @@
-"""Matrix-function references the package itself no longer computes.
+"""References for what the package itself no longer computes that way.
 
-Test oracle only: thm3's sides as the paper writes them, det(I + |A|^p)
-with |A|^p built as a matrix, against the checker's singular-value route.
+Test oracles only: thm3's sides as the paper writes them, det(I + |A|^p)
+with |A|^p built as a matrix, against the checker's singular-value route;
+and the search's trial draw made block by block, against its one-call draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from blockdet import search
 from blockdet.linalg import (
     PSD_REL,
     LinalgError,
+    ShapeError,
     as_matrix,
     hermitian_eigensystem,
 )
@@ -35,3 +38,82 @@ def matrix_power_psd(p_matrix: np.ndarray, p: float) -> np.ndarray:
             f"eigenvalue {float(np.min(w)):.6e} below the PSD clamp window {floor:.6e}")
     powered = (v * np.power(np.where(w < 0.0, 0.0, w), p)) @ v.conj().T
     return (powered + powered.conj().T) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# The trial draw block by block, two generator calls per block, as the search
+# made it before it drew each trial in one call.  The one-call draw must give
+# bitwise these matrices: the same seed and trial index name the same input.
+
+
+def _require_finite(spec, trial_index: int, *blocks: np.ndarray) -> None:
+    if spec.entry_bound is not None and not all(np.isfinite(b).all() for b in blocks):
+        raise LinalgError(f"seed {spec.seed}, trial {trial_index}: entry_bound "
+                          f"{spec.entry_bound!r} overflows, drawing non-finite entries")
+
+
+def _draw_dense(rng, spec, rows: int, cols: int) -> np.ndarray:
+    if spec.family in search._INTEGER_FAMILIES:
+        lo, hi = search._int_range(spec)
+        return rng.integers(lo, hi + 1, size=(rows, cols)).astype(complex)
+    s = search._scale(spec)
+    return s * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+
+
+def _draw_unitary(rng, n: int) -> np.ndarray:
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    mods = np.abs(d)
+    safe = np.where(mods == 0.0, 1.0, mods)
+    phases = np.where(mods == 0.0, 1.0 + 0j, d / safe)
+    return q * phases
+
+
+def _draw_structured(rng, spec, n: int) -> np.ndarray:
+    family = spec.family
+    if family in ("integer_uniform", "block_triangular", "gaussian"):
+        return _draw_dense(rng, spec, n, n)
+    if family == "symmetric":
+        g = _draw_dense(rng, spec, n, n)
+        return (g + g.T) / 2.0
+    if family == "normal_via_unitary_conjugation":
+        u = _draw_unitary(rng, n)
+        d = search._scale(spec) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return (u * d) @ u.conj().T
+    if family == "upper_triangular":
+        return np.triu(_draw_dense(rng, spec, n, n))
+    raise ValueError(f"unknown family {family!r}")
+
+
+def block_by_block_generate(spec, trial_index: int) -> list[np.ndarray]:
+    """:func:`blockdet.search.generate`, drawn block by block."""
+    rng = search._trial_rng(spec.seed, trial_index)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.m):
+            mat = _draw_structured(rng, spec, spec.n)
+            if spec.family == "block_triangular":
+                if not 0 < spec.r < spec.n:
+                    raise ShapeError(f"block family needs 0 < r < n, got r={spec.r}, n={spec.n}")
+                mat[spec.r:, : spec.r] = 0.0
+            _require_finite(spec, trial_index, mat)
+            out.append(mat)
+    return out
+
+
+def block_by_block_family(spec, trial_index: int) -> list[tuple[np.ndarray, ...]]:
+    """The (X, Y, Z) of each member :func:`blockdet.search.generate_block_family`
+    draws, drawn block by block in the order X, Y, Z per member."""
+    if not 0 < spec.r < spec.n:
+        raise ShapeError(f"block family needs 0 < r < n, got r={spec.r}, n={spec.n}")
+    rng = search._trial_rng(spec.seed, trial_index)
+    members = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.m):
+            x = _draw_structured(rng, spec, spec.r)
+            y = _draw_dense(rng, spec, spec.r, spec.n - spec.r)
+            z = _draw_structured(rng, spec, spec.n - spec.r)
+            _require_finite(spec, trial_index, x, y, z)
+            members.append((x, y, z))
+    return members

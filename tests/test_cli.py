@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -238,6 +239,27 @@ def test_fuzz_past_dbl_max_entry_moduli_reads_no_false_verdict(predicate, tmp_pa
     assert report["violations"] == []
     if predicate == "djokovic":
         assert report["min_margin"] > 2800.0
+
+
+@pytest.mark.parametrize("predicate, m, seed", [
+    ("schur_identity", 1, 4),   # LAPACK's solve of the unscaled leading block returned 0
+    ("cor_c1", 1, 5),           # sigma_max of [T] read inf, and the rank floor with it
+    ("thm1", 2, 24),            # the same, on both sides: inf - inf
+])
+def test_fuzz_near_dbl_max_reads_no_false_violation(predicate, m, seed, tmp_path):
+    # every draw is finite, with entries near 1e308; each claim holds (cor_c1 at one
+    # member and schur_identity are identities)
+    out = tmp_path / "fuzz.ndjson"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fuzz", "--predicate", predicate, "--family", "gaussian", "--entry-bound",
+                     "1e308", "--trials", "2", "--n", "2", "--r", "1", "--m", str(m),
+                     "--seed", str(seed), "--format", "structured", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["trials"] == 2
+    assert report["violations"] == []
+    assert math.isfinite(report["min_margin"]) and report["min_margin"] > -1e-12
 
 
 def test_fuzz_unknown_predicate_exits_three():

@@ -38,6 +38,8 @@ from blockdet.linalg import (
     schur_complement,
     singular_values,
     Tolerances,
+    _det_parts,
+    _signed_log_det,
 )
 
 
@@ -176,6 +178,46 @@ def test_det_of_a_row_whose_largest_modulus_is_subnormal():
     assert not d.is_zero and d.phase == 1.0
     assert d.log_magnitude == pytest.approx(math.log(1e-310), rel=1e-12)
     assert shear.log_magnitude == pytest.approx(math.log(6e-310), rel=1e-12)
+
+
+def _det_bits(d: SignedLogDet) -> tuple:
+    return (d.is_zero,) if d.is_zero else (
+        np.complex128(d.phase).tobytes(), np.float64(d.log_magnitude).tobytes())
+
+
+def _edge_stack(rng, n: int) -> np.ndarray:
+    """Random n-square matrices, and each of det's edge cases at least once."""
+    mats = [_rand_complex(rng, n) * 10.0 ** rng.integers(-200, 200) for _ in range(12)]
+    for k, a in enumerate(_rand_complex(rng, n) for _ in range(8)):
+        row = k % n
+        if k % 4 == 0:
+            a[row] = 0.0                           # an all-zero row
+        elif k % 4 == 1:
+            a[row] *= 1e-310                       # a row whose largest modulus is subnormal
+        elif k % 4 == 2:
+            a[row] = 1.3e308 * (1 + 1j)            # moduli above DBL_MAX, finite parts
+        else:
+            a[row] = a[(row + 1) % n] if n > 1 else 0.0   # flagged zero by the SVD rule
+        mats.append(a)
+    mats.append(np.zeros((n, n)))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_stacked_det_parts_are_each_matrix_det_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    stack = _edge_stack(rng, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sign, log_mag, zero = _det_parts(stack)
+        nested = _det_parts(stack.reshape(3, -1, n, n))
+        singles = [det(a) for a in stack]
+    assert sign.shape == log_mag.shape == zero.shape == (len(stack),)
+    assert {d.is_zero for d in singles} == {True, False}
+    for k, d in enumerate(singles):
+        assert _det_bits(_signed_log_det(sign[k], log_mag[k], zero[k])) == _det_bits(d), k
+        assert _det_bits(_signed_log_det(*(part.reshape(-1)[k] for part in nested))) == _det_bits(d)
+        assert _det_bits(_signed_log_det(*_det_parts(stack[k]))) == _det_bits(d)
 
 
 def test_signed_log_det_multiplication_and_zero():
@@ -492,6 +534,36 @@ def test_schur_determinant_identity_random():
             rhs.log_magnitude, rel=1e-8, abs=1e-8 * max(1.0, abs(rhs.log_magnitude))
         )
         assert abs(lhs.phase - rhs.phase) < 1e-8
+
+
+def test_schur_complement_is_the_unscaled_solve_bitwise_away_from_dbl_max():
+    # the leading block and a12 are divided by a11's power of two: an exact scaling
+    rng = np.random.default_rng(61)
+    for scale in (1e-3, 1.0, 37.0, 1e150):
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            r = int(rng.integers(1, n))
+            a = scale * _rand_complex(rng, n)
+            a11, a12 = a[:r, :r], a[:r, r:]
+            expected = a[r:, r:] - a[r:, :r] @ np.linalg.solve(a11, a12)
+            assert schur_complement(a, r).tobytes() == expected.tobytes()
+
+
+def test_schur_complement_near_dbl_max_keeps_the_determinant_identity():
+    # LAPACK's solve of the unscaled 1x1 blocks returns 0 here, where the quotient is
+    # about -0.37 + 0.09i, and schur_identity read a false violation
+    a = np.array([[-1.1e308 + 1.5e308j, 2.7e307 - 6.5e307j],
+                  [0.0, 3.0e307 + 9.0e307j]])
+    a[1, 0] = 1.6e308 - 8.0e307j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = schur_complement(a, 1)
+        lhs = det(a[:1, :1]) * det(c)
+        rhs = det(a)
+    quotient = (a[0, 1] / 2.0 ** 1023) / (a[0, 0] / 2.0 ** 1023)
+    assert c[0, 0] == pytest.approx(a[1, 1] - a[1, 0] * quotient, rel=1e-14)
+    assert lhs.log_magnitude == pytest.approx(rhs.log_magnitude, rel=1e-14)
+    assert abs(lhs.phase - rhs.phase) < 1e-13
 
 
 def test_schur_rejects_singular_block_with_estimate():

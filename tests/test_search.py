@@ -7,13 +7,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from blockdet import search
-from blockdet.checks import BlockFamily, Verdict, check_cor_c0, check_lemma1
+from blockdet.checks import (
+    BlockFamily,
+    Verdict,
+    check_cor_c0,
+    check_lemma1,
+    check_thm2,
+    _batch_thm2,
+    _thm2_sides,
+    _bordered,
+)
 from blockdet.linalg import (
     DEFAULT_TOL,
     BlockUpperTriangular,
     LinalgError,
     ShapeError,
+    det,
     frobenius_norm,
     predicates,
 )
@@ -46,6 +57,46 @@ def test_generate_is_deterministic_and_per_trial_independent():
         assert np.array_equal(a, b)
     other = generate(spec, 8)
     assert not np.array_equal(first[0], other[0])
+
+
+def _draw_or_error(draw, spec, trial):
+    try:
+        return draw(spec, trial)
+    except (ValueError, LinalgError) as err:
+        return type(err), str(err)
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_call_draw_is_the_block_by_block_draw_bitwise(family):
+    # the stream of (seed, trial) must keep naming the same matrices: a recorded
+    # seed reproduces its witness; a bound the family does not take raises alike
+    for n, r in ((2, 1), (4, 1), (4, 3), (5, 2)):
+        for m in (1, 2, 3, 4):
+            for bound in (None, 1e-100, 1e100, (-3, 5)):
+                spec = GeneratorSpec(family=family, n=n, r=r, m=m, entry_bound=bound,
+                                     seed=1000 * n + 10 * m + r)
+                for trial in range(25):
+                    mats = _draw_or_error(generate, spec, trial)
+                    expected = _draw_or_error(reference.block_by_block_generate, spec, trial)
+                    if isinstance(expected, tuple):
+                        assert mats == expected
+                    else:
+                        assert len(mats) == m
+                        assert all(_same_bits(a, b) for a, b in zip(mats, expected))
+                    drawn = _draw_or_error(generate_block_family, spec, trial)
+                    expected = _draw_or_error(reference.block_by_block_family, spec, trial)
+                    if isinstance(expected, tuple):
+                        assert drawn == expected
+                        continue
+                    blocks = [(b.x, b.y, b.z, b.assemble()) for b in drawn.members]
+                    expected = [(*want, BlockUpperTriangular(*want).assemble()) for want in expected]
+                    assert len(blocks) == m
+                    assert all(_same_bits(a, b) for got, want in zip(blocks, expected)
+                               for a, b in zip(got, want))
 
 
 def test_generate_zero_bound_gives_zero_matrix():
@@ -304,6 +355,34 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params)
                 assert _bits(margins[i]) == _bits(report.margin), where
                 clear_trials += 1
     assert clear_trials > 0
+
+
+@pytest.mark.parametrize("bound", [1e-150, 1e150, 1e300])
+def test_thm2_stacked_bordered_determinants_are_the_checker_s_bitwise(bound):
+    # one chunk's bordered matrices go to det's rules as one stack; every family's
+    # draws are scaled to the bound, which the integer families do not take
+    compared = 0
+    for family in FAMILIES:
+        for n, r, m in _CRITERION_4_SIZES:
+            spec = GeneratorSpec(family=family, n=n, r=r, m=m, seed=31 * n + m)
+            members = [BlockUpperTriangular(bound * t.x, bound * t.y, bound * t.z)
+                       for t in (generate_block_family(spec, i).members[0]
+                                 for i in range(_CHUNK))]
+            _, _, stacked_x, stacked_z = _thm2_sides(members)
+            margins, clear = _batch_thm2(members, DEFAULT_TOL)
+            for i, t in enumerate(members):
+                for block, (phase, log_mag, zero) in ((t.x, stacked_x), (t.z, stacked_z)):
+                    single = det(_bordered(block.conj(), block))
+                    assert zero[i] == single.is_zero
+                    if not single.is_zero:
+                        assert complex(phase[i]) == single.phase
+                        assert _bits(log_mag[i]) == _bits(single.log_magnitude)
+                        compared += 1
+                report = check_thm2(t)
+                if not report.rhs.is_zero:
+                    assert _bits(margins[i]) == _bits(report.margin), (family, n, i)
+                assert not clear[i] or report.verdict is Verdict.HOLDS_STRICT
+    assert compared > len(FAMILIES) * len(_CRITERION_4_SIZES) * _CHUNK
 
 
 def test_a_flagged_zero_side_is_left_to_the_checker():
