@@ -49,6 +49,7 @@ from .linalg import (
     singular_values,
     _any,
     _asymmetry,
+    _commutator,
     _det_parts,
     _require_square,
     _signed_log_det,
@@ -391,6 +392,13 @@ def _is_symmetric(a: np.ndarray):
     return asymmetry <= PREDICATE_REL * norm
 
 
+def _is_normal(a: np.ndarray) -> bool:
+    """The normality test of :func:`predicates`: ||A A* - A* A||_F of the
+    exact quotient A/s at most ``PREDICATE_REL`` * ||A/s||_F^2."""
+    _, _, norm, commutator = _unit_masses(a, _commutator)
+    return bool(commutator <= PREDICATE_REL * norm * norm)
+
+
 def _y_zero(t: np.ndarray, r: int) -> tuple:
     """Whether ||Y||_F <= PREDICATE_REL * (1 + ||T||_F), Y = T[:r, r:], for
     each T of the stack ``t``; and s and ||Y / s||_F of :func:`_unit_masses`."""
@@ -524,9 +532,7 @@ def check_cor_c1(
     The signed inner determinants are reported as diagnostics because the
     X-factor can be genuinely negative before the absolute value.
     """
-    normal = all(
-        predicates(m.x).is_normal and predicates(m.z).is_normal for m in family.members
-    )
+    normal = all(_is_normal(m.x) and _is_normal(m.z) for m in family.members)
     lhs = _sld(*_log_det_grams(*_stack_gram(family, BlockUpperTriangular.assemble)))
     units = [_unit_scaled(_block_array(family, attrgetter(block))) for block in "xz"]
     inner_x, inner_z = (_det_product_sum(u.conj(), u, s) for u, s in units)
@@ -752,10 +758,17 @@ def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     _require_square(a, "check_weyl")
     lam = np.abs(general_eigenvalues(a))
     sig = singular_values(a)
+    log_s = 0.0
+    if not (np.isfinite(lam).all() and np.isfinite(sig).all()):
+        # a spectrum past DBL_MAX: take those of the exact quotient A/s, whose
+        # products are s^-n times A's; n log s is added back to each side
+        s = _unit_scale(a)
+        lam, sig, log_s = np.abs(general_eigenvalues(a / s)), singular_values(a / s), math.log(s)
     cum_l = _cumulative_logs(lam)
     cum_s = _cumulative_logs(sig)
-    lhs = SignedLogDet.zero() if math.isinf(cum_s[-1]) else SignedLogDet.from_log(float(cum_s[-1]))
-    rhs = SignedLogDet.zero() if math.isinf(cum_l[-1]) else SignedLogDet.from_log(float(cum_l[-1]))
+    lhs, rhs = (SignedLogDet.zero() if math.isinf(cum[-1])
+                else SignedLogDet.from_log(float(cum[-1]) + lam.size * log_s)
+                for cum in (cum_s, cum_l))
     gaps = cum_s[:-1] - cum_l[:-1]
     gaps = gaps[np.isfinite(gaps)]
     final_gap = lhs.log_ratio(rhs)
@@ -771,13 +784,21 @@ def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -
     a = as_matrix(a)
     _require_square(a, "check_schur_identity")
     try:
-        complement = schur_complement(a, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            complement = schur_complement(a, r)
     except SingularBlockError as err:
         zero = SignedLogDet.zero()
         return _report("schur_identity", zero, zero, tol,
                        (Finding("leading_block_condition", _json_value(err.condition_estimate)),),
                        precondition_failed=True)
-    lhs = det(a[:r, :r]) * det(complement)
+    lhs = det(a[:r, :r])
+    if not np.isfinite(complement).all():
+        # a product past DBL_MAX: the complement of the exact quotient A/s is
+        # A's divided by s, so its determinant is s^-(n-r) times A's
+        s = _unit_scale(a)
+        complement = schur_complement(a / s, r)
+        lhs = lhs * SignedLogDet.from_log((a.shape[0] - r) * math.log(s))
+    lhs = lhs * det(complement)
     rhs = det(a)
     if lhs.is_zero or rhs.is_zero:
         return _report("schur_identity", lhs, rhs, tol)
@@ -794,10 +815,22 @@ def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport
     """
     if family.m != 2:
         raise ShapeError(f"this comparison needs exactly two members, got {family.m}")
-    t1, t2 = family.members
-    lhs = det(abs_matrix(t1.assemble()) + abs_matrix(t2.assemble()))
-    rhs = det(abs_matrix(t1.x) + abs_matrix(t2.x)) * det(abs_matrix(t1.z) + abs_matrix(t2.z))
-    return _report("e21", lhs, rhs, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_sum, x_sum, z_sum = _abs_sums(family, 1.0)
+    if all(np.isfinite(m).all() for m in (t_sum, x_sum, z_sum)):
+        return _report("e21", det(t_sum), det(x_sum) * det(z_sum), tol)
+    # a sum past DBL_MAX: with the pair divided by one power of two s,
+    # |T_k / s| = |T_k| / s, and each side is s^-n times the pair's
+    s = float(np.max(_unit_scale(_block_array(family, BlockUpperTriangular.assemble))))
+    t_sum, x_sum, z_sum = _abs_sums(family, s)
+    grown = SignedLogDet.from_log(family.n * math.log(s))
+    return _report("e21", det(t_sum) * grown, det(x_sum) * det(z_sum) * grown, tol)
+
+
+def _abs_sums(family: BlockFamily, s: float) -> list[np.ndarray]:
+    """|T1/s| + |T2/s|, and the same of the X and of the Z blocks."""
+    (t1, x1, z1), (t2, x2, z2) = ((t.assemble(), t.x, t.z) for t in family.members)
+    return [abs_matrix(b1 / s) + abs_matrix(b2 / s) for b1, b2 in ((t1, t2), (x1, x2), (z1, z2))]
 
 
 # ---------------------------------------------------------------------------

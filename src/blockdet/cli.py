@@ -115,15 +115,18 @@ def _parse_entry_bound(text: str | None):
 
 
 def _load_matrix_file(path: str):
-    p = Path(path)
+    """One matrix document: the file read once as bytes, parsed, then
+    checked and converted in one pass by :func:`matrix_from_json_dict`."""
     try:
-        text = p.read_text()
+        data = Path(path).read_bytes()
     except OSError as err:
         raise _usage(f"cannot read {path}: {err}")
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)
     except json.JSONDecodeError as err:
         raise _usage(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
+    except ValueError as err:   # undecodable bytes, or an integer literal past str's limit
+        raise _usage(f"{path}: invalid JSON: {err}")
     try:
         return matrix_from_json_dict(doc)
     except LinalgError as err:
@@ -300,6 +303,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="blockdet",
                      description="determinantal inequality checks for block triangular matrices")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices   # name -> command parser, filled in below
 
     p_check = sub.add_parser("check",
                              help="evaluate one inequality on matrices from JSON files")
@@ -351,9 +355,25 @@ def _shared_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; repeated calls in one process share one parser."""
+    """Run one command; repeated calls in one process share one parser.
+
+    An ``argv`` that starts with a command name goes straight to that
+    command's parser, as the top-level parser would hand it on; arguments
+    that parser does not know are reported by the top-level parser, as
+    argparse does.  Every other ``argv`` (none, ``-h``, an unknown command)
+    goes through the top-level parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _shared_parser()
     try:
-        args = _shared_parser().parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, unknown = command.parse_known_args(argv[1:])
+            if unknown:
+                parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     except _UsageError as err:
         print(f"blockdet: error: {err}", file=sys.stderr)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -447,7 +448,9 @@ def abs_matrix(a: np.ndarray) -> np.ndarray:
     _require_square(a, "abs_matrix")
     _, sigma, vh = _lapack("svd", a)
     p = (vh.conj().T * sigma) @ vh
-    return (p + p.conj().T) / 2.0
+    if sigma[0] <= _FLOAT_MAX / 4.0:   # no entry of p + p* overflows
+        return (p + p.conj().T) / 2.0
+    return p / 2.0 + p.conj().T / 2.0   # halved before the sum, as hermitian_eigensystem does
 
 
 def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
@@ -627,8 +630,34 @@ def matrix_to_json_dict(a: np.ndarray) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
+def _first_bad_pair(entries: list) -> int:
+    """The index of the first entry that is not a [re, im] pair of reals
+    (``int`` or ``float``, not ``bool``), or ``len(entries)``."""
+    for i, pair in enumerate(entries):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            return i
+        re, im = pair
+        if not (isinstance(re, (int, float)) and isinstance(im, (int, float))) or (
+                type(re) is bool or type(im) is bool):
+            return i
+    return len(entries)
+
+
+def _double(part) -> float:
+    try:
+        return float(part)
+    except OverflowError:   # an int past the double range
+        return math.inf
+
+
 def matrix_from_json_dict(doc: dict) -> np.ndarray:
-    """Parse the {rows, cols, entries} document, reporting the bad position."""
+    """Parse the {rows, cols, entries} document, reporting the bad position.
+
+    The entries' types are checked in one pass and the pairs converted in
+    one call; an error names the first bad entry, whether its type is wrong
+    or a part is not finite (an int past the double range counts as
+    infinite).
+    """
     if not isinstance(doc, dict):
         raise MatrixFormatError(f"matrix document must be an object, got {type(doc).__name__}")
     missing = {"rows", "cols", "entries"} - set(doc)
@@ -640,13 +669,17 @@ def matrix_from_json_dict(doc: dict) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         count = len(entries) if isinstance(entries, list) else "non-list"
         raise MatrixFormatError(f"expected {rows * cols} entries, got {count}")
-    data = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(entries):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair)):
-            raise MatrixFormatError(f"entry {i}: expected a [re, im] pair of reals, got {pair!r}")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise MatrixFormatError(f"entry {i}: non-finite component {pair!r}")
-        data[i] = complex(re, im)
-    return data.reshape(rows, cols)
+    good = _first_bad_pair(entries)
+    head = entries[:good]
+    try:
+        data = np.fromiter(chain.from_iterable(head), float, count=2 * good)
+    except OverflowError:
+        data = np.fromiter(map(_double, chain.from_iterable(head)), float, count=2 * good)
+    finite = np.isfinite(data)
+    if not finite.all():
+        i = int(np.argmin(finite)) // 2
+        raise MatrixFormatError(f"entry {i}: non-finite component {entries[i]!r}")
+    if good < len(entries):
+        raise MatrixFormatError(
+            f"entry {good}: expected a [re, im] pair of reals, got {entries[good]!r}")
+    return data.view(complex).reshape(rows, cols)

@@ -2,17 +2,24 @@
 
 Test oracles only: thm3's sides as the paper writes them, det(I + |A|^p)
 with |A|^p built as a matrix, against the checker's singular-value route;
-and the search's trial draw made block by block, against its one-call draw.
+the search's trial draw made block by block, against its one-call draw; the
+matrix document parsed entry by entry, against the one-pass parse; and the
+command line parsed by the top-level parser alone, against the dispatch
+that hands a command's arguments straight to its parser.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
-from blockdet import search
+from blockdet import cli, search
 from blockdet.linalg import (
     PSD_REL,
     LinalgError,
+    MatrixFormatError,
     ShapeError,
     as_matrix,
     hermitian_eigensystem,
@@ -117,3 +124,49 @@ def block_by_block_family(spec, trial_index: int) -> list[tuple[np.ndarray, ...]
             _require_finite(spec, trial_index, x, y, z)
             members.append((x, y, z))
     return members
+
+
+# ---------------------------------------------------------------------------
+# The matrix document parsed entry by entry, as before the one-pass parse.
+# The one-pass parse must return bitwise this array or raise this message;
+# only an int past the double range differs, where this raises OverflowError.
+
+
+def per_entry_matrix_from_json_dict(doc: dict) -> np.ndarray:
+    if not isinstance(doc, dict):
+        raise MatrixFormatError(f"matrix document must be an object, got {type(doc).__name__}")
+    missing = {"rows", "cols", "entries"} - set(doc)
+    if missing:
+        raise MatrixFormatError(f"matrix document missing keys: {sorted(missing)}")
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+        raise MatrixFormatError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        count = len(entries) if isinstance(entries, list) else "non-list"
+        raise MatrixFormatError(f"expected {rows * cols} entries, got {count}")
+    data = np.empty(rows * cols, dtype=complex)
+    for i, pair in enumerate(entries):
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair)):
+            raise MatrixFormatError(f"entry {i}: expected a [re, im] pair of reals, got {pair!r}")
+        re, im = float(pair[0]), float(pair[1])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise MatrixFormatError(f"entry {i}: non-finite component {pair!r}")
+        data[i] = complex(re, im)
+    return data.reshape(rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# Every argv through the top-level parser, which hands a command's arguments
+# on to that command's parser.  ``cli.main`` must answer each argv alike.
+
+
+def main_through_top_level_parser(argv: list[str]) -> int:
+    try:
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+    except cli._UsageError as err:
+        print(f"blockdet: error: {err}", file=sys.stderr)
+        return cli.EXIT_USAGE
+    except SystemExit as err:
+        return err.code if isinstance(err.code, int) else cli.EXIT_USAGE

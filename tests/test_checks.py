@@ -28,12 +28,14 @@ from blockdet.checks import (
     check_thm2,
     check_thm3,
     check_weyl,
+    _is_normal,
 )
 from blockdet.linalg import (
     BlockUpperTriangular,
     ShapeError,
     abs_matrix,
     det,
+    predicates,
 )
 from blockdet.search import GeneratorSpec, generate_block_family
 
@@ -526,6 +528,93 @@ def test_weyl_random_never_violated():
         n = int(rng.integers(1, 7))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert check_weyl(a).verdict is not Verdict.VIOLATED
+
+
+def _normal_and_not(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return (q * d) @ q.conj().T, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_is_normal_is_the_predicates_gate():
+    rng = np.random.default_rng(71)
+    blocks = [np.zeros((3, 3), dtype=complex), np.array([[1, 1], [0, 1]], dtype=complex)]
+    for n in (1, 2, 3, 5):
+        normal, general = _normal_and_not(rng, n)
+        for scale in (1.0, 1e-310, 1e-300, 1e300):   # subnormal and huge entries too
+            blocks += [normal * scale, general * scale]
+    # just inside and just outside the gate: N + tE crosses it as t grows
+    normal, _ = _normal_and_not(rng, 3)
+    shear = np.triu(rng.standard_normal((3, 3)), 1).astype(complex)
+    inside, outside = 0.0, 1.0
+    for _ in range(200):
+        mid = (inside + outside) / 2.0
+        if predicates(normal + mid * shear).is_normal:
+            inside = mid
+        else:
+            outside = mid
+    edge = [normal + inside * shear, normal + outside * shear]
+    assert [predicates(b).is_normal for b in edge] == [True, False]
+    blocks += edge + [np.ldexp(b.real, 990) + 1j * np.ldexp(b.imag, 990) for b in edge]
+    for b in blocks:
+        assert _is_normal(b) == predicates(b).is_normal
+    assert sum(_is_normal(b) for b in blocks) not in (0, len(blocks))
+
+
+# ---------------------------------------------------------------------------
+# Spectra and sums past DBL_MAX: checked on the exact quotient A/s, logs added back
+
+
+def _times_2_1023(b: np.ndarray) -> np.ndarray:
+    """b * 2^1023, exact: entries up to about 1.8e308, sigma_max past DBL_MAX."""
+    b = np.asarray(b, dtype=complex)
+    return np.ldexp(b.real, 1023) + 1j * np.ldexp(b.imag, 1023)
+
+
+def _assert_scaled_report(big, small, n):
+    shift = n * 1023 * math.log(2.0)
+    assert big.verdict is small.verdict
+    assert big.margin == pytest.approx(small.margin, abs=1e-9)
+    for side_big, side_small in ((big.lhs, small.lhs), (big.rhs, small.rhs)):
+        assert side_big.log_magnitude == pytest.approx(side_small.log_magnitude + shift,
+                                                       rel=1e-14)
+
+
+def test_weyl_past_dbl_max_is_weyl_of_the_quotient():
+    rng = np.random.default_rng(72)
+    for n in (2, 3, 4):
+        b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        b[0] = 1 + 1j   # sigma_max(b) >= 2, so sigma_max past DBL_MAX below
+        big = _times_2_1023(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.linalg.svd(big, compute_uv=False)).all()
+        _assert_scaled_report(check_weyl(big), check_weyl(b), n)
+
+
+def test_schur_identity_past_dbl_max_keeps_the_identity():
+    # the complement of the leading 1x1 block, 0.5 - 8i times 2^1023, is past DBL_MAX
+    b = np.array([[0.25, 1 + 1j], [1 + 1j, 0.5]])
+    report = check_schur_identity(_times_2_1023(b), 1)
+    assert report.verdict is Verdict.EQUALITY
+    _assert_scaled_report(report, check_schur_identity(b, 1), 2)
+
+
+def test_e21_past_dbl_max_is_e21_of_the_quotient():
+    rng = np.random.default_rng(73)
+    small = _family(*(np.triu(rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4)))
+                      + np.diag([1 + 1j, 0, 0, 0]) for _ in range(2)), r=2)
+    small = BlockFamily(tuple(BlockUpperTriangular(x=t.x, y=t.y, z=t.z)
+                              for t in small.members))
+    big = BlockFamily(tuple(BlockUpperTriangular(x=_times_2_1023(t.x), y=_times_2_1023(t.y),
+                                                 z=_times_2_1023(t.z)) for t in small.members))
+    _assert_scaled_report(check_e21(big), check_e21(small), 4)
+
+
+def test_abs_matrix_near_dbl_max_is_finite():
+    b = np.array([[1.5, 0.25], [0, 0.5j]])
+    big = abs_matrix(_times_2_1023(b))   # sigma_max below DBL_MAX, |T| + |T|* past it
+    assert np.isfinite(big).all()
+    assert np.allclose(big / 2.0 ** 1023, abs_matrix(b), rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

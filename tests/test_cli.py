@@ -2,11 +2,13 @@
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from reference import main_through_top_level_parser
 from blockdet import cli
 from blockdet.checks import CheckReport, Verdict
 from blockdet.cli import main
@@ -170,6 +172,42 @@ def test_main_builds_the_parser_once(monkeypatch, diag_file, capsys):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"], ["--format", "structured"],
+    ["check", "-h"], ["check", "--ineq", "drury"], ["fuzz", "--trials", "x"], ["reproduce"],
+    ["check", "FILE", "--ineq", "drury", "--bogus", "1"],   # reported by the top-level parser
+    ["check", "FILE", "--ineq", "drury", "--format", "structured"],
+    ["reproduce", "example3"],
+])
+def test_main_answers_as_the_top_level_parser(argv, diag_file, capsys):
+    argv = [diag_file if a == "FILE" else a for a in argv]
+    code = main(argv)
+    direct = code, *capsys.readouterr()
+    code = main_through_top_level_parser(argv)
+    assert direct == (code, *capsys.readouterr())
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, diag_file, capsys):
+    monkeypatch.setattr(sys, "argv", ["blockdet", "check", diag_file, "--ineq", "drury"])
+    assert main() == 0
+    assert "equality" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["blockdet", "nosuch"])
+    assert main() == 3
+
+
+def test_check_entry_past_the_double_range_exits_three(tmp_path, capsys):
+    # an integer literal of 401 digits: json reads it as an int no double holds
+    f = tmp_path / "big.json"
+    f.write_text('{"rows": 1, "cols": 1, "entries": [[1' + "0" * 400 + ', 0]]}')
+    assert main(["check", str(f), "--ineq", "weyl"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"blockdet: error: {f}: entry 0: non-finite component [1000")
+    longer = tmp_path / "longer.json"   # past str's digit limit, which json.loads enforces
+    longer.write_text('{"rows": 1, "cols": 1, "entries": [[1' + "0" * 5000 + ', 0]]}')
+    assert main(["check", str(longer), "--ineq", "weyl"]) == 3
+    assert capsys.readouterr().err.startswith(f"blockdet: error: {longer}: invalid JSON: ")
+
+
 def test_calls_in_one_process_answer_as_when_run_alone(diag_file, capsys):
     calls = [
         (["check", diag_file, "--ineq", "nosuch"], 3),        # usage error
@@ -241,14 +279,7 @@ def test_fuzz_past_dbl_max_entry_moduli_reads_no_false_verdict(predicate, tmp_pa
         assert report["min_margin"] > 2800.0
 
 
-@pytest.mark.parametrize("predicate, m, seed", [
-    ("schur_identity", 1, 4),   # LAPACK's solve of the unscaled leading block returned 0
-    ("cor_c1", 1, 5),           # sigma_max of [T] read inf, and the rank floor with it
-    ("thm1", 2, 24),            # the same, on both sides: inf - inf
-])
-def test_fuzz_near_dbl_max_reads_no_false_violation(predicate, m, seed, tmp_path):
-    # every draw is finite, with entries near 1e308; each claim holds (cor_c1 at one
-    # member and schur_identity are identities)
+def _fuzz_near_dbl_max(predicate, m, seed, tmp_path) -> dict:
     out = tmp_path / "fuzz.ndjson"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -258,8 +289,33 @@ def test_fuzz_near_dbl_max_reads_no_false_violation(predicate, m, seed, tmp_path
     assert code == 0
     report = json.loads(out.read_text())
     assert report["trials"] == 2
+    return report
+
+
+@pytest.mark.parametrize("predicate, m, seed", [
+    ("schur_identity", 1, 4),   # LAPACK's solve of the unscaled leading block returned 0
+    ("schur_identity", 1, 5),   # a21 a11^-1 a12 past DBL_MAX: the search aborted
+    ("cor_c1", 1, 5),           # sigma_max of [T] read inf, and the rank floor with it
+    ("thm1", 2, 24),            # the same, on both sides: inf - inf
+    ("weyl", 1, 4),             # sigma_max and |lambda_max| read inf: inf - inf, margin 0
+])
+def test_fuzz_near_dbl_max_reads_no_false_violation(predicate, m, seed, tmp_path):
+    # every draw is finite, with entries near 1e308; each claim holds (cor_c1 at one
+    # member and schur_identity are identities)
+    report = _fuzz_near_dbl_max(predicate, m, seed, tmp_path)
     assert report["violations"] == []
     assert math.isfinite(report["min_margin"]) and report["min_margin"] > -1e-12
+    if predicate == "weyl":   # trial 0's strict-prefix gap is 0.307 (a 50-digit mpmath check)
+        assert report["min_margin"] > 0.1
+
+
+def test_fuzz_e21_near_dbl_max_answers_every_trial(tmp_path):
+    # trial 1's |T1| + |T1|* and |T1| + |T2| are past DBL_MAX: the search aborted with
+    # "matrix entries must be finite"; trial 0 is the paper's witness, a violation
+    report = _fuzz_near_dbl_max("e21", 1, 1, tmp_path)
+    assert [v["trial_index"] for v in report["violations"]] == [0]
+    assert report["min_positive_margin_trial"] == 1
+    assert 0.1 < report["min_positive_margin"] < 0.2   # 0.1402 on the pair divided by 2^1020
 
 
 def test_fuzz_unknown_predicate_exits_three():

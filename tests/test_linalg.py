@@ -6,11 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact
-from reference import NotPositiveSemidefiniteError, matrix_power_psd
+from reference import (
+    NotPositiveSemidefiniteError,
+    matrix_power_psd,
+    per_entry_matrix_from_json_dict,
+)
 from blockdet.linalg import (
     DEFAULT_TOL,
     HERMITIAN_REL,
@@ -713,8 +717,77 @@ def test_matrix_json_roundtrip_exact():
         ({"rows": 1, "cols": 1, "entries": [["a", 0]]}, "entry 0"),
         ({"rows": 1, "cols": 2, "entries": [[1, 0], [1e400, 0]]}, "entry 1"),
         ([1, 2], "must be an object"),
+        # an int past the double range, as json.loads reads a long integer literal
+        ({"rows": 1, "cols": 1, "entries": [[10 ** 400, 0]]}, "entry 0: non-finite"),
+        ({"rows": 1, "cols": 2, "entries": [[1, 0], [0, -(2 ** 1024)]]}, "entry 1: non-finite"),
     ],
 )
 def test_matrix_json_rejects_malformed(doc, fragment):
     with pytest.raises(MatrixFormatError, match=fragment):
         matrix_from_json_dict(doc)
+
+
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_GOOD_PARTS = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    _FINITE_FLOATS,
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     2 ** 1024 - 2 ** 970 - 1]),   # the largest int below the double range
+    _FINITE_FLOATS.map(np.float64),
+)
+_BAD_PARTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.inf),
+                     2 ** 1024 - 2 ** 970, -(2 ** 1100)]),
+    st.integers(300, 420).map(lambda k: (-1) ** k * 10 ** k),   # past the range from 10^309
+    st.sampled_from([True, False, None, "", "1"]),
+)
+_GOOD_PAIRS = st.one_of(st.lists(_GOOD_PARTS, min_size=2, max_size=2),
+                        st.tuples(_GOOD_PARTS, _GOOD_PARTS))
+_BAD_PAIRS = st.one_of(
+    st.tuples(_GOOD_PARTS, _BAD_PARTS).map(list),
+    st.tuples(_BAD_PARTS, _GOOD_PARTS),
+    st.lists(_GOOD_PARTS, max_size=1),                         # short
+    st.lists(_GOOD_PARTS, min_size=3, max_size=4),             # long
+    st.lists(st.lists(_GOOD_PARTS, max_size=2), min_size=2, max_size=2),   # nested
+    _GOOD_PARTS,
+    _BAD_PARTS,
+)
+
+
+@st.composite
+def _matrix_documents(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = draw(st.lists(_GOOD_PAIRS, min_size=rows * cols, max_size=rows * cols))
+    for _ in range(draw(st.integers(0, 2))):   # none, one or two bad entries
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(_BAD_PAIRS)
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def _per_entry_rejects(pair) -> bool:
+    try:
+        per_entry_matrix_from_json_dict({"rows": 1, "cols": 1, "entries": [pair]})
+    except (MatrixFormatError, OverflowError):
+        return True
+    return False
+
+
+@settings(max_examples=400)
+@given(_matrix_documents())
+def test_one_pass_parse_is_the_per_entry_parse(doc):
+    try:
+        expected = per_entry_matrix_from_json_dict(doc)
+    except OverflowError:
+        # the per-entry parse crashed on an int past the double range, at the
+        # first entry it rejects; the one-pass parse names that entry non-finite
+        first = next(i for i, pair in enumerate(doc["entries"]) if _per_entry_rejects(pair))
+        with pytest.raises(MatrixFormatError, match=rf"^entry {first}: non-finite component"):
+            matrix_from_json_dict(doc)
+        return
+    except MatrixFormatError as err:
+        with pytest.raises(MatrixFormatError) as raised:
+            matrix_from_json_dict(doc)
+        assert str(raised.value) == str(err)
+        return
+    got = matrix_from_json_dict(doc)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
