@@ -34,6 +34,7 @@ from .linalg import (
     PREDICATE_REL,
     PSD_REL,
     BlockUpperTriangular,
+    LinalgError,
     ShapeError,
     SignedLogDet,
     SingularBlockError,
@@ -47,15 +48,14 @@ from .linalg import (
     predicates,
     schur_complement,
     singular_values,
-    _any,
     _asymmetry,
     _commutator,
     _det_parts,
+    _rescaled,
     _require_square,
     _signed_log_det,
     _strict_lower,
     _unit_masses,
-    _unit_scale,
     _unit_scaled,
 )
 
@@ -109,15 +109,9 @@ def _json_value(v):
     f = float(v)
     if math.isinf(f):
         return "inf" if f > 0 else "-inf"
+    if math.isnan(f):
+        raise LinalgError("NaN has no JSON value")
     return f
-
-
-def _float_from_json(v):
-    if v == "inf":
-        return float("inf")
-    if v == "-inf":
-        return float("-inf")
-    return float(v)
 
 
 def _sld_to_json(s: SignedLogDet) -> dict:
@@ -173,7 +167,7 @@ class CheckReport:
             inequality_id=doc["inequality_id"],
             lhs=_sld_from_json(doc["lhs"]),
             rhs=_sld_from_json(doc["rhs"]),
-            margin=_float_from_json(doc["margin"]),
+            margin=float(doc["margin"]),   # float() reads the "inf" and "-inf" of _json_value
             verdict=Verdict(doc["verdict"]),
             diagnostics=tuple(Finding(d["name"], d["value"]) for d in doc["diagnostics"]),
         )
@@ -243,7 +237,8 @@ def _report(
     that is exact in exact arithmetic is off: ``identity_gap`` (a log gap
     already past its rounding allowance) beyond the window, or ``phase_gap``
     (the distance between unit phases) beyond ``tol.eq_rel``.  A failed
-    precondition overrides everything.
+    precondition overrides everything.  A NaN side or margin raises
+    :class:`LinalgError`: it would otherwise fall through to a verdict.
 
     Where the inequality has a characterized equality case,
     ``structural_equality`` decides equality and the window only decides
@@ -256,6 +251,9 @@ def _report(
     """
     if margin is None:
         margin = lhs.log_ratio(rhs)
+    for side, v in (("lhs", lhs.log_magnitude), ("rhs", rhs.log_magnitude), ("margin", margin)):
+        if math.isnan(v):   # every comparison with NaN is false: no verdict can follow
+            raise LinalgError(f"{inequality_id}: the {side} is NaN")
     windowed = margin if value is None else value
     eps = _eq_window(lhs.log_magnitude, tol)
     numeric_equality = abs(windowed) <= eps
@@ -302,14 +300,22 @@ def _sld(log_magnitude, is_zero) -> SignedLogDet:
     return SignedLogDet.zero() if is_zero else SignedLogDet.from_log(float(log_magnitude))
 
 
-def _log1p_pow(v: np.ndarray, p: float) -> np.ndarray:
-    """log(1 + v^p) for each nonnegative entry of v.
+def _log1p_pow(v: np.ndarray, log_s, p: float) -> np.ndarray:
+    """log(1 + (s v)^p) for each nonnegative entry of v, the values of a
+    matrix, or of each matrix of a stack, divided by s, as :func:`_rescaled`
+    gives them and log s (0 where it did not scale).
 
     Entries above 1 take p log v + log1p(v^-p), so v^p is never formed where
-    it could overflow.  A side sums one row of these terms in order.
+    it could overflow; scaled ones take logaddexp(0, p log(s v)).  A side
+    sums one row of these terms in order.
     """
     large = np.maximum(v, 1.0)
-    return p * np.log(large) + np.log1p(np.where(v > 1.0, large ** -p, np.minimum(v, 1.0) ** p))
+    terms = p * np.log(large) + np.log1p(np.where(v > 1.0, large ** -p, np.minimum(v, 1.0) ** p))
+    if isinstance(log_s, float) and not log_s:   # the 0.0 of an unscaled spectrum
+        return terms
+    log_s = np.reshape(log_s, np.shape(log_s) + (1,) * (v.ndim - np.ndim(log_s)))
+    with np.errstate(divide="ignore"):   # log 0 = -inf, and logaddexp(0, -inf) = 0
+        return np.where(log_s != 0.0, np.logaddexp(0.0, p * (np.log(v) + log_s)), terms)
 
 
 def _bordered(left: np.ndarray, right: np.ndarray, corner: int = 1) -> np.ndarray:
@@ -339,17 +345,6 @@ def _det_product_sum(lefts: np.ndarray, rights: np.ndarray, s: float) -> SignedL
             * SignedLogDet.from_log(2.0 * k * math.log(s)))
 
 
-def _log_det_grams(sigma: np.ndarray, s, floor) -> tuple[np.ndarray, np.ndarray]:
-    """det(sum B_k* B_k) = prod (s sigma)^2 over the singular values of each
-    stack divided by s (a row of ``sigma``, an entry of ``s``): its log, and
-    whether it is flagged zero, the smallest singular value at or below
-    ``floor``.  The log of a flagged row is not used; its zeros are raised
-    to the smallest subnormal, so that no log(0) warns, and no other value
-    changes."""
-    return (2.0 * np.sum(np.log(np.maximum(sigma, _TINY)), axis=-1)
-            + 2.0 * sigma.shape[-1] * np.log(s), sigma[..., -1] <= floor / s)
-
-
 def _block_array(items, block) -> np.ndarray:
     """``block`` of one member; of the members of a family or of a list,
     along a new first axis; of the members of each family of a list, along
@@ -362,24 +357,23 @@ def _block_array(items, block) -> np.ndarray:
     return np.array([_block_array(item, block) for item in items])
 
 
-def _stack_gram(families, block) -> tuple:
-    """Singular values of the stack [B_1; ...; B_m] of a family, or of each
-    family of a list, B_k the ``block`` of member k, divided by s; s; and
-    the stack's rank floor, max(rows, cols) * eps * sigma_max: a stack whose
-    smallest singular value is at or below it is numerically rank deficient.
-
-    s is 1 unless sigma_max reads inf (entries near DBL_MAX); such a stack
-    is divided by its :func:`_unit_scale` first, so that its singular values
-    and its floor stay finite.
-    """
+def _log_det_gram(families, block, floor=None) -> tuple:
+    """log det(sum B_k* B_k) = 2 sum log sigma over the singular values (by
+    :func:`_rescaled`) of the stack [B_1; ...; B_m] of a family, or of each
+    family of a list, B_k the ``block`` of member k; whether it is flagged
+    zero, its smallest singular value at or below ``floor``; and ``floor``,
+    by default the stack's rank floor max(rows, cols) * eps * sigma_max, at
+    or below which it is numerically rank deficient.  The log of a flagged
+    stack is not used; its zeros are raised to the smallest subnormal, so
+    that no log(0) warns, and no other value changes."""
     b = _block_array(families, block)
     stacked = b.reshape(b.shape[:-3] + (-1, b.shape[-1]))
-    sigma, s = singular_values(stacked), 1.0
-    over = sigma[..., 0] == math.inf
-    if _any(over):
-        s = np.where(over, _unit_scale(stacked), 1.0)
-        sigma = singular_values(stacked / s[..., None, None])
-    return sigma, s, max(stacked.shape[-2:]) * _EPS * sigma[..., 0] * s
+    sigma, log_s = _rescaled(singular_values, stacked)
+    s = np.exp(log_s)
+    if floor is None:
+        floor = max(stacked.shape[-2:]) * _EPS * sigma[..., 0] * s
+    return (2.0 * np.sum(np.log(np.maximum(sigma, _TINY)), axis=-1)
+            + 2.0 * sigma.shape[-1] * log_s, sigma[..., -1] <= floor / s, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +444,8 @@ def _thm1_sides(families) -> list[tuple]:
     """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of a
     family, or of each family of a list, all flagged against the T stack's
     rank floor."""
-    sigma_t, s_t, floor = _stack_gram(families, BlockUpperTriangular.assemble)
-    sigma_x, s_x, _ = _stack_gram(families, attrgetter("x"))
-    sigma_z, s_z, _ = _stack_gram(families, attrgetter("z"))
-    return [_log_det_grams(sigma, s, floor)
-            for sigma, s in ((sigma_t, s_t), (sigma_x, s_x), (sigma_z, s_z))]
+    lhs, lhs_zero, floor = _log_det_gram(families, BlockUpperTriangular.assemble)
+    return [(lhs, lhs_zero)] + [_log_det_gram(families, attrgetter(b), floor)[:2] for b in "xz"]
 
 
 def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
@@ -487,25 +478,24 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     )
 
 
-def _abs_power_sides(members, p: float) -> tuple:
+def _abs_power_sides(members, r: int, p: float) -> tuple:
     """T, log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p) for a
     member, or for each member of a list, as products of 1 + sigma^p over
     the singular values of the unsquared blocks (the spectral form of
     building |.| and then its p-th power; the matrix route is pinned to
-    this one by tests).  The right side sums the terms of X and Z in one
-    row."""
+    this one by tests), X and Z taken from T, under T's s.  The right side
+    sums the terms of X and Z in one row."""
     t = _block_array(members, BlockUpperTriangular.assemble)
-    sigma = np.concatenate([singular_values(t),
-                            singular_values(_block_array(members, attrgetter("x"))),
-                            singular_values(_block_array(members, attrgetter("z")))], axis=-1)
-    sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), p).sum(axis=-1)
+    sigma, log_s = _rescaled(lambda u: np.concatenate(
+        [singular_values(b) for b in (u, u[..., :r, :r], u[..., r:, r:])], axis=-1), t)
+    sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), log_s, p).sum(axis=-1)
     return t, sums[..., 0], sums[..., 1]
 
 
 def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
                       tol: Tolerances, diagnostics: tuple[Finding, ...] = ()) -> CheckReport:
     """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0."""
-    matrix, lhs, rhs = _abs_power_sides(t, p)
+    matrix, lhs, rhs = _abs_power_sides(t, t.r, p)
     y_zero, s, y = _y_zero(matrix, t.r)
     return _report(inequality_id, _sld(lhs, False), _sld(rhs, False), tol,
                    (Finding("y_frobenius", float(s) * float(y)),) + diagnostics,
@@ -533,7 +523,7 @@ def check_cor_c1(
     X-factor can be genuinely negative before the absolute value.
     """
     normal = all(_is_normal(m.x) and _is_normal(m.z) for m in family.members)
-    lhs = _sld(*_log_det_grams(*_stack_gram(family, BlockUpperTriangular.assemble)))
+    lhs = _sld(*_log_det_gram(family, BlockUpperTriangular.assemble)[:2])
     units = [_unit_scaled(_block_array(family, attrgetter(block))) for block in "xz"]
     inner_x, inner_z = (_det_product_sum(u.conj(), u, s) for u, s in units)
     rhs = inner_x.abs() * inner_z.abs()
@@ -567,15 +557,11 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
     """
     xs, _ = _unit_scaled(_block_array(family, attrgetter("x")))
     xt, xh = xs.mT, xs.mT.conj()
-    d11, d12, d21, d22 = (_det_product_sum(left, right, 1.0) for left, right in
-                          ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs)))
-    logs = [d.log_magnitude for d in (d11, d12, d21, d22) if not d.is_zero]
-    shift = max(logs) if logs else 0.0
-    def scaled(d: SignedLogDet) -> complex:
-        if d.is_zero:
-            return 0j
-        return d.phase * math.exp(d.log_magnitude - shift)
-    m2 = np.array([[scaled(d11), scaled(d12)], [scaled(d21), scaled(d22)]], dtype=complex)
+    dets = [_det_product_sum(left, right, 1.0) for left, right in
+            ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs))]
+    shift = max((d.log_magnitude for d in dets if not d.is_zero), default=0.0)
+    m2 = np.array([0j if d.is_zero else d.phase * math.exp(d.log_magnitude - shift)
+                   for d in dets], dtype=complex).reshape(2, 2)
     return Finding("det_gram_2x2_psd", bool(predicates(m2).is_psd))
 
 
@@ -583,7 +569,7 @@ def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + X*X) >= det(I + conj(X) X), equality iff X is symmetric."""
     x = as_matrix(x)
     _require_square(x, "check_lemma1")
-    lhs = _sld(_log1p_pow(singular_values(x), 2.0).sum(), False)   # det(I + X*X)
+    lhs = _sld(_log1p_pow(*_rescaled(singular_values, x), 2.0).sum(), False)   # det(I + X*X)
     rhs = det(_bordered(x.conj(), x))
     s, _, norm, asymmetry = _unit_masses(x, _asymmetry)
     symmetric = bool(asymmetry <= PREDICATE_REL * norm)
@@ -645,7 +631,7 @@ def _thm2_sides(members) -> tuple:
     zero flag), for a member, or as arrays for each member of a list, whose
     bordered matrices are taken as one stack."""
     t = _block_array(members, BlockUpperTriangular.assemble)
-    lhs = _log1p_pow(singular_values(t), 2.0).sum(axis=-1)
+    lhs = _log1p_pow(*_rescaled(singular_values, t), 2.0).sum(axis=-1)
     def bordered_det(block):
         x = _block_array(members, block)
         return _det_parts(_bordered(x.conj(), x))
@@ -672,8 +658,9 @@ def _drury_sides(t: np.ndarray) -> tuple:
     """For T, or each T of a stack: log det(I + T*T) and log prod(1 + |t_jj|^2);
     whether T is upper triangular and whether diagonal, by the gates of
     :func:`predicates`; and s and the off-diagonal mass of T / s."""
-    rows = np.stack([singular_values(t), np.abs(np.diagonal(t, axis1=-2, axis2=-1))], axis=-2)
-    sums = _log1p_pow(rows, 2.0).sum(axis=-1)
+    rows, log_s = _rescaled(lambda u: np.stack(
+        [singular_values(u), np.abs(np.diagonal(u, axis1=-2, axis2=-1))], axis=-2), t)
+    sums = _log1p_pow(rows, log_s, 2.0).sum(axis=-1)
     lhs, rhs = sums[..., 0], sums[..., 1]
     s, _, norm, lower, off_mass = _unit_masses(
         t, _strict_lower, lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
@@ -695,15 +682,17 @@ def _require_exponent(p: float) -> None:
         raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
 
 
-def _cumulative_logs(values: np.ndarray) -> np.ndarray:
+def _cumulative_logs(values: np.ndarray, log_s: float) -> np.ndarray:
+    """Prefix sums of log(s v) over values v divided by s."""
     with np.errstate(divide="ignore"):
-        return np.cumsum(np.log(values))
+        return np.cumsum(np.log(values) + log_s)
 
 
 def check_log_major(
     a: np.ndarray,
     b: np.ndarray,
     p: float,
+    log_scale: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> CheckReport:
     """prod(1 + b_j^p) >= prod(1 + a_j^p) when a is weakly log-majorized by b.
@@ -711,7 +700,9 @@ def check_log_major(
     Hypothesis: both sequences non-increasing and nonnegative, every partial
     product of a bounded by the matching partial product of b, with equal
     full products (each within ``MAJOR_REL``).  A hypothesis failure is a
-    failed precondition reporting the first violating prefix length.
+    failed precondition reporting the first violating prefix length.  The
+    sequences may be given divided by one s (:func:`_rescaled`), and
+    ``log_scale`` is then log s.
     """
     _require_exponent(p)
     a = np.asarray(a, dtype=float)
@@ -723,10 +714,10 @@ def check_log_major(
             raise ValueError(f"sequence {name} must be nonnegative")
         if np.any(np.diff(seq) > 0.0):
             raise ValueError(f"sequence {name} must be non-increasing")
-    cum_a = _cumulative_logs(a)
-    cum_b = _cumulative_logs(b)
-    lhs = SignedLogDet.from_log(float(_log1p_pow(b, p).sum()))
-    rhs = SignedLogDet.from_log(float(_log1p_pow(a, p).sum()))
+    cum_a = _cumulative_logs(a, log_scale)
+    cum_b = _cumulative_logs(b, log_scale)
+    lhs = SignedLogDet.from_log(float(_log1p_pow(b, log_scale, p).sum()))
+    rhs = SignedLogDet.from_log(float(_log1p_pow(a, log_scale, p).sum()))
     diagnostics: tuple[Finding, ...] = ()
     for k in range(a.size):
         slack = MAJOR_REL * max(1.0, abs(cum_b[k]) if math.isfinite(cum_b[k]) else 1.0)
@@ -756,19 +747,12 @@ def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     a = as_matrix(a)
     _require_square(a, "check_weyl")
-    lam = np.abs(general_eigenvalues(a))
-    sig = singular_values(a)
-    log_s = 0.0
-    if not (np.isfinite(lam).all() and np.isfinite(sig).all()):
-        # a spectrum past DBL_MAX: take those of the exact quotient A/s, whose
-        # products are s^-n times A's; n log s is added back to each side
-        s = _unit_scale(a)
-        lam, sig, log_s = np.abs(general_eigenvalues(a / s)), singular_values(a / s), math.log(s)
-    cum_l = _cumulative_logs(lam)
-    cum_s = _cumulative_logs(sig)
+    (lam, sig), log_s = _rescaled(lambda u: (np.abs(general_eigenvalues(u)),
+                                             singular_values(u)), a)
+    cum_l = _cumulative_logs(lam, log_s)
+    cum_s = _cumulative_logs(sig, log_s)
     lhs, rhs = (SignedLogDet.zero() if math.isinf(cum[-1])
-                else SignedLogDet.from_log(float(cum[-1]) + lam.size * log_s)
-                for cum in (cum_s, cum_l))
+                else SignedLogDet.from_log(float(cum[-1])) for cum in (cum_s, cum_l))
     gaps = cum_s[:-1] - cum_l[:-1]
     gaps = gaps[np.isfinite(gaps)]
     final_gap = lhs.log_ratio(rhs)
@@ -784,20 +768,15 @@ def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -
     a = as_matrix(a)
     _require_square(a, "check_schur_identity")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            complement = schur_complement(a, r)
+        complement, log_s = _rescaled(lambda u: schur_complement(u, r), a)
     except SingularBlockError as err:
         zero = SignedLogDet.zero()
         return _report("schur_identity", zero, zero, tol,
                        (Finding("leading_block_condition", _json_value(err.condition_estimate)),),
                        precondition_failed=True)
     lhs = det(a[:r, :r])
-    if not np.isfinite(complement).all():
-        # a product past DBL_MAX: the complement of the exact quotient A/s is
-        # A's divided by s, so its determinant is s^-(n-r) times A's
-        s = _unit_scale(a)
-        complement = schur_complement(a / s, r)
-        lhs = lhs * SignedLogDet.from_log((a.shape[0] - r) * math.log(s))
+    if log_s:   # the complement of A/s is A's divided by s
+        lhs = lhs * SignedLogDet.from_log((a.shape[0] - r) * log_s)
     lhs = lhs * det(complement)
     rhs = det(a)
     if lhs.is_zero or rhs.is_zero:
@@ -815,22 +794,19 @@ def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport
     """
     if family.m != 2:
         raise ShapeError(f"this comparison needs exactly two members, got {family.m}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_sum, x_sum, z_sum = _abs_sums(family, 1.0)
-    if all(np.isfinite(m).all() for m in (t_sum, x_sum, z_sum)):
-        return _report("e21", det(t_sum), det(x_sum) * det(z_sum), tol)
-    # a sum past DBL_MAX: with the pair divided by one power of two s,
-    # |T_k / s| = |T_k| / s, and each side is s^-n times the pair's
-    s = float(np.max(_unit_scale(_block_array(family, BlockUpperTriangular.assemble))))
-    t_sum, x_sum, z_sum = _abs_sums(family, s)
-    grown = SignedLogDet.from_log(family.n * math.log(s))
-    return _report("e21", det(t_sum) * grown, det(x_sum) * det(z_sum) * grown, tol)
+    pair = np.concatenate([t.assemble() for t in family.members])   # [T1; T2]: one s for both
+    (t_sum, x_sum, z_sum), log_s = _rescaled(lambda u: _abs_sums(u, family.r), pair)
+    lhs, rhs = det(t_sum), det(x_sum) * det(z_sum)
+    if log_s:   # |T_k / s| = |T_k| / s: each side is s^-n times the pair's
+        lhs, rhs = (side * SignedLogDet.from_log(family.n * log_s) for side in (lhs, rhs))
+    return _report("e21", lhs, rhs, tol)
 
 
-def _abs_sums(family: BlockFamily, s: float) -> list[np.ndarray]:
-    """|T1/s| + |T2/s|, and the same of the X and of the Z blocks."""
-    (t1, x1, z1), (t2, x2, z2) = ((t.assemble(), t.x, t.z) for t in family.members)
-    return [abs_matrix(b1 / s) + abs_matrix(b2 / s) for b1, b2 in ((t1, t2), (x1, x2), (z1, z2))]
+def _abs_sums(pair: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
+    """|T1| + |T2| of the pair [T1; T2], and the same of the X and of the Z blocks."""
+    t1, t2 = np.split(pair, 2)
+    return tuple(abs_matrix(b1) + abs_matrix(b2) for b1, b2 in
+                 ((t1, t2), (t1[:r, :r], t2[:r, :r]), (t1[r:, r:], t2[r:, r:])))
 
 
 # ---------------------------------------------------------------------------
@@ -850,17 +826,13 @@ def _batch_thm1(families: list[BlockFamily], tol: Tolerances) -> tuple[np.ndarra
     return margin, _clearly_holds(margin, lhs, tol, lhs_zero | x_zero | z_zero)
 
 
-def _batch_thm3(members: list[BlockUpperTriangular], p: float,
+def _batch_thm3(members: list[BlockUpperTriangular], p: float = 2.0, *,
                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """thm3's evaluator, and cor_c0's at the default p = 2."""
     _require_exponent(p)
-    t, lhs, rhs = _abs_power_sides(members, p)
+    t, lhs, rhs = _abs_power_sides(members, members[0].r, p)
     margin = lhs - rhs
     return margin, _clearly_holds(margin, lhs, tol, _y_zero(t, members[0].r)[0])
-
-
-def _batch_cor_c0(members: list[BlockUpperTriangular],
-                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    return _batch_thm3(members, 2.0, tol)
 
 
 def _batch_thm2(members: list[BlockUpperTriangular],

@@ -134,7 +134,7 @@ def _load_matrix_file(path: str):
 
 
 def _json_line(doc: dict) -> str:
-    return json.dumps(doc, separators=(", ", ": "))
+    return json.dumps(doc, separators=(", ", ": "), allow_nan=False)
 
 
 def _format_sld(s) -> str:
@@ -188,12 +188,12 @@ def cmd_check(args) -> int:
     witness = Witness(ineq.id, 0, 0, params, matrices)
     try:
         report = ineq.check(witness, config.tol)
+        _emit_check_report(config, report)
     except LinalgError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as err:
         raise _usage(str(err))
-    _emit_check_report(config, report)
     config.flush()
     return _CHECK_EXIT[report.verdict]
 

@@ -11,7 +11,7 @@ plain ``numpy`` arrays of ``complex128``.  This module owns:
   general eigenvalues, singular values of the unsquared input and ``|A|``,
   with LAPACK non-convergence reported as
   :class:`ConvergenceError`; :func:`singular_values` also takes a stack of
-  matrices,
+  matrices; :func:`_rescaled` retakes any of them on A/s where A's is not finite,
 * Schur complements,
 * structural predicates (Hermitian / PSD / normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
@@ -211,6 +211,27 @@ def _unit_masses(a: np.ndarray, *parts) -> tuple:
                        for m in [unit] + [part(unit) for part in parts]))
 
 
+def _rescaled(f, a: np.ndarray) -> tuple:
+    """The one overflow policy: ``f(a)`` and log s = 0.0, or, where ``f(a)``
+    is not finite, ``f(a / s)`` and log s, s the :func:`_unit_scale` of
+    ``a``; past DBL_MAX, LAPACK's SVD gives NaN without a warning.  ``f`` of
+    a matrix is an array or a tuple of arrays; ``f`` of a stack is one array,
+    a row per matrix, and only the rows that are not finite are redone.  A
+    finite ``f(a)``, taken with numpy's overflow warnings off, is returned as
+    it is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f(a)
+    if all(np.isfinite(part).all() for part in (out if isinstance(out, tuple) else (out,))):
+        return out, 0.0
+    if a.ndim == 2:
+        s = _unit_scale(a)
+        return f(a / s), float(np.log(s))
+    bad = ~np.isfinite(out).reshape(a.shape[:-2] + (-1,)).all(axis=-1)
+    s = np.where(bad, _unit_scale(a), 1.0)
+    out[bad] = f(a[bad] / s[bad][:, None, None])
+    return out, np.log(s)
+
+
 def _asymmetry(u: np.ndarray) -> np.ndarray:
     return u - u.mT
 
@@ -293,12 +314,14 @@ class SignedLogDet:
 
     @property
     def value(self) -> complex:
-        """Reconstructed raw determinant; may overflow to inf by design."""
+        """Reconstructed raw determinant; a nonzero part may overflow to
+        +-inf by design, and a zero part stays zero (inf * 0 is NaN)."""
         if self.is_zero:
             return 0j
-        return self.phase * math.exp(self.log_magnitude) if self.log_magnitude < 709.0 else (
-            self.phase * float("inf")
-        )
+        if self.log_magnitude < 709.0:
+            return self.phase * math.exp(self.log_magnitude)
+        return complex(*(math.copysign(math.inf, part) if part else part
+                         for part in (self.phase.real, self.phase.imag)))
 
     def __mul__(self, other: "SignedLogDet") -> "SignedLogDet":
         if self.is_zero or other.is_zero:
@@ -448,8 +471,6 @@ def abs_matrix(a: np.ndarray) -> np.ndarray:
     _require_square(a, "abs_matrix")
     _, sigma, vh = _lapack("svd", a)
     p = (vh.conj().T * sigma) @ vh
-    if sigma[0] <= _FLOAT_MAX / 4.0:   # no entry of p + p* overflows
-        return (p + p.conj().T) / 2.0
     return p / 2.0 + p.conj().T / 2.0   # halved before the sum, as hermitian_eigensystem does
 
 
@@ -467,7 +488,7 @@ def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
     if not 0 < r < n:
         raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
     a11 = a[:r, :r]
-    sigma = singular_values(a11)
+    sigma, _ = _rescaled(singular_values, a11)   # the gate is a ratio: log s cancels
     if _singular_to_working_precision(sigma):
         sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
         estimate = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")

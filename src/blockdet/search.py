@@ -41,7 +41,6 @@ from .checks import (
     check_thm2,
     check_thm3,
     check_weyl,
-    _batch_cor_c0,
     _batch_drury,
     _batch_thm1,
     _batch_thm2,
@@ -61,6 +60,7 @@ from .linalg import (
     matrix_to_json_dict,
     singular_values,
     _below_diagonal,
+    _rescaled,
     _unit_scaled,
 )
 
@@ -355,16 +355,21 @@ def _gram(g: np.ndarray) -> np.ndarray:
 
 
 def _log_major_spectra(x: np.ndarray, p: float) -> tuple:
-    """The two sequences log_major compares for X, and their exponent.
+    """The two sequences log_major compares for X, their exponent and log s.
 
-    They are s * sqrt|lambda(conj(X') X')| for X' = X / s of
-    :func:`_unit_scaled`, and sigma(X), both non-increasing and unsquared;
-    the exponent is 2p, as prod(1 + (sigma^2)^p) = prod(1 + sigma^(2p)).
-    p is checked before it doubles."""
+    They are s' * sqrt|lambda(conj(X') X')| for X' = X / s' of
+    :func:`_unit_scaled`, and sigma(X), both non-increasing and unsquared,
+    each divided by s where :func:`_rescaled` scales; the exponent is 2p, as
+    prod(1 + (sigma^2)^p) = prod(1 + sigma^(2p)).  p is checked before it
+    doubles."""
     _require_exponent(p)
+    (a, b), log_s = _rescaled(_major_pair, x)
+    return a, b, 2.0 * p, log_s
+
+
+def _major_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit, s = _unit_scaled(x)
-    return (s * np.sqrt(np.abs(general_eigenvalues(unit.conj() @ unit))), singular_values(x),
-            2.0 * p)
+    return s * np.sqrt(np.abs(general_eigenvalues(unit.conj() @ unit))), singular_values(x)
 
 
 @dataclass(frozen=True)
@@ -374,7 +379,7 @@ class Inequality:
     ``shape`` is what the checker ``check_<id>`` takes: ``"matrix"`` (the
     first matrix, then ``r`` if ``needs_r``), ``"member"`` (the first matrix
     split at ``r``), ``"family"`` (every matrix split at ``r``) or
-    ``"spectra"`` (:func:`_log_major_spectra`, exponent included).
+    ``"spectra"`` (:func:`_log_major_spectra`, exponent and log s included).
     ``files`` is the least and most number of input matrices (``None``: no
     limit); a search draws from :meth:`draw_spec`, which asks for
     ``files[1]`` matrices when that is set, otherwise the spec's ``m``.
@@ -388,8 +393,9 @@ class Inequality:
     expected.
     ``batch``, when set, is the batched evaluator :meth:`score` calls: it
     takes what the checker takes, with a list of all the trials' inputs in
-    place of the first argument, and returns each trial's margin and where
-    the checker's verdict is sure to be ``holds_strict``.
+    place of the first argument and ``tol`` by keyword, and returns each
+    trial's margin and where the checker's verdict is sure to be
+    ``holds_strict``.
     """
 
     id: str
@@ -467,7 +473,7 @@ class Inequality:
         """:attr:`batch` on drawn trials of one search: each trial's margin,
         and where its checker's verdict is sure to be ``holds_strict``."""
         args = [self._args(witness, family) for witness, family in drawn]
-        return self.batch([a[0] for a in args], *args[0][1:], tol)
+        return self.batch([a[0] for a in args], *args[0][1:], tol=tol)
 
     def expects_violation(self, params: dict) -> bool:
         """Whether a search with these parameters should record a violation."""
@@ -479,7 +485,7 @@ class Inequality:
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("fischer", "matrix", needs_r=True, transform=_gram),
     Inequality("thm1", "family", files=(1, None), needs_r=True, batch=_batch_thm1),
-    Inequality("cor_c0", "member", needs_r=True, batch=_batch_cor_c0),
+    Inequality("cor_c0", "member", needs_r=True, batch=_batch_thm3),
     Inequality("cor_c1", "family", files=(1, None), needs_r=True, refutable=True,
                hypothesis_gate=True),
     Inequality("lemma1", "matrix"),

@@ -29,13 +29,20 @@ from blockdet.checks import (
     check_thm3,
     check_weyl,
     _is_normal,
+    _json_value,
+    _report,
 )
 from blockdet.linalg import (
+    DEFAULT_TOL,
     BlockUpperTriangular,
+    LinalgError,
     ShapeError,
+    SignedLogDet,
+    SingularBlockError,
     abs_matrix,
     det,
     predicates,
+    schur_complement,
 )
 from blockdet.search import GeneratorSpec, generate_block_family
 
@@ -608,6 +615,61 @@ def test_e21_past_dbl_max_is_e21_of_the_quotient():
     big = BlockFamily(tuple(BlockUpperTriangular(x=_times_2_1023(t.x), y=_times_2_1023(t.y),
                                                  z=_times_2_1023(t.z)) for t in small.members))
     _assert_scaled_report(check_e21(big), check_e21(small), 4)
+
+
+def test_schur_identity_past_dbl_max_passes_the_gate_of_a_larger_leading_block():
+    # sigma_max of the leading 2x2 block times 2^1023 is past DBL_MAX: the gate read
+    # precondition_failed, with condition NaN, where scale 1 reads equality
+    rng = np.random.default_rng(74)
+    b = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+    b[:2, :2] = [[1 + 1j, -1 + 1j], [1 + 1j, 1 - 1j]]
+    report = check_schur_identity(_times_2_1023(b), 2)
+    assert report.verdict is Verdict.EQUALITY
+    _assert_scaled_report(report, check_schur_identity(b, 2), 4)
+    # a leading block singular to working precision reports the condition of its quotient
+    b[1, 1] = b[0, 1] = b[1, 0] = b[0, 0] * (1 + 1e-13)
+    with pytest.raises(SingularBlockError) as small:
+        schur_complement(b, 2)
+    with pytest.raises(SingularBlockError) as big:
+        schur_complement(_times_2_1023(b), 2)
+    assert math.isfinite(big.value.condition_estimate)
+    assert big.value.condition_estimate == small.value.condition_estimate
+
+
+def test_cor_c0_past_dbl_max_has_the_exact_margin():
+    # trial 1 of fuzz --predicate cor_c0 --family gaussian --entry-bound 1e308 --n 2 --r 1
+    # --seed 5: sigma(T) read (inf, 5.0e307), so the margin read +inf, the equality window
+    # inf, and margin_within_equality_band followed from that alone
+    t = generate_block_family(GeneratorSpec("gaussian", 2, 1, 1, 1e308, 5), 1).members[0]
+    report = check_cor_c0(t)
+
+    def det_i_plus_gram(block):   # det(I + B*B), exactly
+        b = exact.from_ndarray(block)
+        return exact.exact_det(exact.exact_add(exact.exact_identity(len(b)), exact.exact_gram(b)))
+
+    lhs = det_i_plus_gram(t.assemble())
+    rhs = det_i_plus_gram(t.x) * det_i_plus_gram(t.z)
+    assert lhs.im == 0 and rhs.im == 0
+    exact_margin = math.log(lhs.re / rhs.re)   # the ratio is 1 + O(1e-600)
+    assert math.isfinite(report.margin)
+    assert report.margin == pytest.approx(exact_margin, abs=1e-9)
+    window = 1e-8 * report.lhs.log_magnitude
+    in_band = any(f.name == "margin_within_equality_band" for f in report.diagnostics)
+    assert in_band == (abs(exact_margin) <= window)
+    assert report.verdict is Verdict.HOLDS_STRICT   # Y is not zero
+
+
+def test_report_refuses_a_nan_side_or_margin():
+    one = SignedLogDet.from_log(1.0)
+    nan = SignedLogDet.from_log(math.nan)
+    for lhs, rhs, side in ((nan, one, "lhs"), (one, nan, "rhs")):
+        with pytest.raises(LinalgError, match=f"thm1: the {side} is NaN"):
+            _report("thm1", lhs, rhs, DEFAULT_TOL)
+    with pytest.raises(LinalgError, match="djokovic: the margin is NaN"):
+        _report("djokovic", one, one, DEFAULT_TOL, margin=math.nan)
+    with pytest.raises(LinalgError, match="NaN"):
+        _json_value(math.nan)
+    assert _json_value(-math.inf) == "-inf"
 
 
 def test_abs_matrix_near_dbl_max_is_finite():

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from reference import main_through_top_level_parser
-from blockdet import cli
-from blockdet.checks import CheckReport, Verdict
+from blockdet import cli, search
+from blockdet.checks import CheckReport, Verdict, _report
 from blockdet.cli import main
-from blockdet.linalg import Tolerances, matrix_to_json_dict
+from blockdet.linalg import SignedLogDet, Tolerances, matrix_to_json_dict
 from blockdet.search import _EXAMPLE1_T1, _EXAMPLE1_T2, INEQUALITIES, GeneratorSpec
 
 
@@ -279,17 +279,25 @@ def test_fuzz_past_dbl_max_entry_moduli_reads_no_false_verdict(predicate, tmp_pa
         assert report["min_margin"] > 2800.0
 
 
-def _fuzz_near_dbl_max(predicate, m, seed, tmp_path) -> dict:
+def _fuzz_near_dbl_max(predicate, m, seed, tmp_path, n=2, r=1, trials=2) -> dict:
     out = tmp_path / "fuzz.ndjson"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["fuzz", "--predicate", predicate, "--family", "gaussian", "--entry-bound",
-                     "1e308", "--trials", "2", "--n", "2", "--r", "1", "--m", str(m),
-                     "--seed", str(seed), "--format", "structured", "--out", str(out)])
+                     "1e308", "--trials", str(trials), "--n", str(n), "--r", str(r),
+                     "--m", str(m), "--seed", str(seed), "--format", "structured",
+                     "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
-    assert report["trials"] == 2
+    report = _strict_json(out.read_text())
+    assert report["trials"] == trials
     return report
+
+
+def _strict_json(text: str):
+    """``text`` parsed as JSON proper: NaN, Infinity and -Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("predicate, m, seed", [
@@ -307,6 +315,64 @@ def test_fuzz_near_dbl_max_reads_no_false_violation(predicate, m, seed, tmp_path
     assert math.isfinite(report["min_margin"]) and report["min_margin"] > -1e-12
     if predicate == "weyl":   # trial 0's strict-prefix gap is 0.307 (a 50-digit mpmath check)
         assert report["min_margin"] > 0.1
+
+
+@pytest.mark.parametrize("predicate, n, r, seed, trials", [
+    ("cor_c0", 4, 2, 1, 2),      # both sides read inf: inf - inf in the batched evaluator
+    ("log_major", 2, 1, 10, 1),  # s * sqrt|lambda| overflowed (trial 1's draw overflows)
+])
+def test_fuzz_past_dbl_max_runs_clean_with_finite_margins(predicate, n, r, seed, trials,
+                                                          tmp_path):
+    report = _fuzz_near_dbl_max(predicate, 1, seed, tmp_path, n=n, r=r, trials=trials)
+    assert report["violations"] == []
+    assert math.isfinite(report["min_margin"]) and abs(report["min_margin"]) < 1e-9
+
+
+# T = [[X, Y], [0, Z]] with X = 1.3e308 (1 + i): its modulus is past DBL_MAX, and LAPACK's
+# SVD returned NaN without a warning; the reports read "margin": NaN, which is not JSON
+_PAST_DBL_MAX_UPPER = [[1.3e308, 1.3e308], [1, 0], [0, 0], [3, 0]]
+_PAST_DBL_MAX_DENSE = [[1.3e308, 1.3e308], [1, 0], [2, 0], [3, 0]]
+
+
+@pytest.mark.parametrize("ineq_id, entries, verdict", [
+    ("thm1", _PAST_DBL_MAX_UPPER, "equality"),    # one member: an identity
+    ("cor_c0", _PAST_DBL_MAX_UPPER, "equality"),  # ||Y|| is below the gate against ||T||
+    ("cor_c1", _PAST_DBL_MAX_UPPER, None),        # not pinned: the T stack's rank floor
+                                                  # zeroes its lhs, not its bordered rhs
+    ("thm2", _PAST_DBL_MAX_UPPER, "equality"),
+    ("thm3", _PAST_DBL_MAX_UPPER, "equality"),
+    ("drury", _PAST_DBL_MAX_UPPER, "equality"),
+    ("lemma1", _PAST_DBL_MAX_DENSE, "equality"),  # ||X - X^T|| is below the gate
+])
+def test_structured_check_past_dbl_max_is_json_with_no_nan(ineq_id, entries, verdict,
+                                                          tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+    argv = ["check", str(path), "--ineq", ineq_id, "--format", "structured"]
+    main(argv + (["--r", "1"] if INEQUALITIES[ineq_id].needs_r else []))
+    report = _strict_json(capsys.readouterr().out)
+    sides = [report[side] for side in ("lhs", "rhs")]
+    assert all(math.isfinite(side["log_magnitude"]) for side in sides)
+    if not any(side["is_zero"] for side in sides):
+        assert math.isfinite(report["margin"])
+    if verdict is not None:
+        assert report["verdict"] == verdict
+
+
+def test_check_a_nan_side_exits_two(monkeypatch, diag_file, capsys):
+    def nan_drury(t, tol):
+        return _report("drury", SignedLogDet.from_log(math.nan), SignedLogDet.from_log(0.0), tol)
+
+    monkeypatch.setattr(search, "check_drury", nan_drury)
+    assert main(["check", diag_file, "--ineq", "drury", "--format", "structured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "drury: the lhs is NaN" in captured.err
+
+
+def test_json_lines_refuse_nan():
+    with pytest.raises(ValueError):
+        cli._json_line({"margin": math.nan})
 
 
 def test_fuzz_e21_near_dbl_max_answers_every_trial(tmp_path):

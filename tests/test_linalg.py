@@ -43,6 +43,7 @@ from blockdet.linalg import (
     singular_values,
     Tolerances,
     _det_parts,
+    _rescaled,
     _signed_log_det,
 )
 
@@ -233,6 +234,52 @@ def test_signed_log_det_multiplication_and_zero():
     assert SignedLogDet.zero().log_ratio(SignedLogDet.zero()) == 0.0
     assert SignedLogDet.zero().log_ratio(a) == -math.inf
     assert a.log_ratio(SignedLogDet.zero()) == math.inf
+
+
+def test_signed_log_det_value_past_dbl_max_has_no_nan_part():
+    # inf * 0 is NaN: a zero part of the phase stays zero, a nonzero one reads +-inf
+    assert SignedLogDet.from_log(1000.0).value == complex(math.inf, 0.0)
+    assert SignedLogDet.from_log(1000.0, -1j).value == complex(0.0, -math.inf)
+    value = SignedLogDet.from_log(1000.0, (3 - 4j) / 5).value
+    assert (value.real, value.imag) == (math.inf, -math.inf)
+
+
+def _times_2_1023(b: np.ndarray) -> np.ndarray:
+    """b * 2^1023, exact."""
+    return np.ldexp(b.real, 1023) + 1j * np.ldexp(b.imag, 1023)
+
+
+def test_rescaled_is_the_function_itself_bitwise_where_it_is_finite():
+    rng = np.random.default_rng(81)
+    for scale in (1e-150, 1.0, 1e150, 1e300):
+        stack = scale * (rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
+        sigma, log_s = _rescaled(singular_values, stack)
+        assert log_s == 0.0
+        assert sigma.tobytes() == singular_values(stack).tobytes()
+        (lam, sig), log_s = _rescaled(lambda u: (general_eigenvalues(u), singular_values(u)),
+                                      stack[0])
+        assert log_s == 0.0
+        assert lam.tobytes() == general_eigenvalues(stack[0]).tobytes()
+        assert sig.tobytes() == singular_values(stack[0]).tobytes()
+
+
+def test_rescaled_takes_the_quotient_only_of_the_matrices_past_dbl_max():
+    rng = np.random.default_rng(82)
+    small = rng.uniform(-1, 1, (4, 3, 3)) + 1j * rng.uniform(-1, 1, (4, 3, 3))
+    small[:, 0] = 1 + 1j   # sigma_max >= sqrt(6), past DBL_MAX once times 2^1023
+    stack = small.copy()
+    stack[[1, 3]] = _times_2_1023(small[[1, 3]])   # entry moduli past DBL_MAX
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.linalg.svd(stack[1], compute_uv=False)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, log_s = _rescaled(singular_values, stack)
+        one, log_one = _rescaled(singular_values, stack[1])
+    # 2^1023 is the unit scale of the scaled matrices: the quotients are the small ones
+    assert log_s.tolist() == [0.0, 1023 * math.log(2.0), 0.0, 1023 * math.log(2.0)]
+    assert sigma.tobytes() == singular_values(small).tobytes()
+    assert log_one == 1023 * math.log(2.0)
+    assert one.tobytes() == singular_values(small[1]).tobytes()
 
 
 def test_det_multiplicativity_random():

@@ -1,6 +1,7 @@
 """Generators, violation search, witnesses, and the published examples."""
 
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -409,6 +410,34 @@ def test_one_chunk_plus_one_trials_report_as_the_scalar_loop(ineq_id, params, mo
               sharpness_probe(spec, ineq_id, _CHUNK + 1, params=params)]
     assert runs[0].trials == _CHUNK + 1
     assert [r.to_json_dict() for r in runs] == [r.to_json_dict() for r in scalar]
+
+
+def test_every_id_near_dbl_max_reads_no_nan_margin_and_keeps_the_identities():
+    # gaussian draws at entry bound 1e308, some with entry moduli past DBL_MAX, where
+    # LAPACK's SVD returns NaN without a warning: NaN margins read holds_strict (thm1 and
+    # cor_c1 at one member, identities, among them), and sigma_max read inf
+    found, identities, checked = [], 0, 0
+    for n, r, m in ((2, 1, 1), (4, 2, 2)):
+        for ineq in INEQUALITIES.values():
+            spec = ineq.draw_spec(GeneratorSpec("gaussian", n, r, m, 1e308, seed=7))
+            for trial in range(1, 100):
+                try:
+                    witness, family = ineq.draw(spec, trial, ineq.call_params(r))
+                except LinalgError:   # the draw itself overflows
+                    continue
+                report = ineq.check(witness, DEFAULT_TOL, family)
+                checked += 1
+                where = (ineq.id, n, r, spec.m, trial)
+                if math.isnan(report.margin):
+                    found.append(("NaN margin",) + where)
+                elif math.isinf(report.margin) and not (report.lhs.is_zero or report.rhs.is_zero):
+                    found.append(("infinite margin on two nonzero sides",) + where)
+                if ineq.id in ("thm1", "cor_c1") and spec.m == 1:
+                    identities += 1
+                    if report.verdict is not Verdict.EQUALITY:
+                        found.append((report.verdict.value,) + where)
+    assert found == []
+    assert checked > 700 and identities > 100
 
 
 @pytest.mark.parametrize("ineq_id", ["thm1", "cor_c0", "thm2", "drury", "thm3"])
