@@ -114,6 +114,14 @@ def _json_value(v):
     return f
 
 
+def _float_from_json(v):
+    if v == "inf":
+        return float("inf")
+    if v == "-inf":
+        return float("-inf")
+    return float(v)
+
+
 def _sld_to_json(s: SignedLogDet) -> dict:
     return {
         "phase_re": float(s.phase.real),
@@ -167,7 +175,7 @@ class CheckReport:
             inequality_id=doc["inequality_id"],
             lhs=_sld_from_json(doc["lhs"]),
             rhs=_sld_from_json(doc["rhs"]),
-            margin=float(doc["margin"]),   # float() reads the "inf" and "-inf" of _json_value
+            margin=_float_from_json(doc["margin"]),
             verdict=Verdict(doc["verdict"]),
             diagnostics=tuple(Finding(d["name"], d["value"]) for d in doc["diagnostics"]),
         )
@@ -521,12 +529,19 @@ def check_cor_c1(
     ``allow_hypothesis_violation`` is set, in which case the margin decides.
     The signed inner determinants are reported as diagnostics because the
     X-factor can be genuinely negative before the absolute value.
+
+    Where the T stack's rank floor flags the left side zero, the right side
+    is zero too if it flags the X or the Z stack, as in thm1: that factor's
+    |det(sum conj(B_k) B_k)| is at most det(sum B_k* B_k).
     """
     normal = all(_is_normal(m.x) and _is_normal(m.z) for m in family.members)
-    lhs = _sld(*_log_det_gram(family, BlockUpperTriangular.assemble)[:2])
+    log_lhs, lhs_zero, floor = _log_det_gram(family, BlockUpperTriangular.assemble)
+    lhs = _sld(log_lhs, lhs_zero)
     units = [_unit_scaled(_block_array(family, attrgetter(block))) for block in "xz"]
     inner_x, inner_z = (_det_product_sum(u.conj(), u, s) for u, s in units)
     rhs = inner_x.abs() * inner_z.abs()
+    if lhs_zero and any(_log_det_gram(family, attrgetter(b), floor)[1] for b in "xz"):
+        rhs = SignedLogDet.zero()
     diagnostics = (
         Finding("blocks_all_normal", normal),
         Finding("det_xbar_x_re", float(inner_x.value.real)),
@@ -557,11 +572,15 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
     """
     xs, _ = _unit_scaled(_block_array(family, attrgetter("x")))
     xt, xh = xs.mT, xs.mT.conj()
-    dets = [_det_product_sum(left, right, 1.0) for left, right in
-            ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs))]
-    shift = max((d.log_magnitude for d in dets if not d.is_zero), default=0.0)
-    m2 = np.array([0j if d.is_zero else d.phase * math.exp(d.log_magnitude - shift)
-                   for d in dets], dtype=complex).reshape(2, 2)
+    d11, d12, d21, d22 = (_det_product_sum(left, right, 1.0) for left, right in
+                          ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs)))
+    logs = [d.log_magnitude for d in (d11, d12, d21, d22) if not d.is_zero]
+    shift = max(logs) if logs else 0.0
+    def scaled(d: SignedLogDet) -> complex:
+        if d.is_zero:
+            return 0j
+        return d.phase * math.exp(d.log_magnitude - shift)
+    m2 = np.array([[scaled(d11), scaled(d12)], [scaled(d21), scaled(d22)]], dtype=complex)
     return Finding("det_gram_2x2_psd", bool(predicates(m2).is_psd))
 
 
@@ -692,8 +711,9 @@ def check_log_major(
     a: np.ndarray,
     b: np.ndarray,
     p: float,
-    log_scale: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
+    *,
+    log_scale: float = 0.0,
 ) -> CheckReport:
     """prod(1 + b_j^p) >= prod(1 + a_j^p) when a is weakly log-majorized by b.
 
@@ -826,13 +846,17 @@ def _batch_thm1(families: list[BlockFamily], tol: Tolerances) -> tuple[np.ndarra
     return margin, _clearly_holds(margin, lhs, tol, lhs_zero | x_zero | z_zero)
 
 
-def _batch_thm3(members: list[BlockUpperTriangular], p: float = 2.0, *,
+def _batch_thm3(members: list[BlockUpperTriangular], p: float,
                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """thm3's evaluator, and cor_c0's at the default p = 2."""
     _require_exponent(p)
     t, lhs, rhs = _abs_power_sides(members, members[0].r, p)
     margin = lhs - rhs
     return margin, _clearly_holds(margin, lhs, tol, _y_zero(t, members[0].r)[0])
+
+
+def _batch_cor_c0(members: list[BlockUpperTriangular],
+                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    return _batch_thm3(members, 2.0, tol)
 
 
 def _batch_thm2(members: list[BlockUpperTriangular],

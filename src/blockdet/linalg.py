@@ -215,21 +215,19 @@ def _rescaled(f, a: np.ndarray) -> tuple:
     """The one overflow policy: ``f(a)`` and log s = 0.0, or, where ``f(a)``
     is not finite, ``f(a / s)`` and log s, s the :func:`_unit_scale` of
     ``a``; past DBL_MAX, LAPACK's SVD gives NaN without a warning.  ``f`` of
-    a matrix is an array or a tuple of arrays; ``f`` of a stack is one array,
-    a row per matrix, and only the rows that are not finite are redone.  A
-    finite ``f(a)``, taken with numpy's overflow warnings off, is returned as
-    it is."""
+    a matrix, or of a stack, is an array or a tuple of arrays, a row per
+    matrix of the stack.  s is 1, and log s 0, for a matrix of the stack
+    whose row is finite: its quotient is itself.  A finite ``f(a)``, taken
+    with numpy's overflow warnings off, is returned as it is."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = f(a)
-    if all(np.isfinite(part).all() for part in (out if isinstance(out, tuple) else (out,))):
+    parts = out if isinstance(out, tuple) else (out,)
+    if all(np.isfinite(part).all() for part in parts):
         return out, 0.0
-    if a.ndim == 2:
-        s = _unit_scale(a)
-        return f(a / s), float(np.log(s))
-    bad = ~np.isfinite(out).reshape(a.shape[:-2] + (-1,)).all(axis=-1)
-    s = np.where(bad, _unit_scale(a), 1.0)
-    out[bad] = f(a[bad] / s[bad][:, None, None])
-    return out, np.log(s)
+    finite = np.logical_and.reduce([np.isfinite(part).reshape(a.shape[:-2] + (-1,)).all(axis=-1)
+                                    for part in parts])
+    s = np.where(finite, 1.0, _unit_scale(a))
+    return f(a / s[..., None, None]), np.log(s)
 
 
 def _asymmetry(u: np.ndarray) -> np.ndarray:
@@ -471,6 +469,8 @@ def abs_matrix(a: np.ndarray) -> np.ndarray:
     _require_square(a, "abs_matrix")
     _, sigma, vh = _lapack("svd", a)
     p = (vh.conj().T * sigma) @ vh
+    if sigma[0] <= _FLOAT_MAX / 4.0:   # no entry of p + p* overflows
+        return (p + p.conj().T) / 2.0
     return p / 2.0 + p.conj().T / 2.0   # halved before the sum, as hermitian_eigensystem does
 
 

@@ -41,6 +41,7 @@ from .checks import (
     check_thm2,
     check_thm3,
     check_weyl,
+    _batch_cor_c0,
     _batch_drury,
     _batch_thm1,
     _batch_thm2,
@@ -379,7 +380,7 @@ class Inequality:
     ``shape`` is what the checker ``check_<id>`` takes: ``"matrix"`` (the
     first matrix, then ``r`` if ``needs_r``), ``"member"`` (the first matrix
     split at ``r``), ``"family"`` (every matrix split at ``r``) or
-    ``"spectra"`` (:func:`_log_major_spectra`, exponent and log s included).
+    ``"spectra"`` (:func:`_log_major_spectra`; its log s goes by keyword).
     ``files`` is the least and most number of input matrices (``None``: no
     limit); a search draws from :meth:`draw_spec`, which asks for
     ``files[1]`` matrices when that is set, otherwise the spec's ``m``.
@@ -393,9 +394,8 @@ class Inequality:
     expected.
     ``batch``, when set, is the batched evaluator :meth:`score` calls: it
     takes what the checker takes, with a list of all the trials' inputs in
-    place of the first argument and ``tol`` by keyword, and returns each
-    trial's margin and where the checker's verdict is sure to be
-    ``holds_strict``.
+    place of the first argument, and returns each trial's margin and where
+    the checker's verdict is sure to be ``holds_strict``.
     """
 
     id: str
@@ -462,18 +462,20 @@ class Inequality:
         unless ``family``, the blocks they were assembled from, is given."""
         # looked up per call, so a wrapper put on this module's name is the one called
         checker = globals()[f"check_{self.id}"]
-        args = self._args(witness, family)
+        args, kwargs = self._args(witness, family), {}
         if self.hypothesis_gate:
             allow = bool(witness.params.get("allow_hypothesis_violation", False))
-            return checker(*args, tol, allow_hypothesis_violation=allow)
-        return checker(*args, tol)
+            kwargs["allow_hypothesis_violation"] = allow
+        if self.shape == "spectra":   # log s, which the checker takes by keyword
+            *args, kwargs["log_scale"] = args
+        return checker(*args, tol, **kwargs)
 
     def score(self, drawn: list[tuple[Witness, BlockFamily | None]],
               tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
         """:attr:`batch` on drawn trials of one search: each trial's margin,
         and where its checker's verdict is sure to be ``holds_strict``."""
         args = [self._args(witness, family) for witness, family in drawn]
-        return self.batch([a[0] for a in args], *args[0][1:], tol=tol)
+        return self.batch([a[0] for a in args], *args[0][1:], tol)
 
     def expects_violation(self, params: dict) -> bool:
         """Whether a search with these parameters should record a violation."""
@@ -485,7 +487,7 @@ class Inequality:
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("fischer", "matrix", needs_r=True, transform=_gram),
     Inequality("thm1", "family", files=(1, None), needs_r=True, batch=_batch_thm1),
-    Inequality("cor_c0", "member", needs_r=True, batch=_batch_thm3),
+    Inequality("cor_c0", "member", needs_r=True, batch=_batch_cor_c0),
     Inequality("cor_c1", "family", files=(1, None), needs_r=True, refutable=True,
                hypothesis_gate=True),
     Inequality("lemma1", "matrix"),

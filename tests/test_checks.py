@@ -488,6 +488,16 @@ def test_log_major_from_lemma1_spectra():
     assert report.lhs.value.real == pytest.approx(8.0, rel=1e-12)
 
 
+def test_log_major_takes_tol_by_position_and_log_scale_by_keyword():
+    a, b = np.array([2.0, 1.0]), np.array([4.0, 0.5])
+    plain = check_log_major(a, b, 2.0, DEFAULT_TOL)
+    assert plain == check_log_major(a, b, 2.0)
+    scaled = check_log_major(a / 8.0, b / 8.0, 2.0, DEFAULT_TOL, log_scale=math.log(8.0))
+    assert scaled.verdict is plain.verdict
+    assert scaled.margin == pytest.approx(plain.margin, rel=1e-13)
+    assert scaled.lhs.log_magnitude == pytest.approx(plain.lhs.log_magnitude, rel=1e-13)
+
+
 def test_log_major_hypothesis_failure_names_prefix():
     report = check_log_major(np.array([3.0, 1.0]), np.array([2.0, 2.0]), 1.0)
     assert report.verdict is Verdict.PRECONDITION_FAILED
@@ -997,6 +1007,17 @@ def test_cor_c1_single_member_is_equality_at_a_wide_singular_value_spread():
         warnings.simplefilter("error")
         reports = [check_cor_c1(BlockFamily((t,))) for t in members]
     assert {r.verdict for r in reports} == {Verdict.EQUALITY}
+
+
+def test_cor_c1_single_member_is_equality_past_the_t_stack_rank_floor():
+    # sigma_min(T) = 3 is below the T stack's rank floor 2 eps sigma_max, which
+    # zeroed the left side alone: the identity read violated, margin -inf
+    t = _block([[1.3e100 * (1 + 1j)]], [[1.0]], [[3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [check(BlockFamily((t,))) for check in (check_cor_c1, check_thm1)]
+    assert [(r.verdict, r.lhs.is_zero, r.rhs.is_zero) for r in reports] == [
+        (Verdict.EQUALITY, True, True)] * 2
 
 
 def test_cor_c1_single_member_is_equality_at_tiny_entries():

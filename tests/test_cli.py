@@ -337,8 +337,7 @@ _PAST_DBL_MAX_DENSE = [[1.3e308, 1.3e308], [1, 0], [2, 0], [3, 0]]
 @pytest.mark.parametrize("ineq_id, entries, verdict", [
     ("thm1", _PAST_DBL_MAX_UPPER, "equality"),    # one member: an identity
     ("cor_c0", _PAST_DBL_MAX_UPPER, "equality"),  # ||Y|| is below the gate against ||T||
-    ("cor_c1", _PAST_DBL_MAX_UPPER, None),        # not pinned: the T stack's rank floor
-                                                  # zeroes its lhs, not its bordered rhs
+    ("cor_c1", _PAST_DBL_MAX_UPPER, "equality"),  # both sides flagged at the T stack's floor
     ("thm2", _PAST_DBL_MAX_UPPER, "equality"),
     ("thm3", _PAST_DBL_MAX_UPPER, "equality"),
     ("drury", _PAST_DBL_MAX_UPPER, "equality"),
@@ -349,14 +348,13 @@ def test_structured_check_past_dbl_max_is_json_with_no_nan(ineq_id, entries, ver
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
     argv = ["check", str(path), "--ineq", ineq_id, "--format", "structured"]
-    main(argv + (["--r", "1"] if INEQUALITIES[ineq_id].needs_r else []))
+    assert main(argv + (["--r", "1"] if INEQUALITIES[ineq_id].needs_r else [])) == 0
     report = _strict_json(capsys.readouterr().out)
     sides = [report[side] for side in ("lhs", "rhs")]
     assert all(math.isfinite(side["log_magnitude"]) for side in sides)
     if not any(side["is_zero"] for side in sides):
         assert math.isfinite(report["margin"])
-    if verdict is not None:
-        assert report["verdict"] == verdict
+    assert report["verdict"] == verdict
 
 
 def test_check_a_nan_side_exits_two(monkeypatch, diag_file, capsys):
