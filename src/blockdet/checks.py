@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 import numpy as np
 
@@ -210,6 +209,10 @@ class BlockFamily:
     def m(self) -> int:
         return len(self.members)
 
+    def assemble(self) -> np.ndarray:
+        """The members' assembled matrices as one (m, n, n) stack."""
+        return np.array([member.assemble() for member in self.members])
+
 
 # ---------------------------------------------------------------------------
 # Verdict machinery
@@ -353,28 +356,16 @@ def _det_product_sum(lefts: np.ndarray, rights: np.ndarray, s: float) -> SignedL
             * SignedLogDet.from_log(2.0 * k * math.log(s)))
 
 
-def _block_array(items, block) -> np.ndarray:
-    """``block`` of one member; of the members of a family or of a list,
-    along a new first axis; of the members of each family of a list, along
-    two new axes.  A checker passes one item and an evaluator a list, so
-    the checker's arrays are no stacks of one."""
-    if isinstance(items, BlockUpperTriangular):
-        return block(items)
-    if isinstance(items, BlockFamily):
-        return np.array([block(m) for m in items.members])
-    return np.array([_block_array(item, block) for item in items])
-
-
-def _log_det_gram(families, block, floor=None) -> tuple:
+def _log_det_gram(b: np.ndarray, floor=None) -> tuple:
     """log det(sum B_k* B_k) = 2 sum log sigma over the singular values (by
-    :func:`_rescaled`) of the stack [B_1; ...; B_m] of a family, or of each
-    family of a list, B_k the ``block`` of member k; whether it is flagged
-    zero, its smallest singular value at or below ``floor``; and ``floor``,
-    by default the stack's rank floor max(rows, cols) * eps * sigma_max, at
-    or below which it is numerically rank deficient.  The log of a flagged
-    stack is not used; its zeros are raised to the smallest subnormal, so
-    that no log(0) warns, and no other value changes."""
-    b = _block_array(families, block)
+    :func:`_rescaled`) of the stack [B_1; ...; B_m] of the blocks B_k of a
+    family, (m, rows, cols), or of each family of a stack of them; whether
+    it is flagged zero, its smallest singular value at or below ``floor``;
+    and ``floor``, by default the stack's rank floor
+    max(rows, cols) * eps * sigma_max, at or below which it is numerically
+    rank deficient.  The log of a flagged stack is not used; its zeros are
+    raised to the smallest subnormal, so that no log(0) warns, and no other
+    value changes."""
     stacked = b.reshape(b.shape[:-3] + (-1, b.shape[-1]))
     sigma, log_s = _rescaled(singular_values, stacked)
     s = np.exp(log_s)
@@ -443,17 +434,23 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     the claim is an identity), above that of Z.  The diagnostics flag a
     singular sum X_k* X_k, the case the proof handles by continuity.
     """
-    lhs, rhs_x, rhs_z = (_sld(log, zero) for log, zero in _thm1_sides(family))
+    sides = _thm1_sides(family.assemble(), family.r)
+    lhs, rhs_x, rhs_z = (_sld(log, zero) for log, zero in sides)
     diagnostics = (Finding("sum_xx_singular", bool(rhs_x.is_zero)),)
     return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics)
 
 
-def _thm1_sides(families) -> list[tuple]:
+def _thm1_sides(t: np.ndarray, r: int) -> list[tuple]:
     """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of a
-    family, or of each family of a list, all flagged against the T stack's
-    rank floor."""
-    lhs, lhs_zero, floor = _log_det_gram(families, BlockUpperTriangular.assemble)
-    return [(lhs, lhs_zero)] + [_log_det_gram(families, attrgetter(b), floor)[:2] for b in "xz"]
+    family's (m, n, n) stack T, or of each family of a stack of them, all
+    flagged against the T stack's rank floor."""
+    lhs, lhs_zero, floor = _log_det_gram(t)
+    return [(lhs, lhs_zero)] + [_log_det_gram(b, floor)[:2] for b in _diagonal_blocks(t, r)]
+
+
+def _diagonal_blocks(t: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z of T = [[X, Y], [0, Z]], or of each T of a stack, as views."""
+    return t[..., :r, :r], t[..., r:, r:]
 
 
 def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
@@ -467,7 +464,7 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     constant, so the family is first put through :func:`_unit_scaled`.
     """
     r = family.r
-    full, _ = _unit_scaled(_block_array(family, BlockUpperTriangular.assemble))
+    full, _ = _unit_scaled(family.assemble())
     sum_tt = sum(t.conj().T @ t for t in full)
     try:
         complement = schur_complement(sum_tt, r)
@@ -486,24 +483,24 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     )
 
 
-def _abs_power_sides(members, r: int, p: float) -> tuple:
-    """T, log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p) for a
-    member, or for each member of a list, as products of 1 + sigma^p over
-    the singular values of the unsquared blocks (the spectral form of
-    building |.| and then its p-th power; the matrix route is pinned to
-    this one by tests), X and Z taken from T, under T's s.  The right side
-    sums the terms of X and Z in one row."""
-    t = _block_array(members, BlockUpperTriangular.assemble)
+def _abs_power_sides(t: np.ndarray, r: int, p: float) -> tuple:
+    """log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p) for T, or
+    for each T of a stack, as products of 1 + sigma^p over the singular
+    values of the unsquared blocks (the spectral form of building |.| and
+    then its p-th power; the matrix route is pinned to this one by tests),
+    X and Z taken from T, under T's s.  The right side sums the terms of X
+    and Z in one row."""
     sigma, log_s = _rescaled(lambda u: np.concatenate(
-        [singular_values(b) for b in (u, u[..., :r, :r], u[..., r:, r:])], axis=-1), t)
+        [singular_values(b) for b in (u, *_diagonal_blocks(u, r))], axis=-1), t)
     sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), log_s, p).sum(axis=-1)
-    return t, sums[..., 0], sums[..., 1]
+    return sums[..., 0], sums[..., 1]
 
 
 def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
                       tol: Tolerances, diagnostics: tuple[Finding, ...] = ()) -> CheckReport:
     """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0."""
-    matrix, lhs, rhs = _abs_power_sides(t, t.r, p)
+    matrix = t.assemble()
+    lhs, rhs = _abs_power_sides(matrix, t.r, p)
     y_zero, s, y = _y_zero(matrix, t.r)
     return _report(inequality_id, _sld(lhs, False), _sld(rhs, False), tol,
                    (Finding("y_frobenius", float(s) * float(y)),) + diagnostics,
@@ -535,12 +532,13 @@ def check_cor_c1(
     |det(sum conj(B_k) B_k)| is at most det(sum B_k* B_k).
     """
     normal = all(_is_normal(m.x) and _is_normal(m.z) for m in family.members)
-    log_lhs, lhs_zero, floor = _log_det_gram(family, BlockUpperTriangular.assemble)
+    t = family.assemble()
+    log_lhs, lhs_zero, floor = _log_det_gram(t)
     lhs = _sld(log_lhs, lhs_zero)
-    units = [_unit_scaled(_block_array(family, attrgetter(block))) for block in "xz"]
-    inner_x, inner_z = (_det_product_sum(u.conj(), u, s) for u, s in units)
+    blocks = _diagonal_blocks(t, family.r)
+    inner_x, inner_z = (_det_product_sum(u.conj(), u, s) for u, s in map(_unit_scaled, blocks))
     rhs = inner_x.abs() * inner_z.abs()
-    if lhs_zero and any(_log_det_gram(family, attrgetter(b), floor)[1] for b in "xz"):
+    if lhs_zero and any(_log_det_gram(b, floor)[1] for b in blocks):
         rhs = SignedLogDet.zero()
     diagnostics = (
         Finding("blocks_all_normal", normal),
@@ -570,7 +568,7 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
     taken as :func:`_det_product_sum`, and the four are divided by the
     largest magnitude; nothing overflows.
     """
-    xs, _ = _unit_scaled(_block_array(family, attrgetter("x")))
+    xs, _ = _unit_scaled(_diagonal_blocks(family.assemble(), family.r)[0])
     xt, xh = xs.mT, xs.mT.conj()
     d11, d12, d21, d22 = (_det_product_sum(left, right, 1.0) for left, right in
                           ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs)))
@@ -632,7 +630,8 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     No absolute value on the right: each factor is itself nonnegative.
     Equality iff Y = 0 and both X and Z are symmetric.
     """
-    matrix, lhs, det_x, det_z = _thm2_sides(t)
+    matrix = t.assemble()
+    lhs, det_x, det_z = _thm2_sides(matrix, t.r)
     y_zero, s, y = _y_zero(matrix, t.r)
     x_sym, z_sym = bool(_is_symmetric(t.x)), bool(_is_symmetric(t.z))
     diagnostics = (
@@ -644,17 +643,13 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
                    tol, diagnostics, structural_equality=bool(y_zero) and x_sym and z_sym)
 
 
-def _thm2_sides(members) -> tuple:
-    """T, log det(I + T*T), and det(I + conj(X) X) and det(I + conj(Z) Z),
-    each the :func:`det` of its bordered matrix as (phase, log magnitude,
-    zero flag), for a member, or as arrays for each member of a list, whose
-    bordered matrices are taken as one stack."""
-    t = _block_array(members, BlockUpperTriangular.assemble)
+def _thm2_sides(t: np.ndarray, r: int) -> tuple:
+    """log det(I + T*T), and det(I + conj(X) X) and det(I + conj(Z) Z), each
+    the :func:`det` of its bordered matrix as (phase, log magnitude, zero
+    flag), for T, or as arrays for each T of a stack, whose bordered
+    matrices are taken as one stack."""
     lhs = _log1p_pow(*_rescaled(singular_values, t), 2.0).sum(axis=-1)
-    def bordered_det(block):
-        x = _block_array(members, block)
-        return _det_parts(_bordered(x.conj(), x))
-    return t, lhs, bordered_det(attrgetter("x")), bordered_det(attrgetter("z"))
+    return (lhs, *(_det_parts(_bordered(b.conj(), b)) for b in _diagonal_blocks(t, r)))
 
 
 def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -832,44 +827,41 @@ def _abs_sums(pair: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 # Batched evaluators
 #
-# Each scores a search's trials at once, from the same side arithmetic as its
-# checker: it returns every trial's margin, bitwise the checker's, and where
-# the checker's verdict is sure to be ``holds_strict`` with no finding that
-# matters to a search (:func:`_clearly_holds`, given the conditions under
-# which the checker's structural tests could still change the verdict).
-# Every other trial goes to the checker itself.
+# Each scores a chunk of a search's trials at once, from the chunk's stack
+# (each trial's T, or the (m, n, n) stack of its family) and the same side
+# arithmetic as its checker: it returns every trial's margin, bitwise the
+# checker's, and where the checker's verdict is sure to be ``holds_strict``
+# with no finding that matters to a search (:func:`_clearly_holds`, given the
+# conditions under which the checker's structural tests could still change
+# the verdict).  Every other trial goes to the checker itself.
 
 
-def _batch_thm1(families: list[BlockFamily], tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    (lhs, lhs_zero), (rhs_x, x_zero), (rhs_z, z_zero) = _thm1_sides(families)
+def _batch_thm1(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    (lhs, lhs_zero), (rhs_x, x_zero), (rhs_z, z_zero) = _thm1_sides(t, r)
     margin = lhs - (rhs_x + rhs_z)
     return margin, _clearly_holds(margin, lhs, tol, lhs_zero | x_zero | z_zero)
 
 
-def _batch_thm3(members: list[BlockUpperTriangular], p: float,
-                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _batch_thm3(t: np.ndarray, r: int, p: float, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     _require_exponent(p)
-    t, lhs, rhs = _abs_power_sides(members, members[0].r, p)
+    lhs, rhs = _abs_power_sides(t, r, p)
     margin = lhs - rhs
-    return margin, _clearly_holds(margin, lhs, tol, _y_zero(t, members[0].r)[0])
+    return margin, _clearly_holds(margin, lhs, tol, _y_zero(t, r)[0])
 
 
-def _batch_cor_c0(members: list[BlockUpperTriangular],
-                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    return _batch_thm3(members, 2.0, tol)
+def _batch_cor_c0(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    return _batch_thm3(t, r, 2.0, tol)
 
 
-def _batch_thm2(members: list[BlockUpperTriangular],
-                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    t, lhs, (_, log_x, x_zero), (_, log_z, z_zero) = _thm2_sides(members)
+def _batch_thm2(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    lhs, (_, log_x, x_zero), (_, log_z, z_zero) = _thm2_sides(t, r)
     rhs_zero = x_zero | z_zero
     margin = lhs - (log_x + log_z)
     # equality needs Y = 0 before symmetric X and Z; the checker tests those
-    return margin, _clearly_holds(margin, lhs, tol, rhs_zero | _y_zero(t, members[0].r)[0])
+    return margin, _clearly_holds(margin, lhs, tol, rhs_zero | _y_zero(t, r)[0])
 
 
-def _batch_drury(ts: list[np.ndarray], tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    lhs, rhs, triangular, diagonal, _, _ = _drury_sides(np.array(ts))
+def _batch_drury(t: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    lhs, rhs, triangular, diagonal, _, _ = _drury_sides(t)
     margin = lhs - rhs
     return margin, _clearly_holds(margin, lhs, tol, ~triangular | diagonal)
-

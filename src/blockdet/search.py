@@ -7,18 +7,23 @@ counterexample-bearing predicates (``cor_c1`` under a violated normality
 hypothesis and ``e21``) get the published witness pair injected as trial 0,
 which makes "the fuzzer finds a violation" deterministic instead of lucky.
 
-The draw is the search's input boundary: under an ``entry_bound`` each
-drawn block is checked finite once; the blocks then reach the checker
-uncopied and read-only, and only a recheck re-splits a witness's matrices.
-A search draws its trials a chunk at a time; an id with a batched evaluator
-scores the chunk as stacks, and only the trials it is not sure of reach the
-checker, whose reports are the ones a search records.
+The draw is the search's input boundary: a search draws its trials a chunk
+at a time, each from its own stream, into read-only stacks; under an
+``entry_bound`` each trial's blocks are checked finite once.  An id with a
+batched evaluator scores the chunk's stack, and only the trials it is not
+sure of reach the checker, as objects built over views of the stacks, whose
+reports are the ones a search records.  A recorded witness copies its
+matrices out of the chunk.  :func:`generate`, :func:`generate_block_family`
+and :meth:`Inequality.draw` are one-trial views of the same draw.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -164,25 +169,27 @@ def _scale(spec: GeneratorSpec) -> float:
     raise ValueError(f"continuous families need a positive scalar scale, got {bound!r}")
 
 
-def _draw(rng: np.random.Generator, spec: GeneratorSpec, m: int, counts) -> list[np.ndarray]:
-    """All of a trial's entries in one generator call, split per member into
-    consecutive parts of ``counts`` entries: a (m, count) array each.
+def _draw(spec: GeneratorSpec, trials: range, counts) -> list[np.ndarray]:
+    """The entries of each trial of ``trials``, each trial's from its own
+    stream in one generator call, split per member into consecutive parts of
+    ``counts`` entries: a (len(trials) * m, count) array each, a trial's
+    members in order.
 
     The integer families draw ``rng.integers`` over the entry range, the
-    others standard normals.  One call of total length gives bitwise the
-    values of consecutive calls of its parts, so the stream, and every
-    matrix drawn from it, is the one a block-by-block draw made.
+    others standard normals; a bound the family does not take raises before
+    anything is drawn.  One call of total length gives bitwise the values of
+    consecutive calls of its parts, so the stream, and every matrix drawn
+    from it, is the one a block-by-block draw made.
     """
+    shape = (spec.m, sum(counts))
     if spec.family in _INTEGER_FAMILIES:
         lo, hi = _int_range(spec)
-        raw = rng.integers(lo, hi + 1, size=(m, sum(counts)))
+        rows = [_trial_rng(spec.seed, trial).integers(lo, hi + 1, size=shape) for trial in trials]
     else:
-        raw = rng.standard_normal((m, sum(counts)))
-    parts, start = [], 0
-    for count in counts:
-        parts.append(raw[:, start:start + count])
-        start += count
-    return parts
+        _scale(spec)
+        rows = [_trial_rng(spec.seed, trial).standard_normal(shape) for trial in trials]
+    raw = np.concatenate(rows)
+    return [raw[:, end - count:end] for count, end in zip(counts, accumulate(counts))]
 
 
 def _dense_count(spec: GeneratorSpec, rows: int, cols: int) -> int:
@@ -199,7 +206,7 @@ def _structured_count(spec: GeneratorSpec, n: int) -> int:
 
 
 def _dense(raw: np.ndarray, spec: GeneratorSpec, rows: int, cols: int) -> np.ndarray:
-    """The stack of dense rows-by-cols blocks drawn as ``raw``, one row per member."""
+    """The stack of dense rows-by-cols blocks drawn as ``raw``, one row per block."""
     if spec.family in _INTEGER_FAMILIES:
         return raw.reshape(-1, rows, cols).astype(complex)
     parts = raw.reshape(-1, 2, rows, cols)
@@ -218,13 +225,15 @@ def _unitaries(g: np.ndarray) -> np.ndarray:
 
 
 def _structured(spec: GeneratorSpec, raws: list[np.ndarray], sizes: list[int]) -> list[np.ndarray]:
-    """For each size n and its draws, the stack of the members' n-square
-    blocks with the family's structure, built exactly.
+    """For each size n and its draws, the stack of n-square blocks with the
+    family's structure, built exactly.
 
     The normal family's blocks are U diag(d) U* for Haar-like U: their
-    unitaries come from one stacked QR when the sizes agree.  Each U diag(d) U*
-    is formed per member, as numpy's complex product on a stack of 1x1
-    matrices differs in its last bits from the product on one.
+    unitaries come from one stacked QR when the sizes agree, and the
+    products from one stacked matmul, which for n >= 2 gives bitwise each
+    block's own product.  At n = 1 numpy's complex product on a stack
+    differs in its last bits from the product on one 1x1 matrix, so each
+    1x1 block is formed on its own.
     """
     family = spec.family
     if family != "normal_via_unitary_conjugation":
@@ -245,45 +254,111 @@ def _structured(spec: GeneratorSpec, raws: list[np.ndarray], sizes: list[int]) -
         us = [u[k * len(g):(k + 1) * len(g)] for k, g in enumerate(gs)]
     else:
         us = [_unitaries(g) for g in gs]
-    return [np.array([(uk * dk) @ uk.conj().T for uk, dk in zip(u, d)]) for u, d in zip(us, ds)]
+    return [(u * d[:, None, :]) @ u.conj().mT if n > 1 else
+            np.array([(uk * dk) @ uk.conj().T for uk, dk in zip(u, d)])
+            for u, d, n in zip(us, ds, sizes)]
 
 
-def _built(spec: GeneratorSpec, trial_index: int, build: Callable) -> list[np.ndarray]:
-    """``build()``: a list of drawn blocks or stacks of blocks.
+def _finite_trials(spec: GeneratorSpec, trials: range, *stacks: np.ndarray) -> tuple:
+    """How many trials of ``trials`` come before the first whose blocks in
+    ``stacks`` (one row of blocks per trial, in order) are not all finite,
+    and the :class:`LinalgError` naming that trial, or ``None``.
 
-    Only a caller's ``entry_bound`` can make a draw overflow.  Under one the
-    arithmetic runs with numpy's overflow warnings off, and each block is
-    checked finite once; a draw without one is finite by construction.
+    Only a caller's ``entry_bound`` can make a draw overflow, so a draw
+    without one is finite by construction and is not tested.
     """
+    if spec.entry_bound is None or not trials:
+        return len(trials), None
+    finite = np.ones(len(trials), dtype=bool)
+    for stack in stacks:
+        finite &= np.isfinite(stack.reshape(len(trials), -1)).all(axis=1)
+    if finite.all():
+        return len(trials), None
+    first = int(np.argmin(finite))
+    return first, LinalgError(f"seed {spec.seed}, trial {trials[first]}: entry_bound "
+                              f"{spec.entry_bound!r} overflows, drawing non-finite entries")
+
+
+def _overflow_quiet(spec: GeneratorSpec):
+    """numpy's overflow warnings off while a draw is built under an
+    ``entry_bound``, whose trials :func:`_finite_trials` then tests; without
+    one, nothing to switch off."""
     if spec.entry_bound is None:
-        return build()
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = build()
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise LinalgError(f"seed {spec.seed}, trial {trial_index}: entry_bound "
-                          f"{spec.entry_bound!r} overflows, drawing non-finite entries")
-    return blocks
+        return nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _read_only(*stacks: np.ndarray) -> None:
+    for stack in stacks:
+        stack.setflags(write=False)
+
+
+def _draw_matrices(spec: GeneratorSpec, trials: range) -> tuple:
+    """The m square n-by-n matrices of each trial of ``trials``, as a
+    (trials, m, n, n) stack; under an ``entry_bound``, the trials from the
+    first whose draw overflows on are left out, and the error naming that
+    trial is returned beside the rest (otherwise ``None``)."""
+    n, r = spec.n, spec.r
+    (raw,) = _draw(spec, trials, [_structured_count(spec, n)])
+    if spec.family == "block_triangular" and not 0 < r < n:
+        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={n}")
+    with _overflow_quiet(spec):
+        (mats,) = _structured(spec, [raw], [n])
+    if spec.family == "block_triangular":
+        mats[:, r:, :r] = 0.0
+    kept, error = _finite_trials(spec, trials, mats)
+    return mats.reshape(len(trials), spec.m, n, n)[:kept], error
+
+
+def _draw_blocks(spec: GeneratorSpec, trials: range) -> tuple:
+    """The X, Y, Z and T stacks, read-only and (trials, m, ., .) each, of
+    the block families of ``trials``, each member taking its X, Y and Z
+    from its trial's stream in that order, and T = [[X, Y], [0, Z]]; and,
+    as :func:`_draw_matrices`, the overflow error that cut them short."""
+    r, c = spec.r, spec.n - spec.r
+    if not 0 < r < spec.n:
+        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={spec.n}")
+    raw_x, raw_y, raw_z = _draw(spec, trials, [
+        _structured_count(spec, r), _dense_count(spec, r, c), _structured_count(spec, c)])
+    with _overflow_quiet(spec):
+        x, z = _structured(spec, [raw_x, raw_z], [r, c])
+        y = _dense(raw_y, spec, r, c)
+    kept, error = _finite_trials(spec, trials, x, y, z)
+    x, y, z = (b.reshape((len(trials), spec.m) + b.shape[1:])[:kept] for b in (x, y, z))
+    t = np.zeros((kept, spec.m, spec.n, spec.n), dtype=complex)
+    t[..., :r, :r], t[..., :r, r:], t[..., r:, r:] = x, y, z
+    _read_only(x, y, z, t)
+    return (x, y, z, t), error
+
+
+def _family(blocks: tuple, i: int) -> BlockFamily:
+    """The members of row ``i`` of :func:`_draw_blocks`' stacks, over their
+    read-only rows, uncopied."""
+    return BlockFamily(tuple(BlockUpperTriangular._frozen(*member)
+                             for member in zip(*(b[i] for b in blocks))))
+
+
+def _one(draw, spec: GeneratorSpec, trial_index: int):
+    """What ``draw`` draws of the one trial ``trial_index``; the overflow
+    error that left the trial out is raised."""
+    drawn, error = draw(spec, range(trial_index, trial_index + 1))
+    if error is not None:
+        raise error
+    return drawn
 
 
 def generate(spec: GeneratorSpec, trial_index: int) -> list[np.ndarray]:
     """Draw the trial's m square n-by-n matrices.
 
     Pure function of ``(spec.seed, trial_index)``: the same pair always
-    yields bitwise-identical output.  Structure is exact by construction
-    (symmetric matrices satisfy s == s.T entrywise, triangular families
-    carry exact zeros); the conjugation-built normal family is normal to
-    within the predicate tolerance.  An ``entry_bound`` that overflows a
-    draw raises :class:`LinalgError`.
+    yields bitwise-identical output, the trial's row of a search's draw.
+    Structure is exact by construction (symmetric matrices satisfy
+    s == s.T entrywise, triangular families carry exact zeros); the
+    conjugation-built normal family is normal to within the predicate
+    tolerance.  An ``entry_bound`` that overflows a draw raises
+    :class:`LinalgError`.
     """
-    rng = _trial_rng(spec.seed, trial_index)
-    n, r = spec.n, spec.r
-    raws = _draw(rng, spec, spec.m, [_structured_count(spec, n)])
-    if spec.family == "block_triangular" and not 0 < r < n:
-        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={n}")
-    (mats,) = _built(spec, trial_index, lambda: _structured(spec, raws, [n]))
-    if spec.family == "block_triangular":
-        mats[:, r:, :r] = 0.0
-    return list(mats)
+    return list(_one(_draw_matrices, spec, trial_index)[0])
 
 
 def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
@@ -292,22 +367,12 @@ def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
     X and Z are structured draws of sizes r and n-r (so a ``symmetric`` spec
     yields symmetric diagonal blocks, ``normal_via_unitary_conjugation``
     yields normal ones), while Y is a dense draw.  Deterministic in
-    ``(seed, trial_index)``; each member takes its X, Y and Z from the
-    stream in that order.  The blocks, and each member's assembled matrix,
-    built as one stack, are frozen read-only, not copied; an
-    ``entry_bound`` that overflows a draw raises :class:`LinalgError`.
+    ``(seed, trial_index)``: the trial's row of a search's draw.  The
+    blocks, and each member's assembled matrix, are frozen read-only, not
+    copied; an ``entry_bound`` that overflows a draw raises
+    :class:`LinalgError`.
     """
-    r, c = spec.r, spec.n - spec.r
-    if not 0 < r < spec.n:
-        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={spec.n}")
-    rng = _trial_rng(spec.seed, trial_index)
-    raw_x, raw_y, raw_z = _draw(rng, spec, spec.m, [
-        _structured_count(spec, r), _dense_count(spec, r, c), _structured_count(spec, c)])
-    x, z, y = _built(spec, trial_index, lambda: [*_structured(spec, [raw_x, raw_z], [r, c]),
-                                                 _dense(raw_y, spec, r, c)])
-    t = np.zeros((spec.m, spec.n, spec.n), dtype=complex)
-    t[:, :r, :r], t[:, :r, r:], t[:, r:, r:] = x, y, z
-    return BlockFamily(tuple(BlockUpperTriangular._frozen(*blocks) for blocks in zip(x, y, z, t)))
+    return _family(_one(_draw_blocks, spec, trial_index), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +416,9 @@ def _block_family_from(witness: Witness) -> BlockFamily:
     )
 
 
-def _gram(g: np.ndarray) -> np.ndarray:
-    return g.conj().T @ g
+def _grams(stack: np.ndarray) -> np.ndarray:
+    """G* G for each matrix G of the stack, each product formed on its own."""
+    return np.array([g.conj().T @ g for g in stack]).reshape(stack.shape)
 
 
 def _log_major_spectra(x: np.ndarray, p: float) -> tuple:
@@ -384,18 +450,19 @@ class Inequality:
     ``files`` is the least and most number of input matrices (``None``: no
     limit); a search draws from :meth:`draw_spec`, which asks for
     ``files[1]`` matrices when that is set, otherwise the spec's ``m``.
-    ``transform`` reshapes a drawn matrix (into a PSD one, or a triangular
-    one).  ``default_p``, when set, is the exponent's default and makes
-    ``p`` a parameter.
+    ``transform`` reshapes each drawn matrix of a stack (into a PSD one, or
+    a triangular one).  ``default_p``, when set, is the exponent's default
+    and makes ``p`` a parameter.
     ``refutable`` ids are false in general and get the published witness as
     trial 0 of a search; with ``hypothesis_gate`` the checker answers
     ``precondition_failed`` off its hypothesis unless the parameter
     ``allow_hypothesis_violation`` is set, and only then is a violation
     expected.
     ``batch``, when set, is the batched evaluator :meth:`score` calls: it
-    takes what the checker takes, with a list of all the trials' inputs in
-    place of the first argument, and returns each trial's margin and where
-    the checker's verdict is sure to be ``holds_strict``.
+    takes what the checker takes, with the stack of a chunk's trials
+    (:meth:`_Drawn.stack`) in place of the first argument and ``r`` after it
+    where the id needs ``r``, and returns each trial's margin and where the
+    checker's verdict is sure to be ``holds_strict``.
     """
 
     id: str
@@ -424,20 +491,31 @@ class Inequality:
         """The spec a search of this id draws from."""
         return spec if self.files[1] is None else replace(spec, m=self.files[1])
 
+    def draw_trials(self, spec: GeneratorSpec, trials: range, params: dict) -> tuple:
+        """The trials ``trials`` from ``spec`` (a :meth:`draw_spec`), drawn
+        as one :class:`_Drawn` chunk; under an ``entry_bound``, cut short at
+        the first trial whose draw overflows, with the :class:`LinalgError`
+        naming it (otherwise ``None``)."""
+        if self.shape in ("member", "family"):
+            blocks, error = _draw_blocks(spec, trials)
+            return _Drawn(self, spec, trials[:len(blocks[3])], params, blocks[3], blocks), error
+        mats, error = _draw_matrices(spec, trials)
+        mats = mats[:, 0]
+        if self.transform is not None:
+            with _overflow_quiet(spec):
+                mats = self.transform(mats)
+            kept, later = _finite_trials(spec, trials[:len(mats)], mats)
+            mats, error = mats[:kept], error if later is None else later
+        _read_only(mats)
+        return _Drawn(self, spec, trials[:len(mats)], params, mats[:, None], None), error
+
     def draw(self, spec: GeneratorSpec, trial_index: int,
              params: dict) -> tuple[Witness, BlockFamily | None]:
         """One trial's witness from ``spec`` (a :meth:`draw_spec`), and, for
-        the block shapes, the drawn family its matrices were assembled from."""
-        family = None
-        if self.shape in ("member", "family"):
-            family = generate_block_family(spec, trial_index)
-            mats = tuple(member.assemble() for member in family.members)
-        else:
-            mat = generate(spec, trial_index)[0]
-            if self.transform is not None:
-                (mat,) = _built(spec, trial_index, lambda: [self.transform(mat)])
-            mats = (mat,)
-        return Witness(self.id, spec.seed, trial_index, params, mats), family
+        the block shapes, the drawn family its matrices were assembled from:
+        row 0 of a one-trial :meth:`draw_trials`."""
+        drawn = _one(partial(self.draw_trials, params=params), spec, trial_index)
+        return drawn.witness(0), drawn.family(0)
 
     def _args(self, witness: Witness, family: BlockFamily | None) -> tuple:
         """The checker's arguments before ``tol``."""
@@ -470,12 +548,15 @@ class Inequality:
             *args, kwargs["log_scale"] = args
         return checker(*args, tol, **kwargs)
 
-    def score(self, drawn: list[tuple[Witness, BlockFamily | None]],
-              tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`batch` on drawn trials of one search: each trial's margin,
+    def score(self, drawn: _Drawn, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`batch` on one chunk of drawn trials: each trial's margin,
         and where its checker's verdict is sure to be ``holds_strict``."""
-        args = [self._args(witness, family) for witness, family in drawn]
-        return self.batch([a[0] for a in args], *args[0][1:], tol)
+        args: tuple = (drawn.stack(),)
+        if self.needs_r:
+            args += (drawn.spec.r,)
+        if self.default_p is not None:
+            args += (float(drawn.params["p"]),)
+        return self.batch(*args, tol)
 
     def expects_violation(self, params: dict) -> bool:
         """Whether a search with these parameters should record a violation."""
@@ -484,8 +565,35 @@ class Inequality:
         )
 
 
+@dataclass
+class _Drawn:
+    """A chunk of one id's trials, drawn as stacks: ``t`` holds each trial's
+    matrices, read-only and (trials, m, n, n), and ``blocks``, for a block
+    shape, the X, Y, Z and T stacks of :func:`_draw_blocks`.  The witness and
+    the family a checker or a record takes are built from a row on demand,
+    over views of these stacks."""
+
+    ineq: Inequality
+    spec: GeneratorSpec
+    trials: range
+    params: dict
+    t: np.ndarray
+    blocks: tuple | None
+
+    def stack(self) -> np.ndarray:
+        """Each trial's family, or its first matrix, for :attr:`Inequality.batch`."""
+        return self.t if self.ineq.shape == "family" else self.t[:, 0]
+
+    def witness(self, i: int) -> Witness:
+        return Witness(self.ineq.id, self.spec.seed, self.trials[i], dict(self.params),
+                       tuple(self.t[i]))
+
+    def family(self, i: int) -> BlockFamily | None:
+        return None if self.blocks is None else _family(self.blocks, i)
+
+
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
-    Inequality("fischer", "matrix", needs_r=True, transform=_gram),
+    Inequality("fischer", "matrix", needs_r=True, transform=_grams),
     Inequality("thm1", "family", files=(1, None), needs_r=True, batch=_batch_thm1),
     Inequality("cor_c0", "member", needs_r=True, batch=_batch_cor_c0),
     Inequality("cor_c1", "family", files=(1, None), needs_r=True, refutable=True,
@@ -702,39 +810,48 @@ _CHUNK = 64
 
 def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Tolerances,
               call_params: dict, inject_paper_witness: bool):
-    """(trial, witness, report, margin, verdict) for each trial, in order.
+    """(trial, witness, report, margin, verdict) for each trial, in order;
+    ``witness`` builds the trial's witness when called.
 
     Trials are drawn a chunk at a time, each from its own stream, and scored
     by the batched evaluator where there is one.  A trial it is not sure of
     goes to the checker, whose report is the one returned; a sure one has no
     report.  A draw that raises is raised once the trials before it are out.
     """
+    first = 0
+    if inject_paper_witness and ineq.refutable:
+        paper = _paper_witness(ineq.id, call_params)
+        report = ineq.check(paper, tol)
+        yield 0, lambda: paper, report, report.margin, report.verdict
+        first = 1
     draw_spec = ineq.draw_spec(spec)
-    for start in range(0, max_trials, _CHUNK):
-        drawn, draw_error = [], None
-        for trial in range(start, min(start + _CHUNK, max_trials)):
+    for start in range(first, max_trials, _CHUNK):
+        drawn, error = ineq.draw_trials(draw_spec, range(start, min(start + _CHUNK, max_trials)),
+                                        call_params)
+        margins, sure = [], [False] * len(drawn.trials)
+        if ineq.batch is not None and drawn.trials:
             try:
-                if trial == 0 and inject_paper_witness and ineq.refutable:
-                    drawn.append((_paper_witness(ineq.id, call_params), None))
-                else:
-                    drawn.append(ineq.draw(draw_spec, trial, dict(call_params)))
-            except Exception as err:
-                draw_error = err
-                break
-        sure = [False] * len(drawn)
-        if ineq.batch is not None and len(drawn) > 1:
-            try:
-                margins, sure = ineq.score(drawn, tol)
+                margins, sure = (a.tolist() for a in ineq.score(drawn, tol))
             except ValueError:   # left to the checkers, which raise it at its own trial
                 pass
-        for i, (witness, family) in enumerate(drawn):
+        for i, trial in enumerate(drawn.trials):
             if sure[i]:
-                yield start + i, witness, None, float(margins[i]), Verdict.HOLDS_STRICT
+                yield trial, partial(drawn.witness, i), None, margins[i], Verdict.HOLDS_STRICT
             else:
-                report = ineq.check(witness, tol, family)
-                yield start + i, witness, report, report.margin, report.verdict
-        if draw_error is not None:
-            raise draw_error
+                witness = drawn.witness(i)
+                report = ineq.check(witness, tol, drawn.family(i))
+                yield trial, lambda witness=witness: witness, report, report.margin, report.verdict
+        if error is not None:
+            raise error
+
+
+def _recorded(witness: Witness) -> Witness:
+    """``witness`` over read-only copies of its matrices, which may view a
+    whole chunk's stack: a record keeps no chunk alive."""
+    matrices = tuple(m.copy() for m in witness.matrices)
+    _read_only(*matrices)
+    return Witness(witness.predicate_id, witness.seed, witness.trial_index, witness.params,
+                   matrices)
 
 
 def _run_trials(
@@ -759,7 +876,7 @@ def _run_trials(
     min_margin_trial = None
     min_pos = None
     min_pos_trial = None
-    min_pos_witness = None
+    min_pos_witness = None   # the function that builds it, until the end
     ran = 0
     for trial, witness, report, margin, verdict in _outcomes(
             ineq, spec, max_trials, tol, call_params, inject_paper_witness):
@@ -774,7 +891,7 @@ def _run_trials(
                     min_pos_trial = trial
                     min_pos_witness = witness
         if verdict is Verdict.VIOLATED:
-            violations.append(ViolationRecord(trial, spec.seed, witness, report))
+            violations.append(ViolationRecord(trial, spec.seed, _recorded(witness()), report))
             if stop_on_first:
                 break
     return SearchReport(
@@ -787,7 +904,7 @@ def _run_trials(
         min_margin_trial=min_margin_trial,
         min_positive_margin=min_pos,
         min_positive_margin_trial=min_pos_trial,
-        min_positive_witness=min_pos_witness,
+        min_positive_witness=None if min_pos_witness is None else _recorded(min_pos_witness()),
         runtime_note=f"{ran} trials against {predicate_id}",
     )
 

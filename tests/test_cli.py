@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +405,27 @@ def test_fuzz_structured_reruns_byte_identical(tmp_path):
     doc = json.loads(first.read_text())
     assert doc["predicate_id"] == "cor_c0"
     assert doc["trials"] == 40
+
+
+# golden_fuzz.ndjson holds one structured fuzz line per argv below, in order: a
+# 65-trial search crosses a chunk boundary, so the chunked draw and the batched
+# evaluators must keep every drawn matrix and every margin as written there
+_GOLDEN_FUZZ = [["thm1"], ["cor_c0"], ["thm2"], ["drury"], ["thm3", "--p", "1.5"]]
+
+
+def test_fuzz_structured_output_is_the_golden_file_byte_for_byte(tmp_path):
+    out = tmp_path / "fuzz.ndjson"
+    lines = []
+    for predicate in _GOLDEN_FUZZ:
+        argv = ["fuzz", "--predicate", *predicate, "--trials", "65", "--seed", "12",
+                "--family", "normal_via_unitary_conjugation", "--n", "5", "--r", "1",
+                "--m", "4", "--format", "structured", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 0
+        lines.append(out.read_bytes())
+    golden = (Path(__file__).parent / "golden_fuzz.ndjson").read_bytes()
+    assert b"".join(lines) == golden
 
 
 def test_fuzz_sharpness_mode(capsys):

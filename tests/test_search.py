@@ -100,6 +100,72 @@ def test_one_call_draw_is_the_block_by_block_draw_bitwise(family):
                                for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_trial_of_a_chunk_is_the_block_by_block_draw_bitwise(family):
+    # a search draws a chunk of trials at once, into one stack; each row must be the
+    # trial drawn alone, block by block, and a bound the family does not take raises alike
+    for n, r, m in ((2, 1, 2), (5, 2, 3)):
+        for bound in (None, 1e-100, 1e100, (-3, 5)):
+            spec = GeneratorSpec(family=family, n=n, r=r, m=m, entry_bound=bound, seed=7 * n + m)
+            for size in (1, 4, _CHUNK, _CHUNK + 1):
+                trials = range(3, 3 + size)
+                matrices = [_draw_or_error(reference.block_by_block_generate, spec, trial)
+                            for trial in trials]
+                blocks = [_draw_or_error(reference.block_by_block_family, spec, trial)
+                          for trial in trials]
+                if isinstance(blocks[0], tuple):   # every trial raises the same error
+                    for draw, expected in ((search._draw_matrices, matrices[0]),
+                                           (search._draw_blocks, blocks[0])):
+                        with pytest.raises((ValueError, LinalgError)) as err:
+                            draw(spec, trials)
+                        assert expected == (err.type, str(err.value))
+                    continue
+                mats, error = search._draw_matrices(spec, trials)
+                assert error is None and mats.shape == (size, m, n, n)
+                assert all(_same_bits(a, b) for got, want in zip(mats, matrices)
+                           for a, b in zip(got, want))
+                (x, y, z, t), error = search._draw_blocks(spec, trials)
+                assert error is None and t.shape == (size, m, n, n)
+                for i, members in enumerate(blocks):
+                    for k, want in enumerate(members):
+                        got = (x[i, k], y[i, k], z[i, k], t[i, k])
+                        want = (*want, BlockUpperTriangular(*want).assemble())
+                        assert all(_same_bits(a, b) for a, b in zip(got, want))
+                # the first matrix of each trial, transformed on the stack or per matrix
+                for ineq_id, transform in (("drury", np.triu),
+                                           ("fischer", lambda g: g.conj().T @ g)):
+                    ineq = INEQUALITIES[ineq_id]
+                    drawn, error = ineq.draw_trials(replace(spec, m=1), trials, {})
+                    assert error is None and drawn.trials == trials
+                    assert all(_same_bits(drawn.t[i, 0], transform(want[0]))
+                               for i, want in enumerate(matrices))
+
+
+# first overflowing trial of this spec: 98, in the second chunk, for every batched id
+_OVERFLOW_AT_98 = GeneratorSpec(family="gaussian", n=2, r=1, m=2, entry_bound=4e307, seed=14)
+
+
+@pytest.mark.parametrize("ineq_id", ["thm1", "cor_c0", "thm2", "drury", "thm3"])
+def test_a_chunk_cut_short_by_an_overflow_reports_the_trials_before_it(ineq_id, monkeypatch):
+    ineq = INEQUALITIES[ineq_id]
+    spec, params = ineq.draw_spec(_OVERFLOW_AT_98), ineq.call_params(1)
+    message = "seed 14, trial 98: entry_bound 4e+307 overflows, drawing non-finite entries"
+    alone = (reference.block_by_block_generate if ineq.shape == "matrix"
+             else reference.block_by_block_family)
+    assert _draw_or_error(alone, spec, 98) == (LinalgError, message)
+    drawn, error = ineq.draw_trials(spec, range(_CHUNK, 2 * _CHUNK), params)
+    assert drawn.trials == range(_CHUNK, 98) and str(error) == message
+    reached = []
+    with pytest.raises(LinalgError) as raised:
+        for trial, *_ in search._outcomes(ineq, spec, 2 * _CHUNK, DEFAULT_TOL, params, True):
+            reached.append(trial)
+    assert reached == list(range(98)) and str(raised.value) == message
+    batched = search_violations(_OVERFLOW_AT_98, ineq_id, 98).to_json_dict()
+    assert batched["trials"] == 98
+    _scalar_record(monkeypatch, ineq_id)
+    assert search_violations(_OVERFLOW_AT_98, ineq_id, 98).to_json_dict() == batched
+
+
 def test_generate_zero_bound_gives_zero_matrix():
     spec = GeneratorSpec(family="integer_uniform", n=4, entry_bound=0, seed=1)
     (mat,) = generate(spec, 0)
@@ -326,9 +392,12 @@ def _bits(x) -> bytes:
 
 
 def _drawn(ineq, spec, trials, params):
+    """One chunk of ``trials`` trials, drawn as a search of ``ineq`` draws them."""
     call_params = ineq.call_params(spec.r)
     call_params.update(params or {})
-    return [ineq.draw(ineq.draw_spec(spec), trial, dict(call_params)) for trial in range(trials)]
+    drawn, error = ineq.draw_trials(ineq.draw_spec(spec), range(trials), call_params)
+    assert error is None and len(drawn.trials) == trials
+    return drawn
 
 
 # all-zero blocks (bound 0) and 0/1 triangular ones: rank-deficient stacks, Y = 0,
@@ -346,8 +415,8 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params)
     for spec in specs:
         drawn = _drawn(ineq, spec, 6, params)
         margins, clear = ineq.score(drawn, DEFAULT_TOL)
-        for i, (witness, family) in enumerate(drawn):
-            report = ineq.check(witness, DEFAULT_TOL, family)
+        for i in range(len(drawn.trials)):
+            report = ineq.check(drawn.witness(i), DEFAULT_TOL, drawn.family(i))
             where = (spec, i, report.verdict, report.margin, margins[i])
             if not (report.lhs.is_zero or report.rhs.is_zero):
                 assert _bits(margins[i]) == _bits(report.margin), where
@@ -369,8 +438,9 @@ def test_thm2_stacked_bordered_determinants_are_the_checker_s_bitwise(bound):
             members = [BlockUpperTriangular(bound * t.x, bound * t.y, bound * t.z)
                        for t in (generate_block_family(spec, i).members[0]
                                  for i in range(_CHUNK))]
-            _, _, stacked_x, stacked_z = _thm2_sides(members)
-            margins, clear = _batch_thm2(members, DEFAULT_TOL)
+            stack = np.array([t.assemble() for t in members])
+            _, stacked_x, stacked_z = _thm2_sides(stack, r)
+            margins, clear = _batch_thm2(stack, r, DEFAULT_TOL)
             for i, t in enumerate(members):
                 for block, (phase, log_mag, zero) in ((t.x, stacked_x), (t.z, stacked_z)):
                     single = det(_bordered(block.conj(), block))
@@ -390,7 +460,7 @@ def test_a_flagged_zero_side_is_left_to_the_checker():
     # Z = 0 in both members, while [T1; T2] has full rank: thm1's rhs is zero, margin +inf
     family = BlockFamily((BlockUpperTriangular([[1.0]], [[3.0]], [[0.0]]),
                           BlockUpperTriangular([[2.0]], [[-1.0]], [[0.0]])))
-    _, clear = INEQUALITIES["thm1"].batch([family, family], DEFAULT_TOL)
+    _, clear = INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1, DEFAULT_TOL)
     assert not clear.any()
     assert search.check_thm1(family).margin == np.inf
 
@@ -461,7 +531,8 @@ def _force_violation(monkeypatch, spec, target, batched):
         report = real_check(t, tol)
         return replace(report, verdict=Verdict.VIOLATED) if np.array_equal(t.x, bad_x) else report
 
-    def evaluator(members, tol):
+    def evaluator(t, r, tol):
+        members = [BlockUpperTriangular.from_matrix(matrix, r) for matrix in t]
         margins = np.array([real_check(m, tol).margin for m in members])
         return margins, np.array([not np.array_equal(m.x, bad_x) for m in members])
 
@@ -481,6 +552,26 @@ def test_stop_on_first_mid_chunk_counts_trials_as_the_scalar_loop(monkeypatch):
         assert search_violations(spec, "cor_c0", 20).trials == 20
         reports.append(report.to_json_dict())
     assert reports[0] == reports[1]
+
+
+def test_recorded_witnesses_own_read_only_copies_of_their_matrices(monkeypatch):
+    # a record copies its matrices out of the chunk's stack, so that it keeps no
+    # whole chunk alive; they are the matrices the trial drew, bitwise
+    spec = GeneratorSpec(family="gaussian", n=4, r=2, m=1, seed=8)
+    reports = [sharpness_probe(replace(spec, m=3), "thm1", 70), sharpness_probe(spec, "drury", 70)]
+    _force_violation(monkeypatch, spec, 5, batched=True)
+    reports.append(search_violations(spec, "cor_c0", 70))
+    assert [v.trial_index for v in reports[-1].violations] == [5]
+    witnesses = [r.min_positive_witness for r in reports] + [reports[-1].violations[0].witness]
+    for witness in witnesses:
+        ineq = INEQUALITIES[witness.predicate_id]
+        drawn, _ = ineq.draw(ineq.draw_spec(reports[0].spec if ineq.id == "thm1" else spec),
+                             witness.trial_index, witness.params)
+        assert len(witness.matrices) == len(drawn.matrices)
+        for matrix, want in zip(witness.matrices, drawn.matrices):
+            assert matrix.flags.owndata and matrix.base is None
+            assert not matrix.flags.writeable
+            assert _same_bits(matrix, want)
 
 
 def test_a_draw_that_raises_is_raised_only_when_the_loop_reaches_it(monkeypatch):
