@@ -52,6 +52,7 @@ from .linalg import (
     _det_parts,
     _rescaled,
     _require_square,
+    _singular_values,
     _signed_log_det,
     _strict_lower,
     _unit_masses,
@@ -258,7 +259,9 @@ def _report(
     classification disagrees.
 
     :func:`_clearly_holds` restates the ``holds_strict`` branch for the
-    batched evaluators; a change to these branches changes it too.
+    batched evaluators, and :func:`_clearly_equal` the numeric ``equality``
+    branch (``structural_equality`` None); a change to these branches
+    changes them too.
     """
     if margin is None:
         margin = lhs.log_ratio(rhs)
@@ -296,6 +299,30 @@ def _clearly_holds(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances,
     side flagged zero, a structural equality condition that may hold, or a
     failed precondition."""
     return ~unsure & np.isfinite(margin) & (margin > _eq_window(lhs, tol))
+
+
+def _clearly_equal(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances,
+                   unsure: np.ndarray) -> np.ndarray:
+    """Where :func:`_report` answers ``equality``, elementwise, for a checker
+    that passes it neither ``structural_equality`` nor ``value``,
+    ``identity_gap``, ``phase_gap`` or a failed precondition: a margin within
+    the equality window of an lhs with log magnitude ``lhs``, where nothing
+    is ``unsure`` (as for :func:`_clearly_holds`)."""
+    return ~unsure & (np.abs(margin) <= _eq_window(lhs, tol))
+
+
+# A batched evaluator's code for each trial indexes _SETTLED: unsure (the
+# checker decides), sure of holds_strict, or sure of equality.
+_SETTLED = (None, Verdict.HOLDS_STRICT, Verdict.EQUALITY)
+
+
+def _codes(holds: np.ndarray, equal: np.ndarray | None = None) -> np.ndarray:
+    """The :data:`_SETTLED` codes of trials sure to hold where ``holds``, and
+    sure to be equalities where ``equal``."""
+    codes = holds.astype(np.int8)
+    if equal is not None:
+        codes[equal] = 2
+    return codes
 
 
 # Double-precision machine epsilon: a stack of blocks is numerically rank
@@ -367,7 +394,7 @@ def _log_det_gram(b: np.ndarray, floor=None) -> tuple:
     raised to the smallest subnormal, so that no log(0) warns, and no other
     value changes."""
     stacked = b.reshape(b.shape[:-3] + (-1, b.shape[-1]))
-    sigma, log_s = _rescaled(singular_values, stacked)
+    sigma, log_s = _rescaled(_singular_values, stacked)
     s = np.exp(log_s)
     if floor is None:
         floor = max(stacked.shape[-2:]) * _EPS * sigma[..., 0] * s
@@ -491,7 +518,7 @@ def _abs_power_sides(t: np.ndarray, r: int, p: float) -> tuple:
     X and Z taken from T, under T's s.  The right side sums the terms of X
     and Z in one row."""
     sigma, log_s = _rescaled(lambda u: np.concatenate(
-        [singular_values(b) for b in (u, *_diagonal_blocks(u, r))], axis=-1), t)
+        [_singular_values(b) for b in (u, *_diagonal_blocks(u, r))], axis=-1), t)
     sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), log_s, p).sum(axis=-1)
     return sums[..., 0], sums[..., 1]
 
@@ -648,7 +675,7 @@ def _thm2_sides(t: np.ndarray, r: int) -> tuple:
     the :func:`det` of its bordered matrix as (phase, log magnitude, zero
     flag), for T, or as arrays for each T of a stack, whose bordered
     matrices are taken as one stack."""
-    lhs = _log1p_pow(*_rescaled(singular_values, t), 2.0).sum(axis=-1)
+    lhs = _log1p_pow(*_rescaled(_singular_values, t), 2.0).sum(axis=-1)
     return (lhs, *(_det_parts(_bordered(b.conj(), b)) for b in _diagonal_blocks(t, r)))
 
 
@@ -673,7 +700,7 @@ def _drury_sides(t: np.ndarray) -> tuple:
     whether T is upper triangular and whether diagonal, by the gates of
     :func:`predicates`; and s and the off-diagonal mass of T / s."""
     rows, log_s = _rescaled(lambda u: np.stack(
-        [singular_values(u), np.abs(np.diagonal(u, axis1=-2, axis2=-1))], axis=-2), t)
+        [_singular_values(u), np.abs(np.diagonal(u, axis1=-2, axis2=-1))], axis=-2), t)
     sums = _log1p_pow(rows, log_s, 2.0).sum(axis=-1)
     lhs, rhs = sums[..., 0], sums[..., 1]
     s, _, norm, lower, off_mass = _unit_masses(
@@ -768,7 +795,8 @@ def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     cum_s = _cumulative_logs(sig, log_s)
     lhs, rhs = (SignedLogDet.zero() if math.isinf(cum[-1])
                 else SignedLogDet.from_log(float(cum[-1])) for cum in (cum_s, cum_l))
-    gaps = cum_s[:-1] - cum_l[:-1]
+    with np.errstate(invalid="ignore"):   # -inf - -inf where both prefixes reach log 0
+        gaps = cum_s[:-1] - cum_l[:-1]
     gaps = gaps[np.isfinite(gaps)]
     final_gap = lhs.log_ratio(rhs)
     rounding = lam.size * _EPS * float(sig[0]) / float(sig[-1]) if sig[-1] > 0.0 else math.inf
@@ -830,23 +858,28 @@ def _abs_sums(pair: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
 # Each scores a chunk of a search's trials at once, from the chunk's stack
 # (each trial's T, or the (m, n, n) stack of its family) and the same side
 # arithmetic as its checker: it returns every trial's margin, bitwise the
-# checker's, and where the checker's verdict is sure to be ``holds_strict``
-# with no finding that matters to a search (:func:`_clearly_holds`, given the
-# conditions under which the checker's structural tests could still change
-# the verdict).  Every other trial goes to the checker itself.
+# checker's, and a _SETTLED code per trial, for where the checker's verdict is
+# sure, with no finding that matters to a search: ``holds_strict``
+# (:func:`_clearly_holds`, given the conditions under which the checker's
+# structural tests could still change the verdict), and for thm1, whose
+# equality is numeric, ``equality`` (:func:`_clearly_equal`).  The others'
+# equality is structural, and their checkers decide it.  Every trial not
+# settled goes to the checker itself.
 
 
 def _batch_thm1(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     (lhs, lhs_zero), (rhs_x, x_zero), (rhs_z, z_zero) = _thm1_sides(t, r)
     margin = lhs - (rhs_x + rhs_z)
-    return margin, _clearly_holds(margin, lhs, tol, lhs_zero | x_zero | z_zero)
+    flagged = lhs_zero | x_zero | z_zero
+    return margin, _codes(_clearly_holds(margin, lhs, tol, flagged),
+                          _clearly_equal(margin, lhs, tol, flagged))
 
 
 def _batch_thm3(t: np.ndarray, r: int, p: float, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     _require_exponent(p)
     lhs, rhs = _abs_power_sides(t, r, p)
     margin = lhs - rhs
-    return margin, _clearly_holds(margin, lhs, tol, _y_zero(t, r)[0])
+    return margin, _codes(_clearly_holds(margin, lhs, tol, _y_zero(t, r)[0]))
 
 
 def _batch_cor_c0(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -858,10 +891,10 @@ def _batch_thm2(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.
     rhs_zero = x_zero | z_zero
     margin = lhs - (log_x + log_z)
     # equality needs Y = 0 before symmetric X and Z; the checker tests those
-    return margin, _clearly_holds(margin, lhs, tol, rhs_zero | _y_zero(t, r)[0])
+    return margin, _codes(_clearly_holds(margin, lhs, tol, rhs_zero | _y_zero(t, r)[0]))
 
 
 def _batch_drury(t: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     lhs, rhs, triangular, diagonal, _, _ = _drury_sides(t)
     margin = lhs - rhs
-    return margin, _clearly_holds(margin, lhs, tol, ~triangular | diagonal)
+    return margin, _codes(_clearly_holds(margin, lhs, tol, ~triangular | diagonal))

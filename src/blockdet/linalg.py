@@ -20,7 +20,8 @@ All functions are pure: inputs are never mutated and there is no global
 mutable state (a cache of read-only triangle masks aside), so values can
 be shared freely across threads.  Every public function validates its
 arguments with :func:`as_matrix`; arrays the package made itself enter
-:class:`BlockUpperTriangular` uncopied.
+:class:`BlockUpperTriangular` uncopied, and the checkers' inner spectra
+(:func:`_singular_values`) are not validated again.
 """
 
 from __future__ import annotations
@@ -221,8 +222,9 @@ def _rescaled(f, a: np.ndarray) -> tuple:
     with numpy's overflow warnings off, is returned as it is."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = f(a)
-    parts = out if isinstance(out, tuple) else (out,)
-    if all(np.isfinite(part).all() for part in parts):
+    single = not isinstance(out, tuple)
+    parts = (out,) if single else out
+    if np.isfinite(out).all() if single else all(np.isfinite(part).all() for part in parts):
         return out, 0.0
     finite = np.logical_and.reduce([np.isfinite(part).reshape(a.shape[:-2] + (-1,)).all(axis=-1)
                                     for part in parts])
@@ -435,7 +437,13 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     a small singular value would carry an error near sqrt(eps) * sigma_max
     instead of eps * sigma_max.
     """
-    return _lapack("svd", as_matrix(a, stack=True), compute_uv=False)
+    return _singular_values(as_matrix(a, stack=True))
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """:func:`singular_values` of a matrix or a stack already validated, at
+    a draw or at a checker's entry: finite complex128, not checked again."""
+    return _lapack("svd", a, compute_uv=False)
 
 
 def _singular_to_working_precision(sigma: np.ndarray):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import Callable
@@ -33,6 +33,7 @@ from .checks import (
     BlockFamily,
     CheckReport,
     Verdict,
+    _SETTLED,
     check_cor_c0,
     check_cor_c1,
     check_djokovic,
@@ -100,6 +101,7 @@ FAMILIES = (
 
 _INTEGER_FAMILIES = frozenset({"integer_uniform", "upper_triangular", "block_triangular"})
 _DEFAULT_INT_RANGE = (-20, 26)
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -137,11 +139,22 @@ class GeneratorSpec:
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """``default_rng(SeedSequence([seed & M, trial_index & M]))``, M = 2^64 - 1.
+
+    The seed sequence is given the uint32 words it would assemble from that
+    list, so numpy skips its Python-level coercion of the list; its pool,
+    the state and the stream are the same.
+    """
     if trial_index < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & _MASK64, trial_index & _MASK64])
-    )
+    words = _seed_words(seed & _MASK64) + _seed_words(trial_index & _MASK64)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+
+
+def _seed_words(v: int) -> tuple:
+    """A ``v`` below 2^64 as numpy's ``SeedSequence`` coerces an int: its
+    32-bit words, least significant first, at least one."""
+    return (v & _MASK32, v >> 32) if v >> 32 else (v,)
 
 
 def _int_range(spec: GeneratorSpec) -> tuple[int, int]:
@@ -314,21 +327,22 @@ def _draw_blocks(spec: GeneratorSpec, trials: range) -> tuple:
     """The X, Y, Z and T stacks, read-only and (trials, m, ., .) each, of
     the block families of ``trials``, each member taking its X, Y and Z
     from its trial's stream in that order, and T = [[X, Y], [0, Z]]; and,
-    as :func:`_draw_matrices`, the overflow error that cut them short."""
+    as :func:`_draw_matrices`, the overflow error that cut them short.  The
+    blocks are drawn into T, and X, Y and Z are views of it."""
     r, c = spec.r, spec.n - spec.r
     if not 0 < r < spec.n:
         raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={spec.n}")
     raw_x, raw_y, raw_z = _draw(spec, trials, [
         _structured_count(spec, r), _dense_count(spec, r, c), _structured_count(spec, c)])
+    t = np.zeros((len(trials) * spec.m, spec.n, spec.n), dtype=complex)
     with _overflow_quiet(spec):
-        x, z = _structured(spec, [raw_x, raw_z], [r, c])
-        y = _dense(raw_y, spec, r, c)
-    kept, error = _finite_trials(spec, trials, x, y, z)
-    x, y, z = (b.reshape((len(trials), spec.m) + b.shape[1:])[:kept] for b in (x, y, z))
-    t = np.zeros((kept, spec.m, spec.n, spec.n), dtype=complex)
-    t[..., :r, :r], t[..., :r, r:], t[..., r:, r:] = x, y, z
-    _read_only(x, y, z, t)
-    return (x, y, z, t), error
+        t[:, :r, :r], t[:, r:, r:] = _structured(spec, [raw_x, raw_z], [r, c])
+        t[:, :r, r:] = _dense(raw_y, spec, r, c)
+    t = t.reshape(len(trials), spec.m, spec.n, spec.n)
+    kept, error = _finite_trials(spec, trials, t)
+    t = t[:kept]
+    _read_only(t)   # and so the views of its blocks
+    return (t[..., :r, :r], t[..., :r, r:], t[..., r:, r:], t), error
 
 
 def _family(blocks: tuple, i: int) -> BlockFamily:
@@ -461,8 +475,9 @@ class Inequality:
     ``batch``, when set, is the batched evaluator :meth:`score` calls: it
     takes what the checker takes, with the stack of a chunk's trials
     (:meth:`_Drawn.stack`) in place of the first argument and ``r`` after it
-    where the id needs ``r``, and returns each trial's margin and where the
-    checker's verdict is sure to be ``holds_strict``.
+    where the id needs ``r``, and returns each trial's margin and its
+    ``checks._SETTLED`` code: the checker's verdict is unsure, sure to be
+    ``holds_strict`` or sure to be ``equality``.
     """
 
     id: str
@@ -489,7 +504,10 @@ class Inequality:
 
     def draw_spec(self, spec: GeneratorSpec) -> GeneratorSpec:
         """The spec a search of this id draws from."""
-        return spec if self.files[1] is None else replace(spec, m=self.files[1])
+        m = self.files[1]
+        if m is None or m == spec.m:
+            return spec
+        return GeneratorSpec(spec.family, spec.n, spec.r, m, spec.entry_bound, spec.seed)
 
     def draw_trials(self, spec: GeneratorSpec, trials: range, params: dict) -> tuple:
         """The trials ``trials`` from ``spec`` (a :meth:`draw_spec`), drawn
@@ -550,7 +568,8 @@ class Inequality:
 
     def score(self, drawn: _Drawn, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
         """:attr:`batch` on one chunk of drawn trials: each trial's margin,
-        and where its checker's verdict is sure to be ``holds_strict``."""
+        and its code: its checker's verdict is unsure (0), sure to be
+        ``holds_strict`` (1) or sure to be ``equality`` (2)."""
         args: tuple = (drawn.stack(),)
         if self.needs_r:
             args += (drawn.spec.r,)
@@ -815,8 +834,9 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
 
     Trials are drawn a chunk at a time, each from its own stream, and scored
     by the batched evaluator where there is one.  A trial it is not sure of
-    goes to the checker, whose report is the one returned; a sure one has no
-    report.  A draw that raises is raised once the trials before it are out.
+    goes to the checker, whose report is the one returned; one it settles
+    has no report.  A draw that raises is raised once the trials before it
+    are out.
     """
     first = 0
     if inject_paper_witness and ineq.refutable:
@@ -828,15 +848,16 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
     for start in range(first, max_trials, _CHUNK):
         drawn, error = ineq.draw_trials(draw_spec, range(start, min(start + _CHUNK, max_trials)),
                                         call_params)
-        margins, sure = [], [False] * len(drawn.trials)
+        margins, codes = [], [0] * len(drawn.trials)
         if ineq.batch is not None and drawn.trials:
             try:
-                margins, sure = (a.tolist() for a in ineq.score(drawn, tol))
+                margins, codes = (a.tolist() for a in ineq.score(drawn, tol))
             except ValueError:   # left to the checkers, which raise it at its own trial
                 pass
         for i, trial in enumerate(drawn.trials):
-            if sure[i]:
-                yield trial, partial(drawn.witness, i), None, margins[i], Verdict.HOLDS_STRICT
+            verdict = _SETTLED[codes[i]]
+            if verdict is not None:
+                yield trial, partial(drawn.witness, i), None, margins[i], verdict
             else:
                 witness = drawn.witness(i)
                 report = ineq.check(witness, tol, drawn.family(i))

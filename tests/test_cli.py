@@ -428,6 +428,43 @@ def test_fuzz_structured_output_is_the_golden_file_byte_for_byte(tmp_path):
     assert b"".join(lines) == golden
 
 
+# golden_thm1_one_member.ndjson holds one structured fuzz line per family, then one
+# sharpness probe: at one member thm1 is an identity, so nearly every trial is an
+# equality the batched evaluator settles without the checker
+_GOLDEN_THM1 = [["--family", family] for family in search.FAMILIES] + [
+    ["--family", "gaussian", "--sharpness"]]
+
+
+def test_one_member_thm1_fuzz_output_is_the_golden_file_byte_for_byte(tmp_path):
+    out = tmp_path / "fuzz.ndjson"
+    lines = []
+    for extra in _GOLDEN_THM1:
+        argv = ["fuzz", "--predicate", "thm1", "--n", "8", "--r", "2", "--m", "1", "--trials",
+                "65", "--seed", "12", *extra, "--format", "structured", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 0
+        lines.append(out.read_bytes())
+    golden = (Path(__file__).parent / "golden_thm1_one_member.ndjson").read_bytes()
+    assert b"".join(lines) == golden
+
+
+def test_weyl_fuzz_where_both_prefixes_reach_log_zero_runs_without_a_warning(capsys):
+    # trial 33 is a rank-3 upper-triangular 5x5 whose singular values and eigenvalue
+    # moduli both reach 0: its strict-prefix gaps once took -inf - -inf
+    argv = ["fuzz", "--predicate", "weyl", "--family", "upper_triangular", "--entry-bound=-3:5",
+            "--n", "5", "--r", "1", "--m", "1", "--seed", "12", "--trials", "67",
+            "--format", "structured"]
+    outputs = []
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["violations"] == []
+
+
 def test_fuzz_sharpness_mode(capsys):
     code = main(["fuzz", "--predicate", "cor_c0", "--trials", "30", "--seed", "1",
                  "--sharpness"])

@@ -15,7 +15,10 @@ from blockdet.checks import (
     Verdict,
     check_cor_c0,
     check_lemma1,
+    check_thm1,
     check_thm2,
+    _SETTLED,
+    _batch_thm1,
     _batch_thm2,
     _thm2_sides,
     _bordered,
@@ -411,20 +414,27 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params)
     ineq = INEQUALITIES[ineq_id]
     specs = [GeneratorSpec(family=family, n=n, r=r, m=m, seed=17 * n + m)
              for family in FAMILIES for n, r, m in _CRITERION_4_SIZES] + list(_DEGENERATE)
-    clear_trials = 0
+    settled = {Verdict.HOLDS_STRICT: 0, Verdict.EQUALITY: 0}
     for spec in specs:
         drawn = _drawn(ineq, spec, 6, params)
-        margins, clear = ineq.score(drawn, DEFAULT_TOL)
+        margins, codes = ineq.score(drawn, DEFAULT_TOL)
+        assert set(codes.tolist()) <= {0, 1, 2}
         for i in range(len(drawn.trials)):
             report = ineq.check(drawn.witness(i), DEFAULT_TOL, drawn.family(i))
             where = (spec, i, report.verdict, report.margin, margins[i])
-            if not (report.lhs.is_zero or report.rhs.is_zero):
+            flagged = report.lhs.is_zero or report.rhs.is_zero
+            if not flagged:
                 assert _bits(margins[i]) == _bits(report.margin), where
-            if clear[i]:
-                assert report.verdict is Verdict.HOLDS_STRICT, where
+            verdict = _SETTLED[codes[i]]
+            if verdict is not None:
+                assert report.verdict is verdict, where
                 assert _bits(margins[i]) == _bits(report.margin), where
-                clear_trials += 1
-    assert clear_trials > 0
+                settled[verdict] += 1
+            elif ineq_id == "thm1":   # its equality is numeric: only a flagged stack is unsure
+                assert flagged or report.verdict is Verdict.VIOLATED, where
+    assert settled[Verdict.HOLDS_STRICT] > 0
+    # the other ids' equality is structural, and only their checkers decide it
+    assert (settled[Verdict.EQUALITY] > 0) == (ineq_id == "thm1")
 
 
 @pytest.mark.parametrize("bound", [1e-150, 1e150, 1e300])
@@ -440,7 +450,7 @@ def test_thm2_stacked_bordered_determinants_are_the_checker_s_bitwise(bound):
                                  for i in range(_CHUNK))]
             stack = np.array([t.assemble() for t in members])
             _, stacked_x, stacked_z = _thm2_sides(stack, r)
-            margins, clear = _batch_thm2(stack, r, DEFAULT_TOL)
+            margins, codes = _batch_thm2(stack, r, DEFAULT_TOL)
             for i, t in enumerate(members):
                 for block, (phase, log_mag, zero) in ((t.x, stacked_x), (t.z, stacked_z)):
                     single = det(_bordered(block.conj(), block))
@@ -452,7 +462,7 @@ def test_thm2_stacked_bordered_determinants_are_the_checker_s_bitwise(bound):
                 report = check_thm2(t)
                 if not report.rhs.is_zero:
                     assert _bits(margins[i]) == _bits(report.margin), (family, n, i)
-                assert not clear[i] or report.verdict is Verdict.HOLDS_STRICT
+                assert _SETTLED[codes[i]] in (None, report.verdict)
     assert compared > len(FAMILIES) * len(_CRITERION_4_SIZES) * _CHUNK
 
 
@@ -460,9 +470,55 @@ def test_a_flagged_zero_side_is_left_to_the_checker():
     # Z = 0 in both members, while [T1; T2] has full rank: thm1's rhs is zero, margin +inf
     family = BlockFamily((BlockUpperTriangular([[1.0]], [[3.0]], [[0.0]]),
                           BlockUpperTriangular([[2.0]], [[-1.0]], [[0.0]])))
-    _, clear = INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1, DEFAULT_TOL)
-    assert not clear.any()
+    _, codes = INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1, DEFAULT_TOL)
+    assert [_SETTLED[code] for code in codes.tolist()] == [None, None]
     assert search.check_thm1(family).margin == np.inf
+
+
+def test_one_member_thm1_searches_check_only_the_trials_with_a_flagged_stack(monkeypatch):
+    # at one member thm1 is an identity: the evaluator settles every trial as equality
+    # or holds_strict, save those with a stack flagged at the rank floor
+    specs = [GeneratorSpec(family=family, n=4, r=2, m=1, seed=5) for family in FAMILIES] + [
+        GeneratorSpec(family="upper_triangular", n=4, r=2, m=1, entry_bound=(0, 1), seed=6)]
+    expected, checked = [], []
+    for spec in specs:
+        for trial in range(_CHUNK + 6):
+            family = generate_block_family(spec, trial)
+            report = check_thm1(family)
+            if report.lhs.is_zero or report.rhs.is_zero:
+                expected.append(family.assemble().tobytes())
+    real_check = search.check_thm1
+
+    def check(family, tol=DEFAULT_TOL):
+        checked.append(family.assemble().tobytes())
+        return real_check(family, tol)
+
+    monkeypatch.setattr(search, "check_thm1", check)
+    for spec in specs:
+        assert search_violations(spec, "thm1", _CHUNK + 6).violation_count == 0
+    assert checked == expected
+    assert len(expected) > 0
+
+
+def test_the_one_member_thm1_case_flagged_only_on_its_left_side_still_reaches_the_checker():
+    # the T stack's rank floor flags the left side but neither X nor Z, so the checker
+    # reads violated, margin -inf, on an identity (a known defect); the evaluator must
+    # leave it to the checker rather than settle it
+    t = np.array([[1e10, 1e20], [0.0, 1e10]], dtype=complex)
+    margins, codes = _batch_thm1(t[None, None], 1, DEFAULT_TOL)
+    assert _SETTLED[int(codes[0])] is None
+    report = check_thm1(BlockFamily((BlockUpperTriangular.from_matrix(t, 1),)))
+    assert report.lhs.is_zero and not report.rhs.is_zero
+    assert report.verdict is Verdict.VIOLATED and report.margin == -math.inf
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70 + 12345])
+def test_trial_streams_are_numpy_s_seed_sequence_of_the_masked_pair(seed):
+    # tests/reference.py draws through _trial_rng itself, so the seeding is pinned here
+    mask = (1 << 64) - 1
+    for trial in (0, 1, 63, 64, 2**32 - 1, 2**32, 2**40):
+        want = np.random.default_rng(np.random.SeedSequence([seed & mask, trial & mask]))
+        assert search._trial_rng(seed, trial).bit_generator.state == want.bit_generator.state
 
 
 def _scalar_record(monkeypatch, ineq_id):
@@ -534,7 +590,7 @@ def _force_violation(monkeypatch, spec, target, batched):
     def evaluator(t, r, tol):
         members = [BlockUpperTriangular.from_matrix(matrix, r) for matrix in t]
         margins = np.array([real_check(m, tol).margin for m in members])
-        return margins, np.array([not np.array_equal(m.x, bad_x) for m in members])
+        return margins, np.array([0 if np.array_equal(m.x, bad_x) else 1 for m in members])
 
     monkeypatch.setattr(search, "check_cor_c0", check)
     monkeypatch.setitem(INEQUALITIES, "cor_c0",
