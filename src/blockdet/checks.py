@@ -6,17 +6,19 @@ a holding instance ``margin = log|lhs| - log|rhs| >= 0``.  Comparisons run
 entirely in the log domain: the counterexample families push determinants
 to 1e8 and beyond, where raw subtraction in double precision is meaningless.
 
-Every verdict is decided, and every report built, by one rule,
-:func:`_report`, with one equality window.  Where the inequality has a
-characterized equality case (cor_c0, lemma1, thm2, drury, thm3),
-classification is structural-first: the checker computes both the numeric
-margin and the structural condition, the verdict follows the structure, and
-a discrepancy diagnostic is attached if the two disagree instead of
-silently trusting either.
+Every verdict is decided by one rule, :func:`_decide`, with one equality
+window, and every report is built by :func:`_report`, which calls it.
+Where the inequality has a characterized equality case (cor_c0, lemma1,
+thm2, drury, thm3), classification is structural-first: the checker
+computes both the numeric margin and the structural condition, the verdict
+follows the structure, and a discrepancy diagnostic is attached if the two
+disagree instead of silently trusting either.
 
 All checkers are stateless pure functions over immutable inputs.  The
 batched evaluators at the end score many inputs of one checker at once,
-from the same side arithmetic on stacks, for the search engine.
+from the same side arithmetic on stacks, for the search engine; they call
+:func:`_decide` elementwise with the structural inputs the checker gives
+it, so each trial's verdict is the checker's.
 """
 
 from __future__ import annotations
@@ -219,10 +221,45 @@ class BlockFamily:
 # Verdict machinery
 
 
-def _eq_window(log_lhs, tol: Tolerances):
-    """The equality window around a margin whose lhs has log magnitude
-    ``log_lhs`` (0 for a zero lhs), for one margin or elementwise."""
-    return tol.eq_rel * np.maximum(1.0, np.abs(log_lhs))
+# The verdict of each code :func:`_decide` gives: none (a NaN margin or side),
+# then the four verdicts, each overriding those before it.
+_VERDICTS = (None, Verdict.HOLDS_STRICT, Verdict.EQUALITY, Verdict.VIOLATED,
+             Verdict.PRECONDITION_FAILED)
+
+
+def _decide(windowed, log_lhs, tol: Tolerances, structural_equality=None,
+            identity_gap=None, phase_gap=None, precondition_failed=None) -> tuple:
+    """The one verdict rule, for one margin or elementwise for a stack of
+    them: the code into :data:`_VERDICTS`, and whether ``windowed`` lies
+    within the equality window, ``tol.eq_rel`` * max(1, |``log_lhs``|) for
+    an lhs of log magnitude ``log_lhs`` (0 for a zero lhs).
+
+    The claim is violated when ``windowed`` falls below the window, or when
+    a quantity that is exact in exact arithmetic is off: ``identity_gap``
+    beyond the window, or ``phase_gap`` beyond ``tol.eq_rel``.  Otherwise
+    it is an equality where ``structural_equality`` says so, or, where that
+    is None, where ``windowed`` lies within the window, and it holds
+    strictly elsewhere.  A failed precondition overrides everything.  A NaN
+    ``windowed`` or ``log_lhs`` gets no verdict.  An input left None does
+    not apply.  Every operator past the window's max works alike on floats,
+    which keep one report's verdict off numpy's slower scalars, and on
+    arrays.
+    """
+    size = abs(log_lhs)   # max(size, 1.0) keeps a NaN size, as np.maximum does
+    eps = tol.eq_rel * (np.maximum(size, 1.0) if isinstance(size, np.ndarray) else max(size, 1.0))
+    distance = abs(windowed)
+    numeric_equality = distance <= eps
+    decided = numeric_equality | (distance > eps)   # false only where a NaN is compared
+    code = 1 + (numeric_equality if structural_equality is None else structural_equality)
+    violated = windowed < -eps
+    if identity_gap is not None:
+        violated = violated | (identity_gap > eps)
+    if phase_gap is not None:
+        violated = violated | (phase_gap > tol.eq_rel)
+    code = code + violated * (3 - code)
+    if precondition_failed is not None:
+        code = code + precondition_failed * (4 - code)
+    return decided * code, numeric_equality
 
 
 def _report(
@@ -235,94 +272,42 @@ def _report(
     margin: float | None = None,
     value: float | None = None,
     structural_equality: bool | None = None,
-    identity_gap: float = 0.0,
-    phase_gap: float = 0.0,
-    precondition_failed: bool = False,
+    identity_gap: float | None = None,
+    phase_gap: float | None = None,
+    precondition_failed: bool | None = None,
 ) -> CheckReport:
-    """The one verdict rule; every checker's report is built here.
+    """Every checker's report, its verdict by :func:`_decide`.
 
-    ``margin`` defaults to log|lhs| - log|rhs|.  The equality window
-    :func:`_eq_window` is applied to ``value``, which defaults to the margin;
-    djokovic passes the value of its determinant instead, and a value inside
-    the window is then reported as margin 0.  The claim is violated when the
-    value falls below the window, or, whatever the margin, when a quantity
-    that is exact in exact arithmetic is off: ``identity_gap`` (a log gap
-    already past its rounding allowance) beyond the window, or ``phase_gap``
-    (the distance between unit phases) beyond ``tol.eq_rel``.  A failed
-    precondition overrides everything.  A NaN side or margin raises
-    :class:`LinalgError`: it would otherwise fall through to a verdict.
+    ``margin`` defaults to log|lhs| - log|rhs|.  The equality window is
+    applied to ``value``, which defaults to the margin; djokovic passes the
+    value of its determinant instead, and a value inside the window is then
+    reported as margin 0.  ``identity_gap`` is a log gap already past its
+    rounding allowance.  A NaN side or margin raises :class:`LinalgError`:
+    it has no verdict.
 
     Where the inequality has a characterized equality case,
     ``structural_equality`` decides equality and the window only decides
     violation; a ``structural_numeric_mismatch`` or
     ``margin_within_equality_band`` finding is added when the numeric
     classification disagrees.
-
-    :func:`_clearly_holds` restates the ``holds_strict`` branch for the
-    batched evaluators, and :func:`_clearly_equal` the numeric ``equality``
-    branch (``structural_equality`` None); a change to these branches
-    changes them too.
     """
     if margin is None:
         margin = lhs.log_ratio(rhs)
     for side, v in (("lhs", lhs.log_magnitude), ("rhs", rhs.log_magnitude), ("margin", margin)):
         if math.isnan(v):   # every comparison with NaN is false: no verdict can follow
             raise LinalgError(f"{inequality_id}: the {side} is NaN")
-    windowed = margin if value is None else value
-    eps = _eq_window(lhs.log_magnitude, tol)
-    numeric_equality = abs(windowed) <= eps
-    if precondition_failed:
-        verdict = Verdict.PRECONDITION_FAILED
-    elif windowed < -eps or identity_gap > eps or phase_gap > tol.eq_rel:
-        verdict = Verdict.VIOLATED
-        if structural_equality:
-            diagnostics += (Finding("structural_numeric_mismatch", True),)
-    elif structural_equality is None:
-        verdict = Verdict.EQUALITY if numeric_equality else Verdict.HOLDS_STRICT
-    else:
-        verdict = Verdict.EQUALITY if structural_equality else Verdict.HOLDS_STRICT
-        if structural_equality != numeric_equality:
-            name = ("structural_numeric_mismatch" if structural_equality
-                    else "margin_within_equality_band")
-            diagnostics += (Finding(name, True),)
+    code, within = _decide(margin if value is None else value, lhs.log_magnitude, tol,
+                           structural_equality, identity_gap, phase_gap, precondition_failed)
+    verdict = _VERDICTS[code]
+    numeric_equality = within and verdict is not Verdict.VIOLATED
+    if (structural_equality is not None and verdict is not Verdict.PRECONDITION_FAILED
+            and structural_equality != numeric_equality):
+        name = ("structural_numeric_mismatch" if structural_equality
+                else "margin_within_equality_band")
+        diagnostics += (Finding(name, True),)
     if verdict is Verdict.EQUALITY and value is not None:
         margin = 0.0
     return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
-
-
-def _clearly_holds(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances,
-                   unsure: np.ndarray) -> np.ndarray:
-    """Where :func:`_report` answers ``holds_strict``, elementwise, for a
-    checker that passes it no ``value``, ``identity_gap`` or ``phase_gap``:
-    a finite margin past the equality window of an lhs with log magnitude
-    ``lhs``.  ``unsure`` marks what the checker's own report must decide: a
-    side flagged zero, a structural equality condition that may hold, or a
-    failed precondition."""
-    return ~unsure & np.isfinite(margin) & (margin > _eq_window(lhs, tol))
-
-
-def _clearly_equal(margin: np.ndarray, lhs: np.ndarray, tol: Tolerances,
-                   unsure: np.ndarray) -> np.ndarray:
-    """Where :func:`_report` answers ``equality``, elementwise, for a checker
-    that passes it neither ``structural_equality`` nor ``value``,
-    ``identity_gap``, ``phase_gap`` or a failed precondition: a margin within
-    the equality window of an lhs with log magnitude ``lhs``, where nothing
-    is ``unsure`` (as for :func:`_clearly_holds`)."""
-    return ~unsure & (np.abs(margin) <= _eq_window(lhs, tol))
-
-
-# A batched evaluator's code for each trial indexes _SETTLED: unsure (the
-# checker decides), sure of holds_strict, or sure of equality.
-_SETTLED = (None, Verdict.HOLDS_STRICT, Verdict.EQUALITY)
-
-
-def _codes(holds: np.ndarray, equal: np.ndarray | None = None) -> np.ndarray:
-    """The :data:`_SETTLED` codes of trials sure to hold where ``holds``, and
-    sure to be equalities where ``equal``."""
-    codes = holds.astype(np.int8)
-    if equal is not None:
-        codes[equal] = 2
-    return codes
 
 
 # Double-precision machine epsilon: a stack of blocks is numerically rank
@@ -719,7 +704,7 @@ def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL)
 
 
 def _require_exponent(p: float) -> None:
-    if p < 1.0:
+    if not 1.0 <= p < math.inf:   # NaN compares false
         raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
 
 
@@ -858,28 +843,34 @@ def _abs_sums(pair: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
 # Each scores a chunk of a search's trials at once, from the chunk's stack
 # (each trial's T, or the (m, n, n) stack of its family) and the same side
 # arithmetic as its checker: it returns every trial's margin, bitwise the
-# checker's, and a _SETTLED code per trial, for where the checker's verdict is
-# sure, with no finding that matters to a search: ``holds_strict``
-# (:func:`_clearly_holds`, given the conditions under which the checker's
-# structural tests could still change the verdict), and for thm1, whose
-# equality is numeric, ``equality`` (:func:`_clearly_equal`).  The others'
-# equality is structural, and their checkers decide it.  Every trial not
-# settled goes to the checker itself.
+# checker's, and its code by :func:`_decide`, given the structural inputs
+# the checker gives it, so every code is the checker's verdict.
+
+
+def _log_ratios(lhs, lhs_zero, rhs, rhs_zero) -> tuple:
+    """:meth:`SignedLogDet.log_ratio` elementwise, for sides of log
+    magnitudes ``lhs`` and ``rhs`` flagged zero where ``lhs_zero`` and
+    ``rhs_zero``; and the lhs's log magnitude as :func:`_report` reads it,
+    0 where it is flagged."""
+    margin = lhs - rhs
+    if not (lhs_zero | rhs_zero).any():   # nearly every chunk: skip the four selections
+        return margin, lhs
+    margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
+                      np.where(rhs_zero, np.inf, margin))
+    return margin, np.where(lhs_zero, 0.0, lhs)
 
 
 def _batch_thm1(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     (lhs, lhs_zero), (rhs_x, x_zero), (rhs_z, z_zero) = _thm1_sides(t, r)
-    margin = lhs - (rhs_x + rhs_z)
-    flagged = lhs_zero | x_zero | z_zero
-    return margin, _codes(_clearly_holds(margin, lhs, tol, flagged),
-                          _clearly_equal(margin, lhs, tol, flagged))
+    margin, log_lhs = _log_ratios(lhs, lhs_zero, rhs_x + rhs_z, x_zero | z_zero)
+    return margin, _decide(margin, log_lhs, tol)[0]
 
 
 def _batch_thm3(t: np.ndarray, r: int, p: float, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     _require_exponent(p)
     lhs, rhs = _abs_power_sides(t, r, p)
     margin = lhs - rhs
-    return margin, _codes(_clearly_holds(margin, lhs, tol, _y_zero(t, r)[0]))
+    return margin, _decide(margin, lhs, tol, _y_zero(t, r)[0])[0]
 
 
 def _batch_cor_c0(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -888,13 +879,15 @@ def _batch_cor_c0(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, n
 
 def _batch_thm2(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     lhs, (_, log_x, x_zero), (_, log_z, z_zero) = _thm2_sides(t, r)
-    rhs_zero = x_zero | z_zero
-    margin = lhs - (log_x + log_z)
-    # equality needs Y = 0 before symmetric X and Z; the checker tests those
-    return margin, _codes(_clearly_holds(margin, lhs, tol, rhs_zero | _y_zero(t, r)[0]))
+    margin, _ = _log_ratios(lhs, False, log_x + log_z, x_zero | z_zero)
+    equal = _y_zero(t, r)[0]
+    if equal.any():   # symmetric X and Z matter only where Y = 0
+        x, z = _diagonal_blocks(t[equal], r)
+        equal[equal] = _is_symmetric(x) & _is_symmetric(z)
+    return margin, _decide(margin, lhs, tol, equal)[0]
 
 
 def _batch_drury(t: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     lhs, rhs, triangular, diagonal, _, _ = _drury_sides(t)
     margin = lhs - rhs
-    return margin, _codes(_clearly_holds(margin, lhs, tol, ~triangular | diagonal))
+    return margin, _decide(margin, lhs, tol, diagonal, precondition_failed=~triangular)[0]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +33,6 @@ from .search import (
     FAMILIES,
     INEQUALITIES,
     PAPER_EXAMPLE_IDS,
-    PREDICATE_IDS,
     GeneratorSpec,
     SearchReport,
     Witness,
@@ -82,17 +82,13 @@ def _build_config(args) -> SuiteConfig:
         try:
             tol = Tolerances(eq_rel=args.tol_eq)
         except ValueError:
-            raise _usage(f"--tol-eq must be positive, got {args.tol_eq}")
+            raise _UsageError(f"--tol-eq must be positive, got {args.tol_eq}")
     out = Path(args.out) if args.out else None
     return SuiteConfig(tol=tol, out=out, output_format=args.format)
 
 
 class _UsageError(Exception):
     pass
-
-
-def _usage(message: str) -> _UsageError:
-    return _UsageError(message)
 
 
 def _parse_entry_bound(text: str | None):
@@ -103,7 +99,7 @@ def _parse_entry_bound(text: str | None):
         try:
             return (int(lo), int(hi))
         except ValueError:
-            raise _usage(f"bad --entry-bound {text!r}: expected LO:HI integers")
+            raise _UsageError(f"bad --entry-bound {text!r}: expected LO:HI integers")
     try:
         return int(text)
     except ValueError:
@@ -111,7 +107,7 @@ def _parse_entry_bound(text: str | None):
     try:
         return float(text)
     except ValueError:
-        raise _usage(f"bad --entry-bound {text!r}")
+        raise _UsageError(f"bad --entry-bound {text!r}")
 
 
 def _load_matrix_file(path: str):
@@ -120,17 +116,18 @@ def _load_matrix_file(path: str):
     try:
         data = Path(path).read_bytes()
     except OSError as err:
-        raise _usage(f"cannot read {path}: {err}")
+        raise _UsageError(f"cannot read {path}: {err}")
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as err:
-        raise _usage(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}")
+        raise _UsageError(f"{path}: invalid JSON at line {err.lineno}, "
+                          f"column {err.colno}: {err.msg}")
     except ValueError as err:   # undecodable bytes, or an integer literal past str's limit
-        raise _usage(f"{path}: invalid JSON: {err}")
+        raise _UsageError(f"{path}: invalid JSON: {err}")
     try:
         return matrix_from_json_dict(doc)
     except LinalgError as err:
-        raise _usage(f"{path}: {err}")
+        raise _UsageError(f"{path}: {err}")
 
 
 def _json_line(doc: dict) -> str:
@@ -173,18 +170,19 @@ def cmd_check(args) -> int:
     config = _build_config(args)
     ineq = INEQUALITIES.get(args.ineq)
     if ineq is None:
-        raise _usage(f"unknown inequality {args.ineq!r}, expected one of {', '.join(INEQUALITIES)}")
+        raise _UsageError(f"unknown inequality {args.ineq!r}, "
+                          f"expected one of {', '.join(INEQUALITIES)}")
     lo, hi = ineq.files
     if len(args.files) < lo or (hi is not None and len(args.files) > hi):
         expected = f"exactly {lo}" if lo == hi else (f"at least {lo}" if hi is None
                                                      else f"between {lo} and {hi}")
-        raise _usage(f"{ineq.id} needs {expected} matrix file(s), got {len(args.files)}")
+        raise _UsageError(f"{ineq.id} needs {expected} matrix file(s), got {len(args.files)}")
     matrices = tuple(_load_matrix_file(f) for f in args.files)
     if ineq.needs_r and args.r is None:
-        raise _usage(f"{ineq.id} needs --r (top-left block dimension)")
+        raise _UsageError(f"{ineq.id} needs --r (top-left block dimension)")
     params = ineq.call_params(args.r, args.p, bool(args.allow_hypothesis_violation))
-    if params.get("p", 1.0) < 1.0:
-        raise _usage(f"--p must be >= 1, got {params['p']}")
+    if not 1.0 <= params.get("p", 1.0) < math.inf:   # NaN compares false
+        raise _UsageError(f"--p must be >= 1, got {params['p']}")
     witness = Witness(ineq.id, 0, 0, params, matrices)
     try:
         report = ineq.check(witness, config.tol)
@@ -193,7 +191,7 @@ def cmd_check(args) -> int:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as err:
-        raise _usage(str(err))
+        raise _UsageError(str(err))
     config.flush()
     return _CHECK_EXIT[report.verdict]
 
@@ -203,8 +201,8 @@ def cmd_reproduce(args) -> int:
     ids = PAPER_EXAMPLE_IDS if args.example == "all" else (args.example,)
     for example_id in ids:
         if example_id not in PAPER_EXAMPLE_IDS:
-            raise _usage(f"unknown example {example_id!r}, "
-                         f"expected one of {', '.join(PAPER_EXAMPLE_IDS)} or all")
+            raise _UsageError(f"unknown example {example_id!r}, "
+                              f"expected one of {', '.join(PAPER_EXAMPLE_IDS)} or all")
     all_pass = True
     rows = []
     for example_id in ids:
@@ -250,14 +248,8 @@ def _emit_search_report(config: SuiteConfig, report: SearchReport) -> None:
 
 def cmd_fuzz(args) -> int:
     config = _build_config(args)
-    predicate = args.predicate
-    if predicate not in PREDICATE_IDS:
-        raise _usage(f"unknown predicate {predicate!r}, "
-                     f"expected one of {', '.join(PREDICATE_IDS)}")
     if args.trials < 1:
-        raise _usage(f"--trials must be >= 1, got {args.trials}")
-    if args.family not in FAMILIES:
-        raise _usage(f"unknown family {args.family!r}, expected one of {', '.join(FAMILIES)}")
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     try:
         spec = GeneratorSpec(
             family=args.family,
@@ -268,25 +260,25 @@ def cmd_fuzz(args) -> int:
             seed=args.seed,
         )
     except ValueError as err:
-        raise _usage(str(err))
+        raise _UsageError(str(err))
     params: dict = {}
     if args.p is not None:
-        if args.p < 1.0:
-            raise _usage(f"--p must be >= 1, got {args.p}")
+        if not 1.0 <= args.p < math.inf:
+            raise _UsageError(f"--p must be >= 1, got {args.p}")
         params["p"] = args.p
     if args.allow_hypothesis_violation:
         params["allow_hypothesis_violation"] = True
     runner = sharpness_probe if args.sharpness else search_violations
     kwargs = {} if args.sharpness else {"stop_on_first": args.stop_on_first}
     try:
-        report = runner(spec, predicate, args.trials, config.tol, params=params, **kwargs)
+        report = runner(spec, args.predicate, args.trials, config.tol, params=params, **kwargs)
     except (LinalgError, ValueError) as err:
-        raise _usage(str(err))
+        raise _UsageError(str(err))
     _emit_search_report(config, report)
     config.flush()
     if args.sharpness:
         return EXIT_OK
-    refutable = INEQUALITIES[predicate].expects_violation(report.params)
+    refutable = INEQUALITIES[args.predicate].expects_violation(report.params)
     expected = report.violation_count >= 1 if refutable else report.violation_count == 0
     return EXIT_OK if expected else EXIT_UNEXPECTED
 

@@ -10,9 +10,10 @@ which makes "the fuzzer finds a violation" deterministic instead of lucky.
 The draw is the search's input boundary: a search draws its trials a chunk
 at a time, each from its own stream, into read-only stacks; under an
 ``entry_bound`` each trial's blocks are checked finite once.  An id with a
-batched evaluator scores the chunk's stack, and only the trials it is not
-sure of reach the checker, as objects built over views of the stacks, whose
-reports are the ones a search records.  A recorded witness copies its
+batched evaluator scores the chunk's stack by the checker's verdict rule,
+and only the trials that rule reads as violated, or gives no verdict, reach
+the checker, as objects built over views of the stacks, whose reports are
+the ones a search records.  A recorded witness copies its
 matrices out of the chunk.  :func:`generate`, :func:`generate_block_family`
 and :meth:`Inequality.draw` are one-trial views of the same draw.
 """
@@ -33,7 +34,7 @@ from .checks import (
     BlockFamily,
     CheckReport,
     Verdict,
-    _SETTLED,
+    _VERDICTS,
     check_cor_c0,
     check_cor_c1,
     check_djokovic,
@@ -118,7 +119,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}, "
+                             f"expected one of {', '.join(FAMILIES)}")
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got n={self.n}")
         if self.m < 1:
@@ -161,13 +163,17 @@ def _int_range(spec: GeneratorSpec) -> tuple[int, int]:
     bound = spec.entry_bound
     if bound is None:
         return _DEFAULT_INT_RANGE
-    if isinstance(bound, tuple) and len(bound) == 2:
-        lo, hi = int(bound[0]), int(bound[1])
-    elif isinstance(bound, (int, float)) and float(bound) == int(bound):
-        b = abs(int(bound))
-        lo, hi = -b, b
-    else:
-        raise ValueError(f"integer families need an integer bound or (lo, hi), got {bound!r}")
+    try:   # int() of an infinite or NaN bound raises too
+        if isinstance(bound, tuple) and len(bound) == 2:
+            lo, hi = int(bound[0]), int(bound[1])
+        elif isinstance(bound, (int, float)) and float(bound) == int(bound):
+            b = abs(int(bound))
+            lo, hi = -b, b
+        else:
+            raise ValueError
+    except (OverflowError, ValueError):
+        raise ValueError(f"integer families need an integer bound or (lo, hi), "
+                         f"got {bound!r}") from None
     if lo > hi:
         raise ValueError(f"empty entry range ({lo}, {hi})")
     return lo, hi
@@ -272,19 +278,17 @@ def _structured(spec: GeneratorSpec, raws: list[np.ndarray], sizes: list[int]) -
             for u, d, n in zip(us, ds, sizes)]
 
 
-def _finite_trials(spec: GeneratorSpec, trials: range, *stacks: np.ndarray) -> tuple:
-    """How many trials of ``trials`` come before the first whose blocks in
-    ``stacks`` (one row of blocks per trial, in order) are not all finite,
-    and the :class:`LinalgError` naming that trial, or ``None``.
+def _finite_trials(spec: GeneratorSpec, trials: range, stack: np.ndarray) -> tuple:
+    """How many trials of ``trials`` come before the first whose matrices in
+    ``stack`` (the rows of a trial in order, trial by trial) are not all
+    finite, and the :class:`LinalgError` naming that trial, or ``None``.
 
     Only a caller's ``entry_bound`` can make a draw overflow, so a draw
     without one is finite by construction and is not tested.
     """
     if spec.entry_bound is None or not trials:
         return len(trials), None
-    finite = np.ones(len(trials), dtype=bool)
-    for stack in stacks:
-        finite &= np.isfinite(stack.reshape(len(trials), -1)).all(axis=1)
+    finite = np.isfinite(stack.reshape(len(trials), -1)).all(axis=1)
     if finite.all():
         return len(trials), None
     first = int(np.argmin(finite))
@@ -324,11 +328,10 @@ def _draw_matrices(spec: GeneratorSpec, trials: range) -> tuple:
 
 
 def _draw_blocks(spec: GeneratorSpec, trials: range) -> tuple:
-    """The X, Y, Z and T stacks, read-only and (trials, m, ., .) each, of
-    the block families of ``trials``, each member taking its X, Y and Z
-    from its trial's stream in that order, and T = [[X, Y], [0, Z]]; and,
-    as :func:`_draw_matrices`, the overflow error that cut them short.  The
-    blocks are drawn into T, and X, Y and Z are views of it."""
+    """The stack T, read-only and (trials, m, n, n), of the block families
+    of ``trials``, each member T = [[X, Y], [0, Z]] taking its X, Y and Z
+    from its trial's stream in that order, drawn into T; and, as
+    :func:`_draw_matrices`, the overflow error that cut it short."""
     r, c = spec.r, spec.n - spec.r
     if not 0 < r < spec.n:
         raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={spec.n}")
@@ -341,15 +344,16 @@ def _draw_blocks(spec: GeneratorSpec, trials: range) -> tuple:
     t = t.reshape(len(trials), spec.m, spec.n, spec.n)
     kept, error = _finite_trials(spec, trials, t)
     t = t[:kept]
-    _read_only(t)   # and so the views of its blocks
-    return (t[..., :r, :r], t[..., :r, r:], t[..., r:, r:], t), error
+    _read_only(t)
+    return t, error
 
 
-def _family(blocks: tuple, i: int) -> BlockFamily:
-    """The members of row ``i`` of :func:`_draw_blocks`' stacks, over their
-    read-only rows, uncopied."""
-    return BlockFamily(tuple(BlockUpperTriangular._frozen(*member)
-                             for member in zip(*(b[i] for b in blocks))))
+def _family(t: np.ndarray, r: int) -> BlockFamily:
+    """The family of the read-only (m, n, n) stack ``t`` of
+    :func:`_draw_blocks`, its members split at ``r`` over views of it,
+    uncopied."""
+    return BlockFamily(tuple(BlockUpperTriangular._frozen(u[:r, :r], u[:r, r:], u[r:, r:], u)
+                             for u in t))
 
 
 def _one(draw, spec: GeneratorSpec, trial_index: int):
@@ -386,7 +390,7 @@ def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
     copied; an ``entry_bound`` that overflows a draw raises
     :class:`LinalgError`.
     """
-    return _family(_one(_draw_blocks, spec, trial_index), 0)
+    return _family(_one(_draw_blocks, spec, trial_index)[0], spec.r)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +479,8 @@ class Inequality:
     ``batch``, when set, is the batched evaluator :meth:`score` calls: it
     takes what the checker takes, with the stack of a chunk's trials
     (:meth:`_Drawn.stack`) in place of the first argument and ``r`` after it
-    where the id needs ``r``, and returns each trial's margin and its
-    ``checks._SETTLED`` code: the checker's verdict is unsure, sure to be
-    ``holds_strict`` or sure to be ``equality``.
+    where the id needs ``r``, and returns each trial's margin and its code
+    into ``checks._VERDICTS``, the checker's verdict or none.
     """
 
     id: str
@@ -515,8 +518,8 @@ class Inequality:
         the first trial whose draw overflows, with the :class:`LinalgError`
         naming it (otherwise ``None``)."""
         if self.shape in ("member", "family"):
-            blocks, error = _draw_blocks(spec, trials)
-            return _Drawn(self, spec, trials[:len(blocks[3])], params, blocks[3], blocks), error
+            t, error = _draw_blocks(spec, trials)
+            return _Drawn(self, spec, trials[:len(t)], params, t), error
         mats, error = _draw_matrices(spec, trials)
         mats = mats[:, 0]
         if self.transform is not None:
@@ -525,7 +528,7 @@ class Inequality:
             kept, later = _finite_trials(spec, trials[:len(mats)], mats)
             mats, error = mats[:kept], error if later is None else later
         _read_only(mats)
-        return _Drawn(self, spec, trials[:len(mats)], params, mats[:, None], None), error
+        return _Drawn(self, spec, trials[:len(mats)], params, mats[:, None]), error
 
     def draw(self, spec: GeneratorSpec, trial_index: int,
              params: dict) -> tuple[Witness, BlockFamily | None]:
@@ -568,8 +571,8 @@ class Inequality:
 
     def score(self, drawn: _Drawn, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
         """:attr:`batch` on one chunk of drawn trials: each trial's margin,
-        and its code: its checker's verdict is unsure (0), sure to be
-        ``holds_strict`` (1) or sure to be ``equality`` (2)."""
+        and its code into ``checks._VERDICTS``: the verdict its checker
+        gives, or none (0) where its margin or a side is NaN."""
         args: tuple = (drawn.stack(),)
         if self.needs_r:
             args += (drawn.spec.r,)
@@ -586,18 +589,16 @@ class Inequality:
 
 @dataclass
 class _Drawn:
-    """A chunk of one id's trials, drawn as stacks: ``t`` holds each trial's
-    matrices, read-only and (trials, m, n, n), and ``blocks``, for a block
-    shape, the X, Y, Z and T stacks of :func:`_draw_blocks`.  The witness and
-    the family a checker or a record takes are built from a row on demand,
-    over views of these stacks."""
+    """A chunk of one id's trials, drawn as one stack: ``t`` holds each
+    trial's matrices, read-only and (trials, m, n, n).  The witness and, for
+    a block shape, the family a checker or a record takes are built from a
+    row on demand, over views of it."""
 
     ineq: Inequality
     spec: GeneratorSpec
     trials: range
     params: dict
     t: np.ndarray
-    blocks: tuple | None
 
     def stack(self) -> np.ndarray:
         """Each trial's family, or its first matrix, for :attr:`Inequality.batch`."""
@@ -608,7 +609,9 @@ class _Drawn:
                        tuple(self.t[i]))
 
     def family(self, i: int) -> BlockFamily | None:
-        return None if self.blocks is None else _family(self.blocks, i)
+        if self.ineq.shape not in ("member", "family"):
+            return None
+        return _family(self.t[i], self.spec.r)
 
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
@@ -833,10 +836,10 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
     ``witness`` builds the trial's witness when called.
 
     Trials are drawn a chunk at a time, each from its own stream, and scored
-    by the batched evaluator where there is one.  A trial it is not sure of
-    goes to the checker, whose report is the one returned; one it settles
-    has no report.  A draw that raises is raised once the trials before it
-    are out.
+    by the batched evaluator where there is one.  A trial it reads as
+    violated, whose record needs the report, or gives no verdict goes to the
+    checker, whose report is the one returned; any other has no report.  A
+    draw that raises is raised once the trials before it are out.
     """
     first = 0
     if inject_paper_witness and ineq.refutable:
@@ -855,8 +858,8 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
             except ValueError:   # left to the checkers, which raise it at its own trial
                 pass
         for i, trial in enumerate(drawn.trials):
-            verdict = _SETTLED[codes[i]]
-            if verdict is not None:
+            verdict = _VERDICTS[codes[i]]
+            if verdict is not None and verdict is not Verdict.VIOLATED:
                 yield trial, partial(drawn.witness, i), None, margins[i], verdict
             else:
                 witness = drawn.witness(i)
@@ -885,7 +888,8 @@ def _run_trials(
     inject_paper_witness: bool,
 ) -> SearchReport:
     if predicate_id not in INEQUALITIES:
-        raise ValueError(f"unknown predicate {predicate_id!r}, expected one of {PREDICATE_IDS}")
+        raise ValueError(f"unknown predicate {predicate_id!r}, "
+                         f"expected one of {', '.join(PREDICATE_IDS)}")
     if max_trials < 1:
         raise ValueError(f"trial count must be >= 1, got {max_trials}")
     ineq = INEQUALITIES[predicate_id]

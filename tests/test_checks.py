@@ -29,6 +29,8 @@ from blockdet.checks import (
     check_thm3,
     check_weyl,
     _is_normal,
+    _VERDICTS,
+    _decide,
     _json_value,
     _report,
 )
@@ -680,6 +682,63 @@ def test_report_refuses_a_nan_side_or_margin():
     with pytest.raises(LinalgError, match="NaN"):
         _json_value(math.nan)
     assert _json_value(-math.inf) == "-inf"
+
+
+def test_the_verdict_rule_gives_a_nan_no_verdict():
+    # NaN compares false everywhere: elementwise it would read holds_strict
+    tol = DEFAULT_TOL
+    for windowed, log_lhs in ((math.nan, 0.0), (1.0, math.nan), (-math.inf, math.nan)):
+        assert _VERDICTS[_decide(windowed, log_lhs, tol)[0]] is None
+        code, _ = _decide(windowed, log_lhs, tol, True, precondition_failed=True)
+        assert _VERDICTS[code] is None
+    codes, _ = _decide(np.array([1.0, math.nan, 1.0, 0.0]), np.array([0.0, 0.0, math.nan, 0.0]),
+                       tol, np.array([False, True, False, True]))
+    assert [_VERDICTS[c] for c in codes.tolist()] == [
+        Verdict.HOLDS_STRICT, None, None, Verdict.EQUALITY]
+
+
+# (windowed, log lhs, structural equality, identity gap, phase gap, precondition
+# failed, verdict, finding): one row per branch of _report
+_RULE_CASES = [
+    (1.0, 0.0, None, 0.0, 0.0, False, Verdict.HOLDS_STRICT, None),
+    (math.inf, 0.0, None, 0.0, 0.0, False, Verdict.HOLDS_STRICT, None),
+    (1e-9, 0.0, None, 0.0, 0.0, False, Verdict.EQUALITY, None),
+    (0.0, 0.0, None, 0.0, 0.0, False, Verdict.EQUALITY, None),
+    (-5e-7, 100.0, None, 0.0, 0.0, False, Verdict.EQUALITY, None),
+    (-2e-6, 100.0, None, 0.0, 0.0, False, Verdict.VIOLATED, None),
+    (-1.0, 0.0, None, 0.0, 0.0, False, Verdict.VIOLATED, None),
+    (-math.inf, 0.0, None, 0.0, 0.0, False, Verdict.VIOLATED, None),
+    (1.0, 0.0, None, 1e-6, 0.0, False, Verdict.VIOLATED, None),
+    (0.0, 0.0, None, 0.0, 1e-7, False, Verdict.VIOLATED, None),
+    (-1.0, 0.0, None, 0.0, 0.0, True, Verdict.PRECONDITION_FAILED, None),
+    (1.0, 0.0, True, 0.0, 0.0, False, Verdict.EQUALITY, "structural_numeric_mismatch"),
+    (0.0, 0.0, True, 0.0, 0.0, False, Verdict.EQUALITY, None),
+    (1.0, 0.0, False, 0.0, 0.0, False, Verdict.HOLDS_STRICT, None),
+    (1e-9, 0.0, False, 0.0, 0.0, False, Verdict.HOLDS_STRICT, "margin_within_equality_band"),
+    (-1.0, 0.0, True, 0.0, 0.0, False, Verdict.VIOLATED, "structural_numeric_mismatch"),
+    (-1.0, 0.0, False, 0.0, 0.0, False, Verdict.VIOLATED, None),
+    (0.0, 0.0, False, 0.0, 1e-7, False, Verdict.VIOLATED, None),
+    (-1.0, 0.0, True, 0.0, 0.0, True, Verdict.PRECONDITION_FAILED, None),
+    (1e-9, 0.0, False, 0.0, 0.0, True, Verdict.PRECONDITION_FAILED, None),
+]
+
+
+def test_the_verdict_rule_takes_each_branch_of_report_elementwise():
+    tol = DEFAULT_TOL
+    for structural in (False, True):
+        cases = [case for case in _RULE_CASES if (case[2] is not None) == structural]
+        windowed, log_lhs, equal, identity, phase, failed, verdicts, findings = zip(*cases)
+        codes, _ = _decide(np.array(windowed), np.array(log_lhs), tol,
+                           np.array(equal) if structural else None, np.array(identity),
+                           np.array(phase), np.array(failed))
+        assert [_VERDICTS[c] for c in codes.tolist()] == list(verdicts)
+        for case in cases:
+            w, lhs, eq, identity, phase, failed, verdict, finding = case
+            report = _report("rule", SignedLogDet.from_log(lhs), SignedLogDet.from_log(0.0), tol,
+                             margin=w, structural_equality=eq, identity_gap=identity,
+                             phase_gap=phase, precondition_failed=failed)
+            assert report.verdict is verdict, case
+            assert [f.name for f in report.diagnostics] == ([finding] if finding else []), case
 
 
 def test_abs_matrix_near_dbl_max_is_finite():

@@ -147,6 +147,12 @@ def test_usage_messages_name_what_is_wrong(diag_file, capsys):
         (["check", diag_file, "--ineq", "thm3", "--r", "1", "--p", "0.5"],
          "--p must be >= 1, got 0.5"),
         (["check", diag_file, "--ineq", "log_major", "--p", "0.5"], "--p must be >= 1, got 0.5"),
+        (["fuzz", "--predicate", "nosuch"],
+         "unknown predicate 'nosuch', expected one of fischer, thm1, cor_c0, cor_c1, lemma1, "
+         "djokovic, thm2, drury, thm3, weyl, log_major, schur_identity, e21"),
+        (["fuzz", "--predicate", "thm1", "--family", "nosuch"],
+         "unknown family 'nosuch', expected one of integer_uniform, gaussian, symmetric, "
+         "normal_via_unitary_conjugation, upper_triangular, block_triangular"),
     ]
     for argv, message in cases:
         assert main(argv) == 3
@@ -394,6 +400,26 @@ def test_fuzz_usage_validation():
     assert main(["fuzz", "--predicate", "thm1", "--entry-bound", "a:b", "--trials", "2"]) == 3
 
 
+@pytest.mark.parametrize("bound", ["inf", "-inf", "1e400"])
+def test_fuzz_a_non_finite_bound_on_an_integer_family_is_a_usage_error(bound, capsys):
+    argv = ["fuzz", "--predicate", "thm1", f"--entry-bound={bound}", "--trials", "2"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blockdet: error: integer families need an integer bound or (lo, hi)")
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+def test_a_non_finite_p_is_a_usage_error(diag_file, p, capsys):
+    for argv in (["check", diag_file, "--ineq", "thm3", "--r", "1", f"--p={p}"],
+                 ["check", diag_file, "--ineq", "log_major", f"--p={p}"],
+                 ["fuzz", "--predicate", "thm3", f"--p={p}", "--trials", "2"],
+                 ["fuzz", "--predicate", "thm1", f"--p={p}", "--trials", "2"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 3
+        assert capsys.readouterr().err == f"blockdet: error: --p must be >= 1, got {p}\n"
+
+
 def test_fuzz_structured_reruns_byte_identical(tmp_path):
     first = tmp_path / "a.ndjson"
     second = tmp_path / "b.ndjson"
@@ -446,6 +472,29 @@ def test_one_member_thm1_fuzz_output_is_the_golden_file_byte_for_byte(tmp_path):
             assert main(argv) == 0
         lines.append(out.read_bytes())
     golden = (Path(__file__).parent / "golden_thm1_one_member.ndjson").read_bytes()
+    assert b"".join(lines) == golden
+
+
+# golden_fuzz_degenerate.ndjson holds one structured fuzz line per predicate and
+# flag set below, in order: all-zero blocks and 0/1 triangular ones, whose stacks
+# are rank deficient, whose Y is often 0 and whose sides are often flagged zero
+_DEGENERATE_FLAGS = [
+    ["--family", "integer_uniform", "--entry-bound", "0", "--n", "4", "--r", "2", "--m", "2"],
+    ["--family", "upper_triangular", "--entry-bound", "0:1", "--n", "5", "--r", "2", "--m", "3"]]
+
+
+def test_degenerate_fuzz_output_is_the_golden_file_byte_for_byte(tmp_path):
+    out = tmp_path / "fuzz.ndjson"
+    lines = []
+    for predicate in ("thm1", "cor_c0", "thm2", "drury", "thm3"):
+        for flags in _DEGENERATE_FLAGS:
+            argv = ["fuzz", "--predicate", predicate, "--trials", "65", "--seed", "3", *flags,
+                    "--format", "structured", "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv) == 0
+            lines.append(out.read_bytes())
+    golden = (Path(__file__).parent / "golden_fuzz_degenerate.ndjson").read_bytes()
     assert b"".join(lines) == golden
 
 

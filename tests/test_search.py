@@ -17,7 +17,7 @@ from blockdet.checks import (
     check_lemma1,
     check_thm1,
     check_thm2,
-    _SETTLED,
+    _VERDICTS,
     _batch_thm1,
     _batch_thm2,
     _thm2_sides,
@@ -127,11 +127,12 @@ def test_every_trial_of_a_chunk_is_the_block_by_block_draw_bitwise(family):
                 assert error is None and mats.shape == (size, m, n, n)
                 assert all(_same_bits(a, b) for got, want in zip(mats, matrices)
                            for a, b in zip(got, want))
-                (x, y, z, t), error = search._draw_blocks(spec, trials)
+                t, error = search._draw_blocks(spec, trials)
                 assert error is None and t.shape == (size, m, n, n)
                 for i, members in enumerate(blocks):
                     for k, want in enumerate(members):
-                        got = (x[i, k], y[i, k], z[i, k], t[i, k])
+                        u = t[i, k]
+                        got = (u[:r, :r], u[:r, r:], u[r:, r:], u)
                         want = (*want, BlockUpperTriangular(*want).assemble())
                         assert all(_same_bits(a, b) for a, b in zip(got, want))
                 # the first matrix of each trial, transformed on the stack or per matrix
@@ -228,6 +229,16 @@ def test_generator_spec_validation():
         GeneratorSpec(n=0)
     with pytest.raises(ValueError, match="scale"):
         generate(GeneratorSpec(family="gaussian", entry_bound=(-2, 2)), 0)
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, (0, math.inf), (-math.inf, 0),
+                                   (0, math.nan), 10**400])
+def test_an_integer_family_refuses_a_bound_that_is_no_integer(bound):
+    # int() of an infinite bound raises OverflowError, of a NaN one its own ValueError
+    spec = GeneratorSpec(family="integer_uniform", entry_bound=bound)
+    for run in (lambda: generate(spec, 0), lambda: search_violations(spec, "thm1", 2)):
+        with pytest.raises(ValueError, match="integer families need an integer bound or"):
+            run()
 
 
 def test_drawn_blocks_and_their_assembled_matrix_are_read_only():
@@ -409,32 +420,46 @@ _DEGENERATE = (GeneratorSpec(family="integer_uniform", n=4, r=2, m=2, entry_boun
                GeneratorSpec(family="upper_triangular", n=5, r=2, m=3, entry_bound=(0, 1), seed=2))
 
 
+# gaussian draws near DBL_MAX, where every side is taken of a rescaled stack; many
+# overflow, and a search's chunk stops before the first that does
+_NEAR_DBL_MAX = tuple(GeneratorSpec("gaussian", n, r, m, entry_bound=1e308, seed=n + m)
+                      for n, r, m in ((2, 1, 1), (2, 1, 2), (4, 2, 1), (4, 2, 2)))
+
+
+def _finite_chunks(ineq, spec, trials, params):
+    """The chunks a search of ``ineq`` draws of ``range(trials)``, each cut
+    short before a trial whose draw overflows, which is skipped."""
+    call_params = ineq.call_params(spec.r)
+    call_params.update(params or {})
+    start = 0
+    while start < trials:
+        drawn, _ = ineq.draw_trials(ineq.draw_spec(spec), range(start, trials), call_params)
+        if drawn.trials:
+            yield drawn
+        start += len(drawn.trials) + 1
+
+
 @pytest.mark.parametrize("ineq_id, params", _BATCHED)
 def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params):
+    # every trial's code is its checker's verdict and its margin the checker's, bit
+    # for bit: flagged-zero sides, Y = 0 and rescaled stacks included
     ineq = INEQUALITIES[ineq_id]
     specs = [GeneratorSpec(family=family, n=n, r=r, m=m, seed=17 * n + m)
              for family in FAMILIES for n, r, m in _CRITERION_4_SIZES] + list(_DEGENERATE)
-    settled = {Verdict.HOLDS_STRICT: 0, Verdict.EQUALITY: 0}
-    for spec in specs:
-        drawn = _drawn(ineq, spec, 6, params)
+    chunks = [_drawn(ineq, spec, 6, params) for spec in specs] + [
+        drawn for spec in _NEAR_DBL_MAX for drawn in _finite_chunks(ineq, spec, 40, params)]
+    seen = {verdict: 0 for verdict in Verdict}
+    for drawn in chunks:
         margins, codes = ineq.score(drawn, DEFAULT_TOL)
-        assert set(codes.tolist()) <= {0, 1, 2}
         for i in range(len(drawn.trials)):
             report = ineq.check(drawn.witness(i), DEFAULT_TOL, drawn.family(i))
-            where = (spec, i, report.verdict, report.margin, margins[i])
-            flagged = report.lhs.is_zero or report.rhs.is_zero
-            if not flagged:
-                assert _bits(margins[i]) == _bits(report.margin), where
-            verdict = _SETTLED[codes[i]]
-            if verdict is not None:
-                assert report.verdict is verdict, where
-                assert _bits(margins[i]) == _bits(report.margin), where
-                settled[verdict] += 1
-            elif ineq_id == "thm1":   # its equality is numeric: only a flagged stack is unsure
-                assert flagged or report.verdict is Verdict.VIOLATED, where
-    assert settled[Verdict.HOLDS_STRICT] > 0
-    # the other ids' equality is structural, and only their checkers decide it
-    assert (settled[Verdict.EQUALITY] > 0) == (ineq_id == "thm1")
+            where = (drawn.spec, drawn.trials[i], report.verdict, report.margin, margins[i])
+            assert _VERDICTS[codes[i]] is report.verdict, where
+            assert _bits(margins[i]) == _bits(report.margin), where
+            seen[report.verdict] += 1
+    near_dbl_max = sum(len(drawn.trials) for drawn in chunks[len(specs):])
+    assert seen[Verdict.HOLDS_STRICT] > 0 and seen[Verdict.EQUALITY] > 0 and near_dbl_max > 20
+    assert seen[Verdict.VIOLATED] == seen[Verdict.PRECONDITION_FAILED] == 0
 
 
 @pytest.mark.parametrize("bound", [1e-150, 1e150, 1e300])
@@ -460,34 +485,34 @@ def test_thm2_stacked_bordered_determinants_are_the_checker_s_bitwise(bound):
                         assert _bits(log_mag[i]) == _bits(single.log_magnitude)
                         compared += 1
                 report = check_thm2(t)
-                if not report.rhs.is_zero:
-                    assert _bits(margins[i]) == _bits(report.margin), (family, n, i)
-                assert _SETTLED[codes[i]] in (None, report.verdict)
+                assert _bits(margins[i]) == _bits(report.margin), (family, n, i)
+                assert _VERDICTS[codes[i]] is report.verdict, (family, n, i)
     assert compared > len(FAMILIES) * len(_CRITERION_4_SIZES) * _CHUNK
 
 
-def test_a_flagged_zero_side_is_left_to_the_checker():
+def test_a_flagged_zero_side_is_settled_by_the_evaluator():
     # Z = 0 in both members, while [T1; T2] has full rank: thm1's rhs is zero, margin +inf
     family = BlockFamily((BlockUpperTriangular([[1.0]], [[3.0]], [[0.0]]),
                           BlockUpperTriangular([[2.0]], [[-1.0]], [[0.0]])))
-    _, codes = INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1, DEFAULT_TOL)
-    assert [_SETTLED[code] for code in codes.tolist()] == [None, None]
-    assert search.check_thm1(family).margin == np.inf
+    margins, codes = INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1,
+                                                DEFAULT_TOL)
+    assert [_VERDICTS[code] for code in codes.tolist()] == [Verdict.HOLDS_STRICT] * 2
+    assert margins.tolist() == [np.inf, np.inf]
+    report = search.check_thm1(family)
+    assert report.verdict is Verdict.HOLDS_STRICT and report.margin == np.inf
 
 
-def test_one_member_thm1_searches_check_only_the_trials_with_a_flagged_stack(monkeypatch):
+def test_one_member_thm1_searches_reach_no_checker(monkeypatch):
     # at one member thm1 is an identity: the evaluator settles every trial as equality
-    # or holds_strict, save those with a stack flagged at the rank floor
+    # or holds_strict, those with a stack flagged at the rank floor among them
     specs = [GeneratorSpec(family=family, n=4, r=2, m=1, seed=5) for family in FAMILIES] + [
         GeneratorSpec(family="upper_triangular", n=4, r=2, m=1, entry_bound=(0, 1), seed=6)]
-    expected, checked = [], []
+    flagged = 0
     for spec in specs:
         for trial in range(_CHUNK + 6):
-            family = generate_block_family(spec, trial)
-            report = check_thm1(family)
-            if report.lhs.is_zero or report.rhs.is_zero:
-                expected.append(family.assemble().tobytes())
-    real_check = search.check_thm1
+            report = check_thm1(generate_block_family(spec, trial))
+            flagged += report.lhs.is_zero or report.rhs.is_zero
+    checked, real_check = [], search.check_thm1
 
     def check(family, tol=DEFAULT_TOL):
         checked.append(family.assemble().tobytes())
@@ -496,8 +521,8 @@ def test_one_member_thm1_searches_check_only_the_trials_with_a_flagged_stack(mon
     monkeypatch.setattr(search, "check_thm1", check)
     for spec in specs:
         assert search_violations(spec, "thm1", _CHUNK + 6).violation_count == 0
-    assert checked == expected
-    assert len(expected) > 0
+    assert checked == []
+    assert flagged > 0
 
 
 def test_the_one_member_thm1_case_flagged_only_on_its_left_side_still_reaches_the_checker():
@@ -506,7 +531,7 @@ def test_the_one_member_thm1_case_flagged_only_on_its_left_side_still_reaches_th
     # leave it to the checker rather than settle it
     t = np.array([[1e10, 1e20], [0.0, 1e10]], dtype=complex)
     margins, codes = _batch_thm1(t[None, None], 1, DEFAULT_TOL)
-    assert _SETTLED[int(codes[0])] is None
+    assert _VERDICTS[int(codes[0])] is Verdict.VIOLATED and margins[0] == -math.inf
     report = check_thm1(BlockFamily((BlockUpperTriangular.from_matrix(t, 1),)))
     assert report.lhs.is_zero and not report.rhs.is_zero
     assert report.verdict is Verdict.VIOLATED and report.margin == -math.inf
@@ -578,7 +603,8 @@ def _force_violation(monkeypatch, spec, target, batched):
     """cor_c0 reads ``violated`` on the member drawn at trial ``target``.
 
     The checker is wrapped to say so; with ``batched``, a test-only evaluator
-    marks every other trial as sure to hold, so only that trial reaches it.
+    reads that trial as violated and every other as holding, so only that
+    trial reaches it.
     """
     bad_x = generate_block_family(spec, target).members[0].x
     real_check = search.check_cor_c0
@@ -590,7 +616,9 @@ def _force_violation(monkeypatch, spec, target, batched):
     def evaluator(t, r, tol):
         members = [BlockUpperTriangular.from_matrix(matrix, r) for matrix in t]
         margins = np.array([real_check(m, tol).margin for m in members])
-        return margins, np.array([0 if np.array_equal(m.x, bad_x) else 1 for m in members])
+        codes = [Verdict.VIOLATED if np.array_equal(m.x, bad_x) else Verdict.HOLDS_STRICT
+                 for m in members]
+        return margins, np.array([_VERDICTS.index(code) for code in codes])
 
     monkeypatch.setattr(search, "check_cor_c0", check)
     monkeypatch.setitem(INEQUALITIES, "cor_c0",
