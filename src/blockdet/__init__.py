@@ -58,8 +58,6 @@ from .search import (
     SearchReport,
     Witness,
     compare_paper_example,
-    generate,
-    generate_block_family,
     recheck_witness,
     reproduce_paper_example,
     search_violations,

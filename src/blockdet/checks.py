@@ -14,11 +14,12 @@ computes both the numeric margin and the structural condition, the verdict
 follows the structure, and a discrepancy diagnostic is attached if the two
 disagree instead of silently trusting either.
 
-All checkers are stateless pure functions over immutable inputs.  The
-batched evaluators at the end score many inputs of one checker at once,
-from the same side arithmetic on stacks, for the search engine; they call
-:func:`_decide` elementwise with the structural inputs the checker gives
-it, so each trial's verdict is the checker's.
+All checkers are stateless pure functions over immutable inputs.  Five of
+them (thm1, cor_c0, thm2, drury, thm3) take their sides and every input of
+:func:`_decide` from one sides function, on their input or elementwise on a
+stack of inputs; :func:`_evaluate` turns the sides of a stack into each
+input's margin and verdict code for the search engine, so each trial's
+verdict is the checker's.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,6 +312,31 @@ def _report(
     return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
 
 
+class _Sides(NamedTuple):
+    """The log magnitudes of an inequality's sides on one input, or on each
+    of a stack of inputs, their zero flags, the other inputs of
+    :func:`_decide` (None where they do not apply), and ``detail``, what the
+    checker's findings read."""
+
+    lhs: object
+    rhs: object
+    lhs_zero: object = False
+    rhs_zero: object = False
+    structural_equality: object = None
+    precondition_failed: object = None
+    detail: tuple = ()
+
+
+def _sides_report(inequality_id: str, sides: _Sides, tol: Tolerances, diagnostics=(),
+                  rhs: SignedLogDet | None = None) -> CheckReport:
+    """:func:`_report` on the :class:`_Sides` of one input; ``rhs``, where
+    given, is its right side with the phase the report prints."""
+    return _report(inequality_id, _sld(sides.lhs, sides.lhs_zero),
+                   _sld(sides.rhs, sides.rhs_zero) if rhs is None else rhs, tol, diagnostics,
+                   structural_equality=sides.structural_equality,
+                   precondition_failed=sides.precondition_failed)
+
+
 # Double-precision machine epsilon: a stack of blocks is numerically rank
 # deficient, and its Gram determinant zero, when sigma_min is at or below
 # max(rows, cols) * _EPS * sigma_max; computed spectra carry errors of
@@ -447,17 +474,18 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
     singular sum X_k* X_k, the case the proof handles by continuity.
     """
     sides = _thm1_sides(family.assemble(), family.r)
-    lhs, rhs_x, rhs_z = (_sld(log, zero) for log, zero in sides)
-    diagnostics = (Finding("sum_xx_singular", bool(rhs_x.is_zero)),)
-    return _report("thm1", lhs, rhs_x * rhs_z, tol, diagnostics)
+    (x_zero,) = sides.detail
+    return _sides_report("thm1", sides, tol, (Finding("sum_xx_singular", bool(x_zero)),))
 
 
-def _thm1_sides(t: np.ndarray, r: int) -> list[tuple]:
-    """log det(sum B_k* B_k) and its zero flag for B = T, X and Z of a
-    family's (m, n, n) stack T, or of each family of a stack of them, all
-    flagged against the T stack's rank floor."""
+def _thm1_sides(t: np.ndarray, r: int) -> _Sides:
+    """log det(sum T_k* T_k) against log det(sum X_k* X_k) det(sum Z_k* Z_k)
+    for a family's (m, n, n) stack T, or each of a stack of them, each stack
+    flagged against T's rank floor; the detail is X's zero flag."""
     lhs, lhs_zero, floor = _log_det_gram(t)
-    return [(lhs, lhs_zero)] + [_log_det_gram(b, floor)[:2] for b in _diagonal_blocks(t, r)]
+    (rhs_x, x_zero), (rhs_z, z_zero) = (_log_det_gram(b, floor)[:2]
+                                        for b in _diagonal_blocks(t, r))
+    return _Sides(lhs, rhs_x + rhs_z, lhs_zero, x_zero | z_zero, detail=(x_zero,))
 
 
 def _diagonal_blocks(t: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -495,28 +523,29 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     )
 
 
-def _abs_power_sides(t: np.ndarray, r: int, p: float) -> tuple:
+def _abs_power_sides(t: np.ndarray, r: int, p: float) -> _Sides:
     """log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p) for T, or
     for each T of a stack, as products of 1 + sigma^p over the singular
     values of the unsquared blocks (the spectral form of building |.| and
     then its p-th power; the matrix route is pinned to this one by tests),
     X and Z taken from T, under T's s.  The right side sums the terms of X
-    and Z in one row."""
+    and Z in one row.  Equality iff Y = 0; the detail is s and ||Y / s||_F
+    of :func:`_y_zero`."""
+    _require_exponent(p)
     sigma, log_s = _rescaled(lambda u: np.concatenate(
         [_singular_values(b) for b in (u, *_diagonal_blocks(u, r))], axis=-1), t)
     sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), log_s, p).sum(axis=-1)
-    return sums[..., 0], sums[..., 1]
+    y_zero, s, y = _y_zero(t, r)
+    return _Sides(sums[..., 0], sums[..., 1], structural_equality=y_zero, detail=(s, y))
 
 
 def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
                       tol: Tolerances, diagnostics: tuple[Finding, ...] = ()) -> CheckReport:
     """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0."""
-    matrix = t.assemble()
-    lhs, rhs = _abs_power_sides(matrix, t.r, p)
-    y_zero, s, y = _y_zero(matrix, t.r)
-    return _report(inequality_id, _sld(lhs, False), _sld(rhs, False), tol,
-                   (Finding("y_frobenius", float(s) * float(y)),) + diagnostics,
-                   structural_equality=bool(y_zero))
+    sides = _abs_power_sides(t.assemble(), t.r, p)
+    s, y = sides.detail
+    return _sides_report(inequality_id, sides, tol,
+                         (Finding("y_frobenius", float(s) * float(y)),) + diagnostics)
 
 
 def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -642,26 +671,31 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     No absolute value on the right: each factor is itself nonnegative.
     Equality iff Y = 0 and both X and Z are symmetric.
     """
-    matrix = t.assemble()
-    lhs, det_x, det_z = _thm2_sides(matrix, t.r)
-    y_zero, s, y = _y_zero(matrix, t.r)
-    x_sym, z_sym = bool(_is_symmetric(t.x)), bool(_is_symmetric(t.z))
+    sides = _thm2_sides(t.assemble(), t.r)
+    det_x, det_z, s, y = sides.detail
     diagnostics = (
         Finding("y_frobenius", float(s) * float(y)),
-        Finding("x_is_symmetric", x_sym),
-        Finding("z_is_symmetric", z_sym),
+        Finding("x_is_symmetric", bool(_is_symmetric(t.x))),
+        Finding("z_is_symmetric", bool(_is_symmetric(t.z))),
     )
-    return _report("thm2", _sld(lhs, False), _signed_log_det(*det_x) * _signed_log_det(*det_z),
-                   tol, diagnostics, structural_equality=bool(y_zero) and x_sym and z_sym)
+    return _sides_report("thm2", sides, tol, diagnostics,
+                         rhs=_signed_log_det(*det_x) * _signed_log_det(*det_z))
 
 
-def _thm2_sides(t: np.ndarray, r: int) -> tuple:
-    """log det(I + T*T), and det(I + conj(X) X) and det(I + conj(Z) Z), each
-    the :func:`det` of its bordered matrix as (phase, log magnitude, zero
-    flag), for T, or as arrays for each T of a stack, whose bordered
-    matrices are taken as one stack."""
+def _thm2_sides(t: np.ndarray, r: int) -> _Sides:
+    """log det(I + T*T) against log det(I + conj(X) X) det(I + conj(Z) Z)
+    for T, or each T of a stack, each factor the :func:`det` of its bordered
+    matrix; equality iff Y = 0 and X and Z are symmetric.  The detail is each
+    factor's (phase, log magnitude, zero flag), and s and ||Y / s||_F."""
     lhs = _log1p_pow(*_rescaled(_singular_values, t), 2.0).sum(axis=-1)
-    return (lhs, *(_det_parts(_bordered(b.conj(), b)) for b in _diagonal_blocks(t, r)))
+    det_x, det_z = (_det_parts(_bordered(b.conj(), b)) for b in _diagonal_blocks(t, r))
+    y_zero, s, y = _y_zero(t, r)
+    equal = np.asarray(y_zero)   # 0-d for one T
+    if equal.any():   # symmetric X and Z matter only where Y = 0
+        x, z = _diagonal_blocks(t[equal], r)
+        equal[equal] = _is_symmetric(x) & _is_symmetric(z)
+    return _Sides(lhs, det_x[1] + det_z[1], False, det_x[2] | det_z[2], equal,
+                  detail=(det_x, det_z, s, y))
 
 
 def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -672,18 +706,19 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     t = as_matrix(t)
     _require_square(t, "check_drury")
-    lhs, rhs, triangular, diagonal, s, off_mass = _drury_sides(t)
+    sides = _drury_sides(t)
+    s, off_mass = sides.detail
     diagnostics = (Finding("off_diagonal_frobenius", float(s) * float(off_mass)),)
-    if not triangular:
+    if sides.precondition_failed:
         diagnostics += (Finding("is_upper_triangular", False),)
-    return _report("drury", _sld(lhs, False), _sld(rhs, False), tol, diagnostics,
-                   structural_equality=bool(diagonal), precondition_failed=not triangular)
+    return _sides_report("drury", sides, tol, diagnostics)
 
 
-def _drury_sides(t: np.ndarray) -> tuple:
-    """For T, or each T of a stack: log det(I + T*T) and log prod(1 + |t_jj|^2);
-    whether T is upper triangular and whether diagonal, by the gates of
-    :func:`predicates`; and s and the off-diagonal mass of T / s."""
+def _drury_sides(t: np.ndarray) -> _Sides:
+    """For T, or each T of a stack: log det(I + T*T) against log prod(1 +
+    |t_jj|^2); equality iff T is diagonal, a failed precondition unless it
+    is upper triangular, each by the gates of :func:`predicates`.  The
+    detail is s and the off-diagonal mass of T / s."""
     rows, log_s = _rescaled(lambda u: np.stack(
         [_singular_values(u), np.abs(np.diagonal(u, axis1=-2, axis2=-1))], axis=-2), t)
     sums = _log1p_pow(rows, log_s, 2.0).sum(axis=-1)
@@ -691,7 +726,8 @@ def _drury_sides(t: np.ndarray) -> tuple:
     s, _, norm, lower, off_mass = _unit_masses(
         t, _strict_lower, lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
     gate = PREDICATE_REL * norm
-    return lhs, rhs, lower <= gate, off_mass <= gate, s, off_mass
+    return _Sides(lhs, rhs, structural_equality=off_mass <= gate,
+                  precondition_failed=~(lower <= gate), detail=(s, off_mass))
 
 
 def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -699,7 +735,6 @@ def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL)
 
     p = 2 is :func:`check_cor_c0`; this report adds the finding ``p``.
     """
-    _require_exponent(p)
     return _abs_power_report("thm3", t, p, tol, (Finding("p", float(p)),))
 
 
@@ -838,56 +873,23 @@ def _abs_sums(pair: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluators
+# The batched evaluator
 #
-# Each scores a chunk of a search's trials at once, from the chunk's stack
-# (each trial's T, or the (m, n, n) stack of its family) and the same side
-# arithmetic as its checker: it returns every trial's margin, bitwise the
-# checker's, and its code by :func:`_decide`, given the structural inputs
-# the checker gives it, so every code is the checker's verdict.
+# It scores a chunk of a search's trials at once from the :class:`_Sides`
+# of the chunk's stack (each trial's T, or the (m, n, n) stack of its
+# family), given by the sides function the id's checker reads: each trial's
+# margin is bitwise the checker's, and its code the checker's verdict.
 
 
-def _log_ratios(lhs, lhs_zero, rhs, rhs_zero) -> tuple:
-    """:meth:`SignedLogDet.log_ratio` elementwise, for sides of log
-    magnitudes ``lhs`` and ``rhs`` flagged zero where ``lhs_zero`` and
-    ``rhs_zero``; and the lhs's log magnitude as :func:`_report` reads it,
-    0 where it is flagged."""
+def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Each input's margin, :meth:`SignedLogDet.log_ratio` elementwise, and
+    its code by :func:`_decide`, from the :class:`_Sides` of a stack of
+    inputs; a flagged lhs's log magnitude reads 0, as in :func:`_report`."""
+    lhs, rhs, lhs_zero, rhs_zero = sides[:4]
     margin = lhs - rhs
-    if not (lhs_zero | rhs_zero).any():   # nearly every chunk: skip the four selections
-        return margin, lhs
-    margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
-                      np.where(rhs_zero, np.inf, margin))
-    return margin, np.where(lhs_zero, 0.0, lhs)
-
-
-def _batch_thm1(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    (lhs, lhs_zero), (rhs_x, x_zero), (rhs_z, z_zero) = _thm1_sides(t, r)
-    margin, log_lhs = _log_ratios(lhs, lhs_zero, rhs_x + rhs_z, x_zero | z_zero)
-    return margin, _decide(margin, log_lhs, tol)[0]
-
-
-def _batch_thm3(t: np.ndarray, r: int, p: float, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    _require_exponent(p)
-    lhs, rhs = _abs_power_sides(t, r, p)
-    margin = lhs - rhs
-    return margin, _decide(margin, lhs, tol, _y_zero(t, r)[0])[0]
-
-
-def _batch_cor_c0(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    return _batch_thm3(t, r, 2.0, tol)
-
-
-def _batch_thm2(t: np.ndarray, r: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    lhs, (_, log_x, x_zero), (_, log_z, z_zero) = _thm2_sides(t, r)
-    margin, _ = _log_ratios(lhs, False, log_x + log_z, x_zero | z_zero)
-    equal = _y_zero(t, r)[0]
-    if equal.any():   # symmetric X and Z matter only where Y = 0
-        x, z = _diagonal_blocks(t[equal], r)
-        equal[equal] = _is_symmetric(x) & _is_symmetric(z)
-    return margin, _decide(margin, lhs, tol, equal)[0]
-
-
-def _batch_drury(t: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    lhs, rhs, triangular, diagonal, _, _ = _drury_sides(t)
-    margin = lhs - rhs
-    return margin, _decide(margin, lhs, tol, diagonal, precondition_failed=~triangular)[0]
+    if np.any(lhs_zero | rhs_zero):   # few chunks: the others skip the four selections
+        margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
+                          np.where(rhs_zero, np.inf, margin))
+        lhs = np.where(lhs_zero, 0.0, lhs)
+    return margin, _decide(margin, lhs, tol, sides.structural_equality,
+                           precondition_failed=sides.precondition_failed)[0]

@@ -13,9 +13,8 @@ at a time, each from its own stream, into read-only stacks; under an
 batched evaluator scores the chunk's stack by the checker's verdict rule,
 and only the trials that rule reads as violated, or gives no verdict, reach
 the checker, as objects built over views of the stacks, whose reports are
-the ones a search records.  A recorded witness copies its
-matrices out of the chunk.  :func:`generate`, :func:`generate_block_family`
-and :meth:`Inequality.draw` are one-trial views of the same draw.
+the ones a search records.  A recorded witness copies its matrices out of
+the chunk.
 """
 
 from __future__ import annotations
@@ -48,13 +47,13 @@ from .checks import (
     check_thm2,
     check_thm3,
     check_weyl,
-    _batch_cor_c0,
-    _batch_drury,
-    _batch_thm1,
-    _batch_thm2,
-    _batch_thm3,
+    _abs_power_sides,
+    _drury_sides,
+    _evaluate,
     _json_value,
     _require_exponent,
+    _thm1_sides,
+    _thm2_sides,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -81,8 +80,6 @@ __all__ = [
     "PREDICATE_IDS",
     "Inequality",
     "INEQUALITIES",
-    "generate",
-    "generate_block_family",
     "search_violations",
     "sharpness_probe",
     "recheck_witness",
@@ -356,43 +353,6 @@ def _family(t: np.ndarray, r: int) -> BlockFamily:
                              for u in t))
 
 
-def _one(draw, spec: GeneratorSpec, trial_index: int):
-    """What ``draw`` draws of the one trial ``trial_index``; the overflow
-    error that left the trial out is raised."""
-    drawn, error = draw(spec, range(trial_index, trial_index + 1))
-    if error is not None:
-        raise error
-    return drawn
-
-
-def generate(spec: GeneratorSpec, trial_index: int) -> list[np.ndarray]:
-    """Draw the trial's m square n-by-n matrices.
-
-    Pure function of ``(spec.seed, trial_index)``: the same pair always
-    yields bitwise-identical output, the trial's row of a search's draw.
-    Structure is exact by construction (symmetric matrices satisfy
-    s == s.T entrywise, triangular families carry exact zeros); the
-    conjugation-built normal family is normal to within the predicate
-    tolerance.  An ``entry_bound`` that overflows a draw raises
-    :class:`LinalgError`.
-    """
-    return list(_one(_draw_matrices, spec, trial_index)[0])
-
-
-def generate_block_family(spec: GeneratorSpec, trial_index: int) -> BlockFamily:
-    """Draw m block upper-triangular members whose diagonal blocks follow the family.
-
-    X and Z are structured draws of sizes r and n-r (so a ``symmetric`` spec
-    yields symmetric diagonal blocks, ``normal_via_unitary_conjugation``
-    yields normal ones), while Y is a dense draw.  Deterministic in
-    ``(seed, trial_index)``: the trial's row of a search's draw.  The
-    blocks, and each member's assembled matrix, are frozen read-only, not
-    copied; an ``entry_bound`` that overflows a draw raises
-    :class:`LinalgError`.
-    """
-    return _family(_one(_draw_blocks, spec, trial_index)[0], spec.r)
-
-
 # ---------------------------------------------------------------------------
 # Witnesses and the inequality registry
 
@@ -476,11 +436,10 @@ class Inequality:
     ``precondition_failed`` off its hypothesis unless the parameter
     ``allow_hypothesis_violation`` is set, and only then is a violation
     expected.
-    ``batch``, when set, is the batched evaluator :meth:`score` calls: it
-    takes what the checker takes, with the stack of a chunk's trials
-    (:meth:`_Drawn.stack`) in place of the first argument and ``r`` after it
-    where the id needs ``r``, and returns each trial's margin and its code
-    into ``checks._VERDICTS``, the checker's verdict or none.
+    ``batch``, when set, is the sides function the checker reads, which
+    :meth:`score` calls on the stack of a chunk's trials (each trial's
+    family, or its first matrix), with ``r`` after it where the id needs
+    ``r``, and ``p`` where it takes one.
     """
 
     id: str
@@ -530,14 +489,6 @@ class Inequality:
         _read_only(mats)
         return _Drawn(self, spec, trials[:len(mats)], params, mats[:, None]), error
 
-    def draw(self, spec: GeneratorSpec, trial_index: int,
-             params: dict) -> tuple[Witness, BlockFamily | None]:
-        """One trial's witness from ``spec`` (a :meth:`draw_spec`), and, for
-        the block shapes, the drawn family its matrices were assembled from:
-        row 0 of a one-trial :meth:`draw_trials`."""
-        drawn = _one(partial(self.draw_trials, params=params), spec, trial_index)
-        return drawn.witness(0), drawn.family(0)
-
     def _args(self, witness: Witness, family: BlockFamily | None) -> tuple:
         """The checker's arguments before ``tol``."""
         params = witness.params
@@ -570,15 +521,16 @@ class Inequality:
         return checker(*args, tol, **kwargs)
 
     def score(self, drawn: _Drawn, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`batch` on one chunk of drawn trials: each trial's margin,
-        and its code into ``checks._VERDICTS``: the verdict its checker
-        gives, or none (0) where its margin or a side is NaN."""
-        args: tuple = (drawn.stack(),)
+        """The sides :attr:`batch` gives of one chunk of drawn trials, as
+        each trial's margin and its code into ``checks._VERDICTS``: the
+        verdict its checker gives, or none (0) where its margin or a side
+        is NaN."""
+        args: tuple = (drawn.t if self.shape == "family" else drawn.t[:, 0],)
         if self.needs_r:
             args += (drawn.spec.r,)
         if self.default_p is not None:
             args += (float(drawn.params["p"]),)
-        return self.batch(*args, tol)
+        return _evaluate(self.batch(*args), tol)
 
     def expects_violation(self, params: dict) -> bool:
         """Whether a search with these parameters should record a violation."""
@@ -600,10 +552,6 @@ class _Drawn:
     params: dict
     t: np.ndarray
 
-    def stack(self) -> np.ndarray:
-        """Each trial's family, or its first matrix, for :attr:`Inequality.batch`."""
-        return self.t if self.ineq.shape == "family" else self.t[:, 0]
-
     def witness(self, i: int) -> Witness:
         return Witness(self.ineq.id, self.spec.seed, self.trials[i], dict(self.params),
                        tuple(self.t[i]))
@@ -616,15 +564,15 @@ class _Drawn:
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("fischer", "matrix", needs_r=True, transform=_grams),
-    Inequality("thm1", "family", files=(1, None), needs_r=True, batch=_batch_thm1),
-    Inequality("cor_c0", "member", needs_r=True, batch=_batch_cor_c0),
+    Inequality("thm1", "family", files=(1, None), needs_r=True, batch=_thm1_sides),
+    Inequality("cor_c0", "member", needs_r=True, batch=partial(_abs_power_sides, p=2.0)),
     Inequality("cor_c1", "family", files=(1, None), needs_r=True, refutable=True,
                hypothesis_gate=True),
     Inequality("lemma1", "matrix"),
     Inequality("djokovic", "matrix"),
-    Inequality("thm2", "member", needs_r=True, batch=_batch_thm2),
-    Inequality("drury", "matrix", transform=np.triu, batch=_batch_drury),
-    Inequality("thm3", "member", needs_r=True, default_p=2.0, batch=_batch_thm3),
+    Inequality("thm2", "member", needs_r=True, batch=_thm2_sides),
+    Inequality("drury", "matrix", transform=np.triu, batch=_drury_sides),
+    Inequality("thm3", "member", needs_r=True, default_p=2.0, batch=_abs_power_sides),
     Inequality("weyl", "matrix"),
     Inequality("log_major", "spectra", default_p=2.0),
     Inequality("schur_identity", "matrix", needs_r=True),

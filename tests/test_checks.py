@@ -46,7 +46,7 @@ from blockdet.linalg import (
     predicates,
     schur_complement,
 )
-from blockdet.search import GeneratorSpec, generate_block_family
+from blockdet.search import INEQUALITIES, GeneratorSpec
 
 EX1_T1 = np.array([[-9, 10, 5, 12], [-7, 10, -11, -10], [0, 0, -2, 3], [0, 0, 2, 26]],
                   dtype=complex)
@@ -652,7 +652,9 @@ def test_cor_c0_past_dbl_max_has_the_exact_margin():
     # trial 1 of fuzz --predicate cor_c0 --family gaussian --entry-bound 1e308 --n 2 --r 1
     # --seed 5: sigma(T) read (inf, 5.0e307), so the margin read +inf, the equality window
     # inf, and margin_within_equality_band followed from that alone
-    t = generate_block_family(GeneratorSpec("gaussian", 2, 1, 1, 1e308, 5), 1).members[0]
+    drawn, _ = INEQUALITIES["cor_c0"].draw_trials(GeneratorSpec("gaussian", 2, 1, 1, 1e308, 5),
+                                                  range(1, 2), {"r": 1})
+    t = drawn.family(0).members[0]
     report = check_cor_c0(t)
 
     def det_i_plus_gram(block):   # det(I + B*B), exactly
@@ -1088,9 +1090,9 @@ def test_cor_c1_single_member_is_equality_at_tiny_entries():
         for family in ("gaussian", "symmetric", "normal_via_unitary_conjugation"):
             for n in range(2, 7):
                 spec = GeneratorSpec(family=family, n=n, r=n // 2, m=1, entry_bound=1e-100, seed=3)
+                drawn, _ = INEQUALITIES["cor_c1"].draw_trials(spec, range(8), {"r": n // 2})
                 for trial in range(8):
-                    report = check_cor_c1(generate_block_family(spec, trial),
-                                          allow_hypothesis_violation=True)
+                    report = check_cor_c1(drawn.family(trial), allow_hypothesis_violation=True)
                     verdicts.add((report.verdict, math.isfinite(report.margin)))
     assert verdicts == {(Verdict.EQUALITY, True)}
 

@@ -18,10 +18,11 @@ from blockdet.checks import (
     check_thm1,
     check_thm2,
     _VERDICTS,
-    _batch_thm1,
-    _batch_thm2,
-    _thm2_sides,
+    _Sides,
     _bordered,
+    _evaluate,
+    _thm1_sides,
+    _thm2_sides,
 )
 from blockdet.linalg import (
     DEFAULT_TOL,
@@ -39,8 +40,6 @@ from blockdet.search import (
     GeneratorSpec,
     Witness,
     compare_paper_example,
-    generate,
-    generate_block_family,
     recheck_witness,
     reproduce_paper_example,
     search_violations,
@@ -53,13 +52,36 @@ from blockdet.search import (
 # generation
 
 
+def _raised(drawn, error):
+    """A chunk drawer's one-trial draw; the overflow error that left the trial out is raised."""
+    if error is not None:
+        raise error
+    return drawn
+
+
+def _drawn_matrices(spec, trial):
+    """The trial's m square n-by-n matrices, a one-trial chunk of the chunk drawer."""
+    return list(_raised(*search._draw_matrices(spec, range(trial, trial + 1)))[0])
+
+
+def _drawn_family(spec, trial):
+    """The trial's block family, over views of a one-trial chunk of the chunk drawer."""
+    return search._family(_raised(*search._draw_blocks(spec, range(trial, trial + 1)))[0], spec.r)
+
+
+def _one_trial(ineq, spec, trial, params):
+    """The trial as a search of ``ineq`` draws it from ``spec`` (a draw
+    spec): a one-trial chunk of :meth:`Inequality.draw_trials`."""
+    return _raised(*ineq.draw_trials(spec, range(trial, trial + 1), params))
+
+
 def test_generate_is_deterministic_and_per_trial_independent():
     spec = GeneratorSpec(family="gaussian", n=5, r=2, m=3, seed=123)
-    first = generate(spec, 7)
-    second = generate(spec, 7)
+    first = _drawn_matrices(spec, 7)
+    second = _drawn_matrices(spec, 7)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
-    other = generate(spec, 8)
+    other = _drawn_matrices(spec, 8)
     assert not np.array_equal(first[0], other[0])
 
 
@@ -84,14 +106,14 @@ def test_one_call_draw_is_the_block_by_block_draw_bitwise(family):
                 spec = GeneratorSpec(family=family, n=n, r=r, m=m, entry_bound=bound,
                                      seed=1000 * n + 10 * m + r)
                 for trial in range(25):
-                    mats = _draw_or_error(generate, spec, trial)
+                    mats = _draw_or_error(_drawn_matrices, spec, trial)
                     expected = _draw_or_error(reference.block_by_block_generate, spec, trial)
                     if isinstance(expected, tuple):
                         assert mats == expected
                     else:
                         assert len(mats) == m
                         assert all(_same_bits(a, b) for a, b in zip(mats, expected))
-                    drawn = _draw_or_error(generate_block_family, spec, trial)
+                    drawn = _draw_or_error(_drawn_family, spec, trial)
                     expected = _draw_or_error(reference.block_by_block_family, spec, trial)
                     if isinstance(expected, tuple):
                         assert drawn == expected
@@ -172,13 +194,13 @@ def test_a_chunk_cut_short_by_an_overflow_reports_the_trials_before_it(ineq_id, 
 
 def test_generate_zero_bound_gives_zero_matrix():
     spec = GeneratorSpec(family="integer_uniform", n=4, entry_bound=0, seed=1)
-    (mat,) = generate(spec, 0)
+    (mat,) = _drawn_matrices(spec, 0)
     assert np.all(mat == 0)
 
 
 def test_generate_integer_entries_respect_range():
     spec = GeneratorSpec(family="integer_uniform", n=6, m=2, entry_bound=(-3, 5), seed=9)
-    for mat in generate(spec, 4):
+    for mat in _drawn_matrices(spec, 4):
         assert np.all(mat.imag == 0)
         assert np.all(mat.real == np.round(mat.real))
         assert mat.real.min() >= -3 and mat.real.max() <= 5
@@ -186,40 +208,40 @@ def test_generate_integer_entries_respect_range():
 
 def test_generate_symmetric_family_exactly_symmetric():
     spec = GeneratorSpec(family="symmetric", n=6, seed=5)
-    (s,) = generate(spec, 3)
+    (s,) = _drawn_matrices(spec, 3)
     assert np.array_equal(s, s.T)
 
 
 def test_generate_triangular_and_block_triangular_structure():
-    (t,) = generate(GeneratorSpec(family="upper_triangular", n=5, seed=2), 0)
+    (t,) = _drawn_matrices(GeneratorSpec(family="upper_triangular", n=5, seed=2), 0)
     assert np.all(np.tril(t, -1) == 0)
-    (b,) = generate(GeneratorSpec(family="block_triangular", n=6, r=2, seed=2), 0)
+    (b,) = _drawn_matrices(GeneratorSpec(family="block_triangular", n=6, r=2, seed=2), 0)
     assert np.all(b[2:, :2] == 0)
     assert np.any(b[:2, 2:] != 0)
 
 
 def test_generate_normal_family_passes_predicate():
     spec = GeneratorSpec(family="normal_via_unitary_conjugation", n=5, seed=11)
-    (m,) = generate(spec, 1)
+    (m,) = _drawn_matrices(spec, 1)
     assert predicates(m).is_normal
 
 
 def test_generate_block_family_structures_diagonal_blocks():
     spec = GeneratorSpec(family="symmetric", n=6, r=2, m=2, seed=3)
-    family = generate_block_family(spec, 0)
+    family = _drawn_family(spec, 0)
     assert family.m == 2 and family.n == 6 and family.r == 2
     for member in family.members:
         assert np.array_equal(member.x, member.x.T)
         assert np.array_equal(member.z, member.z.T)
         assert frobenius_norm(member.y) > 0
-    again = generate_block_family(spec, 0)
+    again = _drawn_family(spec, 0)
     for a, b in zip(family.members, again.members):
         assert np.array_equal(a.assemble(), b.assemble())
 
 
 def test_generate_block_family_needs_valid_split():
     with pytest.raises(ShapeError, match="0 < r < n"):
-        generate_block_family(GeneratorSpec(family="gaussian", n=3, r=3, seed=0), 0)
+        _drawn_family(GeneratorSpec(family="gaussian", n=3, r=3, seed=0), 0)
 
 
 def test_generator_spec_validation():
@@ -228,7 +250,7 @@ def test_generator_spec_validation():
     with pytest.raises(ValueError, match="positive"):
         GeneratorSpec(n=0)
     with pytest.raises(ValueError, match="scale"):
-        generate(GeneratorSpec(family="gaussian", entry_bound=(-2, 2)), 0)
+        _drawn_matrices(GeneratorSpec(family="gaussian", entry_bound=(-2, 2)), 0)
 
 
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, (0, math.inf), (-math.inf, 0),
@@ -236,7 +258,7 @@ def test_generator_spec_validation():
 def test_an_integer_family_refuses_a_bound_that_is_no_integer(bound):
     # int() of an infinite bound raises OverflowError, of a NaN one its own ValueError
     spec = GeneratorSpec(family="integer_uniform", entry_bound=bound)
-    for run in (lambda: generate(spec, 0), lambda: search_violations(spec, "thm1", 2)):
+    for run in (lambda: _drawn_matrices(spec, 0), lambda: search_violations(spec, "thm1", 2)):
         with pytest.raises(ValueError, match="integer families need an integer bound or"):
             run()
 
@@ -244,7 +266,7 @@ def test_an_integer_family_refuses_a_bound_that_is_no_integer(bound):
 def test_drawn_blocks_and_their_assembled_matrix_are_read_only():
     for family in FAMILIES:
         spec = GeneratorSpec(family=family, n=5, r=2, m=2, seed=4)
-        for member in generate_block_family(spec, 0).members:
+        for member in _drawn_family(spec, 0).members:
             full = member.assemble()
             assert full is member.assemble()
             for block in (member.x, member.y, member.z, full):
@@ -268,9 +290,9 @@ def test_draw_overflow_is_one_error_naming_seed_trial_and_bound(predicate, famil
 def test_every_family_generates():
     for family in FAMILIES:
         spec = GeneratorSpec(family=family, n=4, r=2, m=2, seed=17)
-        mats = generate(spec, 0)
+        mats = _drawn_matrices(spec, 0)
         assert len(mats) == 2
-        blocks = generate_block_family(spec, 0)
+        blocks = _drawn_family(spec, 0)
         assert blocks.m == 2
 
 
@@ -350,8 +372,7 @@ def _trial_witness(ineq, spec, report, trial):
     for record in report.violations:
         if record.trial_index == trial:
             return record.witness
-    witness, _ = ineq.draw(ineq.draw_spec(spec), trial, dict(report.params))
-    return witness
+    return _one_trial(ineq, ineq.draw_spec(spec), trial, dict(report.params)).witness(0)
 
 
 def _json_round_trip(witness):
@@ -465,17 +486,19 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params)
 @pytest.mark.parametrize("bound", [1e-150, 1e150, 1e300])
 def test_thm2_stacked_bordered_determinants_are_the_checker_s_bitwise(bound):
     # one chunk's bordered matrices go to det's rules as one stack; every family's
-    # draws are scaled to the bound, which the integer families do not take
+    # draws are scaled to the bound, which the integer families do not take; row i of
+    # the chunk's sides is the one-row call of the checker on member i
     compared = 0
     for family in FAMILIES:
         for n, r, m in _CRITERION_4_SIZES:
             spec = GeneratorSpec(family=family, n=n, r=r, m=m, seed=31 * n + m)
+            drawn = _drawn(INEQUALITIES["thm2"], spec, _CHUNK, None)
             members = [BlockUpperTriangular(bound * t.x, bound * t.y, bound * t.z)
-                       for t in (generate_block_family(spec, i).members[0]
-                                 for i in range(_CHUNK))]
+                       for t in (drawn.family(i).members[0] for i in range(_CHUNK))]
             stack = np.array([t.assemble() for t in members])
-            _, stacked_x, stacked_z = _thm2_sides(stack, r)
-            margins, codes = _batch_thm2(stack, r, DEFAULT_TOL)
+            sides = _thm2_sides(stack, r)
+            stacked_x, stacked_z = sides.detail[:2]
+            margins, codes = _evaluate(sides, DEFAULT_TOL)
             for i, t in enumerate(members):
                 for block, (phase, log_mag, zero) in ((t.x, stacked_x), (t.z, stacked_z)):
                     single = det(_bordered(block.conj(), block))
@@ -494,8 +517,8 @@ def test_a_flagged_zero_side_is_settled_by_the_evaluator():
     # Z = 0 in both members, while [T1; T2] has full rank: thm1's rhs is zero, margin +inf
     family = BlockFamily((BlockUpperTriangular([[1.0]], [[3.0]], [[0.0]]),
                           BlockUpperTriangular([[2.0]], [[-1.0]], [[0.0]])))
-    margins, codes = INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1,
-                                                DEFAULT_TOL)
+    margins, codes = _evaluate(INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1),
+                               DEFAULT_TOL)
     assert [_VERDICTS[code] for code in codes.tolist()] == [Verdict.HOLDS_STRICT] * 2
     assert margins.tolist() == [np.inf, np.inf]
     report = search.check_thm1(family)
@@ -510,7 +533,7 @@ def test_one_member_thm1_searches_reach_no_checker(monkeypatch):
     flagged = 0
     for spec in specs:
         for trial in range(_CHUNK + 6):
-            report = check_thm1(generate_block_family(spec, trial))
+            report = check_thm1(_drawn_family(spec, trial))
             flagged += report.lhs.is_zero or report.rhs.is_zero
     checked, real_check = [], search.check_thm1
 
@@ -530,7 +553,7 @@ def test_the_one_member_thm1_case_flagged_only_on_its_left_side_still_reaches_th
     # reads violated, margin -inf, on an identity (a known defect); the evaluator must
     # leave it to the checker rather than settle it
     t = np.array([[1e10, 1e20], [0.0, 1e10]], dtype=complex)
-    margins, codes = _batch_thm1(t[None, None], 1, DEFAULT_TOL)
+    margins, codes = _evaluate(_thm1_sides(t[None, None], 1), DEFAULT_TOL)
     assert _VERDICTS[int(codes[0])] is Verdict.VIOLATED and margins[0] == -math.inf
     report = check_thm1(BlockFamily((BlockUpperTriangular.from_matrix(t, 1),)))
     assert report.lhs.is_zero and not report.rhs.is_zero
@@ -573,10 +596,10 @@ def test_every_id_near_dbl_max_reads_no_nan_margin_and_keeps_the_identities():
             spec = ineq.draw_spec(GeneratorSpec("gaussian", n, r, m, 1e308, seed=7))
             for trial in range(1, 100):
                 try:
-                    witness, family = ineq.draw(spec, trial, ineq.call_params(r))
+                    drawn = _one_trial(ineq, spec, trial, ineq.call_params(r))
                 except LinalgError:   # the draw itself overflows
                     continue
-                report = ineq.check(witness, DEFAULT_TOL, family)
+                report = ineq.check(drawn.witness(0), DEFAULT_TOL, drawn.family(0))
                 checked += 1
                 where = (ineq.id, n, r, spec.m, trial)
                 if math.isnan(report.margin):
@@ -602,27 +625,26 @@ def test_degenerate_draws_batch_without_warnings_as_the_scalar_loop(ineq_id, mon
 def _force_violation(monkeypatch, spec, target, batched):
     """cor_c0 reads ``violated`` on the member drawn at trial ``target``.
 
-    The checker is wrapped to say so; with ``batched``, a test-only evaluator
-    reads that trial as violated and every other as holding, so only that
-    trial reaches it.
+    The checker is wrapped to say so; with ``batched``, a test-only sides
+    function gives that trial a negative margin and every other the
+    checker's, with no structural equality, so only that trial reaches it.
     """
-    bad_x = generate_block_family(spec, target).members[0].x
+    bad_x = _drawn_family(spec, target).members[0].x
     real_check = search.check_cor_c0
 
     def check(t, tol=DEFAULT_TOL):
         report = real_check(t, tol)
         return replace(report, verdict=Verdict.VIOLATED) if np.array_equal(t.x, bad_x) else report
 
-    def evaluator(t, r, tol):
+    def sides(t, r):
         members = [BlockUpperTriangular.from_matrix(matrix, r) for matrix in t]
-        margins = np.array([real_check(m, tol).margin for m in members])
-        codes = [Verdict.VIOLATED if np.array_equal(m.x, bad_x) else Verdict.HOLDS_STRICT
-                 for m in members]
-        return margins, np.array([_VERDICTS.index(code) for code in codes])
+        margins = [-1.0 if np.array_equal(m.x, bad_x) else real_check(m).margin for m in members]
+        return _Sides(np.array(margins), np.zeros(len(members)),
+                      structural_equality=np.zeros(len(members), dtype=bool))
 
     monkeypatch.setattr(search, "check_cor_c0", check)
     monkeypatch.setitem(INEQUALITIES, "cor_c0",
-                        replace(INEQUALITIES["cor_c0"], batch=evaluator if batched else None))
+                        replace(INEQUALITIES["cor_c0"], batch=sides if batched else None))
 
 
 def test_stop_on_first_mid_chunk_counts_trials_as_the_scalar_loop(monkeypatch):
@@ -649,8 +671,8 @@ def test_recorded_witnesses_own_read_only_copies_of_their_matrices(monkeypatch):
     witnesses = [r.min_positive_witness for r in reports] + [reports[-1].violations[0].witness]
     for witness in witnesses:
         ineq = INEQUALITIES[witness.predicate_id]
-        drawn, _ = ineq.draw(ineq.draw_spec(reports[0].spec if ineq.id == "thm1" else spec),
-                             witness.trial_index, witness.params)
+        drawn = _one_trial(ineq, ineq.draw_spec(reports[0].spec if ineq.id == "thm1" else spec),
+                           witness.trial_index, witness.params).witness(0)
         assert len(witness.matrices) == len(drawn.matrices)
         for matrix, want in zip(witness.matrices, drawn.matrices):
             assert matrix.flags.owndata and matrix.base is None
