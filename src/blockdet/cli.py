@@ -110,6 +110,18 @@ def _parse_entry_bound(text: str | None):
         raise _UsageError(f"bad --entry-bound {text!r}")
 
 
+def _require_p(ineq, p: float | None) -> None:
+    """Refuse a ``--p`` below 1 or not finite, then one for an id that takes
+    no exponent (``ineq`` None: an unknown id, reported later)."""
+    if p is None:
+        return
+    if not 1.0 <= p < math.inf:   # NaN compares false
+        raise _UsageError(f"--p must be >= 1, got {p}")
+    if ineq is not None and ineq.default_p is None:
+        takes = ", ".join(i.id for i in INEQUALITIES.values() if i.default_p is not None)
+        raise _UsageError(f"{ineq.id} takes no --p; only {takes} do")
+
+
 def _load_matrix_file(path: str):
     """One matrix document: the file read once as bytes, parsed, then
     checked and converted in one pass by :func:`matrix_from_json_dict`."""
@@ -180,9 +192,8 @@ def cmd_check(args) -> int:
     matrices = tuple(_load_matrix_file(f) for f in args.files)
     if ineq.needs_r and args.r is None:
         raise _UsageError(f"{ineq.id} needs --r (top-left block dimension)")
+    _require_p(ineq, args.p)
     params = ineq.call_params(args.r, args.p, bool(args.allow_hypothesis_violation))
-    if not 1.0 <= params.get("p", 1.0) < math.inf:   # NaN compares false
-        raise _UsageError(f"--p must be >= 1, got {params['p']}")
     witness = Witness(ineq.id, 0, 0, params, matrices)
     try:
         report = ineq.check(witness, config.tol)
@@ -261,11 +272,8 @@ def cmd_fuzz(args) -> int:
         )
     except ValueError as err:
         raise _UsageError(str(err))
-    params: dict = {}
-    if args.p is not None:
-        if not 1.0 <= args.p < math.inf:
-            raise _UsageError(f"--p must be >= 1, got {args.p}")
-        params["p"] = args.p
+    _require_p(INEQUALITIES.get(args.predicate), args.p)
+    params: dict = {} if args.p is None else {"p": args.p}
     if args.allow_hypothesis_violation:
         params["allow_hypothesis_violation"] = True
     runner = sharpness_probe if args.sharpness else search_violations

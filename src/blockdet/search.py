@@ -168,6 +168,8 @@ def _int_range(spec: GeneratorSpec) -> tuple[int, int]:
             lo, hi = -b, b
         else:
             raise ValueError
+        if min(lo, hi) < -2**63 or max(lo, hi) >= 2**63:   # past numpy's int64 draw
+            raise ValueError
     except (OverflowError, ValueError):
         raise ValueError(f"integer families need an integer bound or (lo, hi), "
                          f"got {bound!r}") from None

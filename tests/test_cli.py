@@ -408,6 +408,19 @@ def test_fuzz_a_non_finite_bound_on_an_integer_family_is_a_usage_error(bound, ca
     assert err.startswith("blockdet: error: integer families need an integer bound or (lo, hi)")
 
 
+@pytest.mark.parametrize("bound, shown", [
+    ("1e100", "1e+100"), ("1e308", "1e+308"), ("0:9223372036854775808", "(0, 9223372036854775808)"),
+    ("-9223372036854775809:0", "(-9223372036854775809, 0)")])
+def test_fuzz_an_integer_bound_past_int64_is_a_usage_error_naming_it(bound, shown, capsys):
+    # numpy's int64 draw refused these with "low is out of bounds for int64"
+    argv = ["fuzz", "--predicate", "thm1", f"--entry-bound={bound}", "--trials", "2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"blockdet: error: integer families need an integer bound or (lo, hi), got {shown}\n")
+    widest = f"--entry-bound={-2**63}:{2**63 - 1}"
+    assert main(["fuzz", "--predicate", "thm1", widest, "--trials", "2"]) == 0
+
+
 @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
 def test_a_non_finite_p_is_a_usage_error(diag_file, p, capsys):
     for argv in (["check", diag_file, "--ineq", "thm3", "--r", "1", f"--p={p}"],
@@ -418,6 +431,25 @@ def test_a_non_finite_p_is_a_usage_error(diag_file, p, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 3
         assert capsys.readouterr().err == f"blockdet: error: --p must be >= 1, got {p}\n"
+
+
+def test_p_for_an_id_that_takes_no_exponent_is_a_usage_error(diag_file, capsys):
+    # fuzz recorded "p" in its report's params, and check dropped it silently
+    takes = [ineq.id for ineq in INEQUALITIES.values() if ineq.default_p is not None]
+    assert takes == ["thm3", "log_major"]
+    for ineq in INEQUALITIES.values():
+        argvs = [["fuzz", "--predicate", ineq.id, "--p", "2", "--trials", "2"]]
+        if ineq.id in ("thm1", "drury"):
+            argvs.append(["check", diag_file, "--ineq", ineq.id, "--r", "1", "--p", "2"])
+        for argv in argvs:
+            code = main(argv + ["--format", "structured"])
+            out = capsys.readouterr()
+            if ineq.id in takes:
+                assert code == 0 and json.loads(out.out)["params"]["p"] == 2.0
+            else:
+                assert code == 3 and out.out == ""
+                assert out.err == (f"blockdet: error: {ineq.id} takes no --p; "
+                                   f"only thm3, log_major do\n")
 
 
 def test_fuzz_structured_reruns_byte_identical(tmp_path):
