@@ -113,11 +113,9 @@ def _parse_entry_bound(text: str | None):
 def _require_p(ineq, p: float | None) -> None:
     """Refuse a ``--p`` below 1 or not finite, then one for an id that takes
     no exponent (``ineq`` None: an unknown id, reported later)."""
-    if p is None:
-        return
-    if not 1.0 <= p < math.inf:   # NaN compares false
+    if p is not None and not 1.0 <= p < math.inf:   # NaN compares false
         raise _UsageError(f"--p must be >= 1, got {p}")
-    if ineq is not None and ineq.default_p is None:
+    if p is not None and ineq is not None and ineq.default_p is None:
         takes = ", ".join(i.id for i in INEQUALITIES.values() if i.default_p is not None)
         raise _UsageError(f"{ineq.id} takes no --p; only {takes} do")
 

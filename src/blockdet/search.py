@@ -347,14 +347,6 @@ def _draw_blocks(spec: GeneratorSpec, trials: range) -> tuple:
     return t, error
 
 
-def _family(t: np.ndarray, r: int) -> BlockFamily:
-    """The family of the read-only (m, n, n) stack ``t`` of
-    :func:`_draw_blocks`, its members split at ``r`` over views of it,
-    uncopied."""
-    return BlockFamily(tuple(BlockUpperTriangular._frozen(u[:r, :r], u[:r, r:], u[r:, r:], u)
-                             for u in t))
-
-
 # ---------------------------------------------------------------------------
 # Witnesses and the inequality registry
 
@@ -561,7 +553,9 @@ class _Drawn:
     def family(self, i: int) -> BlockFamily | None:
         if self.ineq.shape not in ("member", "family"):
             return None
-        return _family(self.t[i], self.spec.r)
+        r = self.spec.r
+        return BlockFamily(tuple(BlockUpperTriangular._frozen(u[:r, :r], u[:r, r:], u[r:, r:], u)
+                                 for u in self.t[i]))
 
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (

@@ -65,8 +65,8 @@ def _drawn_matrices(spec, trial):
 
 
 def _drawn_family(spec, trial):
-    """The trial's block family, over views of a one-trial chunk of the chunk drawer."""
-    return search._family(_raised(*search._draw_blocks(spec, range(trial, trial + 1)))[0], spec.r)
+    """The trial's block family, over views of a one-trial chunk of thm1's draw."""
+    return _one_trial(INEQUALITIES["thm1"], spec, trial, {}).family(0)
 
 
 def _one_trial(ineq, spec, trial, params):
