@@ -722,11 +722,10 @@ def _drury_sides(t: np.ndarray) -> _Sides:
     rows, log_s = _rescaled(lambda u: np.stack(
         [_singular_values(u), np.abs(np.diagonal(u, axis1=-2, axis2=-1))], axis=-2), t)
     sums = _log1p_pow(rows, log_s, 2.0).sum(axis=-1)
-    lhs, rhs = sums[..., 0], sums[..., 1]
     s, _, norm, lower, off_mass = _unit_masses(
         t, _strict_lower, lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
     gate = PREDICATE_REL * norm
-    return _Sides(lhs, rhs, structural_equality=off_mass <= gate,
+    return _Sides(sums[..., 0], sums[..., 1], structural_equality=off_mass <= gate,
                   precondition_failed=~(lower <= gate), detail=(s, off_mass))
 
 
@@ -887,7 +886,8 @@ def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     inputs; a flagged lhs's log magnitude reads 0, as in :func:`_report`."""
     lhs, rhs, lhs_zero, rhs_zero = sides[:4]
     margin = lhs - rhs
-    if np.any(lhs_zero | rhs_zero):   # few chunks: the others skip the four selections
+    zero = lhs_zero | rhs_zero   # False where neither side is ever flagged
+    if zero is not False and zero.any():   # few chunks: the others skip the four selections
         margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
                           np.where(rhs_zero, np.inf, margin))
         lhs = np.where(lhs_zero, 0.0, lhs)

@@ -9,12 +9,12 @@ which makes "the fuzzer finds a violation" deterministic instead of lucky.
 
 The draw is the search's input boundary: a search draws its trials a chunk
 at a time, each from its own stream, into read-only stacks; under an
-``entry_bound`` each trial's blocks are checked finite once.  An id with a
-batched evaluator scores the chunk's stack by the checker's verdict rule,
-and only the trials that rule reads as violated, or gives no verdict, reach
-the checker, as objects built over views of the stacks, whose reports are
-the ones a search records.  A recorded witness copies its matrices out of
-the chunk.
+``entry_bound`` each trial's blocks are checked finite once.  An id whose
+record names a sides function scores the chunk's stack by the checker's
+verdict rule, and only the trials that rule reads as violated, or gives no
+verdict, reach the checker, as objects built over views of the stacks,
+whose reports are the ones a search records.  A recorded witness copies
+its matrices out of the chunk.
 """
 
 from __future__ import annotations
@@ -780,8 +780,8 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
     ``witness`` builds the trial's witness when called.
 
     Trials are drawn a chunk at a time, each from its own stream, and scored
-    by the batched evaluator where there is one.  A trial it reads as
-    violated, whose record needs the report, or gives no verdict goes to the
+    from the id's sides function where it has one.  A trial the rule reads
+    as violated, whose record needs the report, or gives no verdict goes to the
     checker, whose report is the one returned; any other has no report.  A
     draw that raises is raised once the trials before it are out.
     """
