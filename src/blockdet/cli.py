@@ -110,14 +110,20 @@ def _parse_entry_bound(text: str | None):
         raise _UsageError(f"bad --entry-bound {text!r}")
 
 
-def _require_p(ineq, p: float | None) -> None:
-    """Refuse a ``--p`` below 1 or not finite, then one for an id that takes
-    no exponent (``ineq`` None: an unknown id, reported later)."""
+def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool) -> None:
+    """Refuse a ``--p`` below 1 or not finite, then a ``--p`` or an
+    ``--allow-hypothesis-violation`` for an id that does not take it
+    (``ineq`` None: an unknown id, reported later)."""
     if p is not None and not 1.0 <= p < math.inf:   # NaN compares false
         raise _UsageError(f"--p must be >= 1, got {p}")
-    if p is not None and ineq is not None and ineq.default_p is None:
-        takes = ", ".join(i.id for i in INEQUALITIES.values() if i.default_p is not None)
-        raise _UsageError(f"{ineq.id} takes no --p; only {takes} do")
+    if ineq is None:
+        return
+    for flag, given, takes_it in (("--p", p is not None, lambda i: i.default_p is not None),
+                                  ("--allow-hypothesis-violation", allow_hypothesis_violation,
+                                   lambda i: i.hypothesis_gate)):
+        if given and not takes_it(ineq):
+            takes = ", ".join(i.id for i in INEQUALITIES.values() if takes_it(i))
+            raise _UsageError(f"{ineq.id} takes no {flag}; only {takes} do")
 
 
 def _load_matrix_file(path: str):
@@ -190,8 +196,8 @@ def cmd_check(args) -> int:
     matrices = tuple(_load_matrix_file(f) for f in args.files)
     if ineq.needs_r and args.r is None:
         raise _UsageError(f"{ineq.id} needs --r (top-left block dimension)")
-    _require_p(ineq, args.p)
-    params = ineq.call_params(args.r, args.p, bool(args.allow_hypothesis_violation))
+    _require_flags(ineq, args.p, args.allow_hypothesis_violation)
+    params = ineq.call_params(args.r, args.p, args.allow_hypothesis_violation)
     witness = Witness(ineq.id, 0, 0, params, matrices)
     try:
         report = ineq.check(witness, config.tol)
@@ -270,7 +276,7 @@ def cmd_fuzz(args) -> int:
         )
     except ValueError as err:
         raise _UsageError(str(err))
-    _require_p(INEQUALITIES.get(args.predicate), args.p)
+    _require_flags(INEQUALITIES.get(args.predicate), args.p, args.allow_hypothesis_violation)
     params: dict = {} if args.p is None else {"p": args.p}
     if args.allow_hypothesis_violation:
         params["allow_hypothesis_violation"] = True

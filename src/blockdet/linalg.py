@@ -7,16 +7,19 @@ plain ``numpy`` arrays of ``complex128``.  This module owns:
 * determinants in signed-log form (phase plus log-magnitude) from LAPACK's
   LU, with a scale-aware zero flag, safe from overflow at any finite
   magnitude,
-* one spectral route, numpy's LAPACK bindings: Hermitian eigensystems,
-  general eigenvalues, singular values of the unsquared input and ``|A|``,
-  with LAPACK non-convergence reported as
-  :class:`ConvergenceError`; :func:`singular_values` also takes a stack of
+* one LAPACK route, :func:`_lapack`, which calls numpy.linalg's stacked
+  gufuncs directly, its results bitwise numpy.linalg's, for every
+  factorization in the package: Hermitian eigensystems, general
+  eigenvalues, singular values of the unsquared input and ``|A|``, LU
+  determinants and solves, and the draw's QR, with a LAPACK failure
+  reported as :class:`ConvergenceError`; :func:`singular_values` also takes a stack of
   matrices; :func:`_rescaled` retakes any of them on A/s where A's is not finite,
 * Schur complements,
 * structural predicates (Hermitian / PSD / normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
 
-All functions are pure: inputs are never mutated and there is no global
+All functions are pure: inputs are never mutated (but by ``qr_r_raw``,
+which factors in place the copy it is given) and there is no global
 mutable state (a cache of read-only triangle masks aside), so values can
 be shared freely across threads.  Every public function validates its
 arguments with :func:`as_matrix`; arrays the package made itself enter
@@ -32,6 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
+from numpy.linalg import _umath_linalg   # numpy.linalg's stacked LAPACK gufuncs
 
 __all__ = [
     "LinalgError",
@@ -72,10 +76,13 @@ class NotHermitianError(LinalgError):
 
 
 class ConvergenceError(LinalgError):
-    """A LAPACK eigenvalue or singular value iteration did not converge.
+    """A LAPACK routine failed: an eigenvalue or singular value iteration
+    did not converge, or a QR or LU factorization met a bad argument or a
+    singular matrix.
 
-    ``routine`` names the ``numpy.linalg`` routine that failed and ``shape``
-    is the shape of the matrix it was given.
+    ``routine`` names the ``numpy.linalg`` routine whose LAPACK gufunc
+    failed and ``shape`` is the shape of the matrix it was given; the
+    message ends with numpy.linalg's own text.
     """
 
     def __init__(self, message: str, routine: str, shape: tuple):
@@ -258,10 +265,57 @@ def _strict_lower(u: np.ndarray) -> np.ndarray:
     return np.where(_below_diagonal(u.shape[-1]), u, 0.0)
 
 
-def _lapack(routine: str, a: np.ndarray, **kwargs):
-    """Call ``numpy.linalg.<routine>``, reporting non-convergence as ConvergenceError."""
+def _raising(text: str):
+    """An error-state handler that raises ``LinAlgError(text)``, as
+    numpy.linalg's own handlers do."""
+    def handler(err, flag):
+        raise np.linalg.LinAlgError(text)
+    return handler
+
+
+_SVD_FAILED = _raising("SVD did not converge")
+_EIG_FAILED = _raising("Eigenvalues did not converge")
+_QR_FAILED = _raising("Incorrect argument found while performing QR factorization")
+
+# gufunc: the numpy.linalg routine that calls it, the signatures numpy.linalg
+# gives it for complex and for real input, and the handler numpy.linalg's
+# error state calls on LAPACK's failure flag (None: it sets no error state)
+_GUFUNCS = {
+    "svd": ("svd", ("D->d", "d->d"), _SVD_FAILED),
+    "svd_f": ("svd", ("D->DdD", "d->ddd"), _SVD_FAILED),
+    "slogdet": ("slogdet", ("D->Dd", "d->dd"), None),
+    "eigh_lo": ("eigh", ("D->dD", "d->dd"), _EIG_FAILED),
+    "eigvals": ("eigvals", ("D->D", "d->D"), _EIG_FAILED),
+    "solve": ("solve", ("DD->D", "dd->d"), _raising("Singular matrix")),
+    "qr_r_raw": ("qr", ("D->D", "d->d"), _QR_FAILED),
+    "qr_reduced": ("qr", ("DD->D", "dd->d"), _QR_FAILED),
+}
+
+
+def _lapack(gufunc: str, a: np.ndarray, *operands):
+    """numpy.linalg's stacked LAPACK gufunc ``gufunc`` on ``a`` and ``operands``,
+    called as numpy.linalg calls it, so every result is bitwise its own.
+
+    The signature is the complex one when any operand is complex, as
+    numpy.linalg's ``_commonType`` picks it, and the call runs under the
+    error state numpy.linalg sets, whose handler raises numpy's own
+    ``LinAlgError`` text; that error is reported as :class:`ConvergenceError`
+    naming the numpy.linalg routine.  numpy.linalg's checks and copies are
+    not made: every caller passes finite complex128 stacks that
+    :func:`as_matrix` or a draw already checked, and ``qr_r_raw`` factors
+    its ``a`` in place, leaving R in its upper triangle, so its caller
+    passes a copy.  The gufuncs are private numpy, pinned against numpy.linalg by
+    ``tests/test_linalg.py``.
+    """
+    routine, signatures, handler = _GUFUNCS[gufunc]
+    real = a.dtype.kind != "c" and all(x.dtype.kind != "c" for x in operands)
+    call = getattr(_umath_linalg, gufunc)
+    if handler is None:
+        return call(a, *operands, signature=signatures[real])
     try:
-        return getattr(np.linalg, routine)(a, **kwargs)
+        with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            return call(a, *operands, signature=signatures[real])
     except np.linalg.LinAlgError as err:
         rows, cols = a.shape[-2:]
         raise ConvergenceError(f"{routine} did not converge on a {rows}x{cols} "
@@ -346,7 +400,8 @@ class SignedLogDet:
 
 
 def det(a: np.ndarray) -> SignedLogDet:
-    """Determinant in signed-log form, from LAPACK's LU (``numpy.linalg.slogdet``).
+    """Determinant in signed-log form, from LAPACK's LU (numpy's ``slogdet``
+    gufunc, as ``numpy.linalg.slogdet`` calls it).
 
     Each row is first divided by its largest entry modulus (by its largest
     max(|re|, |im|) where a modulus exceeds DBL_MAX) and the logs of those
@@ -391,8 +446,8 @@ def _det_parts(a: np.ndarray) -> tuple:
         work = np.where(subnormal, split, a / np.where(subnormal, 1.0, scales))
     else:
         work = a / scales
-    zero |= _singular_to_working_precision(_lapack("svd", work, compute_uv=False))
-    sign, log_mag = np.linalg.slogdet(work)
+    zero |= _singular_to_working_precision(_lapack("svd", work))
+    sign, log_mag = _lapack("slogdet", work)
     return sign, log_mag + log_scale, zero
 
 
@@ -417,7 +472,7 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The input must be Hermitian within ``HERMITIAN_REL * ||a||_F``, tested
     on the exact quotient of :func:`_unit_masses`; its Hermitian part,
     halved before the sum so that nothing overflows, goes to LAPACK
-    (``numpy.linalg.eigh``).
+    (numpy's ``eigh_lo`` gufunc, as ``numpy.linalg.eigh`` calls it).
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eigensystem")
@@ -425,7 +480,7 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if deviation > HERMITIAN_REL * norm:
         raise NotHermitianError(f"matrix deviates from Hermitian by {s * deviation:.3e} "
                                 f"(allowed {s * HERMITIAN_REL * norm:.3e})")
-    w, v = _lapack("eigh", a / 2.0 + a.conj().T / 2.0)
+    w, v = _lapack("eigh_lo", a / 2.0 + a.conj().T / 2.0)
     return w[::-1], v[:, ::-1]
 
 
@@ -443,7 +498,7 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """:func:`singular_values` of a matrix or a stack already validated, at
     a draw or at a checker's entry: finite complex128, not checked again."""
-    return _lapack("svd", a, compute_uv=False)
+    return _lapack("svd", a)
 
 
 def _singular_to_working_precision(sigma: np.ndarray):
@@ -475,7 +530,7 @@ def abs_matrix(a: np.ndarray) -> np.ndarray:
     """The PSD square root of a* a, built as V diag(sigma) V* from the SVD of ``a``."""
     a = as_matrix(a)
     _require_square(a, "abs_matrix")
-    _, sigma, vh = _lapack("svd", a)
+    _, sigma, vh = _lapack("svd_f", a)
     p = (vh.conj().T * sigma) @ vh
     if sigma[0] <= _FLOAT_MAX / 4.0:   # no entry of p + p* overflows
         return (p + p.conj().T) / 2.0
@@ -509,7 +564,7 @@ def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
     # reciprocals neither overflow nor underflow near DBL_MAX; exact, so the
     # quotient a11^{-1} a12 is unchanged
     s = _unit_scale(a11)
-    return a[r:, r:] - a[r:, :r] @ np.linalg.solve(a11 / s, a[:r, r:] / s)
+    return a[r:, r:] - a[r:, :r] @ _lapack("solve", a11 / s, a[:r, r:] / s)
 
 
 # ---------------------------------------------------------------------------

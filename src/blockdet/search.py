@@ -67,6 +67,7 @@ from .linalg import (
     matrix_to_json_dict,
     singular_values,
     _below_diagonal,
+    _lapack,
     _rescaled,
     _unit_scaled,
 )
@@ -163,8 +164,8 @@ def _int_range(spec: GeneratorSpec) -> tuple[int, int]:
     try:   # int() of an infinite or NaN bound raises too
         if isinstance(bound, tuple) and len(bound) == 2:
             lo, hi = int(bound[0]), int(bound[1])
-        elif isinstance(bound, (int, float)) and float(bound) == int(bound):
-            b = abs(int(bound))
+        elif isinstance(bound, int) or (isinstance(bound, float) and bound == int(bound)):
+            b = abs(int(bound))   # an int as it is: past 2^53 a double would round it
             lo, hi = -b, b
         else:
             raise ValueError
@@ -233,9 +234,14 @@ def _dense(raw: np.ndarray, spec: GeneratorSpec, rows: int, cols: int) -> np.nda
 
 def _unitaries(g: np.ndarray) -> np.ndarray:
     """The unitary factor of each matrix of the stack ``g``, from one stacked
-    QR, its columns rotated so that R has a positive real diagonal."""
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    QR, its columns rotated so that R has a positive real diagonal.
+
+    The QR is numpy.linalg.qr's, gufunc by gufunc; R's diagonal is read from
+    the copy that LAPACK factors in place, and R itself is never formed."""
+    factored = g.copy()
+    tau = _lapack("qr_r_raw", factored)
+    q = _lapack("qr_reduced", factored, tau)
+    d = np.diagonal(factored, axis1=-2, axis2=-1)
     mods = np.abs(d)
     safe = np.where(mods == 0.0, 1.0, mods)
     phases = np.where(mods == 0.0, 1.0 + 0j, d / safe)
@@ -839,6 +845,13 @@ def _run_trials(
     ineq = INEQUALITIES[predicate_id]
     call_params = ineq.call_params(spec.r)
     if params:
+        if "r" in params:
+            raise ValueError(f"r comes from the generator spec (r={spec.r}), not from params")
+        unknown = sorted(map(str, set(params) - set(call_params)))
+        if unknown:
+            takes = ", ".join(k for k in call_params if k != "r")
+            raise ValueError(f"{predicate_id} takes {f'only {takes}' if takes else 'no parameters'}"
+                             f"; got {', '.join(unknown)}")
         call_params.update(params)
     violations: list[ViolationRecord] = []
     min_margin = None
@@ -891,6 +904,9 @@ def search_violations(
     Refutable predicates get the published witness as trial 0; everything
     else is drawn from the generator spec.  Every recorded witness is
     self-contained and reproduces its verdict under :func:`recheck_witness`.
+    ``params`` may set only what :meth:`Inequality.call_params` records for
+    the id, except ``r``, which is the spec's; any other key raises
+    ``ValueError``, as it does for :func:`sharpness_probe`.
     """
     return _run_trials(spec, predicate_id, max_trials, tol, params, stop_on_first,
                        inject_paper_witness=True)

@@ -421,6 +421,20 @@ def test_fuzz_an_integer_bound_past_int64_is_a_usage_error_naming_it(bound, show
     assert main(["fuzz", "--predicate", "thm1", widest, "--trials", "2"]) == 0
 
 
+@pytest.mark.parametrize("bound", [2**63 - 1, 2**53 + 1])
+def test_fuzz_an_exact_integer_bound_past_2_53_draws_inside_it(bound, capsys):
+    # a double cannot hold these bounds, and they were refused as no integer
+    argv = ["fuzz", "--predicate", "thm1", "--entry-bound", str(bound), "--trials", "2",
+            "--format", "structured"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spec"]["entry_bound"] == bound
+    entries = [part for matrix in doc["min_positive_witness"]["matrices"]
+               for pair in matrix["entries"] for part in pair]
+    assert all(float(part).is_integer() and abs(part) <= float(bound) for part in entries)
+    assert max(map(abs, entries)) > bound / 4   # the draw spans the range, not a default
+
+
 @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
 def test_a_non_finite_p_is_a_usage_error(diag_file, p, capsys):
     for argv in (["check", diag_file, "--ineq", "thm3", "--r", "1", f"--p={p}"],
@@ -450,6 +464,29 @@ def test_p_for_an_id_that_takes_no_exponent_is_a_usage_error(diag_file, capsys):
                 assert code == 3 and out.out == ""
                 assert out.err == (f"blockdet: error: {ineq.id} takes no --p; "
                                    f"only thm3, log_major do\n")
+
+
+def test_allow_hypothesis_violation_for_an_id_without_the_gate_is_a_usage_error(
+        diag_file, capsys):
+    # fuzz recorded the flag in its report's params, and check dropped it silently
+    takes = [ineq.id for ineq in INEQUALITIES.values() if ineq.hypothesis_gate]
+    assert takes == ["cor_c1"]
+    for ineq in INEQUALITIES.values():
+        argvs = [["fuzz", "--predicate", ineq.id, "--trials", "2"]]
+        if ineq.id in ("thm1", "cor_c1"):
+            argvs.append(["check", diag_file, "--ineq", ineq.id, "--r", "1"])
+        for argv in argvs:
+            code = main(argv + ["--allow-hypothesis-violation", "--format", "structured"])
+            out = capsys.readouterr()
+            if ineq.id in takes:
+                assert out.err == ""
+                if argv[0] == "fuzz":   # the published witness is trial 0: a violation
+                    assert code == 0
+                    assert json.loads(out.out)["params"]["allow_hypothesis_violation"] is True
+            else:
+                assert code == 3 and out.out == ""
+                assert out.err == (f"blockdet: error: {ineq.id} takes no "
+                                   f"--allow-hypothesis-violation; only cor_c1 do\n")
 
 
 def test_fuzz_structured_reruns_byte_identical(tmp_path):

@@ -3,13 +3,16 @@
 import dataclasses
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 import exact
+from blockdet import search
 from reference import (
     NotPositiveSemidefiniteError,
     matrix_power_psd,
@@ -43,6 +46,7 @@ from blockdet.linalg import (
     singular_values,
     Tolerances,
     _det_parts,
+    _lapack,
     _rescaled,
     _signed_log_det,
 )
@@ -332,6 +336,90 @@ def test_signed_log_det_normalizes_phase():
 
 
 # ---------------------------------------------------------------------------
+# numpy's LAPACK gufuncs, called directly
+
+
+def _fail_lapack(monkeypatch, *gufuncs):
+    """Make each of numpy's LAPACK gufuncs ``gufuncs`` fail as LAPACK does:
+    by raising the floating-point invalid flag, here with 0/0."""
+    def no_convergence(*operands, signature):
+        return np.divide(np.zeros(1), 0.0)
+
+    for gufunc in gufuncs:
+        monkeypatch.setattr(_umath_linalg, gufunc, no_convergence)
+
+
+def _pin_stacks(rng):
+    """(square, rectangular) stacks for the pins: n 1 to 8, entries from
+    1e-300 to 1e300, zero and rank-deficient matrices, and read-only,
+    non-contiguous views of a larger stack."""
+    square, rectangular = [], []
+    for n in range(1, 9):
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            square.append(scale * _rand_complex_stack(rng, (3, n, n)))
+            rectangular.append(scale * _rand_complex_stack(rng, (2, n, int(rng.integers(1, 9)))))
+        low = _rand_complex_stack(rng, (2, n, 1)) @ _rand_complex_stack(rng, (2, 1, n))
+        square += [np.zeros((2, n, n), dtype=complex), low]
+    t = _rand_complex_stack(rng, (3, 8, 8))
+    t.setflags(write=False)
+    for r in (1, 3, 6):
+        square.append(t[..., :r, :r].mT)
+        rectangular += [t[..., :r, r:], t[..., r:, :r].mT]
+    return square, rectangular
+
+
+def _rand_complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _outcome(f, *args):
+    """The bytes, dtype and shape of each array ``f`` returns, or the text
+    of numpy.linalg's LinAlgError behind its failure."""
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as err:
+        return str(err)
+    except ConvergenceError as err:
+        return str(err.__cause__)
+    return [(x.dtype, x.shape, x.tobytes()) for x in (out if isinstance(out, tuple) else (out,))]
+
+
+def _direct_qr(a):
+    factored = a.copy()
+    tau = _lapack("qr_r_raw", factored)
+    return _lapack("qr_reduced", factored, tau), np.diagonal(factored, axis1=-2, axis2=-1)
+
+
+def _numpy_qr(a):
+    q, r = np.linalg.qr(a)
+    return q, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+def test_every_lapack_gufunc_is_its_numpy_linalg_routine_bitwise():
+    rng = np.random.default_rng(83)
+    square, rectangular = _pin_stacks(rng)
+    pairs = [("svd", lambda a: np.linalg.svd(a, compute_uv=False), square + rectangular),
+             ("svd_f", np.linalg.svd, square),
+             ("slogdet", np.linalg.slogdet, square),
+             ("eigh_lo", np.linalg.eigh, square),
+             ("eigvals", np.linalg.eigvals, square)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gufunc, routine, stacks in pairs:
+            for a in stacks:
+                assert _outcome(partial(_lapack, gufunc), a) == _outcome(routine, a), (
+                    gufunc, a.shape)
+        for a in square + rectangular:
+            assert _outcome(_direct_qr, a) == _outcome(_numpy_qr, a), a.shape
+        for a in square:
+            b = _rand_complex_stack(rng, a.shape[:-1] + (int(rng.integers(1, 4)),))
+            assert _outcome(_lapack, "solve", a, b) == _outcome(np.linalg.solve, a, b), a.shape
+    zero = np.zeros((2, 3, 3), dtype=complex)
+    assert _outcome(_lapack, "solve", zero, zero) == _outcome(np.linalg.solve, zero, zero)
+    assert _outcome(np.linalg.solve, zero, zero) == "Singular matrix"
+
+
+# ---------------------------------------------------------------------------
 # Hermitian eigensystem
 
 
@@ -369,16 +457,9 @@ def test_eigensystem_rejects_non_hermitian():
         hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def _fail_lapack(monkeypatch, routine):
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, routine, no_convergence)
-
-
 def test_eigensystem_convergence_error_carries_residual(monkeypatch):
     # LAPACK reports no residual; the error carries the routine and the input shape
-    _fail_lapack(monkeypatch, "eigh")
+    _fail_lapack(monkeypatch, "eigh_lo")
     g = _rand_complex(np.random.default_rng(5), 6)
     with pytest.raises(ConvergenceError, match="eigh did not converge on a 6x6") as info:
         hermitian_eigensystem(g.conj().T @ g)
@@ -408,7 +489,7 @@ def test_singular_values_of_adjoint_match():
 
 
 def test_svd_nonconvergence_raises_convergence_error(monkeypatch):
-    _fail_lapack(monkeypatch, "svd")
+    _fail_lapack(monkeypatch, "svd", "svd_f")
     a = _rand_complex(np.random.default_rng(5), 4)
     for kernel in (singular_values, abs_matrix):
         with pytest.raises(ConvergenceError, match="svd did not converge") as info:
@@ -442,6 +523,25 @@ def test_qr_iteration_budget_error_carries_diagnostics(monkeypatch):
     with pytest.raises(ConvergenceError, match="eigvals did not converge on a 5x5") as info:
         general_eigenvalues(_rand_complex(np.random.default_rng(101), 5))
     assert (info.value.routine, info.value.shape) == ("eigvals", (5, 5))
+
+
+@pytest.mark.parametrize("gufunc", ["qr_r_raw", "qr_reduced"])
+def test_qr_failure_raises_convergence_error_with_numpy_s_text(monkeypatch, gufunc):
+    g = _rand_complex_stack(np.random.default_rng(7), (2, 3, 3))
+    _fail_lapack(monkeypatch, gufunc)
+    with pytest.raises(ConvergenceError, match="qr did not converge on a 3x3 matrix: "
+                       "Incorrect argument found while performing QR factorization") as info:
+        search._unitaries(g)
+    assert (info.value.routine, info.value.shape) == ("qr", (2, 3, 3))
+
+
+def test_solve_failure_raises_convergence_error_with_numpy_s_text(monkeypatch):
+    _fail_lapack(monkeypatch, "solve")
+    a = _rand_complex(np.random.default_rng(9), 5)
+    with pytest.raises(ConvergenceError, match="solve did not converge on a 2x2 matrix: "
+                       "Singular matrix") as info:
+        schur_complement(a, 2)
+    assert (info.value.routine, info.value.shape) == ("solve", (2, 2))
 
 
 def test_spectrum_tie_break_ordering():

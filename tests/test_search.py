@@ -569,6 +569,26 @@ def test_trial_streams_are_numpy_s_seed_sequence_of_the_masked_pair(seed):
         assert search._trial_rng(seed, trial).bit_generator.state == want.bit_generator.state
 
 
+@pytest.mark.parametrize("ineq_id, params, message", [
+    ("thm3", {"r": 1}, "r comes from the generator spec (r=2), not from params"),
+    ("thm1", {"p": 2.0}, "thm1 takes no parameters; got p"),
+    ("thm1", {"nonsense": 1}, "thm1 takes no parameters; got nonsense"),
+    ("thm3", {"p": 1.5, "allow_hypothesis_violation": True},
+     "thm3 takes only p; got allow_hypothesis_violation"),
+    ("cor_c1", {"p": 2.0}, "cor_c1 takes only allow_hypothesis_violation; got p")])
+def test_a_parameter_the_id_does_not_take_is_refused(ineq_id, params, message):
+    # these were recorded as given; a recorded r of 1 made the rechecked witness
+    # of a thm3 search at r 2 fail its block split
+    spec = GeneratorSpec(family="gaussian", n=4, r=2, seed=5)
+    for run in (search_violations, sharpness_probe):
+        with pytest.raises(ValueError) as info:
+            run(spec, ineq_id, 3, params=params)
+        assert str(info.value) == message
+    report = search_violations(spec, "thm3", 3, params={"p": 1.5})
+    assert report.params == {"r": 2, "p": 1.5}
+    assert recheck_witness(report.min_positive_witness).margin == report.min_positive_margin
+
+
 def _scalar_record(monkeypatch, ineq_id):
     """Make a search of ``ineq_id`` check every trial with its checker alone."""
     monkeypatch.setitem(INEQUALITIES, ineq_id, replace(INEQUALITIES[ineq_id], batch=None))
