@@ -82,7 +82,8 @@ def _build_config(args) -> SuiteConfig:
         try:
             tol = Tolerances(eq_rel=args.tol_eq)
         except ValueError:
-            raise _UsageError(f"--tol-eq must be positive, got {args.tol_eq}")
+            need = "finite" if args.tol_eq == math.inf else "positive"
+            raise _UsageError(f"--tol-eq must be {need}, got {args.tol_eq}")
     out = Path(args.out) if args.out else None
     return SuiteConfig(tol=tol, out=out, output_format=args.format)
 

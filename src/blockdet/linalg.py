@@ -22,16 +22,16 @@ All functions are pure: inputs are never mutated (but by ``qr_r_raw``,
 which factors in place the copy it is given) and there is no global
 mutable state (a cache of read-only triangle masks aside), so values can
 be shared freely across threads.  Every public function validates its
-arguments with :func:`as_matrix`; arrays the package made itself enter
-:class:`BlockUpperTriangular` uncopied, and the checkers' inner spectra
-(:func:`_singular_values`) are not validated again.
+arguments with :func:`as_matrix`, and so does :class:`BlockUpperTriangular`,
+which copies its input once into a matrix of its own; the checkers' inner
+spectra (:func:`_singular_values`) are not validated again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -120,7 +120,8 @@ class Tolerances:
     """The one setting a caller can change: the checkers' equality window.
 
     ``eq_rel`` is the relative log-domain equality window every verdict is
-    decided with (``--tol-eq`` on the command line); it must be positive.
+    decided with (``--tol-eq`` on the command line); it must be positive and
+    finite.
     The other gates are the fixed module constants above, and LAPACK's own
     convergence criteria are not configurable.
     """
@@ -128,8 +129,9 @@ class Tolerances:
     eq_rel: float = 1e-8
 
     def __post_init__(self):
-        if not self.eq_rel > 0.0:
-            raise ValueError(f"the equality window must be positive, got {self.eq_rel}")
+        if not 0.0 < self.eq_rel < math.inf:   # NaN compares false
+            raise ValueError(f"the equality window must be positive and finite, "
+                             f"got {self.eq_rel}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -277,49 +279,50 @@ _SVD_FAILED = _raising("SVD did not converge")
 _EIG_FAILED = _raising("Eigenvalues did not converge")
 _QR_FAILED = _raising("Incorrect argument found while performing QR factorization")
 
-# gufunc: the numpy.linalg routine that calls it, the signatures numpy.linalg
-# gives it for complex and for real input, and the handler numpy.linalg's
-# error state calls on LAPACK's failure flag (None: it sets no error state)
+# gufunc: the numpy.linalg routine that calls it, the signature numpy.linalg
+# gives it for complex input, and the handler numpy.linalg's error state calls
+# on LAPACK's failure flag (None: it sets no error state)
 _GUFUNCS = {
-    "svd": ("svd", ("D->d", "d->d"), _SVD_FAILED),
-    "svd_f": ("svd", ("D->DdD", "d->ddd"), _SVD_FAILED),
-    "slogdet": ("slogdet", ("D->Dd", "d->dd"), None),
-    "eigh_lo": ("eigh", ("D->dD", "d->dd"), _EIG_FAILED),
-    "eigvals": ("eigvals", ("D->D", "d->D"), _EIG_FAILED),
-    "solve": ("solve", ("DD->D", "dd->d"), _raising("Singular matrix")),
-    "qr_r_raw": ("qr", ("D->D", "d->d"), _QR_FAILED),
-    "qr_reduced": ("qr", ("DD->D", "dd->d"), _QR_FAILED),
+    "svd": ("svd", "D->d", _SVD_FAILED),
+    "svd_f": ("svd", "D->DdD", _SVD_FAILED),
+    "slogdet": ("slogdet", "D->Dd", None),
+    "eigh_lo": ("eigh", "D->dD", _EIG_FAILED),
+    "eigvals": ("eigvals", "D->D", _EIG_FAILED),
+    "solve": ("solve", "DD->D", _raising("Singular matrix")),
+    "qr_r_raw": ("qr", "D->D", _QR_FAILED),
+    "qr_reduced": ("qr", "DD->D", _QR_FAILED),
 }
 
 
 def _lapack(gufunc: str, a: np.ndarray, *operands):
     """numpy.linalg's stacked LAPACK gufunc ``gufunc`` on ``a`` and ``operands``,
-    called as numpy.linalg calls it, so every result is bitwise its own.
+    called as numpy.linalg calls it on complex input, so every result is
+    bitwise its own.
 
-    The signature is the complex one when any operand is complex, as
-    numpy.linalg's ``_commonType`` picks it, and the call runs under the
-    error state numpy.linalg sets, whose handler raises numpy's own
-    ``LinAlgError`` text; that error is reported as :class:`ConvergenceError`
-    naming the numpy.linalg routine.  numpy.linalg's checks and copies are
-    not made: every caller passes finite complex128 stacks that
+    The call runs under the error state numpy.linalg sets, whose handler
+    raises numpy's own ``LinAlgError`` text; that error is reported as
+    :class:`ConvergenceError` naming the numpy.linalg routine, as a
+    non-convergence for the iterative ones (svd, eigh, eigvals) and as a
+    failure for the factorizations (qr, solve).  numpy.linalg's checks and
+    copies are not made: every caller passes finite complex128 stacks that
     :func:`as_matrix` or a draw already checked, and ``qr_r_raw`` factors
     its ``a`` in place, leaving R in its upper triangle, so its caller
     passes a copy.  The gufuncs are private numpy, pinned against numpy.linalg by
     ``tests/test_linalg.py``.
     """
-    routine, signatures, handler = _GUFUNCS[gufunc]
-    real = a.dtype.kind != "c" and all(x.dtype.kind != "c" for x in operands)
+    routine, signature, handler = _GUFUNCS[gufunc]
     call = getattr(_umath_linalg, gufunc)
     if handler is None:
-        return call(a, *operands, signature=signatures[real])
+        return call(a, *operands, signature=signature)
     try:
         with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
                          under="ignore"):
-            return call(a, *operands, signature=signatures[real])
+            return call(a, *operands, signature=signature)
     except np.linalg.LinAlgError as err:
         rows, cols = a.shape[-2:]
-        raise ConvergenceError(f"{routine} did not converge on a {rows}x{cols} "
-                               f"matrix: {err}", routine, a.shape) from err
+        failed = "did not converge" if routine in ("svd", "eigh", "eigvals") else "failed"
+        raise ConvergenceError(f"{routine} {failed} on a {rows}x{cols} matrix: {err}",
+                               routine, a.shape) from err
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +628,12 @@ def predicates(a: np.ndarray) -> MatrixPredicates:
 class BlockUpperTriangular:
     """The (x, y, z) block decomposition of an upper block-triangular matrix.
 
-    Assembled form is [[x, y], [0, z]] with x r-square, z (n-r)-square and an
-    exactly-zero lower-left block.  The constructor validates and copies the
-    caller's arrays; every block is read-only, and so is the assembled
-    matrix, which is built once per member.
+    The member owns one read-only n-square matrix [[x, y], [0, z]], with x
+    r-square, z (n-r)-square and an exactly-zero lower-left block; ``x``,
+    ``y`` and ``z`` are read-only views of it, and :meth:`assemble` returns
+    it.  The constructor validates the caller's blocks and copies them into
+    that matrix; :meth:`from_matrix` validates a full matrix and copies it.
+    Either way the member shares no memory with the caller's arrays.
     """
 
     x: np.ndarray
@@ -639,29 +644,19 @@ class BlockUpperTriangular:
         x, y, z = (as_matrix(b) for b in (self.x, self.y, self.z))
         _require_square(x, "top-left block")
         _require_square(z, "bottom-right block")
-        if y.shape != (x.shape[0], z.shape[0]):
-            raise ShapeError(
-                f"off-diagonal block must be {x.shape[0]}x{z.shape[0]}, got {y.shape}"
-            )
-        # own copies, frozen: callers' arrays must not be aliased or mutated
-        self._own(x.copy(), y.copy(), z.copy())
+        r, c = x.shape[0], z.shape[0]
+        if y.shape != (r, c):
+            raise ShapeError(f"off-diagonal block must be {r}x{c}, got {y.shape}")
+        t = np.zeros((r + c, r + c), dtype=complex)
+        t[:r, :r], t[:r, r:], t[r:, r:] = x, y, z
+        self._own(t, r)
 
-    @classmethod
-    def _frozen(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                assembled: np.ndarray | None = None) -> "BlockUpperTriangular":
-        """A member over blocks the package itself made, finite complex128 of
-        conforming shapes: frozen in place, neither revalidated nor copied.
-        ``assembled``, when given, is its [[x, y], [0, z]], frozen alike."""
-        member = object.__new__(cls)._own(x, y, z)
-        if assembled is not None:
-            assembled.setflags(write=False)
-            member.__dict__["_assembled"] = assembled   # in place of the cached build
-        return member
-
-    def _own(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "BlockUpperTriangular":
-        for name, arr in (("x", x), ("y", y), ("z", z)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def _own(self, t: np.ndarray, r: int) -> "BlockUpperTriangular":
+        """Take ``t``, the member's own copy, read-only, with its blocks as views."""
+        t.setflags(write=False)
+        object.__setattr__(self, "_matrix", t)
+        for name, block in (("x", t[:r, :r]), ("y", t[:r, r:]), ("z", t[r:, r:])):
+            object.__setattr__(self, name, block)
         return self
 
     @property
@@ -670,7 +665,7 @@ class BlockUpperTriangular:
 
     @property
     def n(self) -> int:
-        return self.x.shape[0] + self.z.shape[0]
+        return self._matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, t: np.ndarray, r: int) -> "BlockUpperTriangular":
@@ -686,21 +681,11 @@ class BlockUpperTriangular:
                 f"lower-left {n - r}x{r} block must be exactly zero, "
                 f"found mass {float(np.linalg.norm(lower_left)):.3e}"
             )
-        return cls._frozen(t[:r, :r].copy(), t[:r, r:].copy(), t[r:, r:].copy())
+        return object.__new__(cls)._own(t.copy(), r)
 
     def assemble(self) -> np.ndarray:
         """The full matrix [[x, y], [0, z]], read-only."""
-        return self._assembled
-
-    @cached_property
-    def _assembled(self) -> np.ndarray:
-        n, r = self.n, self.r
-        t = np.zeros((n, n), dtype=complex)
-        t[:r, :r] = self.x
-        t[:r, r:] = self.y
-        t[r:, r:] = self.z
-        t.setflags(write=False)
-        return t
+        return self._matrix
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ at a time, each from its own stream, into read-only stacks; under an
 ``entry_bound`` each trial's blocks are checked finite once.  An id whose
 record names a sides function scores the chunk's stack by the checker's
 verdict rule, and only the trials that rule reads as violated, or gives no
-verdict, reach the checker, as objects built over views of the stacks,
-whose reports are the ones a search records.  A recorded witness copies
-its matrices out of the chunk.
+verdict, reach the checker, as witnesses over views of the stacks, checked
+as ``blockdet check`` checks its files; their reports are the ones a search
+records.  A recorded witness copies its matrices out of the chunk.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .linalg import (
     matrix_to_json_dict,
     singular_values,
     _below_diagonal,
+    _double,
     _lapack,
     _rescaled,
     _unit_scaled,
@@ -157,18 +158,24 @@ def _seed_words(v: int) -> tuple:
     return (v & _MASK32, v >> 32) if v >> 32 else (v,)
 
 
+def _integer(v) -> int:
+    """``v`` if it is an int, as it is (past 2^53 a double would round it),
+    or a float without a fraction; anything else raises ``ValueError``."""
+    if isinstance(v, int) or (isinstance(v, float) and v == int(v)):
+        return int(v)   # int() of an infinite or NaN float raises too
+    raise ValueError
+
+
 def _int_range(spec: GeneratorSpec) -> tuple[int, int]:
     bound = spec.entry_bound
     if bound is None:
         return _DEFAULT_INT_RANGE
-    try:   # int() of an infinite or NaN bound raises too
+    try:
         if isinstance(bound, tuple) and len(bound) == 2:
-            lo, hi = int(bound[0]), int(bound[1])
-        elif isinstance(bound, int) or (isinstance(bound, float) and bound == int(bound)):
-            b = abs(int(bound))   # an int as it is: past 2^53 a double would round it
-            lo, hi = -b, b
+            lo, hi = _integer(bound[0]), _integer(bound[1])
         else:
-            raise ValueError
+            b = abs(_integer(bound))
+            lo, hi = -b, b
         if min(lo, hi) < -2**63 or max(lo, hi) >= 2**63:   # past numpy's int64 draw
             raise ValueError
     except (OverflowError, ValueError):
@@ -183,8 +190,8 @@ def _scale(spec: GeneratorSpec) -> float:
     bound = spec.entry_bound
     if bound is None:
         return 1.0
-    if isinstance(bound, (int, float)) and float(bound) > 0:
-        return float(bound)
+    if isinstance(bound, (int, float)) and bound > 0:
+        return _double(bound)   # an int past the double range counts as infinite
     raise ValueError(f"continuous families need a positive scalar scale, got {bound!r}")
 
 
@@ -489,7 +496,7 @@ class Inequality:
         _read_only(mats)
         return _Drawn(self, spec, trials[:len(mats)], params, mats[:, None]), error
 
-    def _args(self, witness: Witness, family: BlockFamily | None) -> tuple:
+    def _args(self, witness: Witness) -> tuple:
         """The checker's arguments before ``tol``."""
         params = witness.params
         if self.shape == "matrix":
@@ -499,20 +506,18 @@ class Inequality:
         elif self.shape == "spectra":
             return _log_major_spectra(witness.matrices[0], float(params["p"]))
         else:
-            if family is None:
-                family = _block_family_from(witness)
+            family = _block_family_from(witness)
             args = (family,) if self.shape == "family" else (family.members[0],)
         if self.default_p is not None:
             args += (float(params["p"]),)
         return args
 
-    def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL,
-              family: BlockFamily | None = None) -> CheckReport:
-        """Check ``witness``; a block shape splits its matrices at ``r``
-        unless ``family``, the blocks they were assembled from, is given."""
+    def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+        """Check ``witness``; a block shape splits each of its matrices at
+        ``r`` into a member of its own (:func:`_block_family_from`)."""
         # looked up per call, so a wrapper put on this module's name is the one called
         checker = globals()[f"check_{self.id}"]
-        args, kwargs = self._args(witness, family), {}
+        args, kwargs = self._args(witness), {}
         if self.hypothesis_gate:
             allow = bool(witness.params.get("allow_hypothesis_violation", False))
             kwargs["allow_hypothesis_violation"] = allow
@@ -542,9 +547,9 @@ class Inequality:
 @dataclass
 class _Drawn:
     """A chunk of one id's trials, drawn as one stack: ``t`` holds each
-    trial's matrices, read-only and (trials, m, n, n).  The witness and, for
-    a block shape, the family a checker or a record takes are built from a
-    row on demand, over views of it."""
+    trial's matrices, read-only and (trials, m, n, n).  The witness a
+    checker or a record takes is built from a row on demand, over views of
+    it."""
 
     ineq: Inequality
     spec: GeneratorSpec
@@ -555,13 +560,6 @@ class _Drawn:
     def witness(self, i: int) -> Witness:
         return Witness(self.ineq.id, self.spec.seed, self.trials[i], dict(self.params),
                        tuple(self.t[i]))
-
-    def family(self, i: int) -> BlockFamily | None:
-        if self.ineq.shape not in ("member", "family"):
-            return None
-        r = self.spec.r
-        return BlockFamily(tuple(BlockUpperTriangular._frozen(u[:r, :r], u[:r, r:], u[r:, r:], u)
-                                 for u in self.t[i]))
 
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
@@ -813,7 +811,7 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
                 yield trial, partial(drawn.witness, i), None, margins[i], verdict
             else:
                 witness = drawn.witness(i)
-                report = ineq.check(witness, tol, drawn.family(i))
+                report = ineq.check(witness, tol)
                 yield trial, lambda witness=witness: witness, report, report.margin, report.verdict
         if error is not None:
             raise error

@@ -46,7 +46,7 @@ from blockdet.linalg import (
     predicates,
     schur_complement,
 )
-from blockdet.search import INEQUALITIES, GeneratorSpec
+from blockdet.search import INEQUALITIES, GeneratorSpec, _block_family_from
 
 EX1_T1 = np.array([[-9, 10, 5, 12], [-7, 10, -11, -10], [0, 0, -2, 3], [0, 0, 2, 26]],
                   dtype=complex)
@@ -654,7 +654,7 @@ def test_cor_c0_past_dbl_max_has_the_exact_margin():
     # inf, and margin_within_equality_band followed from that alone
     drawn, _ = INEQUALITIES["cor_c0"].draw_trials(GeneratorSpec("gaussian", 2, 1, 1, 1e308, 5),
                                                   range(1, 2), {"r": 1})
-    t = drawn.family(0).members[0]
+    t = _block_family_from(drawn.witness(0)).members[0]
     report = check_cor_c0(t)
 
     def det_i_plus_gram(block):   # det(I + B*B), exactly
@@ -1092,7 +1092,8 @@ def test_cor_c1_single_member_is_equality_at_tiny_entries():
                 spec = GeneratorSpec(family=family, n=n, r=n // 2, m=1, entry_bound=1e-100, seed=3)
                 drawn, _ = INEQUALITIES["cor_c1"].draw_trials(spec, range(8), {"r": n // 2})
                 for trial in range(8):
-                    report = check_cor_c1(drawn.family(trial), allow_hypothesis_violation=True)
+                    report = check_cor_c1(_block_family_from(drawn.witness(trial)),
+                                          allow_hypothesis_violation=True)
                     verdicts.add((report.verdict, math.isfinite(report.margin)))
     assert verdicts == {(Verdict.EQUALITY, True)}
 

@@ -86,6 +86,11 @@ def test_tol_eq_must_be_positive(diag_file, capsys):
         assert main(["check", diag_file, "--ineq", "drury", f"--tol-eq={bad}"]) == 3
         assert capsys.readouterr().err == (
             f"blockdet: error: --tol-eq must be positive, got {float(bad)}\n")
+    # an infinite window read both published counterexamples as equality
+    for argv in (["check", diag_file, "--ineq", "drury"], ["reproduce", "all"],
+                 ["fuzz", "--predicate", "e21", "--trials", "2"]):
+        assert main(argv + ["--tol-eq=inf"]) == 3
+        assert capsys.readouterr().err == "blockdet: error: --tol-eq must be finite, got inf\n"
 
 
 # ids whose equality case is structural: the window alone never makes them equal
@@ -406,6 +411,21 @@ def test_fuzz_a_non_finite_bound_on_an_integer_family_is_a_usage_error(bound, ca
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("blockdet: error: integer families need an integer bound or (lo, hi)")
+
+
+@pytest.mark.parametrize("family", ["gaussian", "normal_via_unitary_conjugation"])
+def test_fuzz_an_integer_bound_past_the_double_range_on_a_continuous_family_is_a_usage_error(
+        family, capsys):
+    # float() of the bound raised OverflowError, a traceback and exit 1; it counts as
+    # infinite, as in a matrix document, and ends as --entry-bound 1e400 does
+    bound = "1" + "0" * 400
+    argv = ["fuzz", "--predicate", "thm1", "--family", family, "--trials", "2"]
+    assert main(argv + [f"--entry-bound={bound}"]) == 3
+    assert capsys.readouterr().err == (f"blockdet: error: seed 0, trial 0: entry_bound {bound} "
+                                       f"overflows, drawing non-finite entries\n")
+    assert main(argv + ["--entry-bound=1e400"]) == 3
+    assert capsys.readouterr().err == ("blockdet: error: seed 0, trial 0: entry_bound inf "
+                                       "overflows, drawing non-finite entries\n")
 
 
 @pytest.mark.parametrize("bound, shown", [

@@ -529,7 +529,7 @@ def test_qr_iteration_budget_error_carries_diagnostics(monkeypatch):
 def test_qr_failure_raises_convergence_error_with_numpy_s_text(monkeypatch, gufunc):
     g = _rand_complex_stack(np.random.default_rng(7), (2, 3, 3))
     _fail_lapack(monkeypatch, gufunc)
-    with pytest.raises(ConvergenceError, match="qr did not converge on a 3x3 matrix: "
+    with pytest.raises(ConvergenceError, match="qr failed on a 3x3 matrix: "
                        "Incorrect argument found while performing QR factorization") as info:
         search._unitaries(g)
     assert (info.value.routine, info.value.shape) == ("qr", (2, 3, 3))
@@ -538,7 +538,7 @@ def test_qr_failure_raises_convergence_error_with_numpy_s_text(monkeypatch, gufu
 def test_solve_failure_raises_convergence_error_with_numpy_s_text(monkeypatch):
     _fail_lapack(monkeypatch, "solve")
     a = _rand_complex(np.random.default_rng(9), 5)
-    with pytest.raises(ConvergenceError, match="solve did not converge on a 2x2 matrix: "
+    with pytest.raises(ConvergenceError, match="solve failed on a 2x2 matrix: "
                        "Singular matrix") as info:
         schur_complement(a, 2)
     assert (info.value.routine, info.value.shape) == ("solve", (2, 2))
@@ -779,8 +779,8 @@ def test_predicates_classify_input_hermitian_within_their_own_gate():
 def test_tolerances_hold_only_a_positive_equality_window():
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["eq_rel"]
     assert DEFAULT_TOL == Tolerances(eq_rel=1e-8)
-    for bad in (0.0, -1e-8, math.nan):
-        with pytest.raises(ValueError, match="must be positive"):
+    for bad in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
             Tolerances(eq_rel=bad)
     assert (PIVOT_REL, HERMITIAN_REL, PSD_REL, PREDICATE_REL, MAJOR_REL) == (
         1e-12, 1e-12, 1e-10, 1e-10, 1e-10)
@@ -827,13 +827,26 @@ def test_predicates_answer_where_the_frobenius_norm_overflows():
 
 
 def test_block_constructor_copies_and_freezes_caller_arrays():
-    x = np.eye(2, dtype=complex)
-    t = BlockUpperTriangular(x=x, y=np.ones((2, 1)), z=np.ones((1, 1)))
+    x, y, z = (np.array(b, dtype=complex) for b in (np.eye(2), np.ones((2, 1)), np.ones((1, 1))))
+    t = BlockUpperTriangular(x=x, y=y, z=z)
     x[0, 0] = 5.0
     assert t.x[0, 0] == 1.0
     for block in (t.x, t.y, t.z, t.assemble()):
         assert not block.flags.writeable
     assert t.assemble() is t.assemble()
+    # one matrix of the member's own: the blocks view it, and no caller's array
+    for block in (t.x, t.y, t.z):
+        assert np.shares_memory(block, t.assemble())
+        assert not any(np.shares_memory(block, given) for given in (x, y, z))
+    # from_matrix takes one copy: writing to the input after the split changes nothing
+    full = np.array(t.assemble())
+    split = BlockUpperTriangular.from_matrix(full, 2)
+    assert not np.shares_memory(split.assemble(), full)
+    assert all(np.shares_memory(block, split.assemble()) for block in (split.x, split.y, split.z))
+    full[:2, :] = 7.0
+    full[2, 2] = 7.0
+    assert np.array_equal(split.assemble(), t.assemble())
+    assert all(np.array_equal(a, b) for a, b in ((split.x, t.x), (split.y, t.y), (split.z, t.z)))
 
 
 def test_block_shape_validation():

@@ -65,8 +65,9 @@ def _drawn_matrices(spec, trial):
 
 
 def _drawn_family(spec, trial):
-    """The trial's block family, over views of a one-trial chunk of thm1's draw."""
-    return _one_trial(INEQUALITIES["thm1"], spec, trial, {}).family(0)
+    """The trial's block family, split from the witness of a one-trial chunk of thm1's draw."""
+    return search._block_family_from(
+        _one_trial(INEQUALITIES["thm1"], spec, trial, {"r": spec.r}).witness(0))
 
 
 def _one_trial(ineq, spec, trial, params):
@@ -254,9 +255,10 @@ def test_generator_spec_validation():
 
 
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, (0, math.inf), (-math.inf, 0),
-                                   (0, math.nan), 10**400])
+                                   (0, math.nan), 10**400, (-2.5, 2.5), (0.5, 0.7), 2.5])
 def test_an_integer_family_refuses_a_bound_that_is_no_integer(bound):
-    # int() of an infinite bound raises OverflowError, of a NaN one its own ValueError
+    # int() of an infinite bound raises OverflowError, of a NaN one its own ValueError;
+    # int() truncated a fractional end of a pair, (0.5, 0.7) drawing all zeros
     spec = GeneratorSpec(family="integer_uniform", entry_bound=bound)
     for run in (lambda: _drawn_matrices(spec, 0), lambda: search_violations(spec, "thm1", 2)):
         with pytest.raises(ValueError, match="integer families need an integer bound or"):
@@ -473,7 +475,7 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params)
     for drawn in chunks:
         margins, codes = ineq.score(drawn, DEFAULT_TOL)
         for i in range(len(drawn.trials)):
-            report = ineq.check(drawn.witness(i), DEFAULT_TOL, drawn.family(i))
+            report = ineq.check(drawn.witness(i), DEFAULT_TOL)
             where = (drawn.spec, drawn.trials[i], report.verdict, report.margin, margins[i])
             assert _VERDICTS[codes[i]] is report.verdict, where
             assert _bits(margins[i]) == _bits(report.margin), where
@@ -494,7 +496,8 @@ def test_thm2_stacked_bordered_determinants_are_the_checker_s_bitwise(bound):
             spec = GeneratorSpec(family=family, n=n, r=r, m=m, seed=31 * n + m)
             drawn = _drawn(INEQUALITIES["thm2"], spec, _CHUNK, None)
             members = [BlockUpperTriangular(bound * t.x, bound * t.y, bound * t.z)
-                       for t in (drawn.family(i).members[0] for i in range(_CHUNK))]
+                       for t in (search._block_family_from(drawn.witness(i)).members[0]
+                                 for i in range(_CHUNK))]
             stack = np.array([t.assemble() for t in members])
             sides = _thm2_sides(stack, r)
             stacked_x, stacked_z = sides.detail[:2]
@@ -619,7 +622,7 @@ def test_every_id_near_dbl_max_reads_no_nan_margin_and_keeps_the_identities():
                     drawn = _one_trial(ineq, spec, trial, ineq.call_params(r))
                 except LinalgError:   # the draw itself overflows
                     continue
-                report = ineq.check(drawn.witness(0), DEFAULT_TOL, drawn.family(0))
+                report = ineq.check(drawn.witness(0), DEFAULT_TOL)
                 checked += 1
                 where = (ineq.id, n, r, spec.m, trial)
                 if math.isnan(report.margin):
