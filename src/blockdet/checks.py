@@ -1,25 +1,18 @@
 """One checker per determinantal inequality, with equality diagnostics.
 
 Every checker returns a :class:`CheckReport` whose ``lhs`` is the side the
-inequality claims dominates and whose ``rhs`` is the dominated side, so for
-a holding instance ``margin = log|lhs| - log|rhs| >= 0``.  Comparisons run
-entirely in the log domain: the counterexample families push determinants
-to 1e8 and beyond, where raw subtraction in double precision is meaningless.
+inequality claims dominates, so for a holding instance ``margin =
+log|lhs| - log|rhs| >= 0``, compared in the log domain: the counterexample
+families push determinants past 1e8, where raw differences are meaningless.
 
-Every verdict is decided by one rule, :func:`_decide`, with one equality
-window, and every report is built by :func:`_report`, which calls it.
+Each inequality is computed one way, by its sides function: on one input,
+or elementwise on a stack, it gives a :class:`_Sides`, the sides' log
+magnitudes and every other input of the one verdict rule, :func:`_decide`.
+A search scores a stack by :func:`_evaluate`; a checker is its sides
+function on its one input, reported by :func:`_report` with its findings.
 Where the inequality has a characterized equality case (cor_c0, lemma1,
-thm2, drury, thm3), classification is structural-first: the checker
-computes both the numeric margin and the structural condition, the verdict
-follows the structure, and a discrepancy diagnostic is attached if the two
-disagree instead of silently trusting either.
-
-All checkers are stateless pure functions over immutable inputs.  Five of
-them (thm1, cor_c0, thm2, drury, thm3) take their sides and every input of
-:func:`_decide` from one sides function, on their input or elementwise on a
-stack of inputs; :func:`_evaluate` turns the sides of a stack into each
-input's margin and verdict code for the search engine, so each trial's
-verdict is the checker's.
+thm2, drury, thm3), the verdict follows the structural condition, with a
+diagnostic where the margin disagrees.  All checkers are pure functions.
 """
 
 from __future__ import annotations
@@ -42,20 +35,21 @@ from .linalg import (
     SignedLogDet,
     SingularBlockError,
     Tolerances,
-    abs_matrix,
     as_matrix,
-    det,
     frobenius_norm,
-    general_eigenvalues,
     hermitian_eigensystem,
     predicates,
     schur_complement,
-    singular_values,
+    _abs_matrix,
+    _anti_hermitian,
     _asymmetry,
     _commutator,
     _det_parts,
+    _lapack,
     _rescaled,
+    _require_split,
     _require_square,
+    _schur_complement,
     _singular_values,
     _signed_log_det,
     _strict_lower,
@@ -233,19 +227,18 @@ def _decide(windowed, log_lhs, tol: Tolerances, structural_equality=None,
             identity_gap=None, phase_gap=None, precondition_failed=None) -> tuple:
     """The one verdict rule, for one margin or elementwise for a stack of
     them: the code into :data:`_VERDICTS`, and whether ``windowed`` lies
-    within the equality window, ``tol.eq_rel`` * max(1, |``log_lhs``|) for
-    an lhs of log magnitude ``log_lhs`` (0 for a zero lhs).
+    within the equality window, ``tol.eq_rel`` * max(1, |``log_lhs``|)
+    (``log_lhs`` 0 for a zero lhs).
 
-    The claim is violated when ``windowed`` falls below the window, or when
-    a quantity that is exact in exact arithmetic is off: ``identity_gap``
-    beyond the window, or ``phase_gap`` beyond ``tol.eq_rel``.  Otherwise
-    it is an equality where ``structural_equality`` says so, or, where that
-    is None, where ``windowed`` lies within the window, and it holds
-    strictly elsewhere.  A failed precondition overrides everything.  A NaN
-    ``windowed`` or ``log_lhs`` gets no verdict.  An input left None does
-    not apply.  Every operator past the window's max works alike on floats,
-    which keep one report's verdict off numpy's slower scalars, and on
-    arrays.
+    The claim is violated when ``windowed`` falls below the window, or an
+    exact quantity is off: ``identity_gap`` beyond the window, or
+    ``phase_gap`` beyond ``tol.eq_rel``.  Otherwise it is an equality where
+    ``structural_equality`` says so, or, where that is None, where
+    ``windowed`` lies within the window, and holds strictly elsewhere.  A
+    failed precondition overrides everything; a NaN ``windowed`` or
+    ``log_lhs`` gets no verdict; an input left None does not apply.  Past
+    the window's max, every operator works alike on floats, which keep one
+    report off numpy's slower scalars, and on arrays.
     """
     size = abs(log_lhs)   # max(size, 1.0) keeps a NaN size, as np.maximum does
     eps = tol.eq_rel * (np.maximum(size, 1.0) if isinstance(size, np.ndarray) else max(size, 1.0))
@@ -264,77 +257,76 @@ def _decide(windowed, log_lhs, tol: Tolerances, structural_equality=None,
     return decided * code, numeric_equality
 
 
-def _report(
-    inequality_id: str,
-    lhs: SignedLogDet,
-    rhs: SignedLogDet,
-    tol: Tolerances,
-    diagnostics: tuple[Finding, ...] = (),
-    *,
-    margin: float | None = None,
-    value: float | None = None,
-    structural_equality: bool | None = None,
-    identity_gap: float | None = None,
-    phase_gap: float | None = None,
-    precondition_failed: bool | None = None,
-) -> CheckReport:
-    """Every checker's report, its verdict by :func:`_decide`.
-
-    ``margin`` defaults to log|lhs| - log|rhs|.  The equality window is
-    applied to ``value``, which defaults to the margin; djokovic passes the
-    value of its determinant instead, and a value inside the window is then
-    reported as margin 0.  ``identity_gap`` is a log gap already past its
-    rounding allowance.  A NaN side or margin raises :class:`LinalgError`:
-    it has no verdict.
-
-    Where the inequality has a characterized equality case,
-    ``structural_equality`` decides equality and the window only decides
-    violation; a ``structural_numeric_mismatch`` or
-    ``margin_within_equality_band`` finding is added when the numeric
-    classification disagrees.
-    """
-    if margin is None:
-        margin = lhs.log_ratio(rhs)
-    for side, v in (("lhs", lhs.log_magnitude), ("rhs", rhs.log_magnitude), ("margin", margin)):
-        if math.isnan(v):   # every comparison with NaN is false: no verdict can follow
-            raise LinalgError(f"{inequality_id}: the {side} is NaN")
-    code, within = _decide(margin if value is None else value, lhs.log_magnitude, tol,
-                           structural_equality, identity_gap, phase_gap, precondition_failed)
-    verdict = _VERDICTS[code]
-    numeric_equality = within and verdict is not Verdict.VIOLATED
-    if (structural_equality is not None and verdict is not Verdict.PRECONDITION_FAILED
-            and structural_equality != numeric_equality):
-        name = ("structural_numeric_mismatch" if structural_equality
-                else "margin_within_equality_band")
-        diagnostics += (Finding(name, True),)
-    if verdict is Verdict.EQUALITY and value is not None:
-        margin = 0.0
-    return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
-
-
 class _Sides(NamedTuple):
-    """The log magnitudes of an inequality's sides on one input, or on each
-    of a stack of inputs, their zero flags, the other inputs of
-    :func:`_decide` (None where they do not apply), and ``detail``, what the
-    checker's findings read."""
+    """An inequality's sides on one input, or on each of a stack: their log
+    magnitudes and zero flags, the inputs of :func:`_decide` (None where
+    they do not apply), and ``detail``, what the findings read.  ``margin``
+    replaces log|lhs| - log|rhs|, and ``value`` the margin in the window,
+    where given; an equality of the value reads margin 0."""
 
     lhs: object
     rhs: object
     lhs_zero: object = False
     rhs_zero: object = False
-    structural_equality: object = None
+    structural_equality: object = None   # these four in the order _decide takes them
+    identity_gap: object = None
+    phase_gap: object = None
     precondition_failed: object = None
+    margin: object = None
+    value: object = None
     detail: tuple = ()
 
 
-def _sides_report(inequality_id: str, sides: _Sides, tol: Tolerances, diagnostics=(),
-                  rhs: SignedLogDet | None = None) -> CheckReport:
-    """:func:`_report` on the :class:`_Sides` of one input; ``rhs``, where
-    given, is its right side with the phase the report prints."""
-    return _report(inequality_id, _sld(sides.lhs, sides.lhs_zero),
-                   _sld(sides.rhs, sides.rhs_zero) if rhs is None else rhs, tol, diagnostics,
-                   structural_equality=sides.structural_equality,
-                   precondition_failed=sides.precondition_failed)
+def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Each input's margin (:meth:`SignedLogDet.log_ratio` elementwise, unless
+    the sides give one) and code by :func:`_decide`, from the :class:`_Sides`
+    of a stack; a flagged side reads log 0, and a NaN side no verdict."""
+    lhs, rhs, lhs_zero, rhs_zero = sides[:4]
+    with np.errstate(invalid="ignore"):   # inf - inf of flagged sides, whose logs are not used
+        margin = lhs - rhs if sides.margin is None else sides.margin
+    zero = lhs_zero | rhs_zero   # False where neither side is ever flagged
+    if zero is not False and zero.any():   # few chunks: the others skip the selections
+        if sides.margin is None:
+            margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
+                              np.where(rhs_zero, np.inf, margin))
+        lhs, rhs = np.where(lhs_zero, 0.0, lhs), np.where(rhs_zero, 0.0, rhs)
+    code = _decide(margin if sides.value is None else sides.value, lhs, tol,
+                   *sides[4:8])[0] * (rhs == rhs)
+    if sides.value is not None:   # an equality of the value reads margin 0
+        margin = np.where(code == 2, 0.0, margin)
+    return margin, code
+
+
+def _report(inequality_id: str, sides: _Sides, tol: Tolerances,
+            diagnostics: tuple[Finding, ...] = (), *, lhs: SignedLogDet | None = None,
+            rhs: SignedLogDet | None = None) -> CheckReport:
+    """Every checker's report, decided as :func:`_evaluate` decides each of
+    a stack, from the :class:`_Sides` of its one input, with its findings
+    ``diagnostics``; ``lhs`` and ``rhs``, where given, are its sides with
+    the phases the report prints.  A NaN side or margin has no verdict and
+    raises :class:`LinalgError`.  A ``structural_numeric_mismatch`` or
+    ``margin_within_equality_band`` finding is added where the structural
+    equality and the window disagree."""
+    lhs = _sld(sides.lhs, sides.lhs_zero) if lhs is None else lhs
+    rhs = _sld(sides.rhs, sides.rhs_zero) if rhs is None else rhs
+    margin = lhs.log_ratio(rhs) if sides.margin is None else float(sides.margin)
+    for side, v in (("lhs", lhs.log_magnitude), ("rhs", rhs.log_magnitude), ("margin", margin)):
+        if math.isnan(v):   # every comparison with NaN is false: no verdict can follow
+            raise LinalgError(f"{inequality_id}: the {side} is NaN")
+    # as Python scalars: see _decide
+    structural, identity_gap, phase_gap, failed, _, value = (
+        v.item() if isinstance(v, (np.generic, np.ndarray)) else v for v in sides[4:10])
+    code, within = _decide(margin if value is None else value, lhs.log_magnitude, tol,
+                           structural, identity_gap, phase_gap, failed)
+    verdict = _VERDICTS[code]
+    numeric_equality = within and verdict is not Verdict.VIOLATED
+    if (structural is not None and verdict is not Verdict.PRECONDITION_FAILED
+            and structural != numeric_equality):
+        name = "structural_numeric_mismatch" if structural else "margin_within_equality_band"
+        diagnostics += (Finding(name, True),)
+    if verdict is Verdict.EQUALITY and value is not None:
+        margin = 0.0
+    return CheckReport(inequality_id, lhs, rhs, margin, verdict, diagnostics)
 
 
 # Double-precision machine epsilon: a stack of blocks is numerically rank
@@ -344,6 +336,10 @@ def _sides_report(inequality_id: str, sides: _Sides, tol: Tolerances, diagnostic
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 
+# The largest exponent: p |log v| < DBL_MAX / 2e5 for every positive finite v,
+# so no side, a sum of n < 1e5 such terms, overflows, nor log_major's 2p.
+_P_MAX = 1e300
+
 
 def _sld(log_magnitude, is_zero) -> SignedLogDet:
     """A side's positive determinant from its log magnitude, or the flagged zero."""
@@ -352,12 +348,10 @@ def _sld(log_magnitude, is_zero) -> SignedLogDet:
 
 def _log1p_pow(v: np.ndarray, log_s, p: float) -> np.ndarray:
     """log(1 + (s v)^p) for each nonnegative entry of v, the values of a
-    matrix, or of each matrix of a stack, divided by s, as :func:`_rescaled`
-    gives them and log s (0 where it did not scale).
-
-    Entries above 1 take p log v + log1p(v^-p), so v^p is never formed where
-    it could overflow; scaled ones take logaddexp(0, p log(s v)).  A side
-    sums one row of these terms in order.
+    matrix, or each of a stack, divided by s, and log s as :func:`_rescaled`
+    gives them.  Entries above 1 take p log v + log1p(v^-p), so v^p never
+    overflows; scaled ones take logaddexp(0, p log(s v)).  A side sums one
+    row of these terms in order.
     """
     large = np.maximum(v, 1.0)
     terms = p * np.log(large) + np.log1p(np.where(v > 1.0, large ** -p, np.minimum(v, 1.0) ** p))
@@ -368,13 +362,17 @@ def _log1p_pow(v: np.ndarray, log_s, p: float) -> np.ndarray:
         return np.where(log_s != 0.0, np.logaddexp(0.0, p * (np.log(v) + log_s)), terms)
 
 
-def _bordered(left: np.ndarray, right: np.ndarray, corner: int = 1) -> np.ndarray:
-    """[[corner I, -L], [R, I]] for L (k x j) and R (j x k), or for each pair
-    of two stacks; ``corner`` is 1 or 0.
+def _cumulative_logs(v: np.ndarray, log_s) -> np.ndarray:
+    """Prefix sums of log(s v) along each row of v, log 0 reading -inf."""
+    with np.errstate(divide="ignore"):
+        return np.cumsum(np.log(v) + (log_s if np.ndim(log_s) == 0 else log_s[..., None]), axis=-1)
 
-    Its determinant is det(corner I + L R) (Schur's formula on the identity
-    block), taken without forming L R, whose rounding (eps * sigma_max^2 for
-    L = conj(X), R = X) would swamp the identity or the smallest eigenvalue.
+
+def _bordered(left: np.ndarray, right: np.ndarray, corner: int = 1) -> np.ndarray:
+    """[[corner I, -L], [R, I]] for L (k x j) and R (j x k), or each pair of
+    two stacks, ``corner`` 1 or 0: its determinant is det(corner I + L R),
+    without L R, whose rounding (eps * sigma_max^2 for L = conj(X), R = X)
+    would swamp the identity or the smallest eigenvalue.
     """
     k, j = left.shape[-2:]
     b = np.zeros(left.shape[:-2] + (k + j, k + j), dtype=complex)
@@ -385,26 +383,24 @@ def _bordered(left: np.ndarray, right: np.ndarray, corner: int = 1) -> np.ndarra
     return b
 
 
-def _det_product_sum(lefts: np.ndarray, rights: np.ndarray, s: float) -> SignedLogDet:
-    """det(sum (s L_k)(s R_k)) for stacks of m blocks L_k (k x j) and R_k
-    (j x k) that :func:`_unit_scaled` divided by s, from :func:`_bordered`
-    [L_1 ... L_m] and [R_1; ...; R_m] at corner 0, whose identity block
-    neither dwarfs such blocks nor is dwarfed by them."""
-    m, k, j = lefts.shape
-    return (det(_bordered(lefts.transpose(1, 0, 2).reshape(k, m * j), rights.reshape(m * j, k), 0))
-            * SignedLogDet.from_log(2.0 * k * math.log(s)))
+def _product_sum_parts(lefts: np.ndarray, rights: np.ndarray) -> tuple:
+    """:func:`_det_parts` of sum L_k R_k for (m, k, j) and (m, j, k) stacks,
+    or each pair of stacks of them, from :func:`_bordered` [L_1 ... L_m] and
+    [R_1; ...; R_m] at corner 0, whose identity block neither dwarfs blocks
+    :func:`_unit_scaled` brought to [1, 2) nor is dwarfed by them."""
+    m, k, j = lefts.shape[-3:]
+    lead = lefts.shape[:-3]
+    return _det_parts(_bordered(lefts.swapaxes(-3, -2).reshape(lead + (k, m * j)),
+                                rights.reshape(lead + (m * j, k)), 0))
 
 
 def _log_det_gram(b: np.ndarray, floor=None) -> tuple:
-    """log det(sum B_k* B_k) = 2 sum log sigma over the singular values (by
-    :func:`_rescaled`) of the stack [B_1; ...; B_m] of the blocks B_k of a
-    family, (m, rows, cols), or of each family of a stack of them; whether
-    it is flagged zero, its smallest singular value at or below ``floor``;
-    and ``floor``, by default the stack's rank floor
-    max(rows, cols) * eps * sigma_max, at or below which it is numerically
-    rank deficient.  The log of a flagged stack is not used; its zeros are
-    raised to the smallest subnormal, so that no log(0) warns, and no other
-    value changes."""
+    """log det(sum B_k* B_k) = 2 sum log sigma (by :func:`_rescaled`) of the
+    stack [B_1; ...; B_m] of a family's (m, rows, cols) blocks, or of each
+    family of a stack; whether it is flagged zero, its least sigma at or
+    below ``floor``; and ``floor``, by default the rank floor
+    max(rows, cols) * eps * sigma_max.  A flagged stack's log is not used:
+    its zeros read the smallest subnormal, so that no log(0) warns."""
     stacked = b.reshape(b.shape[:-3] + (-1, b.shape[-1]))
     sigma, log_s = _rescaled(_singular_values, stacked)
     s = np.exp(log_s)
@@ -424,11 +420,10 @@ def _is_symmetric(a: np.ndarray):
     return asymmetry <= PREDICATE_REL * norm
 
 
-def _is_normal(a: np.ndarray) -> bool:
-    """The normality test of :func:`predicates`: ||A A* - A* A||_F of the
-    exact quotient A/s at most ``PREDICATE_REL`` * ||A/s||_F^2."""
+def _is_normal(a: np.ndarray):
+    """The normality test of :func:`predicates`, on a matrix or per matrix of a stack."""
     _, _, norm, commutator = _unit_masses(a, _commutator)
-    return bool(commutator <= PREDICATE_REL * norm * norm)
+    return commutator <= PREDICATE_REL * norm * norm
 
 
 def _y_zero(t: np.ndarray, r: int) -> tuple:
@@ -438,8 +433,13 @@ def _y_zero(t: np.ndarray, r: int) -> tuple:
     return y <= PREDICATE_REL * (1.0 / s + norm), s, y
 
 
+def _diagonal_blocks(t: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z of T = [[X, Y], [0, Z]], or of each T of a stack, as views."""
+    return t[..., :r, :r], t[..., r:, r:]
+
+
 # ---------------------------------------------------------------------------
-# Checkers
+# Checkers, each its sides function on one input
 
 
 def check_fischer(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -448,17 +448,30 @@ def check_fischer(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> Check
     Non-PSD input yields verdict ``precondition_failed`` with the offending
     minimum eigenvalue attached; both sides are still evaluated for context.
     """
-    a = as_matrix(a)
-    _require_square(a, "check_fischer")
-    n = a.shape[0]
-    if not 0 < r < n:
-        raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
-    preds = predicates(a)
-    diagnostics = (Finding("is_psd", preds.is_psd),)
-    if preds.min_eigenvalue is not None:
-        diagnostics += (Finding("min_eigenvalue", preds.min_eigenvalue),)
-    lhs = det(a[:r, :r]) * det(a[r:, r:])
-    return _report("fischer", lhs, det(a), tol, diagnostics, precondition_failed=not preds.is_psd)
+    a = _require_square(as_matrix(a), "check_fischer")
+    sides = _fischer_sides(a, r)
+    d11, d22, d, hermitian, least = sides.detail
+    diagnostics = (Finding("is_psd", not sides.precondition_failed),)
+    if hermitian:
+        diagnostics += (Finding("min_eigenvalue", float(least)),)
+    return _report("fischer", sides, tol, diagnostics,
+                   lhs=_signed_log_det(*d11) * _signed_log_det(*d22), rhs=_signed_log_det(*d))
+
+
+def _fischer_sides(a: np.ndarray, r: int) -> _Sides:
+    """The sides of :func:`check_fischer` for A, or each A of a stack, PSD by
+    the gate of :func:`predicates`, its eigenvalues taken as it takes them.
+    The detail is the determinants' parts, whether A is Hermitian, and its
+    least eigenvalue."""
+    _require_split(a.shape[-1], r)
+    d11, d22, d = (_det_parts(b) for b in (a[..., :r, :r], a[..., r:, r:], a))
+    s, unit, norm, anti_hermitian = _unit_masses(a, _anti_hermitian)
+    hermitian = anti_hermitian <= PREDICATE_REL * norm
+    h = unit / 2.0 + unit.conj().mT / 2.0
+    w = _lapack("eigh_lo", h / 2.0 + h.conj().mT / 2.0)[0]   # ascending
+    psd = hermitian & (w[..., 0] >= -PSD_REL * np.abs(w).max(axis=-1))
+    return _Sides(d11[1] + d22[1], d[1], d11[2] | d22[2], d[2], precondition_failed=~psd,
+                  detail=(d11, d22, d, hermitian, s * w[..., 0]))
 
 
 def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -466,16 +479,15 @@ def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckRepor
 
     Holds for any conformally partitioned family; no equality condition is
     claimed.  Each side comes from the singular values of the stacked
-    blocks.  All three stacks are flagged zero against one absolute floor,
-    the rank floor of the T stack, so a singular value at rounding level
-    counts as zero on both sides alike: the smallest singular value of the
-    T stack is never above that of the X stack, nor, for one member (where
-    the claim is an identity), above that of Z.  The diagnostics flag a
-    singular sum X_k* X_k, the case the proof handles by continuity.
+    blocks, each stack flagged zero against the T stack's rank floor, so a
+    singular value at rounding level is zero on both sides alike: T's least
+    is never above X's, nor, for one member (an identity), above Z's.  A
+    finding flags a singular sum X_k* X_k, which the proof takes by
+    continuity.
     """
     sides = _thm1_sides(family.assemble(), family.r)
     (x_zero,) = sides.detail
-    return _sides_report("thm1", sides, tol, (Finding("sum_xx_singular", bool(x_zero)),))
+    return _report("thm1", sides, tol, (Finding("sum_xx_singular", bool(x_zero)),))
 
 
 def _thm1_sides(t: np.ndarray, r: int) -> _Sides:
@@ -488,20 +500,14 @@ def _thm1_sides(t: np.ndarray, r: int) -> _Sides:
     return _Sides(lhs, rhs_x + rhs_z, lhs_zero, x_zero | z_zero, detail=(x_zero,))
 
 
-def _diagonal_blocks(t: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """X and Z of T = [[X, Y], [0, Z]], or of each T of a stack, as views."""
-    return t[..., :r, :r], t[..., r:, r:]
-
-
 def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     """The two positivity facts behind the summed-Gram determinant bound.
 
     (i) the stacked Gram sum [[sum X*X, sum X*Y], [sum Y*X, sum Y*Y]] is PSD;
     (ii) the Schur complement of sum X*X in sum T*T dominates sum Z*Z in the
-    PSD order.  A sum X*X that the Schur gate rejects short-circuits to a
-    failed-precondition finding, since the complement then does not exist.
-    Both facts are invariant under scaling the family by a positive
-    constant, so the family is first put through :func:`_unit_scaled`.
+    PSD order; a sum X*X the Schur gate rejects has no complement, a failed
+    finding.  Both are scale invariant: the family goes through
+    :func:`_unit_scaled` first.
     """
     r = family.r
     full, _ = _unit_scaled(family.assemble())
@@ -516,21 +522,16 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     w, _ = hermitian_eigensystem(gap)
     scale = max(float(np.max(np.abs(w))), frobenius_norm(complement))
     dominates = bool(np.min(w) >= -PSD_REL * scale)
-    return (
-        Finding("sum_xx_nonsingular", True),
-        Finding("stacked_gram_sum_psd", bool(gram_psd)),
-        Finding("schur_complement_dominates_zz", dominates),
-    )
+    return (Finding("sum_xx_nonsingular", True), Finding("stacked_gram_sum_psd", bool(gram_psd)),
+            Finding("schur_complement_dominates_zz", dominates))
 
 
 def _abs_power_sides(t: np.ndarray, r: int, p: float) -> _Sides:
     """log det(I + |T|^p) and log det(I + |X|^p) det(I + |Z|^p) for T, or
-    for each T of a stack, as products of 1 + sigma^p over the singular
-    values of the unsquared blocks (the spectral form of building |.| and
-    then its p-th power; the matrix route is pinned to this one by tests),
-    X and Z taken from T, under T's s.  The right side sums the terms of X
-    and Z in one row.  Equality iff Y = 0; the detail is s and ||Y / s||_F
-    of :func:`_y_zero`."""
+    each T of a stack, as products of 1 + sigma^p over the singular values
+    of the unsquared blocks (tests pin the matrix route of |.| to this one),
+    under T's s, X's and Z's terms summed in one row.  Equality iff Y = 0;
+    the detail is s and ||Y / s||_F of :func:`_y_zero`."""
     _require_exponent(p)
     sigma, log_s = _rescaled(lambda u: np.concatenate(
         [_singular_values(b) for b in (u, *_diagonal_blocks(u, r))], axis=-1), t)
@@ -544,8 +545,8 @@ def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,
     """det(I + |T|^p) against det(I + |X|^p) * det(I + |Z|^p), equality iff Y = 0."""
     sides = _abs_power_sides(t.assemble(), t.r, p)
     s, y = sides.detail
-    return _sides_report(inequality_id, sides, tol,
-                         (Finding("y_frobenius", float(s) * float(y)),) + diagnostics)
+    return _report(inequality_id, sides, tol,
+                   (Finding("y_frobenius", float(s) * float(y)),) + diagnostics)
 
 
 def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -553,49 +554,56 @@ def check_cor_c0(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> Chec
     return _abs_power_report("cor_c0", t, 2.0, tol)
 
 
-def check_cor_c1(
-    family: BlockFamily,
-    tol: Tolerances = DEFAULT_TOL,
-    allow_hypothesis_violation: bool = False,
-) -> CheckReport:
+def check_cor_c1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL,
+                 allow_hypothesis_violation: bool = False) -> CheckReport:
     """det(sum T_k* T_k) >= |det(sum conj(X_k) X_k)| * |det(sum conj(Z_k) Z_k)|.
 
-    Requires every X_k and Z_k normal.  When the hypothesis fails the sides
-    are still evaluated (that configuration is exactly what the violation
-    search needs); the verdict is ``precondition_failed``, with the verdict
-    the margin gives as ``evaluated_verdict``, unless
-    ``allow_hypothesis_violation`` is set, in which case the margin decides.
-    The signed inner determinants are reported as diagnostics because the
-    X-factor can be genuinely negative before the absolute value.
-
-    Where the T stack's rank floor flags the left side zero, the right side
-    is zero too if it flags the X or the Z stack, as in thm1: that factor's
-    |det(sum conj(B_k) B_k)| is at most det(sum B_k* B_k).
+    Requires every X_k and Z_k normal.  Off that hypothesis, which is what
+    the violation search needs, the verdict is ``precondition_failed``, with
+    the margin's as ``evaluated_verdict``, unless
+    ``allow_hypothesis_violation`` lets the margin decide.  The signed inner
+    determinants are findings: the X-factor can be negative inside |.|.
     """
-    normal = all(_is_normal(m.x) and _is_normal(m.z) for m in family.members)
-    t = family.assemble()
-    log_lhs, lhs_zero, floor = _log_det_gram(t)
-    lhs = _sld(log_lhs, lhs_zero)
-    blocks = _diagonal_blocks(t, family.r)
-    inner_x, inner_z = (_det_product_sum(u.conj(), u, s) for u, s in map(_unit_scaled, blocks))
-    rhs = inner_x.abs() * inner_z.abs()
-    if lhs_zero and any(_log_det_gram(b, floor)[1] for b in blocks):
-        rhs = SignedLogDet.zero()
-    diagnostics = (
-        Finding("blocks_all_normal", normal),
-        Finding("det_xbar_x_re", float(inner_x.value.real)),
-        Finding("det_xbar_x_im", float(inner_x.value.imag)),
-        Finding("det_zbar_z_re", float(inner_z.value.real)),
-        Finding("det_zbar_z_im", float(inner_z.value.imag)),
-    )
+    sides = _cor_c1_sides(family.assemble(), family.r, allow_hypothesis_violation)
+    x_parts, x_log_s, z_parts, z_log_s, normal = sides.detail
+    inner_x, inner_z = (_signed_log_det(*parts) * SignedLogDet.from_log(float(log_s))
+                        for parts, log_s in ((x_parts, x_log_s), (z_parts, z_log_s)))
+    diagnostics = (Finding("blocks_all_normal", bool(normal)),
+                   Finding("det_xbar_x_re", float(inner_x.value.real)),
+                   Finding("det_xbar_x_im", float(inner_x.value.imag)),
+                   Finding("det_zbar_z_re", float(inner_z.value.real)),
+                   Finding("det_zbar_z_im", float(inner_z.value.imag)))
     if not normal:
         diagnostics += (Finding("hypothesis_violated", True),)
-    report = _report("cor_c1", lhs, rhs, tol, diagnostics)
-    if normal or allow_hypothesis_violation:
+    report = _report("cor_c1", sides._replace(precondition_failed=None), tol, diagnostics)
+    if not sides.precondition_failed:
         return report
-    return _report("cor_c1", lhs, rhs, tol,
-                   diagnostics + (Finding("evaluated_verdict", report.verdict.value),),
-                   precondition_failed=True)
+    return _report("cor_c1", sides, tol,
+                   diagnostics + (Finding("evaluated_verdict", report.verdict.value),))
+
+
+def _cor_c1_sides(t: np.ndarray, r: int, allow_hypothesis_violation: bool = False) -> _Sides:
+    """The sides of :func:`check_cor_c1` for a family's (m, n, n) stack T, or
+    each of a stack, each inner determinant of blocks :func:`_unit_scaled` by
+    one s.  As in thm1, T's rank floor zeroes the right side with the left
+    where it flags X or Z (|det(sum conj(B) B)| <= det(sum B* B)).  The
+    detail is each inner determinant's parts and log s^2k, and normality."""
+    lhs, lhs_zero, floor = _log_det_gram(t)
+    x, z = _diagonal_blocks(t, r)
+    inner = []
+    for b in (x, z):
+        u, s = _unit_scaled(b, 3)
+        inner += [_product_sum_parts(u.conj(), u), 2.0 * b.shape[-1] * np.log(s)]
+    x_parts, x_log_s, z_parts, z_log_s = inner
+    rhs_zero = x_parts[2] | z_parts[2]
+    if lhs_zero.any():
+        rhs_zero = rhs_zero | lhs_zero & (_log_det_gram(x, floor)[1] | _log_det_gram(z, floor)[1])
+    normal = np.asarray(_is_normal(x).all(axis=-1))   # 0-d for one family
+    if normal.any():   # Z matters only where every X is normal
+        normal[normal] = _is_normal(z[normal]).all(axis=-1)
+    return _Sides(lhs, (x_parts[1] + x_log_s) + (z_parts[1] + z_log_s), lhs_zero, rhs_zero,
+                  precondition_failed=None if allow_hypothesis_violation else ~normal,
+                  detail=(x_parts, x_log_s, z_parts, z_log_s, normal))
 
 
 def check_c1_proof_step(family: BlockFamily) -> Finding:
@@ -603,15 +611,14 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
 
     The matrix is [[det sum conj(X)X', det sum conj(X)X],
                    [det sum X*X',      det sum X*X]].
-    Scaling the family by a positive constant scales all four entries alike
-    and leaves positive semidefiniteness unchanged, so the X blocks are
-    first put through :func:`_unit_scaled`, each determinant of theirs is
-    taken as :func:`_det_product_sum`, and the four are divided by the
-    largest magnitude; nothing overflows.
+    Scaling the family scales all four entries alike, so the X blocks go
+    through :func:`_unit_scaled`, each determinant is taken as
+    :func:`_product_sum_parts`, and the four are divided by the largest
+    magnitude; nothing overflows.
     """
     xs, _ = _unit_scaled(_diagonal_blocks(family.assemble(), family.r)[0])
     xt, xh = xs.mT, xs.mT.conj()
-    d11, d12, d21, d22 = (_det_product_sum(left, right, 1.0) for left, right in
+    d11, d12, d21, d22 = (_signed_log_det(*_product_sum_parts(left, right)) for left, right in
                           ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs)))
     logs = [d.log_magnitude for d in (d11, d12, d21, d22) if not d.is_zero]
     shift = max(logs) if logs else 0.0
@@ -625,44 +632,55 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
 
 def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + X*X) >= det(I + conj(X) X), equality iff X is symmetric."""
-    x = as_matrix(x)
-    _require_square(x, "check_lemma1")
-    lhs = _sld(_log1p_pow(*_rescaled(singular_values, x), 2.0).sum(), False)   # det(I + X*X)
-    rhs = det(_bordered(x.conj(), x))
+    x = _require_square(as_matrix(x), "check_lemma1")
+    sides = _lemma1_sides(x)
+    rhs, s, asymmetry = sides.detail
+    diagnostics = (Finding("is_symmetric", bool(sides.structural_equality)),
+                   Finding("asymmetry_frobenius", float(s) * float(asymmetry)))
+    return _report("lemma1", sides, tol, diagnostics, rhs=_signed_log_det(*rhs))
+
+
+def _lemma1_sides(x: np.ndarray) -> _Sides:
+    """The sides of :func:`check_lemma1` for X, or each X of a stack; the
+    detail is the right side's parts, and s and ||(X - X^T) / s||_F."""
+    lhs = _log1p_pow(*_rescaled(_singular_values, x), 2.0).sum(axis=-1)
+    rhs = _det_parts(_bordered(x.conj(), x))
     s, _, norm, asymmetry = _unit_masses(x, _asymmetry)
-    symmetric = bool(asymmetry <= PREDICATE_REL * norm)
-    diagnostics = (
-        Finding("is_symmetric", symmetric),
-        Finding("asymmetry_frobenius", float(s) * float(asymmetry)),
-    )
-    return _report("lemma1", lhs, rhs, tol, diagnostics, structural_equality=symmetric)
+    return _Sides(lhs, rhs[1], False, rhs[2], asymmetry <= PREDICATE_REL * norm,
+                  detail=(rhs, s, asymmetry))
 
 
 def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + conj(X) X) >= 0.
 
-    One-sided: rhs is the zero determinant and the margin is the signed,
-    compressed value sign(Re det) * log1p(|det|) so that it is finite,
-    positive exactly when the determinant is positive, and comparable
-    across scales.  The equality window applies to the determinant's value,
-    not to the compressed margin.  A determinant with a non-real phase
-    beyond the equality window counts as a violation (the quantity is real
-    in exact arithmetic).
+    One-sided: rhs is the zero determinant and the margin is sign(Re det) *
+    log1p(|det|), finite, positive exactly when the determinant is, and
+    comparable across scales.  The equality window applies to the
+    determinant's value, and a phase off the real axis beyond it is a
+    violation (the determinant is real in exact arithmetic).
     """
-    x = as_matrix(x)
-    _require_square(x, "check_djokovic")
-    d = det(_bordered(x.conj(), x))
+    x = _require_square(as_matrix(x), "check_djokovic")
+    sides = _djokovic_sides(x)
+    d = _signed_log_det(*sides.detail)
     if d.is_zero:
         diagnostics = (Finding("det_is_zero", True),)
     else:
         diagnostics = (Finding("phase_re", float(d.phase.real)),
                        Finding("phase_im", float(d.phase.imag)))
-    return _report(
-        "djokovic", d, SignedLogDet.zero(), tol, diagnostics,
-        margin=math.copysign(float(np.logaddexp(0.0, d.log_magnitude)), d.phase.real),
-        value=d.phase.real * math.exp(min(d.log_magnitude, 700.0)),
-        phase_gap=abs(d.phase.imag),
-    )
+    return _report("djokovic", sides, tol, diagnostics, lhs=d)
+
+
+def _djokovic_sides(x: np.ndarray) -> _Sides:
+    """The sides of :func:`check_djokovic` for X, or each X of a stack, a
+    flagged zero read as :meth:`SignedLogDet.zero` reads; the detail is the
+    determinant's parts."""
+    phase, log, zero = parts = _det_parts(_bordered(x.conj(), x))
+    if zero.any():
+        phase, log = np.where(zero, 0.0, phase), np.where(zero, 0.0, log)
+    return _Sides(log, 0.0, zero, True,
+                  margin=np.copysign(np.logaddexp(0.0, log), phase.real),
+                  value=phase.real * np.exp(np.minimum(log, 700.0)),
+                  phase_gap=np.abs(phase.imag), detail=parts)
 
 
 def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -673,13 +691,11 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     """
     sides = _thm2_sides(t.assemble(), t.r)
     det_x, det_z, s, y = sides.detail
-    diagnostics = (
-        Finding("y_frobenius", float(s) * float(y)),
-        Finding("x_is_symmetric", bool(_is_symmetric(t.x))),
-        Finding("z_is_symmetric", bool(_is_symmetric(t.z))),
-    )
-    return _sides_report("thm2", sides, tol, diagnostics,
-                         rhs=_signed_log_det(*det_x) * _signed_log_det(*det_z))
+    diagnostics = (Finding("y_frobenius", float(s) * float(y)),
+                   Finding("x_is_symmetric", bool(_is_symmetric(t.x))),
+                   Finding("z_is_symmetric", bool(_is_symmetric(t.z))))
+    return _report("thm2", sides, tol, diagnostics,
+                   rhs=_signed_log_det(*det_x) * _signed_log_det(*det_z))
 
 
 def _thm2_sides(t: np.ndarray, r: int) -> _Sides:
@@ -704,14 +720,13 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     Equality iff T is diagonal.  A non-triangular input is a failed
     precondition; both sides are still evaluated for context.
     """
-    t = as_matrix(t)
-    _require_square(t, "check_drury")
+    t = _require_square(as_matrix(t), "check_drury")
     sides = _drury_sides(t)
     s, off_mass = sides.detail
     diagnostics = (Finding("off_diagonal_frobenius", float(s) * float(off_mass)),)
     if sides.precondition_failed:
         diagnostics += (Finding("is_upper_triangular", False),)
-    return _sides_report("drury", sides, tol, diagnostics)
+    return _report("drury", sides, tol, diagnostics)
 
 
 def _drury_sides(t: np.ndarray) -> _Sides:
@@ -737,33 +752,22 @@ def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL)
     return _abs_power_report("thm3", t, p, tol, (Finding("p", float(p)),))
 
 
-def _require_exponent(p: float) -> None:
-    if not 1.0 <= p < math.inf:   # NaN compares false
-        raise ValueError(f"the exponent must satisfy p >= 1, got {p}")
+def _require_exponent(p: float, power: float = 1.0) -> None:
+    """Refuse an exponent below 1, or past ``_P_MAX / power`` where it is
+    taken of ``power``-th powers (log_major's squared singular values)."""
+    if not 1.0 <= p <= _P_MAX / power:   # NaN compares false
+        bound = ">= 1" if not p >= 1.0 else f"<= {_P_MAX / power:g}"
+        raise ValueError(f"the exponent must satisfy p {bound}, got {p}")
 
 
-def _cumulative_logs(values: np.ndarray, log_s: float) -> np.ndarray:
-    """Prefix sums of log(s v) over values v divided by s."""
-    with np.errstate(divide="ignore"):
-        return np.cumsum(np.log(values) + log_s)
-
-
-def check_log_major(
-    a: np.ndarray,
-    b: np.ndarray,
-    p: float,
-    tol: Tolerances = DEFAULT_TOL,
-    *,
-    log_scale: float = 0.0,
-) -> CheckReport:
+def check_log_major(a: np.ndarray, b: np.ndarray, p: float, tol: Tolerances = DEFAULT_TOL, *,
+                    log_scale: float = 0.0) -> CheckReport:
     """prod(1 + b_j^p) >= prod(1 + a_j^p) when a is weakly log-majorized by b.
 
     Hypothesis: both sequences non-increasing and nonnegative, every partial
-    product of a bounded by the matching partial product of b, with equal
-    full products (each within ``MAJOR_REL``).  A hypothesis failure is a
-    failed precondition reporting the first violating prefix length.  The
-    sequences may be given divided by one s (:func:`_rescaled`), and
-    ``log_scale`` is then log s.
+    product of a at most b's, and equal full products (within
+    ``MAJOR_REL``); a failed one reports the first violating prefix length.
+    Sequences divided by one s (:func:`_rescaled`) take ``log_scale`` log s.
     """
     _require_exponent(p)
     a = np.asarray(a, dtype=float)
@@ -775,121 +779,129 @@ def check_log_major(
             raise ValueError(f"sequence {name} must be nonnegative")
         if np.any(np.diff(seq) > 0.0):
             raise ValueError(f"sequence {name} must be non-increasing")
-    cum_a = _cumulative_logs(a, log_scale)
-    cum_b = _cumulative_logs(b, log_scale)
-    lhs = SignedLogDet.from_log(float(_log1p_pow(b, log_scale, p).sum()))
-    rhs = SignedLogDet.from_log(float(_log1p_pow(a, log_scale, p).sum()))
-    diagnostics: tuple[Finding, ...] = ()
-    for k in range(a.size):
-        slack = MAJOR_REL * max(1.0, abs(cum_b[k]) if math.isfinite(cum_b[k]) else 1.0)
-        if cum_a[k] > cum_b[k] + slack:
-            diagnostics = (Finding("first_violating_k", k + 1),)
-            break
+    sides = _log_major_sides(a, b, p, log_scale)
+    first, differ = sides.detail
+    if first:
+        diagnostics: tuple[Finding, ...] = (Finding("first_violating_k", int(first)),)
     else:
-        finite = math.isfinite(cum_a[-1]) and math.isfinite(cum_b[-1])
-        both_zero = math.isinf(cum_a[-1]) and math.isinf(cum_b[-1])
-        if not both_zero and (not finite or abs(cum_a[-1] - cum_b[-1])
-                              > MAJOR_REL * max(1.0, abs(cum_b[-1]))):
-            diagnostics = (Finding("final_products_differ", True),)
-    return _report("log_major", lhs, rhs, tol, diagnostics, precondition_failed=bool(diagnostics))
+        diagnostics = (Finding("final_products_differ", True),) if differ else ()
+    return _report("log_major", sides, tol, diagnostics)
+
+
+def _log_major_sides(a: np.ndarray, b: np.ndarray, p: float, log_s=0.0) -> _Sides:
+    """The sides of :func:`check_log_major` for two sequences, or each pair
+    of rows of two stacks; the detail is the first violating prefix length
+    (0: none), and whether, with none, the full products differ."""
+    cum_a, cum_b = _cumulative_logs(a, log_s), _cumulative_logs(b, log_s)
+    slack = MAJOR_REL * np.where(np.isfinite(cum_b), np.maximum(1.0, np.abs(cum_b)), 1.0)
+    over = cum_a > cum_b + slack
+    first = np.where(over.any(axis=-1), over.argmax(axis=-1) + 1, 0)
+    last_a, last_b = cum_a[..., -1], cum_b[..., -1]   # a zero b product makes a prefix fail
+    with np.errstate(invalid="ignore"):   # -inf - -inf, both products zero, is not apart
+        differ = (first == 0) & (np.abs(last_a - last_b)
+                                 > MAJOR_REL * np.maximum(1.0, np.abs(last_b)))
+    return _Sides(_log1p_pow(b, log_s, p).sum(axis=-1), _log1p_pow(a, log_s, p).sum(axis=-1),
+                  precondition_failed=(first > 0) | differ, detail=(first, differ))
 
 
 def check_weyl(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Eigenvalue moduli weakly log-majorized by singular values.
 
-    For every prefix, the product of the top eigenvalue moduli is bounded by
-    the product of the top singular values, and the full products agree.
-    ``margin`` is the smallest strict-prefix gap in the log domain (the k = n
-    gap is an identity and is reported as a diagnostic instead); for a normal
-    matrix every prefix is tight and the verdict is ``equality``.  The k = n
-    gap is a violation only beyond both the equality window and the
-    first-order error of the two computed products, n * eps * sigma_max /
-    sigma_min.
+    Every prefix product of the top eigenvalue moduli is bounded by that of
+    the top singular values, and the full products agree.  ``margin`` is the
+    smallest strict-prefix log gap (the k = n gap, an identity, is a
+    finding); a normal matrix reads ``equality``.  The k = n gap violates
+    only beyond both the window and the first-order error of the computed
+    products, n * eps * sigma_max / sigma_min.
     """
-    a = as_matrix(a)
-    _require_square(a, "check_weyl")
-    (lam, sig), log_s = _rescaled(lambda u: (np.abs(general_eigenvalues(u)),
-                                             singular_values(u)), a)
-    cum_l = _cumulative_logs(lam, log_s)
-    cum_s = _cumulative_logs(sig, log_s)
-    lhs, rhs = (SignedLogDet.zero() if math.isinf(cum[-1])
-                else SignedLogDet.from_log(float(cum[-1])) for cum in (cum_s, cum_l))
-    with np.errstate(invalid="ignore"):   # -inf - -inf where both prefixes reach log 0
-        gaps = cum_s[:-1] - cum_l[:-1]
-    gaps = gaps[np.isfinite(gaps)]
-    final_gap = lhs.log_ratio(rhs)
-    rounding = lam.size * _EPS * float(sig[0]) / float(sig[-1]) if sig[-1] > 0.0 else math.inf
-    beyond_rounding = math.isfinite(final_gap) and abs(final_gap) > rounding
-    return _report("weyl", lhs, rhs, tol, (Finding("final_product_gap", final_gap),),
-                   margin=float(np.min(gaps)) if gaps.size else 0.0,
-                   identity_gap=abs(final_gap) if beyond_rounding else 0.0)
+    a = _require_square(as_matrix(a), "check_weyl")
+    sides = _weyl_sides(a)
+    (final_gap,) = sides.detail
+    return _report("weyl", sides, tol, (Finding("final_product_gap", float(final_gap)),))
+
+
+def _weyl_sides(a: np.ndarray) -> _Sides:
+    """The sides of :func:`check_weyl` for A, or each A of a stack: sum log
+    sigma against sum log |lambda|, each zero where it reads log 0, and the
+    smallest finite strict-prefix gap (0 without one) as the margin; the
+    detail is the k = n gap."""
+    (moduli, sigma), log_s = _rescaled(lambda u: (
+        np.sort(np.abs(_lapack("eigvals", u)), axis=-1)[..., ::-1], _singular_values(u)), a)
+    cum_l, cum_s = _cumulative_logs(moduli, log_s), _cumulative_logs(sigma, log_s)
+    lhs, rhs = cum_s[..., -1], cum_l[..., -1]
+    lhs_zero, rhs_zero = np.isinf(lhs), np.isinf(rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):   # log 0 - log 0, and sigma_min 0
+        gaps = cum_s[..., :-1] - cum_l[..., :-1]
+        final = np.where(lhs_zero & rhs_zero, 0.0, lhs - rhs)   # as SignedLogDet.log_ratio
+        rounding = a.shape[-1] * _EPS * sigma[..., 0] / sigma[..., -1]   # never past at sigma_min 0
+    margin = np.min(gaps, axis=-1, initial=np.inf, where=np.isfinite(gaps))
+    beyond = np.isfinite(final) & (np.abs(final) > rounding)
+    return _Sides(lhs, rhs, lhs_zero, rhs_zero, margin=np.where(margin < np.inf, margin, 0.0),
+                  identity_gap=np.where(beyond, np.abs(final), 0.0), detail=(final,))
 
 
 def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det A = det A11 * det(A / A11): both magnitudes and phases must match."""
-    a = as_matrix(a)
-    _require_square(a, "check_schur_identity")
-    try:
-        complement, log_s = _rescaled(lambda u: schur_complement(u, r), a)
-    except SingularBlockError as err:
-        zero = SignedLogDet.zero()
-        return _report("schur_identity", zero, zero, tol,
-                       (Finding("leading_block_condition", _json_value(err.condition_estimate)),),
-                       precondition_failed=True)
-    lhs = det(a[:r, :r])
+    a = _require_square(as_matrix(a), "check_schur_identity")
+    sides = _schur_identity_sides(a, r)
+    d11, complement, d, log_s, top, bottom = sides.detail
+    if sides.precondition_failed:
+        condition = float(top) / float(bottom) if bottom > 0.0 else math.inf
+        return _report("schur_identity", sides, tol,
+                       (Finding("leading_block_condition", _json_value(condition)),))
+    lhs = _signed_log_det(*d11)
     if log_s:   # the complement of A/s is A's divided by s
-        lhs = lhs * SignedLogDet.from_log((a.shape[0] - r) * log_s)
-    lhs = lhs * det(complement)
-    rhs = det(a)
-    if lhs.is_zero or rhs.is_zero:
-        return _report("schur_identity", lhs, rhs, tol)
-    phase_gap = float(abs(lhs.phase - rhs.phase))
-    return _report("schur_identity", lhs, rhs, tol, (Finding("phase_distance", phase_gap),),
-                   phase_gap=phase_gap)
+        lhs = lhs * SignedLogDet.from_log(float(log_s))
+    lhs = lhs * _signed_log_det(*complement)
+    rhs = _signed_log_det(*d)
+    diagnostics = () if lhs.is_zero or rhs.is_zero else (
+        Finding("phase_distance", float(abs(lhs.phase - rhs.phase))),)
+    return _report("schur_identity", sides, tol, diagnostics, lhs=lhs, rhs=rhs)
+
+
+def _schur_identity_sides(a: np.ndarray, r: int) -> _Sides:
+    """The sides of :func:`check_schur_identity` for A, or each A of a stack,
+    with their phase gap; both zero, a failed precondition, where A11 fails
+    :func:`schur_complement`'s gate.  The detail is the parts of det A11,
+    det(A / A11) and det A, (n - r) log s, and A11's extreme sigmas."""
+    n = a.shape[-1]
+    _require_split(n, r)
+    (complement, singular, top, bottom), log_s = _rescaled(lambda u: _schur_complement(u, r), a)
+    d11, dc, d = _det_parts(a[..., :r, :r]), _det_parts(complement), _det_parts(a)
+    shift = (n - r) * log_s
+    lhs_zero, rhs_zero = d11[2] | dc[2] | singular, d[2] | singular
+    phase_gap = np.where(lhs_zero | rhs_zero, 0.0, np.abs(d11[0] * dc[0] - d[0]))
+    return _Sides(d11[1] + shift + dc[1], d[1], lhs_zero, rhs_zero,
+                  precondition_failed=singular, phase_gap=phase_gap,
+                  detail=(d11, dc, d, shift, top, bottom))
 
 
 def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """det(|T1| + |T2|) vs det(|X1| + |X2|) * det(|Z1| + |Z2|).
-
-    A candidate inequality that is false in general: the verdict simply
-    reports which way the comparison falls on the given pair.
-    """
+    """det(|T1| + |T2|) vs det(|X1| + |X2|) * det(|Z1| + |Z2|): false in
+    general, so the verdict reports which way the pair's comparison falls."""
     if family.m != 2:
         raise ShapeError(f"this comparison needs exactly two members, got {family.m}")
-    pair = np.concatenate([t.assemble() for t in family.members])   # [T1; T2]: one s for both
-    (t_sum, x_sum, z_sum), log_s = _rescaled(lambda u: _abs_sums(u, family.r), pair)
-    lhs, rhs = det(t_sum), det(x_sum) * det(z_sum)
+    sides = _e21_sides(family.assemble(), family.r)
+    d_t, d_x, d_z, log_s = sides.detail
+    lhs, rhs = _signed_log_det(*d_t), _signed_log_det(*d_x) * _signed_log_det(*d_z)
     if log_s:   # |T_k / s| = |T_k| / s: each side is s^-n times the pair's
-        lhs, rhs = (side * SignedLogDet.from_log(family.n * log_s) for side in (lhs, rhs))
-    return _report("e21", lhs, rhs, tol)
+        lhs, rhs = (side * SignedLogDet.from_log(float(log_s)) for side in (lhs, rhs))
+    return _report("e21", sides, tol, lhs=lhs, rhs=rhs)
 
 
-def _abs_sums(pair: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
-    """|T1| + |T2| of the pair [T1; T2], and the same of the X and of the Z blocks."""
-    t1, t2 = np.split(pair, 2)
-    return tuple(abs_matrix(b1) + abs_matrix(b2) for b1, b2 in
-                 ((t1, t2), (t1[:r, :r], t2[:r, :r]), (t1[r:, r:], t2[r:, r:])))
+def _e21_sides(t: np.ndarray, r: int) -> _Sides:
+    """The sides of :func:`check_e21` for a pair's (2, n, n) stack, or each
+    of a stack of them, under one s for [T1; T2] (:func:`_rescaled`); the
+    detail is the determinants' parts and n log s."""
+    n = t.shape[-1]
 
+    def sums(pair):
+        t1, t2 = pair[..., :n, :], pair[..., n:, :]
+        return tuple(_abs_matrix(b1) + _abs_matrix(b2) for b1, b2 in
+                     ((t1, t2), *zip(_diagonal_blocks(t1, r), _diagonal_blocks(t2, r))))
 
-# ---------------------------------------------------------------------------
-# The batched evaluator
-#
-# It scores a chunk of a search's trials at once from the :class:`_Sides`
-# of the chunk's stack (each trial's T, or the (m, n, n) stack of its
-# family), given by the sides function the id's checker reads: each trial's
-# margin is bitwise the checker's, and its code the checker's verdict.
-
-
-def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Each input's margin, :meth:`SignedLogDet.log_ratio` elementwise, and
-    its code by :func:`_decide`, from the :class:`_Sides` of a stack of
-    inputs; a flagged lhs's log magnitude reads 0, as in :func:`_report`."""
-    lhs, rhs, lhs_zero, rhs_zero = sides[:4]
-    margin = lhs - rhs
-    zero = lhs_zero | rhs_zero   # False where neither side is ever flagged
-    if zero is not False and zero.any():   # few chunks: the others skip the four selections
-        margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
-                          np.where(rhs_zero, np.inf, margin))
-        lhs = np.where(lhs_zero, 0.0, lhs)
-    return margin, _decide(margin, lhs, tol, sides.structural_equality,
-                           precondition_failed=sides.precondition_failed)[0]
+    (t_sum, x_sum, z_sum), log_s = _rescaled(sums, t.reshape(t.shape[:-3] + (2 * n, n)))
+    d_t, d_x, d_z = _det_parts(t_sum), _det_parts(x_sum), _det_parts(z_sum)
+    shift = n * log_s
+    return _Sides(d_t[1] + shift, (d_x[1] + d_z[1]) + shift, d_t[2], d_x[2] | d_z[2],
+                  detail=(d_t, d_x, d_z, shift))

@@ -111,17 +111,18 @@ def _parse_entry_bound(text: str | None):
         raise _UsageError(f"bad --entry-bound {text!r}")
 
 
-def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool) -> None:
-    """Refuse a ``--p`` below 1 or not finite, then a ``--p`` or an
-    ``--allow-hypothesis-violation`` for an id that does not take it
-    (``ineq`` None: an unknown id, reported later)."""
+def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool,
+                   r: int | None = None) -> None:
+    """Refuse a ``--p`` below 1 or not finite, then a flag the id does not
+    take (``r``: ``check``'s ``--r``); ``ineq`` None is an unknown id."""
     if p is not None and not 1.0 <= p < math.inf:   # NaN compares false
         raise _UsageError(f"--p must be >= 1, got {p}")
     if ineq is None:
         return
     for flag, given, takes_it in (("--p", p is not None, lambda i: i.default_p is not None),
                                   ("--allow-hypothesis-violation", allow_hypothesis_violation,
-                                   lambda i: i.hypothesis_gate)):
+                                   lambda i: i.hypothesis_gate),
+                                  ("--r", r is not None, lambda i: i.needs_r)):
         if given and not takes_it(ineq):
             takes = ", ".join(i.id for i in INEQUALITIES.values() if takes_it(i))
             raise _UsageError(f"{ineq.id} takes no {flag}; only {takes} do")
@@ -197,7 +198,7 @@ def cmd_check(args) -> int:
     matrices = tuple(_load_matrix_file(f) for f in args.files)
     if ineq.needs_r and args.r is None:
         raise _UsageError(f"{ineq.id} needs --r (top-left block dimension)")
-    _require_flags(ineq, args.p, args.allow_hypothesis_violation)
+    _require_flags(ineq, args.p, args.allow_hypothesis_violation, args.r)
     params = ineq.call_params(args.r, args.p, args.allow_hypothesis_violation)
     witness = Witness(ineq.id, 0, 0, params, matrices)
     try:

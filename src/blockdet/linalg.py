@@ -1,30 +1,27 @@
-"""Dense complex linear algebra on numpy arrays.
+"""Dense complex linear algebra on numpy arrays of ``complex128``.
 
-Everything downstream (inequality checkers, the fuzzer, the CLI) works on
-plain ``numpy`` arrays of ``complex128``.  This module owns:
+This module owns:
 
 * input validation with explicit shape errors,
 * determinants in signed-log form (phase plus log-magnitude) from LAPACK's
   LU, with a scale-aware zero flag, safe from overflow at any finite
   magnitude,
 * one LAPACK route, :func:`_lapack`, which calls numpy.linalg's stacked
-  gufuncs directly, its results bitwise numpy.linalg's, for every
-  factorization in the package: Hermitian eigensystems, general
-  eigenvalues, singular values of the unsquared input and ``|A|``, LU
-  determinants and solves, and the draw's QR, with a LAPACK failure
-  reported as :class:`ConvergenceError`; :func:`singular_values` also takes a stack of
-  matrices; :func:`_rescaled` retakes any of them on A/s where A's is not finite,
-* Schur complements,
-* structural predicates (Hermitian / PSD / normal / symmetric / triangular),
+  gufuncs directly, bitwise numpy.linalg's, for every factorization in the
+  package (a failure is a :class:`ConvergenceError`), and one overflow
+  policy, :func:`_rescaled`, which retakes a spectrum on A/s where A's is
+  not finite,
+* Schur complements, ``|A|`` and structural predicates (Hermitian / PSD /
+  normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
 
 All functions are pure: inputs are never mutated (but by ``qr_r_raw``,
 which factors in place the copy it is given) and there is no global
-mutable state (a cache of read-only triangle masks aside), so values can
-be shared freely across threads.  Every public function validates its
-arguments with :func:`as_matrix`, and so does :class:`BlockUpperTriangular`,
-which copies its input once into a matrix of its own; the checkers' inner
-spectra (:func:`_singular_values`) are not validated again.
+mutable state (a cache of read-only triangle masks aside).  Every public
+function validates its arguments with :func:`as_matrix`, and so does
+:class:`BlockUpperTriangular`, which copies its input once; the kernels the
+checkers' sides functions call on stacks (:func:`_det_parts`,
+:func:`_singular_values`, :func:`_abs_matrix`) do not validate again.
 """
 
 from __future__ import annotations
@@ -78,11 +75,8 @@ class NotHermitianError(LinalgError):
 class ConvergenceError(LinalgError):
     """A LAPACK routine failed: an eigenvalue or singular value iteration
     did not converge, or a QR or LU factorization met a bad argument or a
-    singular matrix.
-
-    ``routine`` names the ``numpy.linalg`` routine whose LAPACK gufunc
-    failed and ``shape`` is the shape of the matrix it was given; the
-    message ends with numpy.linalg's own text.
+    singular matrix.  ``routine`` names the failed ``numpy.linalg`` routine,
+    ``shape`` its input's shape; the message ends with numpy.linalg's text.
     """
 
     def __init__(self, message: str, routine: str, shape: tuple):
@@ -117,13 +111,9 @@ MAJOR_REL = 1e-10       # weak log-majorization hypothesis gate
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The one setting a caller can change: the checkers' equality window.
-
-    ``eq_rel`` is the relative log-domain equality window every verdict is
-    decided with (``--tol-eq`` on the command line); it must be positive and
-    finite.
-    The other gates are the fixed module constants above, and LAPACK's own
-    convergence criteria are not configurable.
+    """The one setting a caller can change: ``eq_rel``, the relative
+    log-domain equality window every verdict is decided with (``--tol-eq``),
+    positive and finite.  The other gates are the module constants above.
     """
 
     eq_rel: float = 1e-8
@@ -151,9 +141,15 @@ def as_matrix(data, stack: bool = False) -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray, what: str) -> None:
+def _require_square(a: np.ndarray, what: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
+    return a
+
+
+def _require_split(n: int, r: int) -> None:
+    if not 0 < r < n:
+        raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -171,11 +167,9 @@ _FLOAT_TINY = float(np.finfo(float).tiny)   # the smallest normal float
 def _power_of_two_above(v):
     """A power of two above ``v``, or 1 if ``v <= 1``; elementwise on an array.
 
-    Dividing by a power of two is exact, so scaling by it changes no digit.
-    The power is capped at 2^1023, the largest finite one, so a ``v`` in
-    [2^1023, DBL_MAX] is scaled to below 2.  So is each part of a finite
-    complex whose modulus ``v`` is infinite (both parts near 1.3e308): its
-    power is 2^1023 too.
+    Dividing by it is exact.  It is capped at 2^1023, the largest finite
+    power, which scales a ``v`` up to DBL_MAX, and each part of a finite
+    complex whose modulus ``v`` is infinite, to below 2.
     """
     if isinstance(v, float):   # math is several times faster than numpy on one value
         return math.ldexp(1.0, min(math.frexp(min(v, _FLOAT_MAX))[1], 1023)) if v > 1.0 else 1.0
@@ -189,31 +183,34 @@ def _unit_scale(a: np.ndarray):
     return _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
 
 
-def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _unit_scaled(a: np.ndarray, ndim: int | None = None) -> tuple:
     """``a`` divided by ``s``, and ``s``: the one power of two, up or down,
-    that brings the largest real or imaginary part of any entry of ``a`` (a
-    matrix or a stack) into [1, 2); ``s`` is 1 for an all-zero ``a``.
+    that brings the largest real or imaginary part of any entry of ``a``
+    into [1, 2), 1 for an all-zero ``a``; with ``ndim``, an ``s`` for each
+    block of the last ``ndim`` axes (a matrix of a stack at 2, a family at 3).
 
-    Each part is scaled by ``ldexp``, which forms no reciprocal, so ``s``
-    may be subnormal; the scaling is exact unless a part of the quotient
-    falls below the normal range.  An identity block bordering the quotient
-    neither dwarfs it nor is dwarfed by it, and no product of two overflows.
+    ``ldexp`` scales each part and forms no reciprocal, so ``s`` may be
+    subnormal; the scaling is exact unless a part falls below the normal
+    range.  An identity block bordering the quotient neither dwarfs it nor
+    is dwarfed by it, and no product of two overflows.
     """
-    top = float(np.max(np.maximum(np.abs(a.real), np.abs(a.imag))))
-    if top == 0.0:
-        return a, 1.0
-    e = math.frexp(top)[1] - 1
-    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), math.ldexp(1.0, e)
+    top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(
+        axis=None if ndim is None else tuple(range(-ndim, 0)))
+    if np.ndim(top) == 0:   # one block: math is several times faster than numpy on one value
+        if top == 0.0:
+            return a, 1.0
+        e = math.frexp(top)[1] - 1
+        return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), math.ldexp(1.0, e)
+    e = np.where(top == 0.0, 0, np.frexp(top)[1] - 1)
+    shift = -e.reshape(e.shape + (1,) * ndim)
+    return np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift), np.ldexp(1.0, e)
 
 
 def _unit_masses(a: np.ndarray, *parts) -> tuple:
     """For a matrix, or each matrix A of a stack: s, its :func:`_unit_scale`,
-    the quotient A/s, ||A/s||_F, and ||part(A/s)||_F for each of ``parts``,
-    each the :func:`frobenius_norm` of that matrix.
-
+    the quotient A/s, ||A/s||_F, and ||part(A/s)||_F for each of ``parts``.
     The division is exact and no norm of the quotient overflows, so the
-    relative structural gates on these masses decide alike at every
-    magnitude.
+    structural gates on these masses decide alike at every magnitude.
     """
     s = _unit_scale(a)
     unit = a / (s if isinstance(s, float) else s[..., None, None])
@@ -226,9 +223,9 @@ def _rescaled(f, a: np.ndarray) -> tuple:
     is not finite, ``f(a / s)`` and log s, s the :func:`_unit_scale` of
     ``a``; past DBL_MAX, LAPACK's SVD gives NaN without a warning.  ``f`` of
     a matrix, or of a stack, is an array or a tuple of arrays, a row per
-    matrix of the stack.  s is 1, and log s 0, for a matrix of the stack
-    whose row is finite: its quotient is itself.  A finite ``f(a)``, taken
-    with numpy's overflow warnings off, is returned as it is."""
+    matrix; only a stack's matrices with rows not finite are taken again,
+    s 1 for the others.  A finite ``f(a)``, taken with numpy's overflow
+    warnings off, is returned as it is."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = f(a)
     single = not isinstance(out, tuple)
@@ -238,7 +235,12 @@ def _rescaled(f, a: np.ndarray) -> tuple:
     finite = np.logical_and.reduce([np.isfinite(part).reshape(a.shape[:-2] + (-1,)).all(axis=-1)
                                     for part in parts])
     s = np.where(finite, 1.0, _unit_scale(a))
-    return f(a / s[..., None, None]), np.log(s)
+    if a.ndim == 2:
+        return f(a / s), np.log(s)
+    again = f(a[~finite] / s[~finite][:, None, None])
+    for part, rows in zip(parts, (again,) if single else again):
+        part[~finite] = rows
+    return out, np.log(s)
 
 
 def _asymmetry(u: np.ndarray) -> np.ndarray:
@@ -297,18 +299,13 @@ _GUFUNCS = {
 def _lapack(gufunc: str, a: np.ndarray, *operands):
     """numpy.linalg's stacked LAPACK gufunc ``gufunc`` on ``a`` and ``operands``,
     called as numpy.linalg calls it on complex input, so every result is
-    bitwise its own.
-
-    The call runs under the error state numpy.linalg sets, whose handler
-    raises numpy's own ``LinAlgError`` text; that error is reported as
+    bitwise its own, under its error state; a failure is reported as
     :class:`ConvergenceError` naming the numpy.linalg routine, as a
-    non-convergence for the iterative ones (svd, eigh, eigvals) and as a
-    failure for the factorizations (qr, solve).  numpy.linalg's checks and
-    copies are not made: every caller passes finite complex128 stacks that
-    :func:`as_matrix` or a draw already checked, and ``qr_r_raw`` factors
-    its ``a`` in place, leaving R in its upper triangle, so its caller
-    passes a copy.  The gufuncs are private numpy, pinned against numpy.linalg by
-    ``tests/test_linalg.py``.
+    non-convergence of svd, eigh or eigvals, or a failure of qr or solve.
+    numpy.linalg's checks and copies are not made: callers pass finite
+    complex128 stacks, and a copy to ``qr_r_raw``, which factors in place,
+    leaving R in the upper triangle.  The gufuncs are private numpy, pinned
+    against numpy.linalg by ``tests/test_linalg.py``.
     """
     routine, signature, handler = _GUFUNCS[gufunc]
     call = getattr(_umath_linalg, gufunc)
@@ -385,12 +382,6 @@ class SignedLogDet:
             return SignedLogDet.zero()
         return SignedLogDet(self.phase * other.phase, self.log_magnitude + other.log_magnitude)
 
-    def abs(self) -> "SignedLogDet":
-        """Drop the phase, keeping the magnitude."""
-        if self.is_zero:
-            return SignedLogDet.zero()
-        return SignedLogDet(1.0 + 0j, self.log_magnitude)
-
     def log_ratio(self, other: "SignedLogDet") -> float:
         """log |self| - log |other| with -inf/+inf for zero sides, 0 if both zero."""
         if self.is_zero and other.is_zero:
@@ -403,30 +394,25 @@ class SignedLogDet:
 
 
 def det(a: np.ndarray) -> SignedLogDet:
-    """Determinant in signed-log form, from LAPACK's LU (numpy's ``slogdet``
-    gufunc, as ``numpy.linalg.slogdet`` calls it).
+    """Determinant in signed-log form, from LAPACK's LU (numpy's ``slogdet``).
 
-    Each row is first divided by its largest entry modulus (by its largest
-    max(|re|, |im|) where a modulus exceeds DBL_MAX) and the logs of those
-    scales are added to the result, so nothing overflows at any finite
-    magnitude.  The zero flag is raised for an all-zero row, or when the
-    equilibrated matrix is singular to working precision by the rule of the
-    Schur gate (:func:`_singular_to_working_precision`); one large row
-    therefore cannot make the others look singular.
+    Each row is first divided by its largest entry modulus (largest
+    max(|re|, |im|) past DBL_MAX), the logs of those scales added back, so
+    nothing overflows.  The zero flag is raised for an all-zero row, or an
+    equilibrated matrix singular to working precision by the Schur gate's
+    rule (:func:`_singular_to_working_precision`), so one large row cannot
+    make the others look singular.
     """
-    a = as_matrix(a)
-    _require_square(a, "det")
+    a = _require_square(as_matrix(a), "det")
     return _signed_log_det(*_det_parts(a))
 
 
 def _det_parts(a: np.ndarray) -> tuple:
     """:func:`det` of a square matrix as its phase, log magnitude and zero
-    flag; of a stack (..., n, n) of them, as three arrays, each matrix's
-    entries bitwise what :func:`det` of that matrix gives.
-
-    Every rule of :func:`det` is applied per matrix.  The phase and log of a
-    flagged matrix are not used: a matrix with an all-zero row is replaced
-    by the identity, so that nothing divides by zero.
+    flag; of a stack (..., n, n), three arrays, each entry bitwise that
+    matrix's :func:`det`.  A flagged matrix's phase and log are not used:
+    one with an all-zero row is taken as the identity, so nothing divides by
+    zero.
     """
     scales = np.abs(a).max(axis=-1)
     smallest = scales.min(axis=-1)
@@ -477,8 +463,7 @@ def hermitian_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     halved before the sum so that nothing overflows, goes to LAPACK
     (numpy's ``eigh_lo`` gufunc, as ``numpy.linalg.eigh`` calls it).
     """
-    a = as_matrix(a)
-    _require_square(a, "hermitian_eigensystem")
+    a = _require_square(as_matrix(a), "hermitian_eigensystem")
     s, _, norm, deviation = _unit_masses(a, _anti_hermitian)
     if deviation > HERMITIAN_REL * norm:
         raise NotHermitianError(f"matrix deviates from Hermitian by {s * deviation:.3e} "
@@ -519,8 +504,7 @@ def general_eigenvalues(a: np.ndarray) -> np.ndarray:
     Sorted by non-increasing modulus; ties by descending real part, then
     descending imaginary part.
     """
-    a = as_matrix(a)
-    _require_square(a, "general_eigenvalues")
+    a = _require_square(as_matrix(a), "general_eigenvalues")
     values = _lapack("eigvals", a)
     return values[np.lexsort((-values.imag, -values.real, -np.abs(values)))]
 
@@ -531,13 +515,21 @@ def general_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 def abs_matrix(a: np.ndarray) -> np.ndarray:
     """The PSD square root of a* a, built as V diag(sigma) V* from the SVD of ``a``."""
-    a = as_matrix(a)
-    _require_square(a, "abs_matrix")
+    a = _require_square(as_matrix(a), "abs_matrix")
+    return _abs_matrix(a)
+
+
+def _abs_matrix(a: np.ndarray) -> np.ndarray:
+    """:func:`abs_matrix` of a validated matrix, or each of a stack; past
+    sigma_max = DBL_MAX / 4, halved before the sum, so that nothing overflows."""
     _, sigma, vh = _lapack("svd_f", a)
-    p = (vh.conj().T * sigma) @ vh
-    if sigma[0] <= _FLOAT_MAX / 4.0:   # no entry of p + p* overflows
-        return (p + p.conj().T) / 2.0
-    return p / 2.0 + p.conj().T / 2.0   # halved before the sum, as hermitian_eigensystem does
+    p = (vh.conj().mT * sigma[..., None, :]) @ vh
+    big = ~(sigma[..., 0] <= _FLOAT_MAX / 4.0)   # a NaN sigma_max counts as big
+    if not big.any():
+        return (p + p.conj().mT) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):   # the big ones' sums are not used
+        return np.where(big[..., None, None], p / 2.0 + p.conj().mT / 2.0,
+                        (p + p.conj().mT) / 2.0)
 
 
 def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
@@ -548,26 +540,36 @@ def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
     the condition estimate; a block that passes is solved by LAPACK's LU
     with partial pivoting.
     """
-    a = as_matrix(a)
-    _require_square(a, "schur_complement")
-    n = a.shape[0]
-    if not 0 < r < n:
-        raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
-    a11 = a[:r, :r]
-    sigma, _ = _rescaled(singular_values, a11)   # the gate is a ratio: log s cancels
-    if _singular_to_working_precision(sigma):
-        sigma_min, sigma_max = float(sigma[-1]), float(sigma[0])
-        estimate = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")
+    a = _require_square(as_matrix(a), "schur_complement")
+    _require_split(a.shape[0], r)
+    complement, singular, sigma_max, sigma_min = _schur_complement(a, r)
+    if singular:
+        estimate = float(sigma_max) / float(sigma_min) if sigma_min > 0.0 else float("inf")
         raise SingularBlockError(
             f"leading {r}x{r} block is singular to working precision "
             f"(condition estimate {estimate:.3e})",
             condition_estimate=estimate,
         )
+    return complement
+
+
+def _schur_complement(a: np.ndarray, r: int) -> tuple:
+    """:func:`schur_complement` of a validated matrix, or of each of a stack;
+    whether the gate rejects a11; and a11's largest and smallest singular
+    values.  A rejected a11 is solved as I, so that no solve fails, and its
+    complement reads 0."""
+    a11 = a[..., :r, :r]
+    sigma, _ = _rescaled(_singular_values, a11)   # the gate is a ratio: log s cancels
+    singular = _singular_to_working_precision(sigma)
     # both divided by a11's power of two, so that LAPACK's pivots and
     # reciprocals neither overflow nor underflow near DBL_MAX; exact, so the
     # quotient a11^{-1} a12 is unchanged
-    s = _unit_scale(a11)
-    return a[r:, r:] - a[r:, :r] @ _lapack("solve", a11 / s, a[:r, r:] / s)
+    s, rejected = _unit_scale(a11), singular
+    if a.ndim > 2:
+        s, rejected = s[..., None, None], singular[..., None, None]
+    x = _lapack("solve", np.where(rejected, np.eye(r), a11 / s), a[..., :r, r:] / s)
+    return (np.where(rejected, 0.0, a[..., r:, r:] - a[..., r:, :r] @ x), singular,
+            sigma[..., 0], sigma[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +589,14 @@ class MatrixPredicates:
 def predicates(a: np.ndarray) -> MatrixPredicates:
     """Tolerance-based structural classification of a square matrix.
 
-    The zero matrix passes the Hermitian, PSD, normal, symmetric and
-    triangular tests.  PSD requires Hermitian and smallest eigenvalue at
-    least ``-PSD_REL * sigma_max``; the eigenvalues are those of the
-    Hermitian part (a + a*) / 2, which passes the eigensolver's tighter gate
-    exactly.  The structural tests are scale-invariant and run on the exact
-    quotient A/s of :func:`_unit_masses`, where no norm or product overflows;
-    the checkers' own structural tests use the same masses.  The PSD test
-    takes the quotient's eigenvalues; ``min_eigenvalue`` is s times the least.
+    The zero matrix passes every test.  PSD requires Hermitian and smallest
+    eigenvalue at least ``-PSD_REL * sigma_max``, of the Hermitian part
+    (a + a*) / 2, which passes the eigensolver's tighter gate exactly.  The
+    tests run on the exact quotient A/s of :func:`_unit_masses`, as the
+    checkers' do, where nothing overflows; ``min_eigenvalue`` is s times
+    the quotient's least.
     """
-    a = as_matrix(a)
-    _require_square(a, "predicates")
+    a = _require_square(as_matrix(a), "predicates")
     s, unit, norm, anti_hermitian, asymmetry, commutator, lower = _unit_masses(
         a, _anti_hermitian, _asymmetry, _commutator, _strict_lower)
     gate = PREDICATE_REL * norm
@@ -630,10 +629,9 @@ class BlockUpperTriangular:
 
     The member owns one read-only n-square matrix [[x, y], [0, z]], with x
     r-square, z (n-r)-square and an exactly-zero lower-left block; ``x``,
-    ``y`` and ``z`` are read-only views of it, and :meth:`assemble` returns
-    it.  The constructor validates the caller's blocks and copies them into
-    that matrix; :meth:`from_matrix` validates a full matrix and copies it.
-    Either way the member shares no memory with the caller's arrays.
+    ``y`` and ``z`` are views of it, and :meth:`assemble` returns it.  The
+    constructor, or :meth:`from_matrix` for a full matrix, validates and
+    copies the caller's arrays, which the member shares no memory with.
     """
 
     x: np.ndarray
@@ -670,11 +668,9 @@ class BlockUpperTriangular:
     @classmethod
     def from_matrix(cls, t: np.ndarray, r: int) -> "BlockUpperTriangular":
         """Split a full matrix; the lower-left block must be exactly zero."""
-        t = as_matrix(t)
-        _require_square(t, "block split")
+        t = _require_square(as_matrix(t), "block split")
         n = t.shape[0]
-        if not 0 < r < n:
-            raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
+        _require_split(n, r)
         lower_left = t[r:, :r]
         if np.any(lower_left != 0):
             raise ShapeError(

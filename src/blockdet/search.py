@@ -7,14 +7,12 @@ counterexample-bearing predicates (``cor_c1`` under a violated normality
 hypothesis and ``e21``) get the published witness pair injected as trial 0,
 which makes "the fuzzer finds a violation" deterministic instead of lucky.
 
-The draw is the search's input boundary: a search draws its trials a chunk
-at a time, each from its own stream, into read-only stacks; under an
-``entry_bound`` each trial's blocks are checked finite once.  An id whose
-record names a sides function scores the chunk's stack by the checker's
-verdict rule, and only the trials that rule reads as violated, or gives no
-verdict, reach the checker, as witnesses over views of the stacks, checked
-as ``blockdet check`` checks its files; their reports are the ones a search
-records.  A recorded witness copies its matrices out of the chunk.
+A search draws its trials a chunk at a time, each from its own stream, into
+read-only stacks, checked finite once under an ``entry_bound``.  Each id's
+sides function scores the chunk by the checker's verdict rule; only trials
+it reads as violated, or gives no verdict, reach the checker, as witnesses
+over views of the stacks, and their reports are the ones a search records.
+A recorded witness copies its matrices out of the chunk.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import checks
 # Inequality.check calls the check_* functions by their names in this module.
 from .checks import (
     BlockFamily,
@@ -47,13 +46,9 @@ from .checks import (
     check_thm2,
     check_thm3,
     check_weyl,
-    _abs_power_sides,
-    _drury_sides,
     _evaluate,
     _json_value,
     _require_exponent,
-    _thm1_sides,
-    _thm2_sides,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -62,14 +57,13 @@ from .linalg import (
     ShapeError,
     Tolerances,
     as_matrix,
-    general_eigenvalues,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    singular_values,
     _below_diagonal,
     _double,
     _lapack,
     _rescaled,
+    _singular_values,
     _unit_scaled,
 )
 
@@ -140,12 +134,9 @@ class GeneratorSpec:
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """``default_rng(SeedSequence([seed & M, trial_index & M]))``, M = 2^64 - 1.
-
-    The seed sequence is given the uint32 words it would assemble from that
-    list, so numpy skips its Python-level coercion of the list; its pool,
-    the state and the stream are the same.
-    """
+    """``default_rng(SeedSequence([seed & M, trial_index & M]))``, M = 2^64 - 1,
+    given the uint32 words it would assemble from that list, so numpy skips
+    its Python-level coercion; its pool, state and stream are the same."""
     if trial_index < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial_index}")
     words = _seed_words(seed & _MASK64) + _seed_words(trial_index & _MASK64)
@@ -203,9 +194,8 @@ def _draw(spec: GeneratorSpec, trials: range, counts) -> list[np.ndarray]:
 
     The integer families draw ``rng.integers`` over the entry range, the
     others standard normals; a bound the family does not take raises before
-    anything is drawn.  One call of total length gives bitwise the values of
-    consecutive calls of its parts, so the stream, and every matrix drawn
-    from it, is the one a block-by-block draw made.
+    anything is drawn.  One call gives bitwise the values of consecutive
+    calls of its parts: the stream a block-by-block draw made.
     """
     shape = (spec.m, sum(counts))
     if spec.family in _INTEGER_FAMILIES:
@@ -257,13 +247,10 @@ def _unitaries(g: np.ndarray) -> np.ndarray:
 
 def _structured(spec: GeneratorSpec, raws: list[np.ndarray], sizes: list[int]) -> list[np.ndarray]:
     """For each size n and its draws, the stack of n-square blocks with the
-    family's structure, built exactly.
-
-    The normal family's blocks are U diag(d) U* for Haar-like U: their
-    unitaries come from one stacked QR when the sizes agree, and the
-    products from one stacked matmul, which for n >= 2 gives bitwise each
-    block's own product.  At n = 1 numpy's complex product on a stack
-    differs in its last bits from the product on one 1x1 matrix, so each
+    family's structure, built exactly.  The normal family's blocks are U
+    diag(d) U* for Haar-like U, from one stacked QR where the sizes agree
+    and one stacked product, bitwise each block's own for n >= 2; at n = 1
+    numpy's complex product on a stack differs in its last bits, so each
     1x1 block is formed on its own.
     """
     family = spec.family
@@ -407,21 +394,25 @@ def _grams(stack: np.ndarray) -> np.ndarray:
 
 
 def _log_major_spectra(x: np.ndarray, p: float) -> tuple:
-    """The two sequences log_major compares for X, their exponent and log s.
-
-    They are s' * sqrt|lambda(conj(X') X')| for X' = X / s' of
-    :func:`_unit_scaled`, and sigma(X), both non-increasing and unsquared,
-    each divided by s where :func:`_rescaled` scales; the exponent is 2p, as
-    prod(1 + (sigma^2)^p) = prod(1 + sigma^(2p)).  p is checked before it
-    doubles."""
-    _require_exponent(p)
+    """The sequences log_major compares for X, or each X of a stack, their
+    exponent and log s: s' sqrt|lambda(conj(X') X')| for X' = X / s' of
+    :func:`_unit_scaled`, and sigma(X), non-increasing and unsquared, each
+    divided by s where :func:`_rescaled` scales; the exponent is 2p, as
+    prod(1 + (sigma^2)^p) = prod(1 + sigma^(2p)), p checked before it doubles."""
+    _require_exponent(p, 2.0)
     (a, b), log_s = _rescaled(_major_pair, x)
     return a, b, 2.0 * p, log_s
 
 
 def _major_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    unit, s = _unit_scaled(x)
-    return s * np.sqrt(np.abs(general_eigenvalues(unit.conj() @ unit))), singular_values(x)
+    unit, s = _unit_scaled(x, 2)
+    moduli = np.sort(np.abs(_lapack("eigvals", unit.conj() @ unit)), axis=-1)[..., ::-1]
+    return np.expand_dims(s, -1) * np.sqrt(moduli), _singular_values(x)
+
+
+def _log_major_matrix_sides(x: np.ndarray, p: float):
+    """log_major's sides of :func:`_log_major_spectra` of X, or each X of a stack."""
+    return checks._log_major_sides(*_log_major_spectra(x, p))
 
 
 @dataclass(frozen=True)
@@ -432,32 +423,29 @@ class Inequality:
     first matrix, then ``r`` if ``needs_r``), ``"member"`` (the first matrix
     split at ``r``), ``"family"`` (every matrix split at ``r``) or
     ``"spectra"`` (:func:`_log_major_spectra`; its log s goes by keyword).
-    ``files`` is the least and most number of input matrices (``None``: no
-    limit); a search draws from :meth:`draw_spec`, which asks for
-    ``files[1]`` matrices when that is set, otherwise the spec's ``m``.
-    ``transform`` reshapes each drawn matrix of a stack (into a PSD one, or
-    a triangular one).  ``default_p``, when set, is the exponent's default
-    and makes ``p`` a parameter.
-    ``refutable`` ids are false in general and get the published witness as
-    trial 0 of a search; with ``hypothesis_gate`` the checker answers
-    ``precondition_failed`` off its hypothesis unless the parameter
+    ``sides`` is the sides function the checker reads, which :meth:`score`
+    calls on a chunk's stack (each trial's family, or its first matrix),
+    then ``r``, ``p`` and ``allow_hypothesis_violation`` where the id takes
+    them.  ``files`` is the least and most number of input matrices
+    (``None``: no limit); a search draws ``files[1]`` (:meth:`draw_spec`)
+    where it is set, else the spec's ``m``.  ``transform`` makes each drawn
+    matrix PSD, or triangular.  ``default_p``, when set, makes ``p`` a
+    parameter.  ``refutable`` ids are false in general and get the published
+    witness as trial 0; with ``hypothesis_gate`` the checker answers
+    ``precondition_failed`` off its hypothesis unless
     ``allow_hypothesis_violation`` is set, and only then is a violation
     expected.
-    ``batch``, when set, is the sides function the checker reads, which
-    :meth:`score` calls on the stack of a chunk's trials (each trial's
-    family, or its first matrix), with ``r`` after it where the id needs
-    ``r``, and ``p`` where it takes one.
     """
 
     id: str
     shape: str
+    sides: Callable
     files: tuple[int, int | None] = (1, 1)
     needs_r: bool = False
     default_p: float | None = None
     transform: Callable[[np.ndarray], np.ndarray] | None = None
     refutable: bool = False
     hypothesis_gate: bool = False
-    batch: Callable | None = None
 
     def call_params(self, r: int | None, p: float | None = None,
                     allow_hypothesis_violation: bool = False) -> dict:
@@ -526,16 +514,17 @@ class Inequality:
         return checker(*args, tol, **kwargs)
 
     def score(self, drawn: _Drawn, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-        """The sides :attr:`batch` gives of one chunk of drawn trials, as
-        each trial's margin and its code into ``checks._VERDICTS``: the
-        verdict its checker gives, or none (0) where its margin or a side
-        is NaN."""
+        """The sides of one chunk of drawn trials, as each trial's margin
+        and its code into ``checks._VERDICTS``: the verdict its checker
+        gives, or none (0) where its margin or a side is NaN."""
         args: tuple = (drawn.t if self.shape == "family" else drawn.t[:, 0],)
         if self.needs_r:
             args += (drawn.spec.r,)
         if self.default_p is not None:
             args += (float(drawn.params["p"]),)
-        return _evaluate(self.batch(*args), tol)
+        if self.hypothesis_gate:
+            args += (bool(drawn.params.get("allow_hypothesis_violation", False)),)
+        return _evaluate(self.sides(*args), tol)
 
     def expects_violation(self, params: dict) -> bool:
         """Whether a search with these parameters should record a violation."""
@@ -563,20 +552,20 @@ class _Drawn:
 
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
-    Inequality("fischer", "matrix", needs_r=True, transform=_grams),
-    Inequality("thm1", "family", files=(1, None), needs_r=True, batch=_thm1_sides),
-    Inequality("cor_c0", "member", needs_r=True, batch=partial(_abs_power_sides, p=2.0)),
-    Inequality("cor_c1", "family", files=(1, None), needs_r=True, refutable=True,
-               hypothesis_gate=True),
-    Inequality("lemma1", "matrix"),
-    Inequality("djokovic", "matrix"),
-    Inequality("thm2", "member", needs_r=True, batch=_thm2_sides),
-    Inequality("drury", "matrix", transform=np.triu, batch=_drury_sides),
-    Inequality("thm3", "member", needs_r=True, default_p=2.0, batch=_abs_power_sides),
-    Inequality("weyl", "matrix"),
-    Inequality("log_major", "spectra", default_p=2.0),
-    Inequality("schur_identity", "matrix", needs_r=True),
-    Inequality("e21", "family", files=(2, 2), needs_r=True, refutable=True),
+    Inequality("fischer", "matrix", checks._fischer_sides, needs_r=True, transform=_grams),
+    Inequality("thm1", "family", checks._thm1_sides, files=(1, None), needs_r=True),
+    Inequality("cor_c0", "member", partial(checks._abs_power_sides, p=2.0), needs_r=True),
+    Inequality("cor_c1", "family", checks._cor_c1_sides, files=(1, None), needs_r=True,
+               refutable=True, hypothesis_gate=True),
+    Inequality("lemma1", "matrix", checks._lemma1_sides),
+    Inequality("djokovic", "matrix", checks._djokovic_sides),
+    Inequality("thm2", "member", checks._thm2_sides, needs_r=True),
+    Inequality("drury", "matrix", checks._drury_sides, transform=np.triu),
+    Inequality("thm3", "member", checks._abs_power_sides, needs_r=True, default_p=2.0),
+    Inequality("weyl", "matrix", checks._weyl_sides),
+    Inequality("log_major", "spectra", _log_major_matrix_sides, default_p=2.0),
+    Inequality("schur_identity", "matrix", checks._schur_identity_sides, needs_r=True),
+    Inequality("e21", "family", checks._e21_sides, files=(2, 2), needs_r=True, refutable=True),
 )}
 
 PREDICATE_IDS = tuple(INEQUALITIES)
@@ -783,11 +772,11 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
     """(trial, witness, report, margin, verdict) for each trial, in order;
     ``witness`` builds the trial's witness when called.
 
-    Trials are drawn a chunk at a time, each from its own stream, and scored
-    from the id's sides function where it has one.  A trial the rule reads
-    as violated, whose record needs the report, or gives no verdict goes to the
-    checker, whose report is the one returned; any other has no report.  A
-    draw that raises is raised once the trials before it are out.
+    Trials are drawn and scored a chunk at a time.  A trial the rule reads
+    as violated, whose record needs the report, or gives no verdict goes to
+    the checker, whose report is returned; any other has none.  A draw, or
+    a chunk's scoring, that raises is raised at its trial, once the trials
+    before it are out.
     """
     first = 0
     if inject_paper_witness and ineq.refutable:
@@ -799,11 +788,11 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
     for start in range(first, max_trials, _CHUNK):
         drawn, error = ineq.draw_trials(draw_spec, range(start, min(start + _CHUNK, max_trials)),
                                         call_params)
-        margins, codes = [], [0] * len(drawn.trials)
-        if ineq.batch is not None and drawn.trials:
+        margins, codes = [], [0] * len(drawn.trials)   # no verdict: the checkers raise
+        if drawn.trials:
             try:
                 margins, codes = (a.tolist() for a in ineq.score(drawn, tol))
-            except ValueError:   # left to the checkers, which raise it at its own trial
+            except ValueError:
                 pass
         for i, trial in enumerate(drawn.trials):
             verdict = _VERDICTS[codes[i]]
@@ -900,11 +889,10 @@ def search_violations(
     """Run up to ``max_trials`` seeded checks, recording every violation.
 
     Refutable predicates get the published witness as trial 0; everything
-    else is drawn from the generator spec.  Every recorded witness is
-    self-contained and reproduces its verdict under :func:`recheck_witness`.
-    ``params`` may set only what :meth:`Inequality.call_params` records for
-    the id, except ``r``, which is the spec's; any other key raises
-    ``ValueError``, as it does for :func:`sharpness_probe`.
+    else is drawn from the generator spec.  Every recorded witness
+    reproduces its verdict under :func:`recheck_witness`.  ``params`` may
+    set what :meth:`Inequality.call_params` records but ``r``, the spec's;
+    any other key raises ``ValueError``, as for :func:`sharpness_probe`.
     """
     return _run_trials(spec, predicate_id, max_trials, tol, params, stop_on_first,
                        inject_paper_witness=True)

@@ -30,6 +30,7 @@ from blockdet.checks import (
     check_weyl,
     _is_normal,
     _VERDICTS,
+    _Sides,
     _decide,
     _json_value,
     _report,
@@ -674,13 +675,11 @@ def test_cor_c0_past_dbl_max_has_the_exact_margin():
 
 
 def test_report_refuses_a_nan_side_or_margin():
-    one = SignedLogDet.from_log(1.0)
-    nan = SignedLogDet.from_log(math.nan)
-    for lhs, rhs, side in ((nan, one, "lhs"), (one, nan, "rhs")):
+    for lhs, rhs, side in ((math.nan, 1.0, "lhs"), (1.0, math.nan, "rhs")):
         with pytest.raises(LinalgError, match=f"thm1: the {side} is NaN"):
-            _report("thm1", lhs, rhs, DEFAULT_TOL)
+            _report("thm1", _Sides(lhs, rhs), DEFAULT_TOL)
     with pytest.raises(LinalgError, match="djokovic: the margin is NaN"):
-        _report("djokovic", one, one, DEFAULT_TOL, margin=math.nan)
+        _report("djokovic", _Sides(1.0, 1.0, margin=math.nan), DEFAULT_TOL)
     with pytest.raises(LinalgError, match="NaN"):
         _json_value(math.nan)
     assert _json_value(-math.inf) == "-inf"
@@ -736,9 +735,9 @@ def test_the_verdict_rule_takes_each_branch_of_report_elementwise():
         assert [_VERDICTS[c] for c in codes.tolist()] == list(verdicts)
         for case in cases:
             w, lhs, eq, identity, phase, failed, verdict, finding = case
-            report = _report("rule", SignedLogDet.from_log(lhs), SignedLogDet.from_log(0.0), tol,
-                             margin=w, structural_equality=eq, identity_gap=identity,
-                             phase_gap=phase, precondition_failed=failed)
+            report = _report("rule", _Sides(lhs, 0.0, structural_equality=eq,
+                                            precondition_failed=failed, margin=w,
+                                            identity_gap=identity, phase_gap=phase), tol)
             assert report.verdict is verdict, case
             assert [f.name for f in report.diagnostics] == ([finding] if finding else []), case
 

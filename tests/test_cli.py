@@ -11,7 +11,7 @@ import pytest
 
 from reference import main_through_top_level_parser
 from blockdet import cli, search
-from blockdet.checks import CheckReport, Verdict, _report
+from blockdet.checks import CheckReport, Verdict, _Sides, _report
 from blockdet.cli import main
 from blockdet.linalg import SignedLogDet, Tolerances, matrix_to_json_dict
 from blockdet.search import _EXAMPLE1_T1, _EXAMPLE1_T2, INEQUALITIES, GeneratorSpec
@@ -371,7 +371,7 @@ def test_structured_check_past_dbl_max_is_json_with_no_nan(ineq_id, entries, ver
 
 def test_check_a_nan_side_exits_two(monkeypatch, diag_file, capsys):
     def nan_drury(t, tol):
-        return _report("drury", SignedLogDet.from_log(math.nan), SignedLogDet.from_log(0.0), tol)
+        return _report("drury", _Sides(math.nan, 0.0), tol)
 
     monkeypatch.setattr(search, "check_drury", nan_drury)
     assert main(["check", diag_file, "--ineq", "drury", "--format", "structured"]) == 2
@@ -484,6 +484,45 @@ def test_p_for_an_id_that_takes_no_exponent_is_a_usage_error(diag_file, capsys):
                 assert code == 3 and out.out == ""
                 assert out.err == (f"blockdet: error: {ineq.id} takes no --p; "
                                    f"only thm3, log_major do\n")
+
+
+def test_r_for_an_id_without_a_block_split_is_a_usage_error(diag_file, capsys):
+    # check dropped --r silently for these ids, and exited 0
+    takes = [ineq.id for ineq in INEQUALITIES.values() if ineq.needs_r]
+    assert takes == ["fischer", "thm1", "cor_c0", "cor_c1", "thm2", "thm3", "schur_identity",
+                     "e21"]
+    for ineq in INEQUALITIES.values():
+        argv = ["check", *[diag_file] * ineq.files[0], "--ineq", ineq.id, "--r", "1"]
+        code = main(argv + ["--format", "structured"])
+        out = capsys.readouterr()
+        if ineq.id in takes:
+            assert code == 0 and json.loads(out.out)["inequality_id"] == ineq.id
+        else:
+            assert code == 3 and out.out == ""
+            assert out.err == (f"blockdet: error: {ineq.id} takes no --r; "
+                               f"only {', '.join(takes)} do\n")
+
+
+@pytest.mark.parametrize("ineq_id, largest", [("thm3", "1e+300"), ("log_major", "5e+299")])
+def test_a_p_past_the_largest_exponent_is_a_usage_error_naming_it(ineq_id, largest, diag_file,
+                                                                 capsys):
+    # thm3 warned of an overflow and of inf - inf and answered "the margin is NaN";
+    # log_major answered "got inf", its doubled exponent
+    r = ["--r", "1"] if INEQUALITIES[ineq_id].needs_r else []
+    for argv in (["fuzz", "--predicate", ineq_id, "--p", "1e308", "--trials", "2"],
+                 ["check", diag_file, "--ineq", ineq_id, *r, "--p", "1e308"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"blockdet: error: the exponent must satisfy p <= {largest}, got 1e+308\n")
+    with warnings.catch_warnings():   # the largest exponent overflows nothing, at any scale
+        warnings.simplefilter("error", RuntimeWarning)
+        for bound in ("1e300", "1e-300"):
+            argv = ["fuzz", "--predicate", ineq_id, "--p", largest, "--trials", "20",
+                    "--family", "gaussian", "--entry-bound", bound, "--format", "structured"]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["trials"] == 20
 
 
 def test_allow_hypothesis_violation_for_an_id_without_the_gate_is_a_usage_error(

@@ -168,11 +168,12 @@ def test_every_trial_of_a_chunk_is_the_block_by_block_draw_bitwise(family):
                                for i, want in enumerate(matrices))
 
 
-# first overflowing trial of this spec: 98, in the second chunk, for every batched id
+# first overflowing trial of this spec: 98, in the second chunk, for every id but fischer,
+# whose G* G overflows sooner
 _OVERFLOW_AT_98 = GeneratorSpec(family="gaussian", n=2, r=1, m=2, entry_bound=4e307, seed=14)
 
 
-@pytest.mark.parametrize("ineq_id", ["thm1", "cor_c0", "thm2", "drury", "thm3"])
+@pytest.mark.parametrize("ineq_id", [i for i in PREDICATE_IDS if i != "fischer"])
 def test_a_chunk_cut_short_by_an_overflow_reports_the_trials_before_it(ineq_id, monkeypatch):
     ineq = INEQUALITIES[ineq_id]
     spec, params = ineq.draw_spec(_OVERFLOW_AT_98), ineq.call_params(1)
@@ -420,8 +421,23 @@ def test_all_predicates_run_one_trial():
 # the batched trial engine
 
 _CRITERION_4_SIZES = ((4, 2, 2), (6, 3, 3), (8, 4, 4), (8, 2, 1), (5, 1, 4))   # (n, r, m)
-_BATCHED = [("thm1", None), ("cor_c0", None), ("thm2", None), ("drury", None)] + [
-    ("thm3", {"p": p}) for p in (1.0, 1.5, 2.0, 3.0)]
+_HOLDS, _EQUAL = Verdict.HOLDS_STRICT, Verdict.EQUALITY
+# (id, params, the verdicts its draws in the pin test below read): every id, and every
+# variant of the manifest, tests/manifest.py
+_SCORED = [("thm1", None, {_HOLDS, _EQUAL}), ("cor_c0", None, {_HOLDS, _EQUAL}),
+           ("thm2", None, {_HOLDS, _EQUAL}), ("drury", None, {_HOLDS, _EQUAL})] + [
+    ("thm3", {"p": p}, {_HOLDS, _EQUAL}) for p in (1.0, 1.5, 2.0, 3.0)] + [
+    ("fischer", None, {_HOLDS, _EQUAL}),
+    ("cor_c1", None, {_HOLDS, _EQUAL, Verdict.PRECONDITION_FAILED}),
+    ("cor_c1", {"allow_hypothesis_violation": True}, {_HOLDS, _EQUAL}),
+    ("lemma1", None, {_HOLDS, _EQUAL}),
+    ("djokovic", None, {_HOLDS}),
+    ("weyl", None, {_HOLDS, _EQUAL}),
+    ("log_major", None, {_HOLDS, _EQUAL, Verdict.PRECONDITION_FAILED}),
+    ("log_major", {"p": 1.5}, {_HOLDS, _EQUAL, Verdict.PRECONDITION_FAILED}),
+    ("schur_identity", None, {_EQUAL, Verdict.PRECONDITION_FAILED}),
+    ("e21", None, {_HOLDS, _EQUAL, Verdict.VIOLATED})]
+_BATCHED = [(ineq_id, params) for ineq_id, params, _ in _SCORED]
 
 
 def _bits(x) -> bytes:
@@ -449,6 +465,14 @@ _NEAR_DBL_MAX = tuple(GeneratorSpec("gaussian", n, r, m, entry_bound=1e308, seed
                       for n, r, m in ((2, 1, 1), (2, 1, 2), (4, 2, 1), (4, 2, 2)))
 
 
+def _near_dbl_max(ineq):
+    """The near-DBL_MAX specs of ``ineq``: fischer's Gram G* G squares its draw's
+    entries, so its draws are taken at 1e153, where the Gram's are near 1e306."""
+    if ineq.id != "fischer":
+        return _NEAR_DBL_MAX
+    return tuple(replace(spec, entry_bound=1e153) for spec in _NEAR_DBL_MAX)
+
+
 def _finite_chunks(ineq, spec, trials, params):
     """The chunks a search of ``ineq`` draws of ``range(trials)``, each cut
     short before a trial whose draw overflows, which is skipped."""
@@ -462,15 +486,17 @@ def _finite_chunks(ineq, spec, trials, params):
         start += len(drawn.trials) + 1
 
 
-@pytest.mark.parametrize("ineq_id, params", _BATCHED)
-def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params):
+@pytest.mark.parametrize("ineq_id, params, verdicts", [
+    pytest.param(*case, id=f"{case[0]}-{'None' if case[1] is None else f'params{i}'}")
+    for i, case in enumerate(_SCORED)])
+def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params, verdicts):
     # every trial's code is its checker's verdict and its margin the checker's, bit
-    # for bit: flagged-zero sides, Y = 0 and rescaled stacks included
+    # for bit: flagged-zero sides, Y = 0, singular blocks and rescaled stacks included
     ineq = INEQUALITIES[ineq_id]
     specs = [GeneratorSpec(family=family, n=n, r=r, m=m, seed=17 * n + m)
              for family in FAMILIES for n, r, m in _CRITERION_4_SIZES] + list(_DEGENERATE)
     chunks = [_drawn(ineq, spec, 6, params) for spec in specs] + [
-        drawn for spec in _NEAR_DBL_MAX for drawn in _finite_chunks(ineq, spec, 40, params)]
+        drawn for spec in _near_dbl_max(ineq) for drawn in _finite_chunks(ineq, spec, 40, params)]
     seen = {verdict: 0 for verdict in Verdict}
     for drawn in chunks:
         margins, codes = ineq.score(drawn, DEFAULT_TOL)
@@ -481,8 +507,43 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params)
             assert _bits(margins[i]) == _bits(report.margin), where
             seen[report.verdict] += 1
     near_dbl_max = sum(len(drawn.trials) for drawn in chunks[len(specs):])
-    assert seen[Verdict.HOLDS_STRICT] > 0 and seen[Verdict.EQUALITY] > 0 and near_dbl_max > 20
-    assert seen[Verdict.VIOLATED] == seen[Verdict.PRECONDITION_FAILED] == 0
+    assert {verdict for verdict, count in seen.items() if count} == verdicts
+    assert near_dbl_max > 20
+
+
+@pytest.mark.parametrize("ineq_id, params", _BATCHED)
+def test_a_search_checks_only_the_trials_its_rule_reads_as_violated_or_nan(
+        ineq_id, params, monkeypatch):
+    # Inequality.check looks the checker up by name per call, so the wrapper counts
+    # every trial that reaches it; the rule reads no NaN on these draws
+    ineq = INEQUALITIES[ineq_id]
+    specs = [GeneratorSpec(family=family, n=5, r=2, m=2, seed=9) for family in FAMILIES]
+    specs += list(_DEGENERATE) + list(_near_dbl_max(ineq))
+    trials, expected = _CHUNK + 6, 0
+    for spec in specs:   # the chunks a search draws, up to the first trial that overflows
+        call_params = {**ineq.call_params(spec.r), **(params or {})}
+        for start in range(0, trials, _CHUNK):
+            drawn, error = ineq.draw_trials(ineq.draw_spec(spec), range(
+                start, min(start + _CHUNK, trials)), call_params)
+            codes = ineq.score(drawn, DEFAULT_TOL)[1].tolist() if drawn.trials else []
+            expected += sum(_VERDICTS[code] in (None, Verdict.VIOLATED) for code in codes)
+            if error is not None:
+                break
+    checked, real_check = [], getattr(search, f"check_{ineq_id}")
+
+    def check(*args, **kwargs):
+        report = real_check(*args, **kwargs)
+        checked.append(report.verdict)
+        return report
+
+    monkeypatch.setattr(search, f"check_{ineq_id}", check)
+    for spec in specs:
+        try:
+            sharpness_probe(spec, ineq_id, trials, params=params)
+        except LinalgError:   # a draw that overflows, after the trials before it
+            pass
+    assert checked == [Verdict.VIOLATED] * expected
+    assert (expected > 0) == (ineq_id == "e21")
 
 
 @pytest.mark.parametrize("bound", [1e-150, 1e150, 1e300])
@@ -520,7 +581,7 @@ def test_a_flagged_zero_side_is_settled_by_the_evaluator():
     # Z = 0 in both members, while [T1; T2] has full rank: thm1's rhs is zero, margin +inf
     family = BlockFamily((BlockUpperTriangular([[1.0]], [[3.0]], [[0.0]]),
                           BlockUpperTriangular([[2.0]], [[-1.0]], [[0.0]])))
-    margins, codes = _evaluate(INEQUALITIES["thm1"].batch(np.array([family.assemble()] * 2), 1),
+    margins, codes = _evaluate(INEQUALITIES["thm1"].sides(np.array([family.assemble()] * 2), 1),
                                DEFAULT_TOL)
     assert [_VERDICTS[code] for code in codes.tolist()] == [Verdict.HOLDS_STRICT] * 2
     assert margins.tolist() == [np.inf, np.inf]
@@ -592,9 +653,14 @@ def test_a_parameter_the_id_does_not_take_is_refused(ineq_id, params, message):
     assert recheck_witness(report.min_positive_witness).margin == report.min_positive_margin
 
 
+def _no_verdict(stack, *params):
+    """Sides that give no trial of ``stack`` a verdict, so that each reaches its checker."""
+    return _Sides(np.full(len(stack), math.nan), np.zeros(len(stack)))
+
+
 def _scalar_record(monkeypatch, ineq_id):
     """Make a search of ``ineq_id`` check every trial with its checker alone."""
-    monkeypatch.setitem(INEQUALITIES, ineq_id, replace(INEQUALITIES[ineq_id], batch=None))
+    monkeypatch.setitem(INEQUALITIES, ineq_id, replace(INEQUALITIES[ineq_id], sides=_no_verdict))
 
 
 @pytest.mark.parametrize("ineq_id, params", _BATCHED)
@@ -637,7 +703,7 @@ def test_every_id_near_dbl_max_reads_no_nan_margin_and_keeps_the_identities():
     assert checked > 700 and identities > 100
 
 
-@pytest.mark.parametrize("ineq_id", ["thm1", "cor_c0", "thm2", "drury", "thm3"])
+@pytest.mark.parametrize("ineq_id", PREDICATE_IDS)
 def test_degenerate_draws_batch_without_warnings_as_the_scalar_loop(ineq_id, monkeypatch):
     # pytest turns any RuntimeWarning, such as log(0) on a rank-deficient stack, into an error
     runs = [search_violations(spec, ineq_id, 12).to_json_dict() for spec in _DEGENERATE]
@@ -667,7 +733,7 @@ def _force_violation(monkeypatch, spec, target, batched):
 
     monkeypatch.setattr(search, "check_cor_c0", check)
     monkeypatch.setitem(INEQUALITIES, "cor_c0",
-                        replace(INEQUALITIES["cor_c0"], batch=sides if batched else None))
+                        replace(INEQUALITIES["cor_c0"], sides=sides if batched else _no_verdict))
 
 
 def test_stop_on_first_mid_chunk_counts_trials_as_the_scalar_loop(monkeypatch):
