@@ -12,7 +12,11 @@ command it changed.  The grid:
   bounds, the others positive scales; thm3 and log_major also at p 1.5,
   cor_c1 also with ``--allow-hypothesis-violation``;
 * every ``check`` and ``reproduce`` case of the benchmark's ``edge_check``
-  corpus (``bench/corpus.py``), seeds 1-10.
+  corpus (``bench/corpus.py``), seeds 1-10;
+* criterion 4's control-grid cells, as the benchmark's ``control_grid``
+  calls ``search_violations``: every family at each of criterion 4's
+  (n, r, m), thm1, cor_c0, thm2 and drury at 4 trials and thm3 at p 1,
+  1.5, 2 and 3 at 1 trial, each command its own seed.
 
 The hashes hold for the numpy and BLAS build they were recorded under,
 which the manifest names.  Usage::
@@ -51,6 +55,10 @@ VARIANTS = tuple((ineq_id, ()) for ineq_id in PREDICATE_IDS) + (
     ("cor_c1", ("--allow-hypothesis-violation",)))
 TRIALS, SEED = "16", "1"
 EDGE_SEEDS = tuple(range(1, 11))
+# criterion 4's (n, r, m), and its mix of (id, extra flags, trials per search)
+GRID_SIZES = ((4, 2, 2), (6, 3, 3), (8, 4, 4), (8, 2, 1), (5, 1, 4))
+GRID_MIX = (("thm1", (), 4), ("cor_c0", (), 4), ("thm2", (), 4), ("drury", (), 4)) + tuple(
+    ("thm3", ("--p", p), 1) for p in ("1", "1.5", "2", "3"))
 _DIR = "$DIR"   # a corpus's matrix files are written to a fresh directory
 
 
@@ -70,6 +78,19 @@ def fuzz_commands(sizes=SIZES) -> list[tuple[str, list[str]]]:
                         argv += ["--trials", TRIALS, "--seed", SEED, *extra, *mode,
                                  "--format", "structured"]
                         commands.append((" ".join(argv), argv))
+    return commands
+
+
+def grid_commands() -> list[tuple[str, list[str]]]:
+    """(name, argv) of each ``fuzz`` command of criterion 4's control grid."""
+    commands = []
+    cells = [(family, size) for family in FAMILIES for size in GRID_SIZES]
+    for c, (family, (n, r, m)) in enumerate(cells):
+        for j, (ineq_id, extra, trials) in enumerate(GRID_MIX):
+            argv = ["fuzz", "--predicate", ineq_id, "--family", family, "--n", str(n),
+                    "--r", str(r), "--m", str(m), "--trials", str(trials),
+                    "--seed", str(100 * c + j), *extra, "--format", "structured"]
+            commands.append((" ".join(argv), argv))
     return commands
 
 
@@ -132,9 +153,10 @@ def environment() -> dict:
 
 def entries(sizes=SIZES, seeds=EDGE_SEEDS) -> dict[str, dict]:
     """The grid's entries, in grid order: the ``fuzz`` commands at ``sizes``,
-    then the corpus of the seeds ``seeds``."""
+    the corpus of the seeds ``seeds``, then the control-grid cells."""
     found = {name: run(argv) for name, argv in fuzz_commands(sizes)}
     found.update(edge_entries(seeds))
+    found.update((name, run(argv)) for name, argv in grid_commands())
     return found
 
 
