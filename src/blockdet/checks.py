@@ -54,6 +54,7 @@ from .linalg import (
     _signed_log_det,
     _strict_lower,
     _unit_masses,
+    _unit_scale,
     _unit_scaled,
 )
 
@@ -280,11 +281,20 @@ class _Sides(NamedTuple):
 def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Each input's margin (:meth:`SignedLogDet.log_ratio` elementwise, unless
     the sides give one) and code by :func:`_decide`, from the :class:`_Sides`
-    of a stack; a flagged side reads log 0, and a NaN side no verdict."""
+    of a stack; a flagged side reads log 0, and a NaN side no verdict.
+
+    Sides that are never flagged (both flags the constant False) are finite
+    or NaN, so their margin lhs - rhs is taken with no error state, and a NaN
+    rhs already makes it NaN, which :func:`_decide` gives no verdict."""
     lhs, rhs, lhs_zero, rhs_zero = sides[:4]
-    with np.errstate(invalid="ignore"):   # inf - inf of flagged sides, whose logs are not used
-        margin = lhs - rhs if sides.margin is None else sides.margin
     zero = lhs_zero | rhs_zero   # False where neither side is ever flagged
+    margin = sides.margin
+    if margin is None and zero is False and sides.value is None:
+        margin = lhs - rhs
+        return margin, _decide(margin, lhs, tol, *sides[4:8])[0]
+    if margin is None:
+        with np.errstate(invalid="ignore"):   # inf - inf of flagged sides, whose logs are not used
+            margin = lhs - rhs
     if zero is not False and zero.any():   # few chunks: the others skip the selections
         if sides.margin is None:
             margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
@@ -428,8 +438,11 @@ def _is_normal(a: np.ndarray):
 
 def _y_zero(t: np.ndarray, r: int) -> tuple:
     """Whether ||Y||_F <= PREDICATE_REL * (1 + ||T||_F), Y = T[:r, r:], for
-    each T of the stack ``t``; and s and ||Y / s||_F of :func:`_unit_masses`."""
-    s, _, norm, y = _unit_masses(t, lambda u: u[..., :r, r:])
+    T or each T of a stack; and s and ||Y / s||_F, the masses of the exact
+    quotient T / s of :func:`_unit_masses`, both from one |T / s|."""
+    s = _unit_scale(t)
+    moduli = np.abs(t / (s if isinstance(s, float) else s[..., None, None]))
+    norm, y = (np.hypot.reduce(m, axis=(-2, -1)) for m in (moduli, moduli[..., :r, r:]))
     return y <= PREDICATE_REL * (1.0 / s + norm), s, y
 
 
@@ -533,11 +546,16 @@ def _abs_power_sides(t: np.ndarray, r: int, p: float) -> _Sides:
     under T's s, X's and Z's terms summed in one row.  Equality iff Y = 0;
     the detail is s and ||Y / s||_F of :func:`_y_zero`."""
     _require_exponent(p)
-    sigma, log_s = _rescaled(lambda u: np.concatenate(
-        [_singular_values(b) for b in (u, *_diagonal_blocks(u, r))], axis=-1), t)
+    sigma, log_s = _rescaled(lambda u: _split_singular_values(u, r), t)
     sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), log_s, p).sum(axis=-1)
     y_zero, s, y = _y_zero(t, r)
     return _Sides(sums[..., 0], sums[..., 1], structural_equality=y_zero, detail=(s, y))
+
+
+def _split_singular_values(t: np.ndarray, r: int) -> np.ndarray:
+    """sigma(T), sigma(X) and sigma(Z) of T, or of each T of a stack, in one
+    row, from one :func:`_lapack` call on the three stacks."""
+    return np.concatenate(_lapack("svd", t, *_diagonal_blocks(t, r)), axis=-1)
 
 
 def _abs_power_report(inequality_id: str, t: BlockUpperTriangular, p: float,

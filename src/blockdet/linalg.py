@@ -15,8 +15,7 @@ This module owns:
   normal / symmetric / triangular),
 * the JSON matrix document format shared by every module.
 
-All functions are pure: inputs are never mutated (but by ``qr_r_raw``,
-which factors in place the copy it is given) and there is no global
+All functions are pure: inputs are never mutated and there is no global
 mutable state (a cache of read-only triangle masks aside).  Every public
 function validates its arguments with :func:`as_matrix`, and so does
 :class:`BlockUpperTriangular`, which copies its input once; the kernels the
@@ -282,8 +281,9 @@ _EIG_FAILED = _raising("Eigenvalues did not converge")
 _QR_FAILED = _raising("Incorrect argument found while performing QR factorization")
 
 # gufunc: the numpy.linalg routine that calls it, the signature numpy.linalg
-# gives it for complex input, and the handler numpy.linalg's error state calls
-# on LAPACK's failure flag (None: it sets no error state)
+# gives it for complex input (qr: its pair of gufuncs, see _gufunc), and the
+# handler numpy.linalg's error state calls on LAPACK's failure flag (None: it
+# sets no error state)
 _GUFUNCS = {
     "svd": ("svd", "D->d", _SVD_FAILED),
     "svd_f": ("svd", "D->DdD", _SVD_FAILED),
@@ -291,35 +291,54 @@ _GUFUNCS = {
     "eigh_lo": ("eigh", "D->dD", _EIG_FAILED),
     "eigvals": ("eigvals", "D->D", _EIG_FAILED),
     "solve": ("solve", "DD->D", _raising("Singular matrix")),
-    "qr_r_raw": ("qr", "D->D", _QR_FAILED),
-    "qr_reduced": ("qr", "DD->D", _QR_FAILED),
+    "qr": ("qr", None, _QR_FAILED),
 }
 
 
-def _lapack(gufunc: str, a: np.ndarray, *operands):
-    """numpy.linalg's stacked LAPACK gufunc ``gufunc`` on ``a`` and ``operands``,
-    called as numpy.linalg calls it on complex input, so every result is
-    bitwise its own, under its error state; a failure is reported as
-    :class:`ConvergenceError` naming the numpy.linalg routine, as a
-    non-convergence of svd, eigh or eigvals, or a failure of qr or solve.
-    numpy.linalg's checks and copies are not made: callers pass finite
-    complex128 stacks, and a copy to ``qr_r_raw``, which factors in place,
-    leaving R in the upper triangle.  The gufuncs are private numpy, pinned
-    against numpy.linalg by ``tests/test_linalg.py``.
+def _gufunc(gufunc: str, operands: tuple):
+    """One call of ``gufunc`` on its operands.  ``qr`` is numpy.linalg.qr's
+    reduced mode: ``qr_r_raw`` factors a copy of the stack in place, leaving
+    R in its upper triangle, and ``qr_reduced`` forms Q from it; it returns
+    Q and the factored copy."""
+    signature = _GUFUNCS[gufunc][1]
+    if signature is None:
+        factored = operands[0].copy()
+        tau = _umath_linalg.qr_r_raw(factored, signature="D->D")
+        return _umath_linalg.qr_reduced(factored, tau, signature="DD->D"), factored
+    return getattr(_umath_linalg, gufunc)(*operands, signature=signature)
+
+
+def _lapack(gufunc: str, *stacks):
+    """numpy.linalg's stacked LAPACK gufunc ``gufunc`` on ``stacks``, called
+    as numpy.linalg calls it on complex input, so every result is bitwise its
+    own, under its error state; a failure is reported as
+    :class:`ConvergenceError` naming the numpy.linalg routine and the failed
+    stack's shape, as a non-convergence of svd, eigh or eigvals, or a failure
+    of qr or solve.  ``solve`` takes two stacks, every other gufunc one; given
+    several calls' stacks, it makes each call in turn under one error state and
+    returns their results as a list, as ``numpy.atleast_1d`` does.
+    numpy.linalg's checks and copies are not made (but qr's, which factors in
+    place): callers pass finite complex128 stacks.  The gufuncs are private
+    numpy, pinned against numpy.linalg by ``tests/test_linalg.py``.
     """
-    routine, signature, handler = _GUFUNCS[gufunc]
-    call = getattr(_umath_linalg, gufunc)
+    routine, _, handler = _GUFUNCS[gufunc]
+    arity = 2 if gufunc == "solve" else 1
+    calls = [stacks[i:i + arity] for i in range(0, len(stacks), arity)]
     if handler is None:
-        return call(a, *operands, signature=signature)
-    try:
-        with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
-                         under="ignore"):
-            return call(a, *operands, signature=signature)
-    except np.linalg.LinAlgError as err:
-        rows, cols = a.shape[-2:]
-        failed = "did not converge" if routine in ("svd", "eigh", "eigvals") else "failed"
-        raise ConvergenceError(f"{routine} {failed} on a {rows}x{cols} matrix: {err}",
-                               routine, a.shape) from err
+        results = [_gufunc(gufunc, operands) for operands in calls]
+    else:
+        results = []
+        try:
+            with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                             under="ignore"):
+                for operands in calls:
+                    results.append(_gufunc(gufunc, operands))
+        except np.linalg.LinAlgError as err:
+            shape = operands[0].shape
+            failed = "did not converge" if routine in ("svd", "eigh", "eigvals") else "failed"
+            raise ConvergenceError(f"{routine} {failed} on a {shape[-2]}x{shape[-1]} matrix: "
+                                   f"{err}", routine, shape) from err
+    return results[0] if len(results) == 1 else results
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable
 
@@ -186,95 +186,155 @@ def _scale(spec: GeneratorSpec) -> float:
     raise ValueError(f"continuous families need a positive scalar scale, got {bound!r}")
 
 
-def _draw(spec: GeneratorSpec, trials: range, counts) -> list[np.ndarray]:
+def _draw(spec: GeneratorSpec, trials: range, m: int, count: int) -> np.ndarray:
     """The entries of each trial of ``trials``, each trial's from its own
-    stream in one generator call, split per member into consecutive parts of
-    ``counts`` entries: a (len(trials) * m, count) array each, a trial's
-    members in order.
+    stream in one generator call: a (len(trials) * m, count) array, a trial's
+    m members in order, ``count`` entries each.
 
     The integer families draw ``rng.integers`` over the entry range, the
     others standard normals; a bound the family does not take raises before
     anything is drawn.  One call gives bitwise the values of consecutive
     calls of its parts: the stream a block-by-block draw made.
     """
-    shape = (spec.m, sum(counts))
+    shape = (m, count)
     if spec.family in _INTEGER_FAMILIES:
         lo, hi = _int_range(spec)
         rows = [_trial_rng(spec.seed, trial).integers(lo, hi + 1, size=shape) for trial in trials]
     else:
         _scale(spec)
         rows = [_trial_rng(spec.seed, trial).standard_normal(shape) for trial in trials]
-    raw = np.concatenate(rows)
-    return [raw[:, end - count:end] for count, end in zip(counts, accumulate(counts))]
+    return np.concatenate(rows)
 
 
-def _dense_count(spec: GeneratorSpec, rows: int, cols: int) -> int:
-    """Entries a dense rows-by-cols block takes from the stream: one per
-    entry for the integer families, a real and an imaginary part otherwise."""
-    return rows * cols if spec.family in _INTEGER_FAMILIES else 2 * rows * cols
+@lru_cache(maxsize=None)
+def _layout(family: str, n: int, r: int, split: bool) -> tuple:
+    """Where the entries a member of ``family`` draws go in its n-square
+    matrix T, drawn whole or, with ``split``, as X, Y and Z of the split at r.
+
+    A member's stream takes each block in turn, a dense block's entries row
+    by row: their real parts, then, for a complex family, their imaginary
+    parts.  The normal family's X and Z, or its whole matrix, take G of
+    U diag(d) U* so, then d's real parts and its imaginary parts.  Returns:
+    the entries a member takes; the stream index of each complex entry's
+    real part, and of its imaginary part (None for an integer family), the
+    normal family's G first, then the entries T takes as drawn, then its d;
+    the flat index in T of each entry T takes as drawn, leaving out those the
+    family's structure zeroes, and their count; and the (first row, size) of
+    each diagonal block with the family's structure, X and Z or the whole
+    matrix.  An index that runs through consecutive places is a slice, so
+    that a whole matrix is taken and placed without a gather.
+    """
+    c = n - r
+    blocks = ((0, 0, r, r, True), (0, r, r, c, False), (r, r, c, c, True)) if split else (
+        (0, 0, n, n, True),)
+    normal = family == "normal_via_unitary_conjugation"
+    parts = 1 if family in _INTEGER_FAMILIES else 2
+    g, drawn, d, at = [], [], [], []   # (real parts, imaginary parts) index pairs, flat T indices
+    offset = 0
+    for row, col, rows, cols, structured in blocks:
+        size = rows * cols
+        entries = offset + np.arange(size)
+        if structured and normal:
+            g.append((entries, entries + size))
+            eigenvalues = offset + 2 * size + np.arange(rows)
+            d.append((eigenvalues, eigenvalues + rows))
+            offset += 2 * size + 2 * rows
+            continue
+        kept = np.ones((rows, cols), dtype=bool)
+        if structured and family == "upper_triangular":
+            kept = ~_below_diagonal(rows)
+        if not split and family == "block_triangular":
+            kept[r:, :r] = False
+        kept = kept.ravel()
+        drawn.append((entries[kept], entries[kept] + size))
+        at.append(((row + np.arange(rows))[:, None] * n + col + np.arange(cols)).ravel()[kept])
+        offset += parts * size
+    pairs = g + drawn + d
+    re = _index(np.concatenate([p[0] for p in pairs]))
+    im = _index(np.concatenate([p[1] for p in pairs])) if parts == 2 else None
+    at = np.concatenate(at or [np.zeros(0, dtype=np.intp)])
+    square = tuple((row, rows) for row, _, rows, _, structured in blocks if structured)
+    return offset, re, im, _index(at), len(at), square
 
 
-def _structured_count(spec: GeneratorSpec, n: int) -> int:
-    """Entries a structured n-square block takes: the normal family's also
-    draws the n complex eigenvalues."""
-    extra = 2 * n if spec.family == "normal_via_unitary_conjugation" else 0
-    return _dense_count(spec, n, n) + extra
+def _index(index: np.ndarray):
+    """``index``, read-only, or the slice it is where it runs through
+    consecutive places."""
+    if len(index) and (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    _read_only(index)
+    return index
 
 
-def _dense(raw: np.ndarray, spec: GeneratorSpec, rows: int, cols: int) -> np.ndarray:
-    """The stack of dense rows-by-cols blocks drawn as ``raw``, one row per block."""
-    if spec.family in _INTEGER_FAMILIES:
-        return raw.reshape(-1, rows, cols).astype(complex)
-    parts = raw.reshape(-1, 2, rows, cols)
-    return _scale(spec) * (parts[:, 0] + 1j * parts[:, 1])
-
-
-def _unitaries(g: np.ndarray) -> np.ndarray:
-    """The unitary factor of each matrix of the stack ``g``, from one stacked
-    QR, its columns rotated so that R has a positive real diagonal.
+def _unitaries(*gs: np.ndarray) -> list[np.ndarray]:
+    """The unitary factor of each matrix of each stack of ``gs``, one
+    stacked QR per stack, all under one error state, its columns rotated so
+    that R has a positive real diagonal: each column times the phase of R's
+    diagonal entry, or 1 where that entry is an exact zero.
 
     The QR is numpy.linalg.qr's, gufunc by gufunc; R's diagonal is read from
     the copy that LAPACK factors in place, and R itself is never formed."""
-    factored = g.copy()
-    tau = _lapack("qr_r_raw", factored)
-    q = _lapack("qr_reduced", factored, tau)
-    d = np.diagonal(factored, axis1=-2, axis2=-1)
-    mods = np.abs(d)
-    safe = np.where(mods == 0.0, 1.0, mods)
-    phases = np.where(mods == 0.0, 1.0 + 0j, d / safe)
-    return q * phases[..., None, :]
+    factors = _lapack("qr", *gs)
+    unitaries = []
+    for q, factored in (factors,) if len(gs) == 1 else factors:
+        d = np.diagonal(factored, axis1=-2, axis2=-1)
+        mods = np.abs(d)
+        phases = np.divide(d, mods, out=np.ones_like(d), where=mods != 0.0)
+        unitaries.append(q * phases[..., None, :])
+    return unitaries
 
 
-def _structured(spec: GeneratorSpec, raws: list[np.ndarray], sizes: list[int]) -> list[np.ndarray]:
-    """For each size n and its draws, the stack of n-square blocks with the
-    family's structure, built exactly.  The normal family's blocks are U
-    diag(d) U* for Haar-like U, from one stacked QR where the sizes agree
-    and one stacked product, bitwise each block's own for n >= 2; at n = 1
-    numpy's complex product on a stack differs in its last bits, so each
-    1x1 block is formed on its own.
-    """
-    family = spec.family
-    if family != "normal_via_unitary_conjugation":
-        blocks = [_dense(raw, spec, n, n) for raw, n in zip(raws, sizes)]
-        if family == "symmetric":
-            return [(g + g.mT) / 2.0 for g in blocks]
-        if family == "upper_triangular":
-            return [np.where(_below_diagonal(n), 0.0, g) for g, n in zip(blocks, sizes)]
-        return blocks
-    s = _scale(spec)
-    gs, ds = [], []
-    for raw, n in zip(raws, sizes):
-        g, d = raw[:, :2 * n * n].reshape(-1, 2, n, n), raw[:, 2 * n * n:]
-        gs.append(g[:, 0] + 1j * g[:, 1])
-        ds.append(s * (d[:, :n] + 1j * d[:, n:]))
+def _normal_blocks(g: np.ndarray, d: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """The normal family's blocks U diag(d) U*, for Haar-like U, a stack for
+    each size of ``sizes``, from the rows of G's and of d's entries, block
+    after block.  Blocks of one size take one stacked QR and one stacked
+    product, bitwise each block's own for n >= 2; at n = 1 numpy's complex
+    product on a stack differs in its last bits, so each 1x1 block is formed
+    on its own."""
+    members = len(g)
     if len(set(sizes)) == 1:
-        u = _unitaries(np.concatenate(gs))
-        us = [u[k * len(g):(k + 1) * len(g)] for k, g in enumerate(gs)]
+        b = sizes[0]
+        stacks = [(g.reshape(-1, b, b), d.reshape(-1, b))]
     else:
-        us = [_unitaries(g) for g in gs]
-    return [(u * d[:, None, :]) @ u.conj().mT if n > 1 else
-            np.array([(uk * dk) @ uk.conj().T for uk, dk in zip(u, d)])
-            for u, d, n in zip(us, ds, sizes)]
+        g_ends, d_ends = accumulate(b * b for b in sizes), accumulate(sizes)
+        stacks = [(g[:, e - b * b:e].reshape(-1, b, b), d[:, f - b:f])
+                  for b, e, f in zip(sizes, g_ends, d_ends)]
+    products = [(u * e[:, None, :]) @ u.conj().mT if u.shape[-1] > 1 else
+                np.array([(uk * ek) @ uk.conj().T for uk, ek in zip(u, e)])
+                for u, (_, e) in zip(_unitaries(*(s for s, _ in stacks)), stacks)]
+    if len(products) == len(sizes):
+        return products
+    b = sizes[0]
+    return list(products[0].reshape(members, len(sizes), b, b).swapaxes(0, 1))
+
+
+def _assembled(spec: GeneratorSpec, raw: np.ndarray, layout: tuple) -> np.ndarray:
+    """The stack of n-square matrices T drawn as the rows of ``raw``, built
+    exactly in one pass: every complex entry assembled in one chain, as
+    s * (re + 1j * im) but for the normal family's G, the entries T takes
+    as drawn written in one call, then the family's structure made on T's
+    diagonal blocks (:func:`_layout`)."""
+    n = spec.n
+    _, re, im, at, placed, square = layout
+    t = np.zeros((len(raw), n * n), dtype=complex)
+    if im is None:   # an integer family: its entries as drawn
+        t[:, at] = raw[:, re]
+        return t.reshape(-1, n, n)
+    values = raw[:, re] + 1j * raw[:, im]
+    normal = spec.family == "normal_via_unitary_conjugation"
+    unscaled = sum(b * b for _, b in square) if normal else 0   # G
+    scaled = _scale(spec) * values[:, unscaled:]
+    t[:, at] = scaled[:, :placed]
+    t = t.reshape(-1, n, n)
+    if normal:
+        built = _normal_blocks(values[:, :unscaled], scaled[:, placed:], [b for _, b in square])
+        for (row, b), block in zip(square, built):
+            t[:, row:row + b, row:row + b] = block
+    elif spec.family == "symmetric":
+        for row, b in square:
+            block = t[:, row:row + b, row:row + b]
+            block[...] = (block + block.mT) / 2.0
+    return t
 
 
 def _finite_trials(spec: GeneratorSpec, trials: range, stack: np.ndarray) -> tuple:
@@ -309,42 +369,24 @@ def _read_only(*stacks: np.ndarray) -> None:
         stack.setflags(write=False)
 
 
-def _draw_matrices(spec: GeneratorSpec, trials: range) -> tuple:
+def _draw_stack(spec: GeneratorSpec, trials: range, m: int, split: bool) -> tuple:
     """The m square n-by-n matrices of each trial of ``trials``, as a
-    (trials, m, n, n) stack; under an ``entry_bound``, the trials from the
-    first whose draw overflows on are left out, and the error naming that
-    trial is returned beside the rest (otherwise ``None``)."""
+    (trials, m, n, n) stack, each drawn whole or, with ``split``, as
+    T = [[X, Y], [0, Z]] taking X, Y and Z from its trial's stream in that
+    order; under an ``entry_bound``, the trials from the first whose draw
+    overflows on are left out, and the error naming that trial is returned
+    beside the rest (otherwise ``None``)."""
     n, r = spec.n, spec.r
-    (raw,) = _draw(spec, trials, [_structured_count(spec, n)])
+    if split and not 0 < r < n:
+        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={n}")
+    layout = _layout(spec.family, n, r, split)
+    raw = _draw(spec, trials, m, layout[0])
     if spec.family == "block_triangular" and not 0 < r < n:
         raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={n}")
     with _overflow_quiet(spec):
-        (mats,) = _structured(spec, [raw], [n])
-    if spec.family == "block_triangular":
-        mats[:, r:, :r] = 0.0
-    kept, error = _finite_trials(spec, trials, mats)
-    return mats.reshape(len(trials), spec.m, n, n)[:kept], error
-
-
-def _draw_blocks(spec: GeneratorSpec, trials: range) -> tuple:
-    """The stack T, read-only and (trials, m, n, n), of the block families
-    of ``trials``, each member T = [[X, Y], [0, Z]] taking its X, Y and Z
-    from its trial's stream in that order, drawn into T; and, as
-    :func:`_draw_matrices`, the overflow error that cut it short."""
-    r, c = spec.r, spec.n - spec.r
-    if not 0 < r < spec.n:
-        raise ShapeError(f"block family needs 0 < r < n, got r={r}, n={spec.n}")
-    raw_x, raw_y, raw_z = _draw(spec, trials, [
-        _structured_count(spec, r), _dense_count(spec, r, c), _structured_count(spec, c)])
-    t = np.zeros((len(trials) * spec.m, spec.n, spec.n), dtype=complex)
-    with _overflow_quiet(spec):
-        t[:, :r, :r], t[:, r:, r:] = _structured(spec, [raw_x, raw_z], [r, c])
-        t[:, :r, r:] = _dense(raw_y, spec, r, c)
-    t = t.reshape(len(trials), spec.m, spec.n, spec.n)
+        t = _assembled(spec, raw, layout).reshape(len(trials), m, n, n)
     kept, error = _finite_trials(spec, trials, t)
-    t = t[:kept]
-    _read_only(t)
-    return t, error
+    return t[:kept], error
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +469,8 @@ class Inequality:
     calls on a chunk's stack (each trial's family, or its first matrix),
     then ``r``, ``p`` and ``allow_hypothesis_violation`` where the id takes
     them.  ``files`` is the least and most number of input matrices
-    (``None``: no limit); a search draws ``files[1]`` (:meth:`draw_spec`)
-    where it is set, else the spec's ``m``.  ``transform`` makes each drawn
+    (``None``: no limit); a search draws ``files[1]`` where it is set, else
+    the spec's ``m``.  ``transform`` makes each drawn
     matrix PSD, or triangular.  ``default_p``, when set, makes ``p`` a
     parameter.  ``refutable`` ids are false in general and get the published
     witness as trial 0; with ``hypothesis_gate`` the checker answers
@@ -459,30 +501,24 @@ class Inequality:
             params["allow_hypothesis_violation"] = allow_hypothesis_violation
         return params
 
-    def draw_spec(self, spec: GeneratorSpec) -> GeneratorSpec:
-        """The spec a search of this id draws from."""
-        m = self.files[1]
-        if m is None or m == spec.m:
-            return spec
-        return GeneratorSpec(spec.family, spec.n, spec.r, m, spec.entry_bound, spec.seed)
-
     def draw_trials(self, spec: GeneratorSpec, trials: range, params: dict) -> tuple:
-        """The trials ``trials`` from ``spec`` (a :meth:`draw_spec`), drawn
-        as one :class:`_Drawn` chunk; under an ``entry_bound``, cut short at
-        the first trial whose draw overflows, with the :class:`LinalgError`
-        naming it (otherwise ``None``)."""
-        if self.shape in ("member", "family"):
-            t, error = _draw_blocks(spec, trials)
-            return _Drawn(self, spec, trials[:len(t)], params, t), error
-        mats, error = _draw_matrices(spec, trials)
-        mats = mats[:, 0]
-        if self.transform is not None:
-            with _overflow_quiet(spec):
-                mats = self.transform(mats)
-            kept, later = _finite_trials(spec, trials[:len(mats)], mats)
-            mats, error = mats[:kept], error if later is None else later
-        _read_only(mats)
-        return _Drawn(self, spec, trials[:len(mats)], params, mats[:, None]), error
+        """The trials ``trials`` from ``spec``, ``files[1]`` matrices each
+        where it is set, else the spec's ``m``, drawn as one :class:`_Drawn`
+        chunk, read-only; under an ``entry_bound``, cut short at the first
+        trial whose draw overflows, with the :class:`LinalgError` naming it
+        (otherwise ``None``)."""
+        split = self.shape in ("member", "family")
+        t, error = _draw_stack(spec, trials, self.files[1] or spec.m, split)
+        if not split:
+            mats = t[:, 0]
+            if self.transform is not None:
+                with _overflow_quiet(spec):
+                    mats = self.transform(mats)
+                kept, later = _finite_trials(spec, trials[:len(mats)], mats)
+                mats, error = mats[:kept], error if later is None else later
+            t = mats[:, None]
+        _read_only(t)
+        return _Drawn(self, spec, trials[:len(t)], params, t), error
 
     def _args(self, witness: Witness) -> tuple:
         """The checker's arguments before ``tol``."""
@@ -550,6 +586,11 @@ class _Drawn:
         return Witness(self.ineq.id, self.spec.seed, self.trials[i], dict(self.params),
                        tuple(self.t[i]))
 
+    def record(self, i: int) -> Witness:
+        """The witness of trial ``i`` over copies of its matrices (:func:`_owned`)."""
+        return Witness(self.ineq.id, self.spec.seed, self.trials[i], dict(self.params),
+                       _owned(self.t[i]))
+
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
     Inequality("fischer", "matrix", checks._fischer_sides, needs_r=True, transform=_grams),
@@ -609,14 +650,17 @@ _REMARK_X1 = ((1, 2), (0, 1))
 
 
 def _paper_witness(predicate_id: str, params: dict) -> Witness | None:
-    """The embedded published counterexample for a refutable predicate."""
+    """The embedded published counterexample for a refutable predicate, over
+    read-only matrices of its own."""
     if predicate_id == "cor_c1":
         mats = (as_matrix(_EXAMPLE1_T1), as_matrix(_EXAMPLE1_T2))
+        _read_only(*mats)
         merged = {"r": 2, "allow_hypothesis_violation": params.get(
             "allow_hypothesis_violation", False)}
         return Witness("cor_c1", 0, 0, merged, mats)
     if predicate_id == "e21":
         mats = (as_matrix(_EXAMPLE3_T1), as_matrix(_EXAMPLE3_T2))
+        _read_only(*mats)
         return Witness("e21", 0, 0, {"r": 2}, mats)
     return None
 
@@ -769,8 +813,8 @@ _CHUNK = 64
 
 def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Tolerances,
               call_params: dict, inject_paper_witness: bool):
-    """(trial, witness, report, margin, verdict) for each trial, in order;
-    ``witness`` builds the trial's witness when called.
+    """(trial, record, report, margin, verdict) for each trial, in order;
+    ``record`` builds the trial's witness as a search records it when called.
 
     Trials are drawn and scored a chunk at a time.  A trial the rule reads
     as violated, whose record needs the report, or gives no verdict goes to
@@ -784,9 +828,8 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
         report = ineq.check(paper, tol)
         yield 0, lambda: paper, report, report.margin, report.verdict
         first = 1
-    draw_spec = ineq.draw_spec(spec)
     for start in range(first, max_trials, _CHUNK):
-        drawn, error = ineq.draw_trials(draw_spec, range(start, min(start + _CHUNK, max_trials)),
+        drawn, error = ineq.draw_trials(spec, range(start, min(start + _CHUNK, max_trials)),
                                         call_params)
         margins, codes = [], [0] * len(drawn.trials)   # no verdict: the checkers raise
         if drawn.trials:
@@ -797,22 +840,20 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
         for i, trial in enumerate(drawn.trials):
             verdict = _VERDICTS[codes[i]]
             if verdict is not None and verdict is not Verdict.VIOLATED:
-                yield trial, partial(drawn.witness, i), None, margins[i], verdict
+                yield trial, partial(drawn.record, i), None, margins[i], verdict
             else:
-                witness = drawn.witness(i)
-                report = ineq.check(witness, tol)
-                yield trial, lambda witness=witness: witness, report, report.margin, report.verdict
+                report = ineq.check(drawn.witness(i), tol)
+                yield trial, partial(drawn.record, i), report, report.margin, report.verdict
         if error is not None:
             raise error
 
 
-def _recorded(witness: Witness) -> Witness:
-    """``witness`` over read-only copies of its matrices, which may view a
-    whole chunk's stack: a record keeps no chunk alive."""
-    matrices = tuple(m.copy() for m in witness.matrices)
-    _read_only(*matrices)
-    return Witness(witness.predicate_id, witness.seed, witness.trial_index, witness.params,
-                   matrices)
+def _owned(matrices) -> tuple:
+    """Read-only copies of ``matrices``, which may view a whole chunk's
+    stack: a record keeps no chunk alive."""
+    copies = tuple(m.copy() for m in matrices)
+    _read_only(*copies)
+    return copies
 
 
 def _run_trials(
@@ -832,10 +873,10 @@ def _run_trials(
     ineq = INEQUALITIES[predicate_id]
     call_params = ineq.call_params(spec.r)
     if params:
-        if "r" in params:
-            raise ValueError(f"r comes from the generator spec (r={spec.r}), not from params")
-        unknown = sorted(map(str, set(params) - set(call_params)))
-        if unknown:
+        if not params.keys() <= call_params.keys() - {"r"}:
+            if "r" in params:
+                raise ValueError(f"r comes from the generator spec (r={spec.r}), not from params")
+            unknown = sorted(map(str, set(params) - set(call_params)))
             takes = ", ".join(k for k in call_params if k != "r")
             raise ValueError(f"{predicate_id} takes {f'only {takes}' if takes else 'no parameters'}"
                              f"; got {', '.join(unknown)}")
@@ -845,7 +886,7 @@ def _run_trials(
     min_margin_trial = None
     min_pos = None
     min_pos_trial = None
-    min_pos_witness = None   # the function that builds it, until the end
+    min_pos_witness = None   # the function that records it, until the end
     ran = 0
     for trial, witness, report, margin, verdict in _outcomes(
             ineq, spec, max_trials, tol, call_params, inject_paper_witness):
@@ -860,7 +901,7 @@ def _run_trials(
                     min_pos_trial = trial
                     min_pos_witness = witness
         if verdict is Verdict.VIOLATED:
-            violations.append(ViolationRecord(trial, spec.seed, _recorded(witness()), report))
+            violations.append(ViolationRecord(trial, spec.seed, witness(), report))
             if stop_on_first:
                 break
     return SearchReport(
@@ -873,7 +914,7 @@ def _run_trials(
         min_margin_trial=min_margin_trial,
         min_positive_margin=min_pos,
         min_positive_margin_trial=min_pos_trial,
-        min_positive_witness=None if min_pos_witness is None else _recorded(min_pos_witness()),
+        min_positive_witness=None if min_pos_witness is None else min_pos_witness(),
         runtime_note=f"{ran} trials against {predicate_id}",
     )
 

@@ -101,7 +101,7 @@ _STRUCTURAL_IDS = {"cor_c0", "lemma1", "thm2", "drury", "thm3"}
 def test_tol_eq_reaches_every_checker(ineq_id, tmp_path, capsys):
     ineq = INEQUALITIES[ineq_id]
     params = ineq.call_params(2, allow_hypothesis_violation=True)
-    spec = ineq.draw_spec(GeneratorSpec(family="gaussian", n=4, r=2, m=2, seed=11))
+    spec = GeneratorSpec(family="gaussian", n=4, r=2, m=2, seed=11)
     witness = ineq.draw_trials(spec, range(1, 2), params)[0].witness(0)
     files = [_write_matrix(tmp_path / f"m{k}.json", m) for k, m in enumerate(witness.matrices)]
     argv = ["check", *files, "--ineq", ineq_id, "--format", "structured"]

@@ -385,9 +385,8 @@ def _outcome(f, *args):
 
 
 def _direct_qr(a):
-    factored = a.copy()
-    tau = _lapack("qr_r_raw", factored)
-    return _lapack("qr_reduced", factored, tau), np.diagonal(factored, axis1=-2, axis2=-1)
+    q, factored = _lapack("qr", a)
+    return q, np.diagonal(factored, axis1=-2, axis2=-1)
 
 
 def _numpy_qr(a):

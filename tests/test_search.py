@@ -61,7 +61,7 @@ def _raised(drawn, error):
 
 def _drawn_matrices(spec, trial):
     """The trial's m square n-by-n matrices, a one-trial chunk of the chunk drawer."""
-    return list(_raised(*search._draw_matrices(spec, range(trial, trial + 1)))[0])
+    return list(_raised(*search._draw_stack(spec, range(trial, trial + 1), spec.m, False))[0])
 
 
 def _drawn_family(spec, trial):
@@ -71,8 +71,8 @@ def _drawn_family(spec, trial):
 
 
 def _one_trial(ineq, spec, trial, params):
-    """The trial as a search of ``ineq`` draws it from ``spec`` (a draw
-    spec): a one-trial chunk of :meth:`Inequality.draw_trials`."""
+    """The trial as a search of ``ineq`` draws it from ``spec``: a one-trial
+    chunk of :meth:`Inequality.draw_trials`."""
     return _raised(*ineq.draw_trials(spec, range(trial, trial + 1), params))
 
 
@@ -140,17 +140,16 @@ def test_every_trial_of_a_chunk_is_the_block_by_block_draw_bitwise(family):
                 blocks = [_draw_or_error(reference.block_by_block_family, spec, trial)
                           for trial in trials]
                 if isinstance(blocks[0], tuple):   # every trial raises the same error
-                    for draw, expected in ((search._draw_matrices, matrices[0]),
-                                           (search._draw_blocks, blocks[0])):
+                    for split, expected in ((False, matrices[0]), (True, blocks[0])):
                         with pytest.raises((ValueError, LinalgError)) as err:
-                            draw(spec, trials)
+                            search._draw_stack(spec, trials, m, split)
                         assert expected == (err.type, str(err.value))
                     continue
-                mats, error = search._draw_matrices(spec, trials)
+                mats, error = search._draw_stack(spec, trials, m, False)
                 assert error is None and mats.shape == (size, m, n, n)
                 assert all(_same_bits(a, b) for got, want in zip(mats, matrices)
                            for a, b in zip(got, want))
-                t, error = search._draw_blocks(spec, trials)
+                t, error = search._draw_stack(spec, trials, m, True)
                 assert error is None and t.shape == (size, m, n, n)
                 for i, members in enumerate(blocks):
                     for k, want in enumerate(members):
@@ -176,7 +175,7 @@ _OVERFLOW_AT_98 = GeneratorSpec(family="gaussian", n=2, r=1, m=2, entry_bound=4e
 @pytest.mark.parametrize("ineq_id", [i for i in PREDICATE_IDS if i != "fischer"])
 def test_a_chunk_cut_short_by_an_overflow_reports_the_trials_before_it(ineq_id, monkeypatch):
     ineq = INEQUALITIES[ineq_id]
-    spec, params = ineq.draw_spec(_OVERFLOW_AT_98), ineq.call_params(1)
+    spec, params = replace(_OVERFLOW_AT_98, m=ineq.files[1] or 2), ineq.call_params(1)
     message = "seed 14, trial 98: entry_bound 4e+307 overflows, drawing non-finite entries"
     alone = (reference.block_by_block_generate if ineq.shape == "matrix"
              else reference.block_by_block_family)
@@ -375,7 +374,7 @@ def _trial_witness(ineq, spec, report, trial):
     for record in report.violations:
         if record.trial_index == trial:
             return record.witness
-    return _one_trial(ineq, ineq.draw_spec(spec), trial, dict(report.params)).witness(0)
+    return _one_trial(ineq, spec, trial, dict(report.params)).witness(0)
 
 
 def _json_round_trip(witness):
@@ -448,7 +447,7 @@ def _drawn(ineq, spec, trials, params):
     """One chunk of ``trials`` trials, drawn as a search of ``ineq`` draws them."""
     call_params = ineq.call_params(spec.r)
     call_params.update(params or {})
-    drawn, error = ineq.draw_trials(ineq.draw_spec(spec), range(trials), call_params)
+    drawn, error = ineq.draw_trials(spec, range(trials), call_params)
     assert error is None and len(drawn.trials) == trials
     return drawn
 
@@ -480,7 +479,7 @@ def _finite_chunks(ineq, spec, trials, params):
     call_params.update(params or {})
     start = 0
     while start < trials:
-        drawn, _ = ineq.draw_trials(ineq.draw_spec(spec), range(start, trials), call_params)
+        drawn, _ = ineq.draw_trials(spec, range(start, trials), call_params)
         if drawn.trials:
             yield drawn
         start += len(drawn.trials) + 1
@@ -523,7 +522,7 @@ def test_a_search_checks_only_the_trials_its_rule_reads_as_violated_or_nan(
     for spec in specs:   # the chunks a search draws, up to the first trial that overflows
         call_params = {**ineq.call_params(spec.r), **(params or {})}
         for start in range(0, trials, _CHUNK):
-            drawn, error = ineq.draw_trials(ineq.draw_spec(spec), range(
+            drawn, error = ineq.draw_trials(spec, range(
                 start, min(start + _CHUNK, trials)), call_params)
             codes = ineq.score(drawn, DEFAULT_TOL)[1].tolist() if drawn.trials else []
             expected += sum(_VERDICTS[code] in (None, Verdict.VIOLATED) for code in codes)
@@ -682,7 +681,7 @@ def test_every_id_near_dbl_max_reads_no_nan_margin_and_keeps_the_identities():
     found, identities, checked = [], 0, 0
     for n, r, m in ((2, 1, 1), (4, 2, 2)):
         for ineq in INEQUALITIES.values():
-            spec = ineq.draw_spec(GeneratorSpec("gaussian", n, r, m, 1e308, seed=7))
+            spec = GeneratorSpec("gaussian", n, r, m, 1e308, seed=7)
             for trial in range(1, 100):
                 try:
                     drawn = _one_trial(ineq, spec, trial, ineq.call_params(r))
@@ -760,7 +759,7 @@ def test_recorded_witnesses_own_read_only_copies_of_their_matrices(monkeypatch):
     witnesses = [r.min_positive_witness for r in reports] + [reports[-1].violations[0].witness]
     for witness in witnesses:
         ineq = INEQUALITIES[witness.predicate_id]
-        drawn = _one_trial(ineq, ineq.draw_spec(reports[0].spec if ineq.id == "thm1" else spec),
+        drawn = _one_trial(ineq, reports[0].spec if ineq.id == "thm1" else spec,
                            witness.trial_index, witness.params).witness(0)
         assert len(witness.matrices) == len(drawn.matrices)
         for matrix, want in zip(witness.matrices, drawn.matrices):
