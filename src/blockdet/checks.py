@@ -46,6 +46,7 @@ from .linalg import (
     _commutator,
     _det_parts,
     _lapack,
+    _quiet,
     _rescaled,
     _require_split,
     _require_square,
@@ -546,7 +547,7 @@ def _abs_power_sides(t: np.ndarray, r: int, p: float) -> _Sides:
     under T's s, X's and Z's terms summed in one row.  Equality iff Y = 0;
     the detail is s and ||Y / s||_F of :func:`_y_zero`."""
     _require_exponent(p)
-    sigma, log_s = _rescaled(lambda u: _split_singular_values(u, r), t)
+    sigma, log_s = _rescaled(_split_singular_values, t, r)
     sums = _log1p_pow(sigma.reshape(sigma.shape[:-1] + (2, -1)), log_s, p).sum(axis=-1)
     y_zero, s, y = _y_zero(t, r)
     return _Sides(sums[..., 0], sums[..., 1], structural_equality=y_zero, detail=(s, y))
@@ -752,14 +753,19 @@ def _drury_sides(t: np.ndarray) -> _Sides:
     |t_jj|^2); equality iff T is diagonal, a failed precondition unless it
     is upper triangular, each by the gates of :func:`predicates`.  The
     detail is s and the off-diagonal mass of T / s."""
-    rows, log_s = _rescaled(lambda u: np.stack(
-        [_singular_values(u), np.abs(np.diagonal(u, axis1=-2, axis2=-1))], axis=-2), t)
+    rows, log_s = _rescaled(_drury_rows, t)
     sums = _log1p_pow(rows, log_s, 2.0).sum(axis=-1)
     s, _, norm, lower, off_mass = _unit_masses(
         t, _strict_lower, lambda u: np.where(np.eye(u.shape[-1], dtype=bool), 0.0, u))
     gate = PREDICATE_REL * norm
     return _Sides(sums[..., 0], sums[..., 1], structural_equality=off_mass <= gate,
                   precondition_failed=~(lower <= gate), detail=(s, off_mass))
+
+
+@_quiet
+def _drury_rows(t: np.ndarray) -> np.ndarray:
+    """sigma(T) over |diag T| of T, or of each T of a stack."""
+    return np.stack([_singular_values(t), np.abs(np.diagonal(t, axis1=-2, axis2=-1))], axis=-2)
 
 
 def check_thm3(t: BlockUpperTriangular, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -843,8 +849,7 @@ def _weyl_sides(a: np.ndarray) -> _Sides:
     sigma against sum log |lambda|, each zero where it reads log 0, and the
     smallest finite strict-prefix gap (0 without one) as the margin; the
     detail is the k = n gap."""
-    (moduli, sigma), log_s = _rescaled(lambda u: (
-        np.sort(np.abs(_lapack("eigvals", u)), axis=-1)[..., ::-1], _singular_values(u)), a)
+    (moduli, sigma), log_s = _rescaled(_weyl_spectra, a)
     cum_l, cum_s = _cumulative_logs(moduli, log_s), _cumulative_logs(sigma, log_s)
     lhs, rhs = cum_s[..., -1], cum_l[..., -1]
     lhs_zero, rhs_zero = np.isinf(lhs), np.isinf(rhs)
@@ -856,6 +861,12 @@ def _weyl_sides(a: np.ndarray) -> _Sides:
     beyond = np.isfinite(final) & (np.abs(final) > rounding)
     return _Sides(lhs, rhs, lhs_zero, rhs_zero, margin=np.where(margin < np.inf, margin, 0.0),
                   identity_gap=np.where(beyond, np.abs(final), 0.0), detail=(final,))
+
+
+@_quiet
+def _weyl_spectra(a: np.ndarray) -> tuple:
+    """|lambda(A)| and sigma(A), each non-increasing, of A or each A of a stack."""
+    return np.sort(np.abs(_lapack("eigvals", a)), axis=-1)[..., ::-1], _singular_values(a)
 
 
 def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -884,7 +895,7 @@ def _schur_identity_sides(a: np.ndarray, r: int) -> _Sides:
     det(A / A11) and det A, (n - r) log s, and A11's extreme sigmas."""
     n = a.shape[-1]
     _require_split(n, r)
-    (complement, singular, top, bottom), log_s = _rescaled(lambda u: _schur_complement(u, r), a)
+    (complement, singular, top, bottom), log_s = _rescaled(_quiet(_schur_complement), a, r)
     d11, dc, d = _det_parts(a[..., :r, :r]), _det_parts(complement), _det_parts(a)
     shift = (n - r) * log_s
     lhs_zero, rhs_zero = d11[2] | dc[2] | singular, d[2] | singular
@@ -912,14 +923,18 @@ def _e21_sides(t: np.ndarray, r: int) -> _Sides:
     of a stack of them, under one s for [T1; T2] (:func:`_rescaled`); the
     detail is the determinants' parts and n log s."""
     n = t.shape[-1]
-
-    def sums(pair):
-        t1, t2 = pair[..., :n, :], pair[..., n:, :]
-        return tuple(_abs_matrix(b1) + _abs_matrix(b2) for b1, b2 in
-                     ((t1, t2), *zip(_diagonal_blocks(t1, r), _diagonal_blocks(t2, r))))
-
-    (t_sum, x_sum, z_sum), log_s = _rescaled(sums, t.reshape(t.shape[:-3] + (2 * n, n)))
+    (t_sum, x_sum, z_sum), log_s = _rescaled(_e21_sums, t.reshape(t.shape[:-3] + (2 * n, n)), r)
     d_t, d_x, d_z = _det_parts(t_sum), _det_parts(x_sum), _det_parts(z_sum)
     shift = n * log_s
     return _Sides(d_t[1] + shift, (d_x[1] + d_z[1]) + shift, d_t[2], d_x[2] | d_z[2],
                   detail=(d_t, d_x, d_z, shift))
+
+
+@_quiet
+def _e21_sums(pair: np.ndarray, r: int) -> tuple:
+    """|T1| + |T2|, |X1| + |X2| and |Z1| + |Z2| of the pair [T1; T2], or of
+    each pair of a stack."""
+    n = pair.shape[-1]
+    t1, t2 = pair[..., :n, :], pair[..., n:, :]
+    return tuple(_abs_matrix(b1) + _abs_matrix(b2) for b1, b2 in
+                 ((t1, t2), *zip(_diagonal_blocks(t1, r), _diagonal_blocks(t2, r))))

@@ -161,6 +161,7 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 _FLOAT_MAX = float(np.finfo(float).max)
 _FLOAT_TINY = float(np.finfo(float).tiny)   # the smallest normal float
+_BELOW_2_1023 = math.nextafter(2.0 ** 1023, 0.0)   # frexp's exponent 1023, the last finite power
 
 
 def _power_of_two_above(v):
@@ -171,9 +172,8 @@ def _power_of_two_above(v):
     complex whose modulus ``v`` is infinite, to below 2.
     """
     if isinstance(v, float):   # math is several times faster than numpy on one value
-        return math.ldexp(1.0, min(math.frexp(min(v, _FLOAT_MAX))[1], 1023)) if v > 1.0 else 1.0
-    return np.where(v > 1.0, np.ldexp(1.0, np.minimum(np.frexp(np.minimum(v, _FLOAT_MAX))[1],
-                                                      1023)), 1.0)
+        return math.ldexp(1.0, math.frexp(min(v, _BELOW_2_1023))[1]) if v > 1.0 else 1.0
+    return np.where(v > 1.0, np.ldexp(1.0, np.frexp(np.minimum(v, _BELOW_2_1023))[1]), 1.0)
 
 
 def _unit_scale(a: np.ndarray):
@@ -217,16 +217,21 @@ def _unit_masses(a: np.ndarray, *parts) -> tuple:
                        for m in [unit] + [part(unit) for part in parts]))
 
 
-def _rescaled(f, a: np.ndarray) -> tuple:
-    """The one overflow policy: ``f(a)`` and log s = 0.0, or, where ``f(a)``
-    is not finite, ``f(a / s)`` and log s, s the :func:`_unit_scale` of
-    ``a``; past DBL_MAX, LAPACK's SVD gives NaN without a warning.  ``f`` of
-    a matrix, or of a stack, is an array or a tuple of arrays, a row per
-    matrix; only a stack's matrices with rows not finite are taken again,
-    s 1 for the others.  A finite ``f(a)``, taken with numpy's overflow
-    warnings off, is returned as it is."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = f(a)
+# numpy's overflow warnings off, as a decorator: a spectrum that overflows on A
+# is taken again on A / s (_rescaled), so its warnings say nothing
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def _rescaled(f, a: np.ndarray, *args) -> tuple:
+    """The one overflow policy: ``f(a, *args)`` and log s = 0.0, or, where
+    it is not finite, ``f(a / s, *args)`` and log s, s the
+    :func:`_unit_scale` of ``a``; past DBL_MAX, LAPACK's SVD gives NaN
+    without a warning.  ``f`` of a matrix, or of a stack, is an array or a
+    tuple of arrays, a row per matrix; only a stack's matrices with rows not
+    finite are taken again, s 1 for the others.  A finite first result is
+    returned as it is.  An ``f`` whose own arithmetic can overflow is a
+    :data:`_quiet` function; :func:`_lapack` sets its gufuncs' error state."""
+    out = f(a, *args)
     single = not isinstance(out, tuple)
     parts = (out,) if single else out
     if np.isfinite(out).all() if single else all(np.isfinite(part).all() for part in parts):
@@ -235,8 +240,8 @@ def _rescaled(f, a: np.ndarray) -> tuple:
                                     for part in parts])
     s = np.where(finite, 1.0, _unit_scale(a))
     if a.ndim == 2:
-        return f(a / s), np.log(s)
-    again = f(a[~finite] / s[~finite][:, None, None])
+        return f(a / s, *args), np.log(s)
+    again = f(a[~finite] / s[~finite][:, None, None], *args)
     for part, rows in zip(parts, (again,) if single else again):
         part[~finite] = rows
     return out, np.log(s)

@@ -62,6 +62,7 @@ from .linalg import (
     _below_diagonal,
     _double,
     _lapack,
+    _quiet,
     _rescaled,
     _singular_values,
     _unit_scaled,
@@ -446,6 +447,7 @@ def _log_major_spectra(x: np.ndarray, p: float) -> tuple:
     return a, b, 2.0 * p, log_s
 
 
+@_quiet
 def _major_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit, s = _unit_scaled(x, 2)
     moduli = np.sort(np.abs(_lapack("eigvals", unit.conj() @ unit)), axis=-1)[..., ::-1]
