@@ -286,7 +286,7 @@ _EIG_FAILED = _raising("Eigenvalues did not converge")
 _QR_FAILED = _raising("Incorrect argument found while performing QR factorization")
 
 # gufunc: the numpy.linalg routine that calls it, the signature numpy.linalg
-# gives it for complex input (qr: its pair of gufuncs, see _gufunc), and the
+# gives it for complex input (qr: its pair of gufuncs, see _qr), and the
 # handler numpy.linalg's error state calls on LAPACK's failure flag (None: it
 # sets no error state)
 _GUFUNCS = {
@@ -300,17 +300,13 @@ _GUFUNCS = {
 }
 
 
-def _gufunc(gufunc: str, operands: tuple):
-    """One call of ``gufunc`` on its operands.  ``qr`` is numpy.linalg.qr's
-    reduced mode: ``qr_r_raw`` factors a copy of the stack in place, leaving
-    R in its upper triangle, and ``qr_reduced`` forms Q from it; it returns
-    Q and the factored copy."""
-    signature = _GUFUNCS[gufunc][1]
-    if signature is None:
-        factored = operands[0].copy()
-        tau = _umath_linalg.qr_r_raw(factored, signature="D->D")
-        return _umath_linalg.qr_reduced(factored, tau, signature="DD->D"), factored
-    return getattr(_umath_linalg, gufunc)(*operands, signature=signature)
+def _qr(a: np.ndarray, signature=None) -> tuple:
+    """numpy.linalg.qr's reduced mode, called as a gufunc: ``qr_r_raw``
+    factors a copy of ``a`` in place, leaving R in its upper triangle, and
+    ``qr_reduced`` forms Q from it; returns Q and the factored copy."""
+    factored = a.copy()
+    tau = _umath_linalg.qr_r_raw(factored, signature="D->D")
+    return _umath_linalg.qr_reduced(factored, tau, signature="DD->D"), factored
 
 
 def _lapack(gufunc: str, *stacks):
@@ -326,20 +322,21 @@ def _lapack(gufunc: str, *stacks):
     place): callers pass finite complex128 stacks.  The gufuncs are private
     numpy, pinned against numpy.linalg by ``tests/test_linalg.py``.
     """
-    routine, _, handler = _GUFUNCS[gufunc]
+    routine, signature, handler = _GUFUNCS[gufunc]
+    call = _qr if gufunc == "qr" else getattr(_umath_linalg, gufunc)
     arity = 2 if gufunc == "solve" else 1
-    calls = [stacks[i:i + arity] for i in range(0, len(stacks), arity)]
+    calls = range(0, len(stacks), arity)
     if handler is None:
-        results = [_gufunc(gufunc, operands) for operands in calls]
+        results = [call(*stacks[i:i + arity], signature=signature) for i in calls]
     else:
         results = []
         try:
             with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
                              under="ignore"):
-                for operands in calls:
-                    results.append(_gufunc(gufunc, operands))
+                for i in calls:
+                    results.append(call(*stacks[i:i + arity], signature=signature))
         except np.linalg.LinAlgError as err:
-            shape = operands[0].shape
+            shape = stacks[i].shape
             failed = "did not converge" if routine in ("svd", "eigh", "eigvals") else "failed"
             raise ConvergenceError(f"{routine} {failed} on a {shape[-2]}x{shape[-1]} matrix: "
                                    f"{err}", routine, shape) from err
