@@ -69,11 +69,16 @@ class SuiteConfig:
         self.lines.append(text)
 
     def flush(self) -> None:
+        """Write the lines to ``out``, or to stdout; a path that cannot be
+        written is a usage error, as an input that cannot be read is."""
         payload = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.out is not None:
-            self.out.write_text(payload)
-        else:
+        if self.out is None:
             sys.stdout.write(payload)
+            return
+        try:
+            self.out.write_text(payload)
+        except OSError as err:
+            raise _UsageError(f"cannot write {self.out}: {err}")
 
 
 def _build_config(args) -> SuiteConfig:

@@ -68,7 +68,12 @@ def _draw_dense(rng, spec, rows: int, cols: int) -> np.ndarray:
 
 
 def _draw_unitary(rng, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return unitary_factor(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def unitary_factor(g: np.ndarray) -> np.ndarray:
+    """Q of ``numpy.linalg.qr(g)``, each column times the phase of R's
+    diagonal entry, or 1 where that entry is an exact zero."""
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     mods = np.abs(d)

@@ -698,6 +698,20 @@ def test_check_structured_rerun_byte_identical(tmp_path, diag_file):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("command", [["check", "DIAG", "--ineq", "drury"], ["reproduce", "all"],
+                                     ["fuzz", "--predicate", "thm1", "--trials", "2"]])
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(command, tmp_path, diag_file,
+                                                             capsys):
+    # a missing directory and a directory read as the usage error an unreadable input is
+    argv = [diag_file if arg == "DIAG" else arg for arg in command]
+    for out in (tmp_path / "no" / "such" / "x.json", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"blockdet: error: cannot write {out}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "no").exists()
+
+
 def test_check_writes_to_out_file(tmp_path, diag_file):
     out = tmp_path / "report.json"
     assert main(["check", diag_file, "--ineq", "drury", "--format", "structured",

@@ -167,6 +167,23 @@ def test_every_trial_of_a_chunk_is_the_block_by_block_draw_bitwise(family):
                                for i, want in enumerate(matrices))
 
 
+def test_unitaries_take_phase_one_where_r_has_an_exact_zero_on_its_diagonal():
+    # no draw reaches it: an all-zero matrix, and one whose first column is zero, give R
+    # an exact zero on its diagonal; the stack's unitaries are the reference's, matrix by
+    # matrix, bitwise, and where R's diagonal is zero Q's column is kept (phase 1)
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    g[0] = 0.0
+    g[1, :, 0] = 0.0
+    (u,) = search._unitaries(g)
+    assert all(_same_bits(u[k], reference.unitary_factor(g[k])) for k in range(3))
+    q, r = np.linalg.qr(g)
+    zero = np.diagonal(r, axis1=-2, axis2=-1) == 0.0
+    assert zero[0].all() and zero[1].tolist() == [True, False, False, False] and not zero[2].any()
+    for k, j in zip(*np.nonzero(zero)):
+        assert np.array_equal(u[k, :, j], q[k, :, j])
+
+
 # first overflowing trial of this spec: 98, in the second chunk, for every id but fischer,
 # whose G* G overflows sooner
 _OVERFLOW_AT_98 = GeneratorSpec(family="gaussian", n=2, r=1, m=2, entry_bound=4e307, seed=14)
