@@ -362,10 +362,11 @@ def _log1p_pow(v: np.ndarray, log_s, p: float) -> np.ndarray:
     matrix, or each of a stack, divided by s, and log s as :func:`_rescaled`
     gives them.  Entries above 1 take p log v + log1p(v^-p), so v^p never
     overflows; scaled ones take logaddexp(0, p log(s v)).  A side sums one
-    row of these terms in order.
+    row of these terms in order.  Of max(v, 1)^-p and min(v, 1)^p, one is
+    exactly 1, so their product is the other exactly.
     """
     large = np.maximum(v, 1.0)
-    terms = p * np.log(large) + np.log1p(np.where(v > 1.0, large ** -p, np.minimum(v, 1.0) ** p))
+    terms = p * np.log(large) + np.log1p(large ** -p * np.minimum(v, 1.0) ** p)
     if isinstance(log_s, float) and not log_s:   # the 0.0 of an unscaled spectrum
         return terms
     log_s = np.reshape(log_s, np.shape(log_s) + (1,) * (v.ndim - np.ndim(log_s)))

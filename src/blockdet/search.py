@@ -216,10 +216,10 @@ def _layout(family: str, n: int, r: int, split: bool) -> tuple:
     by row: their real parts, then, for a complex family, their imaginary
     parts.  The normal family's X and Z, or its whole matrix, take G of
     U diag(d) U* so, then d's real parts and its imaginary parts.  Returns:
-    the entries a member takes; the stream index of each complex entry's
-    real part, and of its imaginary part (None for an integer family), the
-    normal family's G first, then the entries T takes as drawn, then its d;
-    the flat index in T of each entry T takes as drawn, leaving out those the
+    the entries a member takes; the stream index of each entry's real part
+    and, for a complex family, after them all, of each one's imaginary part,
+    the normal family's G first, then the entries T takes as drawn, then its
+    d; whether the family is an integer one; the flat index in T of each entry T takes as drawn, leaving out those the
     family's structure zeroes, and their count; and the (first row, size) of
     each diagonal block with the family's structure, X and Z or the whole
     matrix.  An index that runs through consecutive places is a slice, so
@@ -251,11 +251,10 @@ def _layout(family: str, n: int, r: int, split: bool) -> tuple:
         at.append(((row + np.arange(rows))[:, None] * n + col + np.arange(cols)).ravel()[kept])
         offset += parts * size
     pairs = g + drawn + d
-    re = _index(np.concatenate([p[0] for p in pairs]))
-    im = _index(np.concatenate([p[1] for p in pairs])) if parts == 2 else None
+    entries = np.concatenate([pair[part] for part in range(parts) for pair in pairs])
     at = np.concatenate(at or [np.zeros(0, dtype=np.intp)])
     square = tuple((row, rows) for row, _, rows, _, structured in blocks if structured)
-    return offset, re, im, _index(at), len(at), square
+    return offset, _index(entries), parts == 1, _index(at), len(at), square
 
 
 def _index(index: np.ndarray):
@@ -268,21 +267,22 @@ def _index(index: np.ndarray):
 
 
 def _unitaries(*gs: np.ndarray) -> list[np.ndarray]:
-    """The unitary factor of each matrix of each stack of ``gs``, one
-    stacked QR per stack, all under one error state, its columns rotated so
-    that R has a positive real diagonal: each column times the phase of R's
-    diagonal entry, or 1 where that entry is an exact zero.
+    """The unitary factor of each matrix of each stack of ``gs`` (stacks of
+    one leading shape), one stacked QR per stack, all under one error state,
+    its columns rotated so that R has a positive real diagonal: each column
+    times the phase of R's diagonal entry, or 1 where that entry is an exact
+    zero, every stack's phases taken in one masked division.
 
     The QR is numpy.linalg.qr's, gufunc by gufunc; R's diagonal is read from
     the copy that LAPACK factors in place, and R itself is never formed."""
     factors = _lapack("qr", *gs)
-    unitaries = []
-    for q, factored in (factors,) if len(gs) == 1 else factors:
-        d = np.diagonal(factored, axis1=-2, axis2=-1)
-        mods = np.abs(d)
-        phases = np.divide(d, mods, out=np.ones_like(d), where=mods != 0.0)
-        unitaries.append(q * phases[..., None, :])
-    return unitaries
+    if len(gs) == 1:
+        factors = [factors]
+    d = np.concatenate([np.diagonal(f, axis1=-2, axis2=-1) for _, f in factors], axis=-1)
+    mods = np.abs(d)
+    phases = np.divide(d, mods, out=np.ones_like(d), where=mods != 0.0)
+    ends = accumulate(q.shape[-1] for q, _ in factors)
+    return [q * phases[..., None, end - q.shape[-1]:end] for (q, _), end in zip(factors, ends)]
 
 
 def _normal_blocks(g: np.ndarray, d: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
@@ -316,12 +316,14 @@ def _assembled(spec: GeneratorSpec, raw: np.ndarray, layout: tuple) -> np.ndarra
     as drawn written in one call, then the family's structure made on T's
     diagonal blocks (:func:`_layout`)."""
     n = spec.n
-    _, re, im, at, placed, square = layout
+    _, entries, integer, at, placed, square = layout
+    parts = raw[:, entries]
     t = np.zeros((len(raw), n * n), dtype=complex)
-    if im is None:   # an integer family: its entries as drawn
-        t[:, at] = raw[:, re]
+    if integer:   # its entries as drawn
+        t[:, at] = parts
         return t.reshape(-1, n, n)
-    values = raw[:, re] + 1j * raw[:, im]
+    half = parts.shape[1] // 2
+    values = parts[:, :half] + 1j * parts[:, half:]
     normal = spec.family == "normal_via_unitary_conjugation"
     unscaled = sum(b * b for _, b in square) if normal else 0   # G
     scaled = _scale(spec) * values[:, unscaled:]
