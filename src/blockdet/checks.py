@@ -444,7 +444,8 @@ def _y_zero(t: np.ndarray, r: int) -> tuple:
     quotient T / s of :func:`_unit_masses`, both from one |T / s|."""
     s = _unit_scale(t)
     moduli = np.abs(t / (s if isinstance(s, float) else s[..., None, None]))
-    norm, y = (np.hypot.reduce(m, axis=(-2, -1)) for m in (moduli, moduli[..., :r, r:]))
+    norm = np.hypot.reduce(moduli, axis=(-2, -1))
+    y = np.hypot.reduce(moduli[..., :r, r:], axis=(-2, -1))
     return y <= PREDICATE_REL * (1.0 / s + norm), s, y
 
 

@@ -278,7 +278,8 @@ def _unitaries(*gs: np.ndarray) -> list[np.ndarray]:
     factors = _lapack("qr", *gs)
     if len(gs) == 1:
         factors = [factors]
-    d = np.concatenate([np.diagonal(f, axis1=-2, axis2=-1) for _, f in factors], axis=-1)
+    diagonals = [np.diagonal(f, axis1=-2, axis2=-1) for _, f in factors]
+    d = diagonals[0] if len(diagonals) == 1 else np.concatenate(diagonals, axis=-1)
     mods = np.abs(d)
     phases = np.divide(d, mods, out=np.ones_like(d), where=mods != 0.0)
     ends = accumulate(q.shape[-1] for q, _ in factors)
@@ -358,12 +359,15 @@ def _finite_trials(spec: GeneratorSpec, trials: range, stack: np.ndarray) -> tup
                               f"{spec.entry_bound!r} overflows, drawing non-finite entries")
 
 
+_NOTHING_TO_QUIET = nullcontext()
+
+
 def _overflow_quiet(spec: GeneratorSpec):
     """numpy's overflow warnings off while a draw is built under an
     ``entry_bound``, whose trials :func:`_finite_trials` then tests; without
     one, nothing to switch off."""
     if spec.entry_bound is None:
-        return nullcontext()
+        return _NOTHING_TO_QUIET
     return np.errstate(over="ignore", invalid="ignore")
 
 
