@@ -286,14 +286,13 @@ def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
 
     Sides that are never flagged (both flags the constant False) are finite
     or NaN, so their margin lhs - rhs is taken with no error state, and a NaN
-    rhs already makes it NaN, which :func:`_decide` gives no verdict."""
+    rhs makes it NaN, which :func:`_decide` gives no verdict by itself."""
     lhs, rhs, lhs_zero, rhs_zero = sides[:4]
     zero = lhs_zero | rhs_zero   # False where neither side is ever flagged
     margin = sides.margin
-    if margin is None and zero is False and sides.value is None:
+    if margin is None and zero is False:
         margin = lhs - rhs
-        return margin, _decide(margin, lhs, tol, *sides[4:8])[0]
-    if margin is None:
+    elif margin is None:
         with np.errstate(invalid="ignore"):   # inf - inf of flagged sides, whose logs are not used
             margin = lhs - rhs
     if zero is not False and zero.any():   # few chunks: the others skip the selections
@@ -301,8 +300,9 @@ def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
             margin = np.where(lhs_zero, np.where(rhs_zero, 0.0, -np.inf),
                               np.where(rhs_zero, np.inf, margin))
         lhs, rhs = np.where(lhs_zero, 0.0, lhs), np.where(rhs_zero, 0.0, rhs)
-    code = _decide(margin if sides.value is None else sides.value, lhs, tol,
-                   *sides[4:8])[0] * (rhs == rhs)
+    code = _decide(margin if sides.value is None else sides.value, lhs, tol, *sides[4:8])[0]
+    if sides.margin is not None or sides.value is not None or zero is not False:
+        code = code * (rhs == rhs)   # a NaN rhs that the number decided on need not carry
     if sides.value is not None:   # an equality of the value reads margin 0
         margin = np.where(code == 2, 0.0, margin)
     return margin, code

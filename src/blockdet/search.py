@@ -219,11 +219,11 @@ def _layout(family: str, n: int, r: int, split: bool) -> tuple:
     the entries a member takes; the stream index of each entry's real part
     and, for a complex family, after them all, of each one's imaginary part,
     the normal family's G first, then the entries T takes as drawn, then its
-    d; whether the family is an integer one; the flat index in T of each entry T takes as drawn, leaving out those the
-    family's structure zeroes, and their count; and the (first row, size) of
-    each diagonal block with the family's structure, X and Z or the whole
-    matrix.  An index that runs through consecutive places is a slice, so
-    that a whole matrix is taken and placed without a gather.
+    d; the flat index in T of each entry T takes as drawn, leaving out those
+    the family's structure zeroes, and their count; and the (first row,
+    size) of each diagonal block with the family's structure, X and Z or the
+    whole matrix.  An index that runs through consecutive places is a slice,
+    so that a whole matrix is taken and placed without a gather.
     """
     c = n - r
     blocks = ((0, 0, r, r, True), (0, r, r, c, False), (r, r, c, c, True)) if split else (
@@ -254,7 +254,7 @@ def _layout(family: str, n: int, r: int, split: bool) -> tuple:
     entries = np.concatenate([pair[part] for part in range(parts) for pair in pairs])
     at = np.concatenate(at or [np.zeros(0, dtype=np.intp)])
     square = tuple((row, rows) for row, _, rows, _, structured in blocks if structured)
-    return offset, _index(entries), parts == 1, _index(at), len(at), square
+    return offset, _index(entries), _index(at), len(at), square
 
 
 def _index(index: np.ndarray):
@@ -317,10 +317,10 @@ def _assembled(spec: GeneratorSpec, raw: np.ndarray, layout: tuple) -> np.ndarra
     as drawn written in one call, then the family's structure made on T's
     diagonal blocks (:func:`_layout`)."""
     n = spec.n
-    _, entries, integer, at, placed, square = layout
+    _, entries, at, placed, square = layout
     parts = raw[:, entries]
     t = np.zeros((len(raw), n * n), dtype=complex)
-    if integer:   # its entries as drawn
+    if spec.family in _INTEGER_FAMILIES:   # its entries as drawn
         t[:, at] = parts
         return t.reshape(-1, n, n)
     half = parts.shape[1] // 2
@@ -359,15 +359,12 @@ def _finite_trials(spec: GeneratorSpec, trials: range, stack: np.ndarray) -> tup
                               f"{spec.entry_bound!r} overflows, drawing non-finite entries")
 
 
-_NOTHING_TO_QUIET = nullcontext()
-
-
 def _overflow_quiet(spec: GeneratorSpec):
     """numpy's overflow warnings off while a draw is built under an
     ``entry_bound``, whose trials :func:`_finite_trials` then tests; without
     one, nothing to switch off."""
     if spec.entry_bound is None:
-        return _NOTHING_TO_QUIET
+        return nullcontext()
     return np.errstate(over="ignore", invalid="ignore")
 
 
