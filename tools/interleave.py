@@ -77,8 +77,8 @@ def run(sides: dict, rounds: int, seed: int) -> tuple[dict, int]:
     differ = 0
     clock = time.perf_counter
     order = list(sides)
+    families = sides["parent"].FAMILIES
     for index in range(rounds):
-        families = next(iter(sides.values())).FAMILIES
         for label, family, ineq_id, params, trials, spec_args in round_calls(families, seed, index):
             reports = {}
             for side in order:
