@@ -73,6 +73,58 @@ def test_check_malformed_file_exits_three(tmp_path, capsys):
     assert main(["check", str(missing), "--ineq", "drury"]) == 3
 
 
+def _load_error(capsys, path) -> str:
+    """The error line of a check whose one matrix file cannot be loaded."""
+    assert main(["check", str(path), "--ineq", "drury"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_a_file_that_cannot_be_read_is_a_usage_error_naming_the_os_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert _load_error(capsys, missing) == (
+        f"blockdet: error: cannot read {missing}: "
+        f"[Errno 2] No such file or directory: '{missing}'\n")
+    assert _load_error(capsys, tmp_path) == (
+        f"blockdet: error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"rows": \xff}',
+     "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+    (b'{not json', "invalid JSON at line 1, column 2: "
+                   "Expecting property name enclosed in double quotes"),
+    (b'{\n  "rows": 1,\n  "cols": 1\n  "entries": []}',
+     "invalid JSON at line 4, column 3: Expecting ',' delimiter"),
+    (b'[[1, 0]]', "matrix document must be an object, got list"),
+    (b'{"rows": 1, "cols": 1, "entries": [[true, 0]]}',
+     "entry 0: expected a [re, im] pair of reals, got [True, 0]"),
+    (b'{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [2, 0]]}', "expected 4 entries, got 3"),
+])
+def test_a_file_that_is_not_a_matrix_document_is_a_usage_error_naming_why(content, message,
+                                                                          tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    assert _load_error(capsys, path) == f"blockdet: error: {path}: {message}\n"
+
+
+def test_a_matrix_file_loads_the_bits_it_was_written_from(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)   # the smallest subnormal
+    parts = [0.0, -0.0, tiny, -tiny, 2.2e-308, -1e-310, 1e308, -1e308, np.finfo(float).max,
+             1.0 / 3.0, -math.pi]
+    a = (np.array(parts) + 1j * np.array(parts[::-1])).reshape(1, -1)
+    rng = np.random.default_rng(5)
+    for matrix in (a, a.reshape(-1, 1), rng.standard_normal((4, 3)) * 10.0 ** rng.integers(
+            -300, 300, (4, 3)) + 1j * rng.standard_normal((4, 3))):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json_dict(matrix)))
+        loaded = cli._load_matrix_file(str(path))
+        assert loaded.shape == matrix.shape
+        assert loaded.dtype == complex
+        assert np.array_equal(loaded.view(np.uint64), matrix.view(np.uint64))
+
+
 def test_check_usage_errors_exit_three(diag_file):
     assert main(["check", diag_file, "--ineq", "nosuch"]) == 3
     assert main(["check", diag_file, "--ineq", "cor_c0"]) == 3  # missing --r
