@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -134,10 +135,14 @@ def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool,
 
 
 def _load_matrix_file(path: str):
-    """One matrix document: the file read once as bytes, parsed, then
-    checked and converted in one pass by :func:`matrix_from_json_dict`."""
+    """One matrix document: the file read whole in one unbuffered read,
+    parsed, then checked and converted in one pass by
+    :func:`matrix_from_json_dict`.  ``path`` is opened as given, as ``open``
+    opens it: an empty path is no file, and ``m.json/`` is not the file
+    ``m.json``."""
     try:
-        data = Path(path).read_bytes()
+        with io.FileIO(path) as file:
+            data = file.readall()
     except OSError as err:
         raise _UsageError(f"cannot read {path}: {err}")
     try:
@@ -153,8 +158,13 @@ def _load_matrix_file(path: str):
         raise _UsageError(f"{path}: {err}")
 
 
+# what json.dumps(doc, separators=(", ", ": "), allow_nan=False) builds anew on every call
+_ENCODER = json.JSONEncoder(separators=(", ", ": "), allow_nan=False)
+
+
 def _json_line(doc: dict) -> str:
-    return json.dumps(doc, separators=(", ", ": "), allow_nan=False)
+    """One structured output line: ``doc`` as JSON with no NaN or infinity."""
+    return _ENCODER.encode(doc)
 
 
 def _format_sld(s) -> str:

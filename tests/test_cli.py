@@ -88,6 +88,13 @@ def test_a_file_that_cannot_be_read_is_a_usage_error_naming_the_os_error(tmp_pat
         f"[Errno 2] No such file or directory: '{missing}'\n")
     assert _load_error(capsys, tmp_path) == (
         f"blockdet: error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n")
+    # the path as given, as open and cat take it: no file is named '', and m.json/ is
+    # not m.json (pathlib read '' as the directory '.', and m.json/ as the file)
+    assert _load_error(capsys, "") == (
+        "blockdet: error: cannot read : [Errno 2] No such file or directory: ''\n")
+    real = _write_matrix(tmp_path / "m.json", [[1, 0], [0, 2]])
+    assert _load_error(capsys, real + "/") == (
+        f"blockdet: error: cannot read {real}/: [Errno 20] Not a directory: '{real}/'\n")
 
 
 @pytest.mark.parametrize("content, message", [
