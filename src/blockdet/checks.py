@@ -100,6 +100,10 @@ class Finding:
 
 
 def _json_value(v):
+    """``v`` as JSON reads it: a numpy scalar as its Python value, an
+    infinity as the string ``"inf"`` or ``"-inf"``; NaN has none."""
+    if type(v) is bool or type(v) is float and -math.inf < v < math.inf:   # most values, at once
+        return v
     if isinstance(v, np.bool_):
         return bool(v)
     if isinstance(v, (bool, str)) or v is None:
@@ -308,6 +312,9 @@ def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return margin, code
 
 
+_NUMPY_VALUES = (np.generic, np.ndarray)   # a one-input side's value that _report reads by .item()
+
+
 def _report(inequality_id: str, sides: _Sides, tol: Tolerances,
             diagnostics: tuple[Finding, ...] = (), *, lhs: SignedLogDet | None = None,
             rhs: SignedLogDet | None = None) -> CheckReport:
@@ -325,8 +332,8 @@ def _report(inequality_id: str, sides: _Sides, tol: Tolerances,
         if math.isnan(v):   # every comparison with NaN is false: no verdict can follow
             raise LinalgError(f"{inequality_id}: the {side} is NaN")
     # as Python scalars: see _decide
-    structural, identity_gap, phase_gap, failed, _, value = (
-        v.item() if isinstance(v, (np.generic, np.ndarray)) else v for v in sides[4:10])
+    structural, identity_gap, phase_gap, failed, _, value = [
+        v.item() if isinstance(v, _NUMPY_VALUES) else v for v in sides[4:10]]
     code, within = _decide(margin if value is None else value, lhs.log_magnitude, tol,
                            structural, identity_gap, phase_gap, failed)
     verdict = _VERDICTS[code]
@@ -441,11 +448,21 @@ def _is_normal(a: np.ndarray):
 def _y_zero(t: np.ndarray, r: int) -> tuple:
     """Whether ||Y||_F <= PREDICATE_REL * (1 + ||T||_F), Y = T[:r, r:], for
     T or each T of a stack; and s and ||Y / s||_F, the masses of the exact
-    quotient T / s of :func:`_unit_masses`, both from one |T / s|."""
+    quotient T / s of :func:`_unit_masses`, both from one |T / s|.
+
+    The gate reads ||Y / s||_F <= PREDICATE_REL * (1 / s + ||T / s||_F), with
+    s >= 1.  Every entry of |T / s| is below 3 (below 1 unless |T| overflows
+    and s is capped), so over T's N entries ||T / s||_F < 3 sqrt(N) (1 + N
+    eps), and a ||Y / s||_F above 4 PREDICATE_REL (1 + N) fails the gate
+    whatever ||T / s||_F is: it is taken only where some T's gate can hold.
+    """
     s = _unit_scale(t)
     moduli = np.abs(t / (s if isinstance(s, float) else s[..., None, None]))
-    norm = np.hypot.reduce(moduli, axis=(-2, -1))
     y = np.hypot.reduce(moduli[..., :r, r:], axis=(-2, -1))
+    near = y <= 4.0 * PREDICATE_REL * (1.0 + t.shape[-2] * t.shape[-1])
+    if not near.any():   # no gate holds: `near` is all false, as the gate would be
+        return near, s, y
+    norm = np.hypot.reduce(moduli, axis=(-2, -1))
     return y <= PREDICATE_REL * (1.0 / s + norm), s, y
 
 

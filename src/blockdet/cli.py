@@ -117,6 +117,12 @@ def _parse_entry_bound(text: str | None):
         raise _UsageError(f"bad --entry-bound {text!r}")
 
 
+# each flag that only some ids take, and whether an id takes it
+_ID_FLAGS = (("--p", lambda i: i.default_p is not None),
+             ("--allow-hypothesis-violation", lambda i: i.hypothesis_gate),
+             ("--r", lambda i: i.needs_r))
+
+
 def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool,
                    r: int | None = None) -> None:
     """Refuse a ``--p`` below 1 or not finite, then a flag the id does not
@@ -125,11 +131,9 @@ def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool,
         raise _UsageError(f"--p must be >= 1, got {p}")
     if ineq is None:
         return
-    for flag, given, takes_it in (("--p", p is not None, lambda i: i.default_p is not None),
-                                  ("--allow-hypothesis-violation", allow_hypothesis_violation,
-                                   lambda i: i.hypothesis_gate),
-                                  ("--r", r is not None, lambda i: i.needs_r)):
-        if given and not takes_it(ineq):
+    given = (p is not None, allow_hypothesis_violation, r is not None)
+    for (flag, takes_it), flag_given in zip(_ID_FLAGS, given):
+        if flag_given and not takes_it(ineq):
             takes = ", ".join(i.id for i in INEQUALITIES.values() if takes_it(i))
             raise _UsageError(f"{ineq.id} takes no {flag}; only {takes} do")
 

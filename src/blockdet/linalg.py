@@ -273,30 +273,39 @@ def _strict_lower(u: np.ndarray) -> np.ndarray:
     return np.where(_below_diagonal(u.shape[-1]), u, 0.0)
 
 
-def _raising(text: str):
-    """An error-state handler that raises ``LinAlgError(text)``, as
-    numpy.linalg's own handlers do."""
+def _calls(call, stacks: tuple, arity: int, signature, results: list) -> None:
+    """``call`` on each ``arity`` stacks of ``stacks`` in turn, each result
+    appended to ``results``."""
+    for i in range(0, len(stacks), arity):
+        results.append(call(*stacks[i:i + arity], signature=signature))
+
+
+def _under(text: str):
+    """:func:`_calls` under numpy.linalg's error state, whose handler raises
+    ``LinAlgError(text)`` on LAPACK's failure flag as numpy.linalg's own do;
+    one decorated function that every call reuses, as a new ``np.errstate``
+    per call costs about as much as a small gufunc."""
     def handler(err, flag):
         raise np.linalg.LinAlgError(text)
-    return handler
+    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")(_calls)
 
 
-_SVD_FAILED = _raising("SVD did not converge")
-_EIG_FAILED = _raising("Eigenvalues did not converge")
-_QR_FAILED = _raising("Incorrect argument found while performing QR factorization")
+_SVD_CALLS = _under("SVD did not converge")
+_EIG_CALLS = _under("Eigenvalues did not converge")
 
 # gufunc: the numpy.linalg routine that calls it, the signature numpy.linalg
-# gives it for complex input (qr: its pair of gufuncs, see _qr), and the
-# handler numpy.linalg's error state calls on LAPACK's failure flag (None: it
-# sets no error state)
+# gives it for complex input (qr: its pair of gufuncs, see _qr), and how its
+# calls are made: under the error state numpy.linalg gives that routine, or,
+# for slogdet, which sets none, under the caller's
 _GUFUNCS = {
-    "svd": ("svd", "D->d", _SVD_FAILED),
-    "svd_f": ("svd", "D->DdD", _SVD_FAILED),
-    "slogdet": ("slogdet", "D->Dd", None),
-    "eigh_lo": ("eigh", "D->dD", _EIG_FAILED),
-    "eigvals": ("eigvals", "D->D", _EIG_FAILED),
-    "solve": ("solve", "DD->D", _raising("Singular matrix")),
-    "qr": ("qr", None, _QR_FAILED),
+    "svd": ("svd", "D->d", _SVD_CALLS),
+    "svd_f": ("svd", "D->DdD", _SVD_CALLS),
+    "slogdet": ("slogdet", "D->Dd", _calls),
+    "eigh_lo": ("eigh", "D->dD", _EIG_CALLS),
+    "eigvals": ("eigvals", "D->D", _EIG_CALLS),
+    "solve": ("solve", "DD->D", _under("Singular matrix")),
+    "qr": ("qr", None, _under("Incorrect argument found while performing QR factorization")),
 }
 
 
@@ -322,24 +331,17 @@ def _lapack(gufunc: str, *stacks):
     place): callers pass finite complex128 stacks.  The gufuncs are private
     numpy, pinned against numpy.linalg by ``tests/test_linalg.py``.
     """
-    routine, signature, handler = _GUFUNCS[gufunc]
+    routine, signature, calls = _GUFUNCS[gufunc]
     call = _qr if gufunc == "qr" else getattr(_umath_linalg, gufunc)
     arity = 2 if gufunc == "solve" else 1
-    calls = range(0, len(stacks), arity)
-    if handler is None:
-        results = [call(*stacks[i:i + arity], signature=signature) for i in calls]
-    else:
-        results = []
-        try:
-            with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
-                             under="ignore"):
-                for i in calls:
-                    results.append(call(*stacks[i:i + arity], signature=signature))
-        except np.linalg.LinAlgError as err:
-            shape = stacks[i].shape
-            failed = "did not converge" if routine in ("svd", "eigh", "eigvals") else "failed"
-            raise ConvergenceError(f"{routine} {failed} on a {shape[-2]}x{shape[-1]} matrix: "
-                                   f"{err}", routine, shape) from err
+    results: list = []
+    try:
+        calls(call, stacks, arity, signature, results)
+    except np.linalg.LinAlgError as err:
+        shape = stacks[len(results) * arity].shape   # the call that failed
+        failed = "did not converge" if routine in ("svd", "eigh", "eigvals") else "failed"
+        raise ConvergenceError(f"{routine} {failed} on a {shape[-2]}x{shape[-1]} matrix: "
+                               f"{err}", routine, shape) from err
     return results[0] if len(results) == 1 else results
 
 
@@ -693,7 +695,7 @@ class BlockUpperTriangular:
         n = t.shape[0]
         _require_split(n, r)
         lower_left = t[r:, :r]
-        if np.any(lower_left != 0):
+        if lower_left.any():
             raise ShapeError(
                 f"lower-left {n - r}x{r} block must be exactly zero, "
                 f"found mass {float(np.linalg.norm(lower_left)):.3e}"

@@ -526,24 +526,26 @@ class Inequality:
         return _Drawn(self, spec, trials[:len(t)], params, t), error
 
     def _args(self, witness: Witness) -> tuple:
-        """The checker's arguments before ``tol``."""
+        """The checker's arguments before ``tol``: of its first matrix, or,
+        for a family, of each (:func:`_block_family_from`)."""
         params = witness.params
         if self.shape == "matrix":
             args: tuple = (witness.matrices[0],)
             if self.needs_r:
                 args += (int(params["r"]),)
+        elif self.shape == "member":
+            args = (BlockUpperTriangular.from_matrix(witness.matrices[0], int(params["r"])),)
         elif self.shape == "spectra":
             return _log_major_spectra(witness.matrices[0], float(params["p"]))
         else:
-            family = _block_family_from(witness)
-            args = (family,) if self.shape == "family" else (family.members[0],)
+            args = (_block_family_from(witness),)
         if self.default_p is not None:
             args += (float(params["p"]),)
         return args
 
     def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-        """Check ``witness``; a block shape splits each of its matrices at
-        ``r`` into a member of its own (:func:`_block_family_from`)."""
+        """Check ``witness``: a member shape splits its first matrix at
+        ``r``, a family shape each of its matrices."""
         # looked up per call, so a wrapper put on this module's name is the one called
         checker = globals()[f"check_{self.id}"]
         args, kwargs = self._args(witness), {}

@@ -3,9 +3,11 @@
 Test oracles only: thm3's sides as the paper writes them, det(I + |A|^p)
 with |A|^p built as a matrix, against the checker's singular-value route;
 the search's trial draw made block by block, against its one-call draw; the
-matrix document parsed entry by entry, against the one-pass parse; and the
-command line parsed by the top-level parser alone, against the dispatch
-that hands a command's arguments straight to its parser.
+matrix document parsed entry by entry, against the one-pass parse; the
+off-diagonal gate with every Frobenius norm taken, against the one that
+takes ||T||_F only where the gate can hold; and the command line parsed by
+the top-level parser alone, against the dispatch that hands a command's
+arguments straight to its parser.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import numpy as np
 
 from blockdet import cli, search
 from blockdet.linalg import (
+    PREDICATE_REL,
     PSD_REL,
     LinalgError,
     MatrixFormatError,
     ShapeError,
+    _unit_scale,
     as_matrix,
     hermitian_eigensystem,
 )
@@ -159,6 +163,19 @@ def per_entry_matrix_from_json_dict(doc: dict) -> np.ndarray:
             raise MatrixFormatError(f"entry {i}: non-finite component {pair!r}")
         data[i] = complex(re, im)
     return data.reshape(rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# checks._y_zero as it was before it took ||T / s||_F only where a gate can
+# hold.  It must give bitwise this gate, s and ||Y / s||_F.
+
+
+def y_zero_every_norm(t: np.ndarray, r: int) -> tuple:
+    s = _unit_scale(t)
+    moduli = np.abs(t / (s if isinstance(s, float) else s[..., None, None]))
+    norm = np.hypot.reduce(moduli, axis=(-2, -1))
+    y = np.hypot.reduce(moduli[..., :r, r:], axis=(-2, -1))
+    return y <= PREDICATE_REL * (1.0 / s + norm), s, y
 
 
 # ---------------------------------------------------------------------------

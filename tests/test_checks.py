@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import exact
-from reference import matrix_power_psd
+from reference import matrix_power_psd, y_zero_every_norm
 from blockdet.checks import (
     BlockFamily,
     CheckReport,
@@ -34,6 +34,7 @@ from blockdet.checks import (
     _decide,
     _json_value,
     _report,
+    _y_zero,
 )
 from blockdet.linalg import (
     DEFAULT_TOL,
@@ -222,6 +223,66 @@ def test_thm1_schur_steps_singular_sum_short_circuits():
 
 # ---------------------------------------------------------------------------
 # cor_c0
+
+
+def _y_zero_inputs(rng):
+    """(T, r) for the off-diagonal gate: single matrices and stacks at every
+    scale from subnormal to past DBL_MAX, all-zero T, Y exactly 0, and Y
+    swept through both the gate and the bound past which ||T||_F is not taken."""
+    def g(*shape):   # largest part 1, so that any scale up to DBL_MAX stays finite
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return a / np.maximum(np.abs(a.real), np.abs(a.imag)).max()
+
+    cases = []
+    for n in range(2, 7):
+        for r in range(1, n):
+            t = np.triu(g(n, n))
+            for scale in (5e-324, 1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300, 1.7e308):
+                cases.append((t * scale, r))
+            for k in range(-16, -3):   # Y = 10^k Y0: through the gate and the bound
+                u = t.copy()
+                u[:r, r:] *= 10.0 ** k
+                cases += [(u, r), (u * 1e-300, r)]
+            cases.append((np.zeros((n, n), dtype=complex), r))
+            x_z = t.copy()
+            x_z[:r, r:] = 0.0
+            cases.append((x_z, r))
+            tiny = t.copy()
+            tiny[1:, :] *= 1e-310   # subnormal entries beside normal ones
+            cases.append((np.triu(tiny), r))
+    for n, r in ((4, 2), (6, 3), (8, 2)):
+        members = []
+        for scale in (5e-324, 1e-300, 1.0, 1e300, 1.7e308):
+            for k in (-14, -11, -10, -9, -6, 0):
+                u = np.triu(g(n, n)) * scale
+                u[:r, r:] *= 10.0 ** k
+                members.append(u)
+        members += [np.zeros((n, n), dtype=complex), np.triu(g(n, n))]
+        members[-1][:r, r:] = 0.0
+        stack = np.array(members)
+        cases += [(stack, r), (stack[:1], r), (stack[None, :3], r), (stack[-2:], r)]
+        far = np.triu(g(5, n, n))
+        cases.append((far, r))   # no gate can hold
+    return cases
+
+
+def test_the_y_gate_is_bitwise_the_one_that_takes_every_norm():
+    rng = np.random.default_rng(21)
+    held = taken = 0
+    for t, r in _y_zero_inputs(rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gate, s, y = _y_zero(t, r)
+        want_gate, want_s, want_y = y_zero_every_norm(t, r)
+        assert type(gate) is type(want_gate) and np.shape(gate) == np.shape(want_gate)
+        assert np.array_equal(gate, want_gate)
+        assert type(s) is type(want_s) and type(y) is type(want_y)
+        for got, want in ((s, want_s), (y, want_y)):
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+        held += int(np.sum(want_gate))
+        taken += int(np.size(want_gate) - np.sum(want_gate))
+    assert held > 100 and taken > 100   # both sides of the gate were reached
 
 
 def test_cor_c0_zero_y_is_equality():

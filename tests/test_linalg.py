@@ -543,6 +543,21 @@ def test_solve_failure_raises_convergence_error_with_numpy_s_text(monkeypatch):
     assert (info.value.routine, info.value.shape) == ("solve", (2, 2))
 
 
+def test_a_failure_in_a_call_of_several_stacks_names_the_stack_that_failed(monkeypatch):
+    svd = _umath_linalg.svd
+
+    def fail_on_3x3(a, signature):
+        return np.divide(np.zeros(1), 0.0) if a.shape[-1] == 3 else svd(a, signature=signature)
+
+    monkeypatch.setattr(_umath_linalg, "svd", fail_on_3x3)
+    rng = np.random.default_rng(3)
+    stacks = [_rand_complex_stack(rng, (2, n, n)) for n in (4, 3, 5)]
+    with pytest.raises(ConvergenceError, match="svd did not converge on a 3x3 matrix") as info:
+        _lapack("svd", *stacks)
+    assert (info.value.routine, info.value.shape) == ("svd", (2, 3, 3))
+    assert len(_lapack("svd", stacks[0], stacks[2])) == 2
+
+
 def test_spectrum_tie_break_ordering():
     ordered = general_eigenvalues(np.diag([1 - 1j, 2.0, 1 + 1j, -2.0]))
     assert ordered == pytest.approx([2.0, -2.0, 1 + 1j, 1 - 1j])
