@@ -89,20 +89,21 @@ def quantile(values: list[float], q: float) -> float:
 
 def alternate(sides: dict, rounds: int, calls, invoke) -> tuple[dict, int]:
     """Run ``calls(index)``, (key, call) pairs, for ``rounds`` rounds, each
-    call on both sides in turn, which goes first switching with every call;
+    call on both sides in turn, which goes first switching with every call
+    and, for the same call, with every round (a round of an even number of
+    calls would otherwise give each call the same first side every round);
     ``invoke(module, call)`` gives the seconds and the output of one.
     Returns each side's seconds per key and the count of differing outputs."""
     times = {side: defaultdict(list) for side in sides}
     differ = 0
-    order = list(sides)
+    orders = (list(sides), list(sides)[::-1])
     for index in range(rounds):
-        for key, call in calls(index):
+        for position, (key, call) in enumerate(calls(index)):
             outputs = {}
-            for side in order:
+            for side in orders[(index + position) % 2]:
                 seconds, outputs[side] = invoke(sides[side], call)
                 times[side][key].append(seconds)
             differ += outputs["parent"] != outputs["change"]
-            order.reverse()
     return times, differ
 
 
