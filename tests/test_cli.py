@@ -442,6 +442,19 @@ def test_check_a_nan_side_exits_two(monkeypatch, diag_file, capsys):
 def test_json_lines_refuse_nan():
     with pytest.raises(ValueError):
         cli._json_line({"margin": math.nan})
+    with pytest.raises(ValueError):
+        cli._json_line({"margin": -math.inf})
+
+
+def test_json_lines_are_json_dumps_with_their_separators():
+    spec = GeneratorSpec("gaussian", 4, 2, 2, seed=3)
+    shared = [1.0, -0.0, 5e-324, 1e308]
+    docs = [search.search_violations(spec, "cor_c1", 3, params={
+                "allow_hypothesis_violation": True}).to_json_dict(),
+            *search.compare_paper_example("example1"),
+            {"a": shared, "b": shared, "c": {"d": [True, None, "x\u00e9\n", 2 ** 70]}}]
+    for doc in docs:
+        assert cli._json_line(doc) == json.dumps(doc, separators=(", ", ": "), allow_nan=False)
 
 
 def test_fuzz_e21_near_dbl_max_answers_every_trial(tmp_path):
