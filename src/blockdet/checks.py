@@ -102,7 +102,7 @@ class Finding:
 def _json_value(v):
     """``v`` as JSON reads it: a numpy scalar as its Python value, an
     infinity as the string ``"inf"`` or ``"-inf"``; NaN has none."""
-    if type(v) is bool or type(v) is float and -math.inf < v < math.inf:   # most values, at once
+    if type(v) is bool or type(v) is float and -math.inf < v < math.inf:   # the usual values
         return v
     if isinstance(v, np.bool_):
         return bool(v)
@@ -451,10 +451,11 @@ def _y_zero(t: np.ndarray, r: int) -> tuple:
     quotient T / s of :func:`_unit_masses`, both from one |T / s|.
 
     The gate reads ||Y / s||_F <= PREDICATE_REL * (1 / s + ||T / s||_F), with
-    s >= 1.  Every entry of |T / s| is below 3 (below 1 unless |T| overflows
-    and s is capped), so over T's N entries ||T / s||_F < 3 sqrt(N) (1 + N
-    eps), and a ||Y / s||_F above 4 PREDICATE_REL (1 + N) fails the gate
-    whatever ||T / s||_F is: it is taken only where some T's gate can hold.
+    s >= 1.  Every entry of |T / s| is below 3 (below 1 unless max |T|
+    passes 2^1023, where s is capped), so over T's N entries ||T / s||_F <
+    3 sqrt(N) (1 + N eps), and a ||Y / s||_F above 4 PREDICATE_REL (1 + N)
+    fails the gate whatever ||T / s||_F is: it is taken only where some T's
+    gate can hold.
     """
     s = _unit_scale(t)
     moduli = np.abs(t / (s if isinstance(s, float) else s[..., None, None]))
