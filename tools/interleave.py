@@ -3,8 +3,9 @@
 Separate benchmark processes on a shared host drift apart by more than a
 small change saves.  This tool imports two source trees into one process,
 under the package names ``blockdet_parent`` and ``blockdet_change``, and
-alternates their calls, which side goes first switching with every call.
-It also checks that the two trees answer every call identically.
+alternates their calls, which side goes first switching with every call
+and, for the same call, with every round.  It also checks that the two
+trees answer every call identically.
 
 ``--workload control_grid`` (the default) alternates ``search_violations``
 calls over criterion 4's control grid (every family at each of criterion
