@@ -5,15 +5,18 @@ with |A|^p built as a matrix, against the checker's singular-value route;
 the search's trial draw made block by block, against its one-call draw; the
 matrix document parsed entry by entry, against the one-pass parse; the
 off-diagonal gate with every Frobenius norm taken, against the one that
-takes ||T||_F only where the gate can hold; and the command line parsed by
-the top-level parser alone, against the dispatch that hands a command's
-arguments straight to its parser.
+takes ||T||_F only where the gate can hold; the command line parsed by the
+top-level parser alone, against the dispatch that hands a command's
+arguments straight to its parser; and the one-matrix structural
+classification the package once exported, against the stacked gates the
+checkers take.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +27,12 @@ from blockdet.linalg import (
     LinalgError,
     MatrixFormatError,
     ShapeError,
+    _anti_hermitian,
+    _asymmetry,
+    _commutator,
+    _require_square,
+    _strict_lower,
+    _unit_masses,
     _unit_scale,
     as_matrix,
     hermitian_eigensystem,
@@ -176,6 +185,56 @@ def y_zero_every_norm(t: np.ndarray, r: int) -> tuple:
     norm = np.hypot.reduce(moduli, axis=(-2, -1))
     y = np.hypot.reduce(moduli[..., :r, r:], axis=(-2, -1))
     return y <= PREDICATE_REL * (1.0 / s + norm), s, y
+
+
+# ---------------------------------------------------------------------------
+# linalg.predicates as the package exported it, one matrix at a time.  The
+# stacked gates must give bitwise its answers: checks._fischer_sides its
+# is_hermitian, is_psd and min_eigenvalue, checks._is_symmetric and
+# checks._is_normal theirs, and checks._drury_sides' precondition its
+# is_upper_triangular.
+
+
+@dataclass(frozen=True)
+class MatrixPredicates:
+    is_hermitian: bool
+    is_psd: bool
+    is_normal: bool
+    is_symmetric: bool
+    is_upper_triangular: bool
+    min_eigenvalue: float | None = None   # of the Hermitian part; None unless Hermitian
+
+
+def predicates(a: np.ndarray) -> MatrixPredicates:
+    """Tolerance-based structural classification of a square matrix.
+
+    The zero matrix passes every test.  PSD requires Hermitian and smallest
+    eigenvalue at least ``-PSD_REL * sigma_max``, of the Hermitian part
+    (a + a*) / 2, which passes the eigensolver's tighter gate exactly.  The
+    tests run on the exact quotient A/s of ``_unit_masses``, where nothing
+    overflows; ``min_eigenvalue`` is s times the quotient's least.
+    """
+    a = _require_square(as_matrix(a), "predicates")
+    s, unit, norm, anti_hermitian, asymmetry, commutator, lower = _unit_masses(
+        a, _anti_hermitian, _asymmetry, _commutator, _strict_lower)
+    gate = PREDICATE_REL * norm
+    is_hermitian = anti_hermitian <= gate
+    is_symmetric = asymmetry <= gate
+    is_normal = commutator <= gate * norm
+    is_upper_triangular = lower <= gate
+    is_psd, min_eigenvalue = False, None
+    if is_hermitian:
+        w, _ = hermitian_eigensystem(unit / 2.0 + unit.conj().T / 2.0)
+        min_eigenvalue = s * float(w[-1])
+        is_psd = bool(w[-1] >= -PSD_REL * float(np.max(np.abs(w))))
+    return MatrixPredicates(
+        is_hermitian=bool(is_hermitian),
+        is_psd=is_psd,
+        is_normal=bool(is_normal),
+        is_symmetric=bool(is_symmetric),
+        is_upper_triangular=bool(is_upper_triangular),
+        min_eigenvalue=min_eigenvalue,
+    )
 
 
 # ---------------------------------------------------------------------------

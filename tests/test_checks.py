@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import exact
-from reference import matrix_power_psd, y_zero_every_norm
+from reference import matrix_power_psd, predicates, y_zero_every_norm
 from blockdet.checks import (
     BlockFamily,
     CheckReport,
@@ -28,7 +28,10 @@ from blockdet.checks import (
     check_thm2,
     check_thm3,
     check_weyl,
+    _drury_sides,
+    _fischer_sides,
     _is_normal,
+    _is_symmetric,
     _VERDICTS,
     _Sides,
     _decide,
@@ -45,7 +48,6 @@ from blockdet.linalg import (
     SingularBlockError,
     abs_matrix,
     det,
-    predicates,
     schur_complement,
 )
 from blockdet.search import INEQUALITIES, GeneratorSpec, _block_family_from
@@ -618,6 +620,7 @@ def _normal_and_not(rng, n):
 
 
 def test_is_normal_is_the_predicates_gate():
+    # predicates: the one-matrix copy in tests/reference.py
     rng = np.random.default_rng(71)
     blocks = [np.zeros((3, 3), dtype=complex), np.array([[1, 1], [0, 1]], dtype=complex)]
     for n in (1, 2, 3, 5):
@@ -640,6 +643,86 @@ def test_is_normal_is_the_predicates_gate():
     for b in blocks:
         assert _is_normal(b) == predicates(b).is_normal
     assert sum(_is_normal(b) for b in blocks) not in (0, len(blocks))
+
+
+def _gate_edge(base, push, passes):
+    """base + t push at the last t in [0, 1] that ``passes`` and at the first
+    that fails, bisected: the two sides of a gate."""
+    inside, outside = 0.0, 1.0
+    for _ in range(60):
+        mid = (inside + outside) / 2.0
+        if passes(base + mid * push):
+            inside = mid
+        else:
+            outside = mid
+    return [base + inside * push, base + outside * push]
+
+
+def _gate_inputs(rng, n):
+    """Zero, general, Hermitian, PSD, complex symmetric, normal and triangular
+    n-square matrices, and pairs on both sides of each structural gate."""
+    def rand():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = rand()
+    hermitian, psd, symmetric = g + g.conj().T, g.conj().T @ g, g + g.T
+    normal, general = _normal_and_not(rng, n)
+    upper = np.triu(rand())
+    cases = [np.zeros((n, n), dtype=complex), general, hermitian, psd, symmetric, normal, upper,
+             np.diag(rng.standard_normal(n)).astype(complex)]
+    k = rand()
+    cases += _gate_edge(psd, k - k.conj().T, lambda a: predicates(a).is_hermitian)
+    if n > 1:
+        v = rand()[:, :1]
+        rank_one = v @ v.conj().T   # least eigenvalue at rounding level
+        cases += [rank_one]
+        cases += _gate_edge(rank_one, -np.eye(n), lambda a: predicates(a).is_psd)
+        cases += _gate_edge(symmetric, k - k.T, lambda a: predicates(a).is_symmetric)
+        cases += _gate_edge(normal, np.triu(rand(), 1), lambda a: predicates(a).is_normal)
+        cases += _gate_edge(upper, np.tril(rand(), -1),
+                            lambda a: predicates(a).is_upper_triangular)
+    scaled = [c * scale for c in cases for scale in (1e-300, 1e-150, 1e150, 1e300)]
+    exact = [np.ldexp(c.real, e) + 1j * np.ldexp(c.imag, e) for c in cases for e in (-990, 990)]
+    return cases + scaled + exact
+
+
+def _same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def test_stacked_gates_are_bitwise_the_predicates_copy():
+    # fischer's Hermitian and PSD tests and its least eigenvalue, the symmetry
+    # and normality tests and drury's triangular precondition, on one matrix
+    # and per matrix of a stack, against tests/reference.py's predicates
+    rng = np.random.default_rng(73)
+    c = 1.3e308 * (1 + 1j)   # an entry modulus past DBL_MAX
+    groups = {n: _gate_inputs(rng, n) for n in range(1, 7)}
+    groups[2].append(np.array([[c, c], [0, c]]))
+    groups[3].append(np.triu(np.full((3, 3), 1e308, dtype=complex)))   # ||A||_F overflows
+    groups[4].append(1e308 * np.eye(4, dtype=complex))
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, group in groups.items():
+            expected = [predicates(a) for a in group]
+            stack = np.stack(group)
+            want = [[e.is_symmetric, e.is_normal, e.is_upper_triangular] for e in expected]
+            for inputs in ([stack], group):
+                got = [np.stack([_is_symmetric(a), _is_normal(a),
+                                 ~_drury_sides(a).precondition_failed], axis=-1) for a in inputs]
+                assert np.concatenate(got, axis=None).reshape(-1, 3).tolist() == want, n
+            if n == 1:
+                continue   # fischer splits A at 0 < r < n
+            sides = [_fischer_sides(stack, 1)] + [_fischer_sides(a, 1) for a in group]
+            rows = [(sides[0].detail[3][i], ~sides[0].precondition_failed[i],
+                     sides[0].detail[4][i]) for i in range(len(group))]
+            for i, single in enumerate(sides[1:]):
+                rows.append((single.detail[3], ~single.precondition_failed, single.detail[4]))
+            for (hermitian, psd, least), e in zip(rows, expected + expected):
+                assert (bool(hermitian), bool(psd)) == (e.is_hermitian, e.is_psd)
+                assert not e.is_hermitian or _same_bits(least, e.min_eigenvalue)
+            seen += expected
+    for gate in ("is_hermitian", "is_psd", "is_symmetric", "is_normal", "is_upper_triangular"):
+        assert sum(getattr(e, gate) for e in seen) not in (0, len(seen)), gate
 
 
 # ---------------------------------------------------------------------------
