@@ -17,7 +17,6 @@ from .linalg import (
     SignedLogDet,
     SingularBlockError,
     Tolerances,
-    abs_matrix,
     as_matrix,
     det,
     frobenius_norm,
@@ -25,7 +24,6 @@ from .linalg import (
     hermitian_eigensystem,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    predicates,
     schur_complement,
     singular_values,
 )

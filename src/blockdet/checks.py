@@ -38,7 +38,6 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     hermitian_eigensystem,
-    predicates,
     schur_complement,
     _abs_matrix,
     _anti_hermitian,
@@ -434,15 +433,28 @@ def _log_det_gram(b: np.ndarray, floor=None) -> tuple:
 
 
 def _is_symmetric(a: np.ndarray):
-    """The symmetry test of :func:`predicates`, on a matrix or per matrix of a stack."""
+    """Whether ||A - A^T||_F <= PREDICATE_REL ||A||_F, on A / s, for A or each A of a stack."""
     _, _, norm, asymmetry = _unit_masses(a, _asymmetry)
     return asymmetry <= PREDICATE_REL * norm
 
 
 def _is_normal(a: np.ndarray):
-    """The normality test of :func:`predicates`, on a matrix or per matrix of a stack."""
+    """Whether ||AA* - A*A||_F <= PREDICATE_REL ||A||_F^2, on A / s, for A or each A of a stack."""
     _, _, norm, commutator = _unit_masses(a, _commutator)
     return commutator <= PREDICATE_REL * norm * norm
+
+
+def _psd(a: np.ndarray) -> tuple:
+    """Whether A, or each A of a stack, is Hermitian (||A - A*||_F <= PREDICATE_REL
+    ||A||_F), whether it is also PSD (its Hermitian part's least eigenvalue at least
+    -PSD_REL times the largest modulus), and s lambda_min; all on A / s of
+    :func:`_unit_masses`, halved before each sum, so that nothing overflows."""
+    s, unit, norm, anti_hermitian = _unit_masses(a, _anti_hermitian)
+    hermitian = anti_hermitian <= PREDICATE_REL * norm
+    h = unit / 2.0 + unit.conj().mT / 2.0
+    w = _lapack("eigh_lo", h / 2.0 + h.conj().mT / 2.0)[0]   # ascending
+    psd = hermitian & (w[..., 0] >= -PSD_REL * np.abs(w).max(axis=-1))
+    return hermitian, psd, s * w[..., 0]
 
 
 def _y_zero(t: np.ndarray, r: int) -> tuple:
@@ -494,18 +506,13 @@ def check_fischer(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> Check
 
 def _fischer_sides(a: np.ndarray, r: int) -> _Sides:
     """The sides of :func:`check_fischer` for A, or each A of a stack, PSD by
-    the gate of :func:`predicates`, its eigenvalues taken as it takes them.
-    The detail is the determinants' parts, whether A is Hermitian, and its
-    least eigenvalue."""
+    :func:`_psd`.  The detail is the determinants' parts, whether A is
+    Hermitian, and its least eigenvalue."""
     _require_split(a.shape[-1], r)
     d11, d22, d = (_det_parts(b) for b in (a[..., :r, :r], a[..., r:, r:], a))
-    s, unit, norm, anti_hermitian = _unit_masses(a, _anti_hermitian)
-    hermitian = anti_hermitian <= PREDICATE_REL * norm
-    h = unit / 2.0 + unit.conj().mT / 2.0
-    w = _lapack("eigh_lo", h / 2.0 + h.conj().mT / 2.0)[0]   # ascending
-    psd = hermitian & (w[..., 0] >= -PSD_REL * np.abs(w).max(axis=-1))
+    hermitian, psd, least = _psd(a)
     return _Sides(d11[1] + d22[1], d[1], d11[2] | d22[2], d[2], precondition_failed=~psd,
-                  detail=(d11, d22, d, hermitian, s * w[..., 0]))
+                  detail=(d11, d22, d, hermitian, least))
 
 
 def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -550,7 +557,7 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
         complement = schur_complement(sum_tt, r)
     except SingularBlockError:
         return (Finding("sum_xx_nonsingular", False),)
-    gram_psd = predicates(sum(t[:r].conj().T @ t[:r] for t in full)).is_psd
+    gram_psd = _psd(sum(t[:r].conj().T @ t[:r] for t in full))[1]
     gap = complement - sum(t[r:, r:].conj().T @ t[r:, r:] for t in full)
     gap = (gap + gap.conj().T) / 2.0
     w, _ = hermitian_eigensystem(gap)
@@ -666,7 +673,7 @@ def check_c1_proof_step(family: BlockFamily) -> Finding:
             return 0j
         return d.phase * math.exp(d.log_magnitude - shift)
     m2 = np.array([[scaled(d11), scaled(d12)], [scaled(d21), scaled(d22)]], dtype=complex)
-    return Finding("det_gram_2x2_psd", bool(predicates(m2).is_psd))
+    return Finding("det_gram_2x2_psd", bool(_psd(m2)[1]))
 
 
 def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -771,8 +778,8 @@ def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
 def _drury_sides(t: np.ndarray) -> _Sides:
     """For T, or each T of a stack: log det(I + T*T) against log prod(1 +
     |t_jj|^2); equality iff T is diagonal, a failed precondition unless it
-    is upper triangular, each by the gates of :func:`predicates`.  The
-    detail is s and the off-diagonal mass of T / s."""
+    is upper triangular, each mass at most PREDICATE_REL ||T||_F on T / s.
+    The detail is s and the off-diagonal mass of T / s."""
     rows, log_s = _rescaled(_drury_rows, t)
     sums = _log1p_pow(rows, log_s, 2.0).sum(axis=-1)
     s, _, norm, lower, off_mass = _unit_masses(

@@ -11,8 +11,9 @@ This module owns:
   package (a failure is a :class:`ConvergenceError`), and one overflow
   policy, :func:`_rescaled`, which retakes a spectrum on A/s where A's is
   not finite,
-* Schur complements, ``|A|`` and structural predicates (Hermitian / PSD /
-  normal / symmetric / triangular),
+* Schur complements, ``|A|``, and :func:`_unit_masses`, the masses on
+  which the checkers' structural gates (Hermitian / PSD / normal /
+  symmetric / triangular) decide at every magnitude,
 * the JSON matrix document format shared by every module.
 
 All functions are pure: inputs are never mutated and there is no global
@@ -49,10 +50,7 @@ __all__ = [
     "hermitian_eigensystem",
     "singular_values",
     "general_eigenvalues",
-    "abs_matrix",
     "schur_complement",
-    "MatrixPredicates",
-    "predicates",
     "BlockUpperTriangular",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
@@ -536,14 +534,9 @@ def general_eigenvalues(a: np.ndarray) -> np.ndarray:
 # PSD matrix functions, Schur complement
 
 
-def abs_matrix(a: np.ndarray) -> np.ndarray:
-    """The PSD square root of a* a, built as V diag(sigma) V* from the SVD of ``a``."""
-    a = _require_square(as_matrix(a), "abs_matrix")
-    return _abs_matrix(a)
-
-
 def _abs_matrix(a: np.ndarray) -> np.ndarray:
-    """:func:`abs_matrix` of a validated matrix, or each of a stack; past
+    """|A| of a validated square matrix, or of each of a stack: the PSD
+    square root of A* A, built as V diag(sigma) V* from the SVD of A; past
     sigma_max = DBL_MAX / 4, halved before the sum, so that nothing overflows."""
     _, sigma, vh = _lapack("svd_f", a)
     p = (vh.conj().mT * sigma[..., None, :]) @ vh
@@ -593,53 +586,6 @@ def _schur_complement(a: np.ndarray, r: int) -> tuple:
     x = _lapack("solve", np.where(rejected, np.eye(r), a11 / s), a[..., :r, r:] / s)
     return (np.where(rejected, 0.0, a[..., r:, r:] - a[..., r:, :r] @ x), singular,
             sigma[..., 0], sigma[..., -1])
-
-
-# ---------------------------------------------------------------------------
-# Structural predicates
-
-
-@dataclass(frozen=True)
-class MatrixPredicates:
-    is_hermitian: bool
-    is_psd: bool
-    is_normal: bool
-    is_symmetric: bool
-    is_upper_triangular: bool
-    min_eigenvalue: float | None = None   # of the Hermitian part; None unless Hermitian
-
-
-def predicates(a: np.ndarray) -> MatrixPredicates:
-    """Tolerance-based structural classification of a square matrix.
-
-    The zero matrix passes every test.  PSD requires Hermitian and smallest
-    eigenvalue at least ``-PSD_REL * sigma_max``, of the Hermitian part
-    (a + a*) / 2, which passes the eigensolver's tighter gate exactly.  The
-    tests run on the exact quotient A/s of :func:`_unit_masses`, as the
-    checkers' do, where nothing overflows; ``min_eigenvalue`` is s times
-    the quotient's least.
-    """
-    a = _require_square(as_matrix(a), "predicates")
-    s, unit, norm, anti_hermitian, asymmetry, commutator, lower = _unit_masses(
-        a, _anti_hermitian, _asymmetry, _commutator, _strict_lower)
-    gate = PREDICATE_REL * norm
-    is_hermitian = anti_hermitian <= gate
-    is_symmetric = asymmetry <= gate
-    is_normal = commutator <= gate * norm
-    is_upper_triangular = lower <= gate
-    is_psd, min_eigenvalue = False, None
-    if is_hermitian:
-        w, _ = hermitian_eigensystem(unit / 2.0 + unit.conj().T / 2.0)
-        min_eigenvalue = s * float(w[-1])
-        is_psd = bool(w[-1] >= -PSD_REL * float(np.max(np.abs(w))))
-    return MatrixPredicates(
-        is_hermitian=bool(is_hermitian),
-        is_psd=is_psd,
-        is_normal=bool(is_normal),
-        is_symmetric=bool(is_symmetric),
-        is_upper_triangular=bool(is_upper_triangular),
-        min_eigenvalue=min_eigenvalue,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from blockdet.checks import (
     _fischer_sides,
     _is_normal,
     _is_symmetric,
+    _psd,
     _VERDICTS,
     _Sides,
     _decide,
@@ -46,9 +47,9 @@ from blockdet.linalg import (
     ShapeError,
     SignedLogDet,
     SingularBlockError,
-    abs_matrix,
     det,
     schur_complement,
+    _abs_matrix,
 )
 from blockdet.search import INEQUALITIES, GeneratorSpec, _block_family_from
 
@@ -521,9 +522,9 @@ def test_thm3_spectral_route_matches_matrix_route():
         report = check_thm3(t, p)
         full = t.assemble()
         via_matrices = (
-            det(np.eye(n) + matrix_power_psd(abs_matrix(full), p)).log_magnitude
-            - det(np.eye(r) + matrix_power_psd(abs_matrix(t.x), p)).log_magnitude
-            - det(np.eye(n - r) + matrix_power_psd(abs_matrix(t.z), p)).log_magnitude
+            det(np.eye(n) + matrix_power_psd(_abs_matrix(full), p)).log_magnitude
+            - det(np.eye(r) + matrix_power_psd(_abs_matrix(t.x), p)).log_magnitude
+            - det(np.eye(n - r) + matrix_power_psd(_abs_matrix(t.z), p)).log_magnitude
         )
         assert report.margin == pytest.approx(via_matrices, abs=1e-9)
 
@@ -725,6 +726,18 @@ def test_stacked_gates_are_bitwise_the_predicates_copy():
         assert sum(getattr(e, gate) for e in seen) not in (0, len(seen)), gate
 
 
+def test_psd_gate_of_the_proof_steps_is_the_predicates_copy_at_every_size():
+    # the proof steps call _psd on one matrix, thm1's on an r-square Gram
+    # sum: at r = 1 it is 1 x 1, a size fischer never hands it
+    rng = np.random.default_rng(79)
+    for n in range(1, 4):
+        for a in _gate_inputs(rng, n):
+            hermitian, psd, least = _psd(a)
+            e = predicates(a)
+            assert (bool(hermitian), bool(psd)) == (e.is_hermitian, e.is_psd)
+            assert not e.is_hermitian or _same_bits(least, e.min_eigenvalue)
+
+
 # ---------------------------------------------------------------------------
 # Spectra and sums past DBL_MAX: checked on the exact quotient A/s, logs added back
 
@@ -888,9 +901,9 @@ def test_the_verdict_rule_takes_each_branch_of_report_elementwise():
 
 def test_abs_matrix_near_dbl_max_is_finite():
     b = np.array([[1.5, 0.25], [0, 0.5j]])
-    big = abs_matrix(_times_2_1023(b))   # sigma_max below DBL_MAX, |T| + |T|* past it
+    big = _abs_matrix(_times_2_1023(b))   # sigma_max below DBL_MAX, |T| + |T|* past it
     assert np.isfinite(big).all()
-    assert np.allclose(big / 2.0 ** 1023, abs_matrix(b), rtol=1e-14, atol=0.0)
+    assert np.allclose(big / 2.0 ** 1023, _abs_matrix(b), rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

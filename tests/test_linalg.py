@@ -13,6 +13,7 @@ from numpy.linalg import _umath_linalg
 
 import exact
 from blockdet import search
+from blockdet.checks import _drury_sides, _is_normal, _is_symmetric, _psd, check_fischer
 from reference import (
     NotPositiveSemidefiniteError,
     matrix_power_psd,
@@ -33,7 +34,6 @@ from blockdet.linalg import (
     ShapeError,
     SignedLogDet,
     SingularBlockError,
-    abs_matrix,
     as_matrix,
     det,
     frobenius_norm,
@@ -41,10 +41,10 @@ from blockdet.linalg import (
     hermitian_eigensystem,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    predicates,
     schur_complement,
     singular_values,
     Tolerances,
+    _abs_matrix,
     _det_parts,
     _lapack,
     _rescaled,
@@ -170,12 +170,13 @@ def test_det_and_predicates_where_an_entry_modulus_exceeds_dbl_max():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = det(shear)
-        p = predicates(shear)
+        upper = not _drury_sides(shear).precondition_failed
+        symmetric, normal = _is_symmetric(shear), _is_normal(shear)
     assert not d.is_zero
     assert d.log_magnitude == pytest.approx(2.0 * (math.log(1.3e308) + 0.5 * math.log(2.0)),
                                             rel=1e-14)
     assert d.phase == pytest.approx(1j, abs=1e-15)   # c^2 = 2 * 1.3e308^2 * i
-    assert p.is_upper_triangular and not p.is_symmetric and not p.is_normal
+    assert upper and not symmetric and not normal
 
 
 def test_det_of_a_row_whose_largest_modulus_is_subnormal():
@@ -490,7 +491,7 @@ def test_singular_values_of_adjoint_match():
 def test_svd_nonconvergence_raises_convergence_error(monkeypatch):
     _fail_lapack(monkeypatch, "svd", "svd_f")
     a = _rand_complex(np.random.default_rng(5), 4)
-    for kernel in (singular_values, abs_matrix):
+    for kernel in (singular_values, _abs_matrix):
         with pytest.raises(ConvergenceError, match="svd did not converge") as info:
             kernel(a)
         assert (info.value.routine, info.value.shape) == ("svd", (4, 4))
@@ -602,7 +603,7 @@ def test_normal_matrix_moduli_equal_singular_values():
         q, _ = np.linalg.qr(g)
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a = (q * d) @ q.conj().T
-        assert predicates(a).is_normal
+        assert _is_normal(a)
         lam = np.abs(general_eigenvalues(a))
         sig = singular_values(a)
         assert np.allclose(lam, sig, rtol=1e-8, atol=1e-8)
@@ -613,13 +614,13 @@ def test_normal_matrix_moduli_equal_singular_values():
 
 
 def test_abs_matrix_examples():
-    assert np.allclose(abs_matrix(np.eye(3)), np.eye(3), atol=1e-12)
-    a = abs_matrix(np.array([[0, 2], [0, 0]], dtype=complex))
+    assert np.allclose(_abs_matrix(as_matrix(np.eye(3))), np.eye(3), atol=1e-12)
+    a = _abs_matrix(np.array([[0, 2], [0, 0]], dtype=complex))
     assert np.allclose(a, np.diag([0.0, 2.0]), atol=1e-12)
     rng = np.random.default_rng(29)
     g = _rand_complex(rng, 4)
     p = g.conj().T @ g
-    assert np.allclose(abs_matrix(p), p, atol=1e-9 * frobenius_norm(p))
+    assert np.allclose(_abs_matrix(p), p, atol=1e-9 * frobenius_norm(p))
 
 
 def test_abs_matrix_square_recovers_gram():
@@ -628,7 +629,7 @@ def test_abs_matrix_square_recovers_gram():
         n = int(rng.integers(1, 8))
         a = _rand_complex(rng, n)
         gram = a.conj().T @ a
-        m = abs_matrix(a)
+        m = _abs_matrix(a)
         assert frobenius_norm(m @ m - gram) <= 1e-9 * max(frobenius_norm(gram), 1e-300)
 
 
@@ -640,7 +641,7 @@ def test_matrix_power_examples():
     assert np.allclose(matrix_power_psd(np.diag([4.0, 9.0]).astype(complex), 0.5),
                        np.diag([2.0, 3.0]), atol=1e-12)
     t = np.array([[1, 1], [0, 1]], dtype=complex)
-    squared = matrix_power_psd(abs_matrix(t), 2.0)
+    squared = matrix_power_psd(_abs_matrix(t), 2.0)
     assert np.allclose(squared, t.conj().T @ t, atol=1e-9)
 
 
@@ -739,40 +740,45 @@ def test_schur_rejects_singular_block_with_estimate():
 
 
 # ---------------------------------------------------------------------------
-# predicates
+# structural predicates: the stacked gates of checks, on one matrix
+
+
+def _is_upper_triangular(a: np.ndarray) -> bool:
+    """drury's precondition: the strictly lower mass within the gate."""
+    return not _drury_sides(a).precondition_failed
 
 
 def test_predicates_hermitian_is_normal():
     h = np.array([[1, 2 + 1j], [2 - 1j, 5]], dtype=complex)
-    p = predicates(h)
-    assert p.is_hermitian and p.is_normal and p.is_psd
+    hermitian, psd, _ = _psd(h)
+    assert hermitian and _is_normal(h) and psd
 
 
 def test_predicates_shear_is_neither_normal_nor_symmetric():
-    p = predicates(np.array([[1, 2], [0, 1]], dtype=complex))
-    assert not p.is_normal
-    assert not p.is_symmetric
-    assert p.is_upper_triangular
+    a = np.array([[1, 2], [0, 1]], dtype=complex)
+    assert not _is_normal(a)
+    assert not _is_symmetric(a)
+    assert _is_upper_triangular(a)
 
 
 def test_predicates_symmetric_example():
-    assert predicates(np.array([[1, 2], [2, 3]], dtype=complex)).is_symmetric
+    assert _is_symmetric(np.array([[1, 2], [2, 3]], dtype=complex))
 
 
 def test_predicates_zero_matrix_passes_all():
-    p = predicates(np.zeros((3, 3)))
-    assert p.is_hermitian and p.is_psd and p.is_normal and p.is_symmetric
-    assert p.is_upper_triangular
+    z = as_matrix(np.zeros((3, 3)))
+    hermitian, psd, _ = _psd(z)
+    assert hermitian and psd and _is_normal(z) and _is_symmetric(z)
+    assert _is_upper_triangular(z)
 
 
 def test_predicates_complex_symmetric_not_hermitian():
     s = np.array([[1j, 2], [2, 0]], dtype=complex)
-    p = predicates(s)
-    assert p.is_symmetric and not p.is_hermitian
+    assert _is_symmetric(s) and not _psd(s)[0]
 
 
 def test_predicates_classify_input_hermitian_within_their_own_gate():
-    # Hermitian to 4e-11 relative: inside the predicates' 1e-10 gate, outside
+    # Hermitian to 4e-11 relative: inside the structural 1e-10 gate, outside
     # the eigensolver's 1e-12 one; the eigenvalues come from the Hermitian part
     rng = np.random.default_rng(41)
     g = _rand_complex(rng, 4)
@@ -783,11 +789,13 @@ def test_predicates_classify_input_hermitian_within_their_own_gate():
     a = psd + 2e-11 * frobenius_norm(psd) / frobenius_norm(k) * k
     with pytest.raises(NotHermitianError):
         hermitian_eigensystem(a)
-    p = predicates(a)
-    assert p.is_hermitian and p.is_psd
-    assert p.min_eigenvalue == pytest.approx(float(np.linalg.eigvalsh(psd)[0]), rel=1e-8)
-    assert predicates(psd).min_eigenvalue == float(hermitian_eigensystem(psd)[0][-1])
-    assert predicates(k).min_eigenvalue is None
+    hermitian, is_psd, least = _psd(a)
+    assert hermitian and is_psd
+    assert least == pytest.approx(float(np.linalg.eigvalsh(psd)[0]), rel=1e-8)
+    assert _psd(psd)[2] == float(hermitian_eigensystem(psd)[0][-1])
+    # off the Hermitian gate the least eigenvalue is not reported
+    assert not _psd(k)[0]
+    assert "min_eigenvalue" not in {f.name for f in check_fischer(k, 1).diagnostics}
 
 
 def test_tolerances_hold_only_a_positive_equality_window():
@@ -831,13 +839,15 @@ def test_predicates_answer_where_the_frobenius_norm_overflows():
     # ||a||_F = sqrt(6) 1e308 overflows; every structural test once passed as inf <= inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        preds = predicates(np.triu(np.full((3, 3), 1e308)))
-    assert preds.is_upper_triangular
-    assert not (preds.is_hermitian or preds.is_symmetric or preds.is_normal or preds.is_psd)
+        upper = as_matrix(np.triu(np.full((3, 3), 1e308)))
+        hermitian, psd, _ = _psd(upper)
+        answers = (_is_upper_triangular(upper), _is_symmetric(upper), _is_normal(upper))
+    assert answers[0]
+    assert not (hermitian or answers[1] or answers[2] or psd)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        diagonal = predicates(1e308 * np.eye(4))
-    assert diagonal.is_hermitian and diagonal.is_psd and diagonal.min_eigenvalue == 1e308
+        hermitian, psd, least = _psd(as_matrix(1e308 * np.eye(4)))
+    assert hermitian and psd and least == 1e308
 
 
 def test_block_constructor_copies_and_freezes_caller_arrays():

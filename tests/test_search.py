@@ -21,6 +21,7 @@ from blockdet.checks import (
     _Sides,
     _bordered,
     _evaluate,
+    _is_normal,
     _thm1_sides,
     _thm2_sides,
 )
@@ -31,7 +32,6 @@ from blockdet.linalg import (
     ShapeError,
     det,
     frobenius_norm,
-    predicates,
 )
 from blockdet.search import (
     FAMILIES,
@@ -241,7 +241,7 @@ def test_generate_triangular_and_block_triangular_structure():
 def test_generate_normal_family_passes_predicate():
     spec = GeneratorSpec(family="normal_via_unitary_conjugation", n=5, seed=11)
     (m,) = _drawn_matrices(spec, 1)
-    assert predicates(m).is_normal
+    assert _is_normal(m)
 
 
 def test_generate_block_family_structures_diagonal_blocks():
