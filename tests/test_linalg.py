@@ -170,8 +170,8 @@ def test_det_and_predicates_where_an_entry_modulus_exceeds_dbl_max():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = det(shear)
-        upper = not _drury_sides(shear).precondition_failed
-        symmetric, normal = _is_symmetric(shear), _is_normal(shear)
+        upper, symmetric, normal = (_is_upper_triangular(shear), _is_symmetric(shear),
+                                    _is_normal(shear))
     assert not d.is_zero
     assert d.log_magnitude == pytest.approx(2.0 * (math.log(1.3e308) + 0.5 * math.log(2.0)),
                                             rel=1e-14)
@@ -839,11 +839,11 @@ def test_predicates_answer_where_the_frobenius_norm_overflows():
     # ||a||_F = sqrt(6) 1e308 overflows; every structural test once passed as inf <= inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        upper = as_matrix(np.triu(np.full((3, 3), 1e308)))
-        hermitian, psd, _ = _psd(upper)
-        answers = (_is_upper_triangular(upper), _is_symmetric(upper), _is_normal(upper))
-    assert answers[0]
-    assert not (hermitian or answers[1] or answers[2] or psd)
+        a = as_matrix(np.triu(np.full((3, 3), 1e308)))
+        hermitian, psd, _ = _psd(a)
+        upper, symmetric, normal = _is_upper_triangular(a), _is_symmetric(a), _is_normal(a)
+    assert upper
+    assert not (hermitian or symmetric or normal or psd)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         hermitian, psd, least = _psd(as_matrix(1e308 * np.eye(4)))
