@@ -691,9 +691,10 @@ def _same_bits(x, y) -> bool:
 
 
 def test_stacked_gates_are_bitwise_the_predicates_copy():
-    # fischer's Hermitian and PSD tests and its least eigenvalue, the symmetry
-    # and normality tests and drury's triangular precondition, on one matrix
-    # and per matrix of a stack, against tests/reference.py's predicates
+    # the proof steps' PSD test _psd, fischer's Hermitian and PSD tests and its
+    # least eigenvalue, the symmetry and normality tests and drury's triangular
+    # precondition, on one matrix and per matrix of a stack, against
+    # tests/reference.py's predicates
     rng = np.random.default_rng(73)
     c = 1.3e308 * (1 + 1j)   # an entry modulus past DBL_MAX
     groups = {n: _gate_inputs(rng, n) for n in range(1, 7)}
@@ -711,31 +712,21 @@ def test_stacked_gates_are_bitwise_the_predicates_copy():
                 got = [np.stack([_is_symmetric(a), _is_normal(a),
                                  ~_drury_sides(a).precondition_failed], axis=-1) for a in inputs]
                 assert np.concatenate(got, axis=None).reshape(-1, 3).tolist() == want, n
-            if n == 1:
-                continue   # fischer splits A at 0 < r < n
-            sides = [_fischer_sides(stack, 1)] + [_fischer_sides(a, 1) for a in group]
-            rows = [(sides[0].detail[3][i], ~sides[0].precondition_failed[i],
-                     sides[0].detail[4][i]) for i in range(len(group))]
-            for i, single in enumerate(sides[1:]):
-                rows.append((single.detail[3], ~single.precondition_failed, single.detail[4]))
-            for (hermitian, psd, least), e in zip(rows, expected + expected):
+            whole = _psd(stack)
+            rows = [tuple(part[i] for part in whole) for i in range(len(group))]
+            rows += [_psd(a) for a in group]
+            if n > 1:   # fischer splits A at 0 < r < n; thm1's Gram sum is 1 x 1 at r = 1
+                sides = [_fischer_sides(stack, 1)] + [_fischer_sides(a, 1) for a in group]
+                rows += [(sides[0].detail[3][i], ~sides[0].precondition_failed[i],
+                          sides[0].detail[4][i]) for i in range(len(group))]
+                rows += [(single.detail[3], ~single.precondition_failed, single.detail[4])
+                         for single in sides[1:]]
+            for (hermitian, psd, least), e in zip(rows, expected * (len(rows) // len(group))):
                 assert (bool(hermitian), bool(psd)) == (e.is_hermitian, e.is_psd)
                 assert not e.is_hermitian or _same_bits(least, e.min_eigenvalue)
             seen += expected
     for gate in ("is_hermitian", "is_psd", "is_symmetric", "is_normal", "is_upper_triangular"):
         assert sum(getattr(e, gate) for e in seen) not in (0, len(seen)), gate
-
-
-def test_psd_gate_of_the_proof_steps_is_the_predicates_copy_at_every_size():
-    # the proof steps call _psd on one matrix, thm1's on an r-square Gram
-    # sum: at r = 1 it is 1 x 1, a size fischer never hands it
-    rng = np.random.default_rng(79)
-    for n in range(1, 4):
-        for a in _gate_inputs(rng, n):
-            hermitian, psd, least = _psd(a)
-            e = predicates(a)
-            assert (bool(hermitian), bool(psd)) == (e.is_hermitian, e.is_psd)
-            assert not e.is_hermitian or _same_bits(least, e.min_eigenvalue)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,13 @@ of a docstring (a string that is the first statement of a module, class or
 function); blank, comment-only and docstring lines are not code.  A string
 that spans lines and is not a docstring counts on every line it spans.
 
-    python tools/loc.py            # the files under src/
-    python tools/loc.py path ...   # files, or every *.py under a directory
+    python tools/loc.py
 
-Prints one row per file, then the total: lines, code lines, path.
+Prints one row per file under src/, then the total: lines, code lines, path.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
@@ -45,17 +43,12 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", type=Path, default=[ROOT / "src"])
-    args = parser.parse_args(argv)
-    files = sorted(f for p in args.paths for f in ([p] if p.is_file() else p.rglob("*.py")))
+def main() -> int:
     total_lines = total_code = 0
-    for path in files:
+    for path in sorted((ROOT / "src").rglob("*.py")):
         lines, code = count(path.read_text())
         total_lines, total_code = total_lines + lines, total_code + code
-        shown = path.resolve().relative_to(ROOT) if path.resolve().is_relative_to(ROOT) else path
-        print(f"{lines:6d} {code:6d}  {shown}")
+        print(f"{lines:6d} {code:6d}  {path.relative_to(ROOT)}")
     print(f"{total_lines:6d} {total_code:6d}  total")
     return 0
 
