@@ -15,16 +15,13 @@ from .linalg import (
     NotHermitianError,
     ShapeError,
     SignedLogDet,
-    SingularBlockError,
     Tolerances,
     as_matrix,
     det,
-    frobenius_norm,
     general_eigenvalues,
     hermitian_eigensystem,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    schur_complement,
     singular_values,
 )
 from .checks import (

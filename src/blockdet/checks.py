@@ -33,12 +33,8 @@ from .linalg import (
     LinalgError,
     ShapeError,
     SignedLogDet,
-    SingularBlockError,
     Tolerances,
     as_matrix,
-    frobenius_norm,
-    hermitian_eigensystem,
-    schur_complement,
     _abs_matrix,
     _anti_hermitian,
     _asymmetry,
@@ -553,15 +549,14 @@ def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
     r = family.r
     full, _ = _unit_scaled(family.assemble())
     sum_tt = sum(t.conj().T @ t for t in full)
-    try:
-        complement = schur_complement(sum_tt, r)
-    except SingularBlockError:
+    complement, singular, _, _ = _schur_complement(sum_tt, r)
+    if singular:
         return (Finding("sum_xx_nonsingular", False),)
     gram_psd = _psd(sum(t[:r].conj().T @ t[:r] for t in full))[1]
     gap = complement - sum(t[r:, r:].conj().T @ t[r:, r:] for t in full)
-    gap = (gap + gap.conj().T) / 2.0
-    w, _ = hermitian_eigensystem(gap)
-    scale = max(float(np.max(np.abs(w))), frobenius_norm(complement))
+    gap = as_matrix((gap + gap.conj().T) / 2.0)   # a complement that overflowed: LinalgError
+    w, _ = _lapack("eigh_lo", gap / 2.0 + gap.conj().T / 2.0)
+    scale = max(float(np.max(np.abs(w))), float(np.hypot.reduce(np.abs(complement), axis=None)))
     dominates = bool(np.min(w) >= -PSD_REL * scale)
     return (Finding("sum_xx_nonsingular", True), Finding("stacked_gram_sum_psd", bool(gram_psd)),
             Finding("schur_complement_dominates_zz", dominates))
@@ -918,7 +913,7 @@ def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -
 def _schur_identity_sides(a: np.ndarray, r: int) -> _Sides:
     """The sides of :func:`check_schur_identity` for A, or each A of a stack,
     with their phase gap; both zero, a failed precondition, where A11 fails
-    :func:`schur_complement`'s gate.  The detail is the parts of det A11,
+    :func:`_schur_complement`'s gate.  The detail is the parts of det A11,
     det(A / A11) and det A, (n - r) log s, and A11's extreme sigmas."""
     n = a.shape[-1]
     _require_split(n, r)

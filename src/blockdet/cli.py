@@ -366,10 +366,11 @@ def build_parser() -> _Parser:
                         help="integer bound B, range LO:HI, or scale for continuous families")
     p_fuzz.add_argument("--p", type=float, default=None, help="exponent for thm3/log_major")
     p_fuzz.add_argument("--allow-hypothesis-violation", action="store_true")
-    p_fuzz.add_argument("--sharpness", action="store_true",
-                        help="probe minimum positive margins instead of hunting violations")
-    p_fuzz.add_argument("--stop-on-first", action="store_true",
-                        help="stop at the first violation")
+    mode = p_fuzz.add_mutually_exclusive_group()   # a probe has no first violation
+    mode.add_argument("--sharpness", action="store_true",
+                      help="probe minimum positive margins instead of hunting violations")
+    mode.add_argument("--stop-on-first", action="store_true",
+                      help="stop at the first violation")
     _add_common(p_fuzz)
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser

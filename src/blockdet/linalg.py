@@ -11,17 +11,21 @@ This module owns:
   package (a failure is a :class:`ConvergenceError`), and one overflow
   policy, :func:`_rescaled`, which retakes a spectrum on A/s where A's is
   not finite,
-* Schur complements, ``|A|``, and :func:`_unit_masses`, the masses on
-  which the checkers' structural gates (Hermitian / PSD / normal /
-  symmetric / triangular) decide at every magnitude,
+* Schur complements with their gate's flag, ``|A|``, and
+  :func:`_unit_masses`, the masses on which the checkers' structural gates
+  (Hermitian / PSD / normal / symmetric / triangular) decide at every
+  magnitude,
 * the JSON matrix document format shared by every module.
 
 All functions are pure: inputs are never mutated and there is no global
 mutable state (a cache of read-only triangle masks aside).  Every public
 function validates its arguments with :func:`as_matrix`, and so does
-:class:`BlockUpperTriangular`, which copies its input once; the kernels the
-checkers' sides functions call on stacks (:func:`_det_parts`,
-:func:`_singular_values`, :func:`_abs_matrix`) do not validate again.
+:class:`BlockUpperTriangular`, which copies its input once.  The checkers
+call only the stacked kernels (:func:`_det_parts`, :func:`_singular_values`,
+:func:`_abs_matrix`, :func:`_schur_complement`, :func:`_lapack`), which do
+not validate again; the public :func:`det`, :func:`hermitian_eigensystem`,
+:func:`general_eigenvalues` and :func:`singular_values` serve callers
+outside the package.
 """
 
 from __future__ import annotations
@@ -39,18 +43,15 @@ __all__ = [
     "ShapeError",
     "NotHermitianError",
     "ConvergenceError",
-    "SingularBlockError",
     "MatrixFormatError",
     "Tolerances",
     "DEFAULT_TOL",
     "as_matrix",
-    "frobenius_norm",
     "SignedLogDet",
     "det",
     "hermitian_eigensystem",
     "singular_values",
     "general_eigenvalues",
-    "schur_complement",
     "BlockUpperTriangular",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
@@ -80,18 +81,6 @@ class ConvergenceError(LinalgError):
         super().__init__(message)
         self.routine = routine
         self.shape = shape
-
-
-class SingularBlockError(LinalgError):
-    """Leading block too close to singular for a Schur complement.
-
-    ``condition_estimate`` is sigma_max / sigma_min of the leading block
-    (``inf`` when the block is exactly rank deficient).
-    """
-
-    def __init__(self, message: str, condition_estimate: float):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
 
 
 class MatrixFormatError(LinalgError):
@@ -147,14 +136,6 @@ def _require_square(a: np.ndarray, what: str) -> np.ndarray:
 def _require_split(n: int, r: int) -> None:
     if not 0 < r < n:
         raise ShapeError(f"block split must satisfy 0 < r < n, got r={r}, n={n}")
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """sqrt of the sum of squared entry moduli; equals sqrt(tr a* a).
-
-    Accumulated with ``hypot``, so squaring large entries never overflows.
-    """
-    return float(np.hypot.reduce(np.abs(a), axis=None))
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -511,7 +492,7 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def _singular_to_working_precision(sigma: np.ndarray):
-    """The zero rule of :func:`det` and the gate of :func:`schur_complement`:
+    """The zero rule of :func:`det` and the gate of :func:`_schur_complement`:
     the smallest singular value is at most ``PIVOT_REL`` times the largest,
     for a row of singular values or per row of a stack."""
     if sigma.ndim == 1:   # floats: numpy's 0-d arithmetic costs microseconds
@@ -548,32 +529,14 @@ def _abs_matrix(a: np.ndarray) -> np.ndarray:
                         (p + p.conj().mT) / 2.0)
 
 
-def schur_complement(a: np.ndarray, r: int) -> np.ndarray:
-    """a22 - a21 a11^{-1} a12 for the leading r-square block a11.
-
-    Rejects a leading block that is singular to working precision (smallest
-    singular value at or below ``PIVOT_REL`` times the largest), reporting
-    the condition estimate; a block that passes is solved by LAPACK's LU
-    with partial pivoting.
-    """
-    a = _require_square(as_matrix(a), "schur_complement")
-    _require_split(a.shape[0], r)
-    complement, singular, sigma_max, sigma_min = _schur_complement(a, r)
-    if singular:
-        estimate = float(sigma_max) / float(sigma_min) if sigma_min > 0.0 else float("inf")
-        raise SingularBlockError(
-            f"leading {r}x{r} block is singular to working precision "
-            f"(condition estimate {estimate:.3e})",
-            condition_estimate=estimate,
-        )
-    return complement
-
-
 def _schur_complement(a: np.ndarray, r: int) -> tuple:
-    """:func:`schur_complement` of a validated matrix, or of each of a stack;
-    whether the gate rejects a11; and a11's largest and smallest singular
-    values.  A rejected a11 is solved as I, so that no solve fails, and its
-    complement reads 0."""
+    """a22 - a21 a11^{-1} a12 for the leading r-square block a11 of a
+    validated matrix, or of each of a stack; whether the gate rejects a11,
+    singular to working precision (smallest singular value at or below
+    ``PIVOT_REL`` times the largest); and a11's largest and smallest
+    singular values, whose ratio is its condition estimate.  A passing a11
+    is solved by LAPACK's LU with partial pivoting; a rejected one is solved
+    as I, so that no solve fails, and its complement reads 0."""
     a11 = a[..., :r, :r]
     sigma, _ = _rescaled(_singular_values, a11)   # the gate is a ratio: log s cancels
     singular = _singular_to_working_precision(sigma)
@@ -698,7 +661,7 @@ def matrix_from_json_dict(doc: dict) -> np.ndarray:
     if missing:
         raise MatrixFormatError(f"matrix document missing keys: {sorted(missing)}")
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:   # not bool
         raise MatrixFormatError(f"rows and cols must be positive integers, got {rows!r}, {cols!r}")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         count = len(entries) if isinstance(entries, list) else "non-list"

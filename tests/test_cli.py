@@ -108,6 +108,9 @@ def test_a_file_that_cannot_be_read_is_a_usage_error_naming_the_os_error(tmp_pat
     (b'{"rows": 1, "cols": 1, "entries": [[true, 0]]}',
      "entry 0: expected a [re, im] pair of reals, got [True, 0]"),
     (b'{"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [2, 0]]}', "expected 4 entries, got 3"),
+    # a JSON true is an int to isinstance
+    (b'{"rows": true, "cols": true, "entries": [[2, 0]]}',
+     "rows and cols must be positive integers, got True, True"),
 ])
 def test_a_file_that_is_not_a_matrix_document_is_a_usage_error_naming_why(content, message,
                                                                           tmp_path, capsys):
@@ -470,11 +473,15 @@ def test_fuzz_unknown_predicate_exits_three():
     assert main(["fuzz", "--predicate", "nosuch"]) == 3
 
 
-def test_fuzz_usage_validation():
+def test_fuzz_usage_validation(capsys):
     assert main(["fuzz", "--predicate", "thm1", "--trials", "0"]) == 3
     assert main(["fuzz", "--predicate", "thm1", "--family", "nosuch"]) == 3
     assert main(["fuzz", "--predicate", "thm3", "--p", "0.2", "--trials", "2"]) == 3
     assert main(["fuzz", "--predicate", "thm1", "--entry-bound", "a:b", "--trials", "2"]) == 3
+    # a probe has no first violation to stop at
+    assert main(["fuzz", "--predicate", "thm1", "--sharpness", "--stop-on-first"]) == 3
+    assert capsys.readouterr().err.endswith(
+        "error: argument --stop-on-first: not allowed with argument --sharpness\n")
 
 
 @pytest.mark.parametrize("bound", ["inf", "-inf", "1e400"])

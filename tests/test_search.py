@@ -31,7 +31,6 @@ from blockdet.linalg import (
     LinalgError,
     ShapeError,
     det,
-    frobenius_norm,
 )
 from blockdet.search import (
     FAMILIES,
@@ -251,7 +250,7 @@ def test_generate_block_family_structures_diagonal_blocks():
     for member in family.members:
         assert np.array_equal(member.x, member.x.T)
         assert np.array_equal(member.z, member.z.T)
-        assert frobenius_norm(member.y) > 0
+        assert member.y.any()
     again = _drawn_family(spec, 0)
     for a, b in zip(family.members, again.members):
         assert np.array_equal(a.assemble(), b.assemble())
