@@ -797,3 +797,81 @@ def test_check_writes_to_out_file(tmp_path, diag_file):
                  "--out", str(out)]) == 0
     report = CheckReport.from_json_dict(json.loads(out.read_text()))
     assert report.verdict is Verdict.EQUALITY
+
+
+# every argument's help string, as each command's parser holds it (the wrapped
+# --help text depends on the terminal width and on the Python version)
+_HELP = {
+    "check": {
+        "help": "show this help message and exit",
+        "files": "matrix documents: {rows, cols, entries: [[re, im], ...]}",
+        "ineq": "inequality id",
+        "r": "top-left block dimension",
+        "p": "exponent for thm3/log_major (default 2)",
+        "allow_hypothesis_violation":
+            "let cor_c1 report a margin verdict even without normal blocks",
+        "tol_eq": "override the relative log-domain equality window (default 1e-8)",
+        "out": "write output to this path instead of stdout",
+        "format": "human-readable text or newline-delimited JSON",
+    },
+    "reproduce": {
+        "help": "show this help message and exit",
+        "example": "example1 | remark_minus12 | example3 | all",
+        "tol_eq": "override the relative log-domain equality window (default 1e-8)",
+        "out": "write output to this path instead of stdout",
+        "format": "human-readable text or newline-delimited JSON",
+    },
+    "fuzz": {
+        "help": "show this help message and exit",
+        "predicate": "predicate id",
+        "trials": None,
+        "seed": None,
+        "n": "matrix dimension",
+        "r": "top-left block dimension (default n // 2)",
+        "m": "family size",
+        "family": "generator family (integer_uniform, gaussian, symmetric, "
+                  "normal_via_unitary_conjugation, upper_triangular, block_triangular)",
+        "entry_bound": "integer bound B, range LO:HI, or scale for continuous families",
+        "p": "exponent for thm3/log_major",
+        "allow_hypothesis_violation": None,
+        "sharpness": "probe minimum positive margins instead of hunting violations",
+        "stop_on_first": "stop at the first violation",
+        "tol_eq": "override the relative log-domain equality window (default 1e-8)",
+        "out": "write output to this path instead of stdout",
+        "format": "human-readable text or newline-delimited JSON",
+    },
+}
+
+
+def test_every_argument_help_string_is_pinned():
+    parser = cli.build_parser()
+    assert {a.dest: a.help for a in parser._actions} == {
+        "help": "show this help message and exit", "command": None}
+    assert list(parser.commands) == list(_HELP)
+    for name, command in parser.commands.items():
+        assert {a.dest: a.help for a in command._actions} == _HELP[name], name
+    commands = next(a for a in parser._actions if a.dest == "command")
+    assert [(a.dest, a.help) for a in commands._choices_actions] == [
+        ("check", "evaluate one inequality on matrices from JSON files"),
+        ("reproduce", "recompute the published counterexample values"),
+        ("fuzz", "seeded random search against one predicate")]
+
+
+def test_a_command_that_fails_creates_no_out_file(tmp_path, diag_file, capsys):
+    three = _write_matrix(tmp_path / "three.json", np.eye(3))
+    out = tmp_path / "out.txt"
+    # exit 2: a thm1 family of a 2x2 and a 3x3 matrix is refused as a ShapeError
+    assert main(["check", diag_file, three, "--ineq", "thm1", "--r", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("precondition failed: member 1 has partition "
+                                       "(n=3, r=1), expected (n=2, r=1)\n")
+    # exit 3: an equality window of 0, and an unknown id
+    for argv in (["check", diag_file, "--ineq", "drury", "--tol-eq", "0"],
+                 ["reproduce", "all", "--tol-eq", "0"],
+                 ["fuzz", "--predicate", "thm1", "--trials", "2", "--tol-eq", "0"],
+                 ["check", diag_file, "--ineq", "nosuch"],
+                 ["reproduce", "nosuch"],
+                 ["fuzz", "--predicate", "nosuch", "--trials", "2"]):
+        assert main(argv + ["--out", str(out)]) == 3, argv
+        assert capsys.readouterr().err.startswith("blockdet: error: "), argv
+    assert not out.exists()
