@@ -161,18 +161,20 @@ def _unit_scale(a: np.ndarray):
     return _power_of_two_above(np.abs(a).max(axis=(-2, -1)))
 
 
-def _unit_scaled(a: np.ndarray, ndim: int | None = None) -> tuple:
+def _unit_scaled(a: np.ndarray, ndim: int | None = None, of: np.ndarray | None = None) -> tuple:
     """``a`` divided by ``s``, and ``s``: the one power of two, up or down,
     that brings the largest real or imaginary part of any entry of ``a``
-    into [1, 2), 1 for an all-zero ``a``; with ``ndim``, an ``s`` for each
-    block of the last ``ndim`` axes (a matrix of a stack at 2, a family at 3).
+    (or of ``of``, a part of ``a``) into [1, 2), 1 for an all-zero one; with
+    ``ndim``, an ``s`` for each block of the last ``ndim`` axes (a matrix of
+    a stack at 2, a family at 3).
 
     ``ldexp`` scales each part and forms no reciprocal, so ``s`` may be
     subnormal; the scaling is exact unless a part falls below the normal
     range.  An identity block bordering the quotient neither dwarfs it nor
     is dwarfed by it, and no product of two overflows.
     """
-    top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(
+    of = a if of is None else of
+    top = np.maximum(np.abs(of.real), np.abs(of.imag)).max(
         axis=None if ndim is None else tuple(range(-ndim, 0)))
     if np.ndim(top) == 0:   # one block: math is several times faster than numpy on one value
         if top == 0.0:
@@ -540,13 +542,12 @@ def _schur_complement(a: np.ndarray, r: int) -> tuple:
     a11 = a[..., :r, :r]
     sigma, _ = _rescaled(_singular_values, a11)   # the gate is a ratio: log s cancels
     singular = _singular_to_working_precision(sigma)
-    # both divided by a11's power of two, so that LAPACK's pivots and
-    # reciprocals neither overflow nor underflow near DBL_MAX; exact, so the
-    # quotient a11^{-1} a12 is unchanged
-    s, rejected = _unit_scale(a11), singular
-    if a.ndim > 2:
-        s, rejected = s[..., None, None], singular[..., None, None]
-    x = _lapack("solve", np.where(rejected, np.eye(r), a11 / s), a[..., :r, r:] / s)
+    # the top block row [a11 a12] scaled up or down by a11's power of two, so
+    # that LAPACK's pivots and reciprocals neither overflow nor underflow, a
+    # subnormal a11 included; exact, so the quotient a11^{-1} a12 is unchanged
+    row, _ = _unit_scaled(a[..., :r, :], 2, of=a11)
+    rejected = singular if a.ndim == 2 else singular[..., None, None]
+    x = _lapack("solve", np.where(rejected, np.eye(r), row[..., :r]), row[..., r:])
     return (np.where(rejected, 0.0, a[..., r:, r:] - a[..., r:, :r] @ x), singular,
             sigma[..., 0], sigma[..., -1])
 
