@@ -25,12 +25,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checks import CheckReport, Verdict
 from .linalg import DEFAULT_TOL, LinalgError, Tolerances, matrix_from_json_dict
 from .search import (
+    DEFAULT_P,
     FAMILIES,
     INEQUALITIES,
     PAPER_EXAMPLE_IDS,
@@ -57,41 +57,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class SuiteConfig:
-    """Validated knobs shared by the commands."""
-
-    tol: Tolerances = DEFAULT_TOL
-    out: Path | None = None
-    output_format: str = "human"
-    lines: list[str] = field(default_factory=list)
-
-    def emit(self, text: str) -> None:
-        self.lines.append(text)
-
-    def flush(self) -> None:
-        """Write the lines to ``out``, or to stdout; a path that cannot be
-        written is a usage error, as an input that cannot be read is."""
-        payload = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.out is None:
-            sys.stdout.write(payload)
-            return
-        try:
-            self.out.write_text(payload)
-        except OSError as err:
-            raise _UsageError(f"cannot write {self.out}: {err}")
+def _tolerances(args) -> Tolerances:
+    """The tolerances of ``--tol-eq``, which every command reads first."""
+    if args.tol_eq is None:
+        return DEFAULT_TOL
+    try:
+        return Tolerances(eq_rel=args.tol_eq)
+    except ValueError:
+        need = "finite" if args.tol_eq == math.inf else "positive"
+        raise _UsageError(f"--tol-eq must be {need}, got {args.tol_eq}")
 
 
-def _build_config(args) -> SuiteConfig:
-    tol = DEFAULT_TOL
-    if args.tol_eq is not None:
-        try:
-            tol = Tolerances(eq_rel=args.tol_eq)
-        except ValueError:
-            need = "finite" if args.tol_eq == math.inf else "positive"
-            raise _UsageError(f"--tol-eq must be {need}, got {args.tol_eq}")
-    out = Path(args.out) if args.out else None
-    return SuiteConfig(tol=tol, out=out, output_format=args.format)
+def _write(lines: list[str], out: str | None) -> None:
+    """Write a command's lines to ``out``, or to stdout without one; a path
+    that cannot be written is a usage error, as an input that cannot be
+    read is."""
+    payload = "\n".join(lines) + ("\n" if lines else "")
+    if not out:
+        sys.stdout.write(payload)
+        return
+    path = Path(out)
+    try:
+        path.write_text(payload)
+    except OSError as err:
+        raise _UsageError(f"cannot write {path}: {err}")
 
 
 class _UsageError(Exception):
@@ -117,10 +106,14 @@ def _parse_entry_bound(text: str | None):
         raise _UsageError(f"bad --entry-bound {text!r}")
 
 
-# each flag that only some ids take, and whether an id takes it
-_ID_FLAGS = (("--p", lambda i: i.default_p is not None),
-             ("--allow-hypothesis-violation", lambda i: i.hypothesis_gate),
-             ("--r", lambda i: i.needs_r))
+# each flag that only some ids take, and the parameter it sets
+_ID_FLAGS = (("--p", "p"), ("--allow-hypothesis-violation", "allow_hypothesis_violation"),
+             ("--r", "r"))
+
+
+def _takers(key: str) -> list[str]:
+    """The ids that take the parameter ``key``, in registry order."""
+    return [ineq.id for ineq in INEQUALITIES.values() if key in ineq.params]
 
 
 def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool,
@@ -132,10 +125,9 @@ def _require_flags(ineq, p: float | None, allow_hypothesis_violation: bool,
     if ineq is None:
         return
     given = (p is not None, allow_hypothesis_violation, r is not None)
-    for (flag, takes_it), flag_given in zip(_ID_FLAGS, given):
-        if flag_given and not takes_it(ineq):
-            takes = ", ".join(i.id for i in INEQUALITIES.values() if takes_it(i))
-            raise _UsageError(f"{ineq.id} takes no {flag}; only {takes} do")
+    for (flag, key), flag_given in zip(_ID_FLAGS, given):
+        if flag_given and key not in ineq.params:
+            raise _UsageError(f"{ineq.id} takes no {flag}; only {', '.join(_takers(key))} do")
 
 
 def _load_matrix_file(path: str):
@@ -184,17 +176,15 @@ def _format_sld(s) -> str:
     return f"phase ({s.phase.real:.6f}{s.phase.imag:+.6f}i) * {mag}"
 
 
-def _emit_check_report(config: SuiteConfig, report: CheckReport) -> None:
-    if config.output_format == "structured":
-        config.emit(_json_line(report.to_json_dict()))
-        return
-    config.emit(f"inequality: {report.inequality_id}")
-    config.emit(f"verdict:    {report.verdict.value}")
-    config.emit(f"margin:     {report.margin:.6e}")
-    config.emit(f"lhs:        {_format_sld(report.lhs)}")
-    config.emit(f"rhs:        {_format_sld(report.rhs)}")
-    for finding in report.diagnostics:
-        config.emit(f"  {finding.name}: {finding.value}")
+def _check_lines(report: CheckReport, output_format: str) -> list[str]:
+    if output_format == "structured":
+        return [_json_line(report.to_json_dict())]
+    return [f"inequality: {report.inequality_id}",
+            f"verdict:    {report.verdict.value}",
+            f"margin:     {report.margin:.6e}",
+            f"lhs:        {_format_sld(report.lhs)}",
+            f"rhs:        {_format_sld(report.rhs)}",
+            *(f"  {finding.name}: {finding.value}" for finding in report.diagnostics)]
 
 
 _CHECK_EXIT = {
@@ -206,7 +196,7 @@ _CHECK_EXIT = {
 
 
 def cmd_check(args) -> int:
-    config = _build_config(args)
+    tol = _tolerances(args)
     ineq = INEQUALITIES.get(args.ineq)
     if ineq is None:
         raise _UsageError(f"unknown inequality {args.ineq!r}, "
@@ -217,25 +207,25 @@ def cmd_check(args) -> int:
                                                      else f"between {lo} and {hi}")
         raise _UsageError(f"{ineq.id} needs {expected} matrix file(s), got {len(args.files)}")
     matrices = tuple(_load_matrix_file(f) for f in args.files)
-    if ineq.needs_r and args.r is None:
+    if "r" in ineq.params and args.r is None:
         raise _UsageError(f"{ineq.id} needs --r (top-left block dimension)")
     _require_flags(ineq, args.p, args.allow_hypothesis_violation, args.r)
     params = ineq.call_params(args.r, args.p, args.allow_hypothesis_violation)
     witness = Witness(ineq.id, 0, 0, params, matrices)
     try:
-        report = ineq.check(witness, config.tol)
-        _emit_check_report(config, report)
+        report = ineq.check(witness, tol)
+        lines = _check_lines(report, args.format)
     except LinalgError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as err:
         raise _UsageError(str(err))
-    config.flush()
+    _write(lines, args.out)
     return _CHECK_EXIT[report.verdict]
 
 
 def cmd_reproduce(args) -> int:
-    config = _build_config(args)
+    tol = _tolerances(args)
     ids = PAPER_EXAMPLE_IDS if args.example == "all" else (args.example,)
     for example_id in ids:
         if example_id not in PAPER_EXAMPLE_IDS:
@@ -244,48 +234,47 @@ def cmd_reproduce(args) -> int:
     all_pass = True
     rows = []
     for example_id in ids:
-        rows.extend(compare_paper_example(example_id, config.tol))
+        rows.extend(compare_paper_example(example_id, tol))
+    lines = []
     for row in rows:
         all_pass = all_pass and row["pass"]
-        if config.output_format == "structured":
-            config.emit(_json_line(row))
+        if args.format == "structured":
+            lines.append(_json_line(row))
         else:
             computed = row["computed"]
             shown = computed if isinstance(computed, str) else f"{computed:.6g}"
-            config.emit(
+            lines.append(
                 f"{row['example']:>15}  {row['quantity']:<12} computed {shown:>12}  "
                 f"recorded {row['recorded']!s:>8}  ({row['tolerance']})  "
                 f"{'pass' if row['pass'] else 'FAIL'}"
             )
-    if config.output_format != "structured":
-        config.emit(f"overall: {'pass' if all_pass else 'FAIL'}")
-    config.flush()
+    if args.format != "structured":
+        lines.append(f"overall: {'pass' if all_pass else 'FAIL'}")
+    _write(lines, args.out)
     return EXIT_OK if all_pass else EXIT_UNEXPECTED
 
 
-def _emit_search_report(config: SuiteConfig, report: SearchReport) -> None:
-    if config.output_format == "structured":
-        config.emit(_json_line(report.to_json_dict()))
-        return
-    config.emit(f"predicate:  {report.predicate_id}")
-    config.emit(f"spec:       {report.spec.to_json_dict()}")
-    config.emit(f"trials:     {report.trials}")
-    config.emit(f"violations: {report.violation_count}")
+def _search_lines(report: SearchReport, output_format: str) -> list[str]:
+    if output_format == "structured":
+        return [_json_line(report.to_json_dict())]
+    lines = [f"predicate:  {report.predicate_id}",
+             f"spec:       {report.spec.to_json_dict()}",
+             f"trials:     {report.trials}",
+             f"violations: {report.violation_count}"]
     if report.min_margin is not None:
-        config.emit(f"min margin: {report.min_margin:.6e} (trial {report.min_margin_trial})")
+        lines.append(f"min margin: {report.min_margin:.6e} (trial {report.min_margin_trial})")
     if report.min_positive_margin is not None:
-        config.emit(
-            f"min positive margin: {report.min_positive_margin:.6e} "
-            f"(trial {report.min_positive_margin_trial})"
-        )
+        lines.append(f"min positive margin: {report.min_positive_margin:.6e} "
+                     f"(trial {report.min_positive_margin_trial})")
     for v in report.violations[:10]:
-        config.emit(f"  violated at trial {v.trial_index}: margin {v.report.margin:.6e}")
+        lines.append(f"  violated at trial {v.trial_index}: margin {v.report.margin:.6e}")
     if report.violation_count > 10:
-        config.emit(f"  ... and {report.violation_count - 10} more")
+        lines.append(f"  ... and {report.violation_count - 10} more")
+    return lines
 
 
 def cmd_fuzz(args) -> int:
-    config = _build_config(args)
+    tol = _tolerances(args)
     if args.trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     try:
@@ -306,15 +295,14 @@ def cmd_fuzz(args) -> int:
     runner = sharpness_probe if args.sharpness else search_violations
     kwargs = {} if args.sharpness else {"stop_on_first": args.stop_on_first}
     try:
-        report = runner(spec, args.predicate, args.trials, config.tol, params=params, **kwargs)
+        report = runner(spec, args.predicate, args.trials, tol, params=params, **kwargs)
     except (LinalgError, ValueError) as err:
         raise _UsageError(str(err))
-    _emit_search_report(config, report)
-    config.flush()
+    _write(_search_lines(report, args.format), args.out)
     if args.sharpness:
         return EXIT_OK
-    refutable = INEQUALITIES[args.predicate].expects_violation(report.params)
-    expected = report.violation_count >= 1 if refutable else report.violation_count == 0
+    violation_expected = INEQUALITIES[args.predicate].expects_violation(report.params)
+    expected = report.violation_count >= 1 if violation_expected else report.violation_count == 0
     return EXIT_OK if expected else EXIT_UNEXPECTED
 
 
@@ -331,6 +319,7 @@ def build_parser() -> _Parser:
                      description="determinantal inequality checks for block triangular matrices")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parser.commands = sub.choices   # name -> command parser, filled in below
+    p_takers = "/".join(_takers("p"))
 
     p_check = sub.add_parser("check",
                              help="evaluate one inequality on matrices from JSON files")
@@ -339,15 +328,16 @@ def build_parser() -> _Parser:
     p_check.add_argument("--ineq", required=True, help="inequality id")
     p_check.add_argument("--r", type=int, default=None, help="top-left block dimension")
     p_check.add_argument("--p", type=float, default=None,
-                         help="exponent for thm3/log_major (default 2)")
+                         help=f"exponent for {p_takers} (default {DEFAULT_P:g})")
     p_check.add_argument("--allow-hypothesis-violation", action="store_true",
-                         help="let cor_c1 report a margin verdict even without normal blocks")
+                         help=f"let {'/'.join(_takers('allow_hypothesis_violation'))} report "
+                              f"a margin verdict even without normal blocks")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("reproduce",
                            help="recompute the published counterexample values")
-    p_rep.add_argument("example", help="example1 | remark_minus12 | example3 | all")
+    p_rep.add_argument("example", help=" | ".join(PAPER_EXAMPLE_IDS + ("all",)))
     _add_common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 
@@ -364,7 +354,7 @@ def build_parser() -> _Parser:
                         help="generator family (" + ", ".join(FAMILIES) + ")")
     p_fuzz.add_argument("--entry-bound", default=None,
                         help="integer bound B, range LO:HI, or scale for continuous families")
-    p_fuzz.add_argument("--p", type=float, default=None, help="exponent for thm3/log_major")
+    p_fuzz.add_argument("--p", type=float, default=None, help=f"exponent for {p_takers}")
     p_fuzz.add_argument("--allow-hypothesis-violation", action="store_true")
     mode = p_fuzz.add_mutually_exclusive_group()   # a probe has no first violation
     mode.add_argument("--sharpness", action="store_true",

@@ -2,9 +2,9 @@
 
 Matrix generation is counter-based: every trial derives its own generator
 from ``(seed, trial_index)``, so trials are independent, reproducible in
-isolation, and the search result does not depend on scheduling.  The two
-counterexample-bearing predicates (``cor_c1`` under a violated normality
-hypothesis and ``e21``) get the published witness pair injected as trial 0,
+isolation, and the search result does not depend on scheduling.  A search
+of an id that names a published counterexample (``cor_c1`` under a violated
+normality hypothesis, and ``e21``) takes that example's witness as trial 0,
 which makes "the fuzzer finds a violation" deterministic instead of lucky.
 
 A search draws its trials a chunk at a time, each from its own stream, into
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import accumulate
 from operator import attrgetter, methodcaller
@@ -84,6 +84,7 @@ __all__ = [
     "reproduce_paper_example",
     "compare_paper_example",
     "PAPER_EXAMPLE_IDS",
+    "DEFAULT_P",
 ]
 
 FAMILIES = (
@@ -463,49 +464,59 @@ def _log_major_matrix_sides(x: np.ndarray, p: float):
     return checks._log_major_sides(*_log_major_spectra(x, p))
 
 
+# the exponent p of an id that takes one, where a caller gives none
+DEFAULT_P = 2.0
+
+# each parameter a witness can record, as the sides functions and checkers take it
+_PARAM_TYPES = {"r": int, "p": float, "allow_hypothesis_violation": bool}
+
+
+def _param(params: dict, key: str):
+    """``params[key]`` as the sides functions and checkers take it; a
+    witness without ``allow_hypothesis_violation`` allows no violation."""
+    value = params.get(key, False) if key == "allow_hypothesis_violation" else params[key]
+    return _PARAM_TYPES[key](value)
+
+
 @dataclass(frozen=True)
 class Inequality:
     """One inequality id: how to draw its input, check it, and read a search of it.
 
-    ``shape`` is what the checker ``check_<id>`` takes: ``"matrix"`` (the
-    first matrix, then ``r`` if ``needs_r``), ``"member"`` (the first matrix
-    split at ``r``), ``"family"`` (every matrix split at ``r``) or
-    ``"spectra"`` (:func:`_log_major_spectra`; its log s goes by keyword).
-    ``sides`` is the sides function the checker reads, which :meth:`score`
-    calls on a chunk's stack (each trial's family, or its first matrix),
-    then ``r``, ``p`` and ``allow_hypothesis_violation`` where the id takes
-    them.  ``files`` is the least and most number of input matrices
-    (``None``: no limit); a search draws ``files[1]`` where it is set, else
-    the spec's ``m``.  ``transform`` makes each drawn
-    matrix PSD, or triangular.  ``default_p``, when set, makes ``p`` a
-    parameter.  ``refutable`` ids are false in general and get the published
-    witness as trial 0; with ``hypothesis_gate`` the checker answers
-    ``precondition_failed`` off its hypothesis unless
-    ``allow_hypothesis_violation`` is set, and only then is a violation
-    expected.
+    ``params`` are the keys a witness of the id records, in the order the
+    sides function takes them after its stack: ``r``, the block split;
+    ``p``, the exponent (:data:`DEFAULT_P` unless given); and
+    ``allow_hypothesis_violation``, without which the checker answers
+    ``precondition_failed`` off its hypothesis.  ``shape`` is what the
+    checker ``check_<id>`` takes: ``"matrix"`` (the first matrix, then ``r``
+    if the id takes it), ``"member"`` (the first matrix split at ``r``),
+    ``"family"`` (every matrix split at ``r``) or ``"spectra"``
+    (:func:`_log_major_spectra`; its log s goes by keyword); then ``p``,
+    and ``allow_hypothesis_violation`` by keyword.  ``sides`` is the sides
+    function the checker reads, which :meth:`score` calls on a chunk's stack
+    (each trial's family, or its first matrix).  ``files`` is the least and
+    most number of input matrices (``None``: no limit); a search draws
+    ``files[1]`` where it is set, else the spec's ``m``.  ``transform``
+    makes each drawn matrix PSD, or triangular.  ``published`` names the
+    paper's counterexample to the id, one of :data:`PAPER_EXAMPLE_IDS`: the
+    id is false in general, so a search takes that example's witness as
+    trial 0 and expects a violation (of an id with a hypothesis, only where
+    ``allow_hypothesis_violation`` is set).
     """
 
     id: str
     shape: str
     sides: Callable
     files: tuple[int, int | None] = (1, 1)
-    needs_r: bool = False
-    default_p: float | None = None
+    params: tuple[str, ...] = ()
     transform: Callable[[np.ndarray], np.ndarray] | None = None
-    refutable: bool = False
-    hypothesis_gate: bool = False
+    published: str | None = None
 
     def call_params(self, r: int | None, p: float | None = None,
                     allow_hypothesis_violation: bool = False) -> dict:
         """The parameters a witness of this id records, defaults filled in."""
-        params: dict = {}
-        if self.needs_r:
-            params["r"] = r
-        if self.default_p is not None:
-            params["p"] = self.default_p if p is None else p
-        if self.hypothesis_gate:
-            params["allow_hypothesis_violation"] = allow_hypothesis_violation
-        return params
+        given = {"r": r, "p": DEFAULT_P if p is None else p,
+                 "allow_hypothesis_violation": allow_hypothesis_violation}
+        return {key: given[key] for key in self.params}
 
     def draw_trials(self, spec: GeneratorSpec, trials: range, params: dict) -> tuple:
         """The trials ``trials`` from ``spec``, ``files[1]`` matrices each
@@ -532,16 +543,16 @@ class Inequality:
         params = witness.params
         if self.shape == "matrix":
             args: tuple = (witness.matrices[0],)
-            if self.needs_r:
-                args += (int(params["r"]),)
+            if "r" in self.params:
+                args += (_param(params, "r"),)
         elif self.shape == "member":
-            args = (BlockUpperTriangular.from_matrix(witness.matrices[0], int(params["r"])),)
+            args = (BlockUpperTriangular.from_matrix(witness.matrices[0], _param(params, "r")),)
         elif self.shape == "spectra":
-            return _log_major_spectra(witness.matrices[0], float(params["p"]))
+            return _log_major_spectra(witness.matrices[0], _param(params, "p"))
         else:
             args = (_block_family_from(witness),)
-        if self.default_p is not None:
-            args += (float(params["p"]),)
+        if "p" in self.params:
+            args += (_param(params, "p"),)
         return args
 
     def check(self, witness: Witness, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -550,9 +561,9 @@ class Inequality:
         # looked up per call, so a wrapper put on this module's name is the one called
         checker = globals()[f"check_{self.id}"]
         args, kwargs = self._args(witness), {}
-        if self.hypothesis_gate:
-            allow = bool(witness.params.get("allow_hypothesis_violation", False))
-            kwargs["allow_hypothesis_violation"] = allow
+        if "allow_hypothesis_violation" in self.params:
+            kwargs["allow_hypothesis_violation"] = _param(witness.params,
+                                                          "allow_hypothesis_violation")
         if self.shape == "spectra":   # log s, which the checker takes by keyword
             *args, kwargs["log_scale"] = args
         return checker(*args, tol, **kwargs)
@@ -561,20 +572,15 @@ class Inequality:
         """The sides of one chunk of drawn trials, as each trial's margin
         and its code into ``checks._VERDICTS``: the verdict its checker
         gives, or none (0) where its margin or a side is NaN."""
-        args: tuple = (drawn.t if self.shape == "family" else drawn.t[:, 0],)
-        if self.needs_r:
-            args += (drawn.spec.r,)
-        if self.default_p is not None:
-            args += (float(drawn.params["p"]),)
-        if self.hypothesis_gate:
-            args += (bool(drawn.params.get("allow_hypothesis_violation", False)),)
-        return _evaluate(self.sides(*args), tol)
+        stack = drawn.t if self.shape == "family" else drawn.t[:, 0]
+        return _evaluate(self.sides(stack, *[_param(drawn.params, key) for key in self.params]),
+                         tol)
 
     def expects_violation(self, params: dict) -> bool:
         """Whether a search with these parameters should record a violation."""
-        return self.refutable and (
-            not self.hypothesis_gate or bool(params.get("allow_hypothesis_violation", False))
-        )
+        return self.published is not None and (
+            "allow_hypothesis_violation" not in self.params
+            or _param(params, "allow_hypothesis_violation"))
 
 
 @dataclass
@@ -601,20 +607,21 @@ class _Drawn:
 
 
 INEQUALITIES: dict[str, Inequality] = {ineq.id: ineq for ineq in (
-    Inequality("fischer", "matrix", checks._fischer_sides, needs_r=True, transform=_grams),
-    Inequality("thm1", "family", checks._thm1_sides, files=(1, None), needs_r=True),
-    Inequality("cor_c0", "member", partial(checks._abs_power_sides, p=2.0), needs_r=True),
-    Inequality("cor_c1", "family", checks._cor_c1_sides, files=(1, None), needs_r=True,
-               refutable=True, hypothesis_gate=True),
+    Inequality("fischer", "matrix", checks._fischer_sides, params=("r",), transform=_grams),
+    Inequality("thm1", "family", checks._thm1_sides, files=(1, None), params=("r",)),
+    Inequality("cor_c0", "member", partial(checks._abs_power_sides, p=2.0), params=("r",)),
+    Inequality("cor_c1", "family", checks._cor_c1_sides, files=(1, None),
+               params=("r", "allow_hypothesis_violation"), published="example1"),
     Inequality("lemma1", "matrix", checks._lemma1_sides),
     Inequality("djokovic", "matrix", checks._djokovic_sides),
-    Inequality("thm2", "member", checks._thm2_sides, needs_r=True),
+    Inequality("thm2", "member", checks._thm2_sides, params=("r",)),
     Inequality("drury", "matrix", checks._drury_sides, transform=np.triu),
-    Inequality("thm3", "member", checks._abs_power_sides, needs_r=True, default_p=2.0),
+    Inequality("thm3", "member", checks._abs_power_sides, params=("r", "p")),
     Inequality("weyl", "matrix", checks._weyl_sides),
-    Inequality("log_major", "spectra", _log_major_matrix_sides, default_p=2.0),
-    Inequality("schur_identity", "matrix", checks._schur_identity_sides, needs_r=True),
-    Inequality("e21", "family", checks._e21_sides, files=(2, 2), needs_r=True, refutable=True),
+    Inequality("log_major", "spectra", _log_major_matrix_sides, params=("p",)),
+    Inequality("schur_identity", "matrix", checks._schur_identity_sides, params=("r",)),
+    Inequality("e21", "family", checks._e21_sides, files=(2, 2), params=("r",),
+               published="example3"),
 )}
 
 PREDICATE_IDS = tuple(INEQUALITIES)
@@ -654,89 +661,82 @@ _EXAMPLE3_T2 = (
     (0, 0, 14, -2),
     (0, 0, 23, -3),
 )
-_REMARK_X1 = ((1, 2), (0, 1))
+# the remark's pair: X1 = [[1, 2], [0, 1]] and its transpose, each bordered by a 1
+_REMARK_T1 = ((1, 2, 0), (0, 1, 0), (0, 0, 1))
+_REMARK_T2 = ((1, 0, 0), (2, 1, 0), (0, 0, 1))
 
 
-def _paper_witness(predicate_id: str, params: dict) -> Witness | None:
-    """The embedded published counterexample for a refutable predicate, over
-    read-only matrices of its own."""
-    if predicate_id == "cor_c1":
-        mats = (as_matrix(_EXAMPLE1_T1), as_matrix(_EXAMPLE1_T2))
-        _read_only(*mats)
-        merged = {"r": 2, "allow_hypothesis_violation": params.get(
-            "allow_hypothesis_violation", False)}
-        return Witness("cor_c1", 0, 0, merged, mats)
-    if predicate_id == "e21":
-        mats = (as_matrix(_EXAMPLE3_T1), as_matrix(_EXAMPLE3_T2))
-        _read_only(*mats)
-        return Witness("e21", 0, 0, {"r": 2}, mats)
-    return None
+def _published(predicate_id: str, matrices) -> Witness:
+    """A published example's witness at r 2, allowing a violation of a
+    hypothesis where the id has one, over read-only matrices of its own."""
+    mats = tuple(as_matrix(m) for m in matrices)
+    _read_only(*mats)
+    params = INEQUALITIES[predicate_id].call_params(2, allow_hypothesis_violation=True)
+    return Witness(predicate_id, 0, 0, params, mats)
 
 
-PAPER_EXAMPLE_IDS = ("example1", "remark_minus12", "example3")
+_LHS_DET, _RHS_DET = attrgetter("lhs.value.real"), attrgetter("rhs.value.real")
+_VIOLATED = ("verdict", attrgetter("verdict.value"), "violated", None)
+
+# each published example: its witness, and its rows (quantity, getter,
+# recorded value, tolerance: (kind, bound), or None for an exact match).
+# Recorded values are rounded as published: 3 significant figures for the
+# large determinants, 5 for the |.|-sum determinant, exact for the 2x2
+_PAPER_EXAMPLES: dict[str, tuple[Witness, tuple]] = {
+    "example1": (_published("cor_c1", (_EXAMPLE1_T1, _EXAMPLE1_T2)), (
+        ("lhs_det", _LHS_DET, 1.25e8, ("rel", 5e-3)),
+        ("rhs_det", _RHS_DET, 9.93e8, ("rel", 5e-3)),
+        _VIOLATED,
+    )),
+    "remark_minus12": (_published("cor_c1", (_REMARK_T1, _REMARK_T2)), (
+        ("det_xbar_x", methodcaller("finding", "det_xbar_x_re"), -12.0, ("abs", 1e-9)),
+    )),
+    "example3": (_published("e21", (_EXAMPLE3_T1, _EXAMPLE3_T2)), (
+        ("lhs_det", _LHS_DET, 5193.1, ("rel", 2e-3)),
+        ("rhs_det", _RHS_DET, 20248.0, ("rel", 2e-3)),
+        _VIOLATED,
+    )),
+}
+
+PAPER_EXAMPLE_IDS = tuple(_PAPER_EXAMPLES)
+
+
+def _paper_witness(ineq: Inequality, call_params: dict) -> Witness:
+    """Trial 0 of a search of ``ineq``: the witness of its published
+    example, with the search's parameters but the example's ``r``."""
+    witness, _ = _PAPER_EXAMPLES[ineq.published]
+    return replace(witness, params={**call_params, "r": witness.params["r"]})
 
 
 def reproduce_paper_example(example_id: str, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """Evaluate one of the three published numeric examples from its matrices."""
-    if example_id == "example1":
-        witness = _paper_witness("cor_c1", {"allow_hypothesis_violation": True})
-    elif example_id == "remark_minus12":
-        x1 = as_matrix(_REMARK_X1)
-        mats = tuple(BlockUpperTriangular(x=x, y=np.zeros((2, 1)), z=np.ones((1, 1))).assemble()
-                     for x in (x1, x1.T))
-        witness = Witness("cor_c1", 0, 0, {"r": 2, "allow_hypothesis_violation": True}, mats)
-    elif example_id == "example3":
-        witness = _paper_witness("e21", {})
-    else:
+    if example_id not in _PAPER_EXAMPLES:
         raise ValueError(f"unknown example {example_id!r}, expected one of {PAPER_EXAMPLE_IDS}")
+    witness, _ = _PAPER_EXAMPLES[example_id]
     return recheck_witness(witness, tol)
-
-
-_LHS_DET, _RHS_DET = attrgetter("lhs.value.real"), attrgetter("rhs.value.real")
-_VERDICT = attrgetter("verdict.value")
-
-_PAPER_EXPECTATIONS: dict[str, list[dict]] = {
-    # recorded values are rounded as published: 3 significant figures for the
-    # large determinants, 5 for the |.|-sum determinant, exact for the 2x2
-    "example1": [
-        {"quantity": "lhs_det", "get": _LHS_DET, "recorded": 1.25e8, "rel_tol": 5e-3},
-        {"quantity": "rhs_det", "get": _RHS_DET, "recorded": 9.93e8, "rel_tol": 5e-3},
-        {"quantity": "verdict", "get": _VERDICT, "recorded": "violated"},
-    ],
-    "remark_minus12": [
-        {"quantity": "det_xbar_x", "get": methodcaller("finding", "det_xbar_x_re"),
-         "recorded": -12.0, "abs_tol": 1e-9},
-    ],
-    "example3": [
-        {"quantity": "lhs_det", "get": _LHS_DET, "recorded": 5193.1, "rel_tol": 2e-3},
-        {"quantity": "rhs_det", "get": _RHS_DET, "recorded": 20248.0, "rel_tol": 2e-3},
-        {"quantity": "verdict", "get": _VERDICT, "recorded": "violated"},
-    ],
-}
 
 
 def compare_paper_example(example_id: str, tol: Tolerances = DEFAULT_TOL) -> list[dict]:
     """Computed-versus-recorded rows for one example, each with a pass flag."""
     report = reproduce_paper_example(example_id, tol)
+    _, expectations = _PAPER_EXAMPLES[example_id]
     rows = []
-    for expect in _PAPER_EXPECTATIONS[example_id]:
-        computed = expect["get"](report)
-        recorded = expect["recorded"]
-        if isinstance(recorded, str):
+    for quantity, get, recorded, tolerance in expectations:
+        computed = get(report)
+        if tolerance is None:
             ok = computed == recorded
-            tolerance = "exact"
-        elif "abs_tol" in expect:
-            ok = abs(float(computed) - recorded) <= expect["abs_tol"]
-            tolerance = f"abs {expect['abs_tol']:g}"
+            shown = "exact"
         else:
-            ok = abs(float(computed) - recorded) <= expect["rel_tol"] * abs(recorded)
-            tolerance = f"rel {expect['rel_tol']:g}"
+            kind, bound = tolerance
+            limit = bound * abs(recorded) if kind == "rel" else bound
+            ok = abs(float(computed) - recorded) <= limit
+            shown = f"{kind} {bound:g}"
         rows.append({
             "example": example_id,
-            "quantity": expect["quantity"],
+            "quantity": quantity,
             "computed": computed if isinstance(computed, str) else float(computed),
             "recorded": recorded,
-            "tolerance": tolerance,
+            "tolerance": shown,
             "pass": bool(ok),
         })
     return rows
@@ -824,8 +824,8 @@ def _outcomes(ineq: Inequality, spec: GeneratorSpec, max_trials: int, tol: Toler
     before it are out.
     """
     first = 0
-    if inject_paper_witness and ineq.refutable:
-        paper = _paper_witness(ineq.id, call_params)
+    if inject_paper_witness and ineq.published is not None:
+        paper = _paper_witness(ineq, call_params)
         report = ineq.check(paper, tol)
         yield 0, lambda: paper, report, report.margin, report.verdict
         first = 1
@@ -930,8 +930,8 @@ def search_violations(
 ) -> SearchReport:
     """Run up to ``max_trials`` seeded checks, recording every violation.
 
-    Refutable predicates get the published witness as trial 0; everything
-    else is drawn from the generator spec.  Every recorded witness
+    An id with a published counterexample gets its witness as trial 0;
+    everything else is drawn from the generator spec.  Every recorded witness
     reproduces its verdict under :func:`recheck_witness`.  ``params`` may
     set what :meth:`Inequality.call_params` records but ``r``, the spec's;
     any other key raises ``ValueError``, as for :func:`sharpness_probe`.

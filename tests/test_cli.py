@@ -167,9 +167,9 @@ def test_tol_eq_reaches_every_checker(ineq_id, tmp_path, capsys):
     witness = ineq.draw_trials(spec, range(1, 2), params)[0].witness(0)
     files = [_write_matrix(tmp_path / f"m{k}.json", m) for k, m in enumerate(witness.matrices)]
     argv = ["check", *files, "--ineq", ineq_id, "--format", "structured"]
-    if ineq.needs_r:
+    if "r" in ineq.params:
         argv += ["--r", "2"]
-    if ineq.hypothesis_gate:
+    if "allow_hypothesis_violation" in ineq.params:
         argv.append("--allow-hypothesis-violation")
 
     def check(eq_rel):
@@ -422,7 +422,7 @@ def test_structured_check_past_dbl_max_is_json_with_no_nan(ineq_id, entries, ver
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
     argv = ["check", str(path), "--ineq", ineq_id, "--format", "structured"]
-    assert main(argv + (["--r", "1"] if INEQUALITIES[ineq_id].needs_r else [])) == 0
+    assert main(argv + (["--r", "1"] if "r" in INEQUALITIES[ineq_id].params else [])) == 0
     report = _strict_json(capsys.readouterr().out)
     sides = [report[side] for side in ("lhs", "rhs")]
     assert all(math.isfinite(side["log_magnitude"]) for side in sides)
@@ -548,7 +548,7 @@ def test_a_non_finite_p_is_a_usage_error(diag_file, p, capsys):
 
 def test_p_for_an_id_that_takes_no_exponent_is_a_usage_error(diag_file, capsys):
     # fuzz recorded "p" in its report's params, and check dropped it silently
-    takes = [ineq.id for ineq in INEQUALITIES.values() if ineq.default_p is not None]
+    takes = [ineq.id for ineq in INEQUALITIES.values() if "p" in ineq.params]
     assert takes == ["thm3", "log_major"]
     for ineq in INEQUALITIES.values():
         argvs = [["fuzz", "--predicate", ineq.id, "--p", "2", "--trials", "2"]]
@@ -567,7 +567,7 @@ def test_p_for_an_id_that_takes_no_exponent_is_a_usage_error(diag_file, capsys):
 
 def test_r_for_an_id_without_a_block_split_is_a_usage_error(diag_file, capsys):
     # check dropped --r silently for these ids, and exited 0
-    takes = [ineq.id for ineq in INEQUALITIES.values() if ineq.needs_r]
+    takes = [ineq.id for ineq in INEQUALITIES.values() if "r" in ineq.params]
     assert takes == ["fischer", "thm1", "cor_c0", "cor_c1", "thm2", "thm3", "schur_identity",
                      "e21"]
     for ineq in INEQUALITIES.values():
@@ -587,7 +587,7 @@ def test_a_p_past_the_largest_exponent_is_a_usage_error_naming_it(ineq_id, large
                                                                  capsys):
     # thm3 warned of an overflow and of inf - inf and answered "the margin is NaN";
     # log_major answered "got inf", its doubled exponent
-    r = ["--r", "1"] if INEQUALITIES[ineq_id].needs_r else []
+    r = ["--r", "1"] if "r" in INEQUALITIES[ineq_id].params else []
     for argv in (["fuzz", "--predicate", ineq_id, "--p", "1e308", "--trials", "2"],
                  ["check", diag_file, "--ineq", ineq_id, *r, "--p", "1e308"]):
         with warnings.catch_warnings():
@@ -607,7 +607,8 @@ def test_a_p_past_the_largest_exponent_is_a_usage_error_naming_it(ineq_id, large
 def test_allow_hypothesis_violation_for_an_id_without_the_gate_is_a_usage_error(
         diag_file, capsys):
     # fuzz recorded the flag in its report's params, and check dropped it silently
-    takes = [ineq.id for ineq in INEQUALITIES.values() if ineq.hypothesis_gate]
+    takes = [ineq.id for ineq in INEQUALITIES.values()
+             if "allow_hypothesis_violation" in ineq.params]
     assert takes == ["cor_c1"]
     for ineq in INEQUALITIES.values():
         argvs = [["fuzz", "--predicate", ineq.id, "--trials", "2"]]

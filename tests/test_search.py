@@ -403,7 +403,8 @@ def test_search_margins_equal_rechecked_json_witness_margins(ineq_id, family):
     # the search checks the blocks it drew; recheck_witness re-splits the recorded matrices
     ineq = INEQUALITIES[ineq_id]
     spec = GeneratorSpec(family=family, n=4, r=2, m=2, seed=31)
-    params = {"allow_hypothesis_violation": True} if ineq.hypothesis_gate else None
+    params = ({"allow_hypothesis_violation": True}
+              if "allow_hypothesis_violation" in ineq.params else None)
     for run in (search_violations, sharpness_probe):
         report = run(spec, ineq_id, 8, params=params)
         if report.min_margin is not None:
