@@ -502,6 +502,18 @@ def _finite_chunks(ineq, spec, trials, params):
         start += len(drawn.trials) + 1
 
 
+def _scored_chunks(ineq, params) -> tuple:
+    """The chunks the pins below score: 6 trials of every family at each
+    criterion-4 size and of each degenerate spec, then the near-DBL_MAX
+    chunks; and how many trials those last hold."""
+    specs = [GeneratorSpec(family=family, n=n, r=r, m=m, seed=17 * n + m)
+             for family in FAMILIES for n, r, m in _CRITERION_4_SIZES] + list(_DEGENERATE)
+    near = [drawn for spec in _near_dbl_max(ineq)
+            for drawn in _finite_chunks(ineq, spec, 40, params)]
+    return ([_drawn(ineq, spec, 6, params) for spec in specs] + near,
+            sum(len(drawn.trials) for drawn in near))
+
+
 @pytest.mark.parametrize("ineq_id, params, verdicts", [
     pytest.param(*case, id=f"{case[0]}-{'None' if case[1] is None else f'params{i}'}")
     for i, case in enumerate(_SCORED)])
@@ -509,10 +521,7 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params,
     # every trial's code is its checker's verdict and its margin the checker's, bit
     # for bit: flagged-zero sides, Y = 0, singular blocks and rescaled stacks included
     ineq = INEQUALITIES[ineq_id]
-    specs = [GeneratorSpec(family=family, n=n, r=r, m=m, seed=17 * n + m)
-             for family in FAMILIES for n, r, m in _CRITERION_4_SIZES] + list(_DEGENERATE)
-    chunks = [_drawn(ineq, spec, 6, params) for spec in specs] + [
-        drawn for spec in _near_dbl_max(ineq) for drawn in _finite_chunks(ineq, spec, 40, params)]
+    chunks, near_dbl_max = _scored_chunks(ineq, params)
     seen = {verdict: 0 for verdict in Verdict}
     for drawn in chunks:
         margins, codes = ineq.score(drawn, DEFAULT_TOL)
@@ -522,9 +531,29 @@ def test_batched_margins_and_verdicts_equal_the_checker_bitwise(ineq_id, params,
             assert _VERDICTS[codes[i]] is report.verdict, where
             assert _bits(margins[i]) == _bits(report.margin), where
             seen[report.verdict] += 1
-    near_dbl_max = sum(len(drawn.trials) for drawn in chunks[len(specs):])
     assert {verdict for verdict, count in seen.items() if count} == verdicts
     assert near_dbl_max > 20
+
+
+@pytest.mark.parametrize("ineq_id, params", _BATCHED)
+def test_a_report_s_sides_are_its_row_of_the_chunk_s_sides_bitwise(ineq_id, params):
+    # the lhs and rhs a report prints are the log magnitudes and zero flags of the
+    # sides function on the chunk, row by row; phases are left out: a stacked complex
+    # product need not be bitwise the one-input one
+    ineq = INEQUALITIES[ineq_id]
+    for drawn in _scored_chunks(ineq, params)[0]:
+        stack = drawn.t if ineq.shape == "family" else drawn.t[:, 0]
+        sides = ineq.sides(stack, *[search._param(drawn.params, key) for key in ineq.params])
+        for i in range(len(drawn.trials)):
+            report = ineq.check(drawn.witness(i), DEFAULT_TOL)
+            for got, log, zero in ((report.lhs, sides.lhs, sides.lhs_zero),
+                                   (report.rhs, sides.rhs, sides.rhs_zero)):
+                zero = bool(np.broadcast_to(zero, (len(drawn.trials),))[i])
+                where = (drawn.spec, drawn.trials[i], got, zero)
+                assert got.is_zero is zero, where
+                if not zero:
+                    log = np.broadcast_to(log, (len(drawn.trials),))[i]
+                    assert _bits(got.log_magnitude) == _bits(log), where
 
 
 @pytest.mark.parametrize("ineq_id, params", _BATCHED)
