@@ -31,7 +31,6 @@ from .checks import (
     Verdict,
     check_cor_c0,
     check_cor_c1,
-    check_c1_proof_step,
     check_djokovic,
     check_drury,
     check_e21,
@@ -40,7 +39,6 @@ from .checks import (
     check_log_major,
     check_schur_identity,
     check_thm1,
-    check_thm1_schur_steps,
     check_thm2,
     check_thm3,
     check_weyl,

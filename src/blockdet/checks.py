@@ -9,7 +9,8 @@ Each inequality is computed one way, by its sides function: on one input,
 or elementwise on a stack, it gives a :class:`_Sides`, the sides' log
 magnitudes and every other input of the one verdict rule, :func:`_decide`.
 A search scores a stack by :func:`_evaluate`; a checker is its sides
-function on its one input, reported by :func:`_report` with its findings.
+function on its one input, reported by :func:`_report` with its findings:
+every side and margin a report prints is read off that one :class:`_Sides`.
 Where the inequality has a characterized equality case (cor_c0, lemma1,
 thm2, drury, thm3), the verdict follows the structural condition, with a
 diagnostic where the margin disagrees.  All checkers are pure functions.
@@ -61,10 +62,8 @@ __all__ = [
     "BlockFamily",
     "check_fischer",
     "check_thm1",
-    "check_thm1_schur_steps",
     "check_cor_c0",
     "check_cor_c1",
-    "check_c1_proof_step",
     "check_lemma1",
     "check_djokovic",
     "check_thm2",
@@ -261,9 +260,10 @@ def _decide(windowed, log_lhs, tol: Tolerances, structural_equality=None,
 class _Sides(NamedTuple):
     """An inequality's sides on one input, or on each of a stack: their log
     magnitudes and zero flags, the inputs of :func:`_decide` (None where
-    they do not apply), and ``detail``, what the findings read.  ``margin``
-    replaces log|lhs| - log|rhs|, and ``value`` the margin in the window,
-    where given; an equality of the value reads margin 0."""
+    they do not apply), ``detail``, what the findings read, and the sides'
+    phases, which only a one-input report prints.  ``margin`` replaces
+    log|lhs| - log|rhs|, and ``value`` the margin in the window, where
+    given; an equality of the value reads margin 0."""
 
     lhs: object
     rhs: object
@@ -276,6 +276,8 @@ class _Sides(NamedTuple):
     margin: object = None
     value: object = None
     detail: tuple = ()
+    lhs_phase: object = 1.0
+    rhs_phase: object = 1.0
 
 
 def _evaluate(sides: _Sides, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -311,17 +313,16 @@ _NUMPY_VALUES = (np.generic, np.ndarray)   # a one-input side's value that _repo
 
 
 def _report(inequality_id: str, sides: _Sides, tol: Tolerances,
-            diagnostics: tuple[Finding, ...] = (), *, lhs: SignedLogDet | None = None,
-            rhs: SignedLogDet | None = None) -> CheckReport:
+            diagnostics: tuple[Finding, ...] = ()) -> CheckReport:
     """Every checker's report, decided as :func:`_evaluate` decides each of
-    a stack, from the :class:`_Sides` of its one input, with its findings
-    ``diagnostics``; ``lhs`` and ``rhs``, where given, are its sides with
-    the phases the report prints.  A NaN side or margin has no verdict and
-    raises :class:`LinalgError`.  A ``structural_numeric_mismatch`` or
+    a stack, from the :class:`_Sides` of its one input, whose phases, log
+    magnitudes and zero flags are the sides it prints, with its findings
+    ``diagnostics``.  A NaN side or margin has no verdict and raises
+    :class:`LinalgError`.  A ``structural_numeric_mismatch`` or
     ``margin_within_equality_band`` finding is added where the structural
     equality and the window disagree."""
-    lhs = _sld(sides.lhs, sides.lhs_zero) if lhs is None else lhs
-    rhs = _sld(sides.rhs, sides.rhs_zero) if rhs is None else rhs
+    lhs = _signed_log_det(sides.lhs_phase, sides.lhs, sides.lhs_zero)
+    rhs = _signed_log_det(sides.rhs_phase, sides.rhs, sides.rhs_zero)
     margin = lhs.log_ratio(rhs) if sides.margin is None else float(sides.margin)
     for side, v in (("lhs", lhs.log_magnitude), ("rhs", rhs.log_magnitude), ("margin", margin)):
         if math.isnan(v):   # every comparison with NaN is false: no verdict can follow
@@ -352,11 +353,6 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 # The largest exponent: p |log v| < DBL_MAX / 2e5 for every positive finite v,
 # so no side, a sum of n < 1e5 such terms, overflows, nor log_major's 2p.
 _P_MAX = 1e300
-
-
-def _sld(log_magnitude, is_zero) -> SignedLogDet:
-    """A side's positive determinant from its log magnitude, or the flagged zero."""
-    return SignedLogDet.zero() if is_zero else SignedLogDet.from_log(float(log_magnitude))
 
 
 def _log1p_pow(v: np.ndarray, log_s, p: float) -> np.ndarray:
@@ -492,23 +488,22 @@ def check_fischer(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -> Check
     """
     a = _require_square(as_matrix(a), "check_fischer")
     sides = _fischer_sides(a, r)
-    d11, d22, d, hermitian, least = sides.detail
+    hermitian, least = sides.detail
     diagnostics = (Finding("is_psd", not sides.precondition_failed),)
     if hermitian:
         diagnostics += (Finding("min_eigenvalue", float(least)),)
-    return _report("fischer", sides, tol, diagnostics,
-                   lhs=_signed_log_det(*d11) * _signed_log_det(*d22), rhs=_signed_log_det(*d))
+    return _report("fischer", sides, tol, diagnostics)
 
 
 def _fischer_sides(a: np.ndarray, r: int) -> _Sides:
     """The sides of :func:`check_fischer` for A, or each A of a stack, PSD by
-    :func:`_psd`.  The detail is the determinants' parts, whether A is
-    Hermitian, and its least eigenvalue."""
+    :func:`_psd`.  The detail is whether A is Hermitian, and its least
+    eigenvalue."""
     _require_split(a.shape[-1], r)
     d11, d22, d = (_det_parts(b) for b in (a[..., :r, :r], a[..., r:, r:], a))
     hermitian, psd, least = _psd(a)
     return _Sides(d11[1] + d22[1], d[1], d11[2] | d22[2], d[2], precondition_failed=~psd,
-                  detail=(d11, d22, d, hermitian, least))
+                  detail=(hermitian, least), lhs_phase=d11[0] * d22[0], rhs_phase=d[0])
 
 
 def check_thm1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -535,31 +530,6 @@ def _thm1_sides(t: np.ndarray, r: int) -> _Sides:
     (rhs_x, x_zero), (rhs_z, z_zero) = (_log_det_gram(b, floor)[:2]
                                         for b in _diagonal_blocks(t, r))
     return _Sides(lhs, rhs_x + rhs_z, lhs_zero, x_zero | z_zero, detail=(x_zero,))
-
-
-def check_thm1_schur_steps(family: BlockFamily) -> tuple[Finding, ...]:
-    """The two positivity facts behind the summed-Gram determinant bound.
-
-    (i) the stacked Gram sum [[sum X*X, sum X*Y], [sum Y*X, sum Y*Y]] is PSD;
-    (ii) the Schur complement of sum X*X in sum T*T dominates sum Z*Z in the
-    PSD order; a sum X*X the Schur gate rejects has no complement, a failed
-    finding.  Both are scale invariant: the family goes through
-    :func:`_unit_scaled` first.
-    """
-    r = family.r
-    full, _ = _unit_scaled(family.assemble())
-    sum_tt = sum(t.conj().T @ t for t in full)
-    complement, singular, _, _ = _schur_complement(sum_tt, r)
-    if singular:
-        return (Finding("sum_xx_nonsingular", False),)
-    gram_psd = _psd(sum(t[:r].conj().T @ t[:r] for t in full))[1]
-    gap = complement - sum(t[r:, r:].conj().T @ t[r:, r:] for t in full)
-    gap = as_matrix((gap + gap.conj().T) / 2.0)   # a complement that overflowed: LinalgError
-    w, _ = _lapack("eigh_lo", gap / 2.0 + gap.conj().T / 2.0)
-    scale = max(float(np.max(np.abs(w))), float(np.hypot.reduce(np.abs(complement), axis=None)))
-    dominates = bool(np.min(w) >= -PSD_REL * scale)
-    return (Finding("sum_xx_nonsingular", True), Finding("stacked_gram_sum_psd", bool(gram_psd)),
-            Finding("schur_complement_dominates_zz", dominates))
 
 
 def _abs_power_sides(t: np.ndarray, r: int, p: float) -> _Sides:
@@ -647,48 +617,24 @@ def _cor_c1_sides(t: np.ndarray, r: int, allow_hypothesis_violation: bool = Fals
                   detail=(x_parts, x_log_s, z_parts, z_log_s, normal))
 
 
-def check_c1_proof_step(family: BlockFamily) -> Finding:
-    """PSD-ness of the 2x2 matrix of determinants built from the X blocks.
-
-    The matrix is [[det sum conj(X)X', det sum conj(X)X],
-                   [det sum X*X',      det sum X*X]].
-    Scaling the family scales all four entries alike, so the X blocks go
-    through :func:`_unit_scaled`, each determinant is taken as
-    :func:`_product_sum_parts`, and the four are divided by the largest
-    magnitude; nothing overflows.
-    """
-    xs, _ = _unit_scaled(_diagonal_blocks(family.assemble(), family.r)[0])
-    xt, xh = xs.mT, xs.mT.conj()
-    d11, d12, d21, d22 = (_signed_log_det(*_product_sum_parts(left, right)) for left, right in
-                          ((xs.conj(), xt), (xs.conj(), xs), (xh, xt), (xh, xs)))
-    logs = [d.log_magnitude for d in (d11, d12, d21, d22) if not d.is_zero]
-    shift = max(logs) if logs else 0.0
-    def scaled(d: SignedLogDet) -> complex:
-        if d.is_zero:
-            return 0j
-        return d.phase * math.exp(d.log_magnitude - shift)
-    m2 = np.array([[scaled(d11), scaled(d12)], [scaled(d21), scaled(d22)]], dtype=complex)
-    return Finding("det_gram_2x2_psd", bool(_psd(m2)[1]))
-
-
 def check_lemma1(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """det(I + X*X) >= det(I + conj(X) X), equality iff X is symmetric."""
     x = _require_square(as_matrix(x), "check_lemma1")
     sides = _lemma1_sides(x)
-    rhs, s, asymmetry = sides.detail
+    s, asymmetry = sides.detail
     diagnostics = (Finding("is_symmetric", bool(sides.structural_equality)),
                    Finding("asymmetry_frobenius", float(s) * float(asymmetry)))
-    return _report("lemma1", sides, tol, diagnostics, rhs=_signed_log_det(*rhs))
+    return _report("lemma1", sides, tol, diagnostics)
 
 
 def _lemma1_sides(x: np.ndarray) -> _Sides:
     """The sides of :func:`check_lemma1` for X, or each X of a stack; the
-    detail is the right side's parts, and s and ||(X - X^T) / s||_F."""
+    detail is s and ||(X - X^T) / s||_F."""
     lhs = _log1p_pow(*_rescaled(_singular_values, x), 2.0).sum(axis=-1)
     rhs = _det_parts(_bordered(x.conj(), x))
     s, _, norm, asymmetry = _unit_masses(x, _asymmetry)
     return _Sides(lhs, rhs[1], False, rhs[2], asymmetry <= PREDICATE_REL * norm,
-                  detail=(rhs, s, asymmetry))
+                  detail=(s, asymmetry), rhs_phase=rhs[0])
 
 
 def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -702,26 +648,24 @@ def check_djokovic(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
     """
     x = _require_square(as_matrix(x), "check_djokovic")
     sides = _djokovic_sides(x)
-    d = _signed_log_det(*sides.detail)
-    if d.is_zero:
+    if sides.lhs_zero:
         diagnostics = (Finding("det_is_zero", True),)
     else:
-        diagnostics = (Finding("phase_re", float(d.phase.real)),
-                       Finding("phase_im", float(d.phase.imag)))
-    return _report("djokovic", sides, tol, diagnostics, lhs=d)
+        diagnostics = (Finding("phase_re", float(sides.lhs_phase.real)),
+                       Finding("phase_im", float(sides.lhs_phase.imag)))
+    return _report("djokovic", sides, tol, diagnostics)
 
 
 def _djokovic_sides(x: np.ndarray) -> _Sides:
     """The sides of :func:`check_djokovic` for X, or each X of a stack, a
-    flagged zero read as :meth:`SignedLogDet.zero` reads; the detail is the
-    determinant's parts."""
-    phase, log, zero = parts = _det_parts(_bordered(x.conj(), x))
+    flagged zero read as :meth:`SignedLogDet.zero` reads."""
+    phase, log, zero = _det_parts(_bordered(x.conj(), x))
     if zero.any():
         phase, log = np.where(zero, 0.0, phase), np.where(zero, 0.0, log)
     return _Sides(log, 0.0, zero, True,
                   margin=np.copysign(np.logaddexp(0.0, log), phase.real),
                   value=phase.real * np.exp(np.minimum(log, 700.0)),
-                  phase_gap=np.abs(phase.imag), detail=parts)
+                  phase_gap=np.abs(phase.imag), lhs_phase=phase)
 
 
 def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -731,12 +675,11 @@ def check_thm2(t: BlockUpperTriangular, tol: Tolerances = DEFAULT_TOL) -> CheckR
     Equality iff Y = 0 and both X and Z are symmetric.
     """
     sides = _thm2_sides(t.assemble(), t.r)
-    det_x, det_z, s, y = sides.detail
+    _, _, s, y = sides.detail
     diagnostics = (Finding("y_frobenius", float(s) * float(y)),
                    Finding("x_is_symmetric", bool(_is_symmetric(t.x))),
                    Finding("z_is_symmetric", bool(_is_symmetric(t.z))))
-    return _report("thm2", sides, tol, diagnostics,
-                   rhs=_signed_log_det(*det_x) * _signed_log_det(*det_z))
+    return _report("thm2", sides, tol, diagnostics)
 
 
 def _thm2_sides(t: np.ndarray, r: int) -> _Sides:
@@ -752,7 +695,7 @@ def _thm2_sides(t: np.ndarray, r: int) -> _Sides:
         x, z = _diagonal_blocks(t[equal], r)
         equal[equal] = _is_symmetric(x) & _is_symmetric(z)
     return _Sides(lhs, det_x[1] + det_z[1], False, det_x[2] | det_z[2], equal,
-                  detail=(det_x, det_z, s, y))
+                  detail=(det_x, det_z, s, y), rhs_phase=det_x[0] * det_z[0])
 
 
 def check_drury(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -820,7 +763,11 @@ def check_log_major(a: np.ndarray, b: np.ndarray, p: float, tol: Tolerances = DE
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape or a.size == 0:
         raise ShapeError(f"need two equal-length nonempty sequences, got {a.shape} and {b.shape}")
+    if not math.isfinite(log_scale):
+        raise ValueError(f"log_scale must be finite, got {log_scale}")
     for name, seq in (("a", a), ("b", b)):
+        if not np.isfinite(seq).all():
+            raise ValueError(f"sequence {name} must be finite")
         if np.any(seq < 0.0):
             raise ValueError(f"sequence {name} must be nonnegative")
         if np.any(np.diff(seq) > 0.0):
@@ -895,36 +842,32 @@ def check_schur_identity(a: np.ndarray, r: int, tol: Tolerances = DEFAULT_TOL) -
     """det A = det A11 * det(A / A11): both magnitudes and phases must match."""
     a = _require_square(as_matrix(a), "check_schur_identity")
     sides = _schur_identity_sides(a, r)
-    d11, complement, d, log_s, top, bottom = sides.detail
+    top, bottom = sides.detail
     if sides.precondition_failed:
         condition = float(top) / float(bottom) if bottom > 0.0 else math.inf
-        return _report("schur_identity", sides, tol,
-                       (Finding("leading_block_condition", _json_value(condition)),))
-    lhs = _signed_log_det(*d11)
-    if log_s:   # the complement of A/s is A's divided by s
-        lhs = lhs * SignedLogDet.from_log(float(log_s))
-    lhs = lhs * _signed_log_det(*complement)
-    rhs = _signed_log_det(*d)
-    diagnostics = () if lhs.is_zero or rhs.is_zero else (
-        Finding("phase_distance", float(abs(lhs.phase - rhs.phase))),)
-    return _report("schur_identity", sides, tol, diagnostics, lhs=lhs, rhs=rhs)
+        diagnostics = (Finding("leading_block_condition", _json_value(condition)),)
+    elif sides.lhs_zero or sides.rhs_zero:
+        diagnostics = ()
+    else:
+        distance = abs(complex(sides.lhs_phase) - complex(sides.rhs_phase))
+        diagnostics = (Finding("phase_distance", distance),)
+    return _report("schur_identity", sides, tol, diagnostics)
 
 
 def _schur_identity_sides(a: np.ndarray, r: int) -> _Sides:
     """The sides of :func:`check_schur_identity` for A, or each A of a stack,
     with their phase gap; both zero, a failed precondition, where A11 fails
-    :func:`_schur_complement`'s gate.  The detail is the parts of det A11,
-    det(A / A11) and det A, (n - r) log s, and A11's extreme sigmas."""
+    :func:`_schur_complement`'s gate.  The detail is A11's extreme sigmas."""
     n = a.shape[-1]
     _require_split(n, r)
     (complement, singular, top, bottom), log_s = _rescaled(_quiet(_schur_complement), a, r)
     d11, dc, d = _det_parts(a[..., :r, :r]), _det_parts(complement), _det_parts(a)
-    shift = (n - r) * log_s
     lhs_zero, rhs_zero = d11[2] | dc[2] | singular, d[2] | singular
-    phase_gap = np.where(lhs_zero | rhs_zero, 0.0, np.abs(d11[0] * dc[0] - d[0]))
-    return _Sides(d11[1] + shift + dc[1], d[1], lhs_zero, rhs_zero,
-                  precondition_failed=singular, phase_gap=phase_gap,
-                  detail=(d11, dc, d, shift, top, bottom))
+    lhs_phase = d11[0] * dc[0]
+    phase_gap = np.where(lhs_zero | rhs_zero, 0.0, np.abs(lhs_phase - d[0]))
+    return _Sides(d11[1] + (n - r) * log_s + dc[1], d[1], lhs_zero, rhs_zero,
+                  precondition_failed=singular, phase_gap=phase_gap, detail=(top, bottom),
+                  lhs_phase=lhs_phase, rhs_phase=d[0])
 
 
 def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -932,24 +875,19 @@ def check_e21(family: BlockFamily, tol: Tolerances = DEFAULT_TOL) -> CheckReport
     general, so the verdict reports which way the pair's comparison falls."""
     if family.m != 2:
         raise ShapeError(f"this comparison needs exactly two members, got {family.m}")
-    sides = _e21_sides(family.assemble(), family.r)
-    d_t, d_x, d_z, log_s = sides.detail
-    lhs, rhs = _signed_log_det(*d_t), _signed_log_det(*d_x) * _signed_log_det(*d_z)
-    if log_s:   # |T_k / s| = |T_k| / s: each side is s^-n times the pair's
-        lhs, rhs = (side * SignedLogDet.from_log(float(log_s)) for side in (lhs, rhs))
-    return _report("e21", sides, tol, lhs=lhs, rhs=rhs)
+    return _report("e21", _e21_sides(family.assemble(), family.r), tol)
 
 
 def _e21_sides(t: np.ndarray, r: int) -> _Sides:
     """The sides of :func:`check_e21` for a pair's (2, n, n) stack, or each
-    of a stack of them, under one s for [T1; T2] (:func:`_rescaled`); the
-    detail is the determinants' parts and n log s."""
+    of a stack of them, under one s for [T1; T2] (:func:`_rescaled`):
+    |T_k / s| = |T_k| / s, so each side is s^-n times the pair's."""
     n = t.shape[-1]
     (t_sum, x_sum, z_sum), log_s = _rescaled(_e21_sums, t.reshape(t.shape[:-3] + (2 * n, n)), r)
     d_t, d_x, d_z = _det_parts(t_sum), _det_parts(x_sum), _det_parts(z_sum)
     shift = n * log_s
     return _Sides(d_t[1] + shift, (d_x[1] + d_z[1]) + shift, d_t[2], d_x[2] | d_z[2],
-                  detail=(d_t, d_x, d_z, shift))
+                  lhs_phase=d_t[0], rhs_phase=d_x[0] * d_z[0])
 
 
 @_quiet

@@ -117,6 +117,14 @@ class GeneratorSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, "
                              f"expected one of {', '.join(FAMILIES)}")
+        for name in ("n", "r", "m", "seed"):   # a numpy integer is taken as its int
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        bound = self.entry_bound
+        if bool in map(type, bound if isinstance(bound, tuple) else (bound,)):
+            raise ValueError(f"entry_bound must be a number, not a bool, got {bound!r}")
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got n={self.n}")
         if self.m < 1:

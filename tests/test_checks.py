@@ -1,6 +1,5 @@
 """Inequality checkers: frozen examples, equality diagnosis, invariants."""
 
-import hashlib
 import json
 import math
 import warnings
@@ -14,7 +13,6 @@ from blockdet.checks import (
     BlockFamily,
     CheckReport,
     Verdict,
-    check_c1_proof_step,
     check_cor_c0,
     check_cor_c1,
     check_djokovic,
@@ -25,7 +23,6 @@ from blockdet.checks import (
     check_log_major,
     check_schur_identity,
     check_thm1,
-    check_thm1_schur_steps,
     check_thm2,
     check_thm3,
     check_weyl,
@@ -50,6 +47,7 @@ from blockdet.linalg import (
     det,
     _abs_matrix,
     _schur_complement,
+    _unit_scaled,
 )
 from blockdet.search import INEQUALITIES, GeneratorSpec, _block_family_from
 
@@ -142,7 +140,7 @@ def test_fischer_answers_on_input_hermitian_within_the_predicate_gate():
 
 
 # ---------------------------------------------------------------------------
-# thm1 and its proof steps
+# thm1 and the Schur step of its proof
 
 
 def test_thm1_single_member_is_equality():
@@ -192,80 +190,6 @@ def test_thm1_mixed_partitions_rejected():
         BlockFamily((t1, t2))
 
 
-def test_thm1_schur_steps_zero_y_and_hand_case():
-    rng = np.random.default_rng(6)
-    family = BlockFamily(tuple(_rand_block(rng, 4, 2, y_zero=True) for _ in range(3)))
-    names = {f.name: f.value for f in check_thm1_schur_steps(family)}
-    assert names == {"sum_xx_nonsingular": True, "stacked_gram_sum_psd": True,
-                     "schur_complement_dominates_zz": True}
-    # with every y zero the complement reduces to sum z* z exactly
-    sum_tt = sum(m.assemble().conj().T @ m.assemble() for m in family.members)
-    sum_zz = sum(m.z.conj().T @ m.z for m in family.members)
-    complement, singular, _, _ = _schur_complement(sum_tt, 2)
-    assert not singular
-    gap = np.linalg.norm(complement - sum_zz)
-    assert gap <= 1e-14 * np.linalg.norm(sum_zz)
-    hand = _family([[1, 1], [0, 1]], r=1)
-    names = {f.name: f.value for f in check_thm1_schur_steps(hand)}
-    assert all(names.values())
-
-
-def test_thm1_schur_steps_example1_family():
-    names = {f.name: f.value for f in check_thm1_schur_steps(_family(EX1_T1, EX1_T2, r=2))}
-    assert names == {"sum_xx_nonsingular": True, "stacked_gram_sum_psd": True,
-                     "schur_complement_dominates_zz": True}
-
-
-def test_thm1_schur_steps_singular_sum_short_circuits():
-    family = _family(np.zeros((3, 3)), r=1)
-    findings = check_thm1_schur_steps(family)
-    assert findings == tuple(findings)
-    assert findings[0].name == "sum_xx_nonsingular" and findings[0].value is False
-    assert len(findings) == 1
-
-
-def _schur_steps_corpus(count=1500, seed=23):
-    """Seeded families at n 2-6, m 1-3 and scales 1e-150 to 1e150, with
-    sum X_k* X_k = W diag(sigma^2) W* at condition 1e8 to 10^12.5 (both sides
-    of the Schur gate's PIVOT_REL) and Y shrunk toward 0, one in ten exactly 0."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-        r = int(rng.integers(1, n))
-        scale = 10.0 ** rng.uniform(-150, 150)
-        sigma = np.sqrt(np.logspace(0, -rng.uniform(8, 12.5), r)) if r > 1 else np.ones(1)
-        w = _haar(rng, r)
-        c = rng.standard_normal(m)
-        c /= np.linalg.norm(c)
-        shrink = 10.0 ** -rng.uniform(0, 16) if rng.random() < 0.9 else 0.0
-        members = []
-        for k in range(m):
-            x = c[k] * (_haar(rng, r) * sigma) @ w.conj().T
-            y = shrink * (rng.standard_normal((r, n - r)) + 1j * rng.standard_normal((r, n - r)))
-            z = rng.standard_normal((n - r, n - r)) + 1j * rng.standard_normal((n - r, n - r))
-            members.append(BlockUpperTriangular(x=scale * x, y=scale * y, z=scale * z))
-        yield BlockFamily(tuple(members))
-
-
-def _schur_steps_outcome(findings):
-    """G: the gate rejects sum X* X; T: every finding true; D: the dominance
-    false; P: the stacked Gram sum not PSD."""
-    if not findings[0].value:
-        return "G"
-    if all(f.value for f in findings):
-        return "T"
-    return "P" if not findings[1].value else "D"
-
-
-def test_thm1_schur_steps_findings_are_pinned_on_a_seeded_corpus():
-    # the findings on 1,500 seeded families, pinned bitwise; all three outcomes occur
-    outcomes = "".join(_schur_steps_outcome(check_thm1_schur_steps(family))
-                       for family in _schur_steps_corpus())
-    assert {key: outcomes.count(key) for key in "GTDP"} == {"G": 82, "T": 1409, "D": 9, "P": 0}
-    assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-        "fc605a77a785a9e33759a8dfe27cfeeb8bf8740824af22a4128b7784c92bbfb2")
-
-
 def _wide_scale_corpus(count=3000, seed=1):
     """Seeded families at n 2-5, m 1-3, each X, Y and Z of complex normal
     entries scaled by 10^u, u uniform in [-300, 300] per block: after the
@@ -285,16 +209,19 @@ def _wide_scale_corpus(count=3000, seed=1):
 
 
 def test_thm1_schur_steps_answers_a_subnormal_sum_xx():
-    # 43 of these families raised LinalgError: a Schur solve that only scaled a11
-    # down formed reciprocals past DBL_MAX on a subnormal a11; 36 of them now read
-    # T and 7 D.  D is the rounding of eps * ||Y||^2 against a small sum Z* Z (a
-    # known defect, 303 of the other 2,957 at the parent too), pinned as it stands
+    # the complement of sum X* X in sum T* T, of each family unit scaled: a Schur
+    # solve that only scaled a11 down formed reciprocals past DBL_MAX on a subnormal
+    # a11, and 43 of these complements were not finite
+    rejected = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = "".join(_schur_steps_outcome(check_thm1_schur_steps(family))
-                           for family in _wide_scale_corpus())
-    assert {key: outcomes.count(key) for key in "GTDP"} == {"G": 938, "T": 1752, "D": 310,
-                                                             "P": 0}
+        for family in _wide_scale_corpus():
+            full, _ = _unit_scaled(family.assemble())
+            sum_tt = sum(t.conj().T @ t for t in full)
+            complement, singular, _, _ = _schur_complement(sum_tt, family.r)
+            assert np.isfinite(complement).all()
+            rejected += bool(singular)
+    assert rejected == 938
 
 
 # ---------------------------------------------------------------------------
@@ -422,33 +349,6 @@ def test_cor_c1_remark_inner_determinant_is_minus_12():
     assert report.lhs.value.real == pytest.approx(40.0, rel=1e-10)
     assert report.rhs.value.real == pytest.approx(24.0, rel=1e-10)
     assert report.verdict is Verdict.HOLDS_STRICT
-
-
-def test_c1_proof_step_cases():
-    rng = np.random.default_rng(8)
-    real_x = rng.standard_normal((3, 3)).astype(complex)
-    t = BlockUpperTriangular(x=real_x, y=np.zeros((3, 1), dtype=complex),
-                             z=np.ones((1, 1), dtype=complex))
-    assert check_c1_proof_step(BlockFamily((t,))).value is True
-    assert check_c1_proof_step(_family(EX1_T1, EX1_T2, r=2)).value is True
-    t_id = BlockUpperTriangular(x=np.eye(2, dtype=complex),
-                                y=np.zeros((2, 1), dtype=complex),
-                                z=np.ones((1, 1), dtype=complex))
-    assert check_c1_proof_step(BlockFamily((t_id,))).value is True
-
-
-@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-150, 1e160, 1e300])
-def test_proof_step_findings_do_not_change_with_scale(s):
-    rng = np.random.default_rng(9)
-    families = [_family(EX1_T1, EX1_T2, r=2),
-                BlockFamily(tuple(_rand_block(rng, 5, 2) for _ in range(3))),
-                _family([[1, 2, 3], [2, 4, 5], [0, 0, 6]], r=2)]   # singular sum X*X
-    for family in families:
-        scaled = BlockFamily(tuple(_block(s * m.x, s * m.y, s * m.z) for m in family.members))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert check_thm1_schur_steps(scaled) == check_thm1_schur_steps(family)
-            assert check_c1_proof_step(scaled) == check_c1_proof_step(family)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +553,19 @@ def test_log_major_rejects_bad_sequences():
         check_log_major(np.array([1.0]), np.array([1.0]), 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_log_major_rejects_non_finite_input(bad):
+    # an infinite b entry read equality with margin +inf, a NaN one raised "the rhs
+    # is NaN", and a NaN log_scale warned in logaddexp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in (([1.0, 1.0], [bad, 1.0]), ([bad, 1.0], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="must be finite"):
+                check_log_major(np.array(a), np.array(b), 2.0)
+        with pytest.raises(ValueError, match="log_scale must be finite"):
+            check_log_major(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 2.0, log_scale=bad)
+
+
 def test_weyl_normal_matrix_equality():
     rng = np.random.default_rng(15)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -764,7 +677,7 @@ def _same_bits(x, y) -> bool:
 
 
 def test_stacked_gates_are_bitwise_the_predicates_copy():
-    # the proof steps' PSD test _psd, fischer's Hermitian and PSD tests and its
+    # the PSD test _psd, fischer's Hermitian and PSD tests and its
     # least eigenvalue, the symmetry and normality tests and drury's triangular
     # precondition, on one matrix and per matrix of a stack, against
     # tests/reference.py's predicates
@@ -790,9 +703,9 @@ def test_stacked_gates_are_bitwise_the_predicates_copy():
             rows += [_psd(a) for a in group]
             if n > 1:   # fischer splits A at 0 < r < n; thm1's Gram sum is 1 x 1 at r = 1
                 sides = [_fischer_sides(stack, 1)] + [_fischer_sides(a, 1) for a in group]
-                rows += [(sides[0].detail[3][i], ~sides[0].precondition_failed[i],
-                          sides[0].detail[4][i]) for i in range(len(group))]
-                rows += [(single.detail[3], ~single.precondition_failed, single.detail[4])
+                rows += [(sides[0].detail[0][i], ~sides[0].precondition_failed[i],
+                          sides[0].detail[1][i]) for i in range(len(group))]
+                rows += [(single.detail[0], ~single.precondition_failed, single.detail[1])
                          for single in sides[1:]]
             for (hermitian, psd, least), e in zip(rows, expected * (len(rows) // len(group))):
                 assert (bool(hermitian), bool(psd)) == (e.is_hermitian, e.is_psd)
@@ -1216,7 +1129,7 @@ def test_overflowing_frobenius_norm_keeps_the_shear_margin(case):
 
 # ---------------------------------------------------------------------------
 # Bordered determinants at a wide singular-value spread: det(I + conj(X) X),
-# det(sum conj(X_k) X_k) and the proof step's determinants
+# det(sum conj(X_k) X_k)
 
 
 def _haar(rng, n):
@@ -1315,34 +1228,3 @@ def test_cor_c1_single_member_is_equality_at_tiny_entries():
                                           allow_hypothesis_violation=True)
                     verdicts.add((report.verdict, math.isfinite(report.margin)))
     assert verdicts == {(Verdict.EQUALITY, True)}
-
-
-def _exact_proof_step_psd(family):
-    """Whether [[det sum conj(X)X', det sum conj(X)X], [det sum X*X', det sum X*X]]
-    is PSD, in exact rational arithmetic; the matrix is Hermitian."""
-    xs = [exact.from_ndarray(m.x) for m in family.members]
-
-    def det_sum(left, right):
-        total = None
-        for x in xs:
-            term = exact.exact_matmul(left(x), right(x))
-            total = term if total is None else exact.exact_add(total, term)
-        return exact.exact_det(total)
-
-    d11 = det_sum(exact.exact_conj, exact.exact_transpose)
-    d12 = det_sum(exact.exact_conj, lambda x: x)
-    d22 = det_sum(exact.exact_adjoint, lambda x: x)
-    return d11.re >= 0 and d22.re >= 0 and d11.re * d22.re - d12.abs2() >= 0
-
-
-@pytest.mark.parametrize("s", [4, 5])
-def test_c1_proof_step_right_at_a_wide_singular_value_spread(s):
-    # forming the Gram-type sums read "not PSD" on all 50 of these families
-    rng = np.random.default_rng(13)
-    families = [BlockFamily(tuple(_block(_normal_draw(rng, 3, s), np.zeros((3, 1)),
-                                         np.ones((1, 1))) for _ in range(2)))
-                for _ in range(50)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        found = [check_c1_proof_step(family).value for family in families]
-    assert found == [_exact_proof_step_psd(family) for family in families]

@@ -270,6 +270,28 @@ def test_generator_spec_validation():
         _drawn_matrices(GeneratorSpec(family="gaussian", entry_bound=(-2, 2)), 0)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("n", 4.0, "n must be an integer"), ("r", 2.0, "r must be an integer"),
+    ("m", 1.5, "m must be an integer"), ("seed", 3.0, "seed must be an integer"),
+    ("seed", "3", "seed must be an integer"), ("n", True, "n must be an integer"),
+    ("m", np.True_, "m must be an integer"), ("entry_bound", True, "not a bool"),
+    ("entry_bound", (False, 3), "not a bool")])
+def test_generator_spec_refuses_a_non_integer_size_or_seed_and_a_bool_bound(field, value, match):
+    # m 1.5 ran and was recorded as 1.5, entry_bound True drew at scale 1, and n 4.0
+    # died in numpy
+    for family in ("gaussian", "integer_uniform"):
+        with pytest.raises(ValueError, match=match):
+            GeneratorSpec(family=family, **{field: value})
+
+
+def test_generator_spec_takes_a_numpy_integer_as_its_int():
+    spec = GeneratorSpec("gaussian", np.int64(4), np.int32(2), np.uint8(1), seed=np.uint64(3))
+    assert spec == GeneratorSpec("gaussian", 4, 2, 1, seed=3)
+    assert all(type(v) is int for v in (spec.n, spec.r, spec.m, spec.seed))
+    report = search_violations(spec, "cor_c0", 2)
+    assert json.loads(json.dumps(report.to_json_dict()))["spec"] == spec.to_json_dict()
+
+
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, (0, math.inf), (-math.inf, 0),
                                    (0, math.nan), 10**400, (-2.5, 2.5), (0.5, 0.7), 2.5])
 def test_an_integer_family_refuses_a_bound_that_is_no_integer(bound):
