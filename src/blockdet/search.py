@@ -123,8 +123,11 @@ class GeneratorSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         bound = self.entry_bound
-        if bool in map(type, bound if isinstance(bound, tuple) else (bound,)):
+        ends = bound if isinstance(bound, tuple) else (bound,)
+        if bool in map(type, ends):
             raise ValueError(f"entry_bound must be a number, not a bool, got {bound!r}")
+        ends = tuple(int(v) if isinstance(v, np.integer) else v for v in ends)
+        object.__setattr__(self, "entry_bound", ends if isinstance(bound, tuple) else ends[0])
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got n={self.n}")
         if self.m < 1:

@@ -292,6 +292,17 @@ def test_generator_spec_takes_a_numpy_integer_as_its_int():
     assert json.loads(json.dumps(report.to_json_dict()))["spec"] == spec.to_json_dict()
 
 
+@pytest.mark.parametrize("family", ["gaussian", "integer_uniform"])
+def test_a_numpy_integer_entry_bound_is_taken_as_its_int(family):
+    # the draw refused np.int64(5), and json cannot write it
+    ran = [json.dumps(search_violations(GeneratorSpec(family, 4, 2, 1, entry_bound=bound),
+                                        "cor_c0", 3).to_json_dict())
+           for bound in (np.int64(5), 5)]
+    assert ran[0] == ran[1]
+    pair = GeneratorSpec(family, entry_bound=(np.int8(-3), np.int64(4))).entry_bound
+    assert pair == (-3, 4) and all(type(v) is int for v in pair)
+
+
 @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, (0, math.inf), (-math.inf, 0),
                                    (0, math.nan), 10**400, (-2.5, 2.5), (0.5, 0.7), 2.5])
 def test_an_integer_family_refuses_a_bound_that_is_no_integer(bound):
