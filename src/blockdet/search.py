@@ -328,12 +328,13 @@ def _assembled(spec: GeneratorSpec, raw: np.ndarray, layout: tuple) -> np.ndarra
     exactly in one pass: every complex entry assembled in one chain, as
     s * (re + 1j * im) but for the normal family's G, the entries T takes
     as drawn written in one call, then the family's structure made on T's
-    diagonal blocks (:func:`_layout`)."""
+    diagonal blocks (:func:`_layout`); the normal family's T drawn whole is
+    its one block's product itself."""
     n = spec.n
     _, entries, at, placed, square = layout
     parts = raw[:, entries]
-    t = np.zeros((len(raw), n * n), dtype=complex)
     if spec.family in _INTEGER_FAMILIES:   # its entries as drawn
+        t = np.zeros((len(raw), n * n), dtype=complex)
         t[:, at] = parts
         return t.reshape(-1, n, n)
     half = parts.shape[1] // 2
@@ -341,10 +342,14 @@ def _assembled(spec: GeneratorSpec, raw: np.ndarray, layout: tuple) -> np.ndarra
     normal = spec.family == "normal_via_unitary_conjugation"
     unscaled = sum(b * b for _, b in square) if normal else 0   # G
     scaled = _scale(spec) * values[:, unscaled:]
+    if normal:
+        built = _normal_blocks(values[:, :unscaled], scaled[:, placed:], [b for _, b in square])
+        if not placed:   # drawn whole: the product is T
+            return built[0]
+    t = np.zeros((len(raw), n * n), dtype=complex)
     t[:, at] = scaled[:, :placed]
     t = t.reshape(-1, n, n)
     if normal:
-        built = _normal_blocks(values[:, :unscaled], scaled[:, placed:], [b for _, b in square])
         for (row, b), block in zip(square, built):
             t[:, row:row + b, row:row + b] = block
     elif spec.family == "symmetric":
